@@ -36,6 +36,7 @@ use iobt_fleet::{
     DiskStore, FailingStore, FaultProfile, Fleet, FleetBuilder, MissionStatus, MissionTicket,
 };
 use iobt_netsim::SimDuration;
+use iobt_obs::fnv1a;
 
 /// Nodes per mission (small: the point is mission count, not field size).
 const MISSION_NODES: usize = 32;
@@ -55,13 +56,6 @@ struct SizeResult {
     p99_slice_ms: f64,
     peak_rss_mb: f64,
     fingerprint: u64,
-}
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
 }
 
 fn peak_rss_mb() -> f64 {
@@ -112,22 +106,7 @@ fn run_size(missions: usize, workers: usize, seed: u64) -> SizeResult {
         "every submitted mission must complete"
     );
 
-    // Combined fingerprint over every mission's end state, in ticket
-    // order: metrics fingerprint plus the digest's headline counters.
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
-    for &t in &tickets {
-        let d = fleet.digest(t).expect("completed mission has a digest");
-        let m = fleet
-            .metrics_fingerprint(t)
-            .expect("mission metrics are on by default");
-        fnv1a(&mut fp, &m.to_le_bytes());
-        for v in [d.sent, d.delivered, d.dropped] {
-            fnv1a(&mut fp, &v.to_le_bytes());
-        }
-        fnv1a(&mut fp, &d.energy_spent_j.to_bits().to_le_bytes());
-        fnv1a(&mut fp, &d.mean_utility.to_bits().to_le_bytes());
-    }
-
+    let fingerprint = combined_fingerprint(&fleet, &tickets);
     let _ = std::fs::remove_dir_all(&root);
     SizeResult {
         missions,
@@ -139,7 +118,7 @@ fn run_size(missions: usize, workers: usize, seed: u64) -> SizeResult {
         p50_slice_ms: summary.p50_slice_ms,
         p99_slice_ms: summary.p99_slice_ms,
         peak_rss_mb: peak_rss_mb(),
-        fingerprint: fp,
+        fingerprint,
     }
 }
 
@@ -152,22 +131,27 @@ fn supervised_batch(missions: usize, seed: u64) -> Vec<Scenario> {
         .collect()
 }
 
-/// Fingerprint over every completed mission's end state, ticket order.
+/// Fingerprint over every completed mission's end state, in ticket
+/// order: metrics fingerprint plus the digest's headline counters.
 fn combined_fingerprint(fleet: &Fleet, tickets: &[MissionTicket]) -> u64 {
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut bytes = Vec::new();
     for &t in tickets {
         let d = fleet.digest(t).expect("completed mission has a digest");
         let m = fleet
             .metrics_fingerprint(t)
             .expect("mission metrics are on by default");
-        fnv1a(&mut fp, &m.to_le_bytes());
-        for v in [d.sent, d.delivered, d.dropped] {
-            fnv1a(&mut fp, &v.to_le_bytes());
+        for v in [
+            m,
+            d.sent,
+            d.delivered,
+            d.dropped,
+            d.energy_spent_j.to_bits(),
+            d.mean_utility.to_bits(),
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
         }
-        fnv1a(&mut fp, &d.energy_spent_j.to_bits().to_le_bytes());
-        fnv1a(&mut fp, &d.mean_utility.to_bits().to_le_bytes());
     }
-    fp
+    fnv1a(&bytes)
 }
 
 /// Supervision smoke: run `missions` with optional injected

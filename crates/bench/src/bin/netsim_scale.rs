@@ -86,13 +86,6 @@ struct SizeResult {
     fingerprint: u64,
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 fn peak_rss_mb() -> f64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0.0;
@@ -139,7 +132,7 @@ fn run_size(n: u64, seed: u64) -> SizeResult {
     let wall_s = start.elapsed().as_secs_f64();
 
     let stats = sim.stats();
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut fp_bytes = Vec::new();
     for v in [
         stats.sent,
         stats.delivered,
@@ -152,15 +145,15 @@ fn run_size(n: u64, seed: u64) -> SizeResult {
         stats.retransmits,
         sim.events_processed(),
     ] {
-        fnv1a(&mut fp, &v.to_le_bytes());
+        fp_bytes.extend_from_slice(&v.to_le_bytes());
     }
-    fnv1a(&mut fp, &stats.energy_spent_j.to_bits().to_le_bytes());
-    fnv1a(&mut fp, &stats.latency_ms.mean().to_bits().to_le_bytes());
+    fp_bytes.extend_from_slice(&stats.energy_spent_j.to_bits().to_le_bytes());
+    fp_bytes.extend_from_slice(&stats.latency_ms.mean().to_bits().to_le_bytes());
     for i in 0..n {
         let id = NodeId::new(i);
-        fnv1a(&mut fp, &[u8::from(sim.is_alive(id))]);
+        fp_bytes.push(u8::from(sim.is_alive(id)));
         if let Some(e) = sim.energy(id) {
-            fnv1a(&mut fp, &e.remaining_j().to_bits().to_le_bytes());
+            fp_bytes.extend_from_slice(&e.remaining_j().to_bits().to_le_bytes());
         }
     }
 
@@ -172,7 +165,7 @@ fn run_size(n: u64, seed: u64) -> SizeResult {
         delivered: stats.delivered,
         dropped: stats.dropped,
         peak_rss_mb: peak_rss_mb(),
-        fingerprint: fp,
+        fingerprint: iobt_obs::fnv1a(&fp_bytes),
     }
 }
 

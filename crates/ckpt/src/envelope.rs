@@ -1,36 +1,48 @@
-//! The checkpoint file format.
+//! The durable file envelope, and the checkpoint file format built on it.
 //!
-//! Fixed-order layout (all integers little-endian):
+//! Every durable file this workspace writes (mission checkpoints here,
+//! the fleet manifest in `iobt-fleet`) is one envelope, sealed by
+//! [`seal`] and verified by [`open`] (all integers little-endian, `k`
+//! fixed per file kind):
 //!
-//! | offset | size | field                                    |
-//! |--------|------|------------------------------------------|
-//! | 0      | 8    | magic `b"IOBTCKPT"`                      |
-//! | 8      | 4    | format version (`u32`, see below)        |
-//! | 12     | 8    | mission seed (`u64`)                     |
-//! | 20     | 8    | window index (`u64`, windows completed)  |
-//! | 28     | 8    | payload length (`u64`)                   |
-//! | 36     | n    | payload                                  |
-//! | 36 + n | 4    | CRC-32 (IEEE) over bytes `[0, 36 + n)`   |
+//! | offset      | size | field                                     |
+//! |-------------|------|-------------------------------------------|
+//! | 0           | 8    | magic                                     |
+//! | 8           | 4    | format version (`u32`)                    |
+//! | 12          | 8·k  | `k` header words (`u64` each)             |
+//! | 12 + 8k     | 8    | payload length (`u64`)                    |
+//! | 20 + 8k     | n    | payload                                   |
+//! | 20 + 8k + n | 4    | CRC-32 (IEEE) over every preceding byte   |
+//!
+//! A checkpoint is the envelope with magic `b"IOBTCKPT"`, version
+//! [`FORMAT_VERSION`] and `k = 2` header words: the mission seed and the
+//! window index (windows completed).
 //!
 //! The CRC covers the header *and* the payload, so a bit flip anywhere
 //! in the file — including in the header fields themselves — is
 //! detected at load. Files are written to a `.tmp` sibling and
-//! atomically renamed into place, so a crash mid-write can only ever
-//! leave a stale temp file behind, never a truncated checkpoint under
-//! the final name.
+//! atomically renamed into place ([`write_atomic`]), so a crash
+//! mid-write can only ever leave a stale temp file behind, never a
+//! truncated file under the final name.
 
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::codec::DecodeError;
+use crate::codec::{Dec, DecodeError};
 
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: [u8; 8] = *b"IOBTCKPT";
 
-/// Current checkpoint format version. Bump on any layout change; the
-/// loader rejects versions it does not understand.
+/// Current checkpoint format version. Bump on any layout change.
+///
+/// Version policy: the loader accepts exactly this version. A
+/// checkpoint from any other build — including the previous one, N−1 —
+/// is refused with [`CkptError::UnsupportedVersion`] before a single
+/// payload byte is interpreted, never best-effort parsed: a checkpoint
+/// only has to outlive the process that wrote it, and a refused file
+/// costs one re-run where a misparsed one would silently diverge.
 ///
 /// History: v1 recorded the netsim graph cache as a present/absent
 /// bool; v2 widened that byte to a three-state disposition (absent,
@@ -39,14 +51,19 @@ pub const MAGIC: [u8; 8] = *b"IOBTCKPT";
 /// the recorder's per-subsystem emission-counter array from 5 to 6
 /// slots when the `fleet` subsystem was added, shifting every field
 /// after it; v4 widened it again from 6 to 7 slots for the `bridge`
-/// subsystem.
-pub const FORMAT_VERSION: u32 = 4;
-
-/// Fixed header size in bytes (magic + version + seed + window + len).
-pub const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
+/// subsystem; v5 length-prefixes that counter block (so a new
+/// subsystem no longer moves any other field) and stores the config
+/// guard as the length-prefixed run-parameter codec bytes.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Trailing checksum size in bytes.
 pub const TRAILER_LEN: usize = 4;
+
+/// Envelope bytes around the payload, given `k` header words: magic,
+/// version, the words, the payload length, the checksum.
+const fn overhead(k: usize) -> usize {
+    8 + 4 + 8 * k + 8 + TRAILER_LEN
+}
 
 /// Decoded checkpoint header fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,13 +204,15 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// Serialises a checkpoint envelope around `payload`.
-pub fn encode_checkpoint(seed: u64, window: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&seed.to_le_bytes());
-    out.extend_from_slice(&window.to_le_bytes());
+/// Seals `payload` in an envelope: `magic`, `version`, the header
+/// `words`, the payload length, the payload, and a CRC-32 over all of it.
+pub fn seal(magic: &[u8; 8], version: u32, words: &[u64], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(overhead(words.len()) + payload.len());
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    for word in words {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
     let crc = crc32(&out);
@@ -201,68 +220,74 @@ pub fn encode_checkpoint(seed: u64, window: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verifies an envelope and returns its header and payload slice.
+/// Verifies an envelope written by [`seal`] with `K` header words and
+/// returns the words and the payload slice.
 ///
 /// Verification order: length floor → magic → version → declared
 /// payload length → CRC. Every failure is an `Err`; nothing panics on
 /// arbitrary input.
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CheckpointHeader, &[u8]), CkptError> {
-    let min = HEADER_LEN + TRAILER_LEN;
+pub fn open<'a, const K: usize>(
+    magic: &[u8; 8],
+    version: u32,
+    bytes: &'a [u8],
+) -> Result<([u64; K], &'a [u8]), CkptError> {
+    let min = overhead(K);
     if bytes.len() < min {
         return Err(CkptError::Truncated {
             len: bytes.len(),
             min,
         });
     }
-    if bytes[..8] != MAGIC {
+    if bytes[..8] != *magic {
         return Err(CkptError::BadMagic);
     }
-    let le_u32 = |b: &[u8]| {
-        let mut w = [0u8; 4];
-        w.copy_from_slice(&b[..4]);
-        u32::from_le_bytes(w)
-    };
-    let le_u64 = |b: &[u8]| {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&b[..8]);
-        u64::from_le_bytes(w)
-    };
-    let version = le_u32(&bytes[8..12]);
-    if version != FORMAT_VERSION {
-        return Err(CkptError::UnsupportedVersion(version));
+    // Past the length floor every fixed-width read below is in bounds.
+    let mut header = Dec::new(&bytes[8..]);
+    let found = header.u32()?;
+    if found != version {
+        return Err(CkptError::UnsupportedVersion(found));
     }
-    let seed = le_u64(&bytes[12..20]);
-    let window = le_u64(&bytes[20..28]);
-    let declared = le_u64(&bytes[28..36]);
+    let mut words = [0u64; K];
+    for word in &mut words {
+        *word = header.u64()?;
+    }
+    let declared = header.u64()?;
     let actual = (bytes.len() - min) as u64;
     if declared != actual {
         return Err(CkptError::LengthMismatch { declared, actual });
     }
-    let body = &bytes[..bytes.len() - TRAILER_LEN];
-    let stored = le_u32(&bytes[bytes.len() - TRAILER_LEN..]);
-    let computed = crc32(body);
+    let body_end = bytes.len() - TRAILER_LEN;
+    let stored = Dec::new(&bytes[body_end..]).u32()?;
+    let computed = crc32(&bytes[..body_end]);
     if stored != computed {
         return Err(CkptError::CrcMismatch { stored, computed });
     }
+    Ok((words, &bytes[min - TRAILER_LEN..body_end]))
+}
+
+/// Serialises a checkpoint envelope around `payload`.
+pub fn encode_checkpoint(seed: u64, window: u64, payload: &[u8]) -> Vec<u8> {
+    seal(&MAGIC, FORMAT_VERSION, &[seed, window], payload)
+}
+
+/// Verifies a checkpoint envelope and returns its header and payload
+/// slice (see [`open`] for the verification order).
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CheckpointHeader, &[u8]), CkptError> {
+    let ([seed, window], payload) = open::<2>(&MAGIC, FORMAT_VERSION, bytes)?;
     Ok((
         CheckpointHeader {
-            version,
+            version: FORMAT_VERSION,
             seed,
             window,
         },
-        &bytes[HEADER_LEN..bytes.len() - TRAILER_LEN],
+        payload,
     ))
 }
 
-/// Writes a checkpoint to `path` atomically: the envelope is written
-/// to a `.tmp` sibling, flushed, then renamed over `path`.
-pub fn write_checkpoint_atomic(
-    path: &Path,
-    seed: u64,
-    window: u64,
-    payload: &[u8],
-) -> Result<(), CkptError> {
-    let bytes = encode_checkpoint(seed, window, payload);
+/// Writes `bytes` to `path` atomically and durably: they go to a `.tmp`
+/// sibling, are flushed to disk with `sync_all`, and the sibling is
+/// then renamed over `path`.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -271,20 +296,35 @@ pub fn write_checkpoint_atomic(
         move |source| CkptError::Io { op, path, source }
     };
     let mut file = fs::File::create(&tmp).map_err(io("create", &tmp))?;
-    file.write_all(&bytes).map_err(io("write", &tmp))?;
+    file.write_all(bytes).map_err(io("write", &tmp))?;
     file.sync_all().map_err(io("sync", &tmp))?;
     drop(file);
     fs::rename(&tmp, path).map_err(io("rename", path))?;
     Ok(())
 }
 
-/// Reads and verifies a checkpoint file, returning header + payload.
-pub fn read_checkpoint_file(path: &Path) -> Result<(CheckpointHeader, Vec<u8>), CkptError> {
-    let bytes = fs::read(path).map_err(|source| CkptError::Io {
+/// Writes a checkpoint to `path` atomically (see [`write_atomic`]).
+pub fn write_checkpoint_atomic(
+    path: &Path,
+    seed: u64,
+    window: u64,
+    payload: &[u8],
+) -> Result<(), CkptError> {
+    write_atomic(path, &encode_checkpoint(seed, window, payload))
+}
+
+/// Reads a whole file, naming the path in the error.
+pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, CkptError> {
+    fs::read(path).map_err(|source| CkptError::Io {
         op: "read",
         path: path.to_path_buf(),
         source,
-    })?;
+    })
+}
+
+/// Reads and verifies a checkpoint file, returning header + payload.
+pub fn read_checkpoint_file(path: &Path) -> Result<(CheckpointHeader, Vec<u8>), CkptError> {
+    let bytes = read_file(path)?;
     let (header, payload) = decode_checkpoint(&bytes)?;
     Ok((header, payload.to_vec()))
 }
@@ -310,6 +350,16 @@ mod tests {
         assert_eq!(header.seed, 42);
         assert_eq!(header.window, 7);
         assert_eq!(got, payload);
+        // The shared envelope under it, at both header widths in use:
+        // k = 2 (checkpoints) and k = 0 (the fleet manifest).
+        let two = seal(b"TESTMAGC", 9, &[42, 7], payload);
+        assert_eq!(open::<2>(b"TESTMAGC", 9, &two).unwrap(), ([42, 7], &payload[..]));
+        let zero = seal(b"TESTMAGC", 9, &[], payload);
+        assert_eq!(zero.len() + 16, two.len());
+        assert_eq!(open::<0>(b"TESTMAGC", 9, &zero).unwrap(), ([], &payload[..]));
+        // Reading with the wrong width never verifies.
+        assert!(open::<0>(b"TESTMAGC", 9, &two).is_err());
+        assert!(open::<2>(b"TESTMAGC", 9, &zero).is_err());
     }
 
     #[test]
@@ -353,6 +403,13 @@ mod tests {
         assert!(matches!(
             decode_checkpoint(&bytes),
             Err(CkptError::UnsupportedVersion(_) | CkptError::CrcMismatch { .. })
+        ));
+        // N−1 policy: a well-formed envelope from the previous format
+        // version is refused by version, never handed to the decoder.
+        let previous = seal(&MAGIC, FORMAT_VERSION - 1, &[1, 1], b"x");
+        assert!(matches!(
+            decode_checkpoint(&previous),
+            Err(CkptError::UnsupportedVersion(4))
         ));
     }
 

@@ -8,14 +8,16 @@
 //!   with exact `f64` bit round-tripping, so restored state is
 //!   bit-identical to saved state (a prerequisite for deterministic
 //!   resume).
-//! * [`envelope`] — the checkpoint file format: a fixed-order header
-//!   (magic, format version, seed, window index), the payload, and a
-//!   trailing CRC-32 over everything before it. Files are written
-//!   temp-then-rename so a crash mid-write never leaves a truncated
-//!   file under the final name.
-//! * [`store`] — a directory of per-window checkpoints with a
-//!   latest-good scan: a torn or bit-flipped checkpoint is detected,
-//!   reported, and skipped in favour of the previous good one.
+//! * [`envelope`] — the one durable file envelope ([`seal`]/[`open`]:
+//!   magic, format version, header words, the payload, and a trailing
+//!   CRC-32 over everything before it) and the checkpoint format built
+//!   on it. Files are written temp-then-rename ([`write_atomic`]) so a
+//!   crash mid-write never leaves a truncated file under the final
+//!   name. The fleet manifest is the same envelope under another magic.
+//! * [`store`] — a directory of numbered files ([`NumberedFiles`]) with
+//!   a newest-good scan, and the per-window [`CheckpointStore`] on top:
+//!   a torn or bit-flipped checkpoint is detected, reported, and
+//!   skipped in favour of the previous good one.
 //!
 //! Everything in this crate is pure bytes + `std::fs`; the state that
 //! goes *into* a checkpoint is assembled by `iobt-netsim` and
@@ -30,7 +32,7 @@ pub mod store;
 
 pub use codec::{Dec, DecodeError, Enc};
 pub use envelope::{
-    crc32, decode_checkpoint, encode_checkpoint, read_checkpoint_file, write_checkpoint_atomic,
-    CheckpointHeader, CkptError, FORMAT_VERSION, MAGIC,
+    crc32, decode_checkpoint, encode_checkpoint, open, read_checkpoint_file, seal, write_atomic,
+    write_checkpoint_atomic, CheckpointHeader, CkptError, FORMAT_VERSION, MAGIC,
 };
-pub use store::{CheckpointStore, LatestGood};
+pub use store::{CheckpointStore, LatestGood, NumberedFiles};

@@ -1,58 +1,168 @@
-//! Directory of per-window checkpoints with latest-good fallback.
+//! Directories of numbered durable files with newest-good fallback.
 //!
-//! One mission checkpoints into one directory; each completed window
-//! `w` produces `ckpt-<w, zero-padded>.ickpt`. Loading scans windows
-//! in *descending* order and returns the newest checkpoint that
-//! verifies (magic, version, length, CRC, seed); corrupt or torn files
-//! are collected in [`LatestGood::skipped`] so the caller can report
-//! them — they are never silently ignored and never a panic.
+//! [`NumberedFiles`] is the shared mechanism: files named
+//! `<prefix><number, zero-padded><suffix>` in one directory, listed by
+//! parsing names (never timestamps) and loaded newest-first until one
+//! verifies. [`CheckpointStore`] is its per-mission instance: each
+//! completed window `w` produces `ckpt-<w>.ickpt`, and loading returns
+//! the newest checkpoint that verifies (magic, version, length, CRC,
+//! seed); corrupt or torn files are collected in
+//! [`LatestGood::skipped`] so the caller can report them — they are
+//! never silently ignored and never a panic. The fleet manifest's
+//! generations are the other instance.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::envelope::{read_checkpoint_file, write_checkpoint_atomic, CkptError};
+use crate::envelope::{decode_checkpoint, read_file, write_checkpoint_atomic, CkptError};
 
-const PREFIX: &str = "ckpt-";
-const SUFFIX: &str = ".ickpt";
+/// A directory of files named `<prefix><n><suffix>`, `n` zero-padded to
+/// at least eight digits.
+#[derive(Debug, Clone)]
+pub struct NumberedFiles {
+    dir: PathBuf,
+    prefix: &'static str,
+    suffix: &'static str,
+}
+
+/// Result of a newest-good scan: the newest file that verified (if
+/// any) plus every newer file that failed verification.
+#[derive(Debug)]
+pub struct LatestGood<T = Vec<u8>> {
+    /// `(number, contents)` of the newest good file — for a checkpoint
+    /// store `(window, payload)` — or `None` when no file in the
+    /// directory verifies.
+    pub loaded: Option<(u64, T)>,
+    /// Files that matched the naming scheme but failed verification,
+    /// newest first, with the reason each was skipped.
+    pub skipped: Vec<(PathBuf, CkptError)>,
+}
+
+impl NumberedFiles {
+    /// Names the scheme; touches nothing on disk.
+    pub fn new(dir: impl Into<PathBuf>, prefix: &'static str, suffix: &'static str) -> Self {
+        NumberedFiles {
+            dir: dir.into(),
+            prefix,
+            suffix,
+        }
+    }
+
+    /// The directory the files live in.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Creates the directory (and any missing parents).
+    pub fn create_dir(&self) -> Result<(), CkptError> {
+        fs::create_dir_all(&self.dir).map_err(|source| CkptError::Io {
+            op: "create dir",
+            path: self.dir.clone(),
+            source,
+        })
+    }
+
+    /// Path of file number `n`.
+    pub fn path_for(&self, n: u64) -> PathBuf {
+        self.dir.join(format!("{}{n:08}{}", self.prefix, self.suffix))
+    }
+
+    /// Numbers present in the directory, ascending. Parsed from file
+    /// names, so ordering never depends on filesystem timestamps; a
+    /// name counts only if [`path_for`](Self::path_for) would produce
+    /// it. A directory that does not exist holds no files.
+    pub fn numbers(&self) -> Result<Vec<u64>, CkptError> {
+        let io = |source| CkptError::Io {
+            op: "read dir",
+            path: self.dir.clone(),
+            source,
+        };
+        let entries = match fs::read_dir(&self.dir) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(io(e)),
+        };
+        let mut numbers = Vec::new();
+        for entry in entries {
+            let path = entry.map_err(io)?.path();
+            let number = path
+                .file_name()
+                .and_then(|name| name.to_str())
+                .and_then(|name| name.strip_prefix(self.prefix)?.strip_suffix(self.suffix))
+                .and_then(|digits| digits.parse::<u64>().ok());
+            if let Some(n) = number.filter(|&n| self.path_for(n) == path) {
+                numbers.push(n);
+            }
+        }
+        numbers.sort_unstable();
+        Ok(numbers)
+    }
+
+    /// Reads files newest-first and returns the first whose bytes
+    /// `verify` accepts, falling back past unreadable or rejected files
+    /// and reporting each one skipped. `Err` only on a
+    /// directory-listing failure.
+    pub fn newest_good<T>(
+        &self,
+        mut verify: impl FnMut(u64, &[u8]) -> Result<T, CkptError>,
+    ) -> Result<LatestGood<T>, CkptError> {
+        let mut loaded = None;
+        let mut skipped = Vec::new();
+        for n in self.numbers()?.into_iter().rev() {
+            let path = self.path_for(n);
+            match read_file(&path).and_then(|bytes| verify(n, &bytes)) {
+                Ok(good) => {
+                    loaded = Some((n, good));
+                    break;
+                }
+                Err(e) => skipped.push((path, e)),
+            }
+        }
+        Ok(LatestGood { loaded, skipped })
+    }
+}
 
 /// A directory holding one mission's checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    files: NumberedFiles,
 }
 
-/// Result of a latest-good scan: the newest verifiable checkpoint (if
-/// any) plus every newer file that failed verification.
-#[derive(Debug)]
-pub struct LatestGood {
-    /// `(window, payload)` of the newest good checkpoint, or `None`
-    /// when no file in the directory verifies.
-    pub loaded: Option<(u64, Vec<u8>)>,
-    /// Files that looked like checkpoints but failed verification,
-    /// with the reason each was skipped.
-    pub skipped: Vec<(PathBuf, CkptError)>,
+/// Verifies checkpoint `bytes` and that they are `seed`'s checkpoint
+/// for `window`; returns the payload.
+fn verify_window(seed: u64, window: u64, bytes: &[u8]) -> Result<Vec<u8>, CkptError> {
+    let (header, payload) = decode_checkpoint(bytes)?;
+    if header.seed != seed {
+        return Err(CkptError::SeedMismatch {
+            expected: seed,
+            found: header.seed,
+        });
+    }
+    if header.window != window {
+        return Err(CkptError::Mismatch(format!(
+            "file named for window {window} holds window {}",
+            header.window
+        )));
+    }
+    Ok(payload.to_vec())
 }
 
 impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CkptError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|source| CkptError::Io {
-            op: "create dir",
-            path: dir.clone(),
-            source,
-        })?;
-        Ok(CheckpointStore { dir })
+        let files = NumberedFiles::new(dir, "ckpt-", ".ickpt");
+        files.create_dir()?;
+        Ok(CheckpointStore { files })
     }
 
     /// The directory this store writes into.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.files.dir()
     }
 
     /// Path of the checkpoint for window `window`.
     pub fn path_for(&self, window: u64) -> PathBuf {
-        self.dir.join(format!("{PREFIX}{window:08}{SUFFIX}"))
+        self.files.path_for(window)
     }
 
     /// Atomically writes the checkpoint for `window`.
@@ -62,69 +172,23 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Window indices present in the directory, ascending. Parsed from
-    /// file names, so ordering never depends on filesystem timestamps.
+    /// Window indices present in the directory, ascending.
     pub fn windows(&self) -> Result<Vec<u64>, CkptError> {
-        let entries = fs::read_dir(&self.dir).map_err(|source| CkptError::Io {
-            op: "read dir",
-            path: self.dir.clone(),
-            source,
-        })?;
-        let mut windows = Vec::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(rest) = name.strip_prefix(PREFIX) else { continue };
-            let Some(digits) = rest.strip_suffix(SUFFIX) else { continue };
-            if let Ok(w) = digits.parse::<u64>() {
-                windows.push(w);
-            }
-        }
-        windows.sort_unstable();
-        windows.dedup();
-        Ok(windows)
+        self.files.numbers()
     }
 
     /// Reads and verifies the checkpoint for one specific window,
     /// additionally checking it belongs to `seed`.
     pub fn load_window(&self, seed: u64, window: u64) -> Result<Vec<u8>, CkptError> {
-        let path = self.path_for(window);
-        let (header, payload) = read_checkpoint_file(&path)?;
-        if header.seed != seed {
-            return Err(CkptError::SeedMismatch {
-                expected: seed,
-                found: header.seed,
-            });
-        }
-        if header.window != window {
-            return Err(CkptError::Mismatch(format!(
-                "file named for window {window} holds window {}",
-                header.window
-            )));
-        }
-        Ok(payload)
+        verify_window(seed, window, &read_file(&self.path_for(window))?)
     }
 
     /// Scans for the newest checkpoint that verifies against `seed`,
     /// falling back past corrupt files and reporting each one skipped.
     /// `Err` only on a directory-listing failure.
     pub fn load_latest_good(&self, seed: u64) -> Result<LatestGood, CkptError> {
-        let mut skipped = Vec::new();
-        for window in self.windows()?.into_iter().rev() {
-            match self.load_window(seed, window) {
-                Ok(payload) => {
-                    return Ok(LatestGood {
-                        loaded: Some((window, payload)),
-                        skipped,
-                    })
-                }
-                Err(e) => skipped.push((self.path_for(window), e)),
-            }
-        }
-        Ok(LatestGood {
-            loaded: None,
-            skipped,
-        })
+        self.files
+            .newest_good(|window, bytes| verify_window(seed, window, bytes))
     }
 }
 

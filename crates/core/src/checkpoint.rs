@@ -5,9 +5,9 @@
 //! captures *only* the execution-phase state that cannot be recomputed:
 //!
 //! * a **guard** section — scenario seed, catalog size, command post,
-//!   and every [`RunConfig`](crate::runtime::RunConfig) field that
-//!   shapes execution. Resume verifies the guard against the scenario
-//!   and config it was handed and refuses with
+//!   and the run parameters that shape execution, stored as their
+//!   [`encode_portable_config`] bytes. Resume verifies the guard against
+//!   the scenario and config it was handed and refuses with
 //!   [`CkptError::Mismatch`] on any disagreement, because resuming
 //!   under a different configuration would silently diverge;
 //! * the **window loop** state — next window, repairs, per-window
@@ -54,6 +54,22 @@ fn mismatch(what: &str, expected: impl std::fmt::Display, found: impl std::fmt::
     ))
 }
 
+/// The parameters a checkpoint is bound to: every one except
+/// `reference_mode`, which selects between equivalence-tested execution
+/// paths and so never shapes the checkpointed state.
+fn guarded(params: &PortableRunConfig) -> PortableRunConfig {
+    PortableRunConfig {
+        reference_mode: false,
+        ..params.clone()
+    }
+}
+
+fn portable_config_bytes(params: &PortableRunConfig) -> Vec<u8> {
+    let mut e = Enc::new();
+    encode_portable_config(&mut e, params);
+    e.into_bytes()
+}
+
 /// Encodes the scenario/config guard. Order is part of the format.
 fn encode_guard(e: &mut Enc, scenario: &Scenario, config: &RunConfig) {
     // Exhaustive destructures (R6): a new `Scenario` or `RunConfig`
@@ -61,9 +77,8 @@ fn encode_guard(e: &mut Enc, scenario: &Scenario, config: &RunConfig) {
     // scenario guard is deliberately shallow — seed, catalog size, and
     // command post identify a scenario cheaply; the heavyweight fields
     // (`terrain`/`mission`/…) are covered transitively by the seed under
-    // the deterministic generator. `recorder` is a sink handle, and
-    // `reference_mode` selects between equivalence-tested execution
-    // paths, so neither shapes the checkpointed state.
+    // the deterministic generator. `recorder` is a sink handle, so it
+    // does not shape the checkpointed state.
     let Scenario {
         catalog,
         terrain: _,
@@ -75,49 +90,11 @@ fn encode_guard(e: &mut Enc, scenario: &Scenario, config: &RunConfig) {
         command_post,
         seed,
     } = scenario;
-    let RunConfig {
-        duration,
-        window,
-        report_period,
-        adaptive,
-        repair_threshold,
-        grid,
-        solver,
-        require_reachability,
-        early_repair,
-        detector_ticks,
-        suspicion_periods,
-        degradation_ladder,
-        shed_threshold,
-        restore_threshold,
-        ladder_patience,
-        acked_tasking,
-        task_attempts,
-        task_retry_base,
-        recorder: _,
-        reference_mode: _,
-    } = config;
+    let RunConfig { params, recorder: _ } = config;
     e.u64(*seed);
     e.usize(catalog.len());
     e.u64(command_post.raw());
-    e.u64(duration.as_micros());
-    e.u64(window.as_micros());
-    e.u64(report_period.as_micros());
-    e.bool(*adaptive);
-    e.f64(*repair_threshold);
-    e.usize(*grid);
-    e.str(&format!("{solver:?}"));
-    e.bool(*require_reachability);
-    e.bool(*early_repair);
-    e.u32(*detector_ticks);
-    e.f64(*suspicion_periods);
-    e.bool(*degradation_ladder);
-    e.f64(*shed_threshold);
-    e.f64(*restore_threshold);
-    e.u32(*ladder_patience);
-    e.bool(*acked_tasking);
-    e.u32(*task_attempts);
-    e.u64(task_retry_base.as_micros());
+    e.bytes(&portable_config_bytes(&guarded(params)));
 }
 
 /// Decodes and verifies the guard section against the caller's
@@ -139,116 +116,59 @@ fn check_guard(d: &mut Dec<'_>, scenario: &Scenario, config: &RunConfig) -> Resu
             command_post,
         ));
     }
-    let duration = d.u64()?;
-    if duration != config.duration.as_micros() {
-        return Err(mismatch("duration", config.duration.as_micros(), duration));
-    }
-    let window = d.u64()?;
-    if window != config.window.as_micros() {
-        return Err(mismatch("window", config.window.as_micros(), window));
-    }
-    let report_period = d.u64()?;
-    if report_period != config.report_period.as_micros() {
+    // Compared as encoded bytes, so every parameter has to match
+    // bit-for-bit (floats included) without being named here.
+    let found = d.bytes()?;
+    let expected = guarded(&config.params);
+    if found != portable_config_bytes(&expected) {
+        let mut stored = Dec::new(found);
+        let found = decode_portable_config(&mut stored)?;
+        stored.finish()?;
         return Err(mismatch(
-            "report period",
-            config.report_period.as_micros(),
-            report_period,
-        ));
-    }
-    let adaptive = d.bool()?;
-    if adaptive != config.adaptive {
-        return Err(mismatch("adaptive flag", config.adaptive, adaptive));
-    }
-    let repair_threshold = d.f64()?;
-    if repair_threshold.to_bits() != config.repair_threshold.to_bits() {
-        return Err(mismatch(
-            "repair threshold",
-            config.repair_threshold,
-            repair_threshold,
-        ));
-    }
-    let grid = d.usize()?;
-    if grid != config.grid {
-        return Err(mismatch("grid", config.grid, grid));
-    }
-    let solver = d.str()?;
-    let expected_solver = format!("{:?}", config.solver);
-    if solver != expected_solver {
-        return Err(mismatch("solver", expected_solver, solver));
-    }
-    let require_reachability = d.bool()?;
-    if require_reachability != config.require_reachability {
-        return Err(mismatch(
-            "reachability flag",
-            config.require_reachability,
-            require_reachability,
-        ));
-    }
-    let early_repair = d.bool()?;
-    if early_repair != config.early_repair {
-        return Err(mismatch("early-repair flag", config.early_repair, early_repair));
-    }
-    let detector_ticks = d.u32()?;
-    if detector_ticks != config.detector_ticks {
-        return Err(mismatch(
-            "detector ticks",
-            config.detector_ticks,
-            detector_ticks,
-        ));
-    }
-    let suspicion_periods = d.f64()?;
-    if suspicion_periods.to_bits() != config.suspicion_periods.to_bits() {
-        return Err(mismatch(
-            "suspicion periods",
-            config.suspicion_periods,
-            suspicion_periods,
-        ));
-    }
-    let degradation_ladder = d.bool()?;
-    if degradation_ladder != config.degradation_ladder {
-        return Err(mismatch(
-            "ladder flag",
-            config.degradation_ladder,
-            degradation_ladder,
-        ));
-    }
-    let shed_threshold = d.f64()?;
-    if shed_threshold.to_bits() != config.shed_threshold.to_bits() {
-        return Err(mismatch("shed threshold", config.shed_threshold, shed_threshold));
-    }
-    let restore_threshold = d.f64()?;
-    if restore_threshold.to_bits() != config.restore_threshold.to_bits() {
-        return Err(mismatch(
-            "restore threshold",
-            config.restore_threshold,
-            restore_threshold,
-        ));
-    }
-    let ladder_patience = d.u32()?;
-    if ladder_patience != config.ladder_patience {
-        return Err(mismatch(
-            "ladder patience",
-            config.ladder_patience,
-            ladder_patience,
-        ));
-    }
-    let acked_tasking = d.bool()?;
-    if acked_tasking != config.acked_tasking {
-        return Err(mismatch("acked-tasking flag", config.acked_tasking, acked_tasking));
-    }
-    let task_attempts = d.u32()?;
-    if task_attempts != config.task_attempts {
-        return Err(mismatch("task attempts", config.task_attempts, task_attempts));
-    }
-    let task_retry_base = d.u64()?;
-    if task_retry_base != config.task_retry_base.as_micros() {
-        return Err(mismatch(
-            "task retry base",
-            config.task_retry_base.as_micros(),
-            task_retry_base,
+            "run configuration",
+            format!("{expected:?}"),
+            format!("{found:?}"),
         ));
     }
     Ok(())
+}
+
+/// Encodes the recorder clock, sampling phase and metrics registry.
+fn enc_recorder(e: &mut Enc, checkpoint: &RecorderCheckpoint) {
+    let RecorderCheckpoint { t_us, seq, emitted, metrics } = checkpoint;
+    e.u64(*t_us);
+    e.u64(*seq);
+    // Length-prefixed: a build with one more subsystem grows this block
+    // without moving any field after it.
+    e.usize(emitted.len());
+    for v in emitted {
+        e.u64(*v);
+    }
+    enc_digest(e, metrics);
+}
+
+fn dec_recorder(d: &mut Dec<'_>) -> Result<RecorderCheckpoint, CkptError> {
+    let t_us = d.u64()?;
+    let seq = d.u64()?;
+    let slots = d.usize()?;
+    if slots > Subsystem::COUNT {
+        return Err(CkptError::Mismatch(format!(
+            "checkpoint counts emissions for {slots} subsystems, this build knows {}",
+            Subsystem::COUNT
+        )));
+    }
+    // Subsystems the writing build did not know have emitted nothing.
+    let mut emitted = [0u64; Subsystem::COUNT];
+    for slot in &mut emitted[..slots] {
+        *slot = d.u64()?;
+    }
+    let metrics = dec_digest(d)?;
+    Ok(RecorderCheckpoint {
+        t_us,
+        seq,
+        emitted,
+        metrics,
+    })
 }
 
 fn enc_digest(e: &mut Enc, digest: &MetricsDigest) {
@@ -372,12 +292,13 @@ fn dec_solver(d: &mut Dec<'_>) -> Result<Solver, DecodeError> {
 }
 
 /// Encodes a [`PortableRunConfig`] into `e` with the fixed-order layout
-/// [`decode_portable_config`] reads back. Used by schedulers (the fleet
-/// manifest) that must persist a mission's execution parameters across a
-/// process death and re-admit it bit-identically.
+/// [`decode_portable_config`] reads back: the one codec for run
+/// parameters. The checkpoint guard stores these bytes to refuse a
+/// resume under different parameters, and the fleet manifest stores
+/// them to re-admit a mission bit-identically after a process death.
 pub fn encode_portable_config(e: &mut Enc, config: &PortableRunConfig) {
-    // Exhaustive destructure (R6): a field added to the portable carrier
-    // fails this lint until its manifest story is written.
+    // Exhaustive destructure (R6): a field added to the parameters
+    // fails this lint until it is encoded (and decoded, in order).
     let PortableRunConfig {
         duration,
         window,
@@ -422,45 +343,27 @@ pub fn encode_portable_config(e: &mut Enc, config: &PortableRunConfig) {
 
 /// Decodes a [`PortableRunConfig`] written by [`encode_portable_config`].
 pub fn decode_portable_config(d: &mut Dec<'_>) -> Result<PortableRunConfig, DecodeError> {
-    let duration = SimDuration::from_micros(d.u64()?);
-    let window = SimDuration::from_micros(d.u64()?);
-    let report_period = SimDuration::from_micros(d.u64()?);
-    let adaptive = d.bool()?;
-    let repair_threshold = d.f64()?;
-    let grid = d.usize()?;
-    let solver = dec_solver(d)?;
-    let require_reachability = d.bool()?;
-    let early_repair = d.bool()?;
-    let detector_ticks = d.u32()?;
-    let suspicion_periods = d.f64()?;
-    let degradation_ladder = d.bool()?;
-    let shed_threshold = d.f64()?;
-    let restore_threshold = d.f64()?;
-    let ladder_patience = d.u32()?;
-    let acked_tasking = d.bool()?;
-    let task_attempts = d.u32()?;
-    let task_retry_base = SimDuration::from_micros(d.u64()?);
-    let reference_mode = d.bool()?;
+    // Fields are read in the order written here, which is the wire order.
     Ok(PortableRunConfig {
-        duration,
-        window,
-        report_period,
-        adaptive,
-        repair_threshold,
-        grid,
-        solver,
-        require_reachability,
-        early_repair,
-        detector_ticks,
-        suspicion_periods,
-        degradation_ladder,
-        shed_threshold,
-        restore_threshold,
-        ladder_patience,
-        acked_tasking,
-        task_attempts,
-        task_retry_base,
-        reference_mode,
+        duration: SimDuration::from_micros(d.u64()?),
+        window: SimDuration::from_micros(d.u64()?),
+        report_period: SimDuration::from_micros(d.u64()?),
+        adaptive: d.bool()?,
+        repair_threshold: d.f64()?,
+        grid: d.usize()?,
+        solver: dec_solver(d)?,
+        require_reachability: d.bool()?,
+        early_repair: d.bool()?,
+        detector_ticks: d.u32()?,
+        suspicion_periods: d.f64()?,
+        degradation_ladder: d.bool()?,
+        shed_threshold: d.f64()?,
+        restore_threshold: d.f64()?,
+        ladder_patience: d.u32()?,
+        acked_tasking: d.bool()?,
+        task_attempts: d.u32()?,
+        task_retry_base: SimDuration::from_micros(d.u64()?),
+        reference_mode: d.bool()?,
     })
 }
 
@@ -747,14 +650,9 @@ impl MissionRunner {
         // Recorder clock + metrics (absent when the recorder is
         // disabled; the trace sink is never captured).
         match self.config.recorder.checkpoint() {
-            Some(RecorderCheckpoint { t_us, seq, emitted, metrics }) => {
+            Some(checkpoint) => {
                 e.bool(true);
-                e.u64(t_us);
-                e.u64(seq);
-                for v in emitted {
-                    e.u64(v);
-                }
-                enc_digest(&mut e, &metrics);
+                enc_recorder(&mut e, &checkpoint);
             }
             None => e.bool(false),
         }
@@ -885,19 +783,7 @@ impl MissionRunner {
         };
 
         let recorder_ck = if d.bool()? {
-            let t_us = d.u64()?;
-            let seq = d.u64()?;
-            let mut emitted = [0u64; Subsystem::COUNT];
-            for slot in &mut emitted {
-                *slot = d.u64()?;
-            }
-            let metrics = dec_digest(&mut d)?;
-            Some(RecorderCheckpoint {
-                t_us,
-                seq,
-                emitted,
-                metrics,
-            })
+            Some(dec_recorder(&mut d)?)
         } else {
             None
         };
@@ -1046,6 +932,112 @@ mod tests {
             .expect("valid");
         assert!(matches!(
             MissionRunner::resume(&scenario, &other_cfg, &payload),
+            Err(CkptError::Mismatch(_))
+        ));
+    }
+
+    #[test]
+    fn resume_rejects_a_flip_of_every_guarded_parameter() {
+        use crate::runtime::RunConfigBuilder;
+
+        let scenario = persistent_surveillance(80, 11);
+        let base = || {
+            RunConfig::builder()
+                .duration(SimDuration::from_secs_f64(40.0))
+                .window(SimDuration::from_secs_f64(10.0))
+        };
+        let config = base().build().expect("valid");
+        let mut runner = MissionRunner::new(&scenario, &config);
+        runner.step_window().window_stat().expect("window 0");
+        let payload = runner.save().expect("checkpointable");
+
+        type Flip = fn(RunConfigBuilder) -> RunConfigBuilder;
+        let flips: [Flip; 18] = [
+            |b| b.duration(SimDuration::from_secs_f64(50.0)),
+            |b| b.window(SimDuration::from_secs_f64(20.0)),
+            |b| b.report_period(SimDuration::from_secs_f64(1.0)),
+            |b| b.adaptive(false),
+            |b| b.repair_threshold(0.5),
+            |b| b.grid(7),
+            |b| b.solver(Solver::Random { seed: 1 }),
+            |b| b.require_reachability(false),
+            |b| b.early_repair(true),
+            |b| b.detector_ticks(5),
+            |b| b.suspicion_periods(2.0),
+            |b| b.degradation_ladder(true),
+            |b| b.shed_threshold(0.4),
+            |b| b.restore_threshold(0.9),
+            |b| b.ladder_patience(3),
+            |b| b.acked_tasking(true),
+            |b| b.task_attempts(5),
+            |b| b.task_retry_base(SimDuration::from_millis(500)),
+        ];
+        for (i, flip) in flips.into_iter().enumerate() {
+            let flipped = flip(base()).build().expect("valid");
+            assert_ne!(flipped.params, config.params, "flip {i} changes nothing");
+            match MissionRunner::resume(&scenario, &flipped, &payload) {
+                Err(CkptError::Mismatch(why)) => {
+                    // Both sides are rendered, so the differing field is
+                    // readable off the message.
+                    assert!(why.contains(&format!("{:?}", config.params)), "{why}");
+                    assert!(why.contains(&format!("{:?}", flipped.params)), "{why}");
+                }
+                other => panic!("flip {i} must be refused as a mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reference_mode_is_not_guarded() {
+        let scenario = persistent_surveillance(80, 11);
+        let with_reference = |reference| {
+            RunConfig::builder()
+                .duration(SimDuration::from_secs_f64(40.0))
+                .window(SimDuration::from_secs_f64(10.0))
+                .reference_mode(reference)
+                .build()
+                .expect("valid")
+        };
+        let baseline = crate::runtime::run_mission(&scenario, &with_reference(false));
+
+        let mut runner = MissionRunner::new(&scenario, &with_reference(true));
+        runner.step_window().window_stat().expect("window 0");
+        runner.step_window().window_stat().expect("window 1");
+        let payload = runner.save().expect("checkpointable");
+        drop(runner);
+
+        let mut resumed = MissionRunner::resume(&scenario, &with_reference(false), &payload)
+            .expect("reference_mode may differ between save and resume");
+        while let StepOutcome::WindowClosed { .. } = resumed.step_window() {}
+        assert_eq!(resumed.finish().digest, baseline.digest);
+    }
+
+    #[test]
+    fn recorder_counter_block_zero_fills_fewer_slots_and_refuses_more() {
+        let block = |slots: usize| {
+            let mut e = Enc::new();
+            e.u64(9);
+            e.u64(3);
+            e.usize(slots);
+            for i in 0..slots {
+                e.u64(i as u64 + 1);
+            }
+            enc_digest(&mut e, &MetricsDigest::default());
+            e.into_bytes()
+        };
+        // Written by a build that knew only two subsystems.
+        let older = dec_recorder(&mut Dec::new(&block(2))).expect("fewer slots load");
+        assert_eq!((older.t_us, older.seq), (9, 3));
+        assert_eq!(older.emitted[..2], [1, 2]);
+        assert!(older.emitted[2..].iter().all(|&v| v == 0));
+        // Written by this build: exact round trip.
+        let mut e = Enc::new();
+        enc_recorder(&mut e, &older);
+        let same = dec_recorder(&mut Dec::new(&e.into_bytes())).expect("round trip");
+        assert_eq!(same, older);
+        // Written by a build that knows a subsystem this one does not.
+        assert!(matches!(
+            dec_recorder(&mut Dec::new(&block(Subsystem::COUNT + 1))),
             Err(CkptError::Mismatch(_))
         ));
     }

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Deref;
 use std::time::Instant;
 
 use iobt_discovery::{
@@ -26,13 +27,26 @@ use crate::behaviors::{
 use crate::resilience::{DegradationLadder, FailureDetector, LadderStep};
 use crate::scenario::{Disruption, Scenario};
 
-/// Execution configuration.
+/// Execution parameters: every mission setting that is plain data,
+/// i.e. everything in a [`RunConfig`] except the [`Recorder`] handle.
 ///
-/// Construct with [`RunConfig::builder`]; the struct is `#[non_exhaustive]`
-/// so it can grow fields without breaking downstream crates.
-#[derive(Debug, Clone)]
+/// A `Recorder` is deliberately *not* `Send` (it is an `Rc` over shared
+/// sinks — see `iobt-obs`), which makes a whole `RunConfig` thread-bound.
+/// These parameters are the half that can cross threads and be
+/// persisted: schedulers like `iobt-fleet` split a config with
+/// [`RunConfig::into_portable`], ship the parameters across, and
+/// rebuild a full config on the destination thread with
+/// [`PortableRunConfig::into_config`], attaching a recorder that lives
+/// on that thread. Both directions are moves, so the round trip is
+/// exact. The same struct is what the checkpoint guard and the fleet
+/// manifest encode (`encode_portable_config`).
+///
+/// Construct through [`RunConfig::builder`]; the struct is
+/// `#[non_exhaustive]` so it can grow fields without breaking
+/// downstream crates.
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
-pub struct RunConfig {
+pub struct PortableRunConfig {
     /// Total mission duration.
     pub duration: SimDuration,
     /// Utility sampling window.
@@ -82,9 +96,6 @@ pub struct RunConfig {
     /// Base retry delay for task dissemination; attempt `k` backs off
     /// `task_retry_base × 2^(k-1)`.
     pub task_retry_base: SimDuration,
-    /// Observability recorder threaded through the whole pipeline
-    /// (simulator, solver, repair reflex). Disabled by default.
-    pub recorder: Recorder,
     /// Run the network simulator on its legacy reference path
     /// (one-event-at-a-time loop, per-query routing, full graph rebuild
     /// on every invalidation) instead of the batched/incremental fast
@@ -94,9 +105,9 @@ pub struct RunConfig {
     pub reference_mode: bool,
 }
 
-impl Default for RunConfig {
+impl Default for PortableRunConfig {
     fn default() -> Self {
-        RunConfig {
+        PortableRunConfig {
             duration: SimDuration::from_secs_f64(120.0),
             window: SimDuration::from_secs_f64(10.0),
             report_period: SimDuration::from_secs_f64(2.0),
@@ -115,9 +126,51 @@ impl Default for RunConfig {
             acked_tasking: false,
             task_attempts: 4,
             task_retry_base: SimDuration::from_millis(250),
-            recorder: Recorder::disabled(),
             reference_mode: false,
         }
+    }
+}
+
+// The whole point of the split: the parameters must stay `Send` even as
+// they grow fields. A thread-bound field mistakenly added would surface
+// here as a compile error rather than in downstream crates.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<PortableRunConfig>();
+};
+
+impl PortableRunConfig {
+    /// Rebuilds a full [`RunConfig`] on the current thread, attaching
+    /// `recorder` (pass [`Recorder::disabled`] to run silent).
+    pub fn into_config(self, recorder: Recorder) -> RunConfig {
+        RunConfig {
+            params: self,
+            recorder,
+        }
+    }
+}
+
+/// Execution configuration: the [`PortableRunConfig`] parameters plus
+/// the observability recorder.
+///
+/// Parameters are read straight off the config (`config.grid`,
+/// `config.solver`) through `Deref`. Construct with
+/// [`RunConfig::builder`]; the struct is `#[non_exhaustive]` so it can
+/// grow fields without breaking downstream crates.
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct RunConfig {
+    pub(crate) params: PortableRunConfig,
+    /// Observability recorder threaded through the whole pipeline
+    /// (simulator, solver, repair reflex). Disabled by default.
+    pub recorder: Recorder,
+}
+
+impl Deref for RunConfig {
+    type Target = PortableRunConfig;
+
+    fn deref(&self) -> &PortableRunConfig {
+        &self.params
     }
 }
 
@@ -127,6 +180,12 @@ impl RunConfig {
         RunConfigBuilder {
             config: RunConfig::default(),
         }
+    }
+
+    /// Splits this config into its thread-portable parameters and the
+    /// recorder handle (the only part that cannot cross threads).
+    pub fn into_portable(self) -> (PortableRunConfig, Recorder) {
+        (self.params, self.recorder)
     }
 }
 
@@ -204,127 +263,67 @@ pub struct RunConfigBuilder {
     config: RunConfig,
 }
 
+/// Generates the parameter setters: each takes the value for the
+/// [`PortableRunConfig`] field of the same name.
+macro_rules! param_setters {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {$(
+        $(#[$doc])*
+        // lint: allow(docs) — each generated setter carries the doc comment written at its invocation below
+        pub fn $field(mut self, $field: $ty) -> Self {
+            self.config.params.$field = $field;
+            self
+        }
+    )*};
+}
+
 impl RunConfigBuilder {
-    /// Sets the total mission duration.
-    pub fn duration(mut self, duration: SimDuration) -> Self {
-        self.config.duration = duration;
-        self
-    }
-
-    /// Sets the utility sampling window.
-    pub fn window(mut self, window: SimDuration) -> Self {
-        self.config.window = window;
-        self
-    }
-
-    /// Sets the sensor report period.
-    pub fn report_period(mut self, period: SimDuration) -> Self {
-        self.config.report_period = period;
-        self
-    }
-
-    /// Enables or disables the repair reflex.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.config.adaptive = adaptive;
-        self
-    }
-
-    /// Sets the utility threshold that triggers a repair.
-    pub fn repair_threshold(mut self, threshold: f64) -> Self {
-        self.config.repair_threshold = threshold;
-        self
-    }
-
-    /// Sets the coverage grid resolution (cells per side).
-    pub fn grid(mut self, grid: usize) -> Self {
-        self.config.grid = grid;
-        self
-    }
-
-    /// Sets the composition solver.
-    pub fn solver(mut self, solver: Solver) -> Self {
-        self.config.solver = solver;
-        self
-    }
-
-    /// Enables or disables the reachability filter on recruited assets.
-    pub fn require_reachability(mut self, require: bool) -> Self {
-        self.config.require_reachability = require;
-        self
-    }
-
-    /// Enables or disables between-window failure detection and early
-    /// repair (active only when `adaptive` is also on).
-    pub fn early_repair(mut self, enable: bool) -> Self {
-        self.config.early_repair = enable;
-        self
-    }
-
-    /// Sets the number of detector ticks per utility window.
-    pub fn detector_ticks(mut self, ticks: u32) -> Self {
-        self.config.detector_ticks = ticks;
-        self
-    }
-
-    /// Sets the suspicion threshold in report periods.
-    pub fn suspicion_periods(mut self, periods: f64) -> Self {
-        self.config.suspicion_periods = periods;
-        self
-    }
-
-    /// Enables or disables the graceful-degradation ladder (active only
-    /// when `adaptive` is also on).
-    pub fn degradation_ladder(mut self, enable: bool) -> Self {
-        self.config.degradation_ladder = enable;
-        self
-    }
-
-    /// Sets the ladder's shed threshold.
-    pub fn shed_threshold(mut self, threshold: f64) -> Self {
-        self.config.shed_threshold = threshold;
-        self
-    }
-
-    /// Sets the ladder's restore threshold.
-    pub fn restore_threshold(mut self, threshold: f64) -> Self {
-        self.config.restore_threshold = threshold;
-        self
-    }
-
-    /// Sets how many consecutive windows the ladder waits before moving.
-    pub fn ladder_patience(mut self, patience: u32) -> Self {
-        self.config.ladder_patience = patience;
-        self
-    }
-
-    /// Enables or disables acknowledged task dissemination.
-    pub fn acked_tasking(mut self, enable: bool) -> Self {
-        self.config.acked_tasking = enable;
-        self
-    }
-
-    /// Sets the task transmission attempt cap.
-    pub fn task_attempts(mut self, attempts: u32) -> Self {
-        self.config.task_attempts = attempts;
-        self
-    }
-
-    /// Sets the base retry delay for task dissemination.
-    pub fn task_retry_base(mut self, base: SimDuration) -> Self {
-        self.config.task_retry_base = base;
-        self
+    param_setters! {
+        /// Sets the total mission duration.
+        duration: SimDuration,
+        /// Sets the utility sampling window.
+        window: SimDuration,
+        /// Sets the sensor report period.
+        report_period: SimDuration,
+        /// Enables or disables the repair reflex.
+        adaptive: bool,
+        /// Sets the utility threshold that triggers a repair.
+        repair_threshold: f64,
+        /// Sets the coverage grid resolution (cells per side).
+        grid: usize,
+        /// Sets the composition solver.
+        solver: Solver,
+        /// Enables or disables the reachability filter on recruited assets.
+        require_reachability: bool,
+        /// Enables or disables between-window failure detection and early
+        /// repair (active only when `adaptive` is also on).
+        early_repair: bool,
+        /// Sets the number of detector ticks per utility window.
+        detector_ticks: u32,
+        /// Sets the suspicion threshold in report periods.
+        suspicion_periods: f64,
+        /// Enables or disables the graceful-degradation ladder (active only
+        /// when `adaptive` is also on).
+        degradation_ladder: bool,
+        /// Sets the ladder's shed threshold.
+        shed_threshold: f64,
+        /// Sets the ladder's restore threshold.
+        restore_threshold: f64,
+        /// Sets how many consecutive windows the ladder waits before moving.
+        ladder_patience: u32,
+        /// Enables or disables acknowledged task dissemination.
+        acked_tasking: bool,
+        /// Sets the task transmission attempt cap.
+        task_attempts: u32,
+        /// Sets the base retry delay for task dissemination.
+        task_retry_base: SimDuration,
+        /// Runs the simulator on its legacy reference path (the oracle for
+        /// batched/incremental equivalence tests).
+        reference_mode: bool,
     }
 
     /// Attaches an observability recorder.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.config.recorder = recorder;
-        self
-    }
-
-    /// Runs the simulator on its legacy reference path (the oracle for
-    /// batched/incremental equivalence tests).
-    pub fn reference_mode(mut self, enable: bool) -> Self {
-        self.config.reference_mode = enable;
         self
     }
 
@@ -359,156 +358,6 @@ impl RunConfigBuilder {
             }
         }
         Ok(self.config)
-    }
-}
-
-/// The `Send` half of a [`RunConfig`]: every execution parameter except
-/// the [`Recorder`] handle.
-///
-/// A `Recorder` is deliberately *not* `Send` (it is an `Rc` over shared
-/// sinks — see `iobt-obs`), which makes a whole `RunConfig` thread-bound.
-/// Schedulers like `iobt-fleet` that move mission work between worker
-/// threads split the config with [`RunConfig::into_portable`], ship this
-/// carrier across, and rebuild a full config on the destination thread
-/// with [`PortableRunConfig::into_config`], attaching a recorder that
-/// lives on that thread.
-///
-/// The split/rebuild round trip is exact: rebuilding with the original
-/// recorder yields a config equivalent to the one that was split.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortableRunConfig {
-    pub(crate) duration: SimDuration,
-    pub(crate) window: SimDuration,
-    pub(crate) report_period: SimDuration,
-    pub(crate) adaptive: bool,
-    pub(crate) repair_threshold: f64,
-    pub(crate) grid: usize,
-    pub(crate) solver: Solver,
-    pub(crate) require_reachability: bool,
-    pub(crate) early_repair: bool,
-    pub(crate) detector_ticks: u32,
-    pub(crate) suspicion_periods: f64,
-    pub(crate) degradation_ladder: bool,
-    pub(crate) shed_threshold: f64,
-    pub(crate) restore_threshold: f64,
-    pub(crate) ladder_patience: u32,
-    pub(crate) acked_tasking: bool,
-    pub(crate) task_attempts: u32,
-    pub(crate) task_retry_base: SimDuration,
-    pub(crate) reference_mode: bool,
-}
-
-// The whole point of the carrier: it must stay `Send` even as `RunConfig`
-// grows fields. A thread-bound field mistakenly carried over would surface
-// here as a compile error rather than in downstream crates.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<PortableRunConfig>();
-};
-
-impl RunConfig {
-    /// Splits this config into its thread-portable half and the recorder
-    /// handle (the only field that cannot cross threads).
-    pub fn into_portable(self) -> (PortableRunConfig, Recorder) {
-        // Exhaustive destructure on purpose: a field added to `RunConfig`
-        // must be consciously routed here (portable) or declared
-        // thread-bound, never silently dropped.
-        let RunConfig {
-            duration,
-            window,
-            report_period,
-            adaptive,
-            repair_threshold,
-            grid,
-            solver,
-            require_reachability,
-            early_repair,
-            detector_ticks,
-            suspicion_periods,
-            degradation_ladder,
-            shed_threshold,
-            restore_threshold,
-            ladder_patience,
-            acked_tasking,
-            task_attempts,
-            task_retry_base,
-            recorder,
-            reference_mode,
-        } = self;
-        (
-            PortableRunConfig {
-                duration,
-                window,
-                report_period,
-                adaptive,
-                repair_threshold,
-                grid,
-                solver,
-                require_reachability,
-                early_repair,
-                detector_ticks,
-                suspicion_periods,
-                degradation_ladder,
-                shed_threshold,
-                restore_threshold,
-                ladder_patience,
-                acked_tasking,
-                task_attempts,
-                task_retry_base,
-                reference_mode,
-            },
-            recorder,
-        )
-    }
-}
-
-impl PortableRunConfig {
-    /// Rebuilds a full [`RunConfig`] on the current thread, attaching
-    /// `recorder` (pass [`Recorder::disabled`] to run silent).
-    pub fn into_config(self, recorder: Recorder) -> RunConfig {
-        let PortableRunConfig {
-            duration,
-            window,
-            report_period,
-            adaptive,
-            repair_threshold,
-            grid,
-            solver,
-            require_reachability,
-            early_repair,
-            detector_ticks,
-            suspicion_periods,
-            degradation_ladder,
-            shed_threshold,
-            restore_threshold,
-            ladder_patience,
-            acked_tasking,
-            task_attempts,
-            task_retry_base,
-            reference_mode,
-        } = self;
-        RunConfig {
-            duration,
-            window,
-            report_period,
-            adaptive,
-            repair_threshold,
-            grid,
-            solver,
-            require_reachability,
-            early_repair,
-            detector_ticks,
-            suspicion_periods,
-            degradation_ladder,
-            shed_threshold,
-            restore_threshold,
-            ladder_patience,
-            acked_tasking,
-            task_attempts,
-            task_retry_base,
-            recorder,
-            reference_mode,
-        }
     }
 }
 
@@ -1407,8 +1256,11 @@ mod tests {
 
     fn quick_config() -> RunConfig {
         RunConfig {
-            duration: SimDuration::from_secs_f64(60.0),
-            window: SimDuration::from_secs_f64(10.0),
+            params: PortableRunConfig {
+                duration: SimDuration::from_secs_f64(60.0),
+                window: SimDuration::from_secs_f64(10.0),
+                ..PortableRunConfig::default()
+            },
             ..RunConfig::default()
         }
     }
@@ -1429,13 +1281,9 @@ mod tests {
     fn adaptive_runtime_repairs_after_attrition() {
         let scenario = persistent_surveillance(150, 7);
         let adaptive = run_mission(&scenario, &quick_config());
-        let static_run = run_mission(
-            &scenario,
-            &RunConfig {
-                adaptive: false,
-                ..quick_config()
-            },
-        );
+        let mut static_config = quick_config();
+        static_config.params.adaptive = false;
+        let static_run = run_mission(&scenario, &static_config);
         // The adaptive run may repair; the static one never does.
         assert_eq!(static_run.repairs, 0);
         assert!(

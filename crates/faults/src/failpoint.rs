@@ -21,14 +21,7 @@
 /// domain-separated; not cryptographic, which is fine for a failure
 /// schedule.
 pub fn failpoint_hash(seed: u64, domain: u64, key: u64, op: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for word in [seed, domain, key, op] {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    iobt_obs::fnv1a([seed, domain, key, op].map(u64::to_le_bytes).as_flattened())
 }
 
 /// True when the failpoint for `(seed, domain, key, op)` lands on a
@@ -45,7 +38,8 @@ mod tests {
     #[test]
     fn hash_is_deterministic_and_sensitive_to_every_word() {
         let base = failpoint_hash(1, 2, 3, 4);
-        assert_eq!(base, failpoint_hash(1, 2, 3, 4));
+        // Every committed chaos schedule hangs off these values.
+        assert_eq!(base, 0x898f_7e1c_e696_4921);
         assert_ne!(base, failpoint_hash(9, 2, 3, 4), "seed separates");
         assert_ne!(base, failpoint_hash(1, 9, 3, 4), "domain separates");
         assert_ne!(base, failpoint_hash(1, 2, 9, 4), "key separates");

@@ -10,8 +10,10 @@
 //! does not know about (harmless: recovery re-derives from the latest
 //! good checkpoint anyway).
 //!
-//! Layout mirrors the checkpoint envelope so the same failure taxonomy
-//! applies (all integers little-endian):
+//! On disk a manifest is the workspace's one durable envelope
+//! ([`iobt_ckpt::seal`]/[`iobt_ckpt::open`], so the checkpoint failure
+//! taxonomy applies unchanged) with magic `b"IOBTFMAN"`, its own format
+//! version, and no header words (all integers little-endian):
 //!
 //! | offset | size | field                                  |
 //! |--------|------|----------------------------------------|
@@ -21,17 +23,16 @@
 //! | 20     | n    | payload (`Enc`-coded ticket table)     |
 //! | 20 + n | 4    | CRC-32 (IEEE) over bytes `[0, 20 + n)` |
 //!
-//! Generations are numbered files (`manifest-00000007.fman`) written
-//! to a temp sibling and atomically renamed; the two newest
-//! generations are kept, so a write torn mid-rename (or a bit-flipped
-//! newest file) falls back to the previous generation instead of
-//! losing the fleet.
+//! Generations are numbered files (`manifest-00000007.fman`, an
+//! [`iobt_ckpt::NumberedFiles`] directory) written to a temp sibling
+//! and atomically renamed; the two newest generations are kept, so a
+//! write torn mid-rename (or a bit-flipped newest file) falls back to
+//! the previous generation instead of losing the fleet.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use iobt_ckpt::{crc32, CkptError, Dec, DecodeError, Enc};
+use iobt_ckpt::{open, seal, write_atomic, CkptError, Dec, DecodeError, Enc, LatestGood, NumberedFiles};
 use iobt_core::{
     decode_end_state_digest, decode_portable_config, encode_end_state_digest,
     encode_portable_config, EndStateDigest, PortableRunConfig,
@@ -45,9 +46,6 @@ pub(crate) const MANIFEST_MAGIC: [u8; 8] = *b"IOBTFMAN";
 
 /// Current manifest format version; the loader rejects others.
 pub(crate) const MANIFEST_VERSION: u32 = 1;
-
-const MANIFEST_HEADER_LEN: usize = 8 + 4 + 8;
-const MANIFEST_TRAILER_LEN: usize = 4;
 
 /// Everything the scheduler must remember about one mission to rebuild
 /// it after a crash. One record per ticket, indexed by ticket order.
@@ -230,52 +228,14 @@ fn encode_manifest(records: &[TicketRecord]) -> Vec<u8> {
     for record in records {
         enc_record(&mut enc, record);
     }
-    let payload = enc.into_bytes();
-    let mut out = Vec::with_capacity(MANIFEST_HEADER_LEN + payload.len() + MANIFEST_TRAILER_LEN);
-    out.extend_from_slice(&MANIFEST_MAGIC);
-    out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-fn read_exact_le<const N: usize>(bytes: &[u8], offset: usize) -> [u8; N] {
-    let mut out = [0u8; N];
-    out.copy_from_slice(&bytes[offset..offset + N]);
-    out
+    seal(&MANIFEST_MAGIC, MANIFEST_VERSION, &[], &enc.into_bytes())
 }
 
 /// Parses and verifies a manifest envelope; every corruption mode maps
 /// to a typed [`CkptError`], never a panic.
 fn decode_manifest(bytes: &[u8]) -> Result<Vec<TicketRecord>, CkptError> {
-    let min = MANIFEST_HEADER_LEN + MANIFEST_TRAILER_LEN;
-    if bytes.len() < min {
-        return Err(CkptError::Truncated {
-            len: bytes.len(),
-            min,
-        });
-    }
-    if bytes[..8] != MANIFEST_MAGIC {
-        return Err(CkptError::BadMagic);
-    }
-    let version = u32::from_le_bytes(read_exact_le::<4>(bytes, 8));
-    if version != MANIFEST_VERSION {
-        return Err(CkptError::UnsupportedVersion(version));
-    }
-    let declared = u64::from_le_bytes(read_exact_le::<8>(bytes, 12));
-    let actual = (bytes.len() - min) as u64;
-    if declared != actual {
-        return Err(CkptError::LengthMismatch { declared, actual });
-    }
-    let body_end = bytes.len() - MANIFEST_TRAILER_LEN;
-    let stored = u32::from_le_bytes(read_exact_le::<4>(bytes, body_end));
-    let computed = crc32(&bytes[..body_end]);
-    if stored != computed {
-        return Err(CkptError::CrcMismatch { stored, computed });
-    }
-    let mut dec = Dec::new(&bytes[MANIFEST_HEADER_LEN..body_end]);
+    let ([], payload) = open::<0>(&MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
+    let mut dec = Dec::new(payload);
     let count = dec.usize()?;
     let mut records = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
@@ -285,45 +245,9 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<TicketRecord>, CkptError> {
     Ok(records)
 }
 
-fn manifest_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("manifest-{generation:08}.fman"))
-}
-
-fn parse_generation(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("manifest-")?.strip_suffix(".fman")?;
-    if digits.len() == 8 && digits.bytes().all(|b| b.is_ascii_digit()) {
-        digits.parse().ok()
-    } else {
-        None
-    }
-}
-
-/// All manifest generations present in `dir`, newest first.
-fn generations(dir: &Path) -> Result<Vec<u64>, CkptError> {
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(CkptError::Io {
-                op: "read_dir",
-                path: dir.to_path_buf(),
-                source: e,
-            })
-        }
-    };
-    let mut gens: Vec<u64> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| CkptError::Io {
-            op: "read_dir",
-            path: dir.to_path_buf(),
-            source: e,
-        })?;
-        if let Some(generation) = entry.file_name().to_str().and_then(parse_generation) {
-            gens.push(generation);
-        }
-    }
-    gens.sort_unstable_by(|a, b| b.cmp(a));
-    Ok(gens)
+/// The manifest generations under `dir`.
+fn generations(dir: impl Into<PathBuf>) -> NumberedFiles {
+    NumberedFiles::new(dir, "manifest-", ".fman")
 }
 
 /// The on-disk ticket table. The scheduler owns one per fleet (behind
@@ -331,7 +255,7 @@ fn generations(dir: &Path) -> Result<Vec<u64>, CkptError> {
 /// transition when durability is enabled.
 #[derive(Debug)]
 pub(crate) struct ManifestFile {
-    dir: PathBuf,
+    files: NumberedFiles,
     generation: u64,
 }
 
@@ -352,79 +276,45 @@ impl ManifestFile {
     /// An unreadable directory starts from generation 0 — the next
     /// persist surfaces any real IO problem.
     pub fn open(dir: impl Into<PathBuf>) -> Self {
-        let dir = dir.into();
-        let generation = generations(&dir)
+        let files = generations(dir);
+        let generation = files
+            .numbers()
             .ok()
-            .and_then(|gens| gens.first().copied())
+            .and_then(|gens| gens.last().copied())
             .unwrap_or(0);
-        ManifestFile { dir, generation }
+        ManifestFile { files, generation }
     }
 
     /// Loads the newest generation that verifies end-to-end, skipping
     /// (not failing on) corrupt or torn newer generations. `Ok(None)`
-    /// when the directory holds no manifest at all; the last parse
-    /// error when every generation present is bad.
+    /// when the directory holds no manifest at all; the oldest
+    /// generation's error when every generation present is bad.
     pub fn load_latest(dir: &Path) -> Result<Option<LoadedManifest>, CkptError> {
-        let gens = generations(dir)?;
-        let mut last_err: Option<CkptError> = None;
-        for generation in gens {
-            let path = manifest_path(dir, generation);
-            let bytes = match fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    last_err = Some(CkptError::Io {
-                        op: "read",
-                        path,
-                        source: e,
-                    });
-                    continue;
-                }
-            };
-            match decode_manifest(&bytes) {
-                Ok(records) => {
-                    return Ok(Some(LoadedManifest {
-                        records,
-                        generation,
-                    }))
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_err {
-            Some(e) => Err(e),
-            None => Ok(None),
+        let LatestGood { loaded, mut skipped } =
+            generations(dir).newest_good(|_, bytes| decode_manifest(bytes))?;
+        match (loaded, skipped.pop()) {
+            (Some((generation, records)), _) => Ok(Some(LoadedManifest {
+                records,
+                generation,
+            })),
+            (None, Some((_, e))) => Err(e),
+            (None, None) => Ok(None),
         }
     }
 
-    /// Writes the ticket table as a new generation: temp sibling,
-    /// `sync_all`, atomic rename; then prunes all but the two newest
-    /// generations so a torn newest write always leaves a good
-    /// predecessor.
+    /// Writes the ticket table as a new generation (temp sibling,
+    /// `sync_all`, atomic rename — [`write_atomic`]); then prunes all but
+    /// the two newest generations so a torn newest write always leaves
+    /// a good predecessor.
     pub fn persist(&mut self, records: &[TicketRecord]) -> Result<(), CkptError> {
-        fs::create_dir_all(&self.dir).map_err(|e| CkptError::Io {
-            op: "create_dir",
-            path: self.dir.clone(),
-            source: e,
-        })?;
+        self.files.create_dir()?;
         let generation = self.generation + 1;
-        let bytes = encode_manifest(records);
-        let path = manifest_path(&self.dir, generation);
-        let tmp = path.with_extension("fman.tmp");
-        let io = |op: &'static str, path: &Path| {
-            let path = path.to_path_buf();
-            move |source: std::io::Error| CkptError::Io { op, path, source }
-        };
-        {
-            let mut file = fs::File::create(&tmp).map_err(io("create", &tmp))?;
-            file.write_all(&bytes).map_err(io("write", &tmp))?;
-            file.sync_all().map_err(io("sync", &tmp))?;
-        }
-        fs::rename(&tmp, &path).map_err(io("rename", &tmp))?;
+        write_atomic(&self.files.path_for(generation), &encode_manifest(records))?;
         self.generation = generation;
         // Keep this generation and its predecessor; drop the rest.
-        if let Ok(gens) = generations(&self.dir) {
+        if let Ok(gens) = self.files.numbers() {
             for old in gens.into_iter().filter(|&g| g + 1 < generation) {
-                let _ = fs::remove_file(manifest_path(&self.dir, old));
+                let _ = fs::remove_file(self.files.path_for(old));
             }
         }
         Ok(())
@@ -475,12 +365,7 @@ impl ManifestState {
 /// FNV-1a over a scenario's `Debug` rendering — the identity recovery
 /// uses to check that re-supplied scenarios match the originals.
 pub(crate) fn scenario_fingerprint(debug_rendering: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in debug_rendering.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    iobt_obs::fnv1a(debug_rendering.as_bytes())
 }
 
 #[cfg(test)]
@@ -541,6 +426,9 @@ mod tests {
         let bytes = encode_manifest(&records);
         let decoded = decode_manifest(&bytes).unwrap();
         assert_eq!(decoded, records);
+        // Manifests written before the FNV copies were merged must keep
+        // matching their scenarios.
+        assert_eq!(records[0].scenario_hash, 0xcef3_48b9_d246_5321);
     }
 
     #[test]
@@ -551,8 +439,8 @@ mod tests {
         for _ in 0..5 {
             manifest.persist(&records).unwrap();
         }
-        let gens = generations(&dir).unwrap();
-        assert_eq!(gens, vec![5, 4], "only the two newest generations remain");
+        let gens = generations(&dir).numbers().unwrap();
+        assert_eq!(gens, vec![4, 5], "only the two newest generations remain");
         let loaded = ManifestFile::load_latest(&dir).unwrap().unwrap();
         assert_eq!(loaded.generation, 5);
         assert_eq!(loaded.records, records);
@@ -568,7 +456,7 @@ mod tests {
         manifest.persist(&old).unwrap();
         manifest.persist(&new).unwrap();
         // Tear the newest generation mid-file.
-        let newest = manifest_path(&dir, 2);
+        let newest = generations(&dir).path_for(2);
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
         let loaded = ManifestFile::load_latest(&dir).unwrap().unwrap();

@@ -220,9 +220,8 @@ impl<S: Store + 'static> FailingStore<S> {
         // Writing through the inner store would re-wrap the envelope;
         // reach the path directly when the inner store is disk-backed.
         if let Some(disk) = self.as_disk() {
-            let dir = disk.ticket_dir(ticket);
-            if std::fs::create_dir_all(&dir).is_ok() {
-                let _ = std::fs::write(dir.join(format!("ckpt-{window:08}.ickpt")), torn);
+            if let Ok(store) = CheckpointStore::open(disk.ticket_dir(ticket)) {
+                let _ = std::fs::write(store.path_for(window), torn);
             }
         }
     }

@@ -42,7 +42,7 @@ pub mod recorder;
 pub mod sink;
 
 pub use event::{DropCause, Subsystem, TraceEvent, TraceRecord};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsDigest, MetricsRegistry};
+pub use metrics::{fnv1a, Histogram, HistogramSnapshot, MetricsDigest, MetricsRegistry};
 pub use recorder::{Recorder, RecorderCheckpoint, SamplingConfig};
 pub use sink::{JsonlSink, NullSink, RingHandle, RingSink, SharedBytes, TraceSink};
 

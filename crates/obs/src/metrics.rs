@@ -320,15 +320,18 @@ impl MetricsDigest {
     /// A 64-bit FNV-1a fingerprint of the canonical rendering —
     /// convenient for logging one comparable number per run.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in self.canonical_string().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
+        fnv1a(self.canonical_string().as_bytes())
     }
+}
+
+/// 64-bit FNV-1a over `bytes`: the workspace's one non-cryptographic
+/// fingerprint fold (metrics fingerprints, failpoint schedules, scenario
+/// identities, bench fingerprints). Callers with several fields render
+/// them into one canonical byte string first.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 impl fmt::Display for MetricsDigest {
@@ -418,11 +421,19 @@ mod tests {
         }
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.digest().fingerprint(), b.digest().fingerprint());
+        // Value captured before the FNV copies were merged into `fnv1a`.
+        assert_eq!(a.digest().fingerprint(), 0xf26f_c96d_1dc3_a028);
         b.inc("x.count", 1);
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest().fingerprint(), b.digest().fingerprint());
         assert_eq!(a.digest().counter("x.count"), Some(2));
         assert_eq!(a.digest().gauge("x.level"), Some(0.25));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
