@@ -97,8 +97,8 @@ pub struct PortableRunConfig {
     /// `task_retry_base × 2^(k-1)`.
     pub task_retry_base: SimDuration,
     /// Run the network simulator on its legacy reference path
-    /// (one-event-at-a-time loop, per-query routing, full graph rebuild
-    /// on every invalidation) instead of the batched/incremental fast
+    /// (one-event-at-a-time loop, full graph rebuild on every
+    /// invalidation) instead of the batched/incremental fast
     /// path. Both paths are bit-identical by contract; this flag exists
     /// so equivalence tests can hold the oracle and the optimized run
     /// side by side in one process. Off by default.

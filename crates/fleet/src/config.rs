@@ -14,17 +14,12 @@ use crate::store::{DiskStore, Store};
 pub(crate) struct FleetConfig {
     /// Worker threads in the pool.
     pub(crate) workers: usize,
-    /// Windows executed per scheduling quantum.
-    pub(crate) quantum_windows: u32,
     /// Missions a worker keeps materialized before evicting its
     /// least-recently-sliced resident to disk.
     pub(crate) max_resident: usize,
     /// Test/chaos policy: checkpoint-evict every mission after every
     /// slice, so each slice exercises the full resume path.
     pub(crate) evict_every_slice: bool,
-    /// Attach a metrics-only recorder to every mission so per-mission
-    /// metrics fingerprints are available after completion.
-    pub(crate) mission_metrics: bool,
     /// Directory evicted-mission checkpoints and the fleet manifest
     /// live under (one checkpoint subdirectory per ticket).
     pub(crate) checkpoint_root: PathBuf,
@@ -63,9 +58,6 @@ pub(crate) struct FleetConfig {
 pub enum FleetConfigError {
     /// `workers` was 0: the pool could never run anything.
     ZeroWorkers,
-    /// `quantum_windows` was 0: a slice would make no progress, so the
-    /// scheduler could never advance any mission.
-    ZeroQuantum,
     /// `max_resident` was 0: a worker could never hold a mission long
     /// enough to step it — every admission would immediately evict.
     ZeroResidency,
@@ -78,9 +70,6 @@ impl fmt::Display for FleetConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FleetConfigError::ZeroWorkers => write!(f, "fleet needs at least one worker"),
-            FleetConfigError::ZeroQuantum => {
-                write!(f, "scheduling quantum must be at least one window")
-            }
             FleetConfigError::ZeroResidency => {
                 write!(f, "eviction threshold must allow at least one resident mission")
             }
@@ -101,7 +90,6 @@ impl std::error::Error for FleetConfigError {}
 ///
 /// let fleet = FleetBuilder::new()
 ///     .workers(4)
-///     .quantum_windows(2)
 ///     .max_resident(64)
 ///     .build()
 ///     .expect("valid fleet config");
@@ -110,10 +98,8 @@ impl std::error::Error for FleetConfigError {}
 #[derive(Debug, Clone)]
 pub struct FleetBuilder {
     workers: usize,
-    quantum_windows: u32,
     max_resident: usize,
     evict_every_slice: bool,
-    mission_metrics: bool,
     checkpoint_root: Option<PathBuf>,
     recorder: Recorder,
     store: Option<Arc<dyn Store>>,
@@ -131,10 +117,8 @@ impl Default for FleetBuilder {
     fn default() -> Self {
         FleetBuilder {
             workers: std::thread::available_parallelism().map_or(4, usize::from),
-            quantum_windows: 1,
             max_resident: 64,
             evict_every_slice: false,
-            mission_metrics: true,
             checkpoint_root: None,
             recorder: Recorder::disabled(),
             store: None,
@@ -167,14 +151,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Utility windows a mission executes per scheduling quantum. Must
-    /// be ≥ 1. Larger quanta amortize slice bookkeeping; smaller quanta
-    /// interleave missions more finely.
-    pub fn quantum_windows(mut self, windows: u32) -> Self {
-        self.quantum_windows = windows;
-        self
-    }
-
     /// Missions a worker keeps materialized in memory (the eviction
     /// threshold). Must be ≥ 1. When a worker exceeds this, its
     /// least-recently-sliced mission is checkpointed to disk and its
@@ -189,14 +165,6 @@ impl FleetBuilder {
     /// by default.
     pub fn evict_every_slice(mut self, on: bool) -> Self {
         self.evict_every_slice = on;
-        self
-    }
-
-    /// Attach a metrics-only recorder to every mission, making
-    /// [`Fleet::metrics_fingerprint`] available after completion. On by
-    /// default; turn off to run missions at baseline speed.
-    pub fn mission_metrics(mut self, on: bool) -> Self {
-        self.mission_metrics = on;
         self
     }
 
@@ -297,9 +265,6 @@ impl FleetBuilder {
         if self.workers == 0 {
             return Err(FleetConfigError::ZeroWorkers);
         }
-        if self.quantum_windows == 0 {
-            return Err(FleetConfigError::ZeroQuantum);
-        }
         if self.max_resident == 0 {
             return Err(FleetConfigError::ZeroResidency);
         }
@@ -315,10 +280,8 @@ impl FleetBuilder {
         Ok(Fleet::from_parts(
             FleetConfig {
                 workers: self.workers,
-                quantum_windows: self.quantum_windows,
                 max_resident: self.max_resident,
                 evict_every_slice: self.evict_every_slice,
-                mission_metrics: self.mission_metrics,
                 checkpoint_root,
                 store,
                 max_queued: self.max_queued,
@@ -368,10 +331,6 @@ mod tests {
             Some(FleetConfigError::ZeroWorkers)
         );
         assert_eq!(
-            FleetBuilder::new().quantum_windows(0).build().err(),
-            Some(FleetConfigError::ZeroQuantum)
-        );
-        assert_eq!(
             FleetBuilder::new().max_resident(0).build().err(),
             Some(FleetConfigError::ZeroResidency)
         );
@@ -386,7 +345,6 @@ mod tests {
     fn errors_display_their_cause() {
         for e in [
             FleetConfigError::ZeroWorkers,
-            FleetConfigError::ZeroQuantum,
             FleetConfigError::ZeroResidency,
             FleetConfigError::ZeroRetryLimit,
         ] {

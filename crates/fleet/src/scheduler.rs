@@ -333,9 +333,9 @@ impl Fleet {
 
     /// Admits a mission and returns its ticket. The config must not
     /// carry an enabled recorder (recorders are thread-bound); per-
-    /// mission metrics come from
-    /// [`FleetBuilder::mission_metrics`] instead. Sheds with
-    /// [`SubmitError::QueueFull`] when the fleet already holds
+    /// mission metrics come from [`Fleet::metrics_fingerprint`]
+    /// instead. Sheds with [`SubmitError::QueueFull`] when the fleet
+    /// already holds
     /// [`FleetBuilder::max_queued`] non-terminal missions.
     pub fn submit(
         &mut self,
@@ -422,8 +422,7 @@ impl Fleet {
             .and_then(|s| s.digest.as_ref())
     }
 
-    /// The completed mission's metrics fingerprint (`None` until `Done`,
-    /// or when [`FleetBuilder::mission_metrics`] is off).
+    /// The completed mission's metrics fingerprint (`None` until `Done`).
     pub fn metrics_fingerprint(&self, ticket: MissionTicket) -> Option<u64> {
         self.slots.get(ticket.0 as usize).and_then(|s| s.metrics_fp)
     }
@@ -670,8 +669,8 @@ fn run_slice(
 }
 
 /// The fallible/panicky part of a slice: materialize (fresh or
-/// resumed), step up to `quantum_windows` windows, then complete, keep
-/// resident, or evict.
+/// resumed), step one utility window, then complete, keep resident,
+/// or evict.
 fn slice_body(
     ctx: &DrainCtx<'_>,
     slot: &mut Slot,
@@ -692,24 +691,17 @@ fn slice_body(
     slot.status = MissionStatus::Running;
     let from_window = runner.window_index() as u64;
     let t0 = Instant::now(); // lint: allow(wall-clock) — reporting only; slice latency lands in FleetSummary, never in a decision or digest
-    let mut ran = 0u64;
-    while ran < u64::from(ctx.cfg.quantum_windows) {
-        if let Some((target, window)) = ctx.cfg.inject_panic {
-            if target == ticket && runner.window_index() as u64 == window {
-                // Deliberate chaos injection behind the test-only
-                // inject_panic knob; the supervision layer under test
-                // catches this unwind.
-                panic!("injected panic in mission m-{ticket:06} at window {window}");
-            }
-        }
-        match runner.step_window() {
-            StepOutcome::WindowClosed { .. } => ran += 1,
-            // `Finished`, and conservatively any future non-progress
-            // outcome (`StepOutcome` is `#[non_exhaustive]`): end the
-            // slice rather than spin.
-            _ => break,
+    if let Some((target, window)) = ctx.cfg.inject_panic {
+        if target == ticket && runner.window_index() as u64 == window {
+            // Deliberate chaos injection behind the test-only
+            // inject_panic knob; the supervision layer under test
+            // catches this unwind.
+            panic!("injected panic in mission m-{ticket:06} at window {window}");
         }
     }
+    // `Finished`, and conservatively any future non-progress outcome
+    // (`StepOutcome` is `#[non_exhaustive]`), ran no window.
+    let ran = u64::from(matches!(runner.step_window(), StepOutcome::WindowClosed { .. }));
     lock(&ctx.latencies).push(t0.elapsed().as_secs_f64() * 1_000.0);
     slot.events.push(SliceEvent::Slice { from_window, windows: ran });
     slot.slices_used += 1;
@@ -722,9 +714,7 @@ fn slice_body(
             windows,
             repairs: report.repairs as u64,
         });
-        slot.metrics_fp = recorder
-            .is_enabled()
-            .then(|| recorder.metrics_digest().fingerprint());
+        slot.metrics_fp = Some(recorder.metrics_digest().fingerprint());
         slot.digest = Some(report.digest.clone());
         slot.report = Some(report);
         slot.ckpt_window = None;
@@ -817,11 +807,8 @@ fn materialize(
     slot: &mut Slot,
     ticket: u64,
 ) -> Result<(MissionRunner, Recorder), Fault> {
-    let recorder = if ctx.cfg.mission_metrics {
-        Recorder::null()
-    } else {
-        Recorder::disabled()
-    };
+    // Metrics-only, so `Fleet::metrics_fingerprint` has something to read.
+    let recorder = Recorder::null();
     let config = slot.portable.clone().into_config(recorder.clone());
     match slot.ckpt_window {
         None => Ok((MissionRunner::new(&slot.scenario, &config), recorder)),

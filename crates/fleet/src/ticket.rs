@@ -60,11 +60,10 @@ impl MissionStatus {
 pub enum SubmitError {
     /// The `RunConfig` carried an enabled recorder. Recorders are
     /// thread-bound (`!Send`), so a mission that must migrate between
-    /// workers cannot bring one; use
-    /// [`FleetBuilder::mission_metrics`](crate::FleetBuilder::mission_metrics)
-    /// for per-mission metrics and
-    /// [`FleetBuilder::recorder`](crate::FleetBuilder::recorder) for the
-    /// scheduler trace instead.
+    /// workers cannot bring one; read per-mission metrics from
+    /// [`Fleet::metrics_fingerprint`](crate::Fleet::metrics_fingerprint)
+    /// and use [`FleetBuilder::recorder`](crate::FleetBuilder::recorder)
+    /// for the scheduler trace instead.
     RecorderAttached,
     /// The scenario's node catalog was empty; the mission could never
     /// recruit, and a seed over zero nodes identifies nothing.
@@ -85,7 +84,7 @@ impl fmt::Display for SubmitError {
             SubmitError::RecorderAttached => write!(
                 f,
                 "mission configs must not carry an enabled recorder (recorders are \
-                 thread-bound); use FleetBuilder::mission_metrics / FleetBuilder::recorder"
+                 thread-bound); use Fleet::metrics_fingerprint / FleetBuilder::recorder"
             ),
             SubmitError::EmptyCatalog => {
                 write!(f, "scenario catalog is empty; nothing to recruit")

@@ -10,8 +10,8 @@
 //!
 //! * **Dense `u32` indexing** — node ids are mapped once to dense
 //!   indices; the id universe (`Rc<[NodeId]>`) and index map are shared
-//!   with the simulator, so adjacency, routing scratch, and route trees
-//!   all run on flat `Vec`s with no per-query map lookups.
+//!   with the simulator, so adjacency and routing scratch run on flat
+//!   `Vec`s with no per-query map lookups.
 //! * **Radius-matched spatial hashing** — the bucket size is the largest
 //!   radio range actually present (capped at [`MAX_LINK_RANGE_M`]), so a
 //!   wifi-only mesh gets ~120 m cells instead of 6 km ones and pair
@@ -20,10 +20,10 @@
 //!   recomputes one node's liveness and incident links in place, which
 //!   is what lets the simulator survive churn without rebuilding the
 //!   whole graph (see the sim's dirty-tracking for the rules).
-//! * **Route trees** — [`ConnectivityGraph::route_tree`] runs Dijkstra
-//!   to completion from one source; the resulting predecessor tree
-//!   answers every destination until the graph's [`epoch`](Self::epoch)
-//!   moves, producing bit-identical paths to per-query routing.
+//! * **One routing path** — every query is an early-exit Dijkstra over
+//!   reused scratch. Battlefield traffic is convergecast (many sources,
+//!   one command post), so consecutive queries rarely share a source and
+//!   nothing is cached per source.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -73,9 +73,6 @@ pub struct ConnectivityGraph {
     /// positions are unchanged; any movement requires a full rebuild.
     buckets: BTreeMap<(i64, i64), Vec<u32>>,
     cell_m: f64,
-    /// Bumped on every content change (full build or node refresh);
-    /// route trees and caches are valid only for their stamped epoch.
-    epoch: u64,
 }
 
 /// Minimum mean delivery probability for a link to exist at all.
@@ -142,7 +139,7 @@ impl ConnectivityGraph {
     /// The simulator constructs the id universe once and shares it with
     /// every graph it builds, so graph index `i` and simulator index `i`
     /// always name the same node. `nodes[i].id` must equal `ids[i]`.
-    pub fn build_shared(
+    pub(crate) fn build_shared(
         ids: Rc<[NodeId]>,
         index: Rc<BTreeMap<NodeId, u32>>,
         nodes: Vec<GraphNode>,
@@ -206,7 +203,6 @@ impl ConnectivityGraph {
             adj,
             buckets,
             cell_m: cell,
-            epoch: 0,
         }
     }
 
@@ -217,7 +213,7 @@ impl ConnectivityGraph {
     /// loss), and the deny predicate must all be as they were — the
     /// caller falls back to a full rebuild for those. Produces a graph
     /// identical to rebuilding from scratch with the node's new
-    /// liveness, and bumps [`epoch`](Self::epoch).
+    /// liveness.
     pub fn refresh_node(
         &mut self,
         i: u32,
@@ -229,7 +225,6 @@ impl ConnectivityGraph {
         if iu >= self.nodes.len() {
             return;
         }
-        self.epoch += 1;
         // Tear out the node's current incident links from both sides.
         let old = std::mem::take(&mut self.adj[iu]);
         for (j, _) in old {
@@ -285,19 +280,6 @@ impl ConnectivityGraph {
             && self.adj == other.adj
     }
 
-    /// Content version: bumped on every full build or node refresh.
-    /// Route trees and next-hop caches are valid only while the epoch
-    /// they were built at still matches.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Stamps the content version; the simulator uses this to keep the
-    /// epoch monotonic across full rebuilds (a fresh build starts at 0).
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
     /// Number of nodes (including dead ones, which have no links).
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -311,17 +293,6 @@ impl ConnectivityGraph {
     /// Number of undirected links.
     pub fn link_count(&self) -> usize {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
-    /// Dense index of a node id, if known.
-    pub fn index_of(&self, id: NodeId) -> Option<u32> {
-        self.index.get(&id).copied()
-    }
-
-    /// Node id at a dense index. Panics on out-of-range indices, which
-    /// can only come from a different id universe.
-    pub fn id_at(&self, i: u32) -> NodeId {
-        self.ids[i as usize]
     }
 
     /// Neighbors of a node, with link qualities. Empty for unknown ids.
@@ -339,39 +310,27 @@ impl ConnectivityGraph {
     /// (inclusive of both endpoints), or `None` when unreachable.
     ///
     /// Reliability is the product of per-hop delivery probabilities;
-    /// Dijkstra runs on `-ln p` weights. Allocates fresh working state —
-    /// callers routing many times per snapshot should hold a
-    /// [`RouteScratch`] and use [`ConnectivityGraph::route_with`].
+    /// Dijkstra runs on `-ln p` weights.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.route_with(&mut RouteScratch::new(), src, dst)
-    }
-
-    /// [`ConnectivityGraph::route`] with caller-owned scratch space.
-    ///
-    /// The per-query distance/predecessor state is epoch-stamped instead
-    /// of cleared, and the heap/path buffers are reused, so repeated
-    /// queries (the simulator routes every message) cost no allocations
-    /// once the scratch has warmed up. Stale heap entries — nodes already
-    /// settled via a cheaper path — are skipped on pop.
-    pub fn route_with(
-        &self,
-        scratch: &mut RouteScratch,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Option<Vec<NodeId>> {
         let &s = self.index.get(&src)?;
         let &d = self.index.get(&dst)?;
         Some(
-            self.route_idx_with(scratch, s, d)?
+            self.route_idx_with(&mut RouteScratch::new(), s, d)?
                 .into_iter()
                 .map(|i| self.ids[i as usize])
                 .collect(),
         )
     }
 
-    /// [`ConnectivityGraph::route_with`] on dense indices: the hot-path
-    /// form the simulator uses, avoiding id↔index translation entirely.
-    pub fn route_idx_with(
+    /// [`ConnectivityGraph::route`] on dense indices with caller-owned
+    /// scratch space: the form the simulator uses for every message.
+    ///
+    /// The per-query distance/predecessor state is epoch-stamped instead
+    /// of cleared, and the heap/path buffers are reused, so repeated
+    /// queries cost no allocations once the scratch has warmed up. Stale
+    /// heap entries — nodes already settled via a cheaper path — are
+    /// skipped on pop.
+    pub(crate) fn route_idx_with(
         &self,
         scratch: &mut RouteScratch,
         s: u32,
@@ -415,94 +374,6 @@ impl ConnectivityGraph {
         Some(path)
     }
 
-    /// Runs Dijkstra to completion from `src` and returns the full
-    /// shortest-path tree, valid for every destination at the current
-    /// [`epoch`](Self::epoch).
-    ///
-    /// Routes read out of the tree are bit-identical to per-destination
-    /// [`route_with`](Self::route_with) queries: early exit only skips
-    /// work *after* the destination settles, and settled predecessors
-    /// never change under non-negative weights, so both walks read the
-    /// same predecessor chain.
-    pub fn route_tree(&self, scratch: &mut RouteScratch, src: NodeId) -> Option<RouteTree> {
-        let &s = self.index.get(&src)?;
-        Some(self.route_tree_idx(scratch, s))
-    }
-
-    /// [`ConnectivityGraph::route_tree`] on a dense source index.
-    pub fn route_tree_idx(&self, scratch: &mut RouteScratch, s: u32) -> RouteTree {
-        let n = self.ids.len();
-        scratch.reset(n);
-        if (s as usize) < n {
-            scratch.set(s, 0.0, s);
-            scratch.heap.push(HeapEntry { cost: 0.0, node: s });
-        }
-        while let Some(HeapEntry { cost, node }) = scratch.heap.pop() {
-            if cost > scratch.dist(node) {
-                continue;
-            }
-            for &(next, q) in &self.adj[node as usize] {
-                let w = -(q.delivery_prob.max(1e-12)).ln();
-                let nd = cost + w;
-                if nd < scratch.dist(next) {
-                    scratch.set(next, nd, node);
-                    scratch.heap.push(HeapEntry { cost: nd, node: next });
-                }
-            }
-        }
-        let prev: Vec<u32> = (0..n as u32)
-            .map(|i| {
-                if scratch.stamp[i as usize] == scratch.epoch {
-                    scratch.prev[i as usize]
-                } else {
-                    u32::MAX
-                }
-            })
-            .collect();
-        RouteTree {
-            src: s,
-            epoch: self.epoch,
-            prev,
-        }
-    }
-
-    /// Reads the route to `dst` out of a shortest-path tree, as dense
-    /// indices from the tree's source to `dst` inclusive. `None` when
-    /// unreachable. The tree must come from this graph at the current
-    /// epoch.
-    pub fn route_idx_from_tree(&self, tree: &RouteTree, d: u32) -> Option<Vec<u32>> {
-        debug_assert_eq!(tree.epoch, self.epoch, "route tree used across graph changes");
-        debug_assert_eq!(tree.prev.len(), self.ids.len());
-        if d as usize >= tree.prev.len() {
-            return None;
-        }
-        if d == tree.src {
-            return Some(vec![d]);
-        }
-        if tree.prev[d as usize] == u32::MAX {
-            return None;
-        }
-        let mut path = vec![d];
-        let mut cur = d;
-        while cur != tree.src {
-            cur = tree.prev[cur as usize];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Id-level convenience over [`Self::route_idx_from_tree`].
-    pub fn route_from_tree(&self, tree: &RouteTree, dst: NodeId) -> Option<Vec<NodeId>> {
-        let &d = self.index.get(&dst)?;
-        Some(
-            self.route_idx_from_tree(tree, d)?
-                .into_iter()
-                .map(|i| self.ids[i as usize])
-                .collect(),
-        )
-    }
-
     /// Link quality between two adjacent nodes, if a link exists.
     pub fn link(&self, a: NodeId, b: NodeId) -> Option<LinkQuality> {
         let &i = self.index.get(&a)?;
@@ -511,7 +382,7 @@ impl ConnectivityGraph {
     }
 
     /// [`ConnectivityGraph::link`] on dense indices.
-    pub fn link_idx(&self, i: u32, j: u32) -> Option<LinkQuality> {
+    pub(crate) fn link_idx(&self, i: u32, j: u32) -> Option<LinkQuality> {
         let list = self.adj.get(i as usize)?;
         list.binary_search_by_key(&j, |(k, _)| *k)
             .ok()
@@ -602,37 +473,13 @@ fn best_link(a: &GraphNode, b: &GraphNode, channel: &Channel) -> Option<LinkQual
     best
 }
 
-/// A full shortest-path tree from one source node, produced by
-/// [`ConnectivityGraph::route_tree`]. Valid only at the graph epoch it
-/// was built from; the owner checks the stamp before reuse.
-#[derive(Debug, Clone)]
-pub struct RouteTree {
-    src: u32,
-    epoch: u64,
-    /// Predecessor per dense index: the source maps to itself,
-    /// unreachable nodes to `u32::MAX`.
-    prev: Vec<u32>,
-}
-
-impl RouteTree {
-    /// Dense index of the tree's source node.
-    pub fn src(&self) -> u32 {
-        self.src
-    }
-
-    /// Graph epoch the tree was computed at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-/// Reusable Dijkstra working state for [`ConnectivityGraph::route_with`].
+/// Reusable Dijkstra working state for `ConnectivityGraph::route_idx_with`.
 ///
 /// Distance and predecessor slots are validated by an epoch stamp, so
 /// starting a new query is `O(1)` — no per-node clearing — and the heap
 /// keeps its capacity across queries.
 #[derive(Debug, Clone, Default)]
-pub struct RouteScratch {
+pub(crate) struct RouteScratch {
     dist: Vec<f64>,
     prev: Vec<u32>,
     stamp: Vec<u32>,
@@ -642,7 +489,7 @@ pub struct RouteScratch {
 
 impl RouteScratch {
     /// An empty scratch; buffers grow to the graph size on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -871,8 +718,12 @@ mod tests {
             (&g_big, vec![(3, 22), (0, 29)]),
         ] {
             for (a, b) in pairs {
+                let (ia, ib) = (g.index[&NodeId::new(a)], g.index[&NodeId::new(b)]);
+                let reused = g
+                    .route_idx_with(&mut scratch, ia, ib)
+                    .map(|path| path.into_iter().map(|i| g.ids[i as usize]).collect());
                 assert_eq!(
-                    g.route_with(&mut scratch, NodeId::new(a), NodeId::new(b)),
+                    reused,
                     g.route(NodeId::new(a), NodeId::new(b)),
                     "route {a} -> {b}"
                 );
@@ -932,7 +783,6 @@ mod tests {
             .map(|i| node(i, (i % 6) as f64 * 75.0, (i / 6) as f64 * 75.0, &[RadioKind::Wifi]))
             .collect();
         let mut g = ConnectivityGraph::build(&world, &ch);
-        let start_epoch = g.epoch();
         // A deterministic little churn script: down, down, up, down, up...
         let script: [(u32, bool); 8] = [
             (7, false),
@@ -953,7 +803,6 @@ mod tests {
                 "incremental refresh diverged at node {i} alive={alive}"
             );
         }
-        assert_eq!(g.epoch(), start_epoch + script.len() as u64);
     }
 
     #[test]
@@ -979,29 +828,5 @@ mod tests {
         assert!(g.same_topology(&ConnectivityGraph::build_filtered(&world, &ch, &deny)));
         assert!(g.link(NodeId::new(0), NodeId::new(1)).is_none());
         assert!(g.link(NodeId::new(1), NodeId::new(2)).is_some());
-    }
-
-    #[test]
-    fn route_tree_matches_per_destination_routes() {
-        // Every destination read out of one source's tree must equal the
-        // early-exit per-destination query, including unreachable ones.
-        let ch = open_channel();
-        let mut nodes: Vec<GraphNode> = (0..25)
-            .map(|i| node(i, (i % 5) as f64 * 70.0, (i / 5) as f64 * 70.0, &[RadioKind::Wifi]))
-            .collect();
-        nodes.push(node(99, 15_000.0, 0.0, &[RadioKind::Wifi])); // isolated
-        let g = ConnectivityGraph::build(&nodes, &ch);
-        let mut scratch = RouteScratch::new();
-        for src in [0u64, 7, 24, 99] {
-            let tree = g.route_tree(&mut scratch, NodeId::new(src)).unwrap();
-            for n in &nodes {
-                assert_eq!(
-                    g.route_from_tree(&tree, n.id),
-                    g.route_with(&mut scratch, NodeId::new(src), n.id),
-                    "tree route {src} -> {:?}",
-                    n.id
-                );
-            }
-        }
     }
 }

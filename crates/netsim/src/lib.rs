@@ -30,7 +30,7 @@ pub mod time;
 pub use bytes::Bytes;
 pub use channel::{Channel, Jammer, LinkBudget};
 pub use churn::{ChurnPlan, ChurnProcess};
-pub use graph::{ConnectivityGraph, GraphNode, LinkQuality, RouteScratch};
+pub use graph::{ConnectivityGraph, GraphNode, LinkQuality};
 pub use message::Message;
 pub use mobility::{MobilityModel, MobilityState};
 pub use sim::{

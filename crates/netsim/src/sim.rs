@@ -41,7 +41,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -55,7 +55,7 @@ mod snapshot;
 pub use snapshot::{BehaviorRegistry, BehaviorSnapshot, SnapshotError};
 
 use crate::channel::{Channel, Jammer};
-use crate::graph::{ConnectivityGraph, GraphNode, LinkQuality, RouteScratch, RouteTree};
+use crate::graph::{ConnectivityGraph, GraphNode, LinkQuality, RouteScratch};
 use crate::message::Message;
 use crate::mobility::{MobilityModel, MobilityState};
 use crate::stats::NetStats;
@@ -443,11 +443,10 @@ impl SimulatorBuilder {
     }
 
     /// Runs the simulator on the legacy reference path: one-at-a-time
-    /// event dispatch, per-query Dijkstra, and full graph rebuilds on
-    /// every invalidation (default: off). Results are bit-identical
-    /// either way — this exists so the equivalence tests can compare the
-    /// optimized hot path against the straightforward implementation
-    /// in-process.
+    /// event dispatch and full graph rebuilds on every invalidation
+    /// (default: off). Results are bit-identical either way — this
+    /// exists so the equivalence tests can compare the optimized hot
+    /// path against the straightforward implementation in-process.
     pub fn reference_mode(mut self, on: bool) -> Self {
         self.reference_mode = on;
         self
@@ -514,11 +513,7 @@ impl SimulatorBuilder {
             stats: NetStats::new(),
             graph: None,
             graph_dirty: GraphDirty::Full,
-            graph_epoch: 0,
             route_scratch: RouteScratch::new(),
-            route_trees: BTreeMap::new(),
-            route_tree_fifo: VecDeque::new(),
-            last_route: None,
             retries: self.retries,
             mobility_step: self.mobility_step,
             idle_drain_w: self.idle_drain_w,
@@ -564,10 +559,6 @@ enum GraphDirty {
     Full,
 }
 
-/// Cap on retained per-source route trees (FIFO eviction). At 100k
-/// nodes a tree is ~400 KB, so the cache tops out around 13 MB.
-const MAX_ROUTE_TREES: usize = 32;
-
 /// Internal mutable world state shared with behaviour contexts.
 struct Core {
     now: SimTime,
@@ -589,17 +580,7 @@ struct Core {
     stats: NetStats,
     graph: Option<Rc<ConnectivityGraph>>,
     graph_dirty: GraphDirty,
-    /// Monotonic graph content version across full rebuilds and
-    /// incremental refreshes; stamps route trees for invalidation.
-    graph_epoch: u64,
     route_scratch: RouteScratch,
-    /// Per-source shortest-path trees, valid at their stamped epoch.
-    route_trees: BTreeMap<u32, RouteTree>,
-    /// Insertion order of `route_trees` keys, for FIFO eviction.
-    route_tree_fifo: VecDeque<u32>,
-    /// Last routed `(graph epoch, source index)`: a repeat promotes the
-    /// source to a full route tree.
-    last_route: Option<(u64, u32)>,
     retries: u32,
     mobility_step: SimDuration,
     idle_drain_w: f64,
@@ -743,8 +724,6 @@ impl Core {
             return;
         }
         let dirty = std::mem::replace(&mut self.graph_dirty, GraphDirty::Clean);
-        self.graph_epoch += 1;
-        let epoch = self.graph_epoch;
         let refreshed = match (self.graph.take(), dirty) {
             (Some(mut rc), GraphDirty::Nodes(changed)) => {
                 {
@@ -761,7 +740,6 @@ impl Core {
                         let alive = n.alive && !n.energy.is_depleted();
                         g.refresh_node(i, alive, &self.channel, &deny);
                     }
-                    g.set_epoch(epoch);
                 }
                 debug_assert!(
                     rc.same_topology(&self.build_graph()),
@@ -769,11 +747,7 @@ impl Core {
                 );
                 rc
             }
-            _ => {
-                let mut built = self.build_graph();
-                built.set_epoch(epoch);
-                Rc::new(built)
-            }
+            _ => Rc::new(self.build_graph()),
         };
         self.recorder.record(TraceEvent::GraphRebuilt {
             nodes: refreshed.len() as u64,
@@ -793,42 +767,6 @@ impl Core {
         self.refresh_graph();
         // lint: allow(panic) — refresh_graph always leaves a cached graph behind
         Rc::clone(self.graph.as_ref().expect("refreshed"))
-    }
-
-    /// Routes `s → d` over `graph`, promoting hot sources to full route
-    /// trees: the first query from a source runs plain early-exit
-    /// Dijkstra; a second query from the same source at the same graph
-    /// epoch invests in the full predecessor tree and serves every later
-    /// destination in O(path-length). Paths are bit-identical either way
-    /// (settled predecessors never change under non-negative weights),
-    /// and epoch stamps invalidate trees the moment the graph changes.
-    fn route_cached(&mut self, graph: &ConnectivityGraph, s: u32, d: u32) -> Option<Vec<u32>> {
-        if self.reference_mode {
-            return graph.route_idx_with(&mut self.route_scratch, s, d);
-        }
-        let epoch = graph.epoch();
-        if let Some(tree) = self.route_trees.get(&s) {
-            if tree.epoch() == epoch {
-                return graph.route_idx_from_tree(tree, d);
-            }
-            self.route_trees.remove(&s);
-            self.route_tree_fifo.retain(|&x| x != s);
-        }
-        if self.last_route == Some((epoch, s)) {
-            let tree = graph.route_tree_idx(&mut self.route_scratch, s);
-            let out = graph.route_idx_from_tree(&tree, d);
-            if self.route_trees.insert(s, tree).is_none() {
-                self.route_tree_fifo.push_back(s);
-                if self.route_tree_fifo.len() > MAX_ROUTE_TREES {
-                    if let Some(evicted) = self.route_tree_fifo.pop_front() {
-                        self.route_trees.remove(&evicted);
-                    }
-                }
-            }
-            return out;
-        }
-        self.last_route = Some((epoch, s));
-        graph.route_idx_with(&mut self.route_scratch, s, d)
     }
 
     /// Simulates a unicast transmission hop by hop and schedules delivery
@@ -855,9 +793,9 @@ impl Core {
             return;
         }
         // A refcounted handle keeps the routing snapshot alive while the
-        // scratch, route trees, and node state are mutated below.
+        // scratch and node state are mutated below.
         let graph = self.graph_handle();
-        let Some(route) = self.route_cached(&graph, src, dst) else {
+        let Some(route) = graph.route_idx_with(&mut self.route_scratch, src, dst) else {
             self.drop_message(&msg, DropCause::NoRoute);
             return;
         };

@@ -419,11 +419,7 @@ impl Simulator {
             stats: _,
             graph: _,
             graph_dirty: _,
-            graph_epoch: _,
             route_scratch: _,
-            route_trees: _,
-            route_tree_fifo: _,
-            last_route: _,
             retries: _,
             mobility_step: _,
             idle_drain_w: _,
@@ -817,11 +813,6 @@ impl Simulator {
         core.compromises = compromises;
         core.blackouts = blackouts;
         core.queue = queue;
-        // Route caches are derived state scoped to a graph epoch; a
-        // restored world starts them cold.
-        core.route_trees.clear();
-        core.route_tree_fifo.clear();
-        core.last_route = None;
         core.graph = None;
         core.graph_dirty = GraphDirty::Full;
         if graph_cached > 0 {
@@ -831,11 +822,7 @@ impl Simulator {
             // access must still emit `GraphRebuilt` like the
             // uninterrupted run's patch application would — an empty
             // pending list encodes exactly that.
-            core.graph_epoch += 1;
-            let epoch = core.graph_epoch;
-            let mut built = core.build_graph();
-            built.set_epoch(epoch);
-            core.graph = Some(std::rc::Rc::new(built));
+            core.graph = Some(std::rc::Rc::new(core.build_graph()));
             core.graph_dirty = if graph_cached == 2 {
                 GraphDirty::Nodes(Vec::new())
             } else {

@@ -7,59 +7,28 @@
 //! question 64 pairs at a time: the marginal gain of a candidate is one
 //! AND-NOT + popcount pass over its words instead of a per-pair loop.
 
-/// Word count up to which a [`CoverageSet`] lives inline (no heap
-/// allocation): 512 pairs. Problem construction builds one set per
-/// candidate, so avoiding a malloc per candidate matters at 10k scale.
-const INLINE_WORDS: usize = 8;
-
-#[derive(Clone)]
-enum Words {
-    Inline { len: u8, buf: [u64; INLINE_WORDS] },
-    Heap(Vec<u64>),
-}
-
 /// A set of coverage-pair indices packed 64-per-word.
 ///
 /// Construction order is irrelevant (bitsets are canonical), iteration
 /// yields indices in ascending order, and equality/hashing follow set
 /// semantics — all matching the sorted `Vec<u32>` representation this
-/// type replaced. Universes up to `64 * INLINE_WORDS` pairs are stored
-/// inline.
-#[derive(Clone)]
+/// type replaced.
+#[derive(Clone, PartialEq, Eq)]
 pub struct CoverageSet {
-    words: Words,
+    words: Vec<u64>,
 }
-
-impl PartialEq for CoverageSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.words() == other.words()
-    }
-}
-
-impl Eq for CoverageSet {}
 
 impl CoverageSet {
     /// An empty set able to hold pair indices `0..universe`.
     pub fn with_capacity(universe: usize) -> Self {
-        let n = universe.div_ceil(64);
         CoverageSet {
-            words: if n <= INLINE_WORDS {
-                Words::Inline {
-                    len: n as u8,
-                    buf: [0u64; INLINE_WORDS],
-                }
-            } else {
-                Words::Heap(vec![0u64; n])
-            },
+            words: vec![0u64; universe.div_ceil(64)],
         }
     }
 
     #[inline]
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        match &mut self.words {
-            Words::Inline { len, buf } => &mut buf[..*len as usize],
-            Words::Heap(v) => v,
-        }
+        &mut self.words
     }
 
     /// Builds a set from pair indices (any order, duplicates collapse).
@@ -79,19 +48,6 @@ impl CoverageSet {
     #[inline]
     pub fn insert(&mut self, pair: u32) {
         self.words_mut()[(pair / 64) as usize] |= 1u64 << (pair % 64);
-    }
-
-    /// Bulk insert of `count` pairs `start, start + stride, ...` — the
-    /// run form of [`CoverageSet::insert`]. Strides 1 and 2 (one- and
-    /// two-modality problems) set whole-word masks instead of per-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the last pair is beyond the construction capacity, or
-    /// when `count > 0 && stride == 0`.
-    #[inline]
-    pub fn insert_run(&mut self, start: u32, count: u32, stride: u32) {
-        set_strided_run(self.words_mut(), start, count, stride);
     }
 
     /// Whether the set contains a pair index.
@@ -124,10 +80,7 @@ impl CoverageSet {
 
     /// The backing words (low bit of word 0 is pair 0).
     pub fn words(&self) -> &[u64] {
-        match &self.words {
-            Words::Inline { len, buf } => &buf[..*len as usize],
-            Words::Heap(v) => v,
-        }
+        &self.words
     }
 
     /// Counts pairs in `self` that are NOT in `mask` — the word-parallel
@@ -143,8 +96,15 @@ impl CoverageSet {
 }
 
 /// Sets bits `start, start + stride, ...` (`count` of them) in a packed
-/// word slice. Shared by [`CoverageSet::insert_run`] and the problem
-/// constructor, which writes into the backing words directly.
+/// word slice — the run form of [`CoverageSet::insert`], which the problem
+/// constructor applies to a set's backing words directly. Strides 1 and 2
+/// (one- and two-modality problems) set whole-word masks instead of
+/// per-bit.
+///
+/// # Panics
+///
+/// Panics when the last bit is beyond `words`, or when
+/// `count > 0 && stride == 0`.
 #[inline]
 pub(crate) fn set_strided_run(words: &mut [u64], start: u32, count: u32, stride: u32) {
     if count == 0 {
@@ -380,7 +340,7 @@ mod tests {
                 for count in [0u32, 1, 2, 3, 17, 64, 65, 90] {
                     let universe = 1_000;
                     let mut bulk = CoverageSet::with_capacity(universe);
-                    bulk.insert_run(start, count, stride);
+                    set_strided_run(bulk.words_mut(), start, count, stride);
                     let mut single = CoverageSet::with_capacity(universe);
                     for i in 0..count {
                         single.insert(start + i * stride);
@@ -397,7 +357,7 @@ mod tests {
     #[test]
     fn insert_run_composes_with_existing_bits() {
         let mut s = CoverageSet::from_indices(300, [0u32, 64, 130]);
-        s.insert_run(62, 4, 2); // 62, 64, 66, 68
+        set_strided_run(s.words_mut(), 62, 4, 2); // 62, 64, 66, 68
         assert_eq!(
             s.iter().collect::<Vec<_>>(),
             vec![0, 62, 64, 66, 68, 130]
@@ -408,7 +368,7 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn insert_run_past_capacity_panics() {
         let mut s = CoverageSet::with_capacity(100);
-        s.insert_run(90, 40, 2);
+        set_strided_run(s.words_mut(), 90, 40, 2);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Uniform spatial-bucket index over grid cell centers.
+//! Lattice index over grid cell centers.
 //!
 //! Problem construction must decide, for every (candidate, modality)
 //! pair, which cells the candidate's sensor reaches. The brute-force scan
 //! checks every cell center — `O(candidates × modalities × cells)` — which
 //! dominates construction time at 10k-candidate scale. Mission grids are
-//! uniform, so a bucket grid over the cell centers answers "which centers
-//! lie within range `r` of point `p`?" touching only the buckets the query
-//! disc overlaps.
+//! uniform, so per-axis coordinate arrays answer "which centers lie within
+//! range `r` of point `p`?" touching only the bounding box of the query
+//! disc.
 
 use iobt_types::Point;
 
@@ -19,10 +19,9 @@ use iobt_types::Point;
 ///   reduce to two interval lookups on tiny per-axis coordinate arrays
 ///   plus one `dx² + dy²` test per cell in the bounding box — no
 ///   division, no sqrt, no indirection through the centers slice.
-/// - **Buckets**: arbitrary point sets fall back to a bucket grid in CSR
-///   form: one flat, bucket-major entry array plus per-bucket offsets. A
-///   range query sweeps, per bucket row, ONE contiguous entry slice
-///   (buckets in a row are adjacent in CSR order).
+/// - **Scan**: anything else (a zero-width mission area, jittered points)
+///   tests every center. Every in-repo caller hands over a lattice, so
+///   this arm only has to be correct, not fast.
 #[derive(Debug, Clone)]
 pub struct CellIndex {
     layout: Layout,
@@ -41,22 +40,7 @@ enum Layout {
         /// `1 / row pitch`, same caveat.
         inv_py: f64,
     },
-    Buckets(BucketGrid),
-}
-
-#[derive(Debug, Clone)]
-struct BucketGrid {
-    min_x: f64,
-    min_y: f64,
-    /// Bucket edge length in meters (> 0 even for degenerate inputs).
-    bucket: f64,
-    cols: usize,
-    rows: usize,
-    /// CSR offsets, `cols * rows + 1` long; bucket `(row, col)` owns
-    /// `entries[starts[row * cols + col]..starts[row * cols + col + 1]]`.
-    starts: Vec<u32>,
-    /// Center indices, bucket-major.
-    entries: Vec<u32>,
+    Scan,
 }
 
 /// Detects an exact row-major lattice: `centers[r * cols + c]` must equal
@@ -111,8 +95,7 @@ fn interval(coords: &[f64], inv_pitch: f64, lo: f64, hi: f64) -> (usize, usize) 
 
 impl CellIndex {
     /// Builds an index over `centers`. Exact row-major lattices (the mission
-    /// grid case) get the uniform layout; anything else gets a bucket grid
-    /// sized for roughly one point per bucket.
+    /// grid case) get the uniform layout; anything else is scanned.
     pub fn build(centers: &[Point]) -> Self {
         if let Some((xs, ys)) = (!centers.is_empty())
             .then(|| detect_uniform(centers))
@@ -135,54 +118,25 @@ impl CellIndex {
             };
         }
         CellIndex {
-            layout: Layout::Buckets(BucketGrid::build(centers)),
+            layout: Layout::Scan,
         }
     }
 
-    /// Calls `hit` with the index of every center within `range` meters of
-    /// `pos` (inclusive boundary, exactly matching a full-scan distance
-    /// check). Visit order is layout-defined, not index-sorted.
-    #[inline]
-    pub fn for_each_in_range(
-        &self,
-        centers: &[Point],
-        pos: Point,
-        range: f64,
-        mut hit: impl FnMut(u32),
-    ) {
-        self.for_each_covered(centers, pos, &[range], |ci, _| hit(ci));
-    }
-
-    /// Multi-modality range query: calls `hit(ci, mi)` for every center
-    /// `ci` within `ranges[mi]` meters of `pos` (inclusive boundary,
-    /// bit-identical to a full-scan `distance_sq_to` check). Negative
-    /// entries — e.g. a `NEG_INFINITY` "missing modality" sentinel — never
-    /// hit. One sweep of the union disc replaces one query per modality,
-    /// which matters when the per-query setup rivals the per-cell work.
-    #[inline]
-    pub fn for_each_covered(
-        &self,
-        centers: &[Point],
-        pos: Point,
-        ranges: &[f64],
-        mut hit: impl FnMut(u32, usize),
-    ) {
-        self.for_each_covered_run(centers, pos, ranges, |s, e, mi| {
-            for ci in s..e {
-                hit(ci, mi);
-            }
-        });
-    }
-
-    /// Run-granular form of [`CellIndex::for_each_covered`]: hits are
-    /// reported as half-open center-index runs `run(start, end, mi)`.
+    /// Multi-modality range query: reports every center `ci` within
+    /// `ranges[mi]` meters of `pos` (inclusive boundary, bit-identical to a
+    /// full-scan `distance_sq_to` check) as half-open center-index runs
+    /// `run(start, end, mi)`. Negative entries — e.g. a `NEG_INFINITY`
+    /// "missing modality" sentinel — never hit. One sweep of the union
+    /// disc replaces one query per modality, which matters when the
+    /// per-query setup rivals the per-cell work. Visit order is
+    /// layout-defined, not index-sorted.
     ///
     /// On the uniform layout the centers a disc reaches in one grid row are
     /// contiguous (`dx²` is unimodal along a row, exactly, even in floating
     /// point), so each (row, modality) yields at most one run found by
     /// scanning inward from the bounding-box edges — interior cells are
-    /// never distance-tested. Bucket-grid fallback reports single-cell
-    /// runs. Callers that can sink whole runs (e.g. bitset construction)
+    /// never distance-tested. The scan layout reports single-cell runs.
+    /// Callers that can sink whole runs (e.g. bitset construction)
     /// avoid per-hit work entirely.
     #[inline]
     pub fn for_each_covered_run(
@@ -239,101 +193,13 @@ impl CellIndex {
                     }
                 }
             }
-            Layout::Buckets(grid) => grid.for_each_covered(centers, pos, rmax, ranges, &mut run),
-        }
-    }
-}
-
-impl BucketGrid {
-    fn build(centers: &[Point]) -> Self {
-        if centers.is_empty() {
-            return BucketGrid {
-                min_x: 0.0,
-                min_y: 0.0,
-                bucket: 1.0,
-                cols: 1,
-                rows: 1,
-                starts: vec![0, 0],
-                entries: Vec::new(),
-            };
-        }
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for c in centers {
-            min_x = min_x.min(c.x);
-            min_y = min_y.min(c.y);
-            max_x = max_x.max(c.x);
-            max_y = max_y.max(c.y);
-        }
-        let extent = (max_x - min_x).max(max_y - min_y);
-        let side = (centers.len() as f64).sqrt().ceil().max(1.0);
-        let bucket = (extent / side).max(1e-9);
-        let cols = ((max_x - min_x) / bucket) as usize + 1;
-        let rows = ((max_y - min_y) / bucket) as usize + 1;
-        let bucket_of = |c: &Point| -> usize {
-            let col = (((c.x - min_x) / bucket) as usize).min(cols - 1);
-            let row = (((c.y - min_y) / bucket) as usize).min(rows - 1);
-            row * cols + col
-        };
-        // Counting sort into CSR: count, prefix-sum, scatter.
-        let mut starts = vec![0u32; cols * rows + 1];
-        for c in centers {
-            starts[bucket_of(c) + 1] += 1;
-        }
-        for b in 1..starts.len() {
-            starts[b] += starts[b - 1];
-        }
-        let mut cursor = starts.clone();
-        let mut entries = vec![0u32; centers.len()];
-        for (i, c) in centers.iter().enumerate() {
-            let b = bucket_of(c);
-            entries[cursor[b] as usize] = i as u32;
-            cursor[b] += 1;
-        }
-        BucketGrid {
-            min_x,
-            min_y,
-            bucket,
-            cols,
-            rows,
-            starts,
-            entries,
-        }
-    }
-
-    fn for_each_covered(
-        &self,
-        centers: &[Point],
-        pos: Point,
-        rmax: f64,
-        ranges: &[f64],
-        run: &mut impl FnMut(u32, u32, usize),
-    ) {
-        // Bucket span the union disc can overlap; clamped to the grid so
-        // far-away candidates touch nothing.
-        let lo_col = ((pos.x - rmax - self.min_x) / self.bucket).floor().max(0.0) as usize;
-        let lo_row = ((pos.y - rmax - self.min_y) / self.bucket).floor().max(0.0) as usize;
-        if lo_col >= self.cols || lo_row >= self.rows {
-            return;
-        }
-        let hi_col = (((pos.x + rmax - self.min_x) / self.bucket).floor() as usize)
-            .min(self.cols - 1);
-        let hi_row = (((pos.y + rmax - self.min_y) / self.bucket).floor() as usize)
-            .min(self.rows - 1);
-        if (pos.x + rmax) < self.min_x || (pos.y + rmax) < self.min_y {
-            return;
-        }
-        for row in lo_row..=hi_row {
-            // Buckets lo_col..=hi_col of this row are contiguous in CSR
-            // order: sweep them as one slice.
-            let base = row * self.cols;
-            let s = self.starts[base + lo_col] as usize;
-            let e = self.starts[base + hi_col + 1] as usize;
-            for &ci in &self.entries[s..e] {
-                let d2 = pos.distance_sq_to(centers[ci as usize]);
-                for (mi, &r) in ranges.iter().enumerate() {
-                    if r >= 0.0 && d2 <= r * r {
-                        run(ci, ci + 1, mi);
+            Layout::Scan => {
+                for (ci, &center) in centers.iter().enumerate() {
+                    let d2 = pos.distance_sq_to(center);
+                    for (mi, &r) in ranges.iter().enumerate() {
+                        if r >= 0.0 && d2 <= r * r {
+                            run(ci as u32, ci as u32 + 1, mi);
+                        }
                     }
                 }
             }
@@ -360,7 +226,7 @@ mod tests {
 
     fn query_sorted(index: &CellIndex, centers: &[Point], pos: Point, range: f64) -> Vec<u32> {
         let mut out = Vec::new();
-        index.for_each_in_range(centers, pos, range, |ci| out.push(ci));
+        index.for_each_covered_run(centers, pos, &[range], |s, e, _| out.extend(s..e));
         out.sort_unstable();
         out
     }
@@ -406,7 +272,7 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_safe() {
         let index = CellIndex::build(&[]);
-        index.for_each_in_range(&[], Point::ORIGIN, 100.0, |_| {
+        index.for_each_covered_run(&[], Point::ORIGIN, &[100.0], |_, _, _| {
             panic!("no centers to hit")
         });
         // All centers coincident.
@@ -419,7 +285,7 @@ mod tests {
 
     #[test]
     fn scattered_points_match_scan() {
-        // Non-lattice input exercises the bucket-grid fallback layout.
+        // Non-lattice input exercises the scan layout.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
             state ^= state << 13;
@@ -482,7 +348,7 @@ mod tests {
     fn negative_range_hits_nothing() {
         let centers = grid_centers(3, 1.0);
         let index = CellIndex::build(&centers);
-        index.for_each_in_range(&centers, Point::new(1.0, 1.0), -1.0, |_| {
+        index.for_each_covered_run(&centers, Point::new(1.0, 1.0), &[-1.0], |_, _, _| {
             panic!("negative range")
         });
     }

@@ -116,24 +116,36 @@ fn indexed_problem_construction_matches_scan_reference() {
     use iobt::synthesis::CompositionProblem;
     use iobt::types::prelude::*;
 
+    // A 24×24 grid with two modalities is 1,152 pairs (18 bitset words);
+    // a zero-width area yields coincident columns, which is not a lattice
+    // and takes the index's scan layout.
+    let area = Rect::square(2_000.0);
+    let strip = Rect::new(Point::new(1_000.0, 0.0), Point::new(1_000.0, 2_000.0));
     for seed in 0..8u64 {
-        let area = Rect::square(2_000.0);
         let catalog = PopulationBuilder::new(area).count(400).build(seed);
         let specs: Vec<NodeSpec> = catalog.iter().cloned().collect();
-        let mission = Mission::builder(MissionId::new(1), MissionKind::Surveillance)
-            .area(area)
-            .require_modality(SensorKind::Visual)
-            .require_modality(SensorKind::Acoustic)
-            .coverage_fraction(0.9)
-            .resilience(2)
-            .min_trust(0.3)
-            .build();
-        for grid in [1usize, 7, 12] {
-            assert_eq!(
-                CompositionProblem::from_mission(&mission, &specs, grid),
-                CompositionProblem::from_mission_scan(&mission, &specs, grid),
-                "indexed and scan construction must agree (seed {seed}, grid {grid})"
-            );
+        for (mission_area, grids) in [(area, &[1usize, 7, 12, 24][..]), (strip, &[7][..])] {
+            let mission = Mission::builder(MissionId::new(1), MissionKind::Surveillance)
+                .area(mission_area)
+                .require_modality(SensorKind::Visual)
+                .require_modality(SensorKind::Acoustic)
+                .coverage_fraction(0.9)
+                .resilience(2)
+                .min_trust(0.3)
+                .build();
+            for &grid in grids {
+                let indexed = CompositionProblem::from_mission(&mission, &specs, grid);
+                assert!(
+                    indexed.candidates.iter().any(|c| !c.covers.is_empty()),
+                    "the instance must cover something (seed {seed}, grid {grid})"
+                );
+                assert_eq!(
+                    indexed,
+                    CompositionProblem::from_mission_scan(&mission, &specs, grid),
+                    "indexed and scan construction must agree \
+                     (seed {seed}, area {mission_area:?}, grid {grid})"
+                );
+            }
         }
     }
 }

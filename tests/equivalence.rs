@@ -3,9 +3,9 @@
 //!
 //! The netsim hot path was rebuilt for 100k-node scale — a batched event
 //! loop instead of one-at-a-time heap pops, incremental connectivity
-//! maintenance instead of blanket graph invalidation, per-source route
-//! trees instead of per-query Dijkstra, and refcounted zero-copy message
-//! payloads. None of that is allowed to move a single bit of any result:
+//! maintenance instead of blanket graph invalidation, and refcounted
+//! zero-copy message payloads (routing is the same early-exit Dijkstra on
+//! both paths). None of that is allowed to move a single bit of any result:
 //! `RunConfig::reference_mode` keeps the pre-optimization code path alive
 //! as an in-process oracle, and this matrix runs both paths over the f1
 //! evacuation vignette and the full chaos campaign for every CI seed,

@@ -38,8 +38,8 @@ struct Baseline {
 }
 
 /// Solo ground truth, one `run_mission` per scenario. Uses
-/// `Recorder::null()` — the same recorder the fleet attaches when
-/// `mission_metrics` is on — so the metrics fingerprints are comparable.
+/// `Recorder::null()` — the same recorder the fleet attaches to every
+/// mission — so the metrics fingerprints are comparable.
 fn baselines() -> Vec<Baseline> {
     batch()
         .iter()
@@ -97,7 +97,7 @@ fn run_and_check(
         );
         let fp = fleet
             .metrics_fingerprint(t)
-            .expect("mission_metrics is on by default");
+            .expect("a Done mission has a metrics fingerprint");
         assert_eq!(
             fp, baselines[i].fingerprint,
             "{label}: mission {i} ({t}) metrics fingerprint must match its solo run"
