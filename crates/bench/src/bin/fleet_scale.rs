@@ -22,6 +22,12 @@
 //!     --supervise --missions 64 --durable --dir /tmp/d --halt-slices 40
 //! cargo run -p iobt-bench --release --bin fleet_scale -- \
 //!     --supervise --missions 64 --recover --dir /tmp/d --fingerprint
+//! # What every admission and every resume pays, at field size: the
+//! # mission prologue (`MissionRunner::new`) on an N-node theatre. CI
+//! # runs one size under a ceiling; EXPERIMENTS.md's "Composition on
+//! # demand" table is `--runs 5` over the listed sizes.
+//! cargo run -p iobt-bench --release --bin fleet_scale -- \
+//!     --compose 3000 --ceiling-s 10
 //! ```
 //!
 //! Wall-clock use here is reporting-only: it never feeds back into the
@@ -31,7 +37,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use iobt_core::{persistent_surveillance, RunConfig, Scenario};
+use iobt_core::{persistent_surveillance, MissionRunner, RunConfig, Scenario};
 use iobt_fleet::{
     DiskStore, FailingStore, FaultProfile, Fleet, FleetBuilder, MissionStatus, MissionTicket,
 };
@@ -240,6 +246,39 @@ fn run_supervised(
     );
 }
 
+/// Composition-scale mode: times `MissionRunner::new` (discovery →
+/// recruitment → reachability → synthesis → assurance → simulator) over
+/// `persistent_surveillance(n, seed)`, `runs` times per size, and exits
+/// non-zero when a size's median exceeds `ceiling_s`.
+fn run_compose(sizes: &[usize], seed: u64, runs: usize, ceiling_s: Option<f64>) {
+    let config = RunConfig::default();
+    for &n in sizes {
+        let scenario = persistent_surveillance(n, seed);
+        let mut walls: Vec<f64> = (0..runs.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(MissionRunner::new(&scenario, &config));
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        walls.sort_by(f64::total_cmp);
+        let median = walls[walls.len() / 2];
+        println!(
+            "compose nodes={} seed={} runs={} median_s={:.4} min_s={:.4} max_s={:.4}",
+            n,
+            seed,
+            walls.len(),
+            median,
+            walls[0],
+            walls[walls.len() - 1]
+        );
+        if ceiling_s.is_some_and(|c| median > c) {
+            eprintln!("compose: {n} nodes took {median:.4} s, over the ceiling");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
@@ -266,6 +305,29 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|| vec![1_000, 10_000]);
+
+    if let Some(i) = args.iter().position(|a| a == "--compose") {
+        let flag = |name: &str| {
+            args.iter()
+                .position(|a| a == name)
+                .and_then(|i| args.get(i + 1))
+        };
+        let sizes: Vec<usize> = args
+            .get(i + 1)
+            .map(|s| s.split(',').filter_map(|p| p.trim().parse().ok()).collect())
+            .unwrap_or_default();
+        if sizes.is_empty() {
+            eprintln!("--compose needs a comma-separated list of node counts");
+            std::process::exit(2);
+        }
+        run_compose(
+            &sizes,
+            seed,
+            flag("--runs").and_then(|s| s.parse().ok()).unwrap_or(1),
+            flag("--ceiling-s").and_then(|s| s.parse().ok()),
+        );
+        return;
+    }
 
     if args.iter().any(|a| a == "--supervise") {
         // Supervision smoke mode: one size (default 64 — the point is

@@ -567,10 +567,13 @@ impl MissionReport {
 /// Products of the pre-simulation pipeline — discovery, recruitment,
 /// synthesis, assurance (phases 1–3 of the paper's Fig. 1 flow).
 ///
-/// Everything here is a pure function of `(scenario, config)`, which is
-/// what makes checkpoint resume cheap: instead of serialising the
-/// composition problem and assurance report, resume recomputes them
-/// (with a disabled recorder, so no trace events are duplicated).
+/// Everything here is a pure function of `(scenario, config)`, so
+/// checkpoint resume recomputes it instead of serialising the composition
+/// problem and assurance report (with a disabled recorder, so no trace
+/// events are duplicated). That is cheap as long as the reachability
+/// filter stays one component sweep: the whole prologue takes ~35 ms at
+/// 1,000 nodes and ~1.3 ms at 150, nearly all of it the probe graph's
+/// build (EXPERIMENTS.md, "Composition on demand").
 pub(crate) struct Prologue {
     pub(crate) recruited: usize,
     pub(crate) rejected_red: usize,
@@ -633,15 +636,16 @@ pub(crate) fn prologue(scenario: &Scenario, config: &RunConfig, recorder: &Recor
     let mut unreachable = 0usize;
     if config.require_reachability {
         // Build the initial connectivity graph once and keep only assets
-        // with a route to the command post.
+        // in the command post's connected component: links are undirected
+        // with finite weights, so that is exactly "has a route to it".
         let mut probe_sim = Simulator::builder(scenario.catalog.clone())
             .terrain(scenario.terrain.clone())
             .seed(scenario.seed)
             .reference_mode(config.reference_mode)
             .build();
-        let graph = probe_sim.connectivity();
+        let reachable = probe_sim.connectivity().component_of(scenario.command_post);
         let before = specs.len();
-        specs.retain(|spec| graph.route(spec.id(), scenario.command_post).is_some());
+        specs.retain(|spec| reachable.binary_search(&spec.id()).is_ok());
         unreachable = before - specs.len();
     }
     let problem = CompositionProblem::from_mission(&scenario.mission, &specs, config.grid);
@@ -1410,6 +1414,49 @@ mod tests {
         assert_eq!(a.windows, b.windows);
         assert_eq!(a.repairs, b.repairs);
         assert_eq!(a.recruited, b.recruited);
+    }
+
+    /// FNV-1a over the digest's checkpoint encoding: one number that
+    /// pins a whole end state.
+    fn digest_hash(digest: &EndStateDigest) -> u64 {
+        let mut enc = iobt_ckpt::Enc::new();
+        crate::checkpoint::encode_end_state_digest(&mut enc, digest);
+        iobt_obs::fnv1a(&enc.into_bytes())
+    }
+
+    #[test]
+    fn reachability_filter_is_pinned_on_an_island_and_a_missing_post() {
+        // The expected values were captured from the one-route-per-recruit
+        // filter (PR 13) before the component sweep replaced it: the sweep
+        // must drop exactly the same recruits, so everything downstream —
+        // composition, traffic, energy — lands on the same digest.
+        use iobt_types::{Affiliation, Point};
+
+        // Twelve blue assets moved 20 km out: in range of each other,
+        // out of range of everyone else (the untouched scenario loses 24).
+        let mut island = persistent_surveillance(150, 7);
+        let moved: Vec<NodeSpec> = island
+            .catalog
+            .with_affiliation(Affiliation::Blue)
+            .into_iter()
+            .filter(|n| n.id() != island.command_post)
+            .take(12)
+            .cloned()
+            .collect();
+        for (i, spec) in moved.into_iter().enumerate() {
+            let position = Point::new(20_000.0 + 40.0 * i as f64, 20_000.0);
+            island.catalog.upsert(spec.with_position(position));
+        }
+        let report = run_mission(&island, &quick_config());
+        assert_eq!((report.recruited, report.unreachable), (143, 38));
+        assert_eq!(digest_hash(&report.digest), 0xa0fe_a94b_0314_49c4);
+
+        // No command post in the catalog: nobody can reach it.
+        let mut headless = persistent_surveillance(150, 7);
+        headless.catalog.remove(headless.command_post);
+        let report = run_mission(&headless, &quick_config());
+        assert_eq!((report.recruited, report.unreachable), (142, 142));
+        assert_eq!(digest_hash(&report.digest), 0x451d_41c1_c88a_d056);
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //!   reused scratch. Battlefield traffic is convergecast (many sources,
 //!   one command post), so consecutive queries rarely share a source and
 //!   nothing is cached per source.
+//! * **Reachability is a component** — links are undirected and every
+//!   weight is finite, so "who can reach this node" is one `O(V + E)`
+//!   sweep ([`ConnectivityGraph::component_of`]), not a route per asker.
+//! * **Weights are stored, not derived** — each adjacency entry carries
+//!   its `-ln p` routing weight, computed once when the link is built,
+//!   so a relaxation is a load and an add.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -67,12 +73,46 @@ pub struct ConnectivityGraph {
     /// Retained builder inputs, so single-node refreshes can recompute
     /// links without the caller re-supplying the world.
     nodes: Vec<GraphNode>,
-    adj: Vec<Vec<(u32, LinkQuality)>>,
+    adj: Vec<Vec<Edge>>,
     /// Spatial hash over *all* radio-equipped nodes (dead ones included,
     /// so a revived node can rediscover its neighborhood). Valid while
     /// positions are unchanged; any movement requires a full rebuild.
     buckets: BTreeMap<(i64, i64), Vec<u32>>,
     cell_m: f64,
+}
+
+/// One adjacency entry: a [`LinkQuality`] flattened next to its target
+/// index and its routing weight, so the weight rides in what was padding
+/// around `(u32, LinkQuality)` — 32 bytes either way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Edge {
+    to: u32,
+    radio: RadioKind,
+    delivery_prob: f64,
+    distance_m: f64,
+    /// `-ln p`: Dijkstra minimises the sum, i.e. maximises the product
+    /// of per-hop delivery probabilities.
+    weight: f64,
+}
+
+impl Edge {
+    fn new(to: u32, link: LinkQuality) -> Self {
+        Edge {
+            to,
+            radio: link.radio,
+            delivery_prob: link.delivery_prob,
+            distance_m: link.distance_m,
+            weight: -(link.delivery_prob.max(1e-12)).ln(),
+        }
+    }
+
+    fn quality(&self) -> LinkQuality {
+        LinkQuality {
+            delivery_prob: self.delivery_prob,
+            radio: self.radio,
+            distance_m: self.distance_m,
+        }
+    }
 }
 
 /// Minimum mean delivery probability for a link to exist at all.
@@ -149,7 +189,7 @@ impl ConnectivityGraph {
         debug_assert_eq!(ids.len(), nodes.len());
         debug_assert!(nodes.iter().enumerate().all(|(i, n)| n.id == ids[i]));
         let n = nodes.len();
-        let mut adj: Vec<Vec<(u32, LinkQuality)>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<Edge>> = vec![Vec::new(); n];
 
         let cell = cell_size_m(&nodes);
         let mut buckets: BTreeMap<(i64, i64), Vec<u32>> = BTreeMap::new();
@@ -185,8 +225,9 @@ impl ConnectivityGraph {
                             if let Some(link) =
                                 best_link(&nodes[i as usize], &nodes[j as usize], channel)
                             {
-                                adj[i as usize].push((j, link));
-                                adj[j as usize].push((i, link));
+                                let edge = Edge::new(j, link);
+                                adj[i as usize].push(edge);
+                                adj[j as usize].push(Edge { to: i, ..edge });
                             }
                         }
                     }
@@ -194,7 +235,7 @@ impl ConnectivityGraph {
             }
         }
         for list in &mut adj {
-            list.sort_by_key(|(j, _)| *j);
+            list.sort_by_key(|e| e.to);
         }
         ConnectivityGraph {
             ids,
@@ -227,9 +268,9 @@ impl ConnectivityGraph {
         }
         // Tear out the node's current incident links from both sides.
         let old = std::mem::take(&mut self.adj[iu]);
-        for (j, _) in old {
-            let list = &mut self.adj[j as usize];
-            if let Ok(pos) = list.binary_search_by_key(&i, |(k, _)| *k) {
+        for e in old {
+            let list = &mut self.adj[e.to as usize];
+            if let Ok(pos) = list.binary_search_by_key(&i, |k| k.to) {
                 list.remove(pos);
             }
         }
@@ -254,16 +295,17 @@ impl ConnectivityGraph {
                         continue;
                     }
                     if let Some(link) = best_link(&self.nodes[a], &self.nodes[b], channel) {
-                        self.adj[iu].push((j, link));
+                        let edge = Edge::new(j, link);
+                        self.adj[iu].push(edge);
                         let list = &mut self.adj[j as usize];
-                        if let Err(pos) = list.binary_search_by_key(&i, |(k, _)| *k) {
-                            list.insert(pos, (i, link));
+                        if let Err(pos) = list.binary_search_by_key(&i, |k| k.to) {
+                            list.insert(pos, Edge { to: i, ..edge });
                         }
                     }
                 }
             }
         }
-        self.adj[iu].sort_by_key(|(j, _)| *j);
+        self.adj[iu].sort_by_key(|e| e.to);
     }
 
     /// Whether two graphs describe the same routable topology: same id
@@ -300,7 +342,7 @@ impl ConnectivityGraph {
         match self.index.get(&id) {
             Some(&i) => self.adj[i as usize]
                 .iter()
-                .map(|&(j, q)| (self.ids[j as usize], q))
+                .map(|e| (self.ids[e.to as usize], e.quality()))
                 .collect(),
             None => Vec::new(),
         }
@@ -326,10 +368,12 @@ impl ConnectivityGraph {
     /// scratch space: the form the simulator uses for every message.
     ///
     /// The per-query distance/predecessor state is epoch-stamped instead
-    /// of cleared, and the heap/path buffers are reused, so repeated
-    /// queries cost no allocations once the scratch has warmed up. Stale
-    /// heap entries — nodes already settled via a cheaper path — are
-    /// skipped on pop.
+    /// of cleared and the heap keeps its capacity; the returned path is
+    /// built in the scratch's path buffer and moved out, so a caller
+    /// that hands it back with [`RouteScratch::recycle`] pays no
+    /// allocation per query once the scratch has warmed up. Stale heap
+    /// entries — nodes already settled via a cheaper path — are skipped
+    /// on pop.
     pub(crate) fn route_idx_with(
         &self,
         scratch: &mut RouteScratch,
@@ -339,8 +383,11 @@ impl ConnectivityGraph {
         if s as usize >= self.ids.len() || d as usize >= self.ids.len() {
             return None;
         }
+        let mut path = std::mem::take(&mut scratch.path);
+        path.clear();
+        path.push(d);
         if s == d {
-            return Some(vec![s]);
+            return Some(path);
         }
         scratch.reset(self.ids.len());
         scratch.set(s, 0.0, u32::MAX);
@@ -352,19 +399,18 @@ impl ConnectivityGraph {
             if node == d {
                 break;
             }
-            for &(next, q) in &self.adj[node as usize] {
-                let w = -(q.delivery_prob.max(1e-12)).ln();
-                let nd = cost + w;
-                if nd < scratch.dist(next) {
-                    scratch.set(next, nd, node);
-                    scratch.heap.push(HeapEntry { cost: nd, node: next });
+            for e in &self.adj[node as usize] {
+                let nd = cost + e.weight;
+                if nd < scratch.dist(e.to) {
+                    scratch.set(e.to, nd, node);
+                    scratch.heap.push(HeapEntry { cost: nd, node: e.to });
                 }
             }
         }
         if scratch.dist(d).is_infinite() {
+            scratch.path = path;
             return None;
         }
-        let mut path = vec![d];
         let mut cur = d;
         while cur != s {
             cur = scratch.prev(cur);
@@ -384,9 +430,9 @@ impl ConnectivityGraph {
     /// [`ConnectivityGraph::link`] on dense indices.
     pub(crate) fn link_idx(&self, i: u32, j: u32) -> Option<LinkQuality> {
         let list = self.adj.get(i as usize)?;
-        list.binary_search_by_key(&j, |(k, _)| *k)
+        list.binary_search_by_key(&j, |e| e.to)
             .ok()
-            .map(|pos| list[pos].1)
+            .map(|pos| list[pos].quality())
     }
 
     /// Connected components as sorted id lists, largest first.
@@ -395,26 +441,43 @@ impl ConnectivityGraph {
         let mut seen = vec![false; n];
         let mut components = Vec::new();
         for start in 0..n {
-            if seen[start] {
-                continue;
+            if !seen[start] {
+                components.push(self.sweep(start, &mut seen));
             }
-            let mut stack = vec![start];
-            let mut comp = Vec::new();
-            seen[start] = true;
-            while let Some(i) = stack.pop() {
-                comp.push(self.ids[i]);
-                for &(j, _) in &self.adj[i] {
-                    if !seen[j as usize] {
-                        seen[j as usize] = true;
-                        stack.push(j as usize);
-                    }
-                }
-            }
-            comp.sort();
-            components.push(comp);
         }
         components.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
         components
+    }
+
+    /// The connected component containing `id`, as a sorted id list (one
+    /// row of [`ConnectivityGraph::components`]): exactly the nodes `s`
+    /// for which `route(s, id)` is `Some`, in one `O(V + E)` sweep
+    /// instead of a shortest-path search per `s`. A dead or linkless
+    /// node is its own component; an unknown id has none.
+    pub fn component_of(&self, id: NodeId) -> Vec<NodeId> {
+        match self.index.get(&id) {
+            Some(&i) => self.sweep(i as usize, &mut vec![false; self.ids.len()]),
+            None => Vec::new(),
+        }
+    }
+
+    /// Sorted ids of every node connected to index `start`, marking each
+    /// in `seen`.
+    fn sweep(&self, start: usize, seen: &mut [bool]) -> Vec<NodeId> {
+        let mut stack = vec![start];
+        let mut comp = Vec::new();
+        seen[start] = true;
+        while let Some(i) = stack.pop() {
+            comp.push(self.ids[i]);
+            for e in &self.adj[i] {
+                if !seen[e.to as usize] {
+                    seen[e.to as usize] = true;
+                    stack.push(e.to as usize);
+                }
+            }
+        }
+        comp.sort();
+        comp
     }
 
     /// Whether every node with at least one link can reach every other
@@ -477,7 +540,7 @@ fn best_link(a: &GraphNode, b: &GraphNode, channel: &Channel) -> Option<LinkQual
 ///
 /// Distance and predecessor slots are validated by an epoch stamp, so
 /// starting a new query is `O(1)` — no per-node clearing — and the heap
-/// keeps its capacity across queries.
+/// and path buffer keep their capacity across queries.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteScratch {
     dist: Vec<f64>,
@@ -485,12 +548,19 @@ pub(crate) struct RouteScratch {
     stamp: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<HeapEntry>,
+    path: Vec<u32>,
 }
 
 impl RouteScratch {
     /// An empty scratch; buffers grow to the graph size on first use.
     pub(crate) fn new() -> Self {
         Self::default()
+    }
+
+    /// Hands a path returned by `route_idx_with` back, so the next query
+    /// builds its path in the same buffer.
+    pub(crate) fn recycle(&mut self, path: Vec<u32>) {
+        self.path = path;
     }
 
     /// Begins a new query over `n` nodes.
@@ -802,6 +872,84 @@ mod tests {
                 g.same_topology(&fresh),
                 "incremental refresh diverged at node {i} alive={alive}"
             );
+        }
+    }
+
+    #[test]
+    fn edge_is_32_bytes() {
+        // The routing weight rides in what was padding around
+        // `(u32, LinkQuality)`. The 10,000-node benchmark grids hold the
+        // adjacency's share of `peak_rss_mb` (bound 0.10 in
+        // BENCHMARK.json; weights in a parallel vector cost +9.5 % on
+        // `netsim_dense`), so a field that widens the record must fail
+        // here rather than in a benchmark run.
+        assert_eq!(std::mem::size_of::<Edge>(), 32);
+    }
+
+    #[test]
+    fn stored_weights_follow_delivery_prob_through_churn() {
+        // `same_topology` compares stored weights along with everything
+        // else, so it only means "same routes" if every weight — pushed
+        // by a full build or by either side of a refresh — is the one
+        // function of its link's delivery probability.
+        fn assert_weights_derived(g: &ConnectivityGraph) {
+            for e in g.adj.iter().flatten() {
+                let derived = -(e.delivery_prob.max(1e-12)).ln();
+                assert_eq!(e.weight.to_bits(), derived.to_bits());
+                assert!(e.weight.is_finite());
+            }
+        }
+        let mut ch = open_channel();
+        ch.add_jammer(crate::channel::Jammer::new(Point::new(150.0, 150.0), 2.0));
+        let deny = |a: NodeId, b: NodeId| (a.raw() < 9) != (b.raw() < 9);
+        let loadouts: [&[RadioKind]; 3] = [
+            &[RadioKind::Wifi],
+            &[RadioKind::Wifi, RadioKind::TacticalUhf],
+            &[RadioKind::TacticalUhf],
+        ];
+        let mut world: Vec<GraphNode> = (0..36)
+            .map(|i| {
+                let (x, y) = ((i % 6) as f64 * 75.0, (i / 6) as f64 * 75.0);
+                node(i, x, y, loadouts[i as usize % 3])
+            })
+            .collect();
+        let mut g = ConnectivityGraph::build_filtered(&world, &ch, &deny);
+        assert!(g.link_count() > 0);
+        assert_weights_derived(&g);
+        for step in 0..60u32 {
+            let i = (step * 7 + 3) % 36;
+            let alive = step % 3 == 2;
+            world[i as usize].alive = alive;
+            g.refresh_node(i, alive, &ch, &deny);
+            assert_weights_derived(&g);
+            let fresh = ConnectivityGraph::build_filtered(&world, &ch, &deny);
+            assert_weights_derived(&fresh);
+            assert!(g.same_topology(&fresh), "diverged at step {step}");
+        }
+    }
+
+    #[test]
+    fn component_of_is_a_row_of_components() {
+        let mut nodes = vec![
+            node(0, 0.0, 0.0, &[RadioKind::Wifi]),
+            node(1, 60.0, 0.0, &[RadioKind::Wifi]),
+            node(2, 5_000.0, 0.0, &[RadioKind::Wifi]),
+            node(3, 5_060.0, 0.0, &[RadioKind::Wifi]),
+            node(4, 5_120.0, 0.0, &[RadioKind::Wifi]),
+            node(5, 30.0, 0.0, &[]),
+        ];
+        nodes[4].alive = false;
+        let g = ConnectivityGraph::build(&nodes, &open_channel());
+        let ids = |raw: &[u64]| raw.iter().map(|&r| NodeId::new(r)).collect::<Vec<_>>();
+        assert_eq!(g.component_of(NodeId::new(1)), ids(&[0, 1]));
+        assert_eq!(g.component_of(NodeId::new(2)), ids(&[2, 3]));
+        // Dead and radio-less nodes are their own component, like
+        // `route(s, s)`; an id outside the graph has none.
+        assert_eq!(g.component_of(NodeId::new(4)), ids(&[4]));
+        assert_eq!(g.component_of(NodeId::new(5)), ids(&[5]));
+        assert_eq!(g.component_of(NodeId::new(99)), ids(&[]));
+        for comp in g.components() {
+            assert_eq!(g.component_of(comp[0]), comp);
         }
     }
 

@@ -868,6 +868,7 @@ impl Core {
         } else {
             self.drop_message(&msg, DropCause::Channel);
         }
+        self.route_scratch.recycle(route);
     }
 
     /// The single place a message death is accounted: increments the

@@ -10,6 +10,12 @@
 //! churn sequences (arbitrary node sets, radio loadouts, jammers, and
 //! partition-style deny predicates) and checks that equivalence after
 //! every single step, not just at the end.
+//!
+//! The same churn also pins what [`ConnectivityGraph::component_of`]
+//! means: after every step its answer for a sampled root is exactly the
+//! set of sources [`ConnectivityGraph::route`] finds a path from. (That
+//! every stored routing weight is the one function of its link's delivery
+//! probability needs private access; `graph.rs`'s unit tests check it.)
 
 use std::rc::Rc;
 
@@ -61,6 +67,30 @@ fn channel(with_jammer: bool) -> Channel {
     ch
 }
 
+/// `component_of(root)` must be exactly `{s : route(s, root).is_some()}`.
+/// Sources range one past the population so an id the graph has never
+/// seen is asked about too, and include `root` itself.
+fn check_component_is_route_reachability(
+    g: &ConnectivityGraph,
+    n: usize,
+    root: NodeId,
+) -> Result<(), proptest::TestCaseError> {
+    let by_route: Vec<NodeId> = (0..=n as u64)
+        .map(NodeId::new)
+        .filter(|&s| g.route(s, root).is_some())
+        .collect();
+    prop_assert_eq!(g.component_of(root), by_route, "root {}", root.raw());
+    Ok(())
+}
+
+/// The two roots checked after a churn step: the node just flipped (a
+/// dead root whenever it went down, a radio-less one whenever its loadout
+/// is empty) and one drawn from the op's spare bits, where `n` stands for
+/// an id not in the graph.
+fn sampled_roots(who: usize, n: usize) -> [NodeId; 2] {
+    [who % n, (who / n) % (n + 1)].map(|i| NodeId::new(i as u64))
+}
+
 proptest! {
     /// Random churn: after every liveness flip, the patched graph must
     /// have the same topology (ids, liveness, bit-identical adjacency)
@@ -87,6 +117,9 @@ proptest! {
                 i, up
             );
             prop_assert_eq!(patched.link_count(), scratch.link_count());
+            for root in sampled_roots(who, n) {
+                check_component_is_route_reachability(&patched, n, root)?;
+            }
         }
     }
 
@@ -119,6 +152,9 @@ proptest! {
                 "deny-predicate churn diverged after setting node {} alive={}",
                 i, up
             );
+            for root in sampled_roots(who, n) {
+                check_component_is_route_reachability(&patched, n, root)?;
+            }
         }
     }
 
