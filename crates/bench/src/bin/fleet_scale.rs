@@ -61,6 +61,10 @@ struct SizeResult {
     p50_slice_ms: f64,
     p99_slice_ms: f64,
     peak_rss_mb: f64,
+    /// Routes one mission of the batch asks for, and how many of them the
+    /// simulator's per-source memo answers without a search.
+    routes_per_mission: u64,
+    memo_hits_per_mission: u64,
     fingerprint: u64,
 }
 
@@ -82,6 +86,24 @@ fn peak_rss_mb() -> f64 {
     0.0
 }
 
+fn mission_config() -> RunConfig {
+    RunConfig::builder()
+        .duration(SimDuration::from_secs_f64(MISSION_SECONDS))
+        .window(SimDuration::from_secs_f64(WINDOW_SECONDS))
+        .build()
+        .expect("bench run config is valid")
+}
+
+/// The batch's first mission run on its own, outside the fleet and the
+/// timed section, for what the scheduler cannot see: how many routes a
+/// mission asks for and how many the route memo answers.
+fn sample_route_counts(seed: u64) -> (u64, u64) {
+    let scenario = persistent_surveillance(MISSION_NODES, seed);
+    let mut runner = MissionRunner::new(&scenario, &mission_config());
+    while !runner.step_window().is_finished() {}
+    runner.route_memo_counts()
+}
+
 fn run_size(missions: usize, workers: usize, seed: u64) -> SizeResult {
     let root = std::env::temp_dir().join(format!(
         "iobt-fleet-scale-{}-{missions}",
@@ -96,12 +118,7 @@ fn run_size(missions: usize, workers: usize, seed: u64) -> SizeResult {
     let mut tickets = Vec::with_capacity(missions);
     for i in 0..missions {
         let scenario = persistent_surveillance(MISSION_NODES, seed.wrapping_add(i as u64));
-        let cfg = RunConfig::builder()
-            .duration(SimDuration::from_secs_f64(MISSION_SECONDS))
-            .window(SimDuration::from_secs_f64(WINDOW_SECONDS))
-            .build()
-            .expect("bench run config is valid");
-        tickets.push(fleet.submit(scenario, cfg).expect("admissible mission"));
+        tickets.push(fleet.submit(scenario, mission_config()).expect("admissible mission"));
     }
 
     let start = Instant::now();
@@ -114,6 +131,7 @@ fn run_size(missions: usize, workers: usize, seed: u64) -> SizeResult {
 
     let fingerprint = combined_fingerprint(&fleet, &tickets);
     let _ = std::fs::remove_dir_all(&root);
+    let (routes_per_mission, memo_hits_per_mission) = sample_route_counts(seed);
     SizeResult {
         missions,
         workers,
@@ -124,6 +142,8 @@ fn run_size(missions: usize, workers: usize, seed: u64) -> SizeResult {
         p50_slice_ms: summary.p50_slice_ms,
         p99_slice_ms: summary.p99_slice_ms,
         peak_rss_mb: peak_rss_mb(),
+        routes_per_mission,
+        memo_hits_per_mission,
         fingerprint,
     }
 }
@@ -205,12 +225,7 @@ fn run_supervised(
         let mut fleet = builder.build().expect("supervised fleet config is valid");
         let mut tickets = Vec::with_capacity(missions);
         for scenario in scenarios {
-            let cfg = RunConfig::builder()
-                .duration(SimDuration::from_secs_f64(MISSION_SECONDS))
-                .window(SimDuration::from_secs_f64(WINDOW_SECONDS))
-                .build()
-                .expect("bench run config is valid");
-            tickets.push(fleet.submit(scenario, cfg).expect("admissible mission"));
+            tickets.push(fleet.submit(scenario, mission_config()).expect("admissible mission"));
         }
         (fleet, tickets)
     };
@@ -385,7 +400,7 @@ fn main() {
             println!(
                 "missions={:>6} workers={:>3} wall={:>7.2}s missions/s={:>8.1} \
                  slices={} evictions={} resumes={} p50_slice={:.2}ms p99_slice={:.2}ms \
-                 peak_rss={:.0}MB fp={:016x}",
+                 routes/mission={} memo_hits/mission={} peak_rss={:.0}MB fp={:016x}",
                 r.missions,
                 r.workers,
                 r.wall_s,
@@ -395,6 +410,8 @@ fn main() {
                 r.resumes,
                 r.p50_slice_ms,
                 r.p99_slice_ms,
+                r.routes_per_mission,
+                r.memo_hits_per_mission,
                 r.peak_rss_mb,
                 r.fingerprint
             );
@@ -409,7 +426,8 @@ fn main() {
                 "    {{\"missions\": {}, \"workers\": {}, \"mission_seconds\": {}, \
                  \"windows_per_mission\": 2, \"wall_s\": {:.3}, \"missions_per_sec\": {:.1}, \
                  \"slices\": {}, \"evictions\": {}, \"resumes\": {}, \"p50_slice_ms\": {:.3}, \
-                 \"p99_slice_ms\": {:.3}, \"peak_rss_mb\": {:.1}, \"fingerprint\": \"{:016x}\"}}{}\n",
+                 \"p99_slice_ms\": {:.3}, \"peak_rss_mb\": {:.1}, \"routes_per_mission\": {}, \
+                 \"memo_hits_per_mission\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
                 r.missions,
                 r.workers,
                 MISSION_SECONDS,
@@ -421,6 +439,8 @@ fn main() {
                 r.p50_slice_ms,
                 r.p99_slice_ms,
                 r.peak_rss_mb,
+                r.routes_per_mission,
+                r.memo_hits_per_mission,
                 r.fingerprint,
                 if i + 1 < rows.len() { "," } else { "" }
             ));

@@ -1,17 +1,20 @@
 //! Battlefield-scale netsim throughput harness: events/sec and peak RSS
-//! at 1k/10k/100k nodes.
+//! at 1k/10k/100k nodes, and at 10k with a tenth of the field moving.
 //!
-//! The workload is a static sensor field on a √n × √n grid (70 m
-//! spacing, wifi mesh) with periodic multi-hop reports from every 7th
-//! node to its 10×10-block cluster head, plus a seeded fail/recover
-//! churn process — the regime the zero-copy message path, batched event
-//! loop, dense routing tables, and incremental connectivity maintenance
-//! are built for.
+//! The workload is a sensor field on a √n × √n grid (70 m spacing, wifi
+//! mesh) with periodic multi-hop reports from every 7th node to its
+//! 10×10-block cluster head, plus a seeded fail/recover churn process —
+//! the regime the zero-copy message path, batched event loop, dense
+//! routing tables, and incremental connectivity maintenance are built
+//! for. The static rows never move a node; the mobile row (`--mobile`)
+//! puts every 10th node on a random-waypoint walk, so every mobility
+//! tick patches ~1,000 moved nodes into the connectivity graph.
 //!
 //! ```sh
 //! cargo run -p iobt-bench --release --bin netsim_scale -- --json
-//! # CI determinism smoke (no timing in the output):
+//! # CI determinism smokes (no timing in the output):
 //! cargo run -p iobt-bench --release --bin netsim_scale -- --nodes 10000 --fingerprint
+//! cargo run -p iobt-bench --release --bin netsim_scale -- --nodes 10000 --mobile --fingerprint
 //! ```
 //!
 //! Wall-clock use here is reporting-only: it never feeds back into the
@@ -31,6 +34,8 @@ const SIM_SECONDS: f64 = 30.0;
 const REPORT_PERIOD_S: f64 = 2.0;
 /// Report payload size, bytes.
 const REPORT_BYTES: usize = 64;
+/// On a mobile row, every this-many-th node walks (5 m/s, 2 s pauses).
+const MOBILE_EVERY: u64 = 10;
 
 /// Periodic reporter: sends a fixed payload to a fixed sink forever.
 struct Reporter {
@@ -77,12 +82,18 @@ fn block_head(i: u64, side: u64) -> u64 {
 
 struct SizeResult {
     nodes: u64,
+    /// [`MOBILE_EVERY`] on a mobile row, 0 on a static one.
+    mobile_every: u64,
     events: u64,
     wall_s: f64,
     sent: u64,
     delivered: u64,
     dropped: u64,
     peak_rss_mb: f64,
+    /// Routes asked for by sends, and how many the per-source memo
+    /// answered without a search. Reporting-only: not in the fingerprint.
+    route_queries: u64,
+    route_memo_hits: u64,
     fingerprint: u64,
 }
 
@@ -104,15 +115,24 @@ fn peak_rss_mb() -> f64 {
     0.0
 }
 
-fn run_size(n: u64, seed: u64) -> SizeResult {
+fn run_size(n: u64, mobile: bool, seed: u64) -> SizeResult {
     let side = (n as f64).sqrt().ceil() as u64;
     let extent = side as f64 * SPACING_M + 100.0;
     let catalog = build_catalog(n);
-    let terrain = Terrain::uniform(
-        Rect::new(Point::new(-50.0, -50.0), Point::new(extent, extent)),
-        Clutter::Open,
-    );
-    let mut sim = Simulator::builder(catalog).terrain(terrain).seed(seed).build();
+    let field = Rect::new(Point::new(-50.0, -50.0), Point::new(extent, extent));
+    let mut builder = Simulator::builder(catalog)
+        .terrain(Terrain::uniform(field, Clutter::Open))
+        .seed(seed);
+    let walkers: Vec<u64> = if mobile {
+        (0..n).step_by(MOBILE_EVERY as usize).collect()
+    } else {
+        Vec::new()
+    };
+    for &i in &walkers {
+        let model = MobilityModel::RandomWaypoint { area: field, speed_mps: 5.0, pause_s: 2.0 };
+        builder = builder.mobility(NodeId::new(i), model);
+    }
+    let mut sim = builder.build();
 
     // Every 7th node reports to its block head (multi-hop over the mesh).
     for i in (0..n).step_by(7) {
@@ -156,15 +176,27 @@ fn run_size(n: u64, seed: u64) -> SizeResult {
             fp_bytes.extend_from_slice(&e.remaining_j().to_bits().to_le_bytes());
         }
     }
+    // Where every walker ended up (nothing on a static row, whose
+    // fingerprints predate the mobile one).
+    for &i in &walkers {
+        if let Some(p) = sim.position(NodeId::new(i)) {
+            fp_bytes.extend_from_slice(&p.x.to_bits().to_le_bytes());
+            fp_bytes.extend_from_slice(&p.y.to_bits().to_le_bytes());
+        }
+    }
+    let (route_queries, route_memo_hits) = sim.route_memo_counts();
 
     SizeResult {
         nodes: n,
+        mobile_every: if mobile { MOBILE_EVERY } else { 0 },
         events: sim.events_processed(),
         wall_s,
         sent: stats.sent,
         delivered: stats.delivered,
         dropped: stats.dropped,
         peak_rss_mb: peak_rss_mb(),
+        route_queries,
+        route_memo_hits,
         fingerprint: iobt_obs::fnv1a(&fp_bytes),
     }
 }
@@ -179,36 +211,48 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let sizes: Vec<u64> = args
+    // `--nodes a,b` runs those sizes, static or (`--mobile`) mobile; with
+    // neither, the ledger's rows: three static sizes and the mobile 10k.
+    let mobile = args.iter().any(|a| a == "--mobile");
+    let sizes: Vec<(u64, bool)> = match args
         .iter()
         .position(|a| a == "--nodes")
         .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            s.split(',')
-                .filter_map(|p| p.trim().parse().ok())
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1_000, 10_000, 100_000]);
+    {
+        Some(list) => list
+            .split(',')
+            .filter_map(|p| p.trim().parse().ok())
+            .map(|n| (n, mobile))
+            .collect(),
+        None if mobile => vec![(10_000, true)],
+        None => vec![(1_000, false), (10_000, false), (100_000, false), (10_000, true)],
+    };
 
     let mut rows = Vec::new();
-    for &n in &sizes {
-        let r = run_size(n, seed);
+    for &(n, mobile) in &sizes {
+        let r = run_size(n, mobile, seed);
         if fingerprint_only {
             println!(
-                "nodes={} seed={} events={} sent={} delivered={} dropped={} fingerprint={:016x}",
-                r.nodes, seed, r.events, r.sent, r.delivered, r.dropped, r.fingerprint
+                "nodes={} mobile_every={} seed={} events={} sent={} delivered={} dropped={} \
+                 fingerprint={:016x}",
+                r.nodes, r.mobile_every, seed, r.events, r.sent, r.delivered, r.dropped,
+                r.fingerprint
             );
         } else if !json {
             println!(
-                "nodes={:>7} events={:>9} wall={:>8.2}s events/s={:>10.0} \
-                 sent={} delivered={} dropped={} peak_rss={:.0}MB fp={:016x}",
+                "nodes={:>7} mobile_every={:>2} events={:>9} wall={:>8.2}s events/s={:>10.0} \
+                 sent={} delivered={} dropped={} routes={} memo_hits={} peak_rss={:.0}MB \
+                 fp={:016x}",
                 r.nodes,
+                r.mobile_every,
                 r.events,
                 r.wall_s,
                 r.events as f64 / r.wall_s.max(1e-9),
                 r.sent,
                 r.delivered,
                 r.dropped,
+                r.route_queries,
+                r.route_memo_hits,
                 r.peak_rss_mb,
                 r.fingerprint
             );
@@ -220,10 +264,12 @@ fn main() {
         let mut out = String::from("{\n  \"bench\": \"netsim_scale\",\n  \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"nodes\": {}, \"sim_seconds\": {}, \"events\": {}, \"wall_s\": {:.3}, \
-                 \"events_per_sec\": {:.1}, \"peak_rss_mb\": {:.1}, \"sent\": {}, \
-                 \"delivered\": {}, \"dropped\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
+                "    {{\"nodes\": {}, \"mobile_every\": {}, \"sim_seconds\": {}, \"events\": {}, \
+                 \"wall_s\": {:.3}, \"events_per_sec\": {:.1}, \"peak_rss_mb\": {:.1}, \
+                 \"sent\": {}, \"delivered\": {}, \"dropped\": {}, \"route_queries\": {}, \
+                 \"route_memo_hits\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
                 r.nodes,
+                r.mobile_every,
                 SIM_SECONDS,
                 r.events,
                 r.wall_s,
@@ -232,6 +278,8 @@ fn main() {
                 r.sent,
                 r.delivered,
                 r.dropped,
+                r.route_queries,
+                r.route_memo_hits,
                 r.fingerprint,
                 if i + 1 < rows.len() { "," } else { "" }
             ));

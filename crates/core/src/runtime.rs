@@ -870,6 +870,13 @@ impl MissionRunner {
         self.next_window >= self.total_windows
     }
 
+    /// `(queries, hits)` from this runner's simulator: see
+    /// [`Simulator::route_memo_counts`]. Reporting-only, and counted from
+    /// construction or resume, not from the mission's start.
+    pub fn route_memo_counts(&self) -> (u64, u64) {
+        self.sim.route_memo_counts()
+    }
+
     /// Executes one utility window — simulation slices, heartbeat
     /// detection, the degradation ladder, and the repair reflex — and
     /// reports what happened as a [`StepOutcome`]:

@@ -17,13 +17,14 @@
 //!   wifi-only mesh gets ~120 m cells instead of 6 km ones and pair
 //!   testing stays near-linear.
 //! * **Incremental maintenance** — [`ConnectivityGraph::refresh_node`]
-//!   recomputes one node's liveness and incident links in place, which
-//!   is what lets the simulator survive churn without rebuilding the
-//!   whole graph (see the sim's dirty-tracking for the rules).
-//! * **One routing path** — every query is an early-exit Dijkstra over
-//!   reused scratch. Battlefield traffic is convergecast (many sources,
-//!   one command post), so consecutive queries rarely share a source and
-//!   nothing is cached per source.
+//!   recomputes one node's liveness and incident links in place, and
+//!   [`ConnectivityGraph::move_node`] re-files a node that moved, which
+//!   is what lets the simulator survive churn and mobility without
+//!   rebuilding the whole graph (see the sim's dirty-tracking for the
+//!   rules).
+//! * **One routing path** — every search is an early-exit Dijkstra over
+//!   reused scratch. The graph caches no routes; the simulator keeps
+//!   each source's last answer for as long as the topology stands.
 //! * **Reachability is a component** — links are undirected and every
 //!   weight is finite, so "who can reach this node" is one `O(V + E)`
 //!   sweep ([`ConnectivityGraph::component_of`]), not a route per asker.
@@ -75,8 +76,9 @@ pub struct ConnectivityGraph {
     nodes: Vec<GraphNode>,
     adj: Vec<Vec<Edge>>,
     /// Spatial hash over *all* radio-equipped nodes (dead ones included,
-    /// so a revived node can rediscover its neighborhood). Valid while
-    /// positions are unchanged; any movement requires a full rebuild.
+    /// so a revived node can rediscover its neighborhood), each bucket
+    /// sorted by index. [`ConnectivityGraph::move_node`] keeps it in
+    /// step with `nodes[..].position`.
     buckets: BTreeMap<(i64, i64), Vec<u32>>,
     cell_m: f64,
 }
@@ -122,6 +124,13 @@ pub const MIN_LINK_QUALITY: f64 = 0.05;
 /// construction near-linear via spatial hashing. Satcom-style infinite-range
 /// radios are modelled as reachback, not mesh links.
 pub const MAX_LINK_RANGE_M: f64 = 6_000.0;
+
+/// A batch of changed nodes is patched into a cached graph only while it
+/// is at most one node in this many; a larger batch is a full rebuild.
+/// A patch computes each link between two changed nodes from both ends
+/// and re-sorts per node, so it loses to the build's one pass per pair
+/// well before everything moves (EXPERIMENTS.md, "Pay per change").
+pub(crate) const PATCH_AT_MOST_ONE_IN: usize = 4;
 
 /// Spatial-hash cell side: the longest radio range actually present,
 /// capped at [`MAX_LINK_RANGE_M`]. No link can span more than one cell
@@ -247,14 +256,49 @@ impl ConnectivityGraph {
         }
     }
 
+    /// Records that node `i` now stands at `position`: rewrites its
+    /// retained position and re-files it in the spatial hash. Dead nodes
+    /// move too, so one that dies, roams and revives rediscovers the
+    /// neighborhood it is actually in.
+    ///
+    /// Links are not touched. After *every* moved node of a batch has
+    /// been re-filed, call [`ConnectivityGraph::refresh_node`] for each of
+    /// them; relinking against a neighbor whose new position is not yet
+    /// written would compute that link from a stale distance.
+    pub fn move_node(&mut self, i: u32, position: Point) {
+        let Some(node) = self.nodes.get_mut(i as usize) else {
+            return;
+        };
+        let (from, to) = (
+            bucket_key(node.position, self.cell_m),
+            bucket_key(position, self.cell_m),
+        );
+        node.position = position;
+        if from == to || node.radios.is_empty() {
+            return;
+        }
+        if let Some(members) = self.buckets.get_mut(&from) {
+            if let Ok(pos) = members.binary_search(&i) {
+                members.remove(pos);
+            }
+            if members.is_empty() {
+                self.buckets.remove(&from);
+            }
+        }
+        let members = self.buckets.entry(to).or_default();
+        if let Err(pos) = members.binary_search(&i) {
+            members.insert(pos, i);
+        }
+    }
+
     /// Recomputes one node's liveness and incident links in place.
     ///
-    /// Sound only while everything *else* is unchanged since the last
-    /// full build: positions, radios, the channel (jammers, degradation
-    /// loss), and the deny predicate must all be as they were — the
-    /// caller falls back to a full rebuild for those. Produces a graph
-    /// identical to rebuilding from scratch with the node's new
-    /// liveness.
+    /// Sound only while everything *else* is as it was at the last full
+    /// build: radios, the channel (jammers, degradation loss) and the
+    /// deny predicate — the caller falls back to a full rebuild for
+    /// those — and every position the graph retains is current (see
+    /// [`ConnectivityGraph::move_node`]). Produces a graph identical to
+    /// rebuilding from scratch with the node's new liveness and place.
     pub fn refresh_node(
         &mut self,
         i: u32,
@@ -278,8 +322,8 @@ impl ConnectivityGraph {
         if !alive || self.nodes[iu].radios.is_empty() {
             return;
         }
-        // Rediscover links against the (position-frozen) neighborhood,
-        // with the same lower-index-owner orientation as a full build.
+        // Rediscover links against the neighborhood, with the same
+        // lower-index-owner orientation as a full build.
         let (bx, by) = bucket_key(self.nodes[iu].position, self.cell_m);
         for dx in -1..=1 {
             for dy in -1..=1 {
@@ -383,8 +427,7 @@ impl ConnectivityGraph {
         if s as usize >= self.ids.len() || d as usize >= self.ids.len() {
             return None;
         }
-        let mut path = std::mem::take(&mut scratch.path);
-        path.clear();
+        let mut path = scratch.take_path();
         path.push(d);
         if s == d {
             return Some(path);
@@ -557,8 +600,16 @@ impl RouteScratch {
         Self::default()
     }
 
-    /// Hands a path returned by `route_idx_with` back, so the next query
-    /// builds its path in the same buffer.
+    /// Takes the path buffer out, emptied: for `route_idx_with` to build
+    /// its answer in, or for a caller to copy a remembered one into.
+    pub(crate) fn take_path(&mut self) -> Vec<u32> {
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        path
+    }
+
+    /// Hands a path from [`RouteScratch::take_path`] or `route_idx_with`
+    /// back, so the next one is built in the same buffer.
     pub(crate) fn recycle(&mut self, path: Vec<u32>) {
         self.path = path;
     }
@@ -873,6 +924,48 @@ mod tests {
                 "incremental refresh diverged at node {i} alive={alive}"
             );
         }
+    }
+
+    #[test]
+    fn moved_nodes_match_full_rebuild() {
+        // One scripted batch per named case; after each, the patched
+        // graph must equal a from-scratch build of the same world, spatial
+        // hash included (a stale bucket entry is invisible to
+        // `same_topology` until a later relink trips over it).
+        let ch = open_channel();
+        let deny = |a: NodeId, b: NodeId| a.raw().min(b.raw()) == 0 && a.raw().max(b.raw()) == 1;
+        let mut world: Vec<GraphNode> = (0..36)
+            .map(|i| node(i, (i % 6) as f64 * 75.0, (i / 6) as f64 * 75.0, &[RadioKind::Wifi]))
+            .collect();
+        world[20].radios = Rc::from(&[][..]); // radio-less: never filed, never linked
+        let mut g = ConnectivityGraph::build_filtered(&world, &ch, &deny);
+        let to = |x: f64, y: f64| Some(Point::new(x, y));
+        let script: [&[(usize, Option<Point>, bool)]; 8] = [
+            &[(7, to(80.0, 80.0), true)],      // within its 120 m cell
+            &[(7, to(300.0, 10.0), true)],     // across cells
+            &[(14, None, false)],              // dies ...
+            &[(14, to(5.0, 370.0), false)],    // ... roams while dead ...
+            &[(14, None, true)],               // ... revives where it now is
+            &[(21, to(130.0, 230.0), true), (22, to(135.0, 236.0), true)], // neighbors, one batch
+            &[(20, to(-40.0, -40.0), true)],   // radio-less, into a negative cell
+            &[(1, to(10.0, 10.0), true), (0, to(-10.0, -10.0), true)], // the denied pair
+        ];
+        for (step, batch) in script.iter().enumerate() {
+            for &(i, position, alive) in *batch {
+                world[i].position = position.unwrap_or(world[i].position);
+                world[i].alive = alive;
+                g.move_node(i as u32, world[i].position);
+            }
+            for &(i, _, alive) in *batch {
+                g.refresh_node(i as u32, alive, &ch, &deny);
+            }
+            let fresh = ConnectivityGraph::build_filtered(&world, &ch, &deny);
+            assert!(g.same_topology(&fresh), "diverged at step {step}");
+            assert_eq!(g.buckets, fresh.buckets, "spatial hash diverged at step {step}");
+        }
+        assert!(g.link(NodeId::new(0), NodeId::new(1)).is_none());
+        assert!(g.neighbors(NodeId::new(20)).is_empty());
+        assert!(g.link(NodeId::new(21), NodeId::new(22)).is_some());
     }
 
     #[test]

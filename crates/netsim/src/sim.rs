@@ -55,7 +55,9 @@ mod snapshot;
 pub use snapshot::{BehaviorRegistry, BehaviorSnapshot, SnapshotError};
 
 use crate::channel::{Channel, Jammer};
-use crate::graph::{ConnectivityGraph, GraphNode, LinkQuality, RouteScratch};
+use crate::graph::{
+    ConnectivityGraph, GraphNode, LinkQuality, RouteScratch, PATCH_AT_MOST_ONE_IN,
+};
 use crate::message::Message;
 use crate::mobility::{MobilityModel, MobilityState};
 use crate::stats::NetStats;
@@ -514,6 +516,7 @@ impl SimulatorBuilder {
             graph: None,
             graph_dirty: GraphDirty::Full,
             route_scratch: RouteScratch::new(),
+            route_memo: RouteMemo::default(),
             retries: self.retries,
             mobility_step: self.mobility_step,
             idle_drain_w: self.idle_drain_w,
@@ -524,6 +527,8 @@ impl SimulatorBuilder {
             compromises: Vec::new(),
             blackouts: Vec::new(),
             events_processed: 0,
+            route_queries: 0,
+            route_memo_hits: 0,
             reference_mode: self.reference_mode,
         };
         core.push(SimTime::ZERO + self.mobility_step, Event::MobilityTick);
@@ -549,14 +554,96 @@ impl SimulatorBuilder {
 enum GraphDirty {
     /// Cache (when present) matches world state.
     Clean,
-    /// Only the listed nodes' liveness changed since the cache was
-    /// built; positions, radios, channel, and partitions are untouched.
-    /// An empty list still forces a refresh event (a mobility tick that
-    /// moved nothing) without recomputing any links.
-    Nodes(Vec<u32>),
-    /// Anything broader changed (movement, jammers, partitions,
-    /// degradations, sleep phases): rebuild from scratch.
+    /// Only the pending nodes' liveness or position changed since the
+    /// cache was built; radios, channel, and partitions are untouched.
+    /// The list may repeat a node (it is sorted and deduplicated when
+    /// applied). An empty list still forces a refresh event (a mobility
+    /// tick that moved nothing) without recomputing any links.
+    Nodes {
+        pending: Vec<u32>,
+        /// Whether any entry is there because the node moved. A snapshot
+        /// records such a graph as fully stale, as it did when movement
+        /// forced `Full`.
+        moved: bool,
+    },
+    /// Anything broader changed (jammers, partitions, degradations,
+    /// sleep phases): rebuild from scratch.
     Full,
+}
+
+/// Each source's last routing answer, valid exactly as long as the graph
+/// it was searched on. The same graph and the same `(src, dst)` give the
+/// same deterministic search, so an entry *is* the path a fresh search
+/// would return. Traffic is convergecast — a sensor reports to one
+/// post — so one slot per source is one slot per `(src, dst)` pair.
+///
+/// Derived state: never serialised, emptied whenever the cached graph's
+/// links change, and never filled on the reference path.
+#[derive(Debug, Default)]
+struct RouteMemo {
+    /// One slot per source index; empty until the first store after a
+    /// clear, so clearing is O(1) and a simulator that never transmits
+    /// holds nothing.
+    slots: Vec<MemoSlot>,
+    /// Path node indices, back to back; slots point into it.
+    arena: Vec<u32>,
+    /// Arena entries some slot still points at. A slot overwritten for
+    /// a new destination strands its old path, and ticks that move
+    /// nothing never clear the memo, so the stranded share is bounded
+    /// in [`RouteMemo::store`].
+    live: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct MemoSlot {
+    /// Destination index the answer is for; `u32::MAX` marks a slot
+    /// that holds nothing.
+    dst: u32,
+    start: u32,
+    /// Path length in nodes; 0 records that no route exists.
+    len: u32,
+}
+
+impl MemoSlot {
+    const EMPTY: MemoSlot = MemoSlot { dst: u32::MAX, start: 0, len: 0 };
+}
+
+impl RouteMemo {
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.arena.clear();
+        self.live = 0;
+    }
+
+    /// The remembered answer for `src → dst`: `Some(path)` (empty when
+    /// no route exists), or `None` when nothing is remembered.
+    fn get(&self, src: u32, dst: u32) -> Option<&[u32]> {
+        let slot = self.slots.get(src as usize).filter(|s| s.dst == dst)?;
+        Some(&self.arena[slot.start as usize..][..slot.len as usize])
+    }
+
+    /// Remembers `path` (empty: no route) as the answer for `src → dst`
+    /// among `n` nodes.
+    fn store(&mut self, n: usize, src: u32, dst: u32, path: &[u32]) {
+        // Stranded paths are dropped, with everything else, once they
+        // outweigh what is live plus a node's worth per source (or, in
+        // principle, once `start` would no longer fit its slot).
+        let stranded = self.arena.len() - self.live;
+        if stranded > self.live + n || self.arena.len() + path.len() > u32::MAX as usize {
+            self.clear();
+        }
+        if self.slots.is_empty() {
+            self.slots.resize(n, MemoSlot::EMPTY);
+        }
+        let slot = &mut self.slots[src as usize];
+        self.live = self.live - slot.len as usize + path.len();
+        *slot = MemoSlot {
+            dst,
+            start: self.arena.len() as u32,
+            len: path.len() as u32,
+        };
+        self.arena.extend_from_slice(path);
+    }
 }
 
 /// Internal mutable world state shared with behaviour contexts.
@@ -581,6 +668,7 @@ struct Core {
     graph: Option<Rc<ConnectivityGraph>>,
     graph_dirty: GraphDirty,
     route_scratch: RouteScratch,
+    route_memo: RouteMemo,
     retries: u32,
     mobility_step: SimDuration,
     idle_drain_w: f64,
@@ -594,6 +682,10 @@ struct Core {
     /// Events dispatched since construction. Reporting-only (throughput
     /// harnesses); deliberately excluded from checkpoints and digests.
     events_processed: u64,
+    /// Routes `transmit` asked for, and how many of them the memo
+    /// answered. Reporting-only, like `events_processed`.
+    route_queries: u64,
+    route_memo_hits: u64,
     /// Legacy execution path for equivalence testing; see
     /// [`SimulatorBuilder::reference_mode`].
     reference_mode: bool,
@@ -647,24 +739,28 @@ impl Core {
             .unwrap_or(false)
     }
 
+    /// Whether a change can be patched into the cached graph at all:
+    /// not without a cache, not with sleep schedules folding the clock
+    /// into liveness, and not on the legacy reference path.
+    fn can_patch(&self) -> bool {
+        !self.reference_mode && !self.has_sleep && self.graph.is_some()
+    }
+
     /// Records that only node `i`'s liveness changed: the next graph
     /// access patches that node's links in place instead of rebuilding.
     /// Falls back to full invalidation when incremental maintenance
-    /// cannot apply (no cache yet, sleep schedules folding the clock
-    /// into liveness, or the legacy reference path).
+    /// cannot apply.
     fn invalidate_node(&mut self, i: u32) {
-        if self.reference_mode || self.has_sleep || self.graph.is_none() {
+        if !self.can_patch() {
             self.graph_dirty = GraphDirty::Full;
             return;
         }
         match &mut self.graph_dirty {
             GraphDirty::Full => {}
-            GraphDirty::Nodes(v) => {
-                if !v.contains(&i) {
-                    v.push(i);
-                }
+            GraphDirty::Nodes { pending, .. } => pending.push(i),
+            GraphDirty::Clean => {
+                self.graph_dirty = GraphDirty::Nodes { pending: vec![i], moved: false }
             }
-            GraphDirty::Clean => self.graph_dirty = GraphDirty::Nodes(vec![i]),
         }
     }
 
@@ -674,14 +770,27 @@ impl Core {
         self.graph_dirty = GraphDirty::Full;
     }
 
-    /// Invalidation for a mobility tick: a tick that moved nothing still
+    /// Invalidation for a mobility tick that moved the nodes in `movers`:
+    /// they join the pending list, and a tick that moved nothing still
     /// refreshes the graph (matching the legacy blanket invalidation and
     /// its trace event) but costs no link recomputation.
-    fn invalidate_tick(&mut self, moved: bool) {
-        if moved || self.reference_mode || self.has_sleep || self.graph.is_none() {
+    fn invalidate_tick(&mut self, movers: Vec<u32>) {
+        if !self.can_patch() {
             self.graph_dirty = GraphDirty::Full;
-        } else if matches!(self.graph_dirty, GraphDirty::Clean) {
-            self.graph_dirty = GraphDirty::Nodes(Vec::new());
+            return;
+        }
+        match &mut self.graph_dirty {
+            GraphDirty::Full => {}
+            GraphDirty::Nodes { pending, moved } => {
+                *moved |= !movers.is_empty();
+                pending.extend(movers);
+            }
+            GraphDirty::Clean => {
+                self.graph_dirty = GraphDirty::Nodes {
+                    moved: !movers.is_empty(),
+                    pending: movers,
+                }
+            }
         }
     }
 
@@ -718,14 +827,28 @@ impl Core {
     /// Brings the cached graph in sync with world state, emitting one
     /// `GraphRebuilt` trace if anything was stale — the same times and
     /// counts as the legacy rebuild-on-access, whether the refresh is a
-    /// full rebuild or an in-place patch of a few nodes.
+    /// full rebuild or an in-place patch of a few nodes. The route memo
+    /// goes whenever links may have changed, and only then.
     fn refresh_graph(&mut self) {
         if self.graph.is_some() && matches!(self.graph_dirty, GraphDirty::Clean) {
             return;
         }
         let dirty = std::mem::replace(&mut self.graph_dirty, GraphDirty::Clean);
-        let refreshed = match (self.graph.take(), dirty) {
-            (Some(mut rc), GraphDirty::Nodes(changed)) => {
+        // A pending list is patched in only while it is a small share of
+        // the fleet; past that, one build beats relinking node by node.
+        let patch = match (self.graph.take(), dirty) {
+            (Some(rc), GraphDirty::Nodes { mut pending, .. }) => {
+                pending.sort_unstable();
+                pending.dedup();
+                (pending.len() <= self.nodes.len().div_ceil(PATCH_AT_MOST_ONE_IN))
+                    .then_some((rc, pending))
+            }
+            _ => None,
+        };
+        let refreshed = match patch {
+            Some((rc, pending)) if pending.is_empty() => rc,
+            Some((mut rc, pending)) => {
+                self.route_memo.clear();
                 {
                     // Copy-on-write: external `connectivity()` holders
                     // keep their frozen snapshot, matching the legacy
@@ -735,7 +858,12 @@ impl Core {
                     let deny = |x: NodeId, y: NodeId| {
                         partitions.iter().any(|(p, on)| *on && p.cuts(x, y))
                     };
-                    for i in changed {
+                    // Every position first, then every relink: a link
+                    // between two movers must see both where they are.
+                    for &i in &pending {
+                        g.move_node(i, self.nodes[i as usize].mobility.position());
+                    }
+                    for &i in &pending {
                         let n = &self.nodes[i as usize];
                         let alive = n.alive && !n.energy.is_depleted();
                         g.refresh_node(i, alive, &self.channel, &deny);
@@ -747,7 +875,10 @@ impl Core {
                 );
                 rc
             }
-            _ => Rc::new(self.build_graph()),
+            None => {
+                self.route_memo.clear();
+                Rc::new(self.build_graph())
+            }
         };
         self.recorder.record(TraceEvent::GraphRebuilt {
             nodes: refreshed.len() as u64,
@@ -793,9 +924,34 @@ impl Core {
             return;
         }
         // A refcounted handle keeps the routing snapshot alive while the
-        // scratch and node state are mutated below.
+        // scratch, memo and node state are mutated below.
         let graph = self.graph_handle();
-        let Some(route) = graph.route_idx_with(&mut self.route_scratch, src, dst) else {
+        self.route_queries += 1;
+        // The memo's answer when it remembers this source asking for this
+        // destination on the graph as it now stands, otherwise a fresh
+        // search, remembered. Either way the path is an owned buffer out
+        // of the scratch: the hop walk below may refresh the graph and
+        // with it empty the memo. The reference path stores nothing, so
+        // it finds nothing and searches every time.
+        let route = match self.route_memo.get(src, dst) {
+            Some(path) => {
+                self.route_memo_hits += 1;
+                (!path.is_empty()).then(|| {
+                    let mut route = self.route_scratch.take_path();
+                    route.extend_from_slice(path);
+                    route
+                })
+            }
+            None => {
+                let found = graph.route_idx_with(&mut self.route_scratch, src, dst);
+                if !self.reference_mode {
+                    let path = found.as_deref().unwrap_or(&[]);
+                    self.route_memo.store(graph.len(), src, dst, path);
+                }
+                found
+            }
+        };
+        let Some(route) = route else {
             self.drop_message(&msg, DropCause::NoRoute);
             return;
         };
@@ -921,7 +1077,7 @@ impl Core {
 
     fn mobility_tick(&mut self) {
         let dt = self.mobility_step.as_secs_f64();
-        let mut moved = false;
+        let mut movers: Vec<u32> = Vec::new();
         for i in 0..self.nodes.len() {
             // Split borrow: temporarily move mobility state out so the
             // model can draw from the shared RNG.
@@ -931,7 +1087,9 @@ impl Core {
             );
             let before = mob.position();
             mob.step(&mut self.rng, dt);
-            moved |= mob.position() != before;
+            if mob.position() != before {
+                movers.push(i as u32);
+            }
             self.nodes[i].mobility = mob;
             if self.nodes[i].alive {
                 let idle = self.idle_drain_w * dt;
@@ -945,9 +1103,9 @@ impl Core {
                 }
             }
         }
-        // A tick over an all-static fleet refreshes liveness only; any
-        // actual movement forces the full spatial rebuild.
-        self.invalidate_tick(moved);
+        // A tick over an all-static fleet refreshes liveness only; nodes
+        // that moved (dead ones too) are re-filed and relinked with it.
+        self.invalidate_tick(movers);
         self.recorder
             .set_gauge("netsim.energy_spent_j", self.stats.energy_spent_j);
         let next = self.now + self.mobility_step;
@@ -1021,6 +1179,15 @@ impl Simulator {
     /// digest or checkpoint, so resumed runs restart the count.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
+    }
+
+    /// `(queries, hits)`: routes asked for by sends since construction,
+    /// and how many of them were answered from the per-source route memo
+    /// instead of a search. Reporting-only, like
+    /// [`Simulator::events_processed`]: in no digest, fingerprint or
+    /// checkpoint.
+    pub fn route_memo_counts(&self) -> (u64, u64) {
+        (self.core.route_queries, self.core.route_memo_hits)
     }
 
     /// The observability recorder this simulator records into (disabled
@@ -1889,5 +2056,29 @@ mod tests {
         sim.run_until(SimTime::from_millis(200));
         assert!(sim.is_alive(NodeId::new(0)), "restored after the outage lifts");
         assert!(sim.is_alive(NodeId::new(1)));
+    }
+
+    #[test]
+    fn route_memo_keeps_one_answer_per_source_and_bounds_what_it_strands() {
+        let n = 16;
+        let mut memo = RouteMemo::default();
+        assert_eq!(memo.get(3, 9), None, "nothing is remembered before the first store");
+        memo.store(n, 3, 9, &[3, 5, 9]);
+        memo.store(n, 4, 9, &[]);
+        assert_eq!(memo.get(3, 9), Some(&[3, 5, 9][..]));
+        assert_eq!(memo.get(4, 9), Some(&[][..]), "no route is an answer too");
+        assert_eq!(memo.get(3, 8), None, "another destination is another question");
+        // A source that alternates destinations on a topology that never
+        // changes (a broadcast, a relay with two peers) strands a path
+        // per store; the arena must not grow with the number of sends.
+        for round in 0..10_000u32 {
+            let dst = 8 + round % 2;
+            memo.store(n, 3, dst, &[3, 5, dst]);
+            assert_eq!(memo.get(3, dst), Some(&[3, 5, dst][..]));
+            assert!(memo.arena.len() <= 2 * memo.live + n + 3, "round {round}");
+        }
+        memo.clear();
+        assert_eq!(memo.get(3, 9), None);
+        assert_eq!((memo.arena.len(), memo.live), (0, 0));
     }
 }

@@ -16,7 +16,8 @@
 //! connectivity-graph cache: it is a pure function of world state, so
 //! the blob records only whether it was populated, and restore rebuilds
 //! it silently (no `GraphRebuilt` trace event — emitting one would make
-//! the post-resume trace diverge from the uninterrupted run).
+//! the post-resume trace diverge from the uninterrupted run). The route
+//! memo is a pure function of that graph; restore empties it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -403,9 +404,11 @@ impl Simulator {
         // buffer, empty between events.
         let Self { core, behaviors, started, batch: _ } = self;
         // Every `Core` field is either serialised below or deliberately
-        // excluded as derived (`ids`/`index`/`graph*`/`route*`),
+        // excluded as derived (`ids`/`index`, and the `graph*` cache with
+        // the `route_scratch`/`route_memo` that hang off it),
         // fixed-configuration (`has_sleep`/`recorder`/`reference_mode`),
-        // or reporting-only (`events_processed`) state.
+        // or reporting-only (`events_processed`, `route_queries`,
+        // `route_memo_hits`) state.
         let Core {
             now: _,
             seq: _,
@@ -420,6 +423,7 @@ impl Simulator {
             graph: _,
             graph_dirty: _,
             route_scratch: _,
+            route_memo: _,
             retries: _,
             mobility_step: _,
             idle_drain_w: _,
@@ -430,6 +434,8 @@ impl Simulator {
             compromises: _,
             blackouts: _,
             events_processed: _,
+            route_queries: _,
+            route_memo_hits: _,
             reference_mode: _,
         } = core;
         let mut e = Enc::new();
@@ -536,11 +542,15 @@ impl Simulator {
         // The distinction matters because the next graph access after
         // resume must emit (or not emit) a `GraphRebuilt` trace exactly
         // as the uninterrupted run would. Values 0/1 coincide with the
-        // bool this byte used to be.
+        // bool this byte used to be. A pending patch that holds movement
+        // is written as 0: movement was a full invalidation when this
+        // format was fixed, and either way the next access rebuilds.
         e.u8(match (&core.graph, &core.graph_dirty) {
-            (None, _) | (Some(_), GraphDirty::Full) => 0,
+            (None, _)
+            | (Some(_), GraphDirty::Full)
+            | (Some(_), GraphDirty::Nodes { moved: true, .. }) => 0,
             (Some(_), GraphDirty::Clean) => 1,
-            (Some(_), GraphDirty::Nodes(_)) => 2,
+            (Some(_), GraphDirty::Nodes { moved: false, .. }) => 2,
         });
 
         // The event queue, in deterministic (at, seq) order.
@@ -815,6 +825,7 @@ impl Simulator {
         core.queue = queue;
         core.graph = None;
         core.graph_dirty = GraphDirty::Full;
+        core.route_memo.clear();
         if graph_cached > 0 {
             // Derived state: rebuild without recording a trace event. A
             // pending liveness patch (2) resolves to the same topology as
@@ -824,7 +835,7 @@ impl Simulator {
             // pending list encodes exactly that.
             core.graph = Some(std::rc::Rc::new(core.build_graph()));
             core.graph_dirty = if graph_cached == 2 {
-                GraphDirty::Nodes(Vec::new())
+                GraphDirty::Nodes { pending: Vec::new(), moved: false }
             } else {
                 GraphDirty::Clean
             };

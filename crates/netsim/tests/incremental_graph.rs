@@ -11,6 +11,12 @@
 //! partition-style deny predicates) and checks that equivalence after
 //! every single step, not just at the end.
 //!
+//! Movement is patched the same way — [`ConnectivityGraph::move_node`]
+//! re-files each moved node of a batch, then `refresh_node` relinks each
+//! — and is held to the same standard: liveness flips mixed with moves
+//! inside a spatial-hash cell, across cell boundaries, of dead nodes that
+//! later revive, and of neighbors in one batch.
+//!
 //! The same churn also pins what [`ConnectivityGraph::component_of`]
 //! means: after every step its answer for a sampled root is exactly the
 //! set of sources [`ConnectivityGraph::route`] finds a path from. (That
@@ -183,6 +189,112 @@ proptest! {
                     scratch.route(NodeId::new(s), NodeId::new(d)),
                     "route {}->{} diverged after churn", s, d
                 );
+            }
+        }
+    }
+
+    /// Liveness flips and *moves*, batched the way the simulator applies
+    /// a pending list: every changed node re-filed first, then each
+    /// relinked. After every batch the patched graph must equal a
+    /// from-scratch build of the same world, and route the same, for all
+    /// pairs. `long_range` decides whether the spatial hash has one
+    /// kilometres-wide cell row around the origin or ~120 m wifi cells
+    /// that a jump crosses; `cut` arms a partition-style deny predicate
+    /// in about half the cases.
+    #[test]
+    fn moves_and_churn_match_scratch_rebuild(
+        seed in 0u64..10_000,
+        n in 8usize..22,
+        long_range in proptest::bool::ANY,
+        cut in 0usize..1 << 16,
+        ops in proptest::collection::vec(
+            (0usize..1 << 16, 0u8..6, -260.0..260.0f64, -260.0..260.0f64),
+            1..14,
+        ),
+    ) {
+        let ch = channel(cut % 3 == 0);
+        let threshold = if cut % 2 == 0 { 0 } else { (cut % n) as u64 };
+        let deny = move |a: NodeId, b: NodeId| {
+            (a.raw() < threshold) != (b.raw() < threshold)
+        };
+        let mut nodes = population(seed ^ 0x6d0f, n);
+        if !long_range {
+            // Wifi/bluetooth only: cells shrink to the wifi range, so the
+            // clusters span many and a jump changes cell.
+            for node in &mut nodes {
+                let short: Vec<RadioKind> = node
+                    .radios
+                    .iter()
+                    .copied()
+                    .filter(|r| matches!(r, RadioKind::Wifi | RadioKind::Bluetooth))
+                    .collect();
+                node.radios = short.into();
+            }
+        }
+        let mut patched = ConnectivityGraph::build_filtered(&nodes, &ch, &deny);
+        for (who, kind, dx, dy) in ops {
+            let i = who % n;
+            let shift = |p: Point, scale: f64| Point::new(p.x + dx * scale, p.y + dy * scale);
+            // The batch of nodes this step changes.
+            let batch: Vec<usize> = match kind {
+                0 | 1 => {
+                    nodes[i].alive = kind == 1;
+                    vec![i]
+                }
+                // A nudge of a few meters: almost always inside its cell.
+                2 => {
+                    nodes[i].position = shift(nodes[i].position, 0.02);
+                    vec![i]
+                }
+                // A jump of up to a few hundred meters: across wifi cells,
+                // and across the origin's cell boundary at any cell size.
+                3 => {
+                    nodes[i].position = shift(nodes[i].position, 1.0);
+                    vec![i]
+                }
+                // Two neighbors move in one batch, in opposite senses:
+                // their link must be computed from both new positions.
+                4 => {
+                    let near = (0..n)
+                        .filter(|&j| j != i)
+                        .min_by(|&a, &b| {
+                            let da = nodes[a].position.distance_to(nodes[i].position);
+                            let db = nodes[b].position.distance_to(nodes[i].position);
+                            da.total_cmp(&db)
+                        })
+                        .expect("n >= 8");
+                    nodes[i].position = shift(nodes[i].position, 0.5);
+                    nodes[near].position = shift(nodes[near].position, -0.25);
+                    vec![near, i]
+                }
+                // A node moves and flips liveness in the same batch (a dead
+                // node that roams and revives, or one that dies on arrival).
+                _ => {
+                    nodes[i].position = shift(nodes[i].position, 1.0);
+                    nodes[i].alive = !nodes[i].alive;
+                    vec![i]
+                }
+            };
+            for &b in &batch {
+                patched.move_node(b as u32, nodes[b].position);
+            }
+            for &b in &batch {
+                patched.refresh_node(b as u32, nodes[b].alive, &ch, &deny);
+            }
+            let scratch = ConnectivityGraph::build_filtered(&nodes, &ch, &deny);
+            prop_assert!(
+                patched.same_topology(&scratch),
+                "patched graph diverged from scratch rebuild after op {} on node {}",
+                kind, i
+            );
+            for s in 0..n as u64 {
+                for d in 0..n as u64 {
+                    prop_assert_eq!(
+                        patched.route(NodeId::new(s), NodeId::new(d)),
+                        scratch.route(NodeId::new(s), NodeId::new(d)),
+                        "route {}->{} diverged after op {} on node {}", s, d, kind, i
+                    );
+                }
             }
         }
     }

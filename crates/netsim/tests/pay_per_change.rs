@@ -1,0 +1,184 @@
+//! The route memo and the movement patch pay per *change* without
+//! changing a bit: a convergecast field with churn and walkers run on the
+//! fast path (memo consulted, moved nodes patched into the cached graph)
+//! and on `reference_mode` (a search per message, a rebuild per
+//! invalidation) must agree on every statistic, every node's energy and
+//! the whole JSONL stream; and a snapshot taken with the memo warm, with
+//! a move still pending or without, must resume into the uninterrupted
+//! run.
+
+use iobt_netsim::prelude::*;
+use iobt_obs::Recorder;
+use iobt_types::prelude::*;
+
+const SIDE: u64 = 8;
+const N: u64 = SIDE * SIDE;
+const SPACING_M: f64 = 70.0;
+/// The command post: a node near the middle of the grid.
+const SINK: u64 = 27;
+/// Off the 1 s mobility step, so no report shares an instant with a tick
+/// and a snapshot on a tick boundary finds that tick's moves unapplied.
+const REPORT_PERIOD_S: f64 = 0.4;
+
+/// Periodic reporter to the sink; stateless, so checkpointable as is.
+struct Reporter;
+
+impl Behavior for Reporter {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_secs_f64(REPORT_PERIOD_S), 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+        ctx.send(NodeId::new(SINK), 1, vec![0u8; 48]);
+        ctx.set_timer(SimDuration::from_secs_f64(REPORT_PERIOD_S), 0);
+    }
+    fn save_state(&self) -> Option<BehaviorSnapshot> {
+        Some(BehaviorSnapshot::new("test.reporter", Vec::new()))
+    }
+}
+
+fn registry() -> BehaviorRegistry {
+    let mut registry = BehaviorRegistry::new();
+    registry.register("test.reporter", || Box::new(Reporter));
+    registry
+}
+
+/// An 8×8 wifi grid, everyone but the sink reporting to it, every fifth
+/// node on a random-waypoint walk (the sink stays put), a fail/recover
+/// process that takes a few nodes down and up within `horizon_s`, and
+/// the sink's east neighbor lost for good at 4 s, so every route that
+/// crossed it is wrong from then on.
+fn field(seed: u64, reference: bool, recorder: Recorder, horizon_s: f64) -> Simulator {
+    let extent = SIDE as f64 * SPACING_M;
+    let area = Rect::new(Point::new(-50.0, -50.0), Point::new(extent, extent));
+    let mut catalog = NodeCatalog::new();
+    for i in 0..N {
+        let spec = NodeSpec::builder(NodeId::new(i))
+            .affiliation(Affiliation::Blue)
+            .position(Point::new((i % SIDE) as f64 * SPACING_M, (i / SIDE) as f64 * SPACING_M))
+            .radio(Radio::new(RadioKind::Wifi))
+            .energy(EnergyBudget::new(5_000.0))
+            .build();
+        catalog.insert(spec).expect("fresh ids never collide");
+    }
+    let mut builder = Simulator::builder(catalog)
+        .terrain(Terrain::uniform(area, Clutter::Open))
+        .seed(seed)
+        .reference_mode(reference)
+        .recorder(recorder);
+    for i in (0..N).step_by(5).filter(|&i| i != SINK) {
+        let model = MobilityModel::RandomWaypoint { area, speed_mps: 12.0, pause_s: 1.0 };
+        builder = builder.mobility(NodeId::new(i), model);
+    }
+    let mut sim = builder.build();
+    for i in (0..N).filter(|&i| i != SINK) {
+        sim.set_behavior(NodeId::new(i), Box::new(Reporter));
+    }
+    let ids: Vec<NodeId> = (0..N).map(NodeId::new).collect();
+    ChurnProcess::recovering(150.0, 3.0, seed).schedule(
+        &mut sim,
+        &ids,
+        SimTime::from_secs_f64(horizon_s),
+    );
+    sim.schedule_node_down(SimTime::from_secs_f64(4.0), NodeId::new(SINK + 1));
+    sim
+}
+
+fn energy_bits(sim: &Simulator) -> Vec<Option<u64>> {
+    (0..N)
+        .map(|i| sim.energy(NodeId::new(i)).map(|e| e.remaining_j().to_bits()))
+        .collect()
+}
+
+#[test]
+fn fast_path_matches_reference_under_churn_and_movement() {
+    for seed in [3, 17, 42] {
+        let (rec_fast, ring_fast) = Recorder::memory(400_000);
+        let (rec_ref, ring_ref) = Recorder::memory(400_000);
+        let mut fast = field(seed, false, rec_fast.clone(), 12.0);
+        let mut reference = field(seed, true, rec_ref, 12.0);
+        fast.run_for(SimDuration::from_secs_f64(12.0));
+        reference.run_for(SimDuration::from_secs_f64(12.0));
+
+        assert_eq!(fast.stats(), reference.stats(), "seed {seed}: statistics diverged");
+        assert_eq!(energy_bits(&fast), energy_bits(&reference), "seed {seed}: energy diverged");
+        for i in 0..N {
+            let id = NodeId::new(i);
+            assert_eq!(fast.position(id), reference.position(id), "seed {seed}: node {i} strayed");
+        }
+        assert_eq!(ring_fast.dropped(), 0, "raise the ring capacity");
+        let jsonl = |ring: &iobt_obs::RingHandle| -> String {
+            ring.records().iter().map(|r| r.to_jsonl()).collect()
+        };
+        assert_eq!(
+            jsonl(&ring_fast).as_bytes(),
+            jsonl(&ring_ref).as_bytes(),
+            "seed {seed}: JSONL trace bytes diverged"
+        );
+
+        // The run must have exercised what it claims to compare: nodes
+        // went down and came back, most messages arrived, and the memo
+        // answered some routes on the fast path and none on the reference
+        // path.
+        let metrics = rec_fast.metrics_digest();
+        let (downs, ups) = (metrics.counter("netsim.node_down"), metrics.counter("netsim.node_up"));
+        assert!(downs > Some(0) && ups > Some(0), "seed {seed}: {downs:?} downs, {ups:?} ups");
+        let stats = fast.stats();
+        assert!(stats.delivered > stats.sent / 2, "seed {seed}: {}/{}", stats.delivered, stats.sent);
+        let ((queries, hits), (ref_queries, ref_hits)) =
+            (fast.route_memo_counts(), reference.route_memo_counts());
+        assert_eq!(queries, ref_queries);
+        assert!(hits > 0 && hits < queries, "seed {seed}: {hits} hits of {queries}");
+        assert_eq!(ref_hits, 0);
+    }
+}
+
+#[test]
+fn snapshot_with_warm_memo_resumes_exactly() {
+    let (seed, end_s) = (17, 11.0);
+    let mut uninterrupted = field(seed, false, Recorder::disabled(), end_s);
+    uninterrupted.run_for(SimDuration::from_secs_f64(end_s));
+    let end_state = uninterrupted.save_state().expect("reporters are checkpointable");
+
+    // Two cuts, both with the memo warm. At 5.0 s the tick at that very
+    // instant has moved the walkers and no report has touched the graph
+    // since, so the moves are pending and the next access rebuilds. At
+    // 5.5 s the reports of 5.2 s have refreshed the graph, restore
+    // rebuilds it silently and clean, and nothing but restore itself
+    // stands between the first report and a stale memo.
+    for cut_s in [5.0, 5.5] {
+        let mut first = field(seed, false, Recorder::disabled(), end_s);
+        first.run_for(SimDuration::from_secs_f64(cut_s));
+        let blob = first.save_state().expect("checkpointable");
+        // The memo is warm at the cut and answers the very next round of
+        // reports: one left over in the simulator restored into would too.
+        let hits_at_cut = first.route_memo_counts().1;
+        first.run_for(SimDuration::from_secs_f64(0.7));
+        assert!(first.route_memo_counts().1 > hits_at_cut, "cut at {cut_s} s: no hit follows");
+
+        if cut_s == 5.0 {
+            // A pending list that holds movement is written as a fully
+            // stale graph, which is what the reference path — where
+            // movement *is* a full invalidation — writes at the same
+            // instant, along with the same everything else.
+            let mut reference = field(seed, true, Recorder::disabled(), end_s);
+            reference.run_for(SimDuration::from_secs_f64(cut_s));
+            assert_eq!(blob, reference.save_state().expect("checkpointable"));
+        }
+
+        // The simulator restored into has a memo of its own, warm from
+        // another time and topology: restore must empty it.
+        let mut resumed = field(seed, false, Recorder::disabled(), end_s);
+        resumed.run_for(SimDuration::from_secs_f64(2.7));
+        resumed.restore_state(&blob, &registry()).expect("restore");
+        assert_eq!(resumed.now(), SimTime::from_secs_f64(cut_s));
+        resumed.run_until(SimTime::from_secs_f64(end_s));
+
+        assert_eq!(resumed.stats(), uninterrupted.stats(), "cut at {cut_s} s");
+        assert_eq!(energy_bits(&resumed), energy_bits(&uninterrupted), "cut at {cut_s} s");
+        assert_eq!(
+            resumed.save_state().expect("checkpointable"),
+            end_state,
+            "cut at {cut_s} s: full end state must be byte-identical"
+        );
+    }
+}

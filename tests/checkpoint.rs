@@ -262,3 +262,38 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Checkpoint bytes, not only what resumes from them, are part of the
+/// contract: the FNV-1a of every window's payload for
+/// `urban_evacuation(250, 42)`, recorded on the commit before movement
+/// became a graph patch. The payload carries the simulator's
+/// graph-disposition byte, so a change to when the graph counts as
+/// fully stale, clean or pending moves a hash here (the jammer at 60 s
+/// is a full invalidation; every other boundary is a pending patch).
+#[test]
+fn evacuation_checkpoint_payloads_are_pinned() {
+    const PINNED: [u64; 10] = [
+        0x42a4cc690f16bf65,
+        0xeaae8e1d8c404c3e,
+        0x5ed065b90f3fecfd,
+        0x73c76ba21867bba4,
+        0xeb07902461975f57,
+        0xe0476ed3b58c1e35,
+        0x9317d3af055690c2,
+        0xdd828efbc6429e88,
+        0x3c382a3e4cc45fd9,
+        0x249d909d8ea0da7b,
+    ];
+    let scenario = urban_evacuation(250, 42);
+    let config = RunConfig::builder()
+        .duration(SimDuration::from_secs_f64(90.0))
+        .window(SimDuration::from_secs_f64(10.0))
+        .build()
+        .expect("valid run config");
+    let mut runner = MissionRunner::new(&scenario, &config);
+    let mut hashes = vec![iobt::obs::fnv1a(&runner.save().expect("window 0"))];
+    while let StepOutcome::WindowClosed { .. } = runner.step_window() {
+        hashes.push(iobt::obs::fnv1a(&runner.save().expect("window boundary")));
+    }
+    assert_eq!(hashes, PINNED);
+}
