@@ -23,9 +23,11 @@
 //! cargo run -p iobt-bench --release --bin fleet_scale -- \
 //!     --supervise --missions 64 --recover --dir /tmp/d --fingerprint
 //! # What every admission and every resume pays, at field size: the
-//! # mission prologue (`MissionRunner::new`) on an N-node theatre. CI
-//! # runs one size under a ceiling; EXPERIMENTS.md's "Composition on
-//! # demand" table is `--runs 5` over the listed sizes.
+//! # mission prologue (`MissionRunner::new`) on an N-node theatre, and
+//! # how many times a runner builds its connectivity graph from scratch
+//! # by the end of its first window (`builds/runner`, expected 1). CI
+//! # runs two sizes under a ceiling; EXPERIMENTS.md's "Build once" table
+//! # is `--runs 5` over the listed sizes.
 //! cargo run -p iobt-bench --release --bin fleet_scale -- \
 //!     --compose 3000 --ceiling-s 10
 //! ```
@@ -261,8 +263,23 @@ fn run_supervised(
     );
 }
 
-/// Composition-scale mode: times `MissionRunner::new` (discovery →
-/// recruitment → reachability → synthesis → assurance → simulator) over
+/// From-scratch graph builds one runner makes from `new` to the end of a
+/// first window long enough for every reporter to have sent once: the
+/// reachability filter and the first routed message share one build.
+fn builds_per_runner(scenario: &Scenario) -> u64 {
+    let once = SimDuration::from_secs_f64(2.5);
+    let config = RunConfig::builder()
+        .duration(once)
+        .window(once)
+        .build()
+        .expect("bench run config is valid");
+    let mut runner = MissionRunner::new(scenario, &config);
+    runner.step_window();
+    runner.graph_builds()
+}
+
+/// Composition-scale mode: times `MissionRunner::new` (simulator →
+/// discovery → recruitment → reachability → synthesis → assurance) over
 /// `persistent_surveillance(n, seed)`, `runs` times per size, and exits
 /// non-zero when a size's median exceeds `ceiling_s`.
 fn run_compose(sizes: &[usize], seed: u64, runs: usize, ceiling_s: Option<f64>) {
@@ -279,13 +296,14 @@ fn run_compose(sizes: &[usize], seed: u64, runs: usize, ceiling_s: Option<f64>) 
         walls.sort_by(f64::total_cmp);
         let median = walls[walls.len() / 2];
         println!(
-            "compose nodes={} seed={} runs={} median_s={:.4} min_s={:.4} max_s={:.4}",
+            "compose nodes={} seed={} runs={} median_s={:.4} min_s={:.4} max_s={:.4} builds/runner={}",
             n,
             seed,
             walls.len(),
             median,
             walls[0],
-            walls[walls.len() - 1]
+            walls[walls.len() - 1],
+            builds_per_runner(&scenario)
         );
         if ceiling_s.is_some_and(|c| median > c) {
             eprintln!("compose: {n} nodes took {median:.4} s, over the ceiling");

@@ -791,10 +791,13 @@ impl MissionRunner {
         let blob = d.bytes()?.to_vec();
         d.finish()?;
 
-        // All bytes verified — now rebuild the pure pipeline products
-        // (disabled recorder: those trace events were already emitted by
-        // the run that wrote this checkpoint).
-        let p = prologue(scenario, config, &Recorder::disabled());
+        // All bytes verified — now stand up a fresh simulator with no
+        // faults scheduled (the restored event queue already contains
+        // them) and rebuild the pure pipeline products over it (disabled
+        // recorder: those trace events were already emitted by the run
+        // that wrote this checkpoint).
+        let mut sim = build_sim(scenario, config);
+        let p = prologue(scenario, config, &Recorder::disabled(), &mut sim);
         let base_problem = p.problem.clone();
         let problem = if ladder_level == 0 {
             base_problem.clone()
@@ -808,11 +811,10 @@ impl MissionRunner {
             )
         };
 
-        // Stand up a fresh simulator with no faults scheduled (the
-        // restored event queue already contains them) and restore the
-        // snapshot over it. Behaviours are rebuilt through the registry
+        // Restore the snapshot over the simulator, which patches the t = 0
+        // graph the prologue primed up to the restored world instead of
+        // building it again. Behaviours are rebuilt through the registry
         // and share the restored log/board handles.
-        let mut sim = build_sim(scenario, config, false);
         let log = new_report_log();
         let board = new_task_board();
         *log.borrow_mut() = log_entries;

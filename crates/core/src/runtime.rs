@@ -571,9 +571,11 @@ impl MissionReport {
 /// checkpoint resume recomputes it instead of serialising the composition
 /// problem and assurance report (with a disabled recorder, so no trace
 /// events are duplicated). That is cheap as long as the reachability
-/// filter stays one component sweep: the whole prologue takes ~35 ms at
-/// 1,000 nodes and ~1.3 ms at 150, nearly all of it the probe graph's
-/// build (EXPERIMENTS.md, "Composition on demand").
+/// filter stays one component sweep over a graph nobody builds twice: it
+/// asks the execution simulator for its t = 0 graph, which the first send
+/// (or the restore) then takes over, so the prologue's own share is the
+/// classifier, the solve and the assurance trials (EXPERIMENTS.md, "Build
+/// once").
 pub(crate) struct Prologue {
     pub(crate) recruited: usize,
     pub(crate) rejected_red: usize,
@@ -589,8 +591,15 @@ pub(crate) struct Prologue {
 /// Runs phases 1–3. `recorder` is the recorder that observes the
 /// recruitment and solve events: the live recorder on a fresh run, a
 /// disabled one at checkpoint resume (the restored recorder already
-/// counted those events the first time).
-pub(crate) fn prologue(scenario: &Scenario, config: &RunConfig, recorder: &Recorder) -> Prologue {
+/// counted those events the first time). `sim` is the execution
+/// simulator from [`build_sim`], still at t = 0: the reachability filter
+/// judges by its primed graph, the topology the mission starts on.
+pub(crate) fn prologue(
+    scenario: &Scenario,
+    config: &RunConfig,
+    recorder: &Recorder,
+    sim: &mut Simulator,
+) -> Prologue {
     // ---- Phase 1: discovery (side-channel classification + tracking) ----
     let mut emissions = EmissionModel::new(scenario.seed ^ 0xD15C);
     let train = emissions.labelled_dataset(300);
@@ -635,15 +644,11 @@ pub(crate) fn prologue(scenario: &Scenario, config: &RunConfig, recorder: &Recor
     let mut specs: Vec<NodeSpec> = pool.admitted.iter().map(|a| a.spec.clone()).collect();
     let mut unreachable = 0usize;
     if config.require_reachability {
-        // Build the initial connectivity graph once and keep only assets
-        // in the command post's connected component: links are undirected
-        // with finite weights, so that is exactly "has a route to it".
-        let mut probe_sim = Simulator::builder(scenario.catalog.clone())
-            .terrain(scenario.terrain.clone())
-            .seed(scenario.seed)
-            .reference_mode(config.reference_mode)
-            .build();
-        let reachable = probe_sim.connectivity().component_of(scenario.command_post);
+        // Keep only assets in the command post's connected component of
+        // the initial connectivity graph: links are undirected with finite
+        // weights, so that is exactly "has a route to it". Primed, not
+        // accessed: the trace and the checkpoint must not see the look.
+        let reachable = sim.prime_connectivity().component_of(scenario.command_post);
         let before = specs.len();
         specs.retain(|spec| reachable.binary_search(&spec.id()).is_ok());
         unreachable = before - specs.len();
@@ -683,16 +688,10 @@ pub(crate) fn prologue(scenario: &Scenario, config: &RunConfig, recorder: &Recor
     }
 }
 
-/// Builds the phase-4 simulator over the scenario. `schedule_faults` is
-/// `false` at checkpoint resume: the restored event queue already holds
-/// every scheduled disruption and fault event, and scheduling them again
-/// would both duplicate the queue entries and re-emit their
-/// `FaultScheduled` trace records.
-pub(crate) fn build_sim(
-    scenario: &Scenario,
-    config: &RunConfig,
-    schedule_faults: bool,
-) -> Simulator {
+/// Builds the phase-4 simulator over the scenario, with nothing
+/// scheduled yet: the prologue consults it first, and its records
+/// (recruitment, solve) precede the `FaultScheduled` ones.
+pub(crate) fn build_sim(scenario: &Scenario, config: &RunConfig) -> Simulator {
     let mut builder = Simulator::builder(scenario.catalog.clone())
         .terrain(scenario.terrain.clone())
         .seed(scenario.seed)
@@ -701,17 +700,22 @@ pub(crate) fn build_sim(
     for j in &scenario.jammers {
         builder = builder.jammer(*j);
     }
-    let mut sim = builder.build();
-    if schedule_faults {
-        for d in &scenario.disruptions {
-            match *d {
-                Disruption::JammerOn { at, index } => sim.schedule_jammer(at, index, true),
-                Disruption::NodeLoss { at, node } => sim.schedule_node_down(at, node),
-            }
+    builder.build()
+}
+
+/// Schedules the scenario's disruptions and fault plan on a fresh run's
+/// simulator. Not at checkpoint resume: the restored event queue already
+/// holds every one of them, and scheduling them again would both
+/// duplicate the queue entries and re-emit their `FaultScheduled` trace
+/// records.
+fn schedule_faults(scenario: &Scenario, sim: &mut Simulator) {
+    for d in &scenario.disruptions {
+        match *d {
+            Disruption::JammerOn { at, index } => sim.schedule_jammer(at, index, true),
+            Disruption::NodeLoss { at, node } => sim.schedule_node_down(at, node),
         }
-        scenario.fault_plan.schedule(&mut sim);
     }
-    sim
+    scenario.fault_plan.schedule(sim);
 }
 
 /// Step-at-a-time mission execution with crash-safe checkpointing.
@@ -777,8 +781,9 @@ impl MissionRunner {
     /// Runs phases 1–3 and stands up the execution simulator, ready to
     /// step window 0.
     pub fn new(scenario: &Scenario, config: &RunConfig) -> Self {
-        let p = prologue(scenario, config, &config.recorder);
-        let mut sim = build_sim(scenario, config, true);
+        let mut sim = build_sim(scenario, config);
+        let p = prologue(scenario, config, &config.recorder, &mut sim);
+        schedule_faults(scenario, &mut sim);
         let log = new_report_log();
         let board = new_task_board();
         if config.acked_tasking {
@@ -875,6 +880,13 @@ impl MissionRunner {
     /// construction or resume, not from the mission's start.
     pub fn route_memo_counts(&self) -> (u64, u64) {
         self.sim.route_memo_counts()
+    }
+
+    /// From-scratch connectivity-graph builds by this runner's simulator,
+    /// the prologue's look at the topology included: see
+    /// [`Simulator::graph_builds`]. Counted from construction or resume.
+    pub fn graph_builds(&self) -> u64 {
+        self.sim.graph_builds()
     }
 
     /// Executes one utility window — simulation slices, heartbeat

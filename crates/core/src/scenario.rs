@@ -44,7 +44,12 @@ pub struct Scenario {
     pub mission: Mission,
     /// The original intent statement.
     pub intent: CommanderIntent,
-    /// Jammers present (initially inactive).
+    /// Jammers present. Every built-in scenario's start inactive and are
+    /// switched on by a [`Disruption::JammerOn`]; an inactive jammer adds
+    /// nothing to the noise floor. One that is already `active` at t = 0
+    /// radiates from the first instant, and the reachability filter judges
+    /// recruits on the topology it leaves: assets it cuts off from the
+    /// command post are counted `unreachable`, not composed.
     pub jammers: Vec<Jammer>,
     /// Planned disruptions, time-ordered.
     pub disruptions: Vec<Disruption>,

@@ -118,9 +118,14 @@ impl Channel {
 
     /// Deterministic (no-shadowing) path loss between two points in dB.
     pub fn path_loss_db(&self, from: Point, to: Point) -> f64 {
-        let d = from.distance_to(to).max(1.0);
+        self.path_loss_over(from, to, from.distance_to(to))
+    }
+
+    /// [`Channel::path_loss_db`] between endpoints whose distance the
+    /// caller already holds.
+    pub(crate) fn path_loss_over(&self, from: Point, to: Point, distance_m: f64) -> f64 {
         let n = self.terrain.clutter_between(from, to).path_loss_exponent();
-        REFERENCE_LOSS_DB + 10.0 * n * d.log10()
+        REFERENCE_LOSS_DB + 10.0 * n * distance_m.max(1.0).log10()
     }
 
     /// Received power at `to` for a transmitter of `tx_power_w` at `from`,
@@ -189,9 +194,22 @@ impl Channel {
     /// [`Channel::mean_delivery_probability`] for the same endpoints:
     /// the SINR terms combine in the same order.
     pub fn mean_delivery_probability_budgeted(&self, budget: LinkBudget, radio: RadioKind) -> f64 {
-        let sinr = watts_to_dbm(radio.tx_power_w()) - budget.path_loss_db - budget.noise_dbm
-            - self.extra_loss_db;
+        self.mean_delivery_probability_at(budget, watts_to_dbm(radio.tx_power_w()))
+    }
+
+    /// [`Channel::mean_delivery_probability_budgeted`] for a radio whose
+    /// transmit power the caller already holds in dBm.
+    pub(crate) fn mean_delivery_probability_at(&self, budget: LinkBudget, tx_dbm: f64) -> f64 {
+        let sinr = tx_dbm - budget.path_loss_db - budget.noise_dbm - self.extra_loss_db;
         logistic((sinr - SINR_MIDPOINT_DB) / SINR_SLOPE_DB)
+    }
+
+    /// What [`Channel::noise_dbm`] returns at every receiver while no
+    /// jammer radiates (its own expression, the sum left empty), or
+    /// `None` while one does.
+    pub(crate) fn quiet_noise_dbm(&self) -> Option<f64> {
+        let quiet = !self.jammers.iter().any(|j| j.active && j.power_w > 0.0);
+        quiet.then(|| self.noise_dbm(Point::ORIGIN))
     }
 }
 
@@ -200,8 +218,8 @@ impl Channel {
 /// degradation, terrain) it was computed under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
-    path_loss_db: f64,
-    noise_dbm: f64,
+    pub(crate) path_loss_db: f64,
+    pub(crate) noise_dbm: f64,
 }
 
 impl Default for Channel {

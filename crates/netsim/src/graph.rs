@@ -31,6 +31,10 @@
 //! * **Weights are stored, not derived** — each adjacency entry carries
 //!   its `-ln p` routing weight, computed once when the link is built,
 //!   so a relaxation is a load and an add.
+//! * **The pair test rejects before it computes** — one kernel for build
+//!   and relink: no shared radio, then too far for the longest shared
+//!   range, and only then a terrain walk and a logistic; the partition
+//!   predicate is asked last, about pairs that would otherwise link.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -38,7 +42,7 @@ use std::rc::Rc;
 
 use iobt_types::{NodeId, Point, RadioKind};
 
-use crate::channel::Channel;
+use crate::channel::{watts_to_dbm, Channel, LinkBudget};
 
 /// Quality of a directed link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,8 +161,12 @@ fn bucket_key(p: Point, cell: f64) -> (i64, i64) {
 impl ConnectivityGraph {
     /// Builds the graph from node states and the channel model.
     ///
-    /// Uses a uniform spatial grid so only nearby pairs are tested; cost is
-    /// `O(n + pairs-within-range)` rather than `O(n^2)`.
+    /// Uses a uniform spatial grid whose cell is the longest radio range
+    /// present, so only pairs in neighbouring cells are tested: cost is
+    /// `O(n + pairs-within-range)` while that range is small against the
+    /// theatre, and `O(n^2)` cheap rejects when it spans it — 1,001 nodes
+    /// with tactical UHF on a 3 km square file into one bucket and all
+    /// 500,500 pairs meet the kernel.
     pub fn build(nodes: &[GraphNode], channel: &Channel) -> Self {
         Self::build_filtered(nodes, channel, &|_, _| false)
     }
@@ -167,7 +175,8 @@ impl ConnectivityGraph {
     /// for which `deny(a, b)` returns true gets no link regardless of
     /// radio compatibility. This is how network-partition faults cut the
     /// topology without touching node liveness. The predicate must be
-    /// symmetric; it is consulted once per unordered pair.
+    /// pure and symmetric; it is consulted once per unordered pair that
+    /// would otherwise link.
     pub fn build_filtered(
         nodes: &[GraphNode],
         channel: &Channel,
@@ -211,12 +220,14 @@ impl ConnectivityGraph {
                 .or_default()
                 .push(i as u32);
         }
+        let kernel = PairKernel::new(channel, deny);
+        let masks: Vec<u8> = nodes.iter().map(radio_mask).collect();
         // Each unordered pair is visited exactly once with the lower
         // index as owner, so no dedup pass is needed and the stored link
         // orientation is deterministic regardless of bucket layout.
         for (&(bx, by), members) in &buckets {
             for &i in members {
-                if !nodes[i as usize].alive {
+                if masks[i as usize] == 0 {
                     continue;
                 }
                 for dx in -1..=1 {
@@ -225,14 +236,12 @@ impl ConnectivityGraph {
                             continue;
                         };
                         for &j in others {
-                            if j <= i || !nodes[j as usize].alive {
+                            if j <= i {
                                 continue;
                             }
-                            if deny(nodes[i as usize].id, nodes[j as usize].id) {
-                                continue;
-                            }
+                            let (a, b) = (&nodes[i as usize], &nodes[j as usize]);
                             if let Some(link) =
-                                best_link(&nodes[i as usize], &nodes[j as usize], channel)
+                                kernel.link(a, masks[i as usize], b, masks[j as usize])
                             {
                                 let edge = Edge::new(j, link);
                                 adj[i as usize].push(edge);
@@ -319,9 +328,11 @@ impl ConnectivityGraph {
             }
         }
         self.nodes[iu].alive = alive;
-        if !alive || self.nodes[iu].radios.is_empty() {
+        let mask_i = radio_mask(&self.nodes[iu]);
+        if mask_i == 0 {
             return;
         }
+        let kernel = PairKernel::new(channel, deny);
         // Rediscover links against the neighborhood, with the same
         // lower-index-owner orientation as a full build.
         let (bx, by) = bucket_key(self.nodes[iu].position, self.cell_m);
@@ -331,14 +342,17 @@ impl ConnectivityGraph {
                     continue;
                 };
                 for &j in others {
-                    if j == i || !self.nodes[j as usize].alive {
+                    if j == i {
                         continue;
                     }
-                    let (a, b) = if i < j { (iu, j as usize) } else { (j as usize, iu) };
-                    if deny(self.nodes[a].id, self.nodes[b].id) {
-                        continue;
-                    }
-                    if let Some(link) = best_link(&self.nodes[a], &self.nodes[b], channel) {
+                    let mask_j = radio_mask(&self.nodes[j as usize]);
+                    let (a, mask_a, b, mask_b) = if i < j {
+                        (iu, mask_i, j as usize, mask_j)
+                    } else {
+                        (j as usize, mask_j, iu, mask_i)
+                    };
+                    let link = kernel.link(&self.nodes[a], mask_a, &self.nodes[b], mask_b);
+                    if let Some(link) = link {
                         let edge = Edge::new(j, link);
                         self.adj[iu].push(edge);
                         let list = &mut self.adj[j as usize];
@@ -364,6 +378,12 @@ impl ConnectivityGraph {
                 .zip(&other.nodes)
                 .all(|(a, b)| a.alive == b.alive)
             && self.adj == other.adj
+    }
+
+    /// The builder inputs as held: each node's place and liveness as of
+    /// the build or its last patch.
+    pub(crate) fn nodes(&self) -> &[GraphNode] {
+        &self.nodes
     }
 
     /// Number of nodes (including dead ones, which have no links).
@@ -540,43 +560,97 @@ impl ConnectivityGraph {
     }
 }
 
-fn best_link(a: &GraphNode, b: &GraphNode, channel: &Channel) -> Option<LinkQuality> {
-    if !a.alive || !b.alive {
-        return None;
+/// One bit per [`RadioKind`] a live node carries; `0` for a dead or
+/// radio-less node, which links to nothing.
+fn radio_mask(node: &GraphNode) -> u8 {
+    if !node.alive {
+        return 0;
     }
-    let distance_m = a.position.distance_to(b.position);
-    if distance_m > MAX_LINK_RANGE_M {
-        return None;
+    node.radios.iter().fold(0, |mask, &r| mask | 1 << r as u8)
+}
+
+/// The pair test of a full build and of a single-node relink, with
+/// everything that is the same for every pair computed once. Each reject
+/// only skips work whose answer is already `None`: no shared radio among
+/// live nodes; squared distance beyond the longest shared nominal range,
+/// padded by `1 + 1e-9` so that no rounding can reject a pair the exact
+/// `distance_m > range` tests that follow accept; `deny`, pure and
+/// symmetric, asked only about a pair that has a link to lose.
+struct PairKernel<'a> {
+    channel: &'a Channel,
+    deny: &'a dyn Fn(NodeId, NodeId) -> bool,
+    /// Indexed by shared-radio mask: the padded reject distance, squared.
+    reach_sq: [f64; 1 << RadioKind::ALL.len()],
+    /// Indexed by `RadioKind as usize`: transmit power in dBm.
+    tx_dbm: [f64; RadioKind::ALL.len()],
+    quiet_noise_dbm: Option<f64>,
+}
+
+impl<'a> PairKernel<'a> {
+    fn new(channel: &'a Channel, deny: &'a dyn Fn(NodeId, NodeId) -> bool) -> Self {
+        let mut reach_sq = [0.0; 1 << RadioKind::ALL.len()];
+        for (mask, slot) in reach_sq.iter_mut().enumerate() {
+            let reach = RadioKind::ALL
+                .iter()
+                .filter(|&&r| mask & (1 << r as usize) != 0)
+                .map(|r| r.nominal_range_m().min(MAX_LINK_RANGE_M))
+                .fold(0.0, f64::max)
+                * (1.0 + 1e-9);
+            *slot = reach * reach;
+        }
+        PairKernel {
+            channel,
+            deny,
+            reach_sq,
+            tx_dbm: RadioKind::ALL.map(|r| watts_to_dbm(r.tx_power_w())),
+            quiet_noise_dbm: channel.quiet_noise_dbm(),
+        }
     }
-    let mut best: Option<LinkQuality> = None;
-    // Path loss and receiver noise are radio-independent; compute them at
-    // most once per pair (only when some shared radio survives the range
-    // checks) and evaluate each radio against the shared budget.
-    let mut budget = None;
-    for &ra in a.radios.iter() {
-        if !b.radios.contains(&ra) {
-            continue;
+
+    /// The best link between `a` and `b` (`a` the lower index: on equal
+    /// delivery probability its radio order decides), given each one's
+    /// [`radio_mask`].
+    fn link(&self, a: &GraphNode, mask_a: u8, b: &GraphNode, mask_b: u8) -> Option<LinkQuality> {
+        let shared = mask_a & mask_b;
+        if shared == 0 || a.position.distance_sq_to(b.position) > self.reach_sq[shared as usize] {
+            return None;
         }
-        if distance_m > ra.nominal_range_m() {
-            continue;
+        let distance_m = a.position.distance_to(b.position);
+        if distance_m > MAX_LINK_RANGE_M {
+            return None;
         }
-        let budget =
-            *budget.get_or_insert_with(|| channel.link_budget(a.position, b.position));
-        let p = channel.mean_delivery_probability_budgeted(budget, ra);
-        if p < MIN_LINK_QUALITY {
-            continue;
+        let mut best: Option<LinkQuality> = None;
+        // Path loss and receiver noise are radio-independent; compute them
+        // at most once per pair (only when some shared radio survives the
+        // range checks) and evaluate each radio against the shared budget.
+        let mut budget = None;
+        for &ra in a.radios.iter() {
+            if shared & (1 << ra as u8) == 0 || distance_m > ra.nominal_range_m() {
+                continue;
+            }
+            let budget = *budget.get_or_insert_with(|| {
+                let (ch, from, to) = (self.channel, a.position, b.position);
+                LinkBudget {
+                    path_loss_db: ch.path_loss_over(from, to, distance_m),
+                    noise_dbm: self.quiet_noise_dbm.unwrap_or_else(|| ch.noise_dbm(to)),
+                }
+            });
+            let p = self.channel.mean_delivery_probability_at(budget, self.tx_dbm[ra as usize]);
+            if p < MIN_LINK_QUALITY {
+                continue;
+            }
+            let candidate = LinkQuality {
+                delivery_prob: p,
+                radio: ra,
+                distance_m,
+            };
+            best = match best {
+                Some(cur) if cur.delivery_prob >= p => Some(cur),
+                _ => Some(candidate),
+            };
         }
-        let candidate = LinkQuality {
-            delivery_prob: p,
-            radio: ra,
-            distance_m,
-        };
-        best = match best {
-            Some(cur) if cur.delivery_prob >= p => Some(cur),
-            _ => Some(candidate),
-        };
+        best.filter(|_| !(self.deny)(a.id, b.id))
     }
-    best
 }
 
 /// Reusable Dijkstra working state for `ConnectivityGraph::route_idx_with`.
@@ -700,6 +774,27 @@ mod tests {
 
     fn open_channel() -> Channel {
         Channel::new(Terrain::uniform(Rect::square(20_000.0), Clutter::Open))
+    }
+
+    /// The pair test spelled straight from the channel's public formulas:
+    /// what [`PairKernel::link`] must equal bit for bit (`a` owns the
+    /// pair; no deny predicate).
+    fn reference_link(a: &GraphNode, b: &GraphNode, channel: &Channel) -> Option<LinkQuality> {
+        let distance_m = a.position.distance_to(b.position);
+        if !a.alive || !b.alive || distance_m > MAX_LINK_RANGE_M {
+            return None;
+        }
+        let mut best: Option<LinkQuality> = None;
+        for &radio in a.radios.iter() {
+            if !b.radios.contains(&radio) || distance_m > radio.nominal_range_m() {
+                continue;
+            }
+            let p = channel.mean_delivery_probability(a.position, b.position, radio);
+            if p >= MIN_LINK_QUALITY && best.is_none_or(|cur| cur.delivery_prob < p) {
+                best = Some(LinkQuality { delivery_prob: p, radio, distance_m });
+            }
+        }
+        best
     }
 
     #[test]
@@ -864,7 +959,7 @@ mod tests {
         let mut expected = 0;
         for i in 0..nodes.len() {
             for j in (i + 1)..nodes.len() {
-                if best_link(&nodes[i], &nodes[j], &ch).is_some() {
+                if reference_link(&nodes[i], &nodes[j], &ch).is_some() {
                     expected += 1;
                 }
             }
@@ -886,7 +981,7 @@ mod tests {
         let mut expected = 0;
         for i in 0..nodes.len() {
             for j in (i + 1)..nodes.len() {
-                if best_link(&nodes[i], &nodes[j], &ch).is_some() {
+                if reference_link(&nodes[i], &nodes[j], &ch).is_some() {
                     expected += 1;
                 }
             }
@@ -1019,6 +1114,99 @@ mod tests {
             assert_weights_derived(&fresh);
             assert!(g.same_topology(&fresh), "diverged at step {step}");
         }
+    }
+
+    proptest::proptest! {
+        /// The kernel against the formulas it replaces, over everything
+        /// its rejects and hoisted constants could get wrong: every radio
+        /// kind in every loadout order (radio-less and dead nodes too),
+        /// mixed and uniform terrain, jammers on, off and powerless, extra
+        /// loss, and distances exactly on each nominal range and on
+        /// [`MAX_LINK_RANGE_M`], one ulp short and one ulp past.
+        #[test]
+        fn kernel_is_bit_equal_to_the_reference_spelling(seed in 0u64..1_000_000) {
+            use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let anywhere = |rng: &mut StdRng| {
+                Point::new(rng.gen_range(0.0..8_000.0), rng.gen_range(0.0..8_000.0))
+            };
+            let bounds = Rect::square(8_000.0);
+            let mut ch = Channel::new(if rng.gen() {
+                Terrain::random_urban(bounds, 16, 16, seed)
+            } else {
+                let classes = [Clutter::Open, Clutter::Suburban, Clutter::Urban];
+                Terrain::uniform(bounds, classes[rng.gen_range(0..3usize)])
+            });
+            for _ in 0..rng.gen_range(0..3) {
+                let at = anywhere(&mut rng);
+                let power_w = if rng.gen_range(0..4) == 0 { 0.0 } else { rng.gen_range(0.1..30.0) };
+                let index = ch.add_jammer(crate::channel::Jammer::new(at, power_w));
+                ch.set_jammer_active(index, rng.gen());
+            }
+            if rng.gen() {
+                ch.set_extra_loss_db(rng.gen_range(0.0..15.0));
+            }
+            let never = |_: NodeId, _: NodeId| false;
+            let kernel = PairKernel::new(&ch, &never);
+            let random_node = |rng: &mut StdRng, id: u64, position: Point| {
+                let mut radios = RadioKind::ALL.to_vec();
+                radios.shuffle(rng);
+                radios.truncate(rng.gen_range(0..=RadioKind::ALL.len()));
+                let mut n = node(id, position.x, position.y, &radios);
+                n.alive = rng.gen_range(0..8) != 0;
+                n
+            };
+            for _ in 0..256 {
+                let edges = [25.0f64, 120.0, 2_000.0, 5_000.0, MAX_LINK_RANGE_M];
+                let edge = edges[rng.gen_range(0..edges.len())];
+                let (from, to) = match rng.gen_range(0..3) {
+                    // On a range boundary to the ulp: along an axis from
+                    // zero, where the computed distance is the offset.
+                    0 => {
+                        let d = [edge.next_down(), edge, edge.next_up()][rng.gen_range(0..3usize)];
+                        let y = rng.gen_range(0.0..8_000.0);
+                        (Point::new(0.0, y), Point::new(d, y))
+                    }
+                    // Near enough that several radios saturate at p = 1
+                    // and the owner's radio order breaks the tie.
+                    1 => {
+                        let at = anywhere(&mut rng);
+                        (at, Point::new(at.x + rng.gen_range(0.0..3.0), at.y))
+                    }
+                    _ => {
+                        let at = anywhere(&mut rng);
+                        let r: f64 = rng.gen_range(0.0..1.2) * edge;
+                        let phi: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+                        (at, Point::new(at.x + r * phi.cos(), at.y + r * phi.sin()))
+                    }
+                };
+                let (a, b) = (random_node(&mut rng, 0, from), random_node(&mut rng, 1, to));
+                let bits = |l: Option<LinkQuality>| {
+                    l.map(|l| (l.delivery_prob.to_bits(), l.radio, l.distance_m.to_bits()))
+                };
+                proptest::prop_assert_eq!(
+                    bits(kernel.link(&a, radio_mask(&a), &b, radio_mask(&b))),
+                    bits(reference_link(&a, &b, &ch)),
+                    "{:?} -> {:?}", a, b
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deny_is_asked_only_about_pairs_that_would_link() {
+        let nodes: Vec<GraphNode> = (0..40)
+            .map(|i| node(i, (i % 8) as f64 * 70.0, (i / 8) as f64 * 70.0, &[RadioKind::Wifi]))
+            .collect();
+        let ch = open_channel();
+        let asked = std::cell::Cell::new(0usize);
+        let counting = |_: NodeId, _: NodeId| {
+            asked.set(asked.get() + 1);
+            false
+        };
+        let g = ConnectivityGraph::build_filtered(&nodes, &ch, &counting);
+        assert!(g.link_count() > 0 && g.link_count() < 40 * 39 / 2);
+        assert_eq!(asked.get(), g.link_count());
     }
 
     #[test]

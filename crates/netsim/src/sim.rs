@@ -515,6 +515,7 @@ impl SimulatorBuilder {
             stats: NetStats::new(),
             graph: None,
             graph_dirty: GraphDirty::Full,
+            primed: None,
             route_scratch: RouteScratch::new(),
             route_memo: RouteMemo::default(),
             retries: self.retries,
@@ -529,6 +530,7 @@ impl SimulatorBuilder {
             events_processed: 0,
             route_queries: 0,
             route_memo_hits: 0,
+            graph_builds: 0,
             reference_mode: self.reference_mode,
         };
         core.push(SimTime::ZERO + self.mobility_step, Event::MobilityTick);
@@ -667,6 +669,12 @@ struct Core {
     stats: NetStats,
     graph: Option<Rc<ConnectivityGraph>>,
     graph_dirty: GraphDirty,
+    /// The graph of the world as it stands, built by [`Core::prime_graph`]
+    /// ahead of the first access and not yet the cache (no `GraphRebuilt`
+    /// recorded, "absent" in a snapshot). Held only while `graph` is
+    /// `None`, no partition is active and no node sleeps; the first access
+    /// adopts it, a restore patches it, any invalidation drops it.
+    primed: Option<Rc<ConnectivityGraph>>,
     route_scratch: RouteScratch,
     route_memo: RouteMemo,
     retries: u32,
@@ -686,6 +694,9 @@ struct Core {
     /// answered. Reporting-only, like `events_processed`.
     route_queries: u64,
     route_memo_hits: u64,
+    /// From-scratch builds that became the cached or primed graph (not
+    /// the `debug_assert!` oracle's). Reporting-only.
+    graph_builds: u64,
     /// Legacy execution path for equivalence testing; see
     /// [`SimulatorBuilder::reference_mode`].
     reference_mode: bool,
@@ -752,7 +763,7 @@ impl Core {
     /// cannot apply.
     fn invalidate_node(&mut self, i: u32) {
         if !self.can_patch() {
-            self.graph_dirty = GraphDirty::Full;
+            self.invalidate_graph();
             return;
         }
         match &mut self.graph_dirty {
@@ -765,9 +776,11 @@ impl Core {
     }
 
     /// Records a channel-wide change (jammer, partition, degradation):
-    /// the next graph access rebuilds from scratch.
+    /// the next graph access rebuilds from scratch, not from a graph
+    /// primed for the world as it was.
     fn invalidate_graph(&mut self) {
         self.graph_dirty = GraphDirty::Full;
+        self.primed = None;
     }
 
     /// Invalidation for a mobility tick that moved the nodes in `movers`:
@@ -776,7 +789,7 @@ impl Core {
     /// its trace event) but costs no link recomputation.
     fn invalidate_tick(&mut self, movers: Vec<u32>) {
         if !self.can_patch() {
-            self.graph_dirty = GraphDirty::Full;
+            self.invalidate_graph();
             return;
         }
         match &mut self.graph_dirty {
@@ -796,9 +809,9 @@ impl Core {
 
     /// Builds the connectivity graph from current world state without
     /// touching the cache or the recorder. Pure function of state, so
-    /// the restore path can rebuild a cached graph silently — emitting
-    /// a `GraphRebuilt` trace there would diverge from the
-    /// uninterrupted run's event stream.
+    /// priming and the restore path can build silently — emitting a
+    /// `GraphRebuilt` trace there would diverge from the uninterrupted
+    /// run's event stream.
     fn build_graph(&self) -> ConnectivityGraph {
         let now = self.now;
         let nodes: Vec<GraphNode> = self
@@ -824,6 +837,64 @@ impl Core {
         )
     }
 
+    /// [`Core::build_graph`] for a graph that is kept — cached or primed —
+    /// rather than only compared against.
+    fn build_counted(&mut self) -> Rc<ConnectivityGraph> {
+        self.graph_builds += 1;
+        Rc::new(self.build_graph())
+    }
+
+    /// The graph the next access would see, built silently unless a
+    /// primed or clean cached one stands, and retained as `primed` under
+    /// that field's conditions (never on the reference path).
+    fn prime_graph(&mut self) -> Rc<ConnectivityGraph> {
+        if let Some(rc) = &self.primed {
+            return Rc::clone(rc);
+        }
+        if let (Some(rc), GraphDirty::Clean) = (&self.graph, &self.graph_dirty) {
+            return Rc::clone(rc);
+        }
+        let rc = self.build_counted();
+        let cut = self.partitions.iter().any(|(_, on)| *on);
+        if self.graph.is_none() && !self.reference_mode && !self.has_sleep && !cut {
+            self.primed = Some(Rc::clone(&rc));
+        }
+        rc
+    }
+
+    /// Patches the place and liveness of the nodes in `pending` (sorted,
+    /// deduplicated) into `rc`, which must match the world in every
+    /// other node, the channel and the active partitions.
+    fn patch_graph(&self, rc: &mut Rc<ConnectivityGraph>, pending: &[u32]) {
+        {
+            // Copy-on-write: external `connectivity()` holders keep
+            // their frozen snapshot, matching the legacy clone-out
+            // semantics.
+            let g = Rc::make_mut(rc);
+            let partitions = &self.partitions;
+            let deny = |x: NodeId, y: NodeId| partitions.iter().any(|(p, on)| *on && p.cuts(x, y));
+            // Every position first, then every relink: a link between
+            // two movers must see both where they are.
+            for &i in pending {
+                g.move_node(i, self.nodes[i as usize].mobility.position());
+            }
+            for &i in pending {
+                let n = &self.nodes[i as usize];
+                let alive = n.alive && !n.energy.is_depleted();
+                g.refresh_node(i, alive, &self.channel, &deny);
+            }
+        }
+        debug_assert!(
+            rc.same_topology(&self.build_graph()),
+            "incremental graph maintenance diverged from a full rebuild"
+        );
+    }
+
+    /// Whether `pending` is few enough nodes to patch rather than rebuild.
+    fn worth_patching(&self, pending: &[u32]) -> bool {
+        pending.len() <= self.nodes.len().div_ceil(PATCH_AT_MOST_ONE_IN)
+    }
+
     /// Brings the cached graph in sync with world state, emitting one
     /// `GraphRebuilt` trace if anything was stale — the same times and
     /// counts as the legacy rebuild-on-access, whether the refresh is a
@@ -840,8 +911,7 @@ impl Core {
             (Some(rc), GraphDirty::Nodes { mut pending, .. }) => {
                 pending.sort_unstable();
                 pending.dedup();
-                (pending.len() <= self.nodes.len().div_ceil(PATCH_AT_MOST_ONE_IN))
-                    .then_some((rc, pending))
+                self.worth_patching(&pending).then_some((rc, pending))
             }
             _ => None,
         };
@@ -849,35 +919,17 @@ impl Core {
             Some((rc, pending)) if pending.is_empty() => rc,
             Some((mut rc, pending)) => {
                 self.route_memo.clear();
-                {
-                    // Copy-on-write: external `connectivity()` holders
-                    // keep their frozen snapshot, matching the legacy
-                    // clone-out semantics.
-                    let g = Rc::make_mut(&mut rc);
-                    let partitions = &self.partitions;
-                    let deny = |x: NodeId, y: NodeId| {
-                        partitions.iter().any(|(p, on)| *on && p.cuts(x, y))
-                    };
-                    // Every position first, then every relink: a link
-                    // between two movers must see both where they are.
-                    for &i in &pending {
-                        g.move_node(i, self.nodes[i as usize].mobility.position());
-                    }
-                    for &i in &pending {
-                        let n = &self.nodes[i as usize];
-                        let alive = n.alive && !n.energy.is_depleted();
-                        g.refresh_node(i, alive, &self.channel, &deny);
-                    }
-                }
-                debug_assert!(
-                    rc.same_topology(&self.build_graph()),
-                    "incremental graph maintenance diverged from a full rebuild"
-                );
+                self.patch_graph(&mut rc, &pending);
                 rc
             }
+            // The primed graph, while one stands, *is* this build: no
+            // invalidation has passed since it was made.
             None => {
                 self.route_memo.clear();
-                Rc::new(self.build_graph())
+                match self.primed.take() {
+                    Some(rc) => rc,
+                    None => self.build_counted(),
+                }
             }
         };
         self.recorder.record(TraceEvent::GraphRebuilt {
@@ -1190,6 +1242,13 @@ impl Simulator {
         (self.core.route_queries, self.core.route_memo_hits)
     }
 
+    /// From-scratch connectivity-graph builds since construction (not
+    /// patches, not a debug build's cross-checks). Reporting-only, like
+    /// [`Simulator::events_processed`].
+    pub fn graph_builds(&self) -> u64 {
+        self.core.graph_builds
+    }
+
     /// The observability recorder this simulator records into (disabled
     /// unless one was attached via [`SimulatorBuilder::recorder`]).
     pub fn recorder(&self) -> &Recorder {
@@ -1219,6 +1278,16 @@ impl Simulator {
     /// handle never changes underneath the caller.
     pub fn connectivity(&mut self) -> Rc<ConnectivityGraph> {
         self.core.graph_handle()
+    }
+
+    /// [`Simulator::connectivity`] without the side effects: the graph of
+    /// the world as it stands, built if need be, but no `GraphRebuilt` is
+    /// recorded and a snapshot still says none is cached. It is kept until
+    /// the world changes: the first real access adopts it instead of
+    /// building (recording its `GraphRebuilt` then), and
+    /// [`Simulator::restore_state`] patches it to the restored world.
+    pub fn prime_connectivity(&mut self) -> Rc<ConnectivityGraph> {
+        self.core.prime_graph()
     }
 
     /// Schedules a node failure at `at` (battle damage, crash).
@@ -2080,5 +2149,37 @@ mod tests {
         memo.clear();
         assert_eq!(memo.get(3, 9), None);
         assert_eq!((memo.arena.len(), memo.live), (0, 0));
+    }
+
+    #[test]
+    fn the_first_access_adopts_a_primed_graph_and_a_change_drops_it() {
+        let (recorder, ring) = Recorder::memory(64);
+        let mut sim = Simulator::builder(two_node_catalog(50.0)).recorder(recorder).build();
+        let primed = sim.prime_connectivity();
+        assert!(Rc::ptr_eq(&primed, &sim.prime_connectivity()), "priming twice builds once");
+        assert_eq!((sim.graph_builds(), primed.link_count()), (1, 1));
+        assert!(ring.records().is_empty(), "priming records nothing");
+        let quiet = Simulator::builder(two_node_catalog(50.0)).build().save_state().unwrap();
+        assert_eq!(sim.save_state().unwrap(), quiet, "nor does a snapshot see it");
+
+        sim.run_for(SimDuration::from_millis(300));
+        assert!(Rc::ptr_eq(&primed, &sim.connectivity()), "the access takes the primed graph");
+        assert_eq!(sim.graph_builds(), 1);
+        let records = ring.records();
+        assert_eq!(records.len(), 1, "and records the build it did not repeat: {records:?}");
+        assert_eq!(
+            (records[0].t_us, &records[0].event),
+            (300_000, &TraceEvent::GraphRebuilt { nodes: 2, edges: 1 }),
+        );
+        assert!(Rc::ptr_eq(&primed, &sim.prime_connectivity()), "a clean cache needs no priming");
+
+        // A node lost before the first access: the primed graph is stale
+        // and must not be what the access returns.
+        let mut sim = Simulator::builder(two_node_catalog(50.0)).build();
+        sim.prime_connectivity();
+        sim.schedule_node_down(SimTime::from_millis(1), NodeId::new(1));
+        sim.run_for(SimDuration::from_millis(10));
+        assert_eq!(sim.connectivity().link_count(), 0);
+        assert_eq!(sim.graph_builds(), 2);
     }
 }

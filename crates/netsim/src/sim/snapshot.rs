@@ -22,11 +22,13 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use iobt_ckpt::{CkptError, Dec, DecodeError, Enc};
 use iobt_types::{EnergyBudget, NodeId, Point, Rect};
 
+use crate::graph::ConnectivityGraph;
 use crate::message::Message;
 use crate::mobility::{MobilityModel, MobilityState};
 use crate::time::{SimDuration, SimTime};
@@ -405,10 +407,11 @@ impl Simulator {
         let Self { core, behaviors, started, batch: _ } = self;
         // Every `Core` field is either serialised below or deliberately
         // excluded as derived (`ids`/`index`, and the `graph*` cache with
-        // the `route_scratch`/`route_memo` that hang off it),
+        // the `primed` graph that may precede it and the
+        // `route_scratch`/`route_memo` that hang off it),
         // fixed-configuration (`has_sleep`/`recorder`/`reference_mode`),
         // or reporting-only (`events_processed`, `route_queries`,
-        // `route_memo_hits`) state.
+        // `route_memo_hits`, `graph_builds`) state.
         let Core {
             now: _,
             seq: _,
@@ -422,6 +425,7 @@ impl Simulator {
             stats: _,
             graph: _,
             graph_dirty: _,
+            primed: _,
             route_scratch: _,
             route_memo: _,
             retries: _,
@@ -436,6 +440,7 @@ impl Simulator {
             events_processed: _,
             route_queries: _,
             route_memo_hits: _,
+            graph_builds: _,
             reference_mode: _,
         } = core;
         let mut e = Enc::new();
@@ -537,7 +542,8 @@ impl Simulator {
         }
 
         // Graph-cache disposition (the graph itself is derived state,
-        // rebuilt silently at restore): 0 = absent or fully stale, 1 =
+        // rebuilt silently at restore; a merely primed graph is not the
+        // cache and counts as absent): 0 = absent or fully stale, 1 =
         // present and clean, 2 = present with a pending liveness patch.
         // The distinction matters because the next graph access after
         // resume must emit (or not emit) a `GraphRebuilt` trace exactly
@@ -801,6 +807,16 @@ impl Simulator {
 
         // Everything decoded cleanly; now mutate the simulator.
         let core = &mut self.core;
+        // A primed graph was built under this simulator's channel (any
+        // change since would have dropped it) with no partition in force
+        // and no node asleep. Under the same RF world it differs from the
+        // restored world's graph only where a node's place or liveness does.
+        let primed = core.primed.take().filter(|_| {
+            core.channel.jammers() == jammers.as_slice()
+                && core.channel.extra_loss_db() == extra_loss_db.max(0.0)
+                && !partitions.iter().any(|(_, on)| *on)
+                && node_restores.iter().all(|n| n.sleep.is_none())
+        });
         core.now = now;
         core.seq = seq;
         core.rng = rand::rngs::StdRng::from_state(rng_state);
@@ -827,13 +843,15 @@ impl Simulator {
         core.graph_dirty = GraphDirty::Full;
         core.route_memo.clear();
         if graph_cached > 0 {
-            // Derived state: rebuild without recording a trace event. A
-            // pending liveness patch (2) resolves to the same topology as
-            // a fresh build of the restored world, but the next graph
-            // access must still emit `GraphRebuilt` like the
-            // uninterrupted run's patch application would — an empty
-            // pending list encodes exactly that.
-            core.graph = Some(std::rc::Rc::new(core.build_graph()));
+            // Derived state: the restored world's graph — the primed one
+            // patched where the world moved on, else a build — without
+            // recording a trace event. A pending liveness patch (2)
+            // resolves to the same topology as a fresh build of the
+            // restored world, but the next graph access must still emit
+            // `GraphRebuilt` like the uninterrupted run's patch
+            // application would — an empty pending list encodes exactly
+            // that.
+            core.graph = Some(core.graph_after_restore(primed));
             core.graph_dirty = if graph_cached == 2 {
                 GraphDirty::Nodes { pending: Vec::new(), moved: false }
             } else {
@@ -843,6 +861,33 @@ impl Simulator {
         self.behaviors = behaviors;
         self.started = started;
         Ok(())
+    }
+}
+
+impl Core {
+    /// The graph of the world as just restored: `primed` (the caller
+    /// vouches for everything but place and liveness) with every node
+    /// that differs in either fed through the patch loop, while those
+    /// are few enough; a build otherwise.
+    fn graph_after_restore(
+        &mut self,
+        primed: Option<Rc<ConnectivityGraph>>,
+    ) -> Rc<ConnectivityGraph> {
+        if let Some(mut rc) = primed {
+            let changed: Vec<u32> = (0u32..)
+                .zip(rc.nodes().iter().zip(&self.nodes))
+                .filter(|(_, (was, n))| {
+                    was.position != n.mobility.position()
+                        || was.alive != (n.alive && !n.energy.is_depleted())
+                })
+                .map(|(i, _)| i)
+                .collect();
+            if self.worth_patching(&changed) {
+                self.patch_graph(&mut rc, &changed);
+                return rc;
+            }
+        }
+        self.build_counted()
     }
 }
 
@@ -1029,5 +1074,154 @@ mod tests {
                 "truncation to {len} bytes must be rejected"
             );
         }
+    }
+
+    /// Crashes a run of `run_s` seconds over `catalog` (built through
+    /// `configure`, then `arm`ed with its faults), restores its snapshot
+    /// into a fresh simulator whose t = 0 graph was primed, and checks
+    /// the restored cache against a scratch build of the restored world
+    /// the number of nodes the restore found somewhere else or in another
+    /// state than at t = 0, and the number of from-scratch builds the
+    /// fresh simulator made.
+    fn restore_over_primed(
+        catalog: NodeCatalog,
+        configure: &dyn Fn(crate::sim::SimulatorBuilder) -> crate::sim::SimulatorBuilder,
+        arm: &dyn Fn(&mut Simulator),
+        cached_at_save: bool,
+        expected_changed: usize,
+        expected_builds: u64,
+    ) {
+        let radios: Vec<Rc<[RadioKind]>> = catalog
+            .iter()
+            .map(|spec| spec.capabilities().radios().iter().map(|r| r.kind()).collect())
+            .collect();
+        let mut crashed = configure(Simulator::builder(catalog.clone()).seed(5)).build();
+        arm(&mut crashed);
+        crashed.run_for(SimDuration::from_secs_f64(1.5));
+        if cached_at_save {
+            crashed.connectivity();
+        }
+        let blob = crashed.save_state().unwrap();
+        crashed.connectivity(); // as `fresh` is asked below
+
+        let mut fresh = configure(Simulator::builder(catalog).seed(5)).build();
+        fresh.prime_connectivity();
+        assert_eq!(fresh.graph_builds(), 1);
+        let state = |sim: &Simulator| -> Vec<(Option<Point>, bool)> {
+            sim.core.ids.iter().map(|&id| (sim.position(id), sim.is_alive(id))).collect()
+        };
+        let at_t0 = state(&fresh);
+        fresh.restore_state(&blob, &BehaviorRegistry::new()).unwrap();
+        assert!(fresh.core.primed.is_none(), "a restore consumes the primed graph");
+        let changed = at_t0.iter().zip(state(&fresh)).filter(|(a, b)| *a != b).count();
+        assert_eq!(changed, expected_changed);
+        assert_eq!(fresh.save_state().unwrap(), blob, "save → restore → save must be identity");
+
+        let core = &fresh.core;
+        let world: Vec<crate::graph::GraphNode> = core
+            .nodes
+            .iter()
+            .zip(radios)
+            .map(|(n, radios)| crate::graph::GraphNode {
+                id: n.id,
+                position: n.mobility.position(),
+                radios,
+                alive: n.alive
+                    && !n.energy.is_depleted()
+                    && n.sleep.is_none_or(|s| s.is_awake(core.now)),
+            })
+            .collect();
+        let deny = |x: NodeId, y: NodeId| core.partitions.iter().any(|(p, on)| *on && p.cuts(x, y));
+        let scratch = ConnectivityGraph::build_filtered(&world, &core.channel, &deny);
+        assert!(scratch.link_count() > 0);
+        let restored = fresh.connectivity();
+        assert!(restored.same_topology(&scratch), "restored graph diverged from a scratch build");
+        assert_eq!(fresh.graph_builds(), expected_builds);
+        // The continuation is the uninterrupted run's.
+        crashed.run_for(SimDuration::from_secs_f64(2.0));
+        fresh.run_for(SimDuration::from_secs_f64(2.0));
+        assert_eq!(fresh.save_state().unwrap(), crashed.save_state().unwrap());
+    }
+
+    #[test]
+    fn restore_patches_the_primed_graph_where_the_world_moved_on() {
+        let plain = |b: crate::sim::SimulatorBuilder| b;
+        let quiet = |_: &mut Simulator| {};
+        // Nothing changed: the primed graph is the restored graph.
+        restore_over_primed(catalog(12, 80.0), &plain, &quiet, true, 0, 1);
+        // One node down (of 12: at most 3 are patched).
+        let one_down = |sim: &mut Simulator| {
+            sim.schedule_node_down(SimTime::from_millis(100), NodeId::new(4));
+        };
+        restore_over_primed(catalog(12, 80.0), &plain, &one_down, true, 1, 1);
+        // One node depleted by the idle drain of the tick at 1 s.
+        let mut weak = catalog(12, 80.0);
+        weak.upsert(
+            NodeSpec::builder(NodeId::new(7))
+                .affiliation(Affiliation::Blue)
+                .position(Point::new(7.0 * 80.0, 0.0))
+                .radio(Radio::new(RadioKind::Wifi))
+                .energy(EnergyBudget::new(0.005))
+                .build(),
+        );
+        restore_over_primed(weak, &plain, &quiet, true, 1, 1);
+        // A mover that crosses a spatial-hash cell boundary (240 m is the
+        // edge between wifi's 120 m cells 1 and 2).
+        let mover = |b: crate::sim::SimulatorBuilder| {
+            b.mobility(
+                NodeId::new(3),
+                MobilityModel::Route { waypoints: vec![Point::new(100.0, 0.0)], speed_mps: 100.0 },
+            )
+        };
+        restore_over_primed(catalog(12, 80.0), &mover, &quiet, true, 1, 1);
+    }
+
+    #[test]
+    fn restore_rebuilds_when_the_primed_graph_does_not_apply() {
+        let plain = |b: crate::sim::SimulatorBuilder| b;
+        let quiet = |_: &mut Simulator| {};
+        // More than one node in four changed: one build beats the patches.
+        let many_down = |sim: &mut Simulator| {
+            for i in [1, 4, 7, 10] {
+                sim.schedule_node_down(SimTime::from_millis(100), NodeId::new(i));
+            }
+        };
+        restore_over_primed(catalog(12, 80.0), &plain, &many_down, true, 4, 2);
+        // The RF world differs: a jammer that came on ...
+        let jammer = |b: crate::sim::SimulatorBuilder| {
+            let mut j = Jammer::new(Point::new(900.0, 40.0), 0.05);
+            j.active = false;
+            b.jammer(j)
+        };
+        let jam = |sim: &mut Simulator| sim.schedule_jammer(SimTime::from_millis(100), 0, true);
+        restore_over_primed(catalog(12, 80.0), &jammer, &jam, true, 0, 2);
+        // ... the same jammer, still off, which changes nothing ...
+        restore_over_primed(catalog(12, 80.0), &jammer, &quiet, true, 0, 1);
+        // ... channel-wide extra loss ...
+        let degrade = |sim: &mut Simulator| {
+            let index = sim.add_degradation(LinkDegradation::new(6.0, 1.5));
+            sim.schedule_degradation(SimTime::from_millis(100), index, true);
+        };
+        restore_over_primed(catalog(12, 80.0), &plain, &degrade, true, 0, 2);
+        // ... an active partition ...
+        let cut = |sim: &mut Simulator| {
+            let halves = PartitionSpec::new((0..6).map(NodeId::new), (6..12).map(NodeId::new));
+            let index = sim.add_partition(halves);
+            sim.schedule_partition(SimTime::from_millis(100), index, true);
+        };
+        restore_over_primed(catalog(12, 80.0), &plain, &cut, true, 0, 2);
+        // ... a sleep schedule, which folds the clock into liveness (the
+        // fresh simulator never retains a primed graph at all) ...
+        let dozing = |b: crate::sim::SimulatorBuilder| {
+            let period = SimDuration::from_millis(700);
+            b.sleep_schedule(NodeId::new(5), SleepSchedule::new(period, 0.5, SimDuration::ZERO))
+        };
+        restore_over_primed(catalog(12, 80.0), &dozing, &quiet, true, 0, 2);
+        // ... and the reference path, which retains none either.
+        let reference = |b: crate::sim::SimulatorBuilder| b.reference_mode(true);
+        restore_over_primed(catalog(12, 80.0), &reference, &quiet, true, 0, 2);
+        // No cached graph in the snapshot: none after the restore, and
+        // the primed one is gone — the first access builds.
+        restore_over_primed(catalog(12, 80.0), &plain, &quiet, false, 0, 2);
     }
 }

@@ -147,11 +147,16 @@ impl Terrain {
     /// The worse (more lossy) clutter along the segment between two points,
     /// sampled at cell granularity. Used for link budgets: a link through an
     /// urban canyon behaves like urban even if the endpoints sit in the open.
+    /// Nothing is worse than urban, so the scan stops at the first such
+    /// sample.
     pub fn clutter_between(&self, a: Point, b: Point) -> Clutter {
         let steps = 8;
         let mut worst = Clutter::Open;
         for i in 0..=steps {
             let c = self.clutter_at(a.lerp(b, i as f64 / steps as f64));
+            if c == Clutter::Urban {
+                return c;
+            }
             if severity(c) > severity(worst) {
                 worst = c;
             }
@@ -231,6 +236,34 @@ mod tests {
         );
         let worst = t.clutter_between(Point::new(10.0, 50.0), Point::new(90.0, 50.0));
         assert_eq!(worst, Clutter::Urban);
+    }
+
+    #[test]
+    fn clutter_between_early_exit_equals_the_full_scan() {
+        // The scan it replaced: all nine samples, worst kept.
+        fn nine_sample_scan(t: &Terrain, a: Point, b: Point) -> Clutter {
+            (0..=8)
+                .map(|i| t.clutter_at(a.lerp(b, f64::from(i) / 8.0)))
+                .max_by_key(|&c| severity(c))
+                .expect("nine samples")
+        }
+        let classes = [Clutter::Open, Clutter::Suburban, Clutter::Urban];
+        let (cols, rows) = (6, 5);
+        let cells = (0..cols * rows).map(|i| classes[(i * 7 + i / cols) % 3]).collect();
+        let t = Terrain::from_cells(Rect::square(600.0), cols, rows, cells);
+        let centre = |i: usize| {
+            Point::new(((i % cols) as f64 + 0.5) * 100.0, ((i / cols) as f64 + 0.5) * 120.0)
+        };
+        let mut seen = [0usize; 3];
+        for i in 0..cols * rows {
+            for j in 0..cols * rows {
+                let (a, b) = (centre(i), centre(j));
+                let c = t.clutter_between(a, b);
+                assert_eq!(c, nine_sample_scan(&t, a, b), "cells {i} -> {j}");
+                seen[severity(c)] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every class must be an answer: {seen:?}");
     }
 
     #[test]
