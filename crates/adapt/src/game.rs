@@ -73,11 +73,6 @@ impl IntentGame {
         IntentGame { weights }
     }
 
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.weights.len()
-    }
-
     /// An agent's utility for being one of `n_t` agents on task `t`.
     pub fn utility(&self, task: usize, n_t: usize) -> f64 {
         self.weights[task] / n_t.max(1) as f64

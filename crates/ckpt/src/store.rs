@@ -177,12 +177,6 @@ impl CheckpointStore {
         self.files.numbers()
     }
 
-    /// Reads and verifies the checkpoint for one specific window,
-    /// additionally checking it belongs to `seed`.
-    pub fn load_window(&self, seed: u64, window: u64) -> Result<Vec<u8>, CkptError> {
-        verify_window(seed, window, &read_file(&self.path_for(window))?)
-    }
-
     /// Scans for the newest checkpoint that verifies against `seed`,
     /// falling back past corrupt files and reporting each one skipped.
     /// `Err` only on a directory-listing failure.

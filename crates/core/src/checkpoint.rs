@@ -55,8 +55,9 @@ fn mismatch(what: &str, expected: impl std::fmt::Display, found: impl std::fmt::
 }
 
 /// The parameters a checkpoint is bound to: every one except
-/// `reference_mode`, which selects between equivalence-tested execution
-/// paths and so never shapes the checkpointed state.
+/// `reference_mode`, which is carried but not guarded — it selects
+/// between equivalence-tested execution paths (patch, keep ahead, memoise
+/// and batch, or none of them) and so never shapes the checkpointed state.
 fn guarded(params: &PortableRunConfig) -> PortableRunConfig {
     PortableRunConfig {
         reference_mode: false,
@@ -812,8 +813,8 @@ impl MissionRunner {
         };
 
         // Restore the snapshot over the simulator, which patches the t = 0
-        // graph the prologue primed up to the restored world instead of
-        // building it again. Behaviours are rebuilt through the registry
+        // graph it holds from the prologue's look up to the restored world
+        // instead of building it again. Behaviours are rebuilt through the registry
         // and share the restored log/board handles.
         let log = new_report_log();
         let board = new_task_board();

@@ -96,12 +96,13 @@ pub struct PortableRunConfig {
     /// Base retry delay for task dissemination; attempt `k` backs off
     /// `task_retry_base × 2^(k-1)`.
     pub task_retry_base: SimDuration,
-    /// Run the network simulator on its legacy reference path
-    /// (one-event-at-a-time loop, full graph rebuild on every
-    /// invalidation) instead of the batched/incremental fast
-    /// path. Both paths are bit-identical by contract; this flag exists
-    /// so equivalence tests can hold the oracle and the optimized run
-    /// side by side in one process. Off by default.
+    /// Run the network simulator on its reference path: never patch the
+    /// connectivity graph, never keep one ahead of its first access,
+    /// never memoise a route, one event per pop. Both paths are
+    /// bit-identical by contract; this flag exists so equivalence tests
+    /// can hold the oracle and the optimized run side by side in one
+    /// process. Carried in a checkpoint but not guarded by it (either
+    /// path resumes the other's). Off by default.
     pub reference_mode: bool,
 }
 
@@ -316,8 +317,9 @@ impl RunConfigBuilder {
         task_attempts: u32,
         /// Sets the base retry delay for task dissemination.
         task_retry_base: SimDuration,
-        /// Runs the simulator on its legacy reference path (the oracle for
-        /// batched/incremental equivalence tests).
+        /// Runs the simulator on its reference path — never patch, never
+        /// keep ahead, never memoise, one event per pop (the oracle for
+        /// the equivalence tests).
         reference_mode: bool,
     }
 
@@ -538,15 +540,6 @@ impl MissionReport {
         self.windows.iter().map(|w| w.utility).sum::<f64>() / self.windows.len() as f64
     }
 
-    /// Worst window utility.
-    pub fn min_utility(&self) -> f64 {
-        self.windows
-            .iter()
-            .map(|w| w.utility)
-            .fold(f64::INFINITY, f64::min)
-            .min(1.0)
-    }
-
     /// Mean utility over windows starting at or after `t_s` — used to
     /// measure post-disruption recovery.
     pub fn utility_after(&self, t_s: f64) -> f64 {
@@ -593,7 +586,8 @@ pub(crate) struct Prologue {
 /// disabled one at checkpoint resume (the restored recorder already
 /// counted those events the first time). `sim` is the execution
 /// simulator from [`build_sim`], still at t = 0: the reachability filter
-/// judges by its primed graph, the topology the mission starts on.
+/// judges by a silent look at its graph, the topology the mission starts
+/// on, which the simulator keeps for the first message to route on.
 pub(crate) fn prologue(
     scenario: &Scenario,
     config: &RunConfig,
@@ -646,8 +640,8 @@ pub(crate) fn prologue(
     if config.require_reachability {
         // Keep only assets in the command post's connected component of
         // the initial connectivity graph: links are undirected with finite
-        // weights, so that is exactly "has a route to it". Primed, not
-        // accessed: the trace and the checkpoint must not see the look.
+        // weights, so that is exactly "has a route to it". A peek, not an
+        // access: the trace and the checkpoint must not see the look.
         let reachable = sim.prime_connectivity().component_of(scenario.command_post);
         let before = specs.len();
         specs.retain(|spec| reachable.binary_search(&spec.id()).is_ok());

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Scans every `.rs` file under the root (default: the current
-//! directory), applies the R1–R8 invariants, and prints one
+//! directory), applies the R1–R9 invariants, and prints one
 //! `path:line: Rn[name] message` diagnostic per violation. With
 //! `--deny-all` the process exits non-zero when any violation remains —
 //! that is the CI mode. Without it the run is advisory (exit 0).

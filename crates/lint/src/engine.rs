@@ -16,9 +16,10 @@
 //! everywhere (OS entropy is never acceptable); R5 on `Lib` of the
 //! contract crates; R6 on `Lib`+`Bin` of its scoped crates plus any file
 //! listed in its `paths` config; R7 on `Lib` of its scoped crates; R8
-//! everywhere (a stale directive is stale wherever it sits).
+//! everywhere (a stale directive is stale wherever it sits); R9 on the
+//! definitions in all `Lib` code, counting names over every scanned file.
 //!
-//! Since the semantic rules (R6/R7) need cross-file context, linting is
+//! Since the semantic rules (R6/R7/R9) need cross-file context, linting is
 //! two-pass: pass one lexes/parses every file and builds the workspace
 //! [`SymbolTable`]; pass two runs the rules and filters through the
 //! allow directives.
@@ -32,7 +33,8 @@ use crate::lexer::{lex, Lexed};
 use crate::parser::{parse_items, ParsedFile, SymbolTable};
 use crate::regions::{map_file, FileMap};
 use crate::rules::{
-    apply_allows, check_digest_coverage, check_file_raw, FileInput, Rule, Violation,
+    apply_allows, check_digest_coverage, check_file_raw, check_unused_pub, FileInput, Rule,
+    Violation,
 };
 
 /// Which cargo target-kind a file belongs to.
@@ -110,6 +112,8 @@ pub fn applicable_rules(class: &FileClass, rel_path: &str, config: &Config) -> V
             // Stale directives are reported wherever they sit — a dead
             // exemption in a test file is just as misleading.
             Rule::StaleAllow => true,
+            // A library's `pub fn` is the one rustc cannot call dead.
+            Rule::UnusedPub => class.section == Section::Lib,
         })
         .filter(|&rule| !config.path_allowed(rule, rel_path))
         .collect()
@@ -171,8 +175,8 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
         units.push(unit);
     }
 
-    // Pass two: per-file rules, then the workspace-wide R7 pass, then the
-    // allow-directive filter (which implements R8).
+    // Pass two: per-file rules, then the workspace-wide R7 and R9 passes,
+    // then the allow-directive filter (which implements R8).
     let mut report = Report {
         files_scanned: units.len(),
         violations: Vec::new(),
@@ -183,18 +187,18 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
         .zip(&inputs)
         .map(|(u, input)| check_file_raw(input, &table, &u.rules, u.r6_path_scoped))
         .collect();
-    let r7_applicable: Vec<bool> = units
-        .iter()
-        .map(|u| u.rules.contains(&Rule::DigestCoverage))
-        .collect();
-    let mut digest_violations = Vec::new();
+    let applicable = |rule: Rule| -> Vec<bool> {
+        units.iter().map(|u| u.rules.contains(&rule)).collect()
+    };
+    let mut workspace_violations = Vec::new();
     check_digest_coverage(
         &inputs,
         &config.types_of(Rule::DigestCoverage),
-        &r7_applicable,
-        &mut digest_violations,
+        &applicable(Rule::DigestCoverage),
+        &mut workspace_violations,
     );
-    for (i, v) in digest_violations {
+    check_unused_pub(&inputs, &applicable(Rule::UnusedPub), &mut workspace_violations);
+    for (i, v) in workspace_violations {
         raw[i].push(v);
     }
     for (u, raw) in units.iter().zip(raw) {
@@ -209,7 +213,8 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
 /// Lints one file's source text under its relative path. Exposed so the
 /// fixture tests (and future editor integrations) can lint in-memory
 /// content. Cross-file context is limited to this one file: R6 resolves
-/// only structs declared here, and R7 sees only this file's digest fns.
+/// only structs declared here, R7 sees only this file's digest fns, and
+/// R9, which is nothing without the callers' files, does not run.
 pub fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violation> {
     let unit = analyse(rel_path, source, config);
     if unit.rules.is_empty() {
@@ -346,7 +351,8 @@ mod tests {
                 Rule::Panic,
                 Rule::Entropy,
                 Rule::StateCoverage,
-                Rule::StaleAllow
+                Rule::StaleAllow,
+                Rule::UnusedPub
             ]
         );
         // Contract crate in determinism, docs, state, and digest scopes.
@@ -360,13 +366,15 @@ mod tests {
                 Rule::Docs,
                 Rule::StateCoverage,
                 Rule::DigestCoverage,
-                Rule::StaleAllow
+                Rule::StaleAllow,
+                Rule::UnusedPub
             ]
         );
-        // Unscoped crate: panic + entropy discipline and stale-allow hygiene.
+        // Unscoped crate: panic + entropy discipline, stale-allow hygiene
+        // and the unused-pub count.
         assert_eq!(
             lib("crates/tomography/src/boolean.rs"),
-            vec![Rule::Panic, Rule::Entropy, Rule::StaleAllow]
+            vec![Rule::Panic, Rule::Entropy, Rule::StaleAllow, Rule::UnusedPub]
         );
         // Benches: entropy + stale-allow only.
         assert_eq!(

@@ -12,7 +12,7 @@
 //!
 //! It is a from-scratch static analysis pass (no `syn`, no clippy
 //! plugin — the workspace builds fully offline), token-level for R1–R5
-//! and item-level for the semantic rules R6–R8:
+//! and R9 and item-level for the semantic rules R6–R8:
 //!
 //! * [`lexer`] — a Rust lexer that gets the lexical layer right (nested
 //!   block comments, raw strings, char-vs-lifetime, doc comments);
@@ -21,7 +21,7 @@
 //! * [`parser`] — a lightweight item parser over the token stream:
 //!   structs (fields, derives, cfg-gating), impl blocks, fn bodies, and
 //!   the workspace-wide symbol table the semantic rules resolve against;
-//! * [`rules`] — the rule catalogue, R1–R8;
+//! * [`rules`] — the rule catalogue, R1–R9;
 //! * [`config`] — `lint.toml` parsing and inline
 //!   `// lint: allow(<rule>) — <reason>` directives;
 //! * [`engine`] — the workspace walker and two-pass rule dispatch
@@ -37,6 +37,7 @@
 //! | R6 | `state-coverage` | save/restore/encode/decode fns destructure `Self` exhaustively; codec twins agree in order |
 //! | R7 | `digest-coverage` | every digest-root field flows into the fingerprint; equality is derived |
 //! | R8 | `stale-allow` | allow directives must suppress something |
+//! | R9 | `unused-pub` | a library `pub fn` is named somewhere besides its definition |
 //!
 //! The `iobt-lint` binary (`cargo run -p iobt-lint -- --deny-all`) wires
 //! this into CI with `--format json`, a findings baseline for

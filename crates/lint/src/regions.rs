@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{Lexed, Token};
+use crate::lexer::Lexed;
 
 /// Line-classification for one source file.
 #[derive(Debug, Clone, Default)]
@@ -41,11 +41,6 @@ impl FileMap {
         self.trait_impl_spans
             .iter()
             .any(|&(a, b)| a <= line && line <= b)
-    }
-
-    /// Whether any doc comment covers `line`.
-    pub fn is_doc_line(&self, line: u32) -> bool {
-        self.doc_lines.contains(&line)
     }
 
     /// Marks the whole file as test code — used by the engine for files
@@ -224,15 +219,6 @@ pub fn map_file(lexed: &Lexed) -> FileMap {
 /// Convenience: lex + map in one call (used by tests).
 pub fn map_source(src: &str) -> FileMap {
     map_file(&crate::lexer::lex(src))
-}
-
-/// Finds the matching token sequence `pat` (all idents/puncts must match
-/// in order, by text) starting at `toks[i]`. Helper for the rules.
-pub fn seq_matches(toks: &[Token], i: usize, pat: &[&str]) -> bool {
-    pat.iter().enumerate().all(|(k, p)| {
-        toks.get(i + k)
-            .is_some_and(|t| t.text == *p && !t.text.is_empty())
-    })
 }
 
 #[cfg(test)]

@@ -1,15 +1,18 @@
 //! The rule catalogue: token-level checks R1–R5 enforcing determinism
-//! and panic discipline, plus the semantic passes R6–R8 built on the
-//! item parser (state coverage, digest coverage, stale-allow hygiene).
+//! and panic discipline, the semantic passes R6–R8 built on the item
+//! parser (state coverage, digest coverage, stale-allow hygiene), and the
+//! workspace-wide name count R9 (public functions nobody names).
 //! See `lint.toml` and the README "Static analysis" section for the
 //! rationale of each.
+
+use std::collections::BTreeMap;
 
 use crate::config::AllowSet;
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::parser::{FnDef, ParsedFile, StructKind, StructSig, SymbolTable};
 use crate::regions::FileMap;
 
-/// A rule identity: stable ID (`R1`…`R8`) plus the kebab-case name used
+/// A rule identity: stable ID (`R1`…`R9`) plus the kebab-case name used
 /// in allow directives and `lint.toml` sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
@@ -39,11 +42,14 @@ pub enum Rule {
     /// R8 `stale-allow`: a `// lint: allow(…)` directive that suppresses
     /// zero findings is itself an error.
     StaleAllow,
+    /// R9 `unused-pub`: a `pub fn` in library code whose name appears
+    /// nowhere else in the scanned workspace has no caller.
+    UnusedPub,
 }
 
 impl Rule {
     /// Every rule, in ID order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 9] = [
         Rule::HashIter,
         Rule::WallClock,
         Rule::Panic,
@@ -52,9 +58,10 @@ impl Rule {
         Rule::StateCoverage,
         Rule::DigestCoverage,
         Rule::StaleAllow,
+        Rule::UnusedPub,
     ];
 
-    /// Stable rule ID (`R1`…`R8`).
+    /// Stable rule ID (`R1`…`R9`).
     pub fn id(self) -> &'static str {
         match self {
             Rule::HashIter => "R1",
@@ -65,6 +72,7 @@ impl Rule {
             Rule::StateCoverage => "R6",
             Rule::DigestCoverage => "R7",
             Rule::StaleAllow => "R8",
+            Rule::UnusedPub => "R9",
         }
     }
 
@@ -79,6 +87,7 @@ impl Rule {
             Rule::StateCoverage => "state-coverage",
             Rule::DigestCoverage => "digest-coverage",
             Rule::StaleAllow => "stale-allow",
+            Rule::UnusedPub => "unused-pub",
         }
     }
 
@@ -97,9 +106,10 @@ impl Rule {
             Rule::HashIter | Rule::WallClock => {
                 &["netsim", "core", "synthesis", "adapt", "learning"]
             }
-            // Panic, entropy, and allow-directive hygiene hold
-            // everywhere; the scope list is unused (section-based).
-            Rule::Panic | Rule::Entropy | Rule::StaleAllow => &[],
+            // Panic, entropy, allow-directive hygiene and unused public
+            // functions hold everywhere; the scope list is unused
+            // (section-based).
+            Rule::Panic | Rule::Entropy | Rule::StaleAllow | Rule::UnusedPub => &[],
             // The public-contract crates.
             Rule::Docs => &["types", "core"],
             // The crates holding snapshot/checkpoint code.
@@ -210,6 +220,20 @@ impl Rule {
                  now silently waits to hide a future violation) or the rule no\n\
                  longer applies. Delete it, or move it next to the code it exempts."
             }
+            Rule::UnusedPub => {
+                "R9[unused-pub] — a public function somebody names.\n\
+                 \n\
+                 rustc reports dead private and `pub(crate)` code but must assume a\n\
+                 `pub fn` in a library has callers elsewhere. In this workspace\n\
+                 elsewhere is scanned too: a `pub fn` in library code whose name\n\
+                 occurs as an identifier exactly once — its definition — across\n\
+                 every scanned file (tests, examples, benches and the benchmark\n\
+                 included; doc comments are not code) has no caller. The check is\n\
+                 by name, not by call graph: a shared name (`new`, `len`) hides an\n\
+                 unused function, never the reverse. Delete the function, narrow\n\
+                 it to `pub(crate)`, or justify it with\n\
+                 `// lint: allow(unused-pub) — <reason>`."
+            }
         }
     }
 }
@@ -265,9 +289,9 @@ pub fn check_file_raw(
             Rule::Entropy => check_entropy(input.lexed, &mut out),
             Rule::Docs => check_docs(input.lexed, input.map, &mut out),
             Rule::StateCoverage => check_state_coverage(input, table, r6_path_scoped, &mut out),
-            // R7 needs the whole workspace; R8 needs the post-filter
-            // outcome. Both run outside the per-file dispatch.
-            Rule::DigestCoverage | Rule::StaleAllow => {}
+            // R7 and R9 need the whole workspace; R8 needs the
+            // post-filter outcome. All run outside the per-file dispatch.
+            Rule::DigestCoverage | Rule::StaleAllow | Rule::UnusedPub => {}
         }
     }
     sort_dedup(&mut out);
@@ -500,6 +524,57 @@ fn check_docs(lexed: &Lexed, map: &FileMap, out: &mut Vec<Violation>) {
                  `// lint: allow(docs) — <reason>`)"
                     .to_string(),
             });
+        }
+    }
+}
+
+/// R9: every `pub fn` (restricted `pub(…)` visibility excluded) outside
+/// test code in the `applicable` files whose name is an identifier token
+/// exactly once across *all* of `inputs`. Pushes `(file index,
+/// violation)` pairs.
+pub fn check_unused_pub(
+    inputs: &[FileInput],
+    applicable: &[bool],
+    out: &mut Vec<(usize, Violation)>,
+) {
+    let mut mentions: BTreeMap<&str, usize> = BTreeMap::new();
+    for t in inputs.iter().flat_map(|input| &input.lexed.tokens) {
+        if t.kind == TokenKind::Ident {
+            *mentions.entry(&t.text).or_default() += 1;
+        }
+    }
+    for (i, input) in inputs.iter().enumerate() {
+        if !applicable[i] {
+            continue;
+        }
+        let toks = &input.lexed.tokens;
+        for (k, t) in toks.iter().enumerate() {
+            if !t.is_ident("pub") || input.map.is_test_line(t.line) {
+                continue;
+            }
+            let qualifiers = toks[k + 1..]
+                .iter()
+                .take_while(|q| q.is_ident("const") || q.is_ident("async") || q.is_ident("unsafe"))
+                .count();
+            let [keyword, name, ..] = &toks[k + 1 + qualifiers..] else { continue };
+            if !keyword.is_ident("fn") || name.kind != TokenKind::Ident {
+                continue;
+            }
+            if mentions.get(name.text.as_str()) == Some(&1) {
+                out.push((
+                    i,
+                    Violation {
+                        line: name.line,
+                        rule: Rule::UnusedPub,
+                        message: format!(
+                            "`pub fn {}` is named nowhere else in the scanned workspace — no \
+                             caller, test, bench or example: delete it, narrow it to \
+                             `pub(crate)`, or justify with `// lint: allow(unused-pub) — <reason>`",
+                            name.text
+                        ),
+                    },
+                ));
+            }
         }
     }
 }
@@ -1582,5 +1657,42 @@ fn also_clean() {}
 fn f() {}
 ";
         assert!(run(src, &[Rule::Panic, Rule::StaleAllow]).is_empty());
+    }
+
+    #[test]
+    fn unused_pub_counts_names_across_files_and_flags_lone_definitions() {
+        let lib = "\
+pub fn called_from_the_other_file() {}
+pub const fn lone_const() -> u8 { 0 }
+pub(crate) fn restricted_is_rustcs_to_police() {}
+pub fn named_in_a_comment_only() {} // named_in_a_comment_only
+pub fn called_from_own_tests() {}
+fn private() {}
+#[cfg(test)]
+mod tests {
+    pub fn helpers_in_tests_are_exempt() {}
+    fn t() { super::called_from_own_tests(); }
+}
+";
+        let caller = "fn main() { called_from_the_other_file(); }\npub fn uncalled_but_not_applicable() {}\n";
+        let (lib, caller) = (lex(lib), lex(caller));
+        let (lib_map, caller_map) = (map_file(&lib), map_file(&caller));
+        let (lib_items, caller_items) = (parse_items(&lib), parse_items(&caller));
+        let input = |rel_path, lexed, map, parsed| FileInput {
+            rel_path,
+            crate_name: Some("c"),
+            lexed,
+            map,
+            parsed,
+        };
+        let inputs = [
+            input("crates/c/src/lib.rs", &lib, &lib_map, &lib_items),
+            input("examples/caller.rs", &caller, &caller_map, &caller_items),
+        ];
+        let mut out = Vec::new();
+        check_unused_pub(&inputs, &[true, false], &mut out);
+        let hits: Vec<(usize, u32)> = out.iter().map(|(file, v)| (*file, v.line)).collect();
+        assert_eq!(hits, vec![(0, 2), (0, 4)], "{out:?}");
+        assert!(out[0].1.message.contains("`pub fn lone_const`"), "{}", out[0].1.message);
     }
 }

@@ -10,7 +10,7 @@ fn fixture_root() -> std::path::PathBuf {
 #[test]
 fn fixture_tree_trips_every_rule_once() {
     let report = lint_root(&fixture_root(), &Config::default()).expect("fixture tree scans");
-    assert_eq!(report.files_scanned, 6, "fixture tree has six .rs files");
+    assert_eq!(report.files_scanned, 7, "fixture tree has seven .rs files");
 
     let got: Vec<(String, &'static str, u32)> = report
         .violations
@@ -31,6 +31,8 @@ fn fixture_tree_trips_every_rule_once() {
         ("crates/core/src/lib.rs".to_string(), "R3", 6),
         ("crates/core/src/lib.rs".to_string(), "R5", 15),
         ("crates/learning/src/lib.rs".to_string(), "R4", 15),
+        // R9: the one public fn `core/tests/callers.rs` does not name.
+        ("crates/learning/src/lib.rs".to_string(), "R9", 26),
         ("crates/netsim/src/lib.rs".to_string(), "R1", 16),
         ("crates/netsim/src/lib.rs".to_string(), "R2", 22),
         // R6: rest-pattern destructure in a snapshot save_state.
@@ -62,6 +64,8 @@ fn fixture_violations_can_be_silenced_by_path_allowlist() {
         allow = ["crates/core"]
         [rules.stale-allow]
         allow = ["crates/netsim", "crates/core"]
+        [rules.unused-pub]
+        allow = ["crates/learning"]
         "#,
     )
     .expect("config parses");

@@ -15,3 +15,14 @@ mod tests {
         let _ = rand::thread_rng();
     }
 }
+
+/// Clean for R9: restricted visibility is rustc's to police, not ours.
+pub(crate) fn restricted_and_unused() -> u64 {
+    3
+}
+
+/// Seeded R9 violation: public, documented, and named nowhere else — not
+/// even by `core/tests/callers.rs`, which vouches for every other fixture fn.
+pub fn seeded_unused_pub() -> u64 {
+    7
+}

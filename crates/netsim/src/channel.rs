@@ -177,28 +177,10 @@ impl Channel {
         logistic((self.sinr_db(from, to, radio) - SINR_MIDPOINT_DB) / SINR_SLOPE_DB)
     }
 
-    /// Precomputes the radio-independent terms of a link's SINR: path
-    /// loss between the endpoints and interference-plus-noise at the
-    /// receiver. Graph builds evaluate every shared radio of a candidate
-    /// pair against one budget instead of re-deriving both terms (a
-    /// terrain query, a log, and a per-jammer sum) per radio kind.
-    pub fn link_budget(&self, from: Point, to: Point) -> LinkBudget {
-        LinkBudget {
-            path_loss_db: self.path_loss_db(from, to),
-            noise_dbm: self.noise_dbm(to),
-        }
-    }
-
-    /// Mean delivery probability for `radio` over a precomputed
-    /// [`LinkBudget`]. Bit-identical to
-    /// [`Channel::mean_delivery_probability`] for the same endpoints:
-    /// the SINR terms combine in the same order.
-    pub fn mean_delivery_probability_budgeted(&self, budget: LinkBudget, radio: RadioKind) -> f64 {
-        self.mean_delivery_probability_at(budget, watts_to_dbm(radio.tx_power_w()))
-    }
-
-    /// [`Channel::mean_delivery_probability_budgeted`] for a radio whose
-    /// transmit power the caller already holds in dBm.
+    /// [`Channel::mean_delivery_probability`] over a precomputed
+    /// [`LinkBudget`], for a radio whose transmit power the caller already
+    /// holds in dBm. Bit-identical for the same endpoints: the SINR terms
+    /// combine in the same order.
     pub(crate) fn mean_delivery_probability_at(&self, budget: LinkBudget, tx_dbm: f64) -> f64 {
         let sinr = tx_dbm - budget.path_loss_db - budget.noise_dbm - self.extra_loss_db;
         logistic((sinr - SINR_MIDPOINT_DB) / SINR_SLOPE_DB)
@@ -213,11 +195,13 @@ impl Channel {
     }
 }
 
-/// The radio-independent part of a link's SINR computation, produced by
-/// [`Channel::link_budget`]. Valid only for the channel state (jammers,
+/// The radio-independent part of a link's SINR computation: path loss
+/// between the endpoints and interference-plus-noise at the receiver,
+/// which the pair kernel derives at most once per pair instead of once
+/// per shared radio. Valid only for the channel state (jammers,
 /// degradation, terrain) it was computed under.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkBudget {
+pub(crate) struct LinkBudget {
     pub(crate) path_loss_db: f64,
     pub(crate) noise_dbm: f64,
 }
@@ -318,7 +302,10 @@ mod tests {
         let tx = Point::ORIGIN;
         for i in 0..50 {
             let rx = Point::new(5.0 + i as f64 * 37.0, i as f64 * 11.0);
-            let budget = ch.link_budget(tx, rx);
+            let budget = LinkBudget {
+                path_loss_db: ch.path_loss_db(tx, rx),
+                noise_dbm: ch.noise_dbm(rx),
+            };
             for radio in [
                 RadioKind::Wifi,
                 RadioKind::Bluetooth,
@@ -327,7 +314,8 @@ mod tests {
                 RadioKind::Satcom,
             ] {
                 let plain = ch.mean_delivery_probability(tx, rx, radio);
-                let budgeted = ch.mean_delivery_probability_budgeted(budget, radio);
+                let tx_dbm = watts_to_dbm(radio.tx_power_w());
+                let budgeted = ch.mean_delivery_probability_at(budget, tx_dbm);
                 assert_eq!(plain.to_bits(), budgeted.to_bits());
             }
         }

@@ -28,7 +28,7 @@ pub mod terrain;
 pub mod time;
 
 pub use bytes::Bytes;
-pub use channel::{Channel, Jammer, LinkBudget};
+pub use channel::{Channel, Jammer};
 pub use churn::{ChurnPlan, ChurnProcess};
 pub use graph::{ConnectivityGraph, GraphNode, LinkQuality};
 pub use message::Message;

@@ -51,13 +51,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod snapshot;
+mod topology;
 
 pub use snapshot::{BehaviorRegistry, BehaviorSnapshot, SnapshotError};
+use topology::{Topology, World};
 
 use crate::channel::{Channel, Jammer};
-use crate::graph::{
-    ConnectivityGraph, GraphNode, LinkQuality, RouteScratch, PATCH_AT_MOST_ONE_IN,
-};
+use crate::graph::{ConnectivityGraph, LinkQuality};
 use crate::message::Message;
 use crate::mobility::{MobilityModel, MobilityState};
 use crate::stats::NetStats;
@@ -68,7 +68,7 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// All methods have empty defaults so behaviours implement only what they
 /// need. Behaviours must not assume wall-clock time or OS randomness; use
-/// [`Context::now`] and [`Context::gen_f64`] so runs stay reproducible.
+/// [`Context::now`] and [`Context::gen_below`] so runs stay reproducible.
 pub trait Behavior {
     /// Called once when the simulation starts (or when the behaviour is
     /// attached to an already-running simulation).
@@ -239,6 +239,18 @@ struct NodeRuntime {
     sleep: Option<SleepSchedule>,
 }
 
+impl NodeRuntime {
+    /// Whether the node is up (alive and not energy-depleted).
+    fn is_up(&self) -> bool {
+        self.alive && !self.energy.is_depleted()
+    }
+
+    /// Whether the node is up *and* awake at `now`.
+    fn is_active(&self, now: SimTime) -> bool {
+        self.is_up() && self.sleep.is_none_or(|s| s.is_awake(now))
+    }
+}
+
 #[derive(Debug)]
 enum Event {
     Deliver(Message),
@@ -301,12 +313,6 @@ impl<'a> Context<'a> {
         self.core.node(self.node).expect("context node exists").mobility.position()
     }
 
-    /// Remaining energy fraction of this node in `[0, 1]`.
-    pub fn energy_fraction(&self) -> f64 {
-        // lint: allow(panic) — contexts are only constructed for catalog nodes
-        self.core.node(self.node).expect("context node exists").energy.fraction_remaining()
-    }
-
     /// Ids of nodes this node currently has a direct link to.
     pub fn neighbors(&mut self) -> Vec<NodeId> {
         self.core
@@ -329,16 +335,6 @@ impl<'a> Context<'a> {
         self.core.transmit(msg);
     }
 
-    /// Sends the same payload to every current one-hop neighbor. The
-    /// payload is converted to shared [`Bytes`] once; each recipient's
-    /// message holds a refcounted handle, not a copy.
-    pub fn broadcast(&mut self, kind: u32, payload: impl Into<Bytes>) {
-        let payload: Bytes = payload.into();
-        for n in self.neighbors() {
-            self.send(n, kind, payload.clone());
-        }
-    }
-
     /// Schedules [`Behavior::on_timer`] after `delay` with an opaque token.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let at = self.core.now + delay;
@@ -349,11 +345,6 @@ impl<'a> Context<'a> {
     /// record their own application-layer events through it.
     pub fn recorder(&self) -> &Recorder {
         &self.core.recorder
-    }
-
-    /// Uniform random sample in `[0, 1)` from the simulation RNG.
-    pub fn gen_f64(&mut self) -> f64 {
-        self.core.rng.gen()
     }
 
     /// Uniform random integer in `[0, bound)` from the simulation RNG.
@@ -444,8 +435,9 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Runs the simulator on the legacy reference path: one-at-a-time
-    /// event dispatch and full graph rebuilds on every invalidation
+    /// Runs the simulator on the reference path: one event per pop, a
+    /// full graph rebuild on every invalidation (never a patch, never a
+    /// graph kept ahead of its first access) and a search for every route
     /// (default: off). Results are bit-identical either way — this
     /// exists so the equivalence tests can compare the optimized hot
     /// path against the straightforward implementation in-process.
@@ -501,6 +493,8 @@ impl SimulatorBuilder {
             .enumerate()
             .map(|(i, &id)| (id, i as u32))
             .collect();
+        // Sleep phases fold the clock into graph liveness, so a graph can
+        // neither be patched at a later `now` nor kept ahead of its access.
         let has_sleep = nodes.iter().any(|n| n.sleep.is_some());
         let mut core = Core {
             now: SimTime::ZERO,
@@ -509,15 +503,10 @@ impl SimulatorBuilder {
             ids: ids.into(),
             index: Rc::new(index),
             nodes,
-            has_sleep,
             channel,
             rng: StdRng::seed_from_u64(self.seed),
             stats: NetStats::new(),
-            graph: None,
-            graph_dirty: GraphDirty::Full,
-            primed: None,
-            route_scratch: RouteScratch::new(),
-            route_memo: RouteMemo::default(),
+            topology: Topology::new(self.reference_mode || has_sleep),
             retries: self.retries,
             mobility_step: self.mobility_step,
             idle_drain_w: self.idle_drain_w,
@@ -528,9 +517,6 @@ impl SimulatorBuilder {
             compromises: Vec::new(),
             blackouts: Vec::new(),
             events_processed: 0,
-            route_queries: 0,
-            route_memo_hits: 0,
-            graph_builds: 0,
             reference_mode: self.reference_mode,
         };
         core.push(SimTime::ZERO + self.mobility_step, Event::MobilityTick);
@@ -540,111 +526,6 @@ impl SimulatorBuilder {
             started: Vec::new(),
             batch: Vec::new(),
         }
-    }
-}
-
-/// How stale the cached connectivity graph is relative to world state.
-///
-/// The legacy design invalidated by dropping the cache (`graph = None`)
-/// and rebuilding from scratch on next access. This enum keeps the
-/// cache and records *what* changed instead, so the next access can
-/// patch only the affected nodes' links in place. Whenever the state is
-/// not `Clean`, the next [`Core::refresh_graph`] emits a `GraphRebuilt`
-/// trace — exactly when and how often the legacy blanket invalidation
-/// did, so observability streams stay bit-identical.
-#[derive(Debug)]
-enum GraphDirty {
-    /// Cache (when present) matches world state.
-    Clean,
-    /// Only the pending nodes' liveness or position changed since the
-    /// cache was built; radios, channel, and partitions are untouched.
-    /// The list may repeat a node (it is sorted and deduplicated when
-    /// applied). An empty list still forces a refresh event (a mobility
-    /// tick that moved nothing) without recomputing any links.
-    Nodes {
-        pending: Vec<u32>,
-        /// Whether any entry is there because the node moved. A snapshot
-        /// records such a graph as fully stale, as it did when movement
-        /// forced `Full`.
-        moved: bool,
-    },
-    /// Anything broader changed (jammers, partitions, degradations,
-    /// sleep phases): rebuild from scratch.
-    Full,
-}
-
-/// Each source's last routing answer, valid exactly as long as the graph
-/// it was searched on. The same graph and the same `(src, dst)` give the
-/// same deterministic search, so an entry *is* the path a fresh search
-/// would return. Traffic is convergecast — a sensor reports to one
-/// post — so one slot per source is one slot per `(src, dst)` pair.
-///
-/// Derived state: never serialised, emptied whenever the cached graph's
-/// links change, and never filled on the reference path.
-#[derive(Debug, Default)]
-struct RouteMemo {
-    /// One slot per source index; empty until the first store after a
-    /// clear, so clearing is O(1) and a simulator that never transmits
-    /// holds nothing.
-    slots: Vec<MemoSlot>,
-    /// Path node indices, back to back; slots point into it.
-    arena: Vec<u32>,
-    /// Arena entries some slot still points at. A slot overwritten for
-    /// a new destination strands its old path, and ticks that move
-    /// nothing never clear the memo, so the stranded share is bounded
-    /// in [`RouteMemo::store`].
-    live: usize,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct MemoSlot {
-    /// Destination index the answer is for; `u32::MAX` marks a slot
-    /// that holds nothing.
-    dst: u32,
-    start: u32,
-    /// Path length in nodes; 0 records that no route exists.
-    len: u32,
-}
-
-impl MemoSlot {
-    const EMPTY: MemoSlot = MemoSlot { dst: u32::MAX, start: 0, len: 0 };
-}
-
-impl RouteMemo {
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.arena.clear();
-        self.live = 0;
-    }
-
-    /// The remembered answer for `src → dst`: `Some(path)` (empty when
-    /// no route exists), or `None` when nothing is remembered.
-    fn get(&self, src: u32, dst: u32) -> Option<&[u32]> {
-        let slot = self.slots.get(src as usize).filter(|s| s.dst == dst)?;
-        Some(&self.arena[slot.start as usize..][..slot.len as usize])
-    }
-
-    /// Remembers `path` (empty: no route) as the answer for `src → dst`
-    /// among `n` nodes.
-    fn store(&mut self, n: usize, src: u32, dst: u32, path: &[u32]) {
-        // Stranded paths are dropped, with everything else, once they
-        // outweigh what is live plus a node's worth per source (or, in
-        // principle, once `start` would no longer fit its slot).
-        let stranded = self.arena.len() - self.live;
-        if stranded > self.live + n || self.arena.len() + path.len() > u32::MAX as usize {
-            self.clear();
-        }
-        if self.slots.is_empty() {
-            self.slots.resize(n, MemoSlot::EMPTY);
-        }
-        let slot = &mut self.slots[src as usize];
-        self.live = self.live - slot.len as usize + path.len();
-        *slot = MemoSlot {
-            dst,
-            start: self.arena.len() as u32,
-            len: path.len() as u32,
-        };
-        self.arena.extend_from_slice(path);
     }
 }
 
@@ -660,23 +541,11 @@ struct Core {
     index: Rc<BTreeMap<NodeId, u32>>,
     /// Dense per-node runtime state, parallel to `ids`.
     nodes: Vec<NodeRuntime>,
-    /// Whether any node carries a sleep schedule. Sleep phases fold the
-    /// clock into graph liveness, so incremental maintenance is disabled
-    /// and every invalidation falls back to a full rebuild.
-    has_sleep: bool,
     channel: Channel,
     rng: StdRng,
     stats: NetStats,
-    graph: Option<Rc<ConnectivityGraph>>,
-    graph_dirty: GraphDirty,
-    /// The graph of the world as it stands, built by [`Core::prime_graph`]
-    /// ahead of the first access and not yet the cache (no `GraphRebuilt`
-    /// recorded, "absent" in a snapshot). Held only while `graph` is
-    /// `None`, no partition is active and no node sleeps; the first access
-    /// adopts it, a restore patches it, any invalidation drops it.
-    primed: Option<Rc<ConnectivityGraph>>,
-    route_scratch: RouteScratch,
-    route_memo: RouteMemo,
+    /// The connectivity graph and everything derived from it.
+    topology: Topology,
     retries: u32,
     mobility_step: SimDuration,
     idle_drain_w: f64,
@@ -690,13 +559,6 @@ struct Core {
     /// Events dispatched since construction. Reporting-only (throughput
     /// harnesses); deliberately excluded from checkpoints and digests.
     events_processed: u64,
-    /// Routes `transmit` asked for, and how many of them the memo
-    /// answered. Reporting-only, like `events_processed`.
-    route_queries: u64,
-    route_memo_hits: u64,
-    /// From-scratch builds that became the cached or primed graph (not
-    /// the `debug_assert!` oracle's). Reporting-only.
-    graph_builds: u64,
     /// Legacy execution path for equivalence testing; see
     /// [`SimulatorBuilder::reference_mode`].
     reference_mode: bool,
@@ -734,222 +596,34 @@ impl Core {
 
     /// Whether the node is up (alive and not energy-depleted).
     fn is_up(&self, id: NodeId) -> bool {
-        self.node(id)
-            .map(|n| n.alive && !n.energy.is_depleted())
-            .unwrap_or(false)
+        self.node(id).is_some_and(NodeRuntime::is_up)
     }
 
     /// Whether the node is up *and* awake right now.
     fn is_active(&self, node: NodeId) -> bool {
-        self.node(node)
-            .map(|n| {
-                n.alive
-                    && !n.energy.is_depleted()
-                    && n.sleep.is_none_or(|s| s.is_awake(self.now))
-            })
-            .unwrap_or(false)
+        self.node(node).is_some_and(|n| n.is_active(self.now))
     }
 
-    /// Whether a change can be patched into the cached graph at all:
-    /// not without a cache, not with sleep schedules folding the clock
-    /// into liveness, and not on the legacy reference path.
-    fn can_patch(&self) -> bool {
-        !self.reference_mode && !self.has_sleep && self.graph.is_some()
-    }
-
-    /// Records that only node `i`'s liveness changed: the next graph
-    /// access patches that node's links in place instead of rebuilding.
-    /// Falls back to full invalidation when incremental maintenance
-    /// cannot apply.
-    fn invalidate_node(&mut self, i: u32) {
-        if !self.can_patch() {
-            self.invalidate_graph();
-            return;
-        }
-        match &mut self.graph_dirty {
-            GraphDirty::Full => {}
-            GraphDirty::Nodes { pending, .. } => pending.push(i),
-            GraphDirty::Clean => {
-                self.graph_dirty = GraphDirty::Nodes { pending: vec![i], moved: false }
-            }
-        }
-    }
-
-    /// Records a channel-wide change (jammer, partition, degradation):
-    /// the next graph access rebuilds from scratch, not from a graph
-    /// primed for the world as it was.
-    fn invalidate_graph(&mut self) {
-        self.graph_dirty = GraphDirty::Full;
-        self.primed = None;
-    }
-
-    /// Invalidation for a mobility tick that moved the nodes in `movers`:
-    /// they join the pending list, and a tick that moved nothing still
-    /// refreshes the graph (matching the legacy blanket invalidation and
-    /// its trace event) but costs no link recomputation.
-    fn invalidate_tick(&mut self, movers: Vec<u32>) {
-        if !self.can_patch() {
-            self.invalidate_graph();
-            return;
-        }
-        match &mut self.graph_dirty {
-            GraphDirty::Full => {}
-            GraphDirty::Nodes { pending, moved } => {
-                *moved |= !movers.is_empty();
-                pending.extend(movers);
-            }
-            GraphDirty::Clean => {
-                self.graph_dirty = GraphDirty::Nodes {
-                    moved: !movers.is_empty(),
-                    pending: movers,
-                }
-            }
-        }
-    }
-
-    /// Builds the connectivity graph from current world state without
-    /// touching the cache or the recorder. Pure function of state, so
-    /// priming and the restore path can build silently — emitting a
-    /// `GraphRebuilt` trace there would diverge from the uninterrupted
-    /// run's event stream.
-    fn build_graph(&self) -> ConnectivityGraph {
-        let now = self.now;
-        let nodes: Vec<GraphNode> = self
-            .nodes
-            .iter()
-            .map(|n| GraphNode {
-                id: n.id,
-                position: n.mobility.position(),
-                radios: Rc::clone(&n.radios),
-                alive: n.alive
-                    && !n.energy.is_depleted()
-                    && n.sleep.is_none_or(|s| s.is_awake(now)),
-            })
-            .collect();
-        let partitions = &self.partitions;
-        let deny = |x: NodeId, y: NodeId| partitions.iter().any(|(p, on)| *on && p.cuts(x, y));
-        ConnectivityGraph::build_shared(
-            Rc::clone(&self.ids),
-            Rc::clone(&self.index),
-            nodes,
-            &self.channel,
-            &deny,
-        )
-    }
-
-    /// [`Core::build_graph`] for a graph that is kept — cached or primed —
-    /// rather than only compared against.
-    fn build_counted(&mut self) -> Rc<ConnectivityGraph> {
-        self.graph_builds += 1;
-        Rc::new(self.build_graph())
-    }
-
-    /// The graph the next access would see, built silently unless a
-    /// primed or clean cached one stands, and retained as `primed` under
-    /// that field's conditions (never on the reference path).
-    fn prime_graph(&mut self) -> Rc<ConnectivityGraph> {
-        if let Some(rc) = &self.primed {
-            return Rc::clone(rc);
-        }
-        if let (Some(rc), GraphDirty::Clean) = (&self.graph, &self.graph_dirty) {
-            return Rc::clone(rc);
-        }
-        let rc = self.build_counted();
-        let cut = self.partitions.iter().any(|(_, on)| *on);
-        if self.graph.is_none() && !self.reference_mode && !self.has_sleep && !cut {
-            self.primed = Some(Rc::clone(&rc));
-        }
-        rc
-    }
-
-    /// Patches the place and liveness of the nodes in `pending` (sorted,
-    /// deduplicated) into `rc`, which must match the world in every
-    /// other node, the channel and the active partitions.
-    fn patch_graph(&self, rc: &mut Rc<ConnectivityGraph>, pending: &[u32]) {
-        {
-            // Copy-on-write: external `connectivity()` holders keep
-            // their frozen snapshot, matching the legacy clone-out
-            // semantics.
-            let g = Rc::make_mut(rc);
-            let partitions = &self.partitions;
-            let deny = |x: NodeId, y: NodeId| partitions.iter().any(|(p, on)| *on && p.cuts(x, y));
-            // Every position first, then every relink: a link between
-            // two movers must see both where they are.
-            for &i in pending {
-                g.move_node(i, self.nodes[i as usize].mobility.position());
-            }
-            for &i in pending {
-                let n = &self.nodes[i as usize];
-                let alive = n.alive && !n.energy.is_depleted();
-                g.refresh_node(i, alive, &self.channel, &deny);
-            }
-        }
-        debug_assert!(
-            rc.same_topology(&self.build_graph()),
-            "incremental graph maintenance diverged from a full rebuild"
-        );
-    }
-
-    /// Whether `pending` is few enough nodes to patch rather than rebuild.
-    fn worth_patching(&self, pending: &[u32]) -> bool {
-        pending.len() <= self.nodes.len().div_ceil(PATCH_AT_MOST_ONE_IN)
-    }
-
-    /// Brings the cached graph in sync with world state, emitting one
-    /// `GraphRebuilt` trace if anything was stale — the same times and
-    /// counts as the legacy rebuild-on-access, whether the refresh is a
-    /// full rebuild or an in-place patch of a few nodes. The route memo
-    /// goes whenever links may have changed, and only then.
-    fn refresh_graph(&mut self) {
-        if self.graph.is_some() && matches!(self.graph_dirty, GraphDirty::Clean) {
-            return;
-        }
-        let dirty = std::mem::replace(&mut self.graph_dirty, GraphDirty::Clean);
-        // A pending list is patched in only while it is a small share of
-        // the fleet; past that, one build beats relinking node by node.
-        let patch = match (self.graph.take(), dirty) {
-            (Some(rc), GraphDirty::Nodes { mut pending, .. }) => {
-                pending.sort_unstable();
-                pending.dedup();
-                self.worth_patching(&pending).then_some((rc, pending))
-            }
-            _ => None,
+    /// The topology slot beside the world it is a function of and the
+    /// recorder its accesses announce themselves to.
+    #[inline]
+    fn topology(&mut self) -> (&mut Topology, World<'_>, &Recorder) {
+        let world = World {
+            now: self.now,
+            ids: &self.ids,
+            index: &self.index,
+            nodes: &self.nodes,
+            channel: &self.channel,
+            partitions: &self.partitions,
         };
-        let refreshed = match patch {
-            Some((rc, pending)) if pending.is_empty() => rc,
-            Some((mut rc, pending)) => {
-                self.route_memo.clear();
-                self.patch_graph(&mut rc, &pending);
-                rc
-            }
-            // The primed graph, while one stands, *is* this build: no
-            // invalidation has passed since it was made.
-            None => {
-                self.route_memo.clear();
-                match self.primed.take() {
-                    Some(rc) => rc,
-                    None => self.build_counted(),
-                }
-            }
-        };
-        self.recorder.record(TraceEvent::GraphRebuilt {
-            nodes: refreshed.len() as u64,
-            edges: refreshed.link_count() as u64,
-        });
-        self.graph = Some(refreshed);
+        (&mut self.topology, world, &self.recorder)
     }
 
-    fn graph(&mut self) -> &ConnectivityGraph {
-        self.refresh_graph();
-        // lint: allow(panic) — refresh_graph always leaves a cached graph behind
-        self.graph.as_deref().expect("refreshed")
-    }
-
-    /// A refcounted handle to the up-to-date graph snapshot.
-    fn graph_handle(&mut self) -> Rc<ConnectivityGraph> {
-        self.refresh_graph();
-        // lint: allow(panic) — refresh_graph always leaves a cached graph behind
-        Rc::clone(self.graph.as_ref().expect("refreshed"))
+    /// The up-to-date connectivity graph, announced.
+    #[inline]
+    fn graph(&mut self) -> &Rc<ConnectivityGraph> {
+        let (topology, world, recorder) = self.topology();
+        topology.access(&world, recorder)
     }
 
     /// Simulates a unicast transmission hop by hop and schedules delivery
@@ -965,8 +639,7 @@ impl Core {
             self.drop_message(&msg, DropCause::Dead);
             return;
         };
-        let up = |n: &NodeRuntime| n.alive && !n.energy.is_depleted();
-        if !up(&self.nodes[src as usize]) || !up(&self.nodes[dst as usize]) {
+        if !self.nodes[src as usize].is_up() || !self.nodes[dst as usize].is_up() {
             self.drop_message(&msg, DropCause::Dead);
             return;
         }
@@ -975,34 +648,12 @@ impl Core {
             self.drop_message(&msg, DropCause::Asleep);
             return;
         }
-        // A refcounted handle keeps the routing snapshot alive while the
-        // scratch, memo and node state are mutated below.
-        let graph = self.graph_handle();
-        self.route_queries += 1;
-        // The memo's answer when it remembers this source asking for this
-        // destination on the graph as it now stands, otherwise a fresh
-        // search, remembered. Either way the path is an owned buffer out
-        // of the scratch: the hop walk below may refresh the graph and
-        // with it empty the memo. The reference path stores nothing, so
-        // it finds nothing and searches every time.
-        let route = match self.route_memo.get(src, dst) {
-            Some(path) => {
-                self.route_memo_hits += 1;
-                (!path.is_empty()).then(|| {
-                    let mut route = self.route_scratch.take_path();
-                    route.extend_from_slice(path);
-                    route
-                })
-            }
-            None => {
-                let found = graph.route_idx_with(&mut self.route_scratch, src, dst);
-                if !self.reference_mode {
-                    let path = found.as_deref().unwrap_or(&[]);
-                    self.route_memo.store(graph.len(), src, dst, path);
-                }
-                found
-            }
-        };
+        // The path is an owned buffer: the hop walk below may refresh the
+        // graph and with it empty the memo. The reference path memoises
+        // nothing, so it searches every time.
+        let memoise = !self.reference_mode;
+        let (topology, world, recorder) = self.topology();
+        let route = topology.route(&world, recorder, src, dst, memoise);
         let Some(route) = route else {
             self.drop_message(&msg, DropCause::NoRoute);
             return;
@@ -1076,7 +727,7 @@ impl Core {
         } else {
             self.drop_message(&msg, DropCause::Channel);
         }
-        self.route_scratch.recycle(route);
+        self.topology.recycle(route);
     }
 
     /// The single place a message death is accounted: increments the
@@ -1121,7 +772,7 @@ impl Core {
         self.stats.energy_spent_j += joules;
         if self.nodes[i as usize].energy.is_depleted() && self.nodes[i as usize].alive {
             self.nodes[i as usize].alive = false;
-            self.invalidate_node(i);
+            self.topology.invalidate_node(i);
             let node = self.ids[i as usize].raw();
             self.recorder.record(TraceEvent::NodeDepleted { node });
         }
@@ -1149,7 +800,7 @@ impl Core {
                 self.stats.energy_spent_j += idle;
                 if self.nodes[i].energy.is_depleted() {
                     self.nodes[i].alive = false;
-                    self.invalidate_node(i as u32);
+                    self.topology.invalidate_node(i as u32);
                     let node = self.ids[i].raw();
                     self.recorder.record(TraceEvent::NodeDepleted { node });
                 }
@@ -1157,7 +808,7 @@ impl Core {
         }
         // A tick over an all-static fleet refreshes liveness only; nodes
         // that moved (dead ones too) are re-filed and relinked with it.
-        self.invalidate_tick(movers);
+        self.topology.invalidate_moved(movers);
         self.recorder
             .set_gauge("netsim.energy_spent_j", self.stats.energy_spent_j);
         let next = self.now + self.mobility_step;
@@ -1239,14 +890,14 @@ impl Simulator {
     /// [`Simulator::events_processed`]: in no digest, fingerprint or
     /// checkpoint.
     pub fn route_memo_counts(&self) -> (u64, u64) {
-        (self.core.route_queries, self.core.route_memo_hits)
+        self.core.topology.route_memo_counts()
     }
 
     /// From-scratch connectivity-graph builds since construction (not
     /// patches, not a debug build's cross-checks). Reporting-only, like
     /// [`Simulator::events_processed`].
     pub fn graph_builds(&self) -> u64 {
-        self.core.graph_builds
+        self.core.topology.builds()
     }
 
     /// The observability recorder this simulator records into (disabled
@@ -1277,17 +928,19 @@ impl Simulator {
     /// simulator copies-on-write before mutating its own graph, so the
     /// handle never changes underneath the caller.
     pub fn connectivity(&mut self) -> Rc<ConnectivityGraph> {
-        self.core.graph_handle()
+        Rc::clone(self.core.graph())
     }
 
-    /// [`Simulator::connectivity`] without the side effects: the graph of
-    /// the world as it stands, built if need be, but no `GraphRebuilt` is
-    /// recorded and a snapshot still says none is cached. It is kept until
-    /// the world changes: the first real access adopts it instead of
-    /// building (recording its `GraphRebuilt` then), and
-    /// [`Simulator::restore_state`] patches it to the restored world.
+    /// [`Simulator::connectivity`] without the side effects: the held
+    /// graph brought in step with the world as it stands, or one built if
+    /// none is held, but no `GraphRebuilt` is recorded and a snapshot reads
+    /// as it did. A graph built here is kept: the first real access records
+    /// its `GraphRebuilt` instead of building, node changes until then are
+    /// patched into it, and [`Simulator::restore_state`] patches it to the
+    /// restored world.
     pub fn prime_connectivity(&mut self) -> Rc<ConnectivityGraph> {
-        self.core.prime_graph()
+        let (topology, world, _) = self.core.topology();
+        topology.peek(&world)
     }
 
     /// Schedules a node failure at `at` (battle damage, crash).
@@ -1492,7 +1145,7 @@ impl Simulator {
             Event::NodeDown(id) => {
                 if let Some(i) = self.core.idx(id) {
                     self.core.nodes[i as usize].alive = false;
-                    self.core.invalidate_node(i);
+                    self.core.topology.invalidate_node(i);
                     self.core
                         .recorder
                         .record(TraceEvent::NodeDown { node: id.raw() });
@@ -1502,7 +1155,7 @@ impl Simulator {
                 if let Some(i) = self.core.idx(id) {
                     if !self.core.nodes[i as usize].energy.is_depleted() {
                         self.core.nodes[i as usize].alive = true;
-                        self.core.invalidate_node(i);
+                        self.core.topology.invalidate_node(i);
                         self.core
                             .recorder
                             .record(TraceEvent::NodeUp { node: id.raw() });
@@ -1511,7 +1164,7 @@ impl Simulator {
             }
             Event::SetJammer { index, active } => {
                 self.core.channel.set_jammer_active(index, active);
-                self.core.invalidate_graph();
+                self.core.topology.invalidate_all();
                 self.core.recorder.record(TraceEvent::JammerSet {
                     index: index as u64,
                     on: active,
@@ -1520,7 +1173,7 @@ impl Simulator {
             Event::SetPartition { index, active } => {
                 if let Some(p) = self.core.partitions.get_mut(index) {
                     p.1 = active;
-                    self.core.invalidate_graph();
+                    self.core.topology.invalidate_all();
                     self.core.recorder.record(TraceEvent::PartitionSet {
                         index: index as u64,
                         on: active,
@@ -1541,7 +1194,7 @@ impl Simulator {
                     }
                     self.core.channel.set_extra_loss_db(loss);
                     self.core.latency_mult = mult;
-                    self.core.invalidate_graph();
+                    self.core.topology.invalidate_all();
                     self.core.recorder.record(TraceEvent::DegradeSet {
                         index: index as u64,
                         on: active,
@@ -1567,17 +1220,12 @@ impl Simulator {
                 // caught wherever they actually are. Dense iteration is
                 // id-ascending, matching the legacy map order.
                 let mut killed = BTreeSet::new();
-                let mut killed_idx: Vec<u32> = Vec::new();
                 for (i, n) in self.core.nodes.iter_mut().enumerate() {
-                    if n.alive && !n.energy.is_depleted() && rect.contains(n.mobility.position())
-                    {
+                    if n.is_up() && rect.contains(n.mobility.position()) {
                         n.alive = false;
+                        self.core.topology.invalidate_node(i as u32);
                         killed.insert(n.id);
-                        killed_idx.push(i as u32);
                     }
-                }
-                for &i in &killed_idx {
-                    self.core.invalidate_node(i);
                 }
                 for id in &killed {
                     self.core
@@ -1603,7 +1251,7 @@ impl Simulator {
                         if !n.energy.is_depleted() && !n.alive {
                             n.alive = true;
                             revived += 1;
-                            self.core.invalidate_node(i);
+                            self.core.topology.invalidate_node(i);
                             self.core
                                 .recorder
                                 .record(TraceEvent::NodeUp { node: id.raw() });
@@ -2130,7 +1778,7 @@ mod tests {
     #[test]
     fn route_memo_keeps_one_answer_per_source_and_bounds_what_it_strands() {
         let n = 16;
-        let mut memo = RouteMemo::default();
+        let mut memo = topology::RouteMemo::default();
         assert_eq!(memo.get(3, 9), None, "nothing is remembered before the first store");
         memo.store(n, 3, 9, &[3, 5, 9]);
         memo.store(n, 4, 9, &[]);
@@ -2174,12 +1822,12 @@ mod tests {
         assert!(Rc::ptr_eq(&primed, &sim.prime_connectivity()), "a clean cache needs no priming");
 
         // A node lost before the first access: the primed graph is stale
-        // and must not be what the access returns.
+        // and must not be what the access returns — it is patched.
         let mut sim = Simulator::builder(two_node_catalog(50.0)).build();
         sim.prime_connectivity();
         sim.schedule_node_down(SimTime::from_millis(1), NodeId::new(1));
         sim.run_for(SimDuration::from_millis(10));
         assert_eq!(sim.connectivity().link_count(), 0);
-        assert_eq!(sim.graph_builds(), 2);
+        assert_eq!(sim.graph_builds(), 1);
     }
 }

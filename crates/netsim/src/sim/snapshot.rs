@@ -13,29 +13,28 @@
 //! RNG sequence of the original.
 //!
 //! The one piece of derived state handled specially is the
-//! connectivity-graph cache: it is a pure function of world state, so
-//! the blob records only whether it was populated, and restore rebuilds
-//! it silently (no `GraphRebuilt` trace event — emitting one would make
-//! the post-resume trace diverge from the uninterrupted run). The route
-//! memo is a pure function of that graph; restore empties it.
+//! connectivity graph: it is a pure function of world state, so the blob
+//! records only the slot's disposition byte (see `sim/topology.rs`), and
+//! restore brings a graph in step silently (no `GraphRebuilt` trace event
+//! — emitting one would make the post-resume trace diverge from the
+//! uninterrupted run). The route memo is a pure function of that graph;
+//! restore empties it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
-use std::rc::Rc;
 
 use bytes::Bytes;
 use iobt_ckpt::{CkptError, Dec, DecodeError, Enc};
 use iobt_types::{EnergyBudget, NodeId, Point, Rect};
 
-use crate::graph::ConnectivityGraph;
 use crate::message::Message;
 use crate::mobility::{MobilityModel, MobilityState};
 use crate::time::{SimDuration, SimTime};
 
 use super::{
-    Behavior, Blackout, CompromiseSpec, Core, Event, GraphDirty, Jammer, LinkDegradation,
-    PartitionSpec, Queued, Simulator, SleepSchedule,
+    Behavior, Blackout, CompromiseSpec, Core, Event, Jammer, LinkDegradation, PartitionSpec,
+    Queued, Simulator, SleepSchedule,
 };
 
 /// One behaviour's serialised state plus the registry key used to
@@ -406,12 +405,10 @@ impl Simulator {
         // buffer, empty between events.
         let Self { core, behaviors, started, batch: _ } = self;
         // Every `Core` field is either serialised below or deliberately
-        // excluded as derived (`ids`/`index`, and the `graph*` cache with
-        // the `primed` graph that may precede it and the
-        // `route_scratch`/`route_memo` that hang off it),
-        // fixed-configuration (`has_sleep`/`recorder`/`reference_mode`),
-        // or reporting-only (`events_processed`, `route_queries`,
-        // `route_memo_hits`, `graph_builds`) state.
+        // excluded as derived (`ids`/`index`, and `topology`, of which
+        // only the disposition byte is written), fixed-configuration
+        // (`recorder`/`reference_mode`), or reporting-only
+        // (`events_processed`) state.
         let Core {
             now: _,
             seq: _,
@@ -419,15 +416,10 @@ impl Simulator {
             ids: _,
             index: _,
             nodes: _,
-            has_sleep: _,
             channel: _,
             rng: _,
             stats: _,
-            graph: _,
-            graph_dirty: _,
-            primed: _,
-            route_scratch: _,
-            route_memo: _,
+            topology: _,
             retries: _,
             mobility_step: _,
             idle_drain_w: _,
@@ -438,9 +430,6 @@ impl Simulator {
             compromises: _,
             blackouts: _,
             events_processed: _,
-            route_queries: _,
-            route_memo_hits: _,
-            graph_builds: _,
             reference_mode: _,
         } = core;
         let mut e = Enc::new();
@@ -541,23 +530,14 @@ impl Simulator {
             enc_id_set(&mut e, &b.affected);
         }
 
-        // Graph-cache disposition (the graph itself is derived state,
-        // rebuilt silently at restore; a merely primed graph is not the
-        // cache and counts as absent): 0 = absent or fully stale, 1 =
-        // present and clean, 2 = present with a pending liveness patch.
-        // The distinction matters because the next graph access after
-        // resume must emit (or not emit) a `GraphRebuilt` trace exactly
-        // as the uninterrupted run would. Values 0/1 coincide with the
-        // bool this byte used to be. A pending patch that holds movement
-        // is written as 0: movement was a full invalidation when this
-        // format was fixed, and either way the next access rebuilds.
-        e.u8(match (&core.graph, &core.graph_dirty) {
-            (None, _)
-            | (Some(_), GraphDirty::Full)
-            | (Some(_), GraphDirty::Nodes { moved: true, .. }) => 0,
-            (Some(_), GraphDirty::Clean) => 1,
-            (Some(_), GraphDirty::Nodes { moved: false, .. }) => 2,
-        });
+        // Graph disposition (the graph itself is derived state, brought
+        // in step silently at restore): 0 = absent, fully stale or not yet
+        // announced, 1 = present and clean, 2 = present with a pending
+        // liveness patch. The distinction matters because the next graph
+        // access after resume must emit (or not emit) a `GraphRebuilt`
+        // trace exactly as the uninterrupted run would. Values 0/1
+        // coincide with the bool this byte used to be.
+        e.u8(core.topology.disposition());
 
         // The event queue, in deterministic (at, seq) order.
         let mut entries: Vec<&Queued> = core.queue.iter().map(|Reverse(q)| q).collect();
@@ -807,16 +787,14 @@ impl Simulator {
 
         // Everything decoded cleanly; now mutate the simulator.
         let core = &mut self.core;
-        // A primed graph was built under this simulator's channel (any
-        // change since would have dropped it) with no partition in force
-        // and no node asleep. Under the same RF world it differs from the
-        // restored world's graph only where a node's place or liveness does.
-        let primed = core.primed.take().filter(|_| {
-            core.channel.jammers() == jammers.as_slice()
-                && core.channel.extra_loss_db() == extra_loss_db.max(0.0)
-                && !partitions.iter().any(|(_, on)| *on)
-                && node_restores.iter().all(|n| n.sleep.is_none())
-        });
+        // While a graph is held the channel and the partitions in force
+        // are the ones it was built under (any change drops it), so this
+        // compares the RF world of the held graph with the restored one.
+        let cut = |ps: &[(PartitionSpec, bool)]| ps.iter().any(|(_, on)| *on);
+        let same_rf_world = core.channel.jammers() == jammers.as_slice()
+            && core.channel.extra_loss_db() == extra_loss_db.max(0.0)
+            && !cut(&core.partitions)
+            && !cut(&partitions);
         core.now = now;
         core.seq = seq;
         core.rng = rand::rngs::StdRng::from_state(rng_state);
@@ -830,7 +808,6 @@ impl Simulator {
             n.alive = nr.alive;
             n.sleep = nr.sleep;
         }
-        core.has_sleep = core.nodes.iter().any(|n| n.sleep.is_some());
         core.channel.replace_jammers(jammers);
         core.channel.set_extra_loss_db(extra_loss_db);
         core.latency_mult = latency_mult;
@@ -839,61 +816,20 @@ impl Simulator {
         core.compromises = compromises;
         core.blackouts = blackouts;
         core.queue = queue;
-        core.graph = None;
-        core.graph_dirty = GraphDirty::Full;
-        core.route_memo.clear();
-        if graph_cached > 0 {
-            // Derived state: the restored world's graph — the primed one
-            // patched where the world moved on, else a build — without
-            // recording a trace event. A pending liveness patch (2)
-            // resolves to the same topology as a fresh build of the
-            // restored world, but the next graph access must still emit
-            // `GraphRebuilt` like the uninterrupted run's patch
-            // application would — an empty pending list encodes exactly
-            // that.
-            core.graph = Some(core.graph_after_restore(primed));
-            core.graph_dirty = if graph_cached == 2 {
-                GraphDirty::Nodes { pending: Vec::new(), moved: false }
-            } else {
-                GraphDirty::Clean
-            };
-        }
+        let (topology, world, _) = core.topology();
+        topology.restore(&world, graph_cached, same_rf_world);
         self.behaviors = behaviors;
         self.started = started;
         Ok(())
     }
 }
 
-impl Core {
-    /// The graph of the world as just restored: `primed` (the caller
-    /// vouches for everything but place and liveness) with every node
-    /// that differs in either fed through the patch loop, while those
-    /// are few enough; a build otherwise.
-    fn graph_after_restore(
-        &mut self,
-        primed: Option<Rc<ConnectivityGraph>>,
-    ) -> Rc<ConnectivityGraph> {
-        if let Some(mut rc) = primed {
-            let changed: Vec<u32> = (0u32..)
-                .zip(rc.nodes().iter().zip(&self.nodes))
-                .filter(|(_, (was, n))| {
-                    was.position != n.mobility.position()
-                        || was.alive != (n.alive && !n.energy.is_depleted())
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if self.worth_patching(&changed) {
-                self.patch_graph(&mut rc, &changed);
-                return rc;
-            }
-        }
-        self.build_counted()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
     use super::*;
+    use crate::graph::ConnectivityGraph;
     use crate::sim::Context;
     use crate::terrain::Terrain;
     use iobt_types::{Affiliation, NodeCatalog, NodeSpec, Radio, RadioKind};
@@ -1078,7 +1014,7 @@ mod tests {
 
     /// Crashes a run of `run_s` seconds over `catalog` (built through
     /// `configure`, then `arm`ed with its faults), restores its snapshot
-    /// into a fresh simulator whose t = 0 graph was primed, and checks
+    /// into a fresh simulator whose t = 0 graph was built ahead, and checks
     /// the restored cache against a scratch build of the restored world
     /// the number of nodes the restore found somewhere else or in another
     /// state than at t = 0, and the number of from-scratch builds the
@@ -1112,7 +1048,6 @@ mod tests {
         };
         let at_t0 = state(&fresh);
         fresh.restore_state(&blob, &BehaviorRegistry::new()).unwrap();
-        assert!(fresh.core.primed.is_none(), "a restore consumes the primed graph");
         let changed = at_t0.iter().zip(state(&fresh)).filter(|(a, b)| *a != b).count();
         assert_eq!(changed, expected_changed);
         assert_eq!(fresh.save_state().unwrap(), blob, "save → restore → save must be identity");
@@ -1147,7 +1082,7 @@ mod tests {
     fn restore_patches_the_primed_graph_where_the_world_moved_on() {
         let plain = |b: crate::sim::SimulatorBuilder| b;
         let quiet = |_: &mut Simulator| {};
-        // Nothing changed: the primed graph is the restored graph.
+        // Nothing changed: the graph built ahead is the restored graph.
         restore_over_primed(catalog(12, 80.0), &plain, &quiet, true, 0, 1);
         // One node down (of 12: at most 3 are patched).
         let one_down = |sim: &mut Simulator| {
@@ -1211,7 +1146,7 @@ mod tests {
         };
         restore_over_primed(catalog(12, 80.0), &plain, &cut, true, 0, 2);
         // ... a sleep schedule, which folds the clock into liveness (the
-        // fresh simulator never retains a primed graph at all) ...
+        // fresh simulator never keeps a graph ahead at all) ...
         let dozing = |b: crate::sim::SimulatorBuilder| {
             let period = SimDuration::from_millis(700);
             b.sleep_schedule(NodeId::new(5), SleepSchedule::new(period, 0.5, SimDuration::ZERO))
@@ -1220,8 +1155,8 @@ mod tests {
         // ... and the reference path, which retains none either.
         let reference = |b: crate::sim::SimulatorBuilder| b.reference_mode(true);
         restore_over_primed(catalog(12, 80.0), &reference, &quiet, true, 0, 2);
-        // No cached graph in the snapshot: none after the restore, and
-        // the primed one is gone — the first access builds.
-        restore_over_primed(catalog(12, 80.0), &plain, &quiet, false, 0, 2);
+        // No cached graph in the snapshot: the one built ahead stays, as
+        // unseen as it was, and the first access announces it.
+        restore_over_primed(catalog(12, 80.0), &plain, &quiet, false, 0, 1);
     }
 }

@@ -1,0 +1,663 @@
+//! The simulator's derived topology state, behind one owner.
+//!
+//! Either no connectivity graph is held, or one is held together with the
+//! node indices still to patch into it and what the next access owes
+//! ([`Owes`]). A snapshot's disposition byte *is* that state:
+//!
+//! | state                         | byte | the next access                 |
+//! |-------------------------------|------|---------------------------------|
+//! | no graph held                 | 0    | builds, records `GraphRebuilt`  |
+//! | held, [`Owes::UnseenRebuilt`] | 0    | patches, records `GraphRebuilt` |
+//! | held, [`Owes::Nothing`]       | 1    | returns it                      |
+//! | held, [`Owes::Rebuilt`]       | 2    | patches, records `GraphRebuilt` |
+//!
+//! A node's place or liveness changing joins the pending list; a
+//! channel-wide change (jammer, partition, degradation) drops the graph.
+//! [`Topology::peek`] brings the graph in step with the world and says
+//! nothing; [`Topology::access`] does the same and pays what is owed —
+//! exactly when rebuild-on-access would have rebuilt, with the same
+//! counts, because a patched graph equals a built one;
+//! [`Topology::restore`] patches whatever is held to a restored world.
+//! With a sleep schedule anywhere (it folds the clock into liveness) or on
+//! the reference path the slot *never patches and never keeps ahead*.
+//! The route memo and the search scratch hang off the graph and live here
+//! with it. None of this is serialised.
+
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use iobt_obs::{Recorder, TraceEvent};
+use iobt_types::NodeId;
+
+use crate::channel::Channel;
+use crate::graph::{ConnectivityGraph, GraphNode, RouteScratch, PATCH_AT_MOST_ONE_IN};
+use crate::time::SimTime;
+
+use super::{NodeRuntime, PartitionSpec};
+
+/// What a graph is a function of, borrowed from the simulator.
+pub(super) struct World<'a> {
+    pub(super) now: SimTime,
+    pub(super) ids: &'a Rc<[NodeId]>,
+    pub(super) index: &'a Rc<BTreeMap<NodeId, u32>>,
+    pub(super) nodes: &'a [NodeRuntime],
+    pub(super) channel: &'a Channel,
+    pub(super) partitions: &'a [(PartitionSpec, bool)],
+}
+
+impl World<'_> {
+    /// The link-deny predicate: whether an active partition cuts `x`–`y`.
+    fn deny(&self) -> impl Fn(NodeId, NodeId) -> bool + '_ {
+        |x, y| self.partitions.iter().any(|(p, on)| *on && p.cuts(x, y))
+    }
+
+    /// The connectivity graph of the world as it stands: a pure function
+    /// of it, recording nothing.
+    fn build_graph(&self) -> ConnectivityGraph {
+        let nodes: Vec<GraphNode> = self
+            .nodes
+            .iter()
+            .map(|n| GraphNode {
+                id: n.id,
+                position: n.mobility.position(),
+                radios: Rc::clone(&n.radios),
+                alive: n.is_active(self.now),
+            })
+            .collect();
+        ConnectivityGraph::build_shared(
+            Rc::clone(self.ids),
+            Rc::clone(self.index),
+            nodes,
+            self.channel,
+            &self.deny(),
+        )
+    }
+
+    /// Whether `pending` is few enough nodes to patch rather than rebuild:
+    /// a patch computes a link between two pending nodes from both ends.
+    fn worth_patching(&self, pending: &[u32]) -> bool {
+        pending.len() <= self.nodes.len().div_ceil(PATCH_AT_MOST_ONE_IN)
+    }
+
+    /// Patches the place and liveness of the nodes in `pending` (sorted,
+    /// deduplicated) into `rc`, which must match the world in every
+    /// other node, the channel and the active partitions.
+    fn patch(&self, rc: &mut Rc<ConnectivityGraph>, pending: &[u32]) {
+        // Copy-on-write: external `connectivity()` holders keep their
+        // frozen snapshot.
+        let g = Rc::make_mut(rc);
+        // Every position first, then every relink: a link between two
+        // movers must see both where they are.
+        for &i in pending {
+            g.move_node(i, self.nodes[i as usize].mobility.position());
+        }
+        let deny = self.deny();
+        for &i in pending {
+            g.refresh_node(i, self.nodes[i as usize].is_up(), self.channel, &deny);
+        }
+        debug_assert!(
+            rc.same_topology(&self.build_graph()),
+            "incremental graph maintenance diverged from a full rebuild"
+        );
+    }
+}
+
+/// What the next [`Topology::access`] owes for the held graph; the
+/// discriminant is the snapshot's disposition byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owes {
+    /// A `GraphRebuilt`, and a snapshot must say no graph is cached: a
+    /// node moved (a full invalidation when the byte was defined), or the
+    /// graph was built ahead of its first access.
+    UnseenRebuilt = 0,
+    /// Nothing: the graph is in step and announced.
+    Nothing = 1,
+    /// A `GraphRebuilt`, for liveness changes or a tick that moved nothing.
+    Rebuilt = 2,
+}
+
+struct Held {
+    graph: Rc<ConnectivityGraph>,
+    /// Indices of nodes whose place or liveness changed since `graph`'s
+    /// links were computed; may repeat. Empty while nothing is owed.
+    pending: Vec<u32>,
+    owes: Owes,
+}
+
+/// The connectivity-graph slot and what hangs off it; see the
+/// [module docs](self).
+#[derive(Default)]
+pub(super) struct Topology {
+    held: Option<Held>,
+    /// Never patch, never keep ahead.
+    rebuild_only: bool,
+    scratch: RouteScratch,
+    memo: RouteMemo,
+    /// Routes asked for, and how many of them the memo answered.
+    /// Reporting-only, like `Core::events_processed`.
+    route_queries: u64,
+    memo_hits: u64,
+    /// From-scratch builds for the slot (not the `debug_assert!`
+    /// oracle's). Reporting-only.
+    builds: u64,
+}
+
+impl Topology {
+    pub(super) fn new(rebuild_only: bool) -> Self {
+        Topology { rebuild_only, ..Topology::default() }
+    }
+
+    /// `(queries, hits)` of [`Topology::route`] since construction.
+    pub(super) fn route_memo_counts(&self) -> (u64, u64) {
+        (self.route_queries, self.memo_hits)
+    }
+
+    /// From-scratch graph builds since construction.
+    pub(super) fn builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// The byte a snapshot records for this state.
+    pub(super) fn disposition(&self) -> u8 {
+        self.held.as_ref().map_or(0, |held| held.owes as u8)
+    }
+
+    /// Node `i`'s liveness changed.
+    pub(super) fn invalidate_node(&mut self, i: u32) {
+        if let Some(pending) = self.stale(false) {
+            pending.push(i);
+        }
+    }
+
+    /// A mobility tick moved the nodes in `movers`. A tick that moved
+    /// nothing still owes its `GraphRebuilt` but relinks nothing.
+    pub(super) fn invalidate_moved(&mut self, movers: Vec<u32>) {
+        if let Some(pending) = self.stale(!movers.is_empty()) {
+            // Usually the tick's list *becomes* the pending list; a copy
+            // beside it cost `netsim_mobile` 4 % of peak RSS.
+            if pending.is_empty() {
+                *pending = movers;
+            } else {
+                pending.extend(movers);
+            }
+        }
+    }
+
+    /// The channel or the partitions in force changed: no link of the
+    /// held graph can be trusted.
+    pub(super) fn invalidate_all(&mut self) {
+        self.held = None;
+    }
+
+    /// Some node's place (`moved`) or liveness changed: drops a graph
+    /// that may not be patched, else raises the debt and returns the
+    /// pending list for the node to join.
+    fn stale(&mut self, moved: bool) -> Option<&mut Vec<u32>> {
+        if self.rebuild_only {
+            self.held = None;
+        }
+        let held = self.held.as_mut()?;
+        if moved || held.owes == Owes::Nothing {
+            held.owes = if moved { Owes::UnseenRebuilt } else { Owes::Rebuilt };
+        }
+        Some(&mut held.pending)
+    }
+
+    fn build(&mut self, world: &World<'_>) -> Rc<ConnectivityGraph> {
+        self.builds += 1;
+        Rc::new(world.build_graph())
+    }
+
+    /// Brings the held graph in step with the world — building one, as
+    /// yet unseen, if none is held — and records nothing. The route memo
+    /// goes whenever links may have changed, and only then.
+    fn sync(&mut self, world: &World<'_>) -> &mut Held {
+        let (graph, owes) = match self.held.take() {
+            Some(Held { mut graph, mut pending, owes }) => {
+                pending.sort_unstable();
+                pending.dedup();
+                if !pending.is_empty() {
+                    self.memo.clear();
+                    if world.worth_patching(&pending) {
+                        world.patch(&mut graph, &pending);
+                    } else {
+                        // One graph at a time: the stale one goes first.
+                        drop(graph);
+                        graph = self.build(world);
+                    }
+                }
+                (graph, owes)
+            }
+            None => {
+                self.memo.clear();
+                (self.build(world), Owes::UnseenRebuilt)
+            }
+        };
+        self.held.insert(Held { graph, pending: Vec::new(), owes })
+    }
+
+    /// The graph of the world as it stands, with no side effect a trace
+    /// or a snapshot can see.
+    pub(super) fn peek(&mut self, world: &World<'_>) -> Rc<ConnectivityGraph> {
+        if self.rebuild_only && self.held.is_none() {
+            return self.build(world);
+        }
+        Rc::clone(&self.sync(world).graph)
+    }
+
+    /// The graph of the world as it stands, announced. Every hop of every
+    /// message passes here, so the common case — nothing owed — inlines.
+    #[inline]
+    pub(super) fn access(
+        &mut self,
+        world: &World<'_>,
+        recorder: &Recorder,
+    ) -> &Rc<ConnectivityGraph> {
+        if !matches!(self.held, Some(Held { owes: Owes::Nothing, .. })) {
+            self.pay(world, recorder);
+        }
+        // lint: allow(panic) — `pay` leaves a held graph behind
+        &self.held.as_ref().expect("paid").graph
+    }
+
+    #[cold]
+    fn pay(&mut self, world: &World<'_>, recorder: &Recorder) {
+        let held = self.sync(world);
+        held.owes = Owes::Nothing;
+        recorder.record(TraceEvent::GraphRebuilt {
+            nodes: held.graph.len() as u64,
+            edges: held.graph.link_count() as u64,
+        });
+    }
+
+    /// The route `src → dst` over the accessed graph, in a buffer to hand
+    /// back through [`Topology::recycle`]: the memo's answer when it has
+    /// one for the graph as it stands, else a search — kept if `memoise`.
+    pub(super) fn route(
+        &mut self,
+        world: &World<'_>,
+        recorder: &Recorder,
+        src: u32,
+        dst: u32,
+        memoise: bool,
+    ) -> Option<Vec<u32>> {
+        let graph = Rc::clone(self.access(world, recorder));
+        self.route_queries += 1;
+        match self.memo.get(src, dst) {
+            Some(path) => {
+                self.memo_hits += 1;
+                (!path.is_empty()).then(|| {
+                    let mut route = self.scratch.take_path();
+                    route.extend_from_slice(path);
+                    route
+                })
+            }
+            None => {
+                let found = graph.route_idx_with(&mut self.scratch, src, dst);
+                if memoise {
+                    let path = found.as_deref().unwrap_or(&[]);
+                    self.memo.store(graph.len(), src, dst, path);
+                }
+                found
+            }
+        }
+    }
+
+    /// Hands a path from [`Topology::route`] back for reuse.
+    pub(super) fn recycle(&mut self, route: Vec<u32>) {
+        self.scratch.recycle(route);
+    }
+
+    /// Adopts `world`, just restored from a snapshot that recorded
+    /// `disposition`. A held graph's retained `(position, alive)` describe
+    /// the world its links were computed for, so under the same channel
+    /// and partitions (`same_rf_world`) the nodes that differ in those are
+    /// what is pending, and the byte is what is owed. A snapshot that had
+    /// a graph gets one in step now, silently; one that had none leaves
+    /// that to the next access.
+    pub(super) fn restore(&mut self, world: &World<'_>, disposition: u8, same_rf_world: bool) {
+        self.memo.clear();
+        self.rebuild_only |= world.nodes.iter().any(|n| n.sleep.is_some());
+        let owes = match disposition {
+            1 => Owes::Nothing,
+            2 => Owes::Rebuilt,
+            _ => Owes::UnseenRebuilt,
+        };
+        let kept = self.held.take().filter(|_| same_rf_world && !self.rebuild_only);
+        self.held = kept.map(|Held { graph, .. }| {
+            let pending = (0u32..)
+                .zip(graph.nodes().iter().zip(world.nodes))
+                .filter(|(_, (was, n))| {
+                    was.position != n.mobility.position() || was.alive != n.is_up()
+                })
+                .map(|(i, _)| i)
+                .collect();
+            Held { graph, pending, owes }
+        });
+        if disposition > 0 {
+            self.sync(world).owes = owes;
+        }
+    }
+}
+
+/// Each source's last routing answer, valid exactly as long as the graph
+/// it was searched on. The same graph and the same `(src, dst)` give the
+/// same deterministic search, so an entry *is* the path a fresh search
+/// would return. Traffic is convergecast — a sensor reports to one
+/// post — so one slot per source is one slot per `(src, dst)` pair.
+///
+/// Derived state: never serialised, emptied whenever the held graph's
+/// links change, and never filled on the reference path.
+#[derive(Debug, Default)]
+pub(super) struct RouteMemo {
+    /// One slot per source index; empty until the first store after a
+    /// clear, so clearing is O(1) and a simulator that never transmits
+    /// holds nothing.
+    slots: Vec<MemoSlot>,
+    /// Path node indices, back to back; slots point into it.
+    pub(super) arena: Vec<u32>,
+    /// Arena entries some slot still points at. A slot overwritten for
+    /// a new destination strands its old path, and ticks that move
+    /// nothing never clear the memo, so the stranded share is bounded
+    /// in [`RouteMemo::store`].
+    pub(super) live: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct MemoSlot {
+    /// Destination index the answer is for; `u32::MAX` marks a slot
+    /// that holds nothing.
+    dst: u32,
+    start: u32,
+    /// Path length in nodes; 0 records that no route exists.
+    len: u32,
+}
+
+impl MemoSlot {
+    const EMPTY: MemoSlot = MemoSlot { dst: u32::MAX, start: 0, len: 0 };
+}
+
+impl RouteMemo {
+    pub(super) fn clear(&mut self) {
+        self.slots.clear();
+        self.arena.clear();
+        self.live = 0;
+    }
+
+    /// The remembered answer for `src → dst`: `Some(path)` (empty when
+    /// no route exists), or `None` when nothing is remembered.
+    pub(super) fn get(&self, src: u32, dst: u32) -> Option<&[u32]> {
+        let slot = self.slots.get(src as usize).filter(|s| s.dst == dst)?;
+        Some(&self.arena[slot.start as usize..][..slot.len as usize])
+    }
+
+    /// Remembers `path` (empty: no route) as the answer for `src → dst`
+    /// among `n` nodes.
+    pub(super) fn store(&mut self, n: usize, src: u32, dst: u32, path: &[u32]) {
+        // Stranded paths are dropped, with everything else, once they
+        // outweigh what is live plus a node's worth per source (or, in
+        // principle, once `start` would no longer fit its slot).
+        let stranded = self.arena.len() - self.live;
+        if stranded > self.live + n || self.arena.len() + path.len() > u32::MAX as usize {
+            self.clear();
+        }
+        if self.slots.is_empty() {
+            self.slots.resize(n, MemoSlot::EMPTY);
+        }
+        let slot = &mut self.slots[src as usize];
+        self.live = self.live - slot.len as usize + path.len();
+        *slot = MemoSlot {
+            dst,
+            start: self.arena.len() as u32,
+            len: path.len() as u32,
+        };
+        self.arena.extend_from_slice(path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::channel::Jammer;
+    use crate::mobility::{MobilityModel, MobilityState};
+    use crate::sim::SleepSchedule;
+    use crate::time::SimDuration;
+    use iobt_types::{EnergyBudget, Point, RadioKind};
+
+    /// A world the slot can be driven over without a `Simulator`: eight
+    /// wifi nodes 80 m apart on a line, a jammer (off) between nodes 4 and
+    /// 5 and a registered cut (inactive) between nodes 3 and 4.
+    struct Field {
+        ids: Rc<[NodeId]>,
+        index: Rc<BTreeMap<NodeId, u32>>,
+        nodes: Vec<NodeRuntime>,
+        channel: Channel,
+        partitions: Vec<(PartitionSpec, bool)>,
+    }
+
+    impl Field {
+        fn new() -> Self {
+            let ids: Rc<[NodeId]> = (0..8).map(NodeId::new).collect();
+            let index = Rc::new((0u32..).zip(ids.iter()).map(|(i, &id)| (id, i)).collect());
+            let nodes = (0u32..)
+                .zip(ids.iter())
+                .map(|(i, &id)| NodeRuntime {
+                    id,
+                    radios: vec![RadioKind::Wifi].into(),
+                    tx_power_w: RadioKind::Wifi.tx_power_w(),
+                    mobility: Self::parked(Point::new(f64::from(i) * 80.0, 0.0)),
+                    energy: EnergyBudget::new(1_000.0),
+                    alive: true,
+                    sleep: None,
+                })
+                .collect();
+            let mut channel = Channel::default();
+            let mut jammer = Jammer::new(Point::new(360.0, 20.0), 1.0);
+            jammer.active = false;
+            channel.add_jammer(jammer);
+            let cut = PartitionSpec::new([NodeId::new(3)], [NodeId::new(4)]);
+            Field { ids, index, nodes, channel, partitions: vec![(cut, false)] }
+        }
+
+        fn parked(at: Point) -> MobilityState {
+            MobilityState::new(MobilityModel::Static, at)
+        }
+
+        fn world(&self) -> World<'_> {
+            World {
+                now: SimTime::ZERO,
+                ids: &self.ids,
+                index: &self.index,
+                nodes: &self.nodes,
+                channel: &self.channel,
+                partitions: &self.partitions,
+            }
+        }
+
+        /// Toggles the jammer, which must cost or return some link.
+        fn toggle_jammer(&mut self) {
+            let links = self.scratch().link_count();
+            let on = self.channel.jammers()[0].active;
+            self.channel.set_jammer_active(0, !on);
+            assert_ne!(self.scratch().link_count(), links, "a jammer in name only");
+        }
+
+        /// The oracle: a from-scratch public build of the world as it stands.
+        fn scratch(&self) -> ConnectivityGraph {
+            let nodes: Vec<GraphNode> = self
+                .nodes
+                .iter()
+                .map(|n| GraphNode {
+                    id: n.id,
+                    position: n.mobility.position(),
+                    radios: Rc::clone(&n.radios),
+                    alive: n.is_active(SimTime::ZERO),
+                })
+                .collect();
+            let deny = |x, y| self.partitions.iter().any(|(p, on)| *on && p.cuts(x, y));
+            ConnectivityGraph::build_filtered(&nodes, &self.channel, &deny)
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// One node's liveness flips: a node invalidation.
+        Flip(u32),
+        /// A tick that moves one node 30 m north / that moves nothing.
+        Move(u32),
+        EmptyTick,
+        /// Channel-wide changes: the jammer or the cut toggles.
+        Jam,
+        Cut,
+        Peek,
+        Access,
+        /// A restore of the given disposition byte into the world as the
+        /// steps before it left it, under the same RF world or — the
+        /// jammer toggles, and nothing tells the slot — a different one.
+        Restore(u8, bool),
+        /// Node 7 gains a sleep schedule (only a restore can bring one).
+        Doze,
+    }
+
+    /// Drives every transition of the slot in the patchable and in the
+    /// never-patch mode, checking after each step the disposition byte,
+    /// whether a `GraphRebuilt` is owed, the build count, and any graph
+    /// held in step against a scratch build.
+    #[test]
+    fn every_transition_in_both_modes() {
+        use Step::*;
+        /// `(disposition byte, announcement owed, builds so far)`.
+        type After = (u8, bool, u64);
+        // (step, [patchable, never-patch])
+        #[rustfmt::skip]
+        let table: &[(Step, [After; 2])] = &[
+            // Nothing held: a change is nothing to remember.
+            (Flip(2),          [(0, true, 0),  (0, true, 0)]),
+            // Built ahead: kept and unseen, or not kept at all.
+            (Peek,             [(0, true, 1),  (0, true, 1)]),
+            (Peek,             [(0, true, 1),  (0, true, 2)]),
+            (Flip(3),          [(0, true, 1),  (0, true, 2)]),
+            (EmptyTick,        [(0, true, 1),  (0, true, 2)]),
+            // The first access patches what was built ahead and pays.
+            (Access,           [(1, false, 1), (1, false, 3)]),
+            (Access,           [(1, false, 1), (1, false, 3)]),
+            // An empty tick owes an announcement and relinks nothing.
+            (EmptyTick,        [(2, true, 1),  (0, true, 3)]),
+            (Peek,             [(2, true, 1),  (0, true, 4)]),
+            (Access,           [(1, false, 1), (1, false, 5)]),
+            // Liveness is byte 2, movement byte 0, and movement wins.
+            (Flip(3),          [(2, true, 1),  (0, true, 5)]),
+            (Move(5),          [(0, true, 1),  (0, true, 5)]),
+            (Flip(3),          [(0, true, 1),  (0, true, 5)]),
+            (Peek,             [(0, true, 1),  (0, true, 6)]),
+            (Access,           [(1, false, 1), (1, false, 7)]),
+            // Channel-wide: the graph goes, in either mode.
+            (Jam,              [(0, true, 1),  (0, true, 7)]),
+            (Access,           [(1, false, 2), (1, false, 8)]),
+            (Cut,              [(0, true, 2),  (0, true, 8)]),
+            (Access,           [(1, false, 3), (1, false, 9)]),
+            // A patch under the cut asks the same deny as a build.
+            (Flip(3),          [(2, true, 3),  (0, true, 9)]),
+            (Access,           [(1, false, 3), (1, false, 10)]),
+            (Cut,              [(0, true, 3),  (0, true, 10)]),
+            (Access,           [(1, false, 4), (1, false, 11)]),
+            // Three of eight pending is past one in four: a build.
+            (Flip(0),          [(2, true, 4),  (0, true, 11)]),
+            (Flip(1),          [(2, true, 4),  (0, true, 11)]),
+            (Flip(6),          [(2, true, 4),  (0, true, 11)]),
+            (Access,           [(1, false, 5), (1, false, 12)]),
+            // Restores, same RF world: the held graph is patched where the
+            // world moved on, and the byte says what is owed.
+            (Flip(0),          [(2, true, 5),  (0, true, 12)]),
+            (Restore(1, true), [(1, false, 5), (1, false, 13)]),
+            (Move(1),          [(0, true, 5),  (0, true, 13)]),
+            (Restore(2, true), [(2, true, 5),  (2, true, 14)]),
+            (Access,           [(1, false, 5), (1, false, 14)]),
+            (Restore(0, true), [(0, true, 5),  (0, true, 14)]),
+            (Access,           [(1, false, 5), (1, false, 15)]),
+            // A different RF world: built if the snapshot had a graph ...
+            (Restore(1, false), [(1, false, 6), (1, false, 16)]),
+            (Restore(2, false), [(2, true, 7),  (2, true, 17)]),
+            // ... and none held if it had none, from whatever was held.
+            (Restore(0, false), [(0, true, 7),  (0, true, 17)]),
+            (Restore(0, true), [(0, true, 7),  (0, true, 17)]),
+            (Restore(1, true), [(1, false, 8), (1, false, 18)]),
+            // Too much changed to patch: built, or dropped at byte 0.
+            (Flip(1),          [(2, true, 8),  (0, true, 18)]),
+            (Flip(6),          [(2, true, 8),  (0, true, 18)]),
+            (Flip(7),          [(2, true, 8),  (0, true, 18)]),
+            (Restore(1, true), [(1, false, 9), (1, false, 19)]),
+            (Flip(1),          [(2, true, 9),  (0, true, 19)]),
+            (Flip(6),          [(2, true, 9),  (0, true, 19)]),
+            (Flip(7),          [(2, true, 9),  (0, true, 19)]),
+            (Restore(0, true), [(0, true, 9),  (0, true, 19)]),
+            // A restored sleep schedule ends patching for good.
+            (Access,           [(1, false, 10), (1, false, 20)]),
+            (Doze,             [(1, false, 10), (1, false, 20)]),
+            (Restore(1, true), [(1, false, 11), (1, false, 21)]),
+            (Flip(2),          [(0, true, 11), (0, true, 21)]),
+            (Peek,             [(0, true, 12), (0, true, 22)]),
+        ];
+        for (mode, rebuild_only) in [false, true].into_iter().enumerate() {
+            let mut field = Field::new();
+            let mut slot = Topology::new(rebuild_only);
+            let (recorder, ring) = Recorder::memory(256);
+            let owed = |slot: &Topology| {
+                slot.held.as_ref().is_none_or(|held| held.owes != Owes::Nothing)
+            };
+            for (row, &(step, expected)) in table.iter().enumerate() {
+                let at = format!("row {row} {step:?}, rebuild_only = {rebuild_only}");
+                let (owed_before, announced_before) = (owed(&slot), ring.records().len());
+                match step {
+                    Flip(i) => {
+                        let node = &mut field.nodes[i as usize];
+                        node.alive = !node.alive;
+                        slot.invalidate_node(i);
+                    }
+                    Move(i) => {
+                        let node = &mut field.nodes[i as usize];
+                        let here = node.mobility.position();
+                        node.mobility = Field::parked(Point::new(here.x, here.y + 30.0));
+                        slot.invalidate_moved(vec![i]);
+                    }
+                    EmptyTick => slot.invalidate_moved(Vec::new()),
+                    Jam => {
+                        field.toggle_jammer();
+                        slot.invalidate_all();
+                    }
+                    Cut => {
+                        field.partitions[0].1 ^= true;
+                        slot.invalidate_all();
+                    }
+                    Peek => {
+                        let seen = slot.peek(&field.world());
+                        assert!(seen.same_topology(&field.scratch()), "{at}");
+                    }
+                    Access => {
+                        let seen = Rc::clone(slot.access(&field.world(), &recorder));
+                        assert!(seen.same_topology(&field.scratch()), "{at}");
+                    }
+                    Restore(byte, same_rf_world) => {
+                        if !same_rf_world {
+                            field.toggle_jammer();
+                        }
+                        slot.restore(&field.world(), byte, same_rf_world);
+                    }
+                    Doze => {
+                        let period = SimDuration::from_millis(500);
+                        field.nodes[7].sleep =
+                            Some(SleepSchedule::new(period, 1.0, SimDuration::ZERO));
+                    }
+                }
+                assert_eq!((slot.disposition(), owed(&slot), slot.builds()), expected[mode], "{at}");
+                if let Some(held) = slot.held.as_ref().filter(|held| held.pending.is_empty()) {
+                    let stale = matches!(step, Jam | Cut | Doze);
+                    assert!(stale || held.graph.same_topology(&field.scratch()), "{at}");
+                }
+                let announced = ring.records().len() - announced_before;
+                let due = matches!(step, Access) && owed_before;
+                assert_eq!(announced, usize::from(due), "{at}: only an access pays, once");
+            }
+        }
+    }
+}

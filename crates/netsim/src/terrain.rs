@@ -126,11 +126,6 @@ impl Terrain {
         self.bounds
     }
 
-    /// Grid dimensions `(cols, rows)`.
-    pub const fn grid_dims(&self) -> (usize, usize) {
-        (self.cols, self.rows)
-    }
-
     /// Clutter at a point; points outside the bounds clamp to the nearest
     /// cell.
     pub fn clutter_at(&self, p: Point) -> Clutter {

@@ -194,21 +194,6 @@ impl CompositionProblem {
         self.counter_for(selection).satisfied()
     }
 
-    /// Per-pair coverage multiplicity under a selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an index is out of range.
-    pub fn coverage_counts(&self, selection: &[usize]) -> Vec<u16> {
-        let mut counts = vec![0u16; self.pair_count];
-        for &i in selection {
-            for p in self.candidates[i].covers.iter() {
-                counts[p as usize] = counts[p as usize].saturating_add(1);
-            }
-        }
-        counts
-    }
-
     /// Builds an incremental redundancy counter pre-loaded with a
     /// selection — the entry point the solvers share.
     pub fn counter_for(&self, selection: &[usize]) -> CoverageCounter {

@@ -290,22 +290,6 @@ pub(crate) fn finish(problem: &CompositionProblem, selected: Vec<usize>) -> Comp
     }
 }
 
-/// Compares two candidates by marginal-gain-per-cost via cross
-/// multiplication, breaking exact ties toward the smaller index.
-///
-/// Exact in `f64`: gains are small integers and candidate costs are
-/// multiples of 0.25 in `[1, 2]` (see
-/// [`candidate_cost`](crate::problem::candidate_cost)), so both products
-/// are computed without rounding. Both the reference scan greedy and the
-/// CELF heap order with this same function, which is what makes their
-/// selections identical.
-#[inline]
-fn better_ratio(gain_a: usize, cost_a: f64, idx_a: usize, gain_b: usize, cost_b: f64, idx_b: usize) -> bool {
-    let lhs = gain_a as f64 * cost_b;
-    let rhs = gain_b as f64 * cost_a;
-    lhs > rhs || (lhs == rhs && idx_a < idx_b)
-}
-
 /// A CELF heap entry: the candidate's gain as of `stamp` selections.
 struct CelfEntry {
     gain: usize,
@@ -408,45 +392,6 @@ pub(crate) fn greedy_extend(
 fn greedy(problem: &CompositionProblem, stats: &mut SolveStats) -> Vec<usize> {
     let mut counter = problem.counter_for(&[]);
     greedy_extend(problem, &mut counter, |_| true, stats)
-}
-
-/// Reference greedy: full rescan of every candidate per selection, using
-/// the same exact comparator as the CELF path. Kept (test-visible) so
-/// equivalence tests can assert the lazy evaluation changes nothing.
-#[doc(hidden)]
-pub fn greedy_scan(problem: &CompositionProblem) -> Vec<usize> {
-    let needed = problem.pairs_needed();
-    let mut counter = problem.counter_for(&[]);
-    let mut selected = Vec::new();
-    let mut in_set = vec![false; problem.candidates.len()];
-    while counter.satisfied() < needed {
-        let mut best: Option<(usize, usize)> = None; // (idx, gain)
-        for (i, cand) in problem.candidates.iter().enumerate() {
-            if in_set[i] {
-                continue;
-            }
-            let gain = counter.gain(&cand.covers);
-            if gain == 0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bi, bg)) => {
-                    better_ratio(gain, cand.cost, i, bg, problem.candidates[bi].cost, bi)
-                }
-            };
-            if better {
-                best = Some((i, gain));
-            }
-        }
-        let Some((i, _)) = best else {
-            break;
-        };
-        in_set[i] = true;
-        selected.push(i);
-        counter.add(&problem.candidates[i].covers);
-    }
-    selected
 }
 
 /// Simulated annealing from the greedy seed: random add/remove moves
@@ -665,6 +610,58 @@ mod tests {
         Affiliation, EnergyBudget, Mission, MissionId, MissionKind, NodeId, NodeSpec, Point, Rect,
         Sensor, SensorKind,
     };
+
+    /// Compares two candidates by marginal-gain-per-cost via cross
+    /// multiplication, breaking exact ties toward the smaller index.
+    ///
+    /// Exact in `f64`: gains are small integers and candidate costs are
+    /// multiples of 0.25 in `[1, 2]` (see
+    /// [`candidate_cost`](crate::problem::candidate_cost)), so both products
+    /// are computed without rounding. [`CelfEntry`]'s `Ord` spells the same
+    /// comparison, which is what makes the two selections identical.
+    fn better_ratio(gain_a: usize, cost_a: f64, idx_a: usize, gain_b: usize, cost_b: f64, idx_b: usize) -> bool {
+        let lhs = gain_a as f64 * cost_b;
+        let rhs = gain_b as f64 * cost_a;
+        lhs > rhs || (lhs == rhs && idx_a < idx_b)
+    }
+
+    /// Reference greedy: full rescan of every candidate per selection, using
+    /// the same exact comparator as the CELF path, so the tests below can
+    /// assert the lazy evaluation changes nothing.
+    fn greedy_scan(problem: &CompositionProblem) -> Vec<usize> {
+        let needed = problem.pairs_needed();
+        let mut counter = problem.counter_for(&[]);
+        let mut selected = Vec::new();
+        let mut in_set = vec![false; problem.candidates.len()];
+        while counter.satisfied() < needed {
+            let mut best: Option<(usize, usize)> = None; // (idx, gain)
+            for (i, cand) in problem.candidates.iter().enumerate() {
+                if in_set[i] {
+                    continue;
+                }
+                let gain = counter.gain(&cand.covers);
+                if gain == 0 {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((bi, bg)) => {
+                        better_ratio(gain, cand.cost, i, bg, problem.candidates[bi].cost, bi)
+                    }
+                };
+                if better {
+                    best = Some((i, gain));
+                }
+            }
+            let Some((i, _)) = best else {
+                break;
+            };
+            in_set[i] = true;
+            selected.push(i);
+            counter.add(&problem.candidates[i].covers);
+        }
+        selected
+    }
 
     fn grid_mission(k: usize, fraction: f64) -> Mission {
         Mission::builder(MissionId::new(1), MissionKind::Surveillance)

@@ -160,16 +160,6 @@ impl ComputeClass {
             ComputeClass::EdgeCloud => 500_000.0,
         }
     }
-
-    /// Memory available for in-network analytics, in MiB.
-    pub const fn memory_mib(self) -> f64 {
-        match self {
-            ComputeClass::Disposable => 0.25,
-            ComputeClass::Embedded => 16.0,
-            ComputeClass::EdgeServer => 8_192.0,
-            ComputeClass::EdgeCloud => 262_144.0,
-        }
-    }
 }
 
 impl fmt::Display for ComputeClass {

@@ -56,11 +56,6 @@ impl Point {
         )
     }
 
-    /// Translates the point by `(dx, dy)` meters.
-    pub fn translated(self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x + dx, self.y + dy)
-    }
-
     /// Returns `true` when both coordinates are finite.
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite()

@@ -321,14 +321,6 @@ impl MissionBuilder {
         self
     }
 
-    /// Adds a required actuator.
-    pub fn require_actuator(mut self, kind: ActuatorKind) -> Self {
-        if !self.mission.required_actuators.contains(&kind) {
-            self.mission.required_actuators.push(kind);
-        }
-        self
-    }
-
     /// Sets the required coverage fraction (clamped to `[0, 1]`).
     pub fn coverage_fraction(mut self, fraction: f64) -> Self {
         self.mission.coverage_fraction = fraction.clamp(0.0, 1.0);

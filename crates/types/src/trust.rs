@@ -134,16 +134,6 @@ impl TrustLedger {
         }
     }
 
-    /// Creates a ledger whose affiliation priors weigh as much as
-    /// `strength` real observations. Clamped to be ≥ `0.1` so scores stay
-    /// well-defined before any evidence arrives.
-    pub fn with_prior_strength(strength: f64) -> Self {
-        TrustLedger {
-            prior_strength: strength.max(0.1),
-            evidence: HashMap::new(),
-        }
-    }
-
     /// Registers a node, seeding its evidence from the affiliation prior.
     /// Re-enrolling an existing node resets its evidence.
     pub fn enroll(&mut self, node: NodeId, affiliation: Affiliation) {

@@ -1,13 +1,15 @@
 //! Integration: one graph build per runner, and nothing else moves.
 //!
 //! `MissionRunner::new` and `resume` stand up the execution simulator
-//! first and take the reachability filter's answer from *its* silently
-//! primed t=0 graph; the first real access adopts that graph and a
-//! restore patches it. The byte-level pins below were taken on the commit
-//! before that change, where the filter still built a throw-away probe
-//! simulator: checkpoint payloads, the position and payload of the first
-//! `GraphRebuilt` record and the order of the prologue's records must not
-//! notice which simulator answered.
+//! first and take the reachability filter's answer from a silent look at
+//! *its* t=0 graph. The simulator keeps that graph, still owing its
+//! `GraphRebuilt`: node changes are patched into it, the first real access
+//! announces it and a restore patches it to the restored world. The
+//! byte-level pins below were taken on the commit before PR 16, where the
+//! filter still built a throw-away probe simulator: checkpoint payloads,
+//! the position and payload of the first `GraphRebuilt` record and the
+//! order of the prologue's records must not notice which simulator
+//! answered, nor that the graph is now held in the same slot as any other.
 
 use iobt::netsim::Jammer;
 use iobt::obs::{fnv1a, TraceEvent};
@@ -22,11 +24,12 @@ fn config(duration_s: f64, recorder: Recorder) -> RunConfig {
         .expect("valid run config")
 }
 
-/// While the graph is only primed the snapshot's disposition byte stays
-/// `0` ("absent"), exactly as when a separate probe simulator held it:
-/// straight after `new`, and through a mission that never routes a
-/// message (reports are not due before the mission ends) but loses a node
-/// in window 1, which drops the primed graph unadopted.
+/// While the graph is held ahead of its first access the snapshot's
+/// disposition byte stays `0` ("absent"), exactly as when a separate probe
+/// simulator held it: straight after `new`, and through a mission that
+/// never routes a message (reports are not due before the mission ends)
+/// but loses a node in window 1, which is patched into the graph without
+/// announcing it.
 #[test]
 fn a_primed_graph_is_not_a_cached_graph_in_the_checkpoint() {
     const AFTER_NEW: u64 = 0x65819388bd5a987d;
@@ -107,7 +110,7 @@ fn the_trace_does_not_see_which_simulator_answered_the_filter() {
 /// One from-scratch build per runner, counted: by the end of the first
 /// window after `new`, and of the first window after `resume`, the
 /// simulator has built its graph once — the prologue's look included. The
-/// reference path keeps no primed graph and pays twice, as both paths did
+/// reference path keeps no graph ahead and pays twice, as both paths did
 /// before; it stays the oracle the equivalence suites compare against.
 /// (Windows are shorter than the 1 s mobility step, so the windows counted
 /// hold no tick: on the reference path every tick is one more build.)

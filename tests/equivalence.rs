@@ -11,13 +11,32 @@
 //! evacuation vignette and the full chaos campaign for every CI seed,
 //! demanding identical end-state digests, window traces, metric
 //! fingerprints, and byte-identical JSONL trace streams.
+//!
+//! The two paths share code (the connectivity-graph slot serves both), so
+//! agreeing with each other is not enough: [`GOLDEN`] also holds every
+//! fast-path run to bytes committed before that slot was rewritten.
 
+use iobt::obs::fnv1a;
 use iobt::prelude::*;
 
 /// The CI seed matrix. Keep in sync with `.github/workflows/ci.yml`.
 const SEEDS: [u64; 4] = [3, 17, 42, 1009];
 
 const CHAOS_DURATION_S: f64 = 120.0;
+
+/// `(label, metrics fingerprint, FNV-1a of the JSONL stream, FNV-1a of the
+/// checkpoint-encoded `EndStateDigest`)` of each fast-path run below, taken
+/// on the commit before `sim/topology.rs` existed.
+const GOLDEN: [(&str, u64, u64, u64); 8] = [
+    ("f1 seed 3", 0x0b719cf62434a73c, 0x0f1e72e903d94cd4, 0x9a869de99ee0be7d),
+    ("f1 seed 17", 0xb57e9638594853a2, 0xab340411ceb478e8, 0x7990692a2eb41617),
+    ("f1 seed 42", 0x3d7b56fea9f56802, 0x651005ecb9fe6926, 0xe1071f6ffb1f71e0),
+    ("f1 seed 1009", 0x6b4500ef4a67a3f6, 0x446a2105be4d642c, 0x397eafe1d4c56ab9),
+    ("chaos seed 3", 0x8573e97956a9e474, 0x5b7f0d95cd0355e8, 0x3d43204f6048beb6),
+    ("chaos seed 17", 0xbe49258a60560732, 0x546fa7fb5d1ae5a9, 0x2903d1f9559f2028),
+    ("chaos seed 42", 0xc025cfbccb6f895f, 0xa64fe0574573d357, 0x2ba9de97601e393e),
+    ("chaos seed 1009", 0x149e4520350814a3, 0xaa6f108d416b57ef, 0x1dcb45125c7fd9f9),
+];
 
 fn chaos_scenario(seed: u64) -> Scenario {
     let mut scenario = persistent_surveillance(200, seed);
@@ -90,6 +109,16 @@ fn assert_paths_equivalent(label: &str, scenario: &Scenario, config: impl Fn(boo
         jsonl_ref.as_bytes(),
         "{label}: JSONL trace bytes diverged"
     );
+    // Yesterday's bytes, not only the other path's.
+    let mut digest = iobt::ckpt::Enc::new();
+    iobt::core::encode_end_state_digest(&mut digest, &fast.digest);
+    let observed = (
+        rec_fast.metrics_digest().fingerprint(),
+        fnv1a(jsonl_fast.as_bytes()),
+        fnv1a(&digest.into_bytes()),
+    );
+    let golden = GOLDEN.iter().find(|g| g.0 == label).map(|g| (g.1, g.2, g.3));
+    assert_eq!(Some(observed), golden, "{label}: fast path left its committed goldens");
     // Sanity: the runs exercised the network at all.
     assert!(fast.digest.sent > 0 && fast.digest.delivered > 0, "{label}");
     assert!(!records_fast.is_empty(), "{label}: nothing was traced");
