@@ -8,7 +8,14 @@
 //! and returns a [`DecodeError`] on malformed input, which is what
 //! lets corrupted checkpoints be *rejected* rather than crash the
 //! process.
+//!
+//! A persisted type states its layout once, as a [`Wire`] impl beside its
+//! definition: [`wire_struct!`](crate::wire_struct) for a struct whose
+//! every field travels (one field list is both directions, and the
+//! compiler rejects a list that misses a field), a hand-written impl for
+//! enums and for structs that decode through a validating constructor.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Error produced by [`Dec`] on malformed or truncated input.
@@ -146,6 +153,20 @@ impl Enc {
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+
+    /// Writes `v` in its [`Wire`] layout.
+    pub fn put<T: Wire>(&mut self, v: &T) {
+        v.put(self);
+    }
+
+    /// Writes a sequence the way every collection travels: a `usize`
+    /// count, then each item in iteration order.
+    pub fn seq<'a, T: Wire + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
+        self.usize(items.len());
+        for item in items {
+            item.put(self);
+        }
+    }
 }
 
 /// Bounds-checked decoder over a byte slice. Never panics.
@@ -260,6 +281,187 @@ impl<'a> Dec<'a> {
             .map(str::to_owned)
             .map_err(|_| DecodeError::InvalidUtf8 { at })
     }
+
+    /// Reads a `T` in its [`Wire`] layout.
+    pub fn get<T: Wire>(&mut self) -> Result<T, DecodeError> {
+        T::take(self)
+    }
+
+    /// Reads a sequence written by [`Enc::seq`] into the collection
+    /// `start` makes, one `push` per item. The count is input, so
+    /// `start` is offered room for at most `PREALLOC_ITEMS` of them;
+    /// a longer sequence grows as its items actually decode, and a
+    /// count the input cannot back ends in `UnexpectedEof`.
+    fn seq<T: Wire, C>(
+        &mut self,
+        start: impl FnOnce(usize) -> C,
+        mut push: impl FnMut(&mut C, T),
+    ) -> Result<C, DecodeError> {
+        let n = self.usize()?;
+        let mut out = start(n.min(PREALLOC_ITEMS));
+        for _ in 0..n {
+            push(&mut out, self.get()?);
+        }
+        Ok(out)
+    }
+}
+
+/// The most items a declared length may reserve room for before any of
+/// them has decoded.
+const PREALLOC_ITEMS: usize = 4_096;
+
+/// A value with one wire layout, written by [`Wire::put`] and read back
+/// bit-identically by [`Wire::take`]. Callers go through [`Enc::put`] and
+/// [`Dec::get`].
+pub trait Wire: Sized {
+    /// Appends this value's layout to `e`.
+    fn put(&self, e: &mut Enc);
+
+    /// Reads one value in the layout [`Wire::put`] writes.
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
+}
+
+/// The primitives travel as the [`Enc`]/[`Dec`] method of the same name.
+macro_rules! wire_primitive {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, e: &mut Enc) {
+                e.$ty(*self);
+            }
+            fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                d.$ty()
+            }
+        }
+    )*};
+}
+wire_primitive!(u8, u32, u64, usize, f64, bool);
+
+impl Wire for String {
+    fn put(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.str()
+    }
+}
+
+/// A presence byte, then the value if there is one.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, e: &mut Enc) {
+        e.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(if d.bool()? { Some(d.get()?) } else { None })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, e: &mut Enc) {
+        e.seq(self.iter());
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.seq(Vec::with_capacity, Vec::push)
+    }
+}
+
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    fn put(&self, e: &mut Enc) {
+        e.seq(self.iter());
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.seq(
+            |_| BTreeSet::new(),
+            |set, item| {
+                set.insert(item);
+            },
+        )
+    }
+}
+
+/// A count, then each key followed by its value, in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, e: &mut Enc) {
+        e.usize(self.len());
+        for (k, v) in self {
+            k.put(e);
+            v.put(e);
+        }
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.seq(
+            |_| BTreeMap::new(),
+            |map, (k, v)| {
+                map.insert(k, v);
+            },
+        )
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok((d.get()?, d.get()?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+        self.2.put(e);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok((d.get()?, d.get()?, d.get()?))
+    }
+}
+
+/// Implements [`Wire`] for a struct whose every field travels, in the
+/// order listed: the one list is the layout in both directions. Invoke it
+/// beside the struct's definition. `put` destructures and `take` rebuilds
+/// the struct with no `..`, so a field missing from the list is a compile
+/// error (E0027 / E0063), not a checkpoint that silently resumes without
+/// it.
+///
+/// ```
+/// use iobt_ckpt::{wire_struct, Dec, Enc};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Fix {
+///     node: u64,
+///     at_s: f64,
+///     heard: Vec<u32>,
+/// }
+/// wire_struct!(Fix {
+///     node,
+///     at_s,
+///     heard,
+/// });
+///
+/// let fix = Fix { node: 7, at_s: 1.5, heard: vec![2, 3] };
+/// let mut e = Enc::new();
+/// e.put(&fix);
+/// let bytes = e.into_bytes();
+/// assert_eq!(Dec::new(&bytes).get::<Fix>(), Ok(fix));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::Wire for $ty {
+            fn put(&self, e: &mut $crate::Enc) {
+                let $ty { $($field),* } = self;
+                $(e.put($field);)*
+            }
+            fn take(d: &mut $crate::Dec<'_>) -> ::core::result::Result<Self, $crate::DecodeError> {
+                Ok($ty { $($field: d.get()?),* })
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -340,6 +542,78 @@ mod tests {
         let b = e.into_bytes();
         let mut d = Dec::new(&b);
         assert!(matches!(d.str(), Err(DecodeError::InvalidUtf8 { .. })));
+    }
+
+    #[test]
+    fn wire_collections_keep_the_layout_the_loops_wrote() {
+        let set: BTreeSet<u64> = [9, 4].into();
+        let map: BTreeMap<u32, (f64, bool)> = [(2, (0.5, true)), (1, (-0.0, false))].into();
+        let mut e = Enc::new();
+        e.put(&Some(7u32));
+        e.put(&None::<String>);
+        e.put(&vec![(1u64, "a".to_string(), 2u8)]);
+        e.put(&set);
+        e.put(&map);
+        let bytes = e.into_bytes();
+
+        // The same bytes, spelled with the primitives alone.
+        let mut by_hand = Enc::new();
+        by_hand.bool(true);
+        by_hand.u32(7);
+        by_hand.bool(false);
+        by_hand.usize(1);
+        by_hand.u64(1);
+        by_hand.str("a");
+        by_hand.u8(2);
+        by_hand.usize(2);
+        by_hand.u64(4);
+        by_hand.u64(9);
+        by_hand.usize(2);
+        by_hand.u32(1);
+        by_hand.f64(-0.0);
+        by_hand.bool(false);
+        by_hand.u32(2);
+        by_hand.f64(0.5);
+        by_hand.bool(true);
+        assert_eq!(bytes, by_hand.into_bytes());
+
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.get(), Ok(Some(7u32)));
+        assert_eq!(d.get(), Ok(None::<String>));
+        assert_eq!(d.get(), Ok(vec![(1u64, "a".to_string(), 2u8)]));
+        assert_eq!(d.get(), Ok(set));
+        assert_eq!(d.get(), Ok(map));
+        assert_eq!(d.finish(), Ok(()));
+    }
+
+    #[test]
+    fn a_declared_length_never_sizes_an_allocation() {
+        // A prefix claiming 2^40 items over three that exist: room for
+        // 2^40 `u64`s would abort the process, not fail the test.
+        let mut e = Enc::new();
+        e.u64(1 << 40);
+        for v in 0..3u64 {
+            e.u64(v);
+        }
+        let bytes = e.into_bytes();
+        let eof = |r: Result<(), DecodeError>| matches!(r, Err(DecodeError::UnexpectedEof { .. }));
+        assert!(eof(Dec::new(&bytes).get::<Vec<u64>>().map(drop)));
+        assert!(eof(Dec::new(&bytes).get::<BTreeSet<u64>>().map(drop)));
+        assert!(eof(Dec::new(&bytes).get::<BTreeMap<u64, u64>>().map(drop)));
+        // The sequence reader offers the bound and no more, however long
+        // the sequence says it is, and exactly the count when it is short.
+        let offered = |bytes: &[u8]| {
+            let mut room = 0;
+            let _ = Dec::new(bytes).seq(|n| room = n, |_, _: u64| {});
+            room
+        };
+        assert_eq!(offered(&bytes), PREALLOC_ITEMS);
+        assert_eq!(offered(&[3, 0, 0, 0, 0, 0, 0, 0]), 3);
+        // A sequence longer than the bound still decodes whole.
+        let long: Vec<u32> = (0..PREALLOC_ITEMS as u32 + 5).collect();
+        let mut e = Enc::new();
+        e.put(&long);
+        assert_eq!(Dec::new(&e.into_bytes()).get(), Ok(long));
     }
 
     #[test]

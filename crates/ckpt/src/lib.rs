@@ -7,7 +7,8 @@
 //! * [`codec`] — a tiny fixed-layout binary codec ([`Enc`]/[`Dec`])
 //!   with exact `f64` bit round-tripping, so restored state is
 //!   bit-identical to saved state (a prerequisite for deterministic
-//!   resume).
+//!   resume), and the [`Wire`] trait through which each persisted type
+//!   states its layout once.
 //! * [`envelope`] — the one durable file envelope ([`seal`]/[`open`]:
 //!   magic, format version, header words, the payload, and a trailing
 //!   CRC-32 over everything before it) and the checkpoint format built
@@ -30,7 +31,7 @@ pub mod codec;
 pub mod envelope;
 pub mod store;
 
-pub use codec::{Dec, DecodeError, Enc};
+pub use codec::{Dec, DecodeError, Enc, Wire};
 pub use envelope::{
     crc32, decode_checkpoint, encode_checkpoint, open, read_checkpoint_file, seal, write_atomic,
     write_checkpoint_atomic, CheckpointHeader, CkptError, FORMAT_VERSION, MAGIC,

@@ -250,7 +250,7 @@ impl Behavior for TaskingSink {
         let Self { log: _, board: _, max_attempts, retry_base } = self;
         let mut e = Enc::new();
         e.u32(*max_attempts);
-        e.u64(retry_base.as_micros());
+        e.put(retry_base);
         Some(BehaviorSnapshot::new(BEHAVIOR_TASKING_SINK, e.into_bytes()))
     }
 
@@ -262,16 +262,16 @@ impl Behavior for TaskingSink {
         let Ok(max_attempts) = d.u32() else {
             return false;
         };
-        let Ok(retry_base) = d.u64() else {
+        let Ok(retry_base) = d.get::<SimDuration>() else {
             return false;
         };
-        if d.finish().is_err() || max_attempts == 0 || retry_base < 1_000 {
+        if d.finish().is_err() || max_attempts == 0 || retry_base.as_micros() < 1_000 {
             // The constructor clamps attempts ≥ 1 and base ≥ 1 ms; a
             // snapshot violating either is corrupt, not a valid state.
             return false;
         }
         self.max_attempts = max_attempts;
-        self.retry_base = SimDuration::from_micros(retry_base);
+        self.retry_base = retry_base;
         true
     }
 
@@ -416,8 +416,8 @@ impl Behavior for SensorReporter {
         // on restore, so the buffer itself is not persisted.
         let Self { sink, period, payload_bytes, payload: _, dormant, reporting } = self;
         let mut e = Enc::new();
-        e.u64(sink.raw());
-        e.u64(period.as_micros());
+        e.put(sink);
+        e.put(period);
         e.usize(*payload_bytes);
         e.bool(*dormant);
         e.bool(*reporting);
@@ -438,8 +438,8 @@ impl Behavior for SensorReporter {
             reporting: _,
         } = self;
         let mut d = Dec::new(state);
-        let Ok(sink) = d.u64() else { return false };
-        let Ok(period) = d.u64() else { return false };
+        let Ok(sink) = d.get::<NodeId>() else { return false };
+        let Ok(period) = d.get::<SimDuration>() else { return false };
         let Ok(payload_bytes) = d.usize() else {
             return false;
         };
@@ -448,8 +448,8 @@ impl Behavior for SensorReporter {
         if d.finish().is_err() {
             return false;
         }
-        self.sink = NodeId::new(sink);
-        self.period = SimDuration::from_micros(period);
+        self.sink = sink;
+        self.period = period;
         if payload_bytes != self.payload_bytes {
             self.payload = Bytes::from(vec![0u8; payload_bytes]);
         }

@@ -6,7 +6,7 @@
 //!
 //! * a **guard** section — scenario seed, catalog size, command post,
 //!   and the run parameters that shape execution, stored as their
-//!   [`encode_portable_config`] bytes. Resume verifies the guard against
+//!   [`PortableRunConfig`] wire bytes. Resume verifies the guard against
 //!   the scenario and config it was handed and refuses with
 //!   [`CkptError::Mismatch`] on any disagreement, because resuming
 //!   under a different configuration would silently diverge;
@@ -29,11 +29,16 @@
 //! recruitment, the composition problem, assurance — is *not* stored;
 //! resume re-runs those phases with a disabled recorder so no trace
 //! events are double-counted. Wall-clock timings are never stored.
+//!
+//! The value types this crate persists whole state their layouts here,
+//! once each, as [`wire_struct!`] lists; [`MissionRunner`] itself has
+//! derived fields, so its `save`/`resume` are written out by hand under
+//! an exhaustive destructure (DESIGN.md, "Payload codec").
 
-use iobt_ckpt::{CkptError, Dec, DecodeError, Enc};
+use iobt_ckpt::{wire_struct, CkptError, Dec, Enc};
 use iobt_netsim::{SimDuration, SimTime};
-use iobt_obs::{HistogramSnapshot, MetricsDigest, Recorder, RecorderCheckpoint, Subsystem};
-use iobt_synthesis::{CompositionResult, Solver};
+use iobt_obs::{Recorder, RecorderCheckpoint, Subsystem};
+use iobt_synthesis::CompositionResult;
 use iobt_types::NodeId;
 
 use crate::behaviors::{
@@ -47,6 +52,86 @@ use crate::runtime::{
 use crate::scenario::Scenario;
 
 use std::collections::BTreeSet;
+
+// The run parameters: what the checkpoint guard compares byte for byte
+// and the fleet manifest stores to re-admit a mission bit-identically
+// after a process death.
+wire_struct!(PortableRunConfig {
+    duration,
+    window,
+    report_period,
+    adaptive,
+    repair_threshold,
+    grid,
+    solver,
+    require_reachability,
+    early_repair,
+    detector_ticks,
+    suspicion_periods,
+    degradation_ladder,
+    shed_threshold,
+    restore_threshold,
+    ladder_patience,
+    acked_tasking,
+    task_attempts,
+    task_retry_base,
+    reference_mode,
+});
+
+wire_struct!(TaskingStats {
+    assigned,
+    acked,
+    retries,
+    abandoned,
+    tampered_rejected,
+});
+
+wire_struct!(ResilienceReport {
+    suspected,
+    early_repairs,
+    sheds,
+    restores,
+    final_ladder_level,
+    tasking,
+});
+
+wire_struct!(EndStateDigest {
+    sent,
+    delivered,
+    dropped,
+    dropped_no_route,
+    dropped_channel,
+    dropped_dead,
+    dropped_asleep,
+    retransmits,
+    tampered,
+    energy_spent_j,
+    node_energy_j,
+    mean_utility,
+    repairs,
+    final_selection,
+    resilience,
+});
+
+wire_struct!(WindowStat {
+    start_s,
+    expected,
+    reporting,
+    utility,
+});
+
+wire_struct!(DeliveredReport {
+    from,
+    at,
+});
+
+/// Appends `digest` in its wire layout (every `f64` as its IEEE-754
+/// pattern, so a digest read back with [`Dec::get`] compares equal to the
+/// one saved): the bytes the fleet manifest keeps a completed mission's
+/// result in, and the ones the digest fingerprints hash.
+pub fn encode_end_state_digest(e: &mut Enc, digest: &EndStateDigest) {
+    e.put(digest);
+}
 
 fn mismatch(what: &str, expected: impl std::fmt::Display, found: impl std::fmt::Display) -> CkptError {
     CkptError::Mismatch(format!(
@@ -67,7 +152,7 @@ fn guarded(params: &PortableRunConfig) -> PortableRunConfig {
 
 fn portable_config_bytes(params: &PortableRunConfig) -> Vec<u8> {
     let mut e = Enc::new();
-    encode_portable_config(&mut e, params);
+    e.put(params);
     e.into_bytes()
 }
 
@@ -94,7 +179,7 @@ fn encode_guard(e: &mut Enc, scenario: &Scenario, config: &RunConfig) {
     let RunConfig { params, recorder: _ } = config;
     e.u64(*seed);
     e.usize(catalog.len());
-    e.u64(command_post.raw());
+    e.put(command_post);
     e.bytes(&portable_config_bytes(&guarded(params)));
 }
 
@@ -109,12 +194,12 @@ fn check_guard(d: &mut Dec<'_>, scenario: &Scenario, config: &RunConfig) -> Resu
     if catalog_len != scenario.catalog.len() {
         return Err(mismatch("catalog size", scenario.catalog.len(), catalog_len));
     }
-    let command_post = d.u64()?;
-    if command_post != scenario.command_post.raw() {
+    let command_post: NodeId = d.get()?;
+    if command_post != scenario.command_post {
         return Err(mismatch(
             "command post",
             scenario.command_post.raw(),
-            command_post,
+            command_post.raw(),
         ));
     }
     // Compared as encoded bytes, so every parameter has to match
@@ -123,7 +208,7 @@ fn check_guard(d: &mut Dec<'_>, scenario: &Scenario, config: &RunConfig) -> Resu
     let expected = guarded(&config.params);
     if found != portable_config_bytes(&expected) {
         let mut stored = Dec::new(found);
-        let found = decode_portable_config(&mut stored)?;
+        let found: PortableRunConfig = stored.get()?;
         stored.finish()?;
         return Err(mismatch(
             "run configuration",
@@ -141,11 +226,8 @@ fn enc_recorder(e: &mut Enc, checkpoint: &RecorderCheckpoint) {
     e.u64(*seq);
     // Length-prefixed: a build with one more subsystem grows this block
     // without moving any field after it.
-    e.usize(emitted.len());
-    for v in emitted {
-        e.u64(*v);
-    }
-    enc_digest(e, metrics);
+    e.seq(emitted.iter());
+    e.put(metrics);
 }
 
 fn dec_recorder(d: &mut Dec<'_>) -> Result<RecorderCheckpoint, CkptError> {
@@ -163,350 +245,12 @@ fn dec_recorder(d: &mut Dec<'_>) -> Result<RecorderCheckpoint, CkptError> {
     for slot in &mut emitted[..slots] {
         *slot = d.u64()?;
     }
-    let metrics = dec_digest(d)?;
+    let metrics = d.get()?;
     Ok(RecorderCheckpoint {
         t_us,
         seq,
         emitted,
         metrics,
-    })
-}
-
-fn enc_digest(e: &mut Enc, digest: &MetricsDigest) {
-    // Exhaustive destructures (R6): a new digest or histogram field
-    // fails this lint until it is encoded (and decoded, in order).
-    let MetricsDigest { counters, gauges, histograms } = digest;
-    e.usize(counters.len());
-    for (name, value) in counters {
-        e.str(name);
-        e.u64(*value);
-    }
-    e.usize(gauges.len());
-    for (name, value) in gauges {
-        e.str(name);
-        e.f64(*value);
-    }
-    e.usize(histograms.len());
-    for (name, snap) in histograms {
-        let HistogramSnapshot { bounds, counts, total, sum } = snap;
-        e.str(name);
-        e.usize(bounds.len());
-        for b in bounds {
-            e.f64(*b);
-        }
-        e.usize(counts.len());
-        for c in counts {
-            e.u64(*c);
-        }
-        e.u64(*total);
-        e.f64(*sum);
-    }
-}
-
-fn dec_digest(d: &mut Dec<'_>) -> Result<MetricsDigest, DecodeError> {
-    let n = d.usize()?;
-    let mut counters = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = d.str()?;
-        let value = d.u64()?;
-        counters.push((name, value));
-    }
-    let n = d.usize()?;
-    let mut gauges = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = d.str()?;
-        let value = d.f64()?;
-        gauges.push((name, value));
-    }
-    let n = d.usize()?;
-    let mut histograms = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = d.str()?;
-        let nb = d.usize()?;
-        let mut bounds = Vec::with_capacity(nb.min(1024));
-        for _ in 0..nb {
-            bounds.push(d.f64()?);
-        }
-        let nc = d.usize()?;
-        let mut counts = Vec::with_capacity(nc.min(1024));
-        for _ in 0..nc {
-            counts.push(d.u64()?);
-        }
-        let total = d.u64()?;
-        let sum = d.f64()?;
-        histograms.push((
-            name,
-            HistogramSnapshot {
-                bounds,
-                counts,
-                total,
-                sum,
-            },
-        ));
-    }
-    Ok(MetricsDigest {
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
-fn enc_solver(e: &mut Enc, solver: &Solver) {
-    match solver {
-        Solver::Greedy => e.u8(0),
-        Solver::Anneal { iterations, seed } => {
-            e.u8(1);
-            e.usize(*iterations);
-            e.u64(*seed);
-        }
-        Solver::Random { seed } => {
-            e.u8(2);
-            e.u64(*seed);
-        }
-        Solver::Exhaustive => e.u8(3),
-        Solver::Portfolio { iterations, seed } => {
-            e.u8(4);
-            e.usize(*iterations);
-            e.u64(*seed);
-        }
-    }
-}
-
-fn dec_solver(d: &mut Dec<'_>) -> Result<Solver, DecodeError> {
-    match d.u8()? {
-        0 => Ok(Solver::Greedy),
-        1 => Ok(Solver::Anneal {
-            iterations: d.usize()?,
-            seed: d.u64()?,
-        }),
-        2 => Ok(Solver::Random { seed: d.u64()? }),
-        3 => Ok(Solver::Exhaustive),
-        4 => Ok(Solver::Portfolio {
-            iterations: d.usize()?,
-            seed: d.u64()?,
-        }),
-        tag => Err(DecodeError::UnknownTag {
-            what: "solver",
-            tag,
-        }),
-    }
-}
-
-/// Encodes a [`PortableRunConfig`] into `e` with the fixed-order layout
-/// [`decode_portable_config`] reads back: the one codec for run
-/// parameters. The checkpoint guard stores these bytes to refuse a
-/// resume under different parameters, and the fleet manifest stores
-/// them to re-admit a mission bit-identically after a process death.
-pub fn encode_portable_config(e: &mut Enc, config: &PortableRunConfig) {
-    // Exhaustive destructure (R6): a field added to the parameters
-    // fails this lint until it is encoded (and decoded, in order).
-    let PortableRunConfig {
-        duration,
-        window,
-        report_period,
-        adaptive,
-        repair_threshold,
-        grid,
-        solver,
-        require_reachability,
-        early_repair,
-        detector_ticks,
-        suspicion_periods,
-        degradation_ladder,
-        shed_threshold,
-        restore_threshold,
-        ladder_patience,
-        acked_tasking,
-        task_attempts,
-        task_retry_base,
-        reference_mode,
-    } = config;
-    e.u64(duration.as_micros());
-    e.u64(window.as_micros());
-    e.u64(report_period.as_micros());
-    e.bool(*adaptive);
-    e.f64(*repair_threshold);
-    e.usize(*grid);
-    enc_solver(e, solver);
-    e.bool(*require_reachability);
-    e.bool(*early_repair);
-    e.u32(*detector_ticks);
-    e.f64(*suspicion_periods);
-    e.bool(*degradation_ladder);
-    e.f64(*shed_threshold);
-    e.f64(*restore_threshold);
-    e.u32(*ladder_patience);
-    e.bool(*acked_tasking);
-    e.u32(*task_attempts);
-    e.u64(task_retry_base.as_micros());
-    e.bool(*reference_mode);
-}
-
-/// Decodes a [`PortableRunConfig`] written by [`encode_portable_config`].
-pub fn decode_portable_config(d: &mut Dec<'_>) -> Result<PortableRunConfig, DecodeError> {
-    // Fields are read in the order written here, which is the wire order.
-    Ok(PortableRunConfig {
-        duration: SimDuration::from_micros(d.u64()?),
-        window: SimDuration::from_micros(d.u64()?),
-        report_period: SimDuration::from_micros(d.u64()?),
-        adaptive: d.bool()?,
-        repair_threshold: d.f64()?,
-        grid: d.usize()?,
-        solver: dec_solver(d)?,
-        require_reachability: d.bool()?,
-        early_repair: d.bool()?,
-        detector_ticks: d.u32()?,
-        suspicion_periods: d.f64()?,
-        degradation_ladder: d.bool()?,
-        shed_threshold: d.f64()?,
-        restore_threshold: d.f64()?,
-        ladder_patience: d.u32()?,
-        acked_tasking: d.bool()?,
-        task_attempts: d.u32()?,
-        task_retry_base: SimDuration::from_micros(d.u64()?),
-        reference_mode: d.bool()?,
-    })
-}
-
-/// Encodes an [`EndStateDigest`] (with its nested [`ResilienceReport`]
-/// and [`TaskingStats`]) into `e`, bit-exactly: every `f64` travels as
-/// its IEEE-754 pattern, so a digest restored by
-/// [`decode_end_state_digest`] compares equal to the one saved. Used by
-/// the fleet manifest to keep completed missions' results across a
-/// scheduler crash.
-pub fn encode_end_state_digest(e: &mut Enc, digest: &EndStateDigest) {
-    // Exhaustive destructures (R6): a new digest field fails this lint
-    // until it is encoded (and decoded, in order).
-    let EndStateDigest {
-        sent,
-        delivered,
-        dropped,
-        dropped_no_route,
-        dropped_channel,
-        dropped_dead,
-        dropped_asleep,
-        retransmits,
-        tampered,
-        energy_spent_j,
-        node_energy_j,
-        mean_utility,
-        repairs,
-        final_selection,
-        resilience,
-    } = digest;
-    let ResilienceReport {
-        suspected,
-        early_repairs,
-        sheds,
-        restores,
-        final_ladder_level,
-        tasking,
-    } = resilience;
-    let TaskingStats {
-        assigned,
-        acked,
-        retries,
-        abandoned,
-        tampered_rejected,
-    } = tasking;
-    e.u64(*sent);
-    e.u64(*delivered);
-    e.u64(*dropped);
-    e.u64(*dropped_no_route);
-    e.u64(*dropped_channel);
-    e.u64(*dropped_dead);
-    e.u64(*dropped_asleep);
-    e.u64(*retransmits);
-    e.u64(*tampered);
-    e.f64(*energy_spent_j);
-    e.usize(node_energy_j.len());
-    for (node, energy) in node_energy_j {
-        e.u64(node.raw());
-        e.f64(*energy);
-    }
-    e.f64(*mean_utility);
-    e.usize(*repairs);
-    e.usize(final_selection.len());
-    for &i in final_selection {
-        e.usize(i);
-    }
-    e.u64(*suspected);
-    e.u64(*early_repairs);
-    e.u64(*sheds);
-    e.u64(*restores);
-    e.u64(*final_ladder_level);
-    e.u64(*assigned);
-    e.u64(*acked);
-    e.u64(*retries);
-    e.u64(*abandoned);
-    e.u64(*tampered_rejected);
-}
-
-/// Decodes an [`EndStateDigest`] written by [`encode_end_state_digest`].
-pub fn decode_end_state_digest(d: &mut Dec<'_>) -> Result<EndStateDigest, DecodeError> {
-    let sent = d.u64()?;
-    let delivered = d.u64()?;
-    let dropped = d.u64()?;
-    let dropped_no_route = d.u64()?;
-    let dropped_channel = d.u64()?;
-    let dropped_dead = d.u64()?;
-    let dropped_asleep = d.u64()?;
-    let retransmits = d.u64()?;
-    let tampered = d.u64()?;
-    let energy_spent_j = d.f64()?;
-    let n = d.usize()?;
-    let mut node_energy_j = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let node = NodeId::new(d.u64()?);
-        let energy = d.f64()?;
-        node_energy_j.push((node, energy));
-    }
-    let mean_utility = d.f64()?;
-    let repairs = d.usize()?;
-    let n = d.usize()?;
-    let mut final_selection = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        final_selection.push(d.usize()?);
-    }
-    let suspected = d.u64()?;
-    let early_repairs = d.u64()?;
-    let sheds = d.u64()?;
-    let restores = d.u64()?;
-    let final_ladder_level = d.u64()?;
-    let assigned = d.u64()?;
-    let acked = d.u64()?;
-    let retries = d.u64()?;
-    let abandoned = d.u64()?;
-    let tampered_rejected = d.u64()?;
-    Ok(EndStateDigest {
-        sent,
-        delivered,
-        dropped,
-        dropped_no_route,
-        dropped_channel,
-        dropped_dead,
-        dropped_asleep,
-        retransmits,
-        tampered,
-        energy_spent_j,
-        node_energy_j,
-        mean_utility,
-        repairs,
-        final_selection,
-        resilience: ResilienceReport {
-            suspected,
-            early_repairs,
-            sheds,
-            restores,
-            final_ladder_level,
-            tasking: TaskingStats {
-                assigned,
-                acked,
-                retries,
-                abandoned,
-                tampered_rejected,
-            },
-        },
     })
 }
 
@@ -527,20 +271,14 @@ impl MissionRunner {
     pub fn save(&self) -> Result<Vec<u8>, CkptError> {
         // Exhaustive-destructure convention (R6): adding a field to
         // `MissionRunner` fails this lint until its checkpoint story is
-        // written. Phase 1–3 products (`recruited` … `problem`) are
-        // recomputed at resume; `solve_ms`/`repair_ms` are wall-clock
-        // reporting; `total_windows` is derived from the config.
+        // written. The phase 1–3 products (`prologue`, and `problem`,
+        // which follows from it and the ladder level) are recomputed at
+        // resume; `repair_ms` is wall-clock reporting; `total_windows` is
+        // derived from the config.
         let Self {
             scenario: _,
             config: _,
-            recruited: _,
-            rejected_red: _,
-            unreachable: _,
-            infiltration_rate: _,
-            composition: _,
-            assurance: _,
-            specs: _,
-            base_problem: _,
+            prologue: _,
             problem: _,
             sim: _,
             log: _,
@@ -557,13 +295,14 @@ impl MissionRunner {
             ladder: _,
             resilience: _,
             log_cursor: _,
-            solve_ms: _,
             repair_ms: _,
         } = self;
         let mut e = Enc::new();
         encode_guard(&mut e, &self.scenario, &self.config);
 
-        // Window-loop progress and resilience counters.
+        // Window-loop progress and the resilience counters the loop
+        // itself keeps (the ladder level and the tasking counters travel
+        // with the ladder and the board below).
         e.usize(self.next_window);
         e.usize(self.repairs);
         e.usize(self.log_cursor);
@@ -573,45 +312,17 @@ impl MissionRunner {
         e.u64(self.resilience.restores);
 
         // Selection, reporter set, failure history.
-        e.usize(self.selection.len());
-        for &i in &self.selection {
-            e.usize(i);
-        }
-        e.usize(self.active_reporters.len());
-        for id in &self.active_reporters {
-            e.u64(id.raw());
-        }
-        e.usize(self.failed_ever.len());
-        for id in &self.failed_ever {
-            e.u64(id.raw());
-        }
+        e.put(&self.selection);
+        e.put(&self.active_reporters);
+        e.put(&self.failed_ever);
 
-        // Current composition result.
-        e.usize(self.current.selected.len());
-        for &i in &self.current.selected {
-            e.usize(i);
-        }
-        e.f64(self.current.coverage);
-        e.f64(self.current.cost);
-        e.bool(self.current.satisfied);
-
-        // Completed windows.
-        e.usize(self.windows.len());
-        for w in &self.windows {
-            e.f64(w.start_s);
-            e.usize(w.expected);
-            e.usize(w.reporting);
-            e.f64(w.utility);
-        }
+        // Current composition result, completed windows.
+        e.put(&self.current);
+        e.put(&self.windows);
 
         // Failure detector heartbeat table.
-        e.u64(self.detector.threshold().as_micros());
-        let entries = self.detector.entries();
-        e.usize(entries.len());
-        for (node, at) in entries {
-            e.u64(node.raw());
-            e.u64(at.as_micros());
-        }
+        e.put(&self.detector.threshold());
+        e.put(&self.detector.entries());
 
         // Degradation ladder counters.
         let (level, below, above) = self.ladder.counters();
@@ -620,32 +331,13 @@ impl MissionRunner {
         e.u32(above);
 
         // Delivered-report log.
-        {
-            let log = self.log.borrow();
-            e.usize(log.len());
-            for r in log.iter() {
-                e.u64(r.from.raw());
-                e.u64(r.at.as_micros());
-            }
-        }
+        e.put(&*self.log.borrow());
 
         // Acked-tasking board.
         {
             let board = self.board.borrow();
-            let pending = board.pending_entries();
-            e.usize(pending.len());
-            for (node, attempts, next_at) in pending {
-                e.u64(node.raw());
-                e.u32(attempts);
-                e.u64(next_at.as_micros());
-            }
-            let TaskingStats { assigned, acked, retries, abandoned, tampered_rejected } =
-                board.stats();
-            e.u64(assigned);
-            e.u64(acked);
-            e.u64(retries);
-            e.u64(abandoned);
-            e.u64(tampered_rejected);
+            e.put(&board.pending_entries());
+            e.put(&board.stats());
         }
 
         // Recorder clock + metrics (absent when the recorder is
@@ -700,66 +392,21 @@ impl MissionRunner {
             ..ResilienceReport::default()
         };
 
-        let n = d.usize()?;
-        let mut selection = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            selection.push(d.usize()?);
-        }
-        let n = d.usize()?;
-        let mut active_reporters = BTreeSet::new();
-        for _ in 0..n {
-            active_reporters.insert(NodeId::new(d.u64()?));
-        }
-        let n = d.usize()?;
-        let mut failed_ever = BTreeSet::new();
-        for _ in 0..n {
-            failed_ever.insert(NodeId::new(d.u64()?));
-        }
+        let selection: Vec<usize> = d.get()?;
+        let active_reporters: BTreeSet<NodeId> = d.get()?;
+        let failed_ever: BTreeSet<NodeId> = d.get()?;
 
-        let n = d.usize()?;
-        let mut current_selected = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            current_selected.push(d.usize()?);
-        }
-        let current = CompositionResult {
-            selected: current_selected,
-            coverage: d.f64()?,
-            cost: d.f64()?,
-            satisfied: d.bool()?,
-        };
+        let current: CompositionResult = d.get()?;
+        let windows: Vec<WindowStat> = d.get()?;
 
-        let n = d.usize()?;
-        let mut windows = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            windows.push(WindowStat {
-                start_s: d.f64()?,
-                expected: d.usize()?,
-                reporting: d.usize()?,
-                utility: d.f64()?,
-            });
-        }
-
-        let detector_threshold = SimDuration::from_micros(d.u64()?);
-        let n = d.usize()?;
-        let mut detector_entries = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let node = NodeId::new(d.u64()?);
-            let at = SimTime::from_micros(d.u64()?);
-            detector_entries.push((node, at));
-        }
+        let detector_threshold: SimDuration = d.get()?;
+        let detector_entries: Vec<(NodeId, SimTime)> = d.get()?;
 
         let ladder_level = d.usize()?;
         let ladder_below = d.u32()?;
         let ladder_above = d.u32()?;
 
-        let n = d.usize()?;
-        let mut log_entries = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            log_entries.push(DeliveredReport {
-                from: NodeId::new(d.u64()?),
-                at: SimTime::from_micros(d.u64()?),
-            });
-        }
+        let log_entries: Vec<DeliveredReport> = d.get()?;
         if log_cursor > log_entries.len() {
             return Err(CkptError::Mismatch(format!(
                 "log cursor {log_cursor} exceeds delivered-report log of {}",
@@ -767,21 +414,8 @@ impl MissionRunner {
             )));
         }
 
-        let n = d.usize()?;
-        let mut pending = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let node = NodeId::new(d.u64()?);
-            let attempts = d.u32()?;
-            let next_at = SimTime::from_micros(d.u64()?);
-            pending.push((node, attempts, next_at));
-        }
-        let stats = TaskingStats {
-            assigned: d.u64()?,
-            acked: d.u64()?,
-            retries: d.u64()?,
-            abandoned: d.u64()?,
-            tampered_rejected: d.u64()?,
-        };
+        let pending: Vec<(NodeId, u32, SimTime)> = d.get()?;
+        let stats: TaskingStats = d.get()?;
 
         let recorder_ck = if d.bool()? {
             Some(dec_recorder(&mut d)?)
@@ -789,7 +423,7 @@ impl MissionRunner {
             None
         };
 
-        let blob = d.bytes()?.to_vec();
+        let blob = d.bytes()?;
         d.finish()?;
 
         // All bytes verified — now stand up a fresh simulator with no
@@ -799,12 +433,11 @@ impl MissionRunner {
         // that wrote this checkpoint).
         let mut sim = build_sim(scenario, config);
         let p = prologue(scenario, config, &Recorder::disabled(), &mut sim);
-        let base_problem = p.problem.clone();
         let problem = if ladder_level == 0 {
-            base_problem.clone()
+            p.problem.clone()
         } else {
             degraded_problem(
-                &base_problem,
+                &p.problem,
                 &scenario.mission,
                 &p.specs,
                 config.grid,
@@ -821,7 +454,7 @@ impl MissionRunner {
         *log.borrow_mut() = log_entries;
         board.borrow_mut().restore(&pending, stats);
         let registry = mission_behavior_registry(&log, &board);
-        sim.restore_state(&blob, &registry)?;
+        sim.restore_state(blob, &registry)?;
 
         // Restore the recorder clock so post-resume traces continue the
         // original sequence numbering and sampling phase.
@@ -847,14 +480,7 @@ impl MissionRunner {
         Ok(MissionRunner {
             scenario: scenario.clone(),
             config: config.clone(),
-            recruited: p.recruited,
-            rejected_red: p.rejected_red,
-            unreachable: p.unreachable,
-            infiltration_rate: p.infiltration_rate,
-            composition: p.composition,
-            assurance: p.assurance,
-            specs: p.specs,
-            base_problem,
+            prologue: p,
             problem,
             sim,
             log,
@@ -871,7 +497,6 @@ impl MissionRunner {
             ladder,
             resilience,
             log_cursor,
-            solve_ms: p.solve_ms,
             repair_ms: 0.0,
         })
     }
@@ -882,7 +507,7 @@ mod tests {
     use super::*;
     use crate::runtime::StepOutcome;
     use crate::scenario::persistent_surveillance;
-    use iobt_netsim::SimDuration;
+    use iobt_synthesis::Solver;
 
     fn cfg() -> RunConfig {
         RunConfig::builder()
@@ -1025,7 +650,7 @@ mod tests {
             for i in 0..slots {
                 e.u64(i as u64 + 1);
             }
-            enc_digest(&mut e, &MetricsDigest::default());
+            e.put(&iobt_obs::MetricsDigest::default());
             e.into_bytes()
         };
         // Written by a build that knew only two subsystems.

@@ -55,10 +55,7 @@ pub use behaviors::{
     mission_behavior_registry, new_report_log, new_task_board, CommandSink, DeliveredReport,
     ReportLog, SensorReporter, TaskBoard, TaskingSink, TaskingStats,
 };
-pub use checkpoint::{
-    decode_end_state_digest, decode_portable_config, encode_end_state_digest,
-    encode_portable_config,
-};
+pub use checkpoint::encode_end_state_digest;
 pub use diagnostics::{diagnose_failures, DiagnosisReport, NetworkModel};
 pub use humans::{calibrate_human_trust, CalibrationSummary};
 pub use resilience::{DegradationLadder, FailureDetector, LadderStep, MAX_LADDER_LEVEL};

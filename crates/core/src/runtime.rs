@@ -39,7 +39,7 @@ use crate::scenario::{Disruption, Scenario};
 /// [`PortableRunConfig::into_config`], attaching a recorder that lives
 /// on that thread. Both directions are moves, so the round trip is
 /// exact. The same struct is what the checkpoint guard and the fleet
-/// manifest encode (`encode_portable_config`).
+/// manifest store, in its one `Wire` layout (`checkpoint.rs`).
 ///
 /// Construct through [`RunConfig::builder`]; the struct is
 /// `#[non_exhaustive]` so it can grow fields without breaking
@@ -729,15 +729,11 @@ fn schedule_faults(scenario: &Scenario, sim: &mut Simulator) {
 pub struct MissionRunner {
     pub(crate) scenario: Scenario,
     pub(crate) config: RunConfig,
-    // Phase 1–3 products (recomputed, never checkpointed).
-    pub(crate) recruited: usize,
-    pub(crate) rejected_red: usize,
-    pub(crate) unreachable: usize,
-    pub(crate) infiltration_rate: f64,
-    pub(crate) composition: CompositionResult,
-    pub(crate) assurance: AssuranceReport,
-    pub(crate) specs: Vec<NodeSpec>,
-    pub(crate) base_problem: CompositionProblem,
+    /// Phase 1–3 products (recomputed, never checkpointed); its `problem`
+    /// is the pristine one the degradation ladder relaxes from.
+    pub(crate) prologue: Prologue,
+    /// The problem repairs solve against: the prologue's, with the
+    /// ladder's current relaxations applied.
     pub(crate) problem: CompositionProblem,
     // Phase 4 (execution) state — everything below is checkpointed.
     pub(crate) sim: Simulator,
@@ -755,8 +751,8 @@ pub struct MissionRunner {
     pub(crate) ladder: DegradationLadder,
     pub(crate) resilience: ResilienceReport,
     pub(crate) log_cursor: usize,
-    // Wall-clock accounting (reporting only; never checkpointed).
-    pub(crate) solve_ms: f64,
+    /// Wall-clock spent in repair solves (reporting only; never
+    /// checkpointed).
     pub(crate) repair_ms: f64,
 }
 
@@ -799,9 +795,10 @@ impl MissionRunner {
         let selection = p.composition.selected.clone();
         let mut active_reporters: BTreeSet<NodeId> = BTreeSet::new();
         let current = p.composition.clone();
+        let problem = p.problem.clone();
         attach_reporters(
             &mut sim,
-            &p.problem,
+            &problem,
             &selection,
             &mut active_reporters,
             scenario,
@@ -813,7 +810,7 @@ impl MissionRunner {
         let mut detector = FailureDetector::new(config.report_period, config.suspicion_periods);
         if config.adaptive && config.early_repair {
             for &i in &selection {
-                detector.watch(p.problem.candidates[i].id, sim.now());
+                detector.watch(problem.candidates[i].id, sim.now());
             }
         }
         let ladder = DegradationLadder::new(
@@ -824,15 +821,8 @@ impl MissionRunner {
         MissionRunner {
             scenario: scenario.clone(),
             config: config.clone(),
-            recruited: p.recruited,
-            rejected_red: p.rejected_red,
-            unreachable: p.unreachable,
-            infiltration_rate: p.infiltration_rate,
-            composition: p.composition,
-            assurance: p.assurance,
-            specs: p.specs,
-            base_problem: p.problem.clone(),
-            problem: p.problem,
+            prologue: p,
+            problem,
             sim,
             log,
             board,
@@ -848,7 +838,6 @@ impl MissionRunner {
             ladder,
             resilience: ResilienceReport::default(),
             log_cursor: 0,
-            solve_ms: p.solve_ms,
             repair_ms: 0.0,
         }
     }
@@ -1015,9 +1004,9 @@ impl MissionRunner {
                     self.resilience.sheds += 1;
                     let level = self.ladder.level();
                     self.problem = degraded_problem(
-                        &self.base_problem,
+                        &self.prologue.problem,
                         &self.scenario.mission,
-                        &self.specs,
+                        &self.prologue.specs,
                         self.config.grid,
                         level,
                     );
@@ -1030,9 +1019,9 @@ impl MissionRunner {
                     self.resilience.restores += 1;
                     let level = self.ladder.level();
                     self.problem = degraded_problem(
-                        &self.base_problem,
+                        &self.prologue.problem,
                         &self.scenario.mission,
-                        &self.specs,
+                        &self.prologue.specs,
                         self.config.grid,
                         level,
                     );
@@ -1159,19 +1148,19 @@ impl MissionRunner {
         };
         self.config.recorder.flush();
         MissionReport {
-            recruited: self.recruited,
-            rejected_red: self.rejected_red,
-            unreachable: self.unreachable,
-            infiltration_rate: self.infiltration_rate,
-            composition: self.composition,
-            assurance: self.assurance,
+            recruited: self.prologue.recruited,
+            rejected_red: self.prologue.rejected_red,
+            unreachable: self.prologue.unreachable,
+            infiltration_rate: self.prologue.infiltration_rate,
+            composition: self.prologue.composition,
+            assurance: self.prologue.assurance,
             windows: self.windows,
             repairs: self.repairs,
             delivery_ratio: stats.delivery_ratio(),
             mean_latency_ms: stats.latency_ms.mean(),
             digest,
             wall_clock: WallClockReport {
-                solve_ms: self.solve_ms,
+                solve_ms: self.prologue.solve_ms,
                 repair_ms: self.repair_ms,
             },
         }

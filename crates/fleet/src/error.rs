@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use iobt_ckpt::CkptError;
+use iobt_ckpt::{wire_struct, CkptError, Dec, DecodeError, Enc, Wire};
 
 /// What ended a quarantined mission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,27 +48,33 @@ impl MissionErrorKind {
             MissionErrorKind::DeadlineExceeded => "deadline_exceeded",
         }
     }
+}
 
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(MissionErrorKind::Panic),
-            1 => Some(MissionErrorKind::CheckpointSave),
-            2 => Some(MissionErrorKind::CheckpointLoad),
-            3 => Some(MissionErrorKind::Resume),
-            4 => Some(MissionErrorKind::NoCheckpoint),
-            5 => Some(MissionErrorKind::DeadlineExceeded),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn tag(self) -> u8 {
-        match self {
+/// One tag byte. Tags are the manifest format: a new kind takes the next
+/// free one.
+impl Wire for MissionErrorKind {
+    fn put(&self, e: &mut Enc) {
+        e.u8(match self {
             MissionErrorKind::Panic => 0,
             MissionErrorKind::CheckpointSave => 1,
             MissionErrorKind::CheckpointLoad => 2,
             MissionErrorKind::Resume => 3,
             MissionErrorKind::NoCheckpoint => 4,
             MissionErrorKind::DeadlineExceeded => 5,
+        });
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.u8()? {
+            0 => Ok(MissionErrorKind::Panic),
+            1 => Ok(MissionErrorKind::CheckpointSave),
+            2 => Ok(MissionErrorKind::CheckpointLoad),
+            3 => Ok(MissionErrorKind::Resume),
+            4 => Ok(MissionErrorKind::NoCheckpoint),
+            5 => Ok(MissionErrorKind::DeadlineExceeded),
+            tag => Err(DecodeError::UnknownTag {
+                what: "mission error kind",
+                tag,
+            }),
         }
     }
 }
@@ -93,6 +99,13 @@ pub struct MissionError {
     /// the decode failure.
     pub detail: String,
 }
+
+wire_struct!(MissionError {
+    kind,
+    retryable,
+    attempts,
+    detail,
+});
 
 impl MissionError {
     pub(crate) fn new(kind: MissionErrorKind, retryable: bool, detail: String) -> Self {
@@ -203,18 +216,31 @@ mod tests {
 
     #[test]
     fn kind_tags_roundtrip() {
-        for kind in [
+        for (tag, kind) in [
             MissionErrorKind::Panic,
             MissionErrorKind::CheckpointSave,
             MissionErrorKind::CheckpointLoad,
             MissionErrorKind::Resume,
             MissionErrorKind::NoCheckpoint,
             MissionErrorKind::DeadlineExceeded,
-        ] {
-            assert_eq!(MissionErrorKind::from_tag(kind.tag()), Some(kind));
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut e = Enc::new();
+            e.put(&kind);
+            let bytes = e.into_bytes();
+            assert_eq!(bytes, [tag as u8]);
+            assert_eq!(Dec::new(&bytes).get(), Ok(kind));
             assert!(!kind.as_str().is_empty());
         }
-        assert_eq!(MissionErrorKind::from_tag(200), None);
+        assert_eq!(
+            Dec::new(&[200]).get::<MissionErrorKind>(),
+            Err(DecodeError::UnknownTag {
+                what: "mission error kind",
+                tag: 200
+            })
+        );
     }
 
     #[test]

@@ -32,13 +32,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use iobt_ckpt::{open, seal, write_atomic, CkptError, Dec, DecodeError, Enc, LatestGood, NumberedFiles};
-use iobt_core::{
-    decode_end_state_digest, decode_portable_config, encode_end_state_digest,
-    encode_portable_config, EndStateDigest, PortableRunConfig,
-};
+use iobt_ckpt::{open, seal, wire_struct, write_atomic, CkptError, Dec, Enc, LatestGood, NumberedFiles};
+use iobt_core::{EndStateDigest, PortableRunConfig};
 
-use crate::error::{MissionError, MissionErrorKind};
+use crate::error::MissionError;
 use crate::ticket::MissionStatus;
 
 /// File magic: the first eight bytes of every fleet manifest.
@@ -79,155 +76,25 @@ pub(crate) struct TicketRecord {
     pub portable: PortableRunConfig,
 }
 
-fn status_tag(status: MissionStatus) -> u8 {
-    match status {
-        MissionStatus::Queued => 0,
-        MissionStatus::Running => 1,
-        MissionStatus::Idle => 2,
-        MissionStatus::Evicted => 3,
-        MissionStatus::Done => 4,
-        MissionStatus::Quarantined => 5,
-    }
-}
-
-fn status_from_tag(tag: u8) -> Result<MissionStatus, DecodeError> {
-    match tag {
-        0 => Ok(MissionStatus::Queued),
-        1 => Ok(MissionStatus::Running),
-        2 => Ok(MissionStatus::Idle),
-        3 => Ok(MissionStatus::Evicted),
-        4 => Ok(MissionStatus::Done),
-        5 => Ok(MissionStatus::Quarantined),
-        tag => Err(DecodeError::UnknownTag {
-            what: "mission status",
-            tag,
-        }),
-    }
-}
-
-fn enc_error(e: &mut Enc, error: &MissionError) {
-    let MissionError {
-        kind,
-        retryable,
-        attempts,
-        detail,
-    } = error;
-    e.u8(kind.tag());
-    e.bool(*retryable);
-    e.u32(*attempts);
-    e.str(detail);
-}
-
-fn dec_error(d: &mut Dec<'_>) -> Result<MissionError, DecodeError> {
-    let tag = d.u8()?;
-    let kind = MissionErrorKind::from_tag(tag).ok_or(DecodeError::UnknownTag {
-        what: "mission error kind",
-        tag,
-    })?;
-    let retryable = d.bool()?;
-    let attempts = d.u32()?;
-    let detail = d.str()?;
-    Ok(MissionError {
-        kind,
-        retryable,
-        attempts,
-        detail,
-    })
-}
-
-fn enc_record(e: &mut Enc, record: &TicketRecord) {
-    let TicketRecord {
-        scenario_hash,
-        seed,
-        window_us,
-        total_windows,
-        status,
-        ckpt_window,
-        retries,
-        slices_used,
-        digest,
-        metrics_fp,
-        error,
-        portable,
-    } = record;
-    e.u64(*scenario_hash);
-    e.u64(*seed);
-    e.u64(*window_us);
-    e.u64(*total_windows);
-    e.u8(status_tag(*status));
-    match ckpt_window {
-        Some(window) => {
-            e.bool(true);
-            e.u64(*window);
-        }
-        None => e.bool(false),
-    }
-    e.u32(*retries);
-    e.u64(*slices_used);
-    match digest {
-        Some(digest) => {
-            e.bool(true);
-            encode_end_state_digest(e, digest);
-        }
-        None => e.bool(false),
-    }
-    match metrics_fp {
-        Some(fp) => {
-            e.bool(true);
-            e.u64(*fp);
-        }
-        None => e.bool(false),
-    }
-    match error {
-        Some(error) => {
-            e.bool(true);
-            enc_error(e, error);
-        }
-        None => e.bool(false),
-    }
-    encode_portable_config(e, portable);
-}
-
-fn dec_record(d: &mut Dec<'_>) -> Result<TicketRecord, DecodeError> {
-    let scenario_hash = d.u64()?;
-    let seed = d.u64()?;
-    let window_us = d.u64()?;
-    let total_windows = d.u64()?;
-    let status = status_from_tag(d.u8()?)?;
-    let ckpt_window = if d.bool()? { Some(d.u64()?) } else { None };
-    let retries = d.u32()?;
-    let slices_used = d.u64()?;
-    let digest = if d.bool()? {
-        Some(decode_end_state_digest(d)?)
-    } else {
-        None
-    };
-    let metrics_fp = if d.bool()? { Some(d.u64()?) } else { None };
-    let error = if d.bool()? { Some(dec_error(d)?) } else { None };
-    let portable = decode_portable_config(d)?;
-    Ok(TicketRecord {
-        scenario_hash,
-        seed,
-        window_us,
-        total_windows,
-        status,
-        ckpt_window,
-        retries,
-        slices_used,
-        digest,
-        metrics_fp,
-        error,
-        portable,
-    })
-}
+wire_struct!(TicketRecord {
+    scenario_hash,
+    seed,
+    window_us,
+    total_windows,
+    status,
+    ckpt_window,
+    retries,
+    slices_used,
+    digest,
+    metrics_fp,
+    error,
+    portable,
+});
 
 /// Serialises the ticket table into a checksummed manifest envelope.
 fn encode_manifest(records: &[TicketRecord]) -> Vec<u8> {
     let mut enc = Enc::new();
-    enc.usize(records.len());
-    for record in records {
-        enc_record(&mut enc, record);
-    }
+    enc.seq(records.iter());
     seal(&MANIFEST_MAGIC, MANIFEST_VERSION, &[], &enc.into_bytes())
 }
 
@@ -236,11 +103,7 @@ fn encode_manifest(records: &[TicketRecord]) -> Vec<u8> {
 fn decode_manifest(bytes: &[u8]) -> Result<Vec<TicketRecord>, CkptError> {
     let ([], payload) = open::<0>(&MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
     let mut dec = Dec::new(payload);
-    let count = dec.usize()?;
-    let mut records = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        records.push(dec_record(&mut dec)?);
-    }
+    let records = dec.get()?;
     dec.finish()?;
     Ok(records)
 }
@@ -371,6 +234,7 @@ pub(crate) fn scenario_fingerprint(debug_rendering: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MissionErrorKind;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -429,6 +293,99 @@ mod tests {
         // Manifests written before the FNV copies were merged must keep
         // matching their scenarios.
         assert_eq!(records[0].scenario_hash, 0xcef3_48b9_d246_5321);
+    }
+
+    /// Run parameters with every field off its default and no two
+    /// same-typed fields equal, so a swapped pair moves the bytes.
+    fn portable(solver: iobt_core::synthesis::Solver, k: u32) -> PortableRunConfig {
+        use iobt_netsim::SimDuration;
+        let mut p = PortableRunConfig::default();
+        p.duration = SimDuration::from_millis(90_000 + u64::from(k));
+        p.window = SimDuration::from_millis(9_000 + u64::from(k));
+        p.report_period = SimDuration::from_millis(1_500 + u64::from(k));
+        p.adaptive = k % 2 == 1;
+        p.repair_threshold = 0.61 + f64::from(k) / 100.0;
+        p.grid = 7 + k as usize;
+        p.solver = solver;
+        p.require_reachability = k.is_multiple_of(2);
+        p.early_repair = k.is_multiple_of(3);
+        p.detector_ticks = 5 + k;
+        p.suspicion_periods = 2.25 + f64::from(k);
+        p.degradation_ladder = k % 3 == 1;
+        p.shed_threshold = 0.31 + f64::from(k) / 100.0;
+        p.restore_threshold = 0.91 + f64::from(k) / 100.0;
+        p.ladder_patience = 3 + k;
+        p.acked_tasking = k % 4 < 2;
+        p.task_attempts = 6 + k;
+        p.task_retry_base = SimDuration::from_millis(125 + u64::from(k));
+        p.reference_mode = k % 4 == 1;
+        p
+    }
+
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        use iobt_core::synthesis::Solver;
+        // A real digest: its fields are all distinct and `EndStateDigest`
+        // cannot be spelled outside `iobt-core`.
+        let config = iobt_core::RunConfig::builder()
+            .duration(iobt_netsim::SimDuration::from_secs_f64(20.0))
+            .window(iobt_netsim::SimDuration::from_secs_f64(10.0))
+            .build()
+            .unwrap();
+        let digest = iobt_core::run_mission(&iobt_core::persistent_surveillance(40, 5), &config).digest;
+        assert!(digest.delivered > 0 && !digest.final_selection.is_empty());
+
+        let record = |i: u64, status, solver| TicketRecord {
+            scenario_hash: scenario_fingerprint("scenario-debug") ^ i,
+            seed: 1_000 + i,
+            window_us: 250_000 + i,
+            total_windows: 16 + i,
+            status,
+            ckpt_window: None,
+            retries: 2 + i as u32,
+            slices_used: 5 + i,
+            digest: None,
+            metrics_fp: None,
+            error: None,
+            portable: portable(solver, i as u32),
+        };
+        let records = vec![
+            record(0, MissionStatus::Queued, Solver::Greedy),
+            TicketRecord {
+                ckpt_window: Some(3),
+                ..record(1, MissionStatus::Running, Solver::Anneal { iterations: 400, seed: 77 })
+            },
+            TicketRecord {
+                metrics_fp: Some(0xDEAD_BEEF),
+                ..record(2, MissionStatus::Idle, Solver::Random { seed: 78 })
+            },
+            TicketRecord {
+                ckpt_window: Some(8),
+                ..record(3, MissionStatus::Evicted, Solver::Exhaustive)
+            },
+            TicketRecord {
+                digest: Some(digest),
+                metrics_fp: Some(0xFEED_F00D),
+                ..record(4, MissionStatus::Done, Solver::Portfolio { iterations: 900, seed: 79 })
+            },
+            TicketRecord {
+                error: Some(MissionError {
+                    kind: MissionErrorKind::Resume,
+                    retryable: true,
+                    attempts: 4,
+                    detail: "guard mismatch ∆".to_string(),
+                }),
+                portable: PortableRunConfig::default(),
+                ..record(5, MissionStatus::Quarantined, Solver::Greedy)
+            },
+        ];
+        let bytes = encode_manifest(&records);
+        assert_eq!(decode_manifest(&bytes).unwrap(), records);
+        // Recorded from the parent commit's binary (hand-written
+        // `enc_record`/`dec_record` twins) before the codec was touched:
+        // the `Wire` layouts must reproduce the manifest byte for byte.
+        assert_eq!(bytes.len(), 1_880);
+        assert_eq!(iobt_obs::fnv1a(&bytes), 0x961f_2ecf_beb0_2659);
     }
 
     #[test]

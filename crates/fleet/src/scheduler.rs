@@ -43,8 +43,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use iobt_core::{
-    EndStateDigest, MissionReport, MissionRunner, PortableRunConfig, RunConfig, Scenario,
-    StepOutcome,
+    EndStateDigest, MissionReport, MissionRunner, RunConfig, Scenario, StepOutcome,
 };
 use iobt_obs::{Recorder, TraceEvent};
 
@@ -74,30 +73,17 @@ enum SliceEvent {
     Complete { windows: u64, repairs: u64 },
 }
 
-/// Everything the fleet knows about one submitted mission.
+/// Everything the fleet knows about one submitted mission: the durable
+/// record the manifest persists as it stands, and beside it what a crash
+/// loses.
 struct Slot {
+    record: TicketRecord,
+    /// Not serialisable; recovery takes it from the caller again and
+    /// checks it against `record.scenario_hash`.
     scenario: Scenario,
-    /// FNV fingerprint of the scenario's `Debug` rendering (scenarios
-    /// are not serialisable; the manifest stores this so recovery can
-    /// validate re-supplied scenarios).
-    scenario_hash: u64,
-    portable: PortableRunConfig,
-    seed: u64,
-    window_us: u64,
-    total_windows: u64,
-    status: MissionStatus,
-    /// Window boundary of the newest on-disk checkpoint while evicted.
-    ckpt_window: Option<u64>,
+    /// The full report once `Done`; after a recovery only the record's
+    /// digest and metrics fingerprint are left of it.
     report: Option<MissionReport>,
-    /// End-state digest once `Done`. Held separately from the report so
-    /// it survives crash recovery (the full report does not).
-    digest: Option<EndStateDigest>,
-    metrics_fp: Option<u64>,
-    error: Option<MissionError>,
-    /// Checkpoint-IO attempts consumed so far.
-    retries: u32,
-    /// Scheduler slices consumed so far (deadline accounting).
-    slices_used: u64,
     events: Vec<SliceEvent>,
 }
 
@@ -212,24 +198,6 @@ impl std::fmt::Debug for Fleet {
     }
 }
 
-/// The slot's durable image: what recovery needs to rebuild it.
-fn record_of(slot: &Slot) -> TicketRecord {
-    TicketRecord {
-        scenario_hash: slot.scenario_hash,
-        seed: slot.seed,
-        window_us: slot.window_us,
-        total_windows: slot.total_windows,
-        status: slot.status,
-        ckpt_window: slot.ckpt_window,
-        retries: slot.retries,
-        slices_used: slot.slices_used,
-        digest: slot.digest.clone(),
-        metrics_fp: slot.metrics_fp,
-        error: slot.error.clone(),
-        portable: slot.portable.clone(),
-    }
-}
-
 impl Fleet {
     pub(crate) fn from_parts(cfg: FleetConfig, recorder: Recorder) -> Self {
         let manifest = cfg
@@ -294,27 +262,20 @@ impl Fleet {
                 );
             }
             slots.push(Slot {
-                scenario_hash: record.scenario_hash,
+                record: TicketRecord {
+                    status,
+                    ckpt_window,
+                    ..record
+                },
                 scenario,
-                portable: record.portable,
-                seed: record.seed,
-                window_us: record.window_us,
-                total_windows: record.total_windows,
-                status,
-                ckpt_window,
                 report: None,
-                digest: record.digest,
-                metrics_fp: record.metrics_fp,
-                error: record.error,
-                retries: record.retries,
-                slices_used: record.slices_used,
                 events: Vec::new(),
             });
         }
         self.recorder.flush();
         self.slots = slots;
         if let Some(manifest) = &self.manifest {
-            lock(manifest).replace(self.slots.iter().map(record_of).collect());
+            lock(manifest).replace(self.slots.iter().map(|s| s.record.clone()).collect());
         }
         Ok(())
     }
@@ -349,7 +310,7 @@ impl Fleet {
             return Err(SubmitError::EmptyCatalog);
         }
         if self.cfg.max_queued > 0 {
-            let queued = self.slots.iter().filter(|s| !s.status.is_terminal()).count();
+            let queued = self.slots.iter().filter(|s| !s.record.status.is_terminal()).count();
             if queued >= self.cfg.max_queued {
                 self.recorder.record_at(
                     0,
@@ -369,24 +330,26 @@ impl Fleet {
         let ticket = MissionTicket(self.slots.len() as u64);
         let scenario_hash = scenario_fingerprint(&format!("{scenario:?}"));
         self.slots.push(Slot {
+            record: TicketRecord {
+                scenario_hash,
+                seed,
+                window_us,
+                total_windows,
+                status: MissionStatus::Queued,
+                ckpt_window: None,
+                retries: 0,
+                slices_used: 0,
+                digest: None,
+                metrics_fp: None,
+                error: None,
+                portable,
+            },
             scenario,
-            scenario_hash,
-            portable,
-            seed,
-            window_us,
-            total_windows,
-            status: MissionStatus::Queued,
-            ckpt_window: None,
             report: None,
-            digest: None,
-            metrics_fp: None,
-            error: None,
-            retries: 0,
-            slices_used: 0,
             events: Vec::new(),
         });
         if let Some(manifest) = &self.manifest {
-            let record = record_of(&self.slots[ticket.0 as usize]);
+            let record = self.slots[ticket.0 as usize].record.clone();
             lock(manifest).update(ticket.0, record);
         }
         self.recorder.record_at(
@@ -403,7 +366,7 @@ impl Fleet {
     /// The mission's current lifecycle state, or `None` for a ticket
     /// this fleet never issued.
     pub fn poll(&self, ticket: MissionTicket) -> Option<MissionStatus> {
-        self.slots.get(ticket.0 as usize).map(|s| s.status)
+        self.slots.get(ticket.0 as usize).map(|s| s.record.status)
     }
 
     /// The completed mission's full report (`None` until `Done`, and
@@ -419,12 +382,12 @@ impl Fleet {
     pub fn digest(&self, ticket: MissionTicket) -> Option<&EndStateDigest> {
         self.slots
             .get(ticket.0 as usize)
-            .and_then(|s| s.digest.as_ref())
+            .and_then(|s| s.record.digest.as_ref())
     }
 
     /// The completed mission's metrics fingerprint (`None` until `Done`).
     pub fn metrics_fingerprint(&self, ticket: MissionTicket) -> Option<u64> {
-        self.slots.get(ticket.0 as usize).and_then(|s| s.metrics_fp)
+        self.slots.get(ticket.0 as usize).and_then(|s| s.record.metrics_fp)
     }
 
     /// Why a [`Quarantined`](MissionStatus::Quarantined) mission was
@@ -432,7 +395,7 @@ impl Fleet {
     pub fn error(&self, ticket: MissionTicket) -> Option<&MissionError> {
         self.slots
             .get(ticket.0 as usize)
-            .and_then(|s| s.error.as_ref())
+            .and_then(|s| s.record.error.as_ref())
     }
 
     /// Every ticket this fleet has issued, in submission order.
@@ -443,7 +406,7 @@ impl Fleet {
     /// Total utility windows the mission will execute (`None` for a
     /// ticket this fleet never issued).
     pub fn total_windows(&self, ticket: MissionTicket) -> Option<u64> {
-        self.slots.get(ticket.0 as usize).map(|s| s.total_windows)
+        self.slots.get(ticket.0 as usize).map(|s| s.record.total_windows)
     }
 
     /// Runs every non-terminal mission to completion across the worker
@@ -457,7 +420,7 @@ impl Fleet {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.status.is_terminal())
+            .filter(|(_, s)| !s.record.status.is_terminal())
             .map(|(i, _)| i as u64)
             .collect();
         let submitted = pending.len();
@@ -501,7 +464,7 @@ impl Fleet {
         let recorder = self.recorder.clone();
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let ticket = i as u64;
-            let window_us = slot.window_us;
+            let window_us = slot.record.window_us;
             for ev in std::mem::take(&mut slot.events) {
                 // Timestamps are the mission's own sim-time window
                 // boundaries (the fleet has no clock of its own).
@@ -542,7 +505,7 @@ impl Fleet {
             }
         }
         for &i in &pending {
-            match self.slots[i as usize].status {
+            match self.slots[i as usize].record.status {
                 MissionStatus::Done => summary.completed += 1,
                 MissionStatus::Quarantined => summary.quarantined += 1,
                 _ => {}
@@ -654,7 +617,7 @@ fn run_slice(
     let outcome = catch_unwind(AssertUnwindSafe(|| slice_body(ctx, slot, ticket, existing)));
     match outcome {
         Ok(SliceOutcome::Resident(pair)) => {
-            slot.status = MissionStatus::Idle;
+            slot.record.status = MissionStatus::Idle;
             resident.push_back(ticket);
             runners.insert(ticket, *pair);
             drop(guard);
@@ -688,7 +651,7 @@ fn slice_body(
         },
     };
 
-    slot.status = MissionStatus::Running;
+    slot.record.status = MissionStatus::Running;
     let from_window = runner.window_index() as u64;
     let t0 = Instant::now(); // lint: allow(wall-clock) — reporting only; slice latency lands in FleetSummary, never in a decision or digest
     if let Some((target, window)) = ctx.cfg.inject_panic {
@@ -704,7 +667,7 @@ fn slice_body(
     let ran = u64::from(matches!(runner.step_window(), StepOutcome::WindowClosed { .. }));
     lock(&ctx.latencies).push(t0.elapsed().as_secs_f64() * 1_000.0);
     slot.events.push(SliceEvent::Slice { from_window, windows: ran });
-    slot.slices_used += 1;
+    slot.record.slices_used += 1;
     tick_clock(ctx);
 
     if runner.is_finished() {
@@ -714,11 +677,11 @@ fn slice_body(
             windows,
             repairs: report.repairs as u64,
         });
-        slot.metrics_fp = Some(recorder.metrics_digest().fingerprint());
-        slot.digest = Some(report.digest.clone());
+        slot.record.metrics_fp = Some(recorder.metrics_digest().fingerprint());
+        slot.record.digest = Some(report.digest.clone());
         slot.report = Some(report);
-        slot.ckpt_window = None;
-        slot.status = MissionStatus::Done;
+        slot.record.ckpt_window = None;
+        slot.record.status = MissionStatus::Done;
         // The mission's checkpoints are no longer needed; reclaim the
         // disk space (best-effort — a leftover directory is harmless).
         ctx.cfg.store.clear(ticket);
@@ -728,8 +691,8 @@ fn slice_body(
     }
 
     if let Some(budget) = ctx.cfg.slice_budget {
-        if slot.slices_used >= budget {
-            let attempts = slot.retries + 1;
+        if slot.record.slices_used >= budget {
+            let attempts = slot.record.retries + 1;
             drop(runner);
             quarantine(
                 ctx,
@@ -742,7 +705,7 @@ fn slice_body(
                     detail: format!(
                         "mission still at window {} of {} after {budget} slices",
                         from_window + ran,
-                        slot.total_windows
+                        slot.record.total_windows
                     ),
                 },
             );
@@ -792,7 +755,7 @@ fn enforce_residency(
             // The checkpoint write failed retryably: keep the runner
             // resident (dropping it would strand live state) and stop
             // evicting this round; the next slice retries the save.
-            vguard.status = MissionStatus::Idle;
+            vguard.record.status = MissionStatus::Idle;
             resident.push_back(victim);
             runners.insert(victim, pair);
             break;
@@ -809,14 +772,14 @@ fn materialize(
 ) -> Result<(MissionRunner, Recorder), Fault> {
     // Metrics-only, so `Fleet::metrics_fingerprint` has something to read.
     let recorder = Recorder::null();
-    let config = slot.portable.clone().into_config(recorder.clone());
-    match slot.ckpt_window {
+    let config = slot.record.portable.clone().into_config(recorder.clone());
+    match slot.record.ckpt_window {
         None => Ok((MissionRunner::new(&slot.scenario, &config), recorder)),
         Some(_) => {
             let latest = ctx
                 .cfg
                 .store
-                .load_latest(ticket, slot.seed)
+                .load_latest(ticket, slot.record.seed)
                 .map_err(|e| Fault {
                     kind: MissionErrorKind::CheckpointLoad,
                     retryable: ckpt_fault_is_retryable(&e),
@@ -854,12 +817,12 @@ fn backoff_for(cfg: &FleetConfig, attempts: u32) -> u64 {
 /// (materialization failed): retryable faults within budget are
 /// backoff-deferred; everything else quarantines.
 fn mission_fault(ctx: &DrainCtx<'_>, slot: &mut Slot, ticket: u64, fault: Fault) {
-    let attempts = slot.retries + 1;
+    let attempts = slot.record.retries + 1;
     if fault.retryable && attempts < ctx.cfg.retry_limit {
-        slot.retries = attempts;
+        slot.record.retries = attempts;
         let backoff = backoff_for(ctx.cfg, attempts);
         slot.events.push(SliceEvent::Retry {
-            window: slot.ckpt_window.unwrap_or(0),
+            window: slot.record.ckpt_window.unwrap_or(0),
             attempt: u64::from(attempts),
             backoff_slices: backoff,
         });
@@ -900,7 +863,7 @@ fn evict(
         Err(e) => {
             // Serialization failure is a bug in mission state, not a
             // storage fault; retrying cannot fix it.
-            let attempts = slot.retries + 1;
+            let attempts = slot.record.retries + 1;
             quarantine(
                 ctx,
                 slot,
@@ -915,24 +878,24 @@ fn evict(
             return None;
         }
     };
-    match ctx.cfg.store.save(ticket, slot.seed, window, &payload) {
+    match ctx.cfg.store.save(ticket, slot.record.seed, window, &payload) {
         Ok(()) => {
             slot.events.push(SliceEvent::Evict {
                 window,
                 bytes: payload.len() as u64,
             });
-            slot.ckpt_window = Some(window);
-            slot.status = MissionStatus::Evicted;
+            slot.record.ckpt_window = Some(window);
+            slot.record.status = MissionStatus::Evicted;
             persist_slot(ctx, ticket, slot);
             lock(&ctx.queue).ready.push_back(ticket);
             ctx.cv.notify_one();
             None
         }
         Err(e) => {
-            let attempts = slot.retries + 1;
+            let attempts = slot.record.retries + 1;
             let retryable = ckpt_fault_is_retryable(&e);
             if retryable && attempts < ctx.cfg.retry_limit {
-                slot.retries = attempts;
+                slot.record.retries = attempts;
                 // The mission stays resident with its live runner, so
                 // the retry happens at its next natural slice — no
                 // deferral needed (backoff_slices: 0 in the event).
@@ -966,12 +929,12 @@ fn evict(
 /// termination. Every other mission is unaffected.
 fn quarantine(ctx: &DrainCtx<'_>, slot: &mut Slot, ticket: u64, error: MissionError) {
     slot.events.push(SliceEvent::Quarantine {
-        window: slot.ckpt_window.unwrap_or(0),
+        window: slot.record.ckpt_window.unwrap_or(0),
         kind: error.kind.as_str(),
         attempts: u64::from(error.attempts),
     });
-    slot.error = Some(error);
-    slot.status = MissionStatus::Quarantined;
+    slot.record.error = Some(error);
+    slot.record.status = MissionStatus::Quarantined;
     persist_slot(ctx, ticket, slot);
     finish_one(ctx);
 }
@@ -992,7 +955,7 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// recoverability, never the running batch.
 fn persist_slot(ctx: &DrainCtx<'_>, ticket: u64, slot: &Slot) {
     if let Some(manifest) = ctx.manifest {
-        lock(manifest).update(ticket, record_of(slot));
+        lock(manifest).update(ticket, slot.record.clone());
     }
 }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use iobt_ckpt::{Dec, DecodeError, Enc, Wire};
+
 /// Opaque handle to a submitted mission, returned by
 /// [`Fleet::submit`](crate::Fleet::submit) and accepted by every
 /// per-mission query. Tickets are only meaningful to the fleet that
@@ -44,6 +46,35 @@ pub enum MissionStatus {
     /// fleet keeps running. See [`Fleet::error`](crate::Fleet::error)
     /// for the typed [`MissionError`](crate::MissionError).
     Quarantined,
+}
+
+/// One tag byte. Tags are the manifest format: a new state takes the
+/// next free one.
+impl Wire for MissionStatus {
+    fn put(&self, e: &mut Enc) {
+        e.u8(match self {
+            MissionStatus::Queued => 0,
+            MissionStatus::Running => 1,
+            MissionStatus::Idle => 2,
+            MissionStatus::Evicted => 3,
+            MissionStatus::Done => 4,
+            MissionStatus::Quarantined => 5,
+        });
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.u8()? {
+            0 => Ok(MissionStatus::Queued),
+            1 => Ok(MissionStatus::Running),
+            2 => Ok(MissionStatus::Idle),
+            3 => Ok(MissionStatus::Evicted),
+            4 => Ok(MissionStatus::Done),
+            5 => Ok(MissionStatus::Quarantined),
+            tag => Err(DecodeError::UnknownTag {
+                what: "mission status",
+                tag,
+            }),
+        }
+    }
 }
 
 impl MissionStatus {

@@ -34,7 +34,7 @@
 //! | R3 | `panic`      | no `unwrap`/`expect` in non-test library code |
 //! | R4 | `entropy`    | no `thread_rng`/`from_entropy` anywhere |
 //! | R5 | `docs`       | public items in contract crates are documented |
-//! | R6 | `state-coverage` | save/restore/encode/decode fns destructure `Self` exhaustively; codec twins agree in order |
+//! | R6 | `state-coverage` | save/restore fns and hand-written `Wire::put`s destructure `Self` exhaustively |
 //! | R7 | `digest-coverage` | every digest-root field flows into the fingerprint; equality is derived |
 //! | R8 | `stale-allow` | allow directives must suppress something |
 //! | R9 | `unused-pub` | a library `pub fn` is named somewhere besides its definition |

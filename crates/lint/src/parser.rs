@@ -7,10 +7,9 @@
 //!
 //! * which structs exist, with their exact field lists (so an
 //!   exhaustive destructure can be validated against the declaration);
-//! * which fns belong to which impl (so `save_state` can be tied to the
-//!   type it snapshots), with body token ranges (so codec-call
-//!   sequences can be compared between an encode fn and its decode
-//!   twin);
+//! * which fns belong to which impl (so `save_state`, or a `Wire`
+//!   impl's `put`, can be tied to the type it persists), with body token
+//!   ranges (so the destructures inside can be found);
 //! * which fns are trait-*definition* default bodies (excluded from
 //!   R6 — a default body cannot know the implementor's fields).
 //!

@@ -32,9 +32,9 @@ pub enum Rule {
     Entropy,
     /// R5 `docs`: public items in the contract crates carry doc comments.
     Docs,
-    /// R6 `state-coverage`: save/restore fns exhaustively destructure the
-    /// type they snapshot (no `..` rest pattern), and encode/decode twins
-    /// agree on field order.
+    /// R6 `state-coverage`: save/restore fns, and a hand-written `Wire`
+    /// impl's `put`, exhaustively destructure the type they persist (no
+    /// `..` rest pattern).
     StateCoverage,
     /// R7 `digest-coverage`: digest/fingerprint types derive `PartialEq`
     /// and every declared field flows into the digest computation.
@@ -112,8 +112,10 @@ impl Rule {
             Rule::Panic | Rule::Entropy | Rule::StaleAllow | Rule::UnusedPub => &[],
             // The public-contract crates.
             Rule::Docs => &["types", "core"],
-            // The crates holding snapshot/checkpoint code.
-            Rule::StateCoverage => &["netsim", "core", "ckpt"],
+            // The crates holding snapshot/checkpoint code or a `Wire` impl.
+            Rule::StateCoverage => {
+                &["types", "netsim", "obs", "synthesis", "core", "ckpt", "fleet"]
+            }
             // The crates defining digest/fingerprint types.
             Rule::DigestCoverage => &["core", "obs"],
         }
@@ -121,8 +123,8 @@ impl Rule {
 
     /// Files (relative paths) a rule additionally targets regardless of
     /// crate scope. For R6 these are the codec-heavy files where *every*
-    /// destructure and every `save`/`enc_*`/`dec_*` fn is held to the
-    /// exhaustiveness convention.
+    /// destructure and every `save` fn is held to the exhaustiveness
+    /// convention.
     pub fn default_paths(self) -> &'static [&'static str] {
         match self {
             Rule::StateCoverage => &[
@@ -195,11 +197,13 @@ impl Rule {
                  `..` rest pattern. Adding a struct field then fails both the\n\
                  compile (E0027) and this lint until the field's save/restore story\n\
                  is written, which is exactly the silent-resume-divergence bug class\n\
-                 this repo fears most. In the scoped files, *all* destructures of\n\
-                 known structs are held to the convention, and straight-line\n\
-                 `enc_*`/`dec_*` twins must write and read the same codec sequence\n\
-                 in the same order. Deliberately excluded fields are bound as\n\
-                 `name: _`, which documents the exclusion at the destructure site."
+                 this repo fears most. A hand-written `impl Wire` for a struct is\n\
+                 held to the same convention in its `put` (value types whose every\n\
+                 field travels use `wire_struct!` instead, where the compiler\n\
+                 enforces it). In the scoped files, *all* destructures of known\n\
+                 structs are held to the convention. Deliberately excluded fields\n\
+                 are bound as `name: _`, which documents the exclusion at the\n\
+                 destructure site."
             }
             Rule::DigestCoverage => {
                 "R7[digest-coverage] — digest types stay exhaustive.\n\
@@ -755,70 +759,9 @@ fn parse_tuple_pattern(toks: &[Token], open: usize) -> Option<(usize, bool, usiz
     None
 }
 
-/// Idents that make a body "branchy": the codec-sequence comparison only
-/// runs on straight-line bodies, where write/read order is literal.
-fn is_branchy(toks: &[Token]) -> bool {
-    toks.iter().any(|t| {
-        t.is_ident("if")
-            || t.is_ident("match")
-            || t.is_ident("for")
-            || t.is_ident("while")
-            || t.is_ident("loop")
-    })
-}
-
-/// The codec-call vocabulary of `iobt-ckpt`'s `Enc`/`Dec`.
-const CODEC_CALLS: [&str; 8] = ["u8", "u32", "u64", "usize", "f64", "bool", "bytes", "str"];
-
-/// Extracts the codec-call sequence of a straight-line body: `.u32(`-style
-/// method calls plus `enc_x(`/`dec_x(` helper calls normalized to `#x`.
-/// Returns `None` for branchy bodies.
-fn codec_seq(toks: &[Token]) -> Option<Vec<String>> {
-    if is_branchy(toks) {
-        return None;
-    }
-    let mut seq = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        let after_dot = i > 0 && toks[i - 1].is_punct('.');
-        if after_dot && CODEC_CALLS.contains(&t.text.as_str()) {
-            seq.push(t.text.clone());
-        } else if !after_dot {
-            if let Some(suffix) = normalize_codec_helper(&t.text) {
-                seq.push(format!("#{suffix}"));
-            }
-        }
-    }
-    Some(seq)
-}
-
-/// `enc_point` / `dec_point` / `encode_point` / `decode_point` → `point`.
-fn normalize_codec_helper(name: &str) -> Option<&str> {
-    for prefix in ["encode_", "decode_", "enc_", "dec_"] {
-        if let Some(suffix) = name.strip_prefix(prefix) {
-            if !suffix.is_empty() {
-                return Some(suffix);
-            }
-        }
-    }
-    None
-}
-
-/// Whether a fn name is an encode-side codec helper.
-fn is_enc_helper(name: &str) -> bool {
-    (name.starts_with("enc_") || name.starts_with("encode_")) && normalize_codec_helper(name).is_some()
-}
-
-/// Whether a fn name is a decode-side codec helper.
-fn is_dec_helper(name: &str) -> bool {
-    (name.starts_with("dec_") || name.starts_with("decode_")) && normalize_codec_helper(name).is_some()
-}
-
 /// R6: see [`Rule::StateCoverage`]. `path_scoped` widens the rule from
 /// "save/restore fns" to the whole file (all destructures, `save` fns,
-/// and free `enc_*`/`dec_*` twins).
+/// and free fns).
 fn check_state_coverage(
     input: &FileInput,
     table: &SymbolTable,
@@ -826,39 +769,27 @@ fn check_state_coverage(
     out: &mut Vec<Violation>,
 ) {
     for imp in &input.parsed.impls {
+        // A hand-written `Wire::put` is its struct's save fn. Enums and
+        // foreign types have no field list to pin: a `match` on an enum is
+        // exhaustive already.
+        let wire_of_struct = imp.trait_name.as_deref() == Some("Wire")
+            && resolve_struct(input, table, &imp.self_ty).is_some();
         for f in &imp.fns {
             let targeted = f.name == "save_state"
                 || f.name == "restore_state"
-                || (path_scoped && f.name == "save");
+                || (path_scoped && f.name == "save")
+                || (wire_of_struct && f.name == "put");
             if targeted {
                 audit_state_fn(input, table, f, Some(&imp.self_ty), true, out);
             } else if path_scoped {
                 audit_state_fn(input, table, f, Some(&imp.self_ty), false, out);
             }
         }
-        // Straight-line save/restore twins must agree on codec order.
-        let find = |n: &str| imp.fns.iter().find(|f| f.name == n);
-        if let (Some(s), Some(r)) = (find("save_state"), find("restore_state")) {
-            check_codec_pair(input, s, r, &imp.self_ty, out);
-        }
     }
 
     if path_scoped {
         for f in &input.parsed.free_fns {
             audit_state_fn(input, table, f, None, false, out);
-        }
-        // Pair free enc_*/dec_* helpers by normalized suffix.
-        for enc in &input.parsed.free_fns {
-            if !is_enc_helper(&enc.name) || input.map.is_test_line(enc.line) {
-                continue;
-            }
-            let Some(suffix) = normalize_codec_helper(&enc.name) else { continue };
-            let Some(dec) = input.parsed.free_fns.iter().find(|f| {
-                is_dec_helper(&f.name) && normalize_codec_helper(&f.name) == Some(suffix)
-            }) else {
-                continue;
-            };
-            check_codec_pair(input, enc, dec, suffix, out);
         }
     }
 }
@@ -998,40 +929,6 @@ fn audit_state_fn(
                 });
             }
         }
-    }
-}
-
-/// Compares the codec-call sequences of an encode/decode twin. Skips
-/// branchy bodies (order is not literal there) and test code.
-fn check_codec_pair(
-    input: &FileInput,
-    enc: &FnDef,
-    dec: &FnDef,
-    what: &str,
-    out: &mut Vec<Violation>,
-) {
-    if input.map.is_test_line(enc.line) || input.map.is_test_line(dec.line) {
-        return;
-    }
-    let (Some(w), Some(r)) = (
-        codec_seq(enc.body_tokens(input.lexed)),
-        codec_seq(dec.body_tokens(input.lexed)),
-    ) else {
-        return;
-    };
-    if !w.is_empty() && !r.is_empty() && w != r {
-        out.push(Violation {
-            line: dec.line,
-            rule: Rule::StateCoverage,
-            message: format!(
-                "encode/decode twins for `{what}` disagree: `{}` writes [{}] but `{}` \
-                 reads [{}] — count and order must match exactly",
-                enc.name,
-                w.join(", "),
-                dec.name,
-                r.join(", "),
-            ),
-        });
     }
 }
 
@@ -1477,36 +1374,42 @@ impl Behavior for Stateless {
     }
 
     #[test]
-    fn state_coverage_compares_codec_twins() {
-        let src = "\
-fn enc_point(e: &mut Enc, x: f64, id: u64) {
-    e.f64(x);
-    e.u64(id);
-}
-fn dec_point(d: &mut Dec) -> (u64, f64) {
-    let id = d.u64();
-    let x = d.f64();
-    (id, x)
-}
-";
-        let v = run_path("crates/core/src/checkpoint.rs", src, &[Rule::StateCoverage], true);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 5);
-        assert!(v[0].message.contains("disagree"), "{}", v[0].message);
+    fn state_coverage_audits_a_hand_written_wire_put() {
+        let unpinned = "\
+struct Jammer { power_w: f64, active: bool }
+impl Wire for Jammer {
+    fn put(&self, e: &mut Enc) {
+        e.f64(self.power_w);
     }
-
-    #[test]
-    fn state_coverage_skips_branchy_codec_twins() {
-        let src = "\
-fn enc_kind(e: &mut Enc, k: &Kind) {
-    match k { Kind::A => e.u8(0), Kind::B => e.u8(1) }
-}
-fn dec_kind(d: &mut Dec) -> Kind {
-    if d.u8() == 0 { Kind::A } else { Kind::B }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Jammer::new(d.f64()?))
+    }
 }
 ";
-        let v = run_path("crates/core/src/checkpoint.rs", src, &[Rule::StateCoverage], true);
-        assert!(v.is_empty(), "{v:?}");
+        let v = run(unpinned, &[Rule::StateCoverage]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 3, "`put` is the save fn; `take` builds through a constructor");
+        assert!(v[0].message.contains("pinning"), "{}", v[0].message);
+
+        let pinned = unpinned.replace(
+            "e.f64(self.power_w);",
+            "let Self { power_w, active: _ } = self; e.f64(*power_w);",
+        );
+        assert!(run(&pinned, &[Rule::StateCoverage]).is_empty());
+
+        // Not a struct this workspace declares: nothing to destructure.
+        let an_enum = "\
+enum Solver { Greedy, Random { seed: u64 } }
+impl Wire for Solver {
+    fn put(&self, e: &mut Enc) {
+        match self { Solver::Greedy => e.u8(0), Solver::Random { seed } => e.u64(*seed) }
+    }
+}
+impl Wire for u32 {
+    fn put(&self, e: &mut Enc) { e.u32(*self) }
+}
+";
+        assert!(run(an_enum, &[Rule::StateCoverage]).is_empty());
     }
 
     #[test]

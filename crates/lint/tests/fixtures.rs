@@ -19,11 +19,11 @@ fn fixture_tree_trips_every_rule_once() {
         .collect();
     let want: Vec<(String, &'static str, u32)> = vec![
         // R8: stale allow(hash-iter); R6: save_state without destructure,
-        // restore_state missing `pending`, dec_runner order mismatch.
+        // restore_state missing `pending`, a `Wire::put` without one.
         ("crates/core/src/checkpoint.rs".to_string(), "R8", 12),
         ("crates/core/src/checkpoint.rs".to_string(), "R6", 16),
         ("crates/core/src/checkpoint.rs".to_string(), "R6", 22),
-        ("crates/core/src/checkpoint.rs".to_string(), "R6", 37),
+        ("crates/core/src/checkpoint.rs".to_string(), "R6", 39),
         // R7: missing derive(PartialEq), manual Hash impl, unhashed field.
         ("crates/core/src/digest.rs".to_string(), "R7", 5),
         ("crates/core/src/digest.rs".to_string(), "R7", 16),

@@ -33,7 +33,16 @@ fn enc_runner(w: &mut Writer, s: &RunnerState) {
     w.u32(*pending);
 }
 
-/// Seeded R6: reads fields in a different order than `enc_runner` writes.
-fn dec_runner(r: &mut Reader) -> RunnerState {
-    RunnerState { tick: r.u64(), pending: r.u32(), seed: r.u64() }
+impl Wire for RunnerState {
+    /// Seeded R6: a hand-written layout that never destructures `Self`,
+    /// so a fourth field would travel nowhere and nothing would say so.
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.tick);
+        e.u64(self.seed);
+    }
+
+    /// Clean: `take` may build through a constructor; `put` is the audit.
+    fn take(d: &mut Dec) -> RunnerState {
+        RunnerState { tick: d.u64(), seed: d.u64(), pending: 0 }
+    }
 }

@@ -6,9 +6,9 @@
 //! reproduces the qualitative S-curve of real packet-error-rate data
 //! without modelling any particular modulation.
 
+use iobt_ckpt::{Dec, DecodeError, Enc, Wire};
 use iobt_types::{Point, RadioKind};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::terrain::Terrain;
 
@@ -37,7 +37,7 @@ pub fn dbm_to_mw(dbm: f64) -> f64 {
 
 /// A hostile RF emitter raising the noise floor around it (§IV-B: "a
 /// wireless jamming attack").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Jammer {
     /// Where the jammer sits.
     pub position: Point,
@@ -45,6 +45,26 @@ pub struct Jammer {
     pub power_w: f64,
     /// Whether the jammer is currently emitting.
     pub active: bool,
+}
+
+/// Position, power, then whether it radiates; decoding goes through
+/// [`Jammer::new`], so a corrupt power still clamps to zero.
+impl Wire for Jammer {
+    fn put(&self, e: &mut Enc) {
+        let Self {
+            position,
+            power_w,
+            active,
+        } = self;
+        e.put(position);
+        e.f64(*power_w);
+        e.bool(*active);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let mut jammer = Jammer::new(d.get()?, d.f64()?);
+        jammer.active = d.bool()?;
+        Ok(jammer)
+    }
 }
 
 impl Jammer {
@@ -59,7 +79,7 @@ impl Jammer {
 }
 
 /// The channel model used by the simulator for every transmission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     terrain: Terrain,
     jammers: Vec<Jammer>,

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use bytes::Bytes;
+use iobt_ckpt::{Dec, DecodeError, Enc, Wire};
 use iobt_types::NodeId;
 
 use crate::time::SimTime;
@@ -19,6 +20,37 @@ pub struct Message {
     payload: Bytes,
     sent_at: SimTime,
     tampered: bool,
+}
+
+/// Hand-written for the payload alone: `Bytes` is a foreign type, and
+/// travels as a length-prefixed byte string.
+impl Wire for Message {
+    fn put(&self, e: &mut Enc) {
+        let Self {
+            src,
+            dst,
+            kind,
+            payload,
+            sent_at,
+            tampered,
+        } = self;
+        e.put(src);
+        e.put(dst);
+        e.u32(*kind);
+        e.bytes(payload);
+        e.put(sent_at);
+        e.bool(*tampered);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Message {
+            src: d.get()?,
+            dst: d.get()?,
+            kind: d.u32()?,
+            payload: Bytes::from(d.bytes()?.to_vec()),
+            sent_at: d.get()?,
+            tampered: d.bool()?,
+        })
+    }
 }
 
 impl Message {
@@ -79,37 +111,6 @@ impl Message {
     pub(crate) fn stamped(mut self, at: SimTime) -> Self {
         self.sent_at = at;
         self
-    }
-
-    /// All fields, for checkpoint serialisation of in-flight messages.
-    pub(crate) fn snapshot_raw(&self) -> (NodeId, NodeId, u32, &Bytes, SimTime, bool) {
-        (
-            self.src,
-            self.dst,
-            self.kind,
-            &self.payload,
-            self.sent_at,
-            self.tampered,
-        )
-    }
-
-    /// Rebuilds a message bit-for-bit from checkpointed fields.
-    pub(crate) fn from_snapshot_raw(
-        src: NodeId,
-        dst: NodeId,
-        kind: u32,
-        payload: Bytes,
-        sent_at: SimTime,
-        tampered: bool,
-    ) -> Self {
-        Message {
-            src,
-            dst,
-            kind,
-            payload,
-            sent_at,
-            tampered,
-        }
     }
 }
 

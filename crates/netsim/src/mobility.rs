@@ -4,12 +4,12 @@
 //! needs to be continuous". The simulator advances positions in fixed
 //! mobility steps; each node carries one [`MobilityModel`].
 
+use iobt_ckpt::{wire_struct, Dec, DecodeError, Enc, Wire};
 use iobt_types::{Point, Rect};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a node moves.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum MobilityModel {
     /// The node never moves (emplaced sensors, infrastructure).
     #[default]
@@ -34,8 +34,54 @@ pub enum MobilityModel {
     },
 }
 
+/// A tag byte, then the variant's parameters. Tags are the format: a new
+/// variant takes the next free one.
+impl Wire for MobilityModel {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            MobilityModel::Static => e.u8(0),
+            MobilityModel::RandomWaypoint {
+                area,
+                speed_mps,
+                pause_s,
+            } => {
+                e.u8(1);
+                e.put(area);
+                e.f64(*speed_mps);
+                e.f64(*pause_s);
+            }
+            MobilityModel::Route {
+                waypoints,
+                speed_mps,
+            } => {
+                e.u8(2);
+                e.put(waypoints);
+                e.f64(*speed_mps);
+            }
+        }
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.u8()? {
+            0 => Ok(MobilityModel::Static),
+            1 => Ok(MobilityModel::RandomWaypoint {
+                area: d.get()?,
+                speed_mps: d.f64()?,
+                pause_s: d.f64()?,
+            }),
+            2 => Ok(MobilityModel::Route {
+                waypoints: d.get()?,
+                speed_mps: d.f64()?,
+            }),
+            tag => Err(DecodeError::UnknownTag {
+                what: "mobility model",
+                tag,
+            }),
+        }
+    }
+}
+
 /// Per-node mobility state advanced by the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MobilityState {
     model: MobilityModel,
     position: Point,
@@ -43,6 +89,14 @@ pub struct MobilityState {
     pause_left_s: f64,
     route_index: usize,
 }
+
+wire_struct!(MobilityState {
+    model,
+    position,
+    target,
+    pause_left_s,
+    route_index,
+});
 
 impl MobilityState {
     /// Creates mobility state at an initial position.
@@ -72,34 +126,6 @@ impl MobilityState {
         match &self.model {
             MobilityModel::Route { waypoints, .. } => self.route_index >= waypoints.len(),
             _ => false,
-        }
-    }
-
-    /// All fields, for checkpoint serialisation.
-    pub(crate) fn snapshot_raw(&self) -> (&MobilityModel, Point, Option<Point>, f64, usize) {
-        (
-            &self.model,
-            self.position,
-            self.target,
-            self.pause_left_s,
-            self.route_index,
-        )
-    }
-
-    /// Rebuilds mobility state exactly from checkpointed fields.
-    pub(crate) fn from_snapshot_raw(
-        model: MobilityModel,
-        position: Point,
-        target: Option<Point>,
-        pause_left_s: f64,
-        route_index: usize,
-    ) -> Self {
-        MobilityState {
-            model,
-            position,
-            target,
-            pause_left_s,
-            route_index,
         }
     }
 

@@ -45,6 +45,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::rc::Rc;
 
 use bytes::Bytes;
+use iobt_ckpt::{wire_struct, Dec, DecodeError, Enc, Wire};
 use iobt_obs::{DropCause, Recorder, TraceEvent};
 use iobt_types::{EnergyBudget, NodeCatalog, NodeId, Point, RadioKind, Rect};
 use rand::rngs::StdRng;
@@ -117,6 +118,14 @@ pub struct SleepSchedule {
     phase: SimDuration,
 }
 
+// Decoded as stored, not through `SleepSchedule::new`: `restore_state`
+// refuses a zero period as a mismatch instead of panicking on it.
+wire_struct!(SleepSchedule {
+    period,
+    awake_fraction,
+    phase,
+});
+
 impl SleepSchedule {
     /// Creates a schedule. `awake_fraction` is clamped to `[0, 1]`.
     ///
@@ -150,6 +159,11 @@ pub struct PartitionSpec {
     b: BTreeSet<NodeId>,
 }
 
+wire_struct!(PartitionSpec {
+    a,
+    b,
+});
+
 impl PartitionSpec {
     /// Creates a cut between two groups. Ids present in both groups are
     /// treated as members of `a` only (a node cannot be cut from itself).
@@ -177,6 +191,11 @@ pub struct LinkDegradation {
     pub latency_mult: f64,
 }
 
+wire_struct!(LinkDegradation {
+    extra_loss_db,
+    latency_mult,
+});
+
 impl LinkDegradation {
     /// Creates a degradation spec; loss clamps to ≥ 0, multiplier to ≥ 1.
     pub fn new(extra_loss_db: f64, latency_mult: f64) -> Self {
@@ -199,6 +218,12 @@ pub struct CompromiseSpec {
     extra_delay: SimDuration,
     tamper: bool,
 }
+
+wire_struct!(CompromiseSpec {
+    relays,
+    extra_delay,
+    tamper,
+});
 
 impl CompromiseSpec {
     /// Creates a compromised-relay spec.
@@ -224,6 +249,11 @@ struct Blackout {
     rect: Rect,
     affected: BTreeSet<NodeId>,
 }
+
+wire_struct!(Blackout {
+    rect,
+    affected,
+});
 
 /// Per-node runtime state. Stored densely (index order = id order) so
 /// the hot path never touches a map; the radio list is shared with every
@@ -266,11 +296,103 @@ enum Event {
     RegionRestore { index: usize },
 }
 
+/// A tag byte, then the variant's fields. Tags are the format: a new
+/// variant takes the next free one.
+impl Wire for Event {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Event::Deliver(msg) => {
+                e.u8(0);
+                e.put(msg);
+            }
+            Event::Timer { node, token } => {
+                e.u8(1);
+                e.put(node);
+                e.u64(*token);
+            }
+            Event::MobilityTick => e.u8(2),
+            Event::NodeDown(id) => {
+                e.u8(3);
+                e.put(id);
+            }
+            Event::NodeUp(id) => {
+                e.u8(4);
+                e.put(id);
+            }
+            Event::SetJammer { index, active } => {
+                e.u8(5);
+                e.usize(*index);
+                e.bool(*active);
+            }
+            Event::SetPartition { index, active } => {
+                e.u8(6);
+                e.usize(*index);
+                e.bool(*active);
+            }
+            Event::SetDegradation { index, active } => {
+                e.u8(7);
+                e.usize(*index);
+                e.bool(*active);
+            }
+            Event::SetCompromise { index, active } => {
+                e.u8(8);
+                e.usize(*index);
+                e.bool(*active);
+            }
+            Event::RegionOutage { index } => {
+                e.u8(9);
+                e.usize(*index);
+            }
+            Event::RegionRestore { index } => {
+                e.u8(10);
+                e.usize(*index);
+            }
+        }
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(match d.u8()? {
+            0 => Event::Deliver(d.get()?),
+            1 => Event::Timer {
+                node: d.get()?,
+                token: d.u64()?,
+            },
+            2 => Event::MobilityTick,
+            3 => Event::NodeDown(d.get()?),
+            4 => Event::NodeUp(d.get()?),
+            5 => Event::SetJammer {
+                index: d.usize()?,
+                active: d.bool()?,
+            },
+            6 => Event::SetPartition {
+                index: d.usize()?,
+                active: d.bool()?,
+            },
+            7 => Event::SetDegradation {
+                index: d.usize()?,
+                active: d.bool()?,
+            },
+            8 => Event::SetCompromise {
+                index: d.usize()?,
+                active: d.bool()?,
+            },
+            9 => Event::RegionOutage { index: d.usize()? },
+            10 => Event::RegionRestore { index: d.usize()? },
+            tag => return Err(DecodeError::UnknownTag { what: "event", tag }),
+        })
+    }
+}
+
 struct Queued {
     at: SimTime,
     seq: u64,
     event: Event,
 }
+
+wire_struct!(Queued {
+    at,
+    seq,
+    event,
+});
 
 impl PartialEq for Queued {
     fn eq(&self, other: &Self) -> bool {

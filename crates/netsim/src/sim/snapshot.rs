@@ -21,20 +21,19 @@
 //! restore empties it.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
-use bytes::Bytes;
 use iobt_ckpt::{CkptError, Dec, DecodeError, Enc};
-use iobt_types::{EnergyBudget, NodeId, Point, Rect};
+use iobt_types::{EnergyBudget, NodeId};
 
-use crate::message::Message;
-use crate::mobility::{MobilityModel, MobilityState};
+use crate::mobility::MobilityState;
+use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 
 use super::{
-    Behavior, Blackout, CompromiseSpec, Core, Event, Jammer, LinkDegradation, PartitionSpec,
-    Queued, Simulator, SleepSchedule,
+    Behavior, Blackout, CompromiseSpec, Core, Jammer, LinkDegradation, PartitionSpec, Queued,
+    Simulator, SleepSchedule,
 };
 
 /// One behaviour's serialised state plus the registry key used to
@@ -171,226 +170,6 @@ impl From<SnapshotError> for CkptError {
     }
 }
 
-fn enc_id(e: &mut Enc, id: NodeId) {
-    e.u64(id.raw());
-}
-
-fn dec_id(d: &mut Dec<'_>) -> Result<NodeId, DecodeError> {
-    Ok(NodeId::new(d.u64()?))
-}
-
-fn enc_point(e: &mut Enc, p: Point) {
-    e.f64(p.x);
-    e.f64(p.y);
-}
-
-fn dec_point(d: &mut Dec<'_>) -> Result<Point, DecodeError> {
-    Ok(Point::new(d.f64()?, d.f64()?))
-}
-
-fn enc_id_set(e: &mut Enc, set: &BTreeSet<NodeId>) {
-    e.usize(set.len());
-    for id in set {
-        enc_id(e, *id);
-    }
-}
-
-fn dec_id_set(d: &mut Dec<'_>) -> Result<BTreeSet<NodeId>, DecodeError> {
-    let n = d.usize()?;
-    let mut set = BTreeSet::new();
-    for _ in 0..n {
-        set.insert(dec_id(d)?);
-    }
-    Ok(set)
-}
-
-fn enc_mobility(e: &mut Enc, state: &MobilityState) {
-    let (model, position, target, pause_left_s, route_index) = state.snapshot_raw();
-    match model {
-        MobilityModel::Static => e.u8(0),
-        MobilityModel::RandomWaypoint {
-            area,
-            speed_mps,
-            pause_s,
-        } => {
-            e.u8(1);
-            enc_point(e, area.min());
-            enc_point(e, area.max());
-            e.f64(*speed_mps);
-            e.f64(*pause_s);
-        }
-        MobilityModel::Route {
-            waypoints,
-            speed_mps,
-        } => {
-            e.u8(2);
-            e.usize(waypoints.len());
-            for w in waypoints {
-                enc_point(e, *w);
-            }
-            e.f64(*speed_mps);
-        }
-    }
-    enc_point(e, position);
-    match target {
-        Some(t) => {
-            e.bool(true);
-            enc_point(e, t);
-        }
-        None => e.bool(false),
-    }
-    e.f64(pause_left_s);
-    e.usize(route_index);
-}
-
-fn dec_mobility(d: &mut Dec<'_>) -> Result<MobilityState, DecodeError> {
-    let model = match d.u8()? {
-        0 => MobilityModel::Static,
-        1 => {
-            let min = dec_point(d)?;
-            let max = dec_point(d)?;
-            MobilityModel::RandomWaypoint {
-                area: Rect::new(min, max),
-                speed_mps: d.f64()?,
-                pause_s: d.f64()?,
-            }
-        }
-        2 => {
-            let n = d.usize()?;
-            let mut waypoints = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                waypoints.push(dec_point(d)?);
-            }
-            MobilityModel::Route {
-                waypoints,
-                speed_mps: d.f64()?,
-            }
-        }
-        tag => {
-            return Err(DecodeError::UnknownTag {
-                what: "mobility model",
-                tag,
-            })
-        }
-    };
-    let position = dec_point(d)?;
-    let target = if d.bool()? { Some(dec_point(d)?) } else { None };
-    let pause_left_s = d.f64()?;
-    let route_index = d.usize()?;
-    Ok(MobilityState::from_snapshot_raw(
-        model,
-        position,
-        target,
-        pause_left_s,
-        route_index,
-    ))
-}
-
-fn enc_message(e: &mut Enc, msg: &Message) {
-    let (src, dst, kind, payload, sent_at, tampered) = msg.snapshot_raw();
-    enc_id(e, src);
-    enc_id(e, dst);
-    e.u32(kind);
-    e.bytes(payload.as_ref());
-    e.u64(sent_at.as_micros());
-    e.bool(tampered);
-}
-
-fn dec_message(d: &mut Dec<'_>) -> Result<Message, DecodeError> {
-    let src = dec_id(d)?;
-    let dst = dec_id(d)?;
-    let kind = d.u32()?;
-    let payload = Bytes::from(d.bytes()?.to_vec());
-    let sent_at = SimTime::from_micros(d.u64()?);
-    let tampered = d.bool()?;
-    Ok(Message::from_snapshot_raw(
-        src, dst, kind, payload, sent_at, tampered,
-    ))
-}
-
-fn enc_event(e: &mut Enc, event: &Event) {
-    match event {
-        Event::Deliver(msg) => {
-            e.u8(0);
-            enc_message(e, msg);
-        }
-        Event::Timer { node, token } => {
-            e.u8(1);
-            enc_id(e, *node);
-            e.u64(*token);
-        }
-        Event::MobilityTick => e.u8(2),
-        Event::NodeDown(id) => {
-            e.u8(3);
-            enc_id(e, *id);
-        }
-        Event::NodeUp(id) => {
-            e.u8(4);
-            enc_id(e, *id);
-        }
-        Event::SetJammer { index, active } => {
-            e.u8(5);
-            e.usize(*index);
-            e.bool(*active);
-        }
-        Event::SetPartition { index, active } => {
-            e.u8(6);
-            e.usize(*index);
-            e.bool(*active);
-        }
-        Event::SetDegradation { index, active } => {
-            e.u8(7);
-            e.usize(*index);
-            e.bool(*active);
-        }
-        Event::SetCompromise { index, active } => {
-            e.u8(8);
-            e.usize(*index);
-            e.bool(*active);
-        }
-        Event::RegionOutage { index } => {
-            e.u8(9);
-            e.usize(*index);
-        }
-        Event::RegionRestore { index } => {
-            e.u8(10);
-            e.usize(*index);
-        }
-    }
-}
-
-fn dec_event(d: &mut Dec<'_>) -> Result<Event, DecodeError> {
-    Ok(match d.u8()? {
-        0 => Event::Deliver(dec_message(d)?),
-        1 => Event::Timer {
-            node: dec_id(d)?,
-            token: d.u64()?,
-        },
-        2 => Event::MobilityTick,
-        3 => Event::NodeDown(dec_id(d)?),
-        4 => Event::NodeUp(dec_id(d)?),
-        5 => Event::SetJammer {
-            index: d.usize()?,
-            active: d.bool()?,
-        },
-        6 => Event::SetPartition {
-            index: d.usize()?,
-            active: d.bool()?,
-        },
-        7 => Event::SetDegradation {
-            index: d.usize()?,
-            active: d.bool()?,
-        },
-        8 => Event::SetCompromise {
-            index: d.usize()?,
-            active: d.bool()?,
-        },
-        9 => Event::RegionOutage { index: d.usize()? },
-        10 => Event::RegionRestore { index: d.usize()? },
-        tag => return Err(DecodeError::UnknownTag { what: "event", tag }),
-    })
-}
-
 impl Simulator {
     /// Serialises the complete determinism-relevant simulator state.
     ///
@@ -436,12 +215,12 @@ impl Simulator {
 
         // Fixed-configuration guard, checked at restore.
         e.u32(core.retries);
-        e.u64(core.mobility_step.as_micros());
+        e.put(&core.mobility_step);
         e.f64(core.idle_drain_w);
         e.usize(core.nodes.len());
 
         // Clock, event-sequence counter, RNG stream position.
-        e.u64(core.now.as_micros());
+        e.put(&core.now);
         e.u64(core.seq);
         for w in core.rng.state() {
             e.u64(w);
@@ -449,86 +228,28 @@ impl Simulator {
 
         // Network statistics, including every latency sample (the
         // digest's mean latency must match bit-for-bit after resume).
-        let s = &core.stats;
-        for v in [
-            s.sent,
-            s.delivered,
-            s.dropped,
-            s.dropped_no_route,
-            s.dropped_channel,
-            s.dropped_dead,
-            s.dropped_asleep,
-            s.hop_attempts,
-            s.retransmits,
-            s.tampered,
-        ] {
-            e.u64(v);
-        }
-        e.f64(s.energy_spent_j);
-        e.usize(s.latency_ms.samples().len());
-        for v in s.latency_ms.samples() {
-            e.f64(*v);
-        }
-        e.usize(s.delivered_by_kind.len());
-        for (kind, count) in &s.delivered_by_kind {
-            e.u32(*kind);
-            e.u64(*count);
-        }
+        e.put(&core.stats);
 
-        // Per-node mutable state (dense storage iterates in id order).
+        // Per-node mutable state (dense storage iterates in id order;
+        // the guard above carries the count).
         for n in &core.nodes {
-            enc_id(&mut e, n.id);
-            enc_mobility(&mut e, &n.mobility);
-            e.f64(n.energy.capacity_j());
-            e.f64(n.energy.remaining_j());
+            e.put(&n.id);
+            e.put(&n.mobility);
+            e.put(&n.energy);
             e.bool(n.alive);
-            match n.sleep {
-                Some(sched) => {
-                    e.bool(true);
-                    e.u64(sched.period.as_micros());
-                    e.f64(sched.awake_fraction);
-                    e.u64(sched.phase.as_micros());
-                }
-                None => e.bool(false),
-            }
+            e.put(&n.sleep);
         }
 
         // Channel: jammers and composite degradation loss.
-        e.usize(core.channel.jammers().len());
-        for j in core.channel.jammers() {
-            enc_point(&mut e, j.position);
-            e.f64(j.power_w);
-            e.bool(j.active);
-        }
+        e.seq(core.channel.jammers().iter());
         e.f64(core.channel.extra_loss_db());
         e.f64(core.latency_mult);
 
         // Registered fault specs and their activation flags.
-        e.usize(core.partitions.len());
-        for (spec, active) in &core.partitions {
-            enc_id_set(&mut e, &spec.a);
-            enc_id_set(&mut e, &spec.b);
-            e.bool(*active);
-        }
-        e.usize(core.degradations.len());
-        for (spec, active) in &core.degradations {
-            e.f64(spec.extra_loss_db);
-            e.f64(spec.latency_mult);
-            e.bool(*active);
-        }
-        e.usize(core.compromises.len());
-        for (spec, active) in &core.compromises {
-            enc_id_set(&mut e, &spec.relays);
-            e.u64(spec.extra_delay.as_micros());
-            e.bool(spec.tamper);
-            e.bool(*active);
-        }
-        e.usize(core.blackouts.len());
-        for b in &core.blackouts {
-            enc_point(&mut e, b.rect.min());
-            enc_point(&mut e, b.rect.max());
-            enc_id_set(&mut e, &b.affected);
-        }
+        e.put(&core.partitions);
+        e.put(&core.degradations);
+        e.put(&core.compromises);
+        e.put(&core.blackouts);
 
         // Graph disposition (the graph itself is derived state, brought
         // in step silently at restore): 0 = absent, fully stale or not yet
@@ -542,12 +263,7 @@ impl Simulator {
         // The event queue, in deterministic (at, seq) order.
         let mut entries: Vec<&Queued> = core.queue.iter().map(|Reverse(q)| q).collect();
         entries.sort_by_key(|q| (q.at, q.seq));
-        e.usize(entries.len());
-        for q in entries {
-            e.u64(q.at.as_micros());
-            e.u64(q.seq);
-            enc_event(&mut e, &q.event);
-        }
+        e.seq(entries.into_iter());
 
         // Behaviours, via their save hooks.
         e.usize(behaviors.len());
@@ -555,14 +271,11 @@ impl Simulator {
             let snap = behavior
                 .save_state()
                 .ok_or(SnapshotError::NotCheckpointable(*node))?;
-            enc_id(&mut e, *node);
-            e.str(&snap.kind);
+            e.put(node);
+            e.put(&snap.kind);
             e.bytes(&snap.state);
         }
-        e.usize(started.len());
-        for node in started {
-            enc_id(&mut e, *node);
-        }
+        e.put(started);
 
         Ok(e.into_bytes())
     }
@@ -583,7 +296,7 @@ impl Simulator {
         let mut d = Dec::new(bytes);
 
         let retries = d.u32()?;
-        let mobility_step = SimDuration::from_micros(d.u64()?);
+        let mobility_step: SimDuration = d.get()?;
         let idle_drain_w = d.f64()?;
         let node_count = d.usize()?;
         {
@@ -604,37 +317,14 @@ impl Simulator {
             }
         }
 
-        let now = SimTime::from_micros(d.u64()?);
+        let now: SimTime = d.get()?;
         let seq = d.u64()?;
         let mut rng_state = [0u64; 4];
         for w in &mut rng_state {
             *w = d.u64()?;
         }
 
-        let mut stats = crate::stats::NetStats::new();
-        stats.sent = d.u64()?;
-        stats.delivered = d.u64()?;
-        stats.dropped = d.u64()?;
-        stats.dropped_no_route = d.u64()?;
-        stats.dropped_channel = d.u64()?;
-        stats.dropped_dead = d.u64()?;
-        stats.dropped_asleep = d.u64()?;
-        stats.hop_attempts = d.u64()?;
-        stats.retransmits = d.u64()?;
-        stats.tampered = d.u64()?;
-        stats.energy_spent_j = d.f64()?;
-        let n_samples = d.usize()?;
-        let mut samples = Vec::with_capacity(n_samples.min(1 << 20));
-        for _ in 0..n_samples {
-            samples.push(d.f64()?);
-        }
-        stats.latency_ms.set_samples(samples);
-        let n_kinds = d.usize()?;
-        for _ in 0..n_kinds {
-            let kind = d.u32()?;
-            let count = d.u64()?;
-            stats.delivered_by_kind.insert(kind, count);
-        }
+        let stats: NetStats = d.get()?;
 
         struct NodeRestore {
             id: NodeId,
@@ -643,104 +333,35 @@ impl Simulator {
             alive: bool,
             sleep: Option<SleepSchedule>,
         }
+        // `node_count` was checked against this simulator's own above.
         let mut node_restores = Vec::with_capacity(node_count);
         for _ in 0..node_count {
-            let id = dec_id(&mut d)?;
-            let mobility = dec_mobility(&mut d)?;
-            let capacity = d.f64()?;
-            let remaining = d.f64()?;
-            let alive = d.bool()?;
-            let sleep = if d.bool()? {
-                let period = SimDuration::from_micros(d.u64()?);
-                let awake_fraction = d.f64()?;
-                let phase = SimDuration::from_micros(d.u64()?);
-                if period.as_micros() == 0 {
-                    return Err(SnapshotError::Mismatch(
-                        "sleep schedule with zero period".into(),
-                    ));
-                }
-                Some(SleepSchedule {
-                    period,
-                    awake_fraction,
-                    phase,
-                })
-            } else {
-                None
+            let nr = NodeRestore {
+                id: d.get()?,
+                mobility: d.get()?,
+                energy: d.get()?,
+                alive: d.bool()?,
+                sleep: d.get()?,
             };
-            if self.core.idx(id).is_none() {
-                return Err(SnapshotError::UnknownNode(id.raw()));
+            if nr.sleep.is_some_and(|s| s.period.as_micros() == 0) {
+                return Err(SnapshotError::Mismatch(
+                    "sleep schedule with zero period".into(),
+                ));
             }
-            node_restores.push(NodeRestore {
-                id,
-                mobility,
-                energy: EnergyBudget::from_parts(capacity, remaining),
-                alive,
-                sleep,
-            });
+            if self.core.idx(nr.id).is_none() {
+                return Err(SnapshotError::UnknownNode(nr.id.raw()));
+            }
+            node_restores.push(nr);
         }
 
-        let n_jammers = d.usize()?;
-        let mut jammers = Vec::with_capacity(n_jammers.min(1 << 16));
-        for _ in 0..n_jammers {
-            let position = dec_point(&mut d)?;
-            let power_w = d.f64()?;
-            let active = d.bool()?;
-            let mut j = Jammer::new(position, power_w);
-            j.active = active;
-            jammers.push(j);
-        }
+        let jammers: Vec<Jammer> = d.get()?;
         let extra_loss_db = d.f64()?;
         let latency_mult = d.f64()?;
 
-        let n_partitions = d.usize()?;
-        let mut partitions = Vec::with_capacity(n_partitions.min(1 << 16));
-        for _ in 0..n_partitions {
-            let a = dec_id_set(&mut d)?;
-            let b = dec_id_set(&mut d)?;
-            let active = d.bool()?;
-            partitions.push((PartitionSpec { a, b }, active));
-        }
-        let n_degradations = d.usize()?;
-        let mut degradations = Vec::with_capacity(n_degradations.min(1 << 16));
-        for _ in 0..n_degradations {
-            let extra_loss_db = d.f64()?;
-            let latency_mult = d.f64()?;
-            let active = d.bool()?;
-            degradations.push((
-                LinkDegradation {
-                    extra_loss_db,
-                    latency_mult,
-                },
-                active,
-            ));
-        }
-        let n_compromises = d.usize()?;
-        let mut compromises = Vec::with_capacity(n_compromises.min(1 << 16));
-        for _ in 0..n_compromises {
-            let relays = dec_id_set(&mut d)?;
-            let extra_delay = SimDuration::from_micros(d.u64()?);
-            let tamper = d.bool()?;
-            let active = d.bool()?;
-            compromises.push((
-                CompromiseSpec {
-                    relays,
-                    extra_delay,
-                    tamper,
-                },
-                active,
-            ));
-        }
-        let n_blackouts = d.usize()?;
-        let mut blackouts = Vec::with_capacity(n_blackouts.min(1 << 16));
-        for _ in 0..n_blackouts {
-            let min = dec_point(&mut d)?;
-            let max = dec_point(&mut d)?;
-            let affected = dec_id_set(&mut d)?;
-            blackouts.push(Blackout {
-                rect: Rect::new(min, max),
-                affected,
-            });
-        }
+        let partitions: Vec<(PartitionSpec, bool)> = d.get()?;
+        let degradations: Vec<(LinkDegradation, bool)> = d.get()?;
+        let compromises: Vec<(CompromiseSpec, bool)> = d.get()?;
+        let blackouts: Vec<Blackout> = d.get()?;
 
         let graph_cached = match d.u8()? {
             v @ 0..=2 => v,
@@ -752,37 +373,27 @@ impl Simulator {
             }
         };
 
-        let n_events = d.usize()?;
-        let mut queue = BinaryHeap::with_capacity(n_events.min(1 << 20));
-        for _ in 0..n_events {
-            let at = SimTime::from_micros(d.u64()?);
-            let seq = d.u64()?;
-            let event = dec_event(&mut d)?;
-            queue.push(Reverse(Queued { at, seq, event }));
-        }
+        let queue: BinaryHeap<Reverse<Queued>> =
+            d.get::<Vec<Queued>>()?.into_iter().map(Reverse).collect();
 
         let n_behaviors = d.usize()?;
         let mut behaviors: BTreeMap<NodeId, Box<dyn Behavior>> = BTreeMap::new();
         for _ in 0..n_behaviors {
-            let node = dec_id(&mut d)?;
-            let kind = d.str()?;
-            let state = d.bytes()?.to_vec();
+            let node: NodeId = d.get()?;
+            let kind: String = d.get()?;
+            let state = d.bytes()?;
             if self.core.idx(node).is_none() {
                 return Err(SnapshotError::UnknownNode(node.raw()));
             }
             let mut behavior = registry
                 .create(&kind)
                 .ok_or_else(|| SnapshotError::UnknownBehaviorKind(kind.clone()))?;
-            if !behavior.restore_state(&state) {
+            if !behavior.restore_state(state) {
                 return Err(SnapshotError::BehaviorRestore { node, kind });
             }
             behaviors.insert(node, behavior);
         }
-        let n_started = d.usize()?;
-        let mut started = Vec::with_capacity(n_started.min(1 << 20));
-        for _ in 0..n_started {
-            started.push(dec_id(&mut d)?);
-        }
+        let started: Vec<NodeId> = d.get()?;
         d.finish()?;
 
         // Everything decoded cleanly; now mutate the simulator.
@@ -830,9 +441,10 @@ mod tests {
 
     use super::*;
     use crate::graph::ConnectivityGraph;
-    use crate::sim::Context;
+    use crate::mobility::MobilityModel;
+    use crate::sim::{Context, Event};
     use crate::terrain::Terrain;
-    use iobt_types::{Affiliation, NodeCatalog, NodeSpec, Radio, RadioKind};
+    use iobt_types::{Affiliation, NodeCatalog, NodeSpec, Point, Radio, RadioKind, Rect};
 
     fn catalog(n: u64, gap_m: f64) -> NodeCatalog {
         let mut catalog = NodeCatalog::new();
@@ -1010,6 +622,105 @@ mod tests {
                 "truncation to {len} bytes must be rejected"
             );
         }
+    }
+
+    /// A netsim-only world holding one of everything the blob can carry
+    /// that no mission scenario produces: a sleep schedule, both mobile
+    /// models mid-leg, a jammer, an active partition, degradation and
+    /// compromise, a fired blackout, in-flight messages (tampered and
+    /// not) and pending timers.
+    fn everything_world() -> Simulator {
+        let beacon = |target: u64| {
+            Box::new(Beacon {
+                target: NodeId::new(target),
+                period: SimDuration::from_millis(40),
+                sent: 0,
+            })
+        };
+        let mut sim = Simulator::builder(catalog(10, 80.0))
+            .seed(23)
+            .jammer(Jammer::new(Point::new(400.0, 5_000.0), 0.01))
+            .mobility(
+                NodeId::new(5),
+                MobilityModel::RandomWaypoint {
+                    area: Rect::new(Point::new(380.0, -20.0), Point::new(420.0, 20.0)),
+                    speed_mps: 3.0,
+                    pause_s: 0.5,
+                },
+            )
+            .mobility(
+                NodeId::new(6),
+                MobilityModel::Route {
+                    waypoints: vec![Point::new(490.0, 0.0), Point::new(520.0, 40.0)],
+                    speed_mps: 10.0,
+                },
+            )
+            .sleep_schedule(
+                NodeId::new(7),
+                SleepSchedule::new(
+                    SimDuration::from_millis(700),
+                    0.5,
+                    SimDuration::from_millis(100),
+                ),
+            )
+            .build();
+        // 0 → 2 must relay through the compromised node 1 (160 m is out of
+        // wifi range); 3 → 4 are honest neighbours.
+        sim.set_behavior(NodeId::new(0), beacon(2));
+        sim.set_behavior(NodeId::new(3), beacon(4));
+        let at = SimTime::from_millis(100);
+        let cut = sim.add_partition(PartitionSpec::new(
+            [NodeId::new(0), NodeId::new(1)],
+            [NodeId::new(9)],
+        ));
+        sim.schedule_partition(at, cut, true);
+        let weather = sim.add_degradation(LinkDegradation::new(1.5, 2.0));
+        sim.schedule_degradation(at, weather, true);
+        let relay = sim.add_compromise(CompromiseSpec::new(
+            [NodeId::new(1)],
+            SimDuration::from_millis(250),
+            true,
+        ));
+        sim.schedule_compromise(at, relay, true);
+        let region =
+            sim.add_region_blackout(Rect::new(Point::new(600.0, -10.0), Point::new(760.0, 10.0)));
+        sim.schedule_region_outage(SimTime::from_millis(500), region);
+        sim
+    }
+
+    #[test]
+    fn everything_world_snapshot_is_pinned() {
+        let mut sim = everything_world();
+        // Both beacons fire at exactly 2 s, so their sends are in flight.
+        sim.run_until(SimTime::from_secs_f64(2.0));
+        let blob = sim.save_state().unwrap();
+
+        // The world holds what the comment above promises.
+        let core = &sim.core;
+        let mid_leg = |i: usize| format!("{:?}", core.nodes[i].mobility);
+        assert!(mid_leg(5).contains("target: Some"), "{}", mid_leg(5));
+        assert!(mid_leg(6).contains("route_index: 1"), "{}", mid_leg(6));
+        assert!(core.partitions[0].1 && core.degradations[0].1 && core.compromises[0].1);
+        assert_eq!(core.blackouts[0].affected.len(), 2);
+        let in_flight = |tampered: bool| {
+            core.queue
+                .iter()
+                .filter(|Reverse(q)| matches!(&q.event, Event::Deliver(m) if m.tampered() == tampered))
+                .count()
+        };
+        assert!(in_flight(true) > 0 && in_flight(false) > 0);
+        assert!(core.queue.iter().any(|Reverse(q)| matches!(q.event, Event::Timer { .. })));
+        assert!(core.stats.delivered > 0 && !core.stats.delivered_by_kind.is_empty());
+
+        // Recorded from the parent commit's binary (hand-written
+        // `enc_*`/`dec_*` twins) before the codec was touched: the `Wire`
+        // layouts must reproduce the blob byte for byte.
+        assert_eq!(blob.len(), 2_815);
+        assert_eq!(iobt_obs::fnv1a(&blob), 0x7191_6aa4_19c4_8fb7);
+
+        let mut restored = everything_world();
+        restored.restore_state(&blob, &beacon_registry()).unwrap();
+        assert_eq!(restored.save_state().unwrap(), blob, "save → restore → save must be identity");
     }
 
     /// Crashes a run of `run_s` seconds over `catalog` (built through

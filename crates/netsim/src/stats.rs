@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use iobt_ckpt::{wire_struct, Dec, DecodeError, Enc, Wire};
+
 /// An online summary of a set of samples (latencies, utilities, …).
 ///
 /// Stores every sample so exact quantiles are available; experiments in
@@ -22,6 +24,21 @@ use std::fmt;
 pub struct Summary {
     samples: Vec<f64>,
     sorted: bool,
+}
+
+/// The samples in the order held; `sorted` is derived, and a decoded
+/// summary re-sorts on its first quantile query.
+impl Wire for Summary {
+    fn put(&self, e: &mut Enc) {
+        let Self { samples, sorted: _ } = self;
+        e.put(samples);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Summary {
+            samples: d.get()?,
+            sorted: false,
+        })
+    }
 }
 
 impl Summary {
@@ -89,19 +106,6 @@ impl Summary {
         // q = 0 should return the minimum.
         let idx = if q == 0.0 { 0 } else { idx };
         self.samples[idx]
-    }
-
-    /// The raw recorded samples, in insertion order unless a quantile
-    /// query has sorted them. Exposed so checkpoints can capture the
-    /// exact sample set.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Replaces the sample set wholesale (checkpoint restore).
-    pub(crate) fn set_samples(&mut self, samples: Vec<f64>) {
-        self.samples = samples;
-        self.sorted = false;
     }
 
     /// Smallest sample, or `0.0` when empty.
@@ -199,6 +203,22 @@ pub struct NetStats {
     /// Per-kind delivered counts, for application dispatch analysis.
     pub delivered_by_kind: BTreeMap<u32, u64>,
 }
+
+wire_struct!(NetStats {
+    sent,
+    delivered,
+    dropped,
+    dropped_no_route,
+    dropped_channel,
+    dropped_dead,
+    dropped_asleep,
+    hop_attempts,
+    retransmits,
+    tampered,
+    energy_spent_j,
+    latency_ms,
+    delivered_by_kind,
+});
 
 impl NetStats {
     /// Creates zeroed statistics.

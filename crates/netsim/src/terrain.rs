@@ -8,10 +8,9 @@
 use iobt_types::{Point, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Propagation environment of a terrain cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Clutter {
     /// Unobstructed flat ground.
     #[default]
@@ -50,7 +49,7 @@ impl Clutter {
 /// let t = Terrain::uniform(Rect::square(1_000.0), Clutter::Urban);
 /// assert_eq!(t.clutter_at(Point::new(500.0, 500.0)), Clutter::Urban);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Terrain {
     bounds: Rect,
     cols: usize,

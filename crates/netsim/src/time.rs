@@ -7,14 +7,22 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
+use iobt_ckpt::{Dec, DecodeError, Enc, Wire};
 
 /// An instant on the simulation clock, in microseconds since start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
+
+/// Raw microseconds, as a `u64`.
+impl Wire for SimTime {
+    fn put(&self, e: &mut Enc) {
+        let Self(micros) = self;
+        e.u64(*micros);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(SimTime(d.u64()?))
+    }
+}
 
 impl SimTime {
     /// The start of the simulation.
@@ -70,11 +78,19 @@ impl fmt::Display for SimTime {
 }
 
 /// A span of simulation time, in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
+
+/// Raw microseconds, as a `u64`.
+impl Wire for SimDuration {
+    fn put(&self, e: &mut Enc) {
+        let Self(micros) = self;
+        e.u64(*micros);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(SimDuration(d.u64()?))
+    }
+}
 
 impl SimDuration {
     /// The empty duration.

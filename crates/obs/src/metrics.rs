@@ -158,6 +158,13 @@ pub struct HistogramSnapshot {
     pub sum: f64,
 }
 
+iobt_ckpt::wire_struct!(HistogramSnapshot {
+    bounds,
+    counts,
+    total,
+    sum,
+});
+
 /// The registry every [`Recorder`](crate::Recorder) carries: ordered
 /// maps of counters, gauges and histograms.
 #[derive(Debug, Clone, Default)]
@@ -259,6 +266,12 @@ pub struct MetricsDigest {
     /// `(name, snapshot)` histograms in name order.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
+
+iobt_ckpt::wire_struct!(MetricsDigest {
+    counters,
+    gauges,
+    histograms,
+});
 
 impl MetricsDigest {
     /// Looks up a counter by name.

@@ -17,6 +17,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
+use iobt_ckpt::{wire_struct, Dec, DecodeError, Enc, Wire};
 use iobt_obs::{Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,6 +39,13 @@ pub struct CompositionResult {
     /// Whether the mission requirement was met.
     pub satisfied: bool,
 }
+
+wire_struct!(CompositionResult {
+    selected,
+    coverage,
+    cost,
+    satisfied,
+});
 
 /// Deterministic work counters accumulated during a solve: how many
 /// budget steps (coverage-gain evaluations / move proposals / subset
@@ -154,6 +162,50 @@ pub enum Solver {
         /// Base RNG seed; members derive their own streams from it.
         seed: u64,
     },
+}
+
+/// A tag byte, then the variant's parameters. Tags are the format: a new
+/// variant takes the next free one.
+impl Wire for Solver {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Solver::Greedy => e.u8(0),
+            Solver::Anneal { iterations, seed } => {
+                e.u8(1);
+                e.usize(*iterations);
+                e.u64(*seed);
+            }
+            Solver::Random { seed } => {
+                e.u8(2);
+                e.u64(*seed);
+            }
+            Solver::Exhaustive => e.u8(3),
+            Solver::Portfolio { iterations, seed } => {
+                e.u8(4);
+                e.usize(*iterations);
+                e.u64(*seed);
+            }
+        }
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.u8()? {
+            0 => Ok(Solver::Greedy),
+            1 => Ok(Solver::Anneal {
+                iterations: d.usize()?,
+                seed: d.u64()?,
+            }),
+            2 => Ok(Solver::Random { seed: d.u64()? }),
+            3 => Ok(Solver::Exhaustive),
+            4 => Ok(Solver::Portfolio {
+                iterations: d.usize()?,
+                seed: d.u64()?,
+            }),
+            tag => Err(DecodeError::UnknownTag {
+                what: "solver",
+                tag,
+            }),
+        }
+    }
 }
 
 impl std::fmt::Display for Solver {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Ownership/control category of an IoBT entity.
 ///
 /// The paper (§II, "Extreme heterogeneity") distinguishes military devices
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(Affiliation::Red.is_adversarial());
 /// assert!(!Affiliation::Gray.is_friendly());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Affiliation {
     /// Friendly, certified, and controlled by the mission owner.
     Blue,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Sensing modality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SensorKind {
     /// Microphones, gunshot detection.
     Acoustic,
@@ -85,7 +83,7 @@ impl fmt::Display for SensorKind {
 }
 
 /// A sensor instance mounted on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sensor {
     kind: SensorKind,
     range_m: f64,
@@ -130,7 +128,7 @@ impl Sensor {
 
 /// Compute tier of a node, from disposable motes to edge clouds (Fig. 2:
 /// "from small on-board compute devices to powerful edge clouds with GPUs").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ComputeClass {
     /// Throwaway mote; can forward but barely process.
     Disposable,
@@ -175,7 +173,7 @@ impl fmt::Display for ComputeClass {
 }
 
 /// Actuation capability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ActuatorKind {
     /// Ground or aerial locomotion (robots, drones).
     Locomotion,
@@ -222,7 +220,7 @@ impl fmt::Display for ActuatorKind {
 
 /// Radio technology of a network interface (§III-A: "they have several
 /// connectivity options (cellular, Wifi, Bluetooth)").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RadioKind {
     /// Commercial cellular uplink.
     Cellular,
@@ -294,7 +292,7 @@ impl fmt::Display for RadioKind {
 }
 
 /// A radio interface instance on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Radio {
     kind: RadioKind,
     range_m: f64,
@@ -338,7 +336,7 @@ impl Radio {
 
 /// Everything a node can do: its sensors, compute tier, actuators, and
 /// radios.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CapabilityProfile {
     sensors: Vec<Sensor>,
     compute: Option<ComputeClass>,

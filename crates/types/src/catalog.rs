@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{
     Affiliation, CapabilityProfile, ComputeClass, EnergyBudget, NodeId, NodeSpec, Point, Radio,
@@ -29,7 +28,7 @@ use crate::{
 /// assert_eq!(catalog.len(), 1);
 /// assert!(catalog.get(NodeId::new(1)).is_some());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeCatalog {
     nodes: BTreeMap<NodeId, NodeSpec>,
 }

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use iobt_ckpt::{Dec, DecodeError, Enc, Wire};
 
 /// A finite battery, measured in joules.
 ///
@@ -22,10 +22,23 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.drain(10.0), 4.0); // 4 J of unmet demand
 /// assert!(b.is_depleted());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBudget {
     capacity_j: f64,
     remaining_j: f64,
+}
+
+/// Capacity, then what remains of it; decoding goes through
+/// [`EnergyBudget::from_parts`].
+impl Wire for EnergyBudget {
+    fn put(&self, e: &mut Enc) {
+        let Self { capacity_j, remaining_j } = self;
+        e.f64(*capacity_j);
+        e.f64(*remaining_j);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(EnergyBudget::from_parts(d.f64()?, d.f64()?))
+    }
 }
 
 impl EnergyBudget {

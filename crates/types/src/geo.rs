@@ -6,16 +6,21 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use iobt_ckpt::{wire_struct, Dec, DecodeError, Enc, Wire};
 
 /// A position on the battlefield plane, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// East-west coordinate in meters.
     pub x: f64,
     /// North-south coordinate in meters.
     pub y: f64,
 }
+
+wire_struct!(Point {
+    x,
+    y,
+});
 
 impl Point {
     /// Origin of the plane.
@@ -78,10 +83,23 @@ impl From<(f64, f64)> for Point {
 ///
 /// Construction normalizes the corners, so any two opposite corners may be
 /// supplied in either order.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Rect {
     min: Point,
     max: Point,
+}
+
+/// Both corners; decoding goes through [`Rect::new`], so corrupt bytes
+/// still yield a normalized rectangle.
+impl Wire for Rect {
+    fn put(&self, e: &mut Enc) {
+        let Self { min, max } = self;
+        e.put(min);
+        e.put(max);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Rect::new(d.get()?, d.get()?))
+    }
 }
 
 impl Rect {

@@ -2,16 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use iobt_ckpt::{Dec, DecodeError, Enc, Wire};
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         // lint: allow(docs) — docs are injected per expansion through the macro's $(#[$doc])* metavariable
         pub struct $name(u64);
 
@@ -58,6 +54,17 @@ define_id!(
     NodeId,
     "n"
 );
+/// The raw value, as a `u64`.
+impl Wire for NodeId {
+    fn put(&self, e: &mut Enc) {
+        let Self(raw) = self;
+        e.u64(*raw);
+    }
+    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(NodeId(d.u64()?))
+    }
+}
+
 define_id!(
     /// Identifier of a mission expressed by a commander.
     MissionId,
@@ -85,15 +92,6 @@ mod tests {
         assert!(NodeId::new(1) < NodeId::new(2));
         assert_eq!(NodeId::new(7), NodeId::from(7));
         assert_eq!(u64::from(NodeId::new(7)), 7);
-    }
-
-    #[test]
-    fn serde_roundtrip_is_transparent() {
-        let id = NodeId::new(123);
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(json, "123");
-        let back: NodeId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
     }
 
     #[test]

@@ -9,13 +9,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ActuatorKind, MissionId, Rect, SensorKind};
 
 /// Category of military operation (§I spans "the entire gamut of military
 /// operations", §II lists representative tasks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MissionKind {
     /// Non-combatant evacuation from a hostile zone (§I vignette).
     Evacuation,
@@ -72,9 +70,7 @@ impl fmt::Display for MissionKind {
 
 /// Relative importance used when missions compete for assets (§II: "many
 /// networks operating simultaneously, possibly competing for resources").
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Background tasking.
     Low,
@@ -119,7 +115,7 @@ impl fmt::Display for Priority {
 /// .with_priority(Priority::Critical);
 /// assert_eq!(intent.priority(), Priority::Critical);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommanderIntent {
     kind: MissionKind,
     area: Rect,
@@ -176,7 +172,7 @@ impl fmt::Display for CommanderIntent {
 /// Requirements follow §III-B: "what sensors and actuators are needed …,
 /// what in-network compute elements must be present to achieve the desired
 /// latency, and what network capacity and resilience must exist".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mission {
     id: MissionId,
     kind: MissionKind,

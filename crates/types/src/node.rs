@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     Affiliation, CapabilityProfile, EnergyBudget, NodeId, Point, Radio, Sensor, TrustScore,
 };
@@ -15,7 +13,7 @@ use crate::{
 /// and the simulator instantiates. Dynamic state (current battery level,
 /// live position under mobility) lives in the simulator; the spec carries
 /// the initial conditions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     id: NodeId,
     affiliation: Affiliation,

@@ -9,8 +9,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Affiliation, NodeId};
 
 /// A trust value in `[0, 1]`.
@@ -24,8 +22,7 @@ use crate::{Affiliation, NodeId};
 /// assert_eq!(TrustScore::new(f64::NAN).value(), 0.0);
 /// assert!(TrustScore::new(0.8) > TrustScore::new(0.3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct TrustScore(f64);
 
 impl TrustScore {
@@ -84,7 +81,7 @@ impl From<f64> for TrustScore {
 }
 
 /// Beta-reputation evidence for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Evidence {
     /// Pseudo-count of positive interactions (Beta α).
     alpha: f64,
@@ -116,7 +113,7 @@ impl Evidence {
 /// for _ in 0..10 { ledger.record_positive(n); }
 /// assert!(ledger.score(n).unwrap() > before);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrustLedger {
     prior_strength: f64,
     evidence: HashMap<NodeId, Evidence>,
