@@ -385,6 +385,9 @@ mod tests {
                 decision: "denied_degraded",
             }
         );
+        let metrics = c.recorder.metrics_digest();
+        assert_eq!(metrics.counter("adapt.actuation.denied_degraded"), Some(1));
+        assert_eq!(metrics.counter("adapt.actuation.other"), None);
     }
 
     #[test]

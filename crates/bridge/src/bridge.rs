@@ -432,7 +432,7 @@ impl BridgeCore {
                 self.cmds_dup += 1;
                 self.record(TraceEvent::BridgeCmdDup {
                     src: cmd.src,
-                    seq: cmd.seq,
+                    cmd_seq: cmd.seq,
                     stale: cmd.seq < last,
                 });
                 return;
@@ -736,7 +736,10 @@ mod tests {
 
     #[test]
     fn ingress_commands_are_idempotent() {
-        let (bridge, peer) = bridge_with(BridgeConfig::default());
+        let (t, peer) = memory_pair();
+        let trace = iobt_obs::SharedBytes::new();
+        let recorder = Recorder::jsonl(trace.clone());
+        let bridge = Bridge::with_recorder(BridgeConfig::default(), Box::new(t), recorder.clone());
         let board = iobt_core::new_task_board();
         bridge.attach_board(board.clone());
         bridge.pump(); // connect
@@ -751,6 +754,18 @@ mod tests {
         assert_eq!(r.cmds_dup, 2);
         assert_eq!(r.cmds_rejected, 1);
         assert_eq!(bridge.metrics_digest().counter("bridge.cmd_dup"), Some(2));
+        // The rejected command's sequence is `cmd_seq`: a second `"seq"`
+        // key would shadow the record's own in any JSON reader.
+        recorder.flush();
+        let text = trace.to_string_lossy();
+        let dups: Vec<&str> = text.lines().filter(|l| l.contains("bridge_cmd_dup")).collect();
+        assert_eq!(
+            dups,
+            [
+                "{\"seq\":1,\"t_us\":2,\"sub\":\"bridge\",\"kind\":\"bridge_cmd_dup\",\"src\":1,\"cmd_seq\":1,\"stale\":false}",
+                "{\"seq\":2,\"t_us\":2,\"sub\":\"bridge\",\"kind\":\"bridge_cmd_dup\",\"src\":1,\"cmd_seq\":0,\"stale\":true}",
+            ]
+        );
     }
 
     #[test]

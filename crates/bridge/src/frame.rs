@@ -15,33 +15,39 @@
 //! truncation of a valid frame yields a typed [`FrameError`], never a
 //! panic (fuzzed in `tests/bridge.rs`).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use iobt_obs::TraceRecord;
 
-/// Builds the topic for a record: `iobt/<mission>/<node>/<kind>`,
+/// Appends the topic for a record: `iobt/<mission>/<node>/<kind>`,
 /// with `-` standing in for events that have no primary node (mission
 /// milestones, allocation epochs, bridge self-events). Matches the
 /// derivation `iobt-trace --topics` applies to raw trace files.
-pub fn topic(mission: u64, record: &TraceRecord) -> String {
-    match record.event.primary_node() {
-        Some(node) => format!("iobt/{}/{}/{}", mission, node, record.event.kind()),
-        None => format!("iobt/{}/-/{}", mission, record.event.kind()),
-    }
+fn push_topic(out: &mut String, mission: u64, record: &TraceRecord) {
+    // Infallible: fmt::Write for String never errors.
+    let _ = match record.event.primary_node() {
+        Some(node) => write!(out, "iobt/{mission}/{node}/"),
+        None => write!(out, "iobt/{mission}/-/"),
+    };
+    out.push_str(record.event.kind());
 }
 
-/// Encodes one record as an egress frame: the record's deterministic
-/// JSON line with `"topic"` spliced in as the first key.
+/// The topic a record is published under (see the module docs).
+pub fn topic(mission: u64, record: &TraceRecord) -> String {
+    let mut out = String::with_capacity(48);
+    push_topic(&mut out, mission, record);
+    out
+}
+
+/// Encodes one record as an egress frame: `"topic"` as the first key,
+/// then the record's own deterministic JSON line, written into one
+/// buffer.
 pub fn encode_frame(mission: u64, record: &TraceRecord) -> String {
-    let mut line = String::with_capacity(160);
-    record.encode_jsonl(&mut line);
-    let mut out = String::with_capacity(line.len() + 48);
+    let mut out = String::with_capacity(160);
     out.push_str("{\"topic\":\"");
-    out.push_str(&topic(mission, record));
+    push_topic(&mut out, mission, record);
     out.push_str("\",");
-    // Splice after the record's opening brace; encode_jsonl always
-    // starts with '{'.
-    out.push_str(line.strip_prefix('{').unwrap_or(&line));
+    record.encode_body(&mut out);
     out
 }
 

@@ -59,20 +59,6 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A scheduler event observed by a worker, buffered per mission and
-/// recorded into the fleet recorder after the pool joins (in canonical
-/// ticket order — the same post-join pattern the portfolio solver uses
-/// to keep multi-threaded traces deterministic in layout).
-#[derive(Debug, Clone, Copy)]
-enum SliceEvent {
-    Slice { from_window: u64, windows: u64 },
-    Evict { window: u64, bytes: u64 },
-    Resume { window: u64 },
-    Retry { window: u64, attempt: u64, backoff_slices: u64 },
-    Quarantine { window: u64, kind: &'static str, attempts: u64 },
-    Complete { windows: u64, repairs: u64 },
-}
-
 /// Everything the fleet knows about one submitted mission: the durable
 /// record the manifest persists as it stands, and beside it what a crash
 /// loses.
@@ -84,7 +70,19 @@ struct Slot {
     /// The full report once `Done`; after a recovery only the record's
     /// digest and metrics fingerprint are left of it.
     report: Option<MissionReport>,
-    events: Vec<SliceEvent>,
+    /// Scheduler events `(t_us, event)` observed by workers, recorded into
+    /// the fleet recorder after the pool joins (in canonical ticket order
+    /// — the same post-join pattern the portfolio solver uses to keep
+    /// multi-threaded traces deterministic in layout).
+    events: Vec<(u64, TraceEvent)>,
+}
+
+impl Slot {
+    /// Buffers `event`, stamped with the mission's own sim time at the
+    /// `window` boundary (the fleet has no clock of its own).
+    fn note(&mut self, window: u64, event: TraceEvent) {
+        self.events.push((window * self.record.window_us, event));
+    }
 }
 
 // Missions must cross worker threads as plain data; this is the
@@ -462,45 +460,18 @@ impl Fleet {
             ..FleetSummary::default()
         };
         let recorder = self.recorder.clone();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let ticket = i as u64;
-            let window_us = slot.record.window_us;
-            for ev in std::mem::take(&mut slot.events) {
-                // Timestamps are the mission's own sim-time window
-                // boundaries (the fleet has no clock of its own).
-                let (t_us, event) = match ev {
-                    SliceEvent::Slice { from_window, windows } => {
+        for slot in &mut self.slots {
+            for (t_us, event) in std::mem::take(&mut slot.events) {
+                match event {
+                    TraceEvent::FleetSlice { windows, .. } => {
                         summary.slices += 1;
                         summary.windows += windows;
-                        (
-                            (from_window + windows) * window_us,
-                            TraceEvent::FleetSlice { ticket, from_window, windows },
-                        )
                     }
-                    SliceEvent::Evict { window, bytes } => {
-                        summary.evictions += 1;
-                        (window * window_us, TraceEvent::FleetEvict { ticket, window, bytes })
-                    }
-                    SliceEvent::Resume { window } => {
-                        summary.resumes += 1;
-                        (window * window_us, TraceEvent::FleetResume { ticket, window })
-                    }
-                    SliceEvent::Retry { window, attempt, backoff_slices } => {
-                        summary.retries += 1;
-                        (
-                            window * window_us,
-                            TraceEvent::FleetRetry { ticket, window, attempt, backoff_slices },
-                        )
-                    }
-                    SliceEvent::Quarantine { window, kind, attempts } => (
-                        window * window_us,
-                        TraceEvent::FleetQuarantine { ticket, kind, attempts },
-                    ),
-                    SliceEvent::Complete { windows, repairs } => (
-                        windows * window_us,
-                        TraceEvent::FleetComplete { ticket, windows, repairs },
-                    ),
-                };
+                    TraceEvent::FleetEvict { .. } => summary.evictions += 1,
+                    TraceEvent::FleetResume { .. } => summary.resumes += 1,
+                    TraceEvent::FleetRetry { .. } => summary.retries += 1,
+                    _ => {}
+                }
                 recorder.record_at(t_us, event);
             }
         }
@@ -666,17 +637,15 @@ fn slice_body(
     // (`StepOutcome` is `#[non_exhaustive]`), ran no window.
     let ran = u64::from(matches!(runner.step_window(), StepOutcome::WindowClosed { .. }));
     lock(&ctx.latencies).push(t0.elapsed().as_secs_f64() * 1_000.0);
-    slot.events.push(SliceEvent::Slice { from_window, windows: ran });
+    slot.note(from_window + ran, TraceEvent::FleetSlice { ticket, from_window, windows: ran });
     slot.record.slices_used += 1;
     tick_clock(ctx);
 
     if runner.is_finished() {
         let windows = runner.total_windows() as u64;
         let report = runner.finish();
-        slot.events.push(SliceEvent::Complete {
-            windows,
-            repairs: report.repairs as u64,
-        });
+        let repairs = report.repairs as u64;
+        slot.note(windows, TraceEvent::FleetComplete { ticket, windows, repairs });
         slot.record.metrics_fp = Some(recorder.metrics_digest().fingerprint());
         slot.record.digest = Some(report.digest.clone());
         slot.report = Some(report);
@@ -796,7 +765,7 @@ fn materialize(
                     retryable: ckpt_fault_is_retryable(&e),
                     detail: format!("resume from window {window}: {e}"),
                 })?;
-            slot.events.push(SliceEvent::Resume { window });
+            slot.note(window, TraceEvent::FleetResume { ticket, window });
             Ok((runner, recorder))
         }
     }
@@ -821,11 +790,16 @@ fn mission_fault(ctx: &DrainCtx<'_>, slot: &mut Slot, ticket: u64, fault: Fault)
     if fault.retryable && attempts < ctx.cfg.retry_limit {
         slot.record.retries = attempts;
         let backoff = backoff_for(ctx.cfg, attempts);
-        slot.events.push(SliceEvent::Retry {
-            window: slot.record.ckpt_window.unwrap_or(0),
-            attempt: u64::from(attempts),
-            backoff_slices: backoff,
-        });
+        let window = slot.record.ckpt_window.unwrap_or(0);
+        slot.note(
+            window,
+            TraceEvent::FleetRetry {
+                ticket,
+                window,
+                attempt: u64::from(attempts),
+                backoff_slices: backoff,
+            },
+        );
         persist_slot(ctx, ticket, slot);
         let ready_at = ctx.slice_clock.load(Ordering::SeqCst) + backoff;
         lock(&ctx.queue).deferred.push((ready_at, ticket));
@@ -880,10 +854,8 @@ fn evict(
     };
     match ctx.cfg.store.save(ticket, slot.record.seed, window, &payload) {
         Ok(()) => {
-            slot.events.push(SliceEvent::Evict {
-                window,
-                bytes: payload.len() as u64,
-            });
+            let bytes = payload.len() as u64;
+            slot.note(window, TraceEvent::FleetEvict { ticket, window, bytes });
             slot.record.ckpt_window = Some(window);
             slot.record.status = MissionStatus::Evicted;
             persist_slot(ctx, ticket, slot);
@@ -899,11 +871,15 @@ fn evict(
                 // The mission stays resident with its live runner, so
                 // the retry happens at its next natural slice — no
                 // deferral needed (backoff_slices: 0 in the event).
-                slot.events.push(SliceEvent::Retry {
+                slot.note(
                     window,
-                    attempt: u64::from(attempts),
-                    backoff_slices: 0,
-                });
+                    TraceEvent::FleetRetry {
+                        ticket,
+                        window,
+                        attempt: u64::from(attempts),
+                        backoff_slices: 0,
+                    },
+                );
                 persist_slot(ctx, ticket, slot);
                 Some((runner, recorder))
             } else {
@@ -928,11 +904,14 @@ fn evict(
 /// slot `Quarantined`, persists the transition, and accounts for the
 /// termination. Every other mission is unaffected.
 fn quarantine(ctx: &DrainCtx<'_>, slot: &mut Slot, ticket: u64, error: MissionError) {
-    slot.events.push(SliceEvent::Quarantine {
-        window: slot.record.ckpt_window.unwrap_or(0),
-        kind: error.kind.as_str(),
-        attempts: u64::from(error.attempts),
-    });
+    slot.note(
+        slot.record.ckpt_window.unwrap_or(0),
+        TraceEvent::FleetQuarantine {
+            ticket,
+            error: error.kind.as_str(),
+            attempts: u64::from(error.attempts),
+        },
+    );
     slot.record.error = Some(error);
     slot.record.status = MissionStatus::Quarantined;
     persist_slot(ctx, ticket, slot);

@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::process::ExitCode;
 
+use iobt_obs::TraceEvent;
+
 /// A value in one flat trace record.
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
@@ -157,6 +159,19 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) -> O
     }
 }
 
+/// The node ids a record carries, primary first: the values under the
+/// keys its `kind`'s schema row lists as node ids. A kind this build
+/// does not know has none, like a kind about the run as a whole.
+fn node_ids(rec: &BTreeMap<String, Value>) -> impl Iterator<Item = u64> + '_ {
+    let kind = rec.get("kind").and_then(Value::as_str);
+    TraceEvent::SCHEMA
+        .iter()
+        .find(|row| Some(row.kind) == kind)
+        .map_or(&[][..], |row| row.node_keys)
+        .iter()
+        .filter_map(|key| rec.get(*key).and_then(Value::as_u64))
+}
+
 #[derive(Debug, Default)]
 struct Filters {
     sub: Option<String>,
@@ -177,10 +192,7 @@ impl Filters {
             }
         }
         if let Some(want) = self.node {
-            let touches = ["from", "to", "node", "requester", "actuator"]
-                .iter()
-                .any(|k| rec.get(*k).and_then(Value::as_u64) == Some(want));
-            if !touches {
+            if !node_ids(rec).any(|id| id == want) {
                 return false;
             }
         }
@@ -326,16 +338,13 @@ fn run(opts: &Options, text: &str) -> (String, u64) {
 /// The topic one record maps onto: captured bridge frames carry it
 /// verbatim in a `topic` key; raw trace lines derive
 /// `iobt/<mission>/<node>/<kind>` exactly the way the bridge does
-/// (first of `node`/`from`/`requester`, `-` when nodeless).
+/// (the kind's primary node, `-` when nodeless).
 fn record_topic(rec: &BTreeMap<String, Value>, mission: u64) -> String {
     if let Some(topic) = rec.get("topic").and_then(Value::as_str) {
         return topic.to_owned();
     }
     let kind = rec.get("kind").and_then(Value::as_str).unwrap_or("?");
-    let node = ["node", "from", "requester"]
-        .iter()
-        .find_map(|k| rec.get(*k).and_then(Value::as_u64));
-    match node {
+    match node_ids(rec).next() {
         Some(n) => format!("iobt/{mission}/{n}/{kind}"),
         None => format!("iobt/{mission}/-/{kind}"),
     }
@@ -392,10 +401,8 @@ fn render_per_node(out: &mut String, kept: &[(String, BTreeMap<String, Value>)])
     use std::fmt::Write as _;
     let mut by_node: BTreeMap<u64, u64> = BTreeMap::new();
     for (_, rec) in kept {
-        for key in ["from", "to", "node", "requester", "actuator"] {
-            if let Some(id) = rec.get(key).and_then(Value::as_u64) {
-                *by_node.entry(id).or_insert(0) += 1;
-            }
+        for id in node_ids(rec) {
+            *by_node.entry(id).or_insert(0) += 1;
         }
     }
     let _ = writeln!(out, "nodes: {}", by_node.len());
@@ -448,6 +455,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iobt_obs::{DropCause, TraceRecord};
 
     const SAMPLE: &str = concat!(
         "{\"seq\":0,\"t_us\":0,\"sub\":\"core\",\"kind\":\"recruitment\",\"candidates\":5,\"recruited\":3}\n",
@@ -546,6 +554,42 @@ mod tests {
         assert!(out.contains("iobt/4/3/msg_sent"));
         assert!(out.contains("iobt/7/3/msg_sent"));
         assert!(out.contains("iobt/4/-/window_closed"));
+    }
+
+    #[test]
+    fn node_filter_follows_the_schema_not_the_key_names() {
+        let two = concat!(
+            "{\"seq\":0,\"t_us\":0,\"sub\":\"netsim\",\"kind\":\"msg_tampered\",\"from\":1,\"to\":2,\"relay\":7}\n",
+            "{\"seq\":1,\"t_us\":1,\"sub\":\"adapt\",\"kind\":\"actuation\",\"requester\":3,\"actuator\":7,\"decision\":\"approved\"}\n",
+        );
+        let f = Filters {
+            node: Some(7),
+            ..Filters::default()
+        };
+        // `relay` is a node id; `actuator` is an `ActuatorKind` index.
+        let (out, _) = run(&opts(Mode::Echo, f), two);
+        assert_eq!(out.lines().count(), 1, "got: {out}");
+        assert!(out.contains("msg_tampered"));
+        let (out, _) = run(&opts(Mode::PerNode, Filters::default()), two);
+        assert!(out.contains("nodes: 4"), "got: {out}");
+    }
+
+    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/support/one_of_each.rs"));
+
+    /// A raw trace line of every kind derives the topic the bridge
+    /// publishes it under (`iobt_bridge::topic`, which this crate sits
+    /// below: `iobt/<mission>/<primary node or ->/<kind>`).
+    #[test]
+    fn derived_topic_is_the_bridges_for_every_kind() {
+        for (i, event) in one_of_each().into_iter().enumerate() {
+            let want = match event.primary_node() {
+                Some(node) => format!("iobt/4/{node}/{}", event.kind()),
+                None => format!("iobt/4/-/{}", event.kind()),
+            };
+            let line = TraceRecord { t_us: 9, seq: i as u64, event }.to_jsonl();
+            let rec = parse_flat_object(&line).unwrap_or_else(|| panic!("parse {line}"));
+            assert_eq!(record_topic(&rec, 4), want);
+        }
     }
 
     #[test]

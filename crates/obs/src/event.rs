@@ -1,89 +1,89 @@
-//! The trace-event taxonomy and its deterministic JSONL encoding.
+//! The trace schema — every event kind, declared once — and its
+//! deterministic JSONL encoding.
 //!
-//! Every event names the subsystem that emitted it and carries only
-//! plain values (raw `u64` identifiers, integer microseconds, `f64`
-//! measurements) so this crate stays dependency-free and the encoding
-//! stays stable. Encoding is hand-rolled with a fixed key order —
-//! `serde_json` would also be deterministic, but an explicit encoder
-//! makes the byte-identical-trace guarantee auditable in one screen.
+//! The schema is the `trace_events!` table at the bottom of this
+//! file: one row per kind, holding the documented variant and a header
+//! with its `kind` string, its [`Subsystem`], the counter each event of
+//! that kind adds one to, and which fields are node ids. The enum, its
+//! `subsystem()` / `kind()` / `primary_node()`, the payload half of the
+//! encoder, the base-counter bump and [`TraceEvent::SCHEMA`] (what
+//! `iobt-trace` and the tests read) are all expansions of that table,
+//! so **adding an event is adding one row**; only a kind that does
+//! more than count itself (a histogram, a gauge, a second counter)
+//! also gets an arm in `recorder.rs`'s `update_metrics`. A field's JSON
+//! key is its name. A new *subsystem* is still a checkpoint change: a
+//! line at the **end** of `subsystems!`'s list, because every
+//! checkpoint carries one emission counter per subsystem in that
+//! list's order (`enc_recorder` in `iobt-core`; the block is
+//! length-prefixed, so a longer list reads older checkpoints, while a
+//! reordered one would misread them and needs a `FORMAT_VERSION` bump).
+//!
+//! Events carry only plain values (raw `u64` identifiers, integer
+//! microseconds, `f64` measurements, static names) so this crate stays
+//! at the bottom of the dependency graph and the encoding stays stable.
+//! The encoder is still direct: each generated arm is the `write!`s a
+//! hand-written one would hold, dispatched statically through the
+//! private `Field` trait into the caller's `String` — no `dyn`, no
+//! intermediate key/value list, no `serde_json` — because
+//! `encode_jsonl` runs once per kept record on the simulator's hot path.
 
 use std::fmt::Write as _;
 
-/// The subsystem that emitted an event. Used for filtering and for the
-/// per-subsystem sampling controls in
-/// [`SamplingConfig`](crate::SamplingConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Subsystem {
-    /// The battlefield network simulator (`iobt-netsim`).
-    Netsim,
-    /// The mission runtime (`iobt-core`).
-    Core,
-    /// The composition/repair solvers (`iobt-synthesis`).
-    Synthesis,
-    /// The adaptation services (`iobt-adapt`).
-    Adapt,
-    /// The fault-injection subsystem (`iobt-faults`).
-    Faults,
-    /// The multi-tenant mission scheduler (`iobt-fleet`).
-    Fleet,
-    /// The fault-tolerant edge-streaming daemon (`iobt-bridge`).
-    Bridge,
+use crate::metrics::MetricsRegistry;
+
+/// Declares [`Subsystem`] from one list of `Variant = "name"` lines: the
+/// list's order is the slot order.
+macro_rules! subsystems {
+    ($( $(#[$doc:meta])* $Sub:ident = $name:literal ),* $(,)?) => {
+        /// The subsystem that emitted an event. Used for filtering and
+        /// for the per-subsystem sampling controls in
+        /// [`SamplingConfig`](crate::SamplingConfig).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum Subsystem {
+            $( $(#[$doc])* $Sub, )*
+        }
+
+        impl Subsystem {
+            /// All subsystems, in slot order: the order of the sampling
+            /// strides, of the emitted counters, and of the counter
+            /// block every checkpoint carries.
+            pub const ALL: [Subsystem; Subsystem::COUNT] = [$( Subsystem::$Sub ),*];
+
+            /// Number of subsystems (the length of every per-subsystem
+            /// slot array).
+            pub const COUNT: usize = [$( $name ),*].len();
+
+            /// Stable lower-case name used in the JSONL schema (`"sub"`
+            /// key).
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $( Subsystem::$Sub => $name, )*
+                }
+            }
+
+            /// This subsystem's index in [`Subsystem::ALL`].
+            pub(crate) fn slot(self) -> usize {
+                self as usize
+            }
+        }
+    };
 }
 
-impl Subsystem {
-    /// Stable lower-case name used in the JSONL schema (`"sub"` key).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Subsystem::Netsim => "netsim",
-            Subsystem::Core => "core",
-            Subsystem::Synthesis => "synthesis",
-            Subsystem::Adapt => "adapt",
-            Subsystem::Faults => "faults",
-            Subsystem::Fleet => "fleet",
-            Subsystem::Bridge => "bridge",
-        }
-    }
-
-    /// Parses the stable name back into a subsystem.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "netsim" => Some(Subsystem::Netsim),
-            "core" => Some(Subsystem::Core),
-            "synthesis" => Some(Subsystem::Synthesis),
-            "adapt" => Some(Subsystem::Adapt),
-            "faults" => Some(Subsystem::Faults),
-            "fleet" => Some(Subsystem::Fleet),
-            "bridge" => Some(Subsystem::Bridge),
-            _ => None,
-        }
-    }
-
-    /// Number of subsystems (the length of every per-subsystem slot
-    /// array: sampling strides, emitted counters, checkpoints).
-    pub const COUNT: usize = 7;
-
-    /// All subsystems, in sampling-slot order.
-    pub const ALL: [Subsystem; Subsystem::COUNT] = [
-        Subsystem::Netsim,
-        Subsystem::Core,
-        Subsystem::Synthesis,
-        Subsystem::Adapt,
-        Subsystem::Faults,
-        Subsystem::Fleet,
-        Subsystem::Bridge,
-    ];
-
-    pub(crate) fn slot(self) -> usize {
-        match self {
-            Subsystem::Netsim => 0,
-            Subsystem::Core => 1,
-            Subsystem::Synthesis => 2,
-            Subsystem::Adapt => 3,
-            Subsystem::Faults => 4,
-            Subsystem::Fleet => 5,
-            Subsystem::Bridge => 6,
-        }
-    }
+subsystems! {
+    /// The battlefield network simulator (`iobt-netsim`).
+    Netsim = "netsim",
+    /// The mission runtime (`iobt-core`).
+    Core = "core",
+    /// The composition/repair solvers (`iobt-synthesis`).
+    Synthesis = "synthesis",
+    /// The adaptation services (`iobt-adapt`).
+    Adapt = "adapt",
+    /// The fault-injection subsystem (`iobt-faults`).
+    Faults = "faults",
+    /// The multi-tenant mission scheduler (`iobt-fleet`).
+    Fleet = "fleet",
+    /// The fault-tolerant edge-streaming daemon (`iobt-bridge`).
+    Bridge = "bridge",
 }
 
 /// Why the simulator dropped a message.
@@ -111,21 +111,242 @@ impl DropCause {
     }
 }
 
-/// A structured trace event. Identifiers are raw `u64`s (see
-/// `NodeId::raw`) so `iobt-obs` sits below every other crate in the
-/// dependency graph.
+/// One row of the trace schema as data: what a reader of the JSONL
+/// needs to know about a `kind` without linking the enum.
+#[derive(Debug, Clone, Copy)]
+pub struct EventSchema {
+    /// The `"kind"` value.
+    pub kind: &'static str,
+    /// The `"sub"` value.
+    pub sub: Subsystem,
+    /// The payload keys that hold node ids. The first, when there is
+    /// one, is the record's primary node.
+    pub node_keys: &'static [&'static str],
+    /// Every payload key, in wire order.
+    pub fields: &'static [&'static str],
+}
+
+/// A payload value the encoder can write as JSON.
+trait Field: Copy {
+    fn put(self, out: &mut String);
+}
+
+impl Field for u64 {
+    fn put(self, out: &mut String) {
+        // Infallible: fmt::Write for String never errors.
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl Field for bool {
+    fn put(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+}
+
+/// `f64` uses Rust's shortest-roundtrip `Display`, which is
+/// deterministic for identical bit patterns; non-finite values (never
+/// produced by the platform) encode as `null`.
+impl Field for f64 {
+    fn put(self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+/// All string payloads are static snake_case names — no escaping
+/// needed, but guard anyway so the encoder can never emit bad JSON.
+impl Field for &'static str {
+    fn put(self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl Field for DropCause {
+    fn put(self, out: &mut String) {
+        self.as_str().put(out);
+    }
+}
+
+/// Declares [`TraceEvent`] and everything that is a function of its
+/// variant list. A row is
+///
+/// ```text
+/// /// docs
+/// Variant ["kind", Subsystem $(, counts: "counter")? $(, nodes: primary $(, other)*)?] {
+///     /// docs
+///     field: type, …
+/// },
+/// ```
+///
+/// where `counts:` names the counter one event adds one to (left out
+/// when the kind's only count is taken from a field, in
+/// `update_metrics`), and `nodes:` lists the fields that are node ids,
+/// the primary first.
+macro_rules! trace_events {
+    (@primary) => {
+        None
+    };
+    (@primary $node:ident) => {
+        Some(*$node)
+    };
+    ($(
+        $(#[$doc:meta])*
+        $Variant:ident
+        [$kind:literal, $sub:ident $(, counts: $counter:literal)?
+            $(, nodes: $primary:ident $(, $other:ident)*)?]
+        { $( $(#[$fdoc:meta])* $field:ident: $ty:ty ),* $(,)? }
+    ),* $(,)?) => {
+        /// A structured trace event. Identifiers are raw `u64`s (see
+        /// `NodeId::raw`) so `iobt-obs` sits below every other crate in
+        /// the dependency graph.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TraceEvent {
+            $( $(#[$doc])* $Variant { $( $(#[$fdoc])* $field: $ty, )* }, )*
+        }
+
+        impl TraceEvent {
+            /// The schema as data, one row per kind in declaration
+            /// order.
+            pub const SCHEMA: &'static [EventSchema] = &[$(
+                EventSchema {
+                    kind: $kind,
+                    sub: Subsystem::$sub,
+                    node_keys: &[$( stringify!($primary) $(, stringify!($other))* )?],
+                    fields: &[$( stringify!($field) ),*],
+                },
+            )*];
+
+            /// The subsystem this event belongs to.
+            pub fn subsystem(&self) -> Subsystem {
+                match self {
+                    $( TraceEvent::$Variant { .. } => Subsystem::$sub, )*
+                }
+            }
+
+            /// Stable snake-case event name used in the JSONL schema
+            /// (`"kind"`).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$Variant { .. } => $kind, )*
+                }
+            }
+
+            /// The node id an event is primarily *about*, when it has
+            /// one: the source of a message, the subject of a
+            /// node-lifecycle or suspicion event, the requester of an
+            /// actuation. Events about the run as a whole (windows,
+            /// solves, fleet scheduling, bridge transport) have none.
+            /// This is the `<node>` segment of the edge bridge's
+            /// `iobt/<mission>/<node>/<kind>` topic hierarchy;
+            /// `iobt-trace --topics` reads the same column from
+            /// [`TraceEvent::SCHEMA`].
+            pub fn primary_node(&self) -> Option<u64> {
+                match self {
+                    $( TraceEvent::$Variant { $( $primary, )? .. } => {
+                        trace_events!(@primary $( $primary )?)
+                    } )*
+                }
+            }
+
+            /// Adds one to the counter that counts events of this kind.
+            pub(crate) fn count_one(&self, m: &mut MetricsRegistry) {
+                match self {
+                    $( TraceEvent::$Variant { .. } => { $( m.inc($counter, 1); )? } )*
+                }
+            }
+
+            /// Appends `,"field":value` for each payload field, in
+            /// declaration order.
+            fn encode_fields(&self, out: &mut String) {
+                match self {
+                    $( TraceEvent::$Variant { $( $field ),* } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            Field::put(*$field, out);
+                        )*
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+/// One stamped trace record: the sim-time clock at emission, a monotone
+/// per-recorder sequence number, and the event payload.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
+pub struct TraceRecord {
+    /// Simulation time at emission, integer microseconds.
+    pub t_us: u64,
+    /// Monotone sequence number (ties on `t_us` stay ordered).
+    pub seq: u64,
+    /// The event payload.
+    pub event: TraceEvent,
+}
+
+impl TraceRecord {
+    /// Appends this record as one JSON object + `'\n'` to `out`.
+    ///
+    /// Key order is fixed (`seq`, `t_us`, `sub`, `kind`, then payload
+    /// fields in declaration order) so traces from identical runs are
+    /// byte-identical.
+    pub fn encode_jsonl(&self, out: &mut String) {
+        out.push('{');
+        self.encode_body(out);
+    }
+
+    /// Appends everything [`encode_jsonl`](Self::encode_jsonl) writes
+    /// after the opening brace, for a caller that has opened the object
+    /// with keys of its own (the bridge's `topic`).
+    pub fn encode_body(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "\"seq\":{},\"t_us\":{},\"sub\":\"{}\",\"kind\":\"{}\"",
+            self.seq,
+            self.t_us,
+            self.event.subsystem().as_str(),
+            self.event.kind()
+        );
+        self.event.encode_fields(out);
+        out.push_str("}\n");
+    }
+
+    /// Encodes this record as an owned JSONL line (including `'\n'`).
+    pub fn to_jsonl(&self) -> String {
+        let mut s = String::with_capacity(96);
+        self.encode_jsonl(&mut s);
+        s
+    }
+}
+
+trace_events! {
     // -- netsim ----------------------------------------------------------
     /// A message was handed to the radio for transmission.
-    MsgSent {
+    MsgSent ["msg_sent", Netsim, counts: "netsim.msg_sent", nodes: from, to] {
         /// Source node id.
         from: u64,
         /// Destination node id.
         to: u64,
     },
     /// A message reached its destination.
-    MsgDelivered {
+    MsgDelivered ["msg_delivered", Netsim, counts: "netsim.msg_delivered", nodes: from, to] {
         /// Source node id.
         from: u64,
         /// Destination node id.
@@ -134,7 +355,7 @@ pub enum TraceEvent {
         latency_us: u64,
     },
     /// A message died in the network.
-    MsgDropped {
+    MsgDropped ["msg_dropped", Netsim, counts: "netsim.msg_dropped", nodes: from, to] {
         /// Source node id.
         from: u64,
         /// Destination node id.
@@ -146,50 +367,50 @@ pub enum TraceEvent {
     /// topology changed underneath the message, e.g. a relay depleted
     /// while forwarding) and the transmission fell back to the drop
     /// path.
-    RouteFallback {
+    RouteFallback ["route_fallback", Netsim, counts: "netsim.route_fallback", nodes: from, to] {
         /// Source node id.
         from: u64,
         /// Destination node id.
         to: u64,
     },
     /// The connectivity graph was (re)built after topology churn.
-    GraphRebuilt {
+    GraphRebuilt ["graph_rebuilt", Netsim, counts: "netsim.graph_rebuilds"] {
         /// Nodes alive at rebuild time.
         nodes: u64,
         /// Undirected edges in the rebuilt graph.
         edges: u64,
     },
     /// A node exhausted its battery and died.
-    NodeDepleted {
+    NodeDepleted ["node_depleted", Netsim, counts: "netsim.node_depleted", nodes: node] {
         /// Node id.
         node: u64,
     },
     /// A node was forced down (churn / disruption / kill).
-    NodeDown {
+    NodeDown ["node_down", Netsim, counts: "netsim.node_down", nodes: node] {
         /// Node id.
         node: u64,
     },
     /// A node came back up.
-    NodeUp {
+    NodeUp ["node_up", Netsim, counts: "netsim.node_up", nodes: node] {
         /// Node id.
         node: u64,
     },
     /// A jammer was switched on or off.
-    JammerSet {
+    JammerSet ["jammer_set", Netsim, counts: "netsim.jammer_toggles"] {
         /// Index into the scenario's jammer list.
         index: u64,
         /// New state.
         on: bool,
     },
     /// A network partition cut was activated or cleared.
-    PartitionSet {
+    PartitionSet ["partition_set", Netsim, counts: "netsim.partition_toggles"] {
         /// Index into the simulator's partition-spec list.
         index: u64,
         /// New state.
         on: bool,
     },
     /// A channel-wide link degradation was activated or cleared.
-    DegradeSet {
+    DegradeSet ["degrade_set", Netsim, counts: "netsim.degrade_toggles"] {
         /// Index into the simulator's degradation-spec list.
         index: u64,
         /// New state.
@@ -200,7 +421,7 @@ pub enum TraceEvent {
         latency_mult: f64,
     },
     /// A compromised-relay spec was activated or cleared.
-    CompromiseSet {
+    CompromiseSet ["compromise_set", Netsim, counts: "netsim.compromise_toggles"] {
         /// Index into the simulator's compromise-spec list.
         index: u64,
         /// New state.
@@ -208,7 +429,7 @@ pub enum TraceEvent {
     },
     /// A message was routed through a compromised relay that tampers
     /// with payloads; the delivered copy is flagged untrustworthy.
-    MsgTampered {
+    MsgTampered ["msg_tampered", Netsim, counts: "netsim.msg_tampered", nodes: from, to, relay] {
         /// Source node id.
         from: u64,
         /// Destination node id.
@@ -218,14 +439,14 @@ pub enum TraceEvent {
     },
     /// A region blackout fired: every alive node inside the rect went
     /// down at once (correlated kill, e.g. EMP/artillery).
-    RegionOutage {
+    RegionOutage ["region_outage", Netsim, counts: "netsim.region_outages"] {
         /// Index into the simulator's blackout list.
         index: u64,
         /// Nodes killed by this outage.
         killed: u64,
     },
     /// A region blackout was lifted and its surviving nodes restored.
-    RegionRestore {
+    RegionRestore ["region_restore", Netsim, counts: "netsim.region_restores"] {
         /// Index into the simulator's blackout list.
         index: u64,
         /// Nodes revived (depleted nodes stay down).
@@ -234,7 +455,7 @@ pub enum TraceEvent {
 
     // -- faults ----------------------------------------------------------
     /// A fault from a `FaultPlan` was scheduled onto the simulator.
-    FaultScheduled {
+    FaultScheduled ["fault_scheduled", Faults, counts: "faults.scheduled"] {
         /// Stable fault-kind name (`"crash"`, `"partition"`, …).
         fault: &'static str,
         /// Injection time, integer microseconds of sim time.
@@ -243,14 +464,14 @@ pub enum TraceEvent {
 
     // -- core ------------------------------------------------------------
     /// Discovery + recruitment finished.
-    Recruitment {
+    Recruitment ["recruitment", Core, counts: "core.recruitments"] {
         /// Gray/blue candidates considered.
         candidates: u64,
         /// Assets actually recruited.
         recruited: u64,
     },
     /// An execution window closed and its utility was scored.
-    WindowClosed {
+    WindowClosed ["window_closed", Core, counts: "core.windows"] {
         /// Zero-based window index.
         window: u64,
         /// Reports delivered inside the window.
@@ -259,7 +480,7 @@ pub enum TraceEvent {
         utility: f64,
     },
     /// The repair reflex fired: utility fell below the threshold.
-    RepairTriggered {
+    RepairTriggered ["repair_triggered", Core, counts: "core.repairs_triggered"] {
         /// Window that triggered the reflex.
         window: u64,
         /// Observed utility that tripped the threshold.
@@ -268,7 +489,7 @@ pub enum TraceEvent {
         threshold: f64,
     },
     /// A composition repair was computed and deployed.
-    RepairApplied {
+    RepairApplied ["repair_applied", Core, counts: "core.repairs_applied"] {
         /// Window in which the repair landed.
         window: u64,
         /// Nodes added by the repair.
@@ -277,21 +498,21 @@ pub enum TraceEvent {
         satisfied: bool,
     },
     /// The heartbeat failure detector marked a node as suspected.
-    Suspected {
-        /// Suspected node id.
+    Suspected ["suspected", Core, counts: "core.suspected", nodes: node] {
+        /// Id of the suspected node.
         node: u64,
         /// Silence observed when suspicion fired, integer microseconds.
         silent_us: u64,
     },
     /// The failure detector triggered a repair before window close.
-    EarlyRepair {
+    EarlyRepair ["early_repair", Core, counts: "core.early_repairs"] {
         /// Window in which the early repair fired.
         window: u64,
-        /// Suspected nodes that triggered it.
+        /// Number of suspected nodes that triggered it.
         suspects: u64,
     },
     /// The degradation ladder shed load to preserve core coverage.
-    Shed {
+    Shed ["shed", Core, counts: "core.sheds"] {
         /// Ladder level after the shed (1-based; 0 = full capability).
         level: u64,
         /// Stable action name (`"redundancy"`, `"modality"`,
@@ -299,21 +520,21 @@ pub enum TraceEvent {
         action: &'static str,
     },
     /// The degradation ladder restored previously shed capability.
-    Restore {
+    Restore ["restore", Core, counts: "core.restores"] {
         /// Ladder level after the restore.
         level: u64,
         /// Stable action name of what was restored.
         action: &'static str,
     },
     /// A tasking message went unacked and was retransmitted.
-    TaskRetry {
+    TaskRetry ["task_retry", Core, counts: "core.task_retries", nodes: node] {
         /// Target node id.
         node: u64,
         /// 1-based attempt number of the retransmission.
         attempt: u64,
     },
     /// Tasking a node was abandoned after the attempt cap.
-    TaskAbandoned {
+    TaskAbandoned ["task_abandoned", Core, counts: "core.task_abandoned", nodes: node] {
         /// Target node id.
         node: u64,
         /// Attempts made before giving up.
@@ -322,7 +543,7 @@ pub enum TraceEvent {
 
     // -- synthesis -------------------------------------------------------
     /// A composition solve completed (on the calling thread).
-    Solve {
+    Solve ["solve", Synthesis, counts: "synthesis.solves"] {
         /// Stable solver name (`"greedy"`, `"anneal"`, …).
         solver: &'static str,
         /// Budget steps consumed (coverage evaluations).
@@ -338,7 +559,7 @@ pub enum TraceEvent {
     },
     /// One member of a portfolio race finished (reported after join, in
     /// deterministic member order).
-    PortfolioMember {
+    PortfolioMember ["portfolio_member", Synthesis, counts: "synthesis.portfolio_members"] {
         /// Stable member solver name.
         member: &'static str,
         /// Whether this member satisfied the mission.
@@ -353,17 +574,18 @@ pub enum TraceEvent {
 
     // -- adapt -----------------------------------------------------------
     /// An actuation request passed through the §VI safety interlock.
-    Actuation {
+    Actuation ["actuation", Adapt, counts: "adapt.actuations", nodes: requester] {
         /// Requesting node id.
         requester: u64,
-        /// Target actuator id.
+        /// Actuator kind requested: its index in `ActuatorKind::ALL`
+        /// (a code, not a node id).
         actuator: u64,
         /// Stable decision name (`"approved"`, `"withheld_occupied"`,
-        /// `"denied_no_authorization"`).
+        /// `"denied_no_authorization"`, `"denied_degraded"`).
         decision: &'static str,
     },
     /// One epoch of resource allocation was applied.
-    Allocation {
+    Allocation ["allocation", Adapt, counts: "adapt.alloc_epochs"] {
         /// Zero-based epoch index.
         epoch: u64,
         /// Regions allocated this epoch.
@@ -374,7 +596,7 @@ pub enum TraceEvent {
 
     // -- fleet -----------------------------------------------------------
     /// A mission was admitted to the fleet's run queue.
-    FleetAdmit {
+    FleetAdmit ["fleet_admit", Fleet, counts: "fleet.admitted"] {
         /// Fleet-assigned mission ticket.
         ticket: u64,
         /// The mission's scenario seed.
@@ -384,7 +606,7 @@ pub enum TraceEvent {
     },
     /// A scheduler quantum executed: one resident mission stepped up to
     /// `quantum` windows on a worker.
-    FleetSlice {
+    FleetSlice ["fleet_slice", Fleet, counts: "fleet.slices"] {
         /// Mission ticket.
         ticket: u64,
         /// First window index executed in this slice.
@@ -394,7 +616,7 @@ pub enum TraceEvent {
     },
     /// An idle mission was checkpointed to disk and its in-memory runner
     /// dropped.
-    FleetEvict {
+    FleetEvict ["fleet_evict", Fleet, counts: "fleet.evictions"] {
         /// Mission ticket.
         ticket: u64,
         /// Window boundary the checkpoint captured.
@@ -403,14 +625,14 @@ pub enum TraceEvent {
         bytes: u64,
     },
     /// An evicted mission was rebuilt from its on-disk checkpoint.
-    FleetResume {
+    FleetResume ["fleet_resume", Fleet, counts: "fleet.resumes"] {
         /// Mission ticket.
         ticket: u64,
         /// Window boundary execution restarts from.
         window: u64,
     },
     /// A mission ran its final window and produced its report.
-    FleetComplete {
+    FleetComplete ["fleet_complete", Fleet, counts: "fleet.completed"] {
         /// Mission ticket.
         ticket: u64,
         /// Windows the mission executed in total.
@@ -420,7 +642,7 @@ pub enum TraceEvent {
     },
     /// A retryable checkpoint-IO failure was absorbed: the mission was
     /// deferred and will be retried after a backoff.
-    FleetRetry {
+    FleetRetry ["fleet_retry", Fleet, counts: "fleet.retries"] {
         /// Mission ticket.
         ticket: u64,
         /// Window boundary the mission was at when the fault hit.
@@ -433,17 +655,17 @@ pub enum TraceEvent {
     /// A mission was quarantined: panicked, exhausted its retries, blew
     /// its slice budget, or hit a non-retryable fault. The worker and
     /// every other mission survive.
-    FleetQuarantine {
+    FleetQuarantine ["fleet_quarantine", Fleet, counts: "fleet.quarantined"] {
         /// Mission ticket.
         ticket: u64,
         /// Stable error-kind name (`"panic"`, `"checkpoint_save"`, …).
-        kind: &'static str,
+        error: &'static str,
         /// Attempts consumed before quarantine.
         attempts: u64,
     },
     /// An admission was shed: the queue was at its `max_queued` bound,
     /// so the fleet rejected new work instead of stalling residents.
-    FleetShed {
+    FleetShed ["fleet_shed", Fleet, counts: "fleet.shed"] {
         /// The ticket index the mission would have received.
         ticket: u64,
         /// Missions queued (non-terminal) at rejection time.
@@ -451,7 +673,7 @@ pub enum TraceEvent {
     },
     /// A mission was re-admitted from the durable fleet manifest after
     /// a scheduler crash.
-    FleetRecover {
+    FleetRecover ["fleet_recover", Fleet, counts: "fleet.recovers"] {
         /// Mission ticket.
         ticket: u64,
         /// Window boundary execution restarts from (0 = from scratch).
@@ -460,14 +682,14 @@ pub enum TraceEvent {
 
     // -- bridge ----------------------------------------------------------
     /// The edge bridge (re)established its transport connection.
-    BridgeConnect {
+    BridgeConnect ["bridge_connect", Bridge, counts: "bridge.connects"] {
         /// Reconnect attempts consumed before this connection came up
         /// (0 = first dial succeeded).
         attempt: u64,
     },
     /// A transport connection was lost or a reconnect attempt failed;
     /// the bridge backs off before dialling again.
-    BridgeRetry {
+    BridgeRetry ["bridge_retry", Bridge, counts: "bridge.retries"] {
         /// 1-based reconnect attempt that will run after the backoff.
         attempt: u64,
         /// Pump ticks the bridge waits before that attempt.
@@ -475,7 +697,7 @@ pub enum TraceEvent {
     },
     /// Egress frames were dropped — at the bounded ring (overflow or a
     /// blocked-push deadline) or at detach.
-    BridgeDrop {
+    BridgeDrop ["bridge_drop", Bridge] {
         /// Stable cause name (`"overflow_oldest"`, `"overflow_newest"`,
         /// `"block_timeout"`, `"gave_up"`).
         cause: &'static str,
@@ -484,7 +706,7 @@ pub enum TraceEvent {
     },
     /// The bridge exhausted its reconnect budget, discarded its buffer,
     /// and detached for good; the mission continues unaffected.
-    BridgeGaveUp {
+    BridgeGaveUp ["bridge_gave_up", Bridge, counts: "bridge.gave_up"] {
         /// Reconnect attempts consumed before giving up.
         attempts: u64,
         /// Buffered frames discarded at detach.
@@ -492,480 +714,16 @@ pub enum TraceEvent {
     },
     /// An inbound tasking command was rejected as a duplicate or stale
     /// sequence (idempotent ingress).
-    BridgeCmdDup {
+    BridgeCmdDup ["bridge_cmd_dup", Bridge, counts: "bridge.cmd_dup"] {
         /// Command source id.
         src: u64,
-        /// Sequence number of the rejected command.
-        seq: u64,
+        /// Sequence number of the rejected command (`cmd_seq`, because
+        /// `seq` is the record's own).
+        cmd_seq: u64,
         /// True when the sequence was older than the newest applied one
         /// (stale); false when it repeated a seen sequence exactly.
         stale: bool,
     },
-}
-
-impl TraceEvent {
-    /// The subsystem this event belongs to.
-    pub fn subsystem(&self) -> Subsystem {
-        match self {
-            TraceEvent::MsgSent { .. }
-            | TraceEvent::MsgDelivered { .. }
-            | TraceEvent::MsgDropped { .. }
-            | TraceEvent::RouteFallback { .. }
-            | TraceEvent::GraphRebuilt { .. }
-            | TraceEvent::NodeDepleted { .. }
-            | TraceEvent::NodeDown { .. }
-            | TraceEvent::NodeUp { .. }
-            | TraceEvent::JammerSet { .. }
-            | TraceEvent::PartitionSet { .. }
-            | TraceEvent::DegradeSet { .. }
-            | TraceEvent::CompromiseSet { .. }
-            | TraceEvent::MsgTampered { .. }
-            | TraceEvent::RegionOutage { .. }
-            | TraceEvent::RegionRestore { .. } => Subsystem::Netsim,
-            TraceEvent::FaultScheduled { .. } => Subsystem::Faults,
-            TraceEvent::Recruitment { .. }
-            | TraceEvent::WindowClosed { .. }
-            | TraceEvent::RepairTriggered { .. }
-            | TraceEvent::RepairApplied { .. }
-            | TraceEvent::Suspected { .. }
-            | TraceEvent::EarlyRepair { .. }
-            | TraceEvent::Shed { .. }
-            | TraceEvent::Restore { .. }
-            | TraceEvent::TaskRetry { .. }
-            | TraceEvent::TaskAbandoned { .. } => Subsystem::Core,
-            TraceEvent::Solve { .. } | TraceEvent::PortfolioMember { .. } => Subsystem::Synthesis,
-            TraceEvent::Actuation { .. } | TraceEvent::Allocation { .. } => Subsystem::Adapt,
-            TraceEvent::FleetAdmit { .. }
-            | TraceEvent::FleetSlice { .. }
-            | TraceEvent::FleetEvict { .. }
-            | TraceEvent::FleetResume { .. }
-            | TraceEvent::FleetComplete { .. }
-            | TraceEvent::FleetRetry { .. }
-            | TraceEvent::FleetQuarantine { .. }
-            | TraceEvent::FleetShed { .. }
-            | TraceEvent::FleetRecover { .. } => Subsystem::Fleet,
-            TraceEvent::BridgeConnect { .. }
-            | TraceEvent::BridgeRetry { .. }
-            | TraceEvent::BridgeDrop { .. }
-            | TraceEvent::BridgeGaveUp { .. }
-            | TraceEvent::BridgeCmdDup { .. } => Subsystem::Bridge,
-        }
-    }
-
-    /// The node id an event is primarily *about*, when it has one: the
-    /// source of a message, the subject of a node-lifecycle or suspicion
-    /// event, the requester of an actuation. Events about the run as a
-    /// whole (windows, solves, fleet scheduling, bridge transport) have
-    /// none. This is the `<node>` segment of the edge bridge's
-    /// `iobt/<mission>/<node>/<kind>` topic hierarchy, and the same
-    /// mapping backs `iobt-trace --topics`.
-    pub fn primary_node(&self) -> Option<u64> {
-        match self {
-            TraceEvent::MsgSent { from, .. }
-            | TraceEvent::MsgDelivered { from, .. }
-            | TraceEvent::MsgDropped { from, .. }
-            | TraceEvent::RouteFallback { from, .. }
-            | TraceEvent::MsgTampered { from, .. } => Some(*from),
-            TraceEvent::NodeDepleted { node }
-            | TraceEvent::NodeDown { node }
-            | TraceEvent::NodeUp { node }
-            | TraceEvent::Suspected { node, .. }
-            | TraceEvent::TaskRetry { node, .. }
-            | TraceEvent::TaskAbandoned { node, .. } => Some(*node),
-            TraceEvent::Actuation { requester, .. } => Some(*requester),
-            _ => None,
-        }
-    }
-
-    /// Stable snake-case event name used in the JSONL schema (`"kind"`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::MsgSent { .. } => "msg_sent",
-            TraceEvent::MsgDelivered { .. } => "msg_delivered",
-            TraceEvent::MsgDropped { .. } => "msg_dropped",
-            TraceEvent::RouteFallback { .. } => "route_fallback",
-            TraceEvent::GraphRebuilt { .. } => "graph_rebuilt",
-            TraceEvent::NodeDepleted { .. } => "node_depleted",
-            TraceEvent::NodeDown { .. } => "node_down",
-            TraceEvent::NodeUp { .. } => "node_up",
-            TraceEvent::JammerSet { .. } => "jammer_set",
-            TraceEvent::PartitionSet { .. } => "partition_set",
-            TraceEvent::DegradeSet { .. } => "degrade_set",
-            TraceEvent::CompromiseSet { .. } => "compromise_set",
-            TraceEvent::MsgTampered { .. } => "msg_tampered",
-            TraceEvent::RegionOutage { .. } => "region_outage",
-            TraceEvent::RegionRestore { .. } => "region_restore",
-            TraceEvent::FaultScheduled { .. } => "fault_scheduled",
-            TraceEvent::Recruitment { .. } => "recruitment",
-            TraceEvent::WindowClosed { .. } => "window_closed",
-            TraceEvent::RepairTriggered { .. } => "repair_triggered",
-            TraceEvent::RepairApplied { .. } => "repair_applied",
-            TraceEvent::Suspected { .. } => "suspected",
-            TraceEvent::EarlyRepair { .. } => "early_repair",
-            TraceEvent::Shed { .. } => "shed",
-            TraceEvent::Restore { .. } => "restore",
-            TraceEvent::TaskRetry { .. } => "task_retry",
-            TraceEvent::TaskAbandoned { .. } => "task_abandoned",
-            TraceEvent::Solve { .. } => "solve",
-            TraceEvent::PortfolioMember { .. } => "portfolio_member",
-            TraceEvent::Actuation { .. } => "actuation",
-            TraceEvent::Allocation { .. } => "allocation",
-            TraceEvent::FleetAdmit { .. } => "fleet_admit",
-            TraceEvent::FleetSlice { .. } => "fleet_slice",
-            TraceEvent::FleetEvict { .. } => "fleet_evict",
-            TraceEvent::FleetResume { .. } => "fleet_resume",
-            TraceEvent::FleetComplete { .. } => "fleet_complete",
-            TraceEvent::FleetRetry { .. } => "fleet_retry",
-            TraceEvent::FleetQuarantine { .. } => "fleet_quarantine",
-            TraceEvent::FleetShed { .. } => "fleet_shed",
-            TraceEvent::FleetRecover { .. } => "fleet_recover",
-            TraceEvent::BridgeConnect { .. } => "bridge_connect",
-            TraceEvent::BridgeRetry { .. } => "bridge_retry",
-            TraceEvent::BridgeDrop { .. } => "bridge_drop",
-            TraceEvent::BridgeGaveUp { .. } => "bridge_gave_up",
-            TraceEvent::BridgeCmdDup { .. } => "bridge_cmd_dup",
-        }
-    }
-}
-
-/// One stamped trace record: the sim-time clock at emission, a monotone
-/// per-recorder sequence number, and the event payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// Simulation time at emission, integer microseconds.
-    pub t_us: u64,
-    /// Monotone sequence number (ties on `t_us` stay ordered).
-    pub seq: u64,
-    /// The event payload.
-    pub event: TraceEvent,
-}
-
-/// Appends `v` as a JSON number. `f64` uses Rust's shortest-roundtrip
-/// `Display`, which is deterministic for identical bit patterns; non-
-/// finite values (never produced by the platform) encode as `null`.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Infallible: fmt::Write for String never errors.
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_kv_u64(out: &mut String, key: &str, v: u64) {
-    let _ = write!(out, ",\"{key}\":{v}");
-}
-
-fn push_kv_f64(out: &mut String, key: &str, v: f64) {
-    let _ = write!(out, ",\"{key}\":");
-    push_f64(out, v);
-}
-
-fn push_kv_bool(out: &mut String, key: &str, v: bool) {
-    let _ = write!(out, ",\"{key}\":{v}");
-}
-
-fn push_kv_str(out: &mut String, key: &str, v: &str) {
-    // All string payloads are static snake_case names — no escaping
-    // needed, but guard anyway so the encoder can never emit bad JSON.
-    let _ = write!(out, ",\"{key}\":\"");
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl TraceRecord {
-    /// Appends this record as one JSON object + `'\n'` to `out`.
-    ///
-    /// Key order is fixed (`seq`, `t_us`, `sub`, `kind`, then payload
-    /// fields in declaration order) so traces from identical runs are
-    /// byte-identical.
-    pub fn encode_jsonl(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"t_us\":{},\"sub\":\"{}\",\"kind\":\"{}\"",
-            self.seq,
-            self.t_us,
-            self.event.subsystem().as_str(),
-            self.event.kind()
-        );
-        match &self.event {
-            TraceEvent::MsgSent { from, to } | TraceEvent::RouteFallback { from, to } => {
-                push_kv_u64(out, "from", *from);
-                push_kv_u64(out, "to", *to);
-            }
-            TraceEvent::MsgDelivered {
-                from,
-                to,
-                latency_us,
-            } => {
-                push_kv_u64(out, "from", *from);
-                push_kv_u64(out, "to", *to);
-                push_kv_u64(out, "latency_us", *latency_us);
-            }
-            TraceEvent::MsgDropped { from, to, cause } => {
-                push_kv_u64(out, "from", *from);
-                push_kv_u64(out, "to", *to);
-                push_kv_str(out, "cause", cause.as_str());
-            }
-            TraceEvent::GraphRebuilt { nodes, edges } => {
-                push_kv_u64(out, "nodes", *nodes);
-                push_kv_u64(out, "edges", *edges);
-            }
-            TraceEvent::NodeDepleted { node }
-            | TraceEvent::NodeDown { node }
-            | TraceEvent::NodeUp { node } => {
-                push_kv_u64(out, "node", *node);
-            }
-            TraceEvent::JammerSet { index, on }
-            | TraceEvent::PartitionSet { index, on }
-            | TraceEvent::CompromiseSet { index, on } => {
-                push_kv_u64(out, "index", *index);
-                push_kv_bool(out, "on", *on);
-            }
-            TraceEvent::DegradeSet {
-                index,
-                on,
-                extra_loss_db,
-                latency_mult,
-            } => {
-                push_kv_u64(out, "index", *index);
-                push_kv_bool(out, "on", *on);
-                push_kv_f64(out, "extra_loss_db", *extra_loss_db);
-                push_kv_f64(out, "latency_mult", *latency_mult);
-            }
-            TraceEvent::MsgTampered { from, to, relay } => {
-                push_kv_u64(out, "from", *from);
-                push_kv_u64(out, "to", *to);
-                push_kv_u64(out, "relay", *relay);
-            }
-            TraceEvent::RegionOutage { index, killed } => {
-                push_kv_u64(out, "index", *index);
-                push_kv_u64(out, "killed", *killed);
-            }
-            TraceEvent::RegionRestore { index, revived } => {
-                push_kv_u64(out, "index", *index);
-                push_kv_u64(out, "revived", *revived);
-            }
-            TraceEvent::FaultScheduled { fault, at_us } => {
-                push_kv_str(out, "fault", fault);
-                push_kv_u64(out, "at_us", *at_us);
-            }
-            TraceEvent::Recruitment {
-                candidates,
-                recruited,
-            } => {
-                push_kv_u64(out, "candidates", *candidates);
-                push_kv_u64(out, "recruited", *recruited);
-            }
-            TraceEvent::WindowClosed {
-                window,
-                delivered,
-                utility,
-            } => {
-                push_kv_u64(out, "window", *window);
-                push_kv_u64(out, "delivered", *delivered);
-                push_kv_f64(out, "utility", *utility);
-            }
-            TraceEvent::RepairTriggered {
-                window,
-                utility,
-                threshold,
-            } => {
-                push_kv_u64(out, "window", *window);
-                push_kv_f64(out, "utility", *utility);
-                push_kv_f64(out, "threshold", *threshold);
-            }
-            TraceEvent::RepairApplied {
-                window,
-                added,
-                satisfied,
-            } => {
-                push_kv_u64(out, "window", *window);
-                push_kv_u64(out, "added", *added);
-                push_kv_bool(out, "satisfied", *satisfied);
-            }
-            TraceEvent::Suspected { node, silent_us } => {
-                push_kv_u64(out, "node", *node);
-                push_kv_u64(out, "silent_us", *silent_us);
-            }
-            TraceEvent::EarlyRepair { window, suspects } => {
-                push_kv_u64(out, "window", *window);
-                push_kv_u64(out, "suspects", *suspects);
-            }
-            TraceEvent::Shed { level, action } | TraceEvent::Restore { level, action } => {
-                push_kv_u64(out, "level", *level);
-                push_kv_str(out, "action", action);
-            }
-            TraceEvent::TaskRetry { node, attempt } => {
-                push_kv_u64(out, "node", *node);
-                push_kv_u64(out, "attempt", *attempt);
-            }
-            TraceEvent::TaskAbandoned { node, attempts } => {
-                push_kv_u64(out, "node", *node);
-                push_kv_u64(out, "attempts", *attempts);
-            }
-            TraceEvent::Solve {
-                solver,
-                steps,
-                heap_pushes,
-                heap_refreshes,
-                selected,
-                satisfied,
-            } => {
-                push_kv_str(out, "solver", solver);
-                push_kv_u64(out, "steps", *steps);
-                push_kv_u64(out, "heap_pushes", *heap_pushes);
-                push_kv_u64(out, "heap_refreshes", *heap_refreshes);
-                push_kv_u64(out, "selected", *selected);
-                push_kv_bool(out, "satisfied", *satisfied);
-            }
-            TraceEvent::PortfolioMember {
-                member,
-                satisfied,
-                cost,
-                selected,
-                winner,
-            } => {
-                push_kv_str(out, "member", member);
-                push_kv_bool(out, "satisfied", *satisfied);
-                push_kv_f64(out, "cost", *cost);
-                push_kv_u64(out, "selected", *selected);
-                push_kv_bool(out, "winner", *winner);
-            }
-            TraceEvent::Actuation {
-                requester,
-                actuator,
-                decision,
-            } => {
-                push_kv_u64(out, "requester", *requester);
-                push_kv_u64(out, "actuator", *actuator);
-                push_kv_str(out, "decision", decision);
-            }
-            TraceEvent::Allocation {
-                epoch,
-                regions,
-                saturated,
-            } => {
-                push_kv_u64(out, "epoch", *epoch);
-                push_kv_u64(out, "regions", *regions);
-                push_kv_u64(out, "saturated", *saturated);
-            }
-            TraceEvent::FleetAdmit {
-                ticket,
-                seed,
-                windows,
-            } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_u64(out, "seed", *seed);
-                push_kv_u64(out, "windows", *windows);
-            }
-            TraceEvent::FleetSlice {
-                ticket,
-                from_window,
-                windows,
-            } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_u64(out, "from_window", *from_window);
-                push_kv_u64(out, "windows", *windows);
-            }
-            TraceEvent::FleetEvict {
-                ticket,
-                window,
-                bytes,
-            } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_u64(out, "window", *window);
-                push_kv_u64(out, "bytes", *bytes);
-            }
-            TraceEvent::FleetResume { ticket, window } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_u64(out, "window", *window);
-            }
-            TraceEvent::FleetComplete {
-                ticket,
-                windows,
-                repairs,
-            } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_u64(out, "windows", *windows);
-                push_kv_u64(out, "repairs", *repairs);
-            }
-            TraceEvent::FleetRetry {
-                ticket,
-                window,
-                attempt,
-                backoff_slices,
-            } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_u64(out, "window", *window);
-                push_kv_u64(out, "attempt", *attempt);
-                push_kv_u64(out, "backoff_slices", *backoff_slices);
-            }
-            TraceEvent::FleetQuarantine {
-                ticket,
-                kind,
-                attempts,
-            } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_str(out, "error", kind);
-                push_kv_u64(out, "attempts", *attempts);
-            }
-            TraceEvent::FleetShed { ticket, queued } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_u64(out, "queued", *queued);
-            }
-            TraceEvent::FleetRecover { ticket, window } => {
-                push_kv_u64(out, "ticket", *ticket);
-                push_kv_u64(out, "window", *window);
-            }
-            TraceEvent::BridgeConnect { attempt } => {
-                push_kv_u64(out, "attempt", *attempt);
-            }
-            TraceEvent::BridgeRetry {
-                attempt,
-                backoff_ticks,
-            } => {
-                push_kv_u64(out, "attempt", *attempt);
-                push_kv_u64(out, "backoff_ticks", *backoff_ticks);
-            }
-            TraceEvent::BridgeDrop { cause, frames } => {
-                push_kv_str(out, "cause", cause);
-                push_kv_u64(out, "frames", *frames);
-            }
-            TraceEvent::BridgeGaveUp {
-                attempts,
-                discarded,
-            } => {
-                push_kv_u64(out, "attempts", *attempts);
-                push_kv_u64(out, "discarded", *discarded);
-            }
-            TraceEvent::BridgeCmdDup { src, seq, stale } => {
-                push_kv_u64(out, "src", *src);
-                push_kv_u64(out, "seq", *seq);
-                push_kv_bool(out, "stale", *stale);
-            }
-        }
-        out.push_str("}\n");
-    }
-
-    /// Encodes this record as an owned JSONL line (including `'\n'`).
-    pub fn to_jsonl(&self) -> String {
-        let mut s = String::with_capacity(96);
-        self.encode_jsonl(&mut s);
-        s
-    }
 }
 
 #[cfg(test)]
@@ -981,10 +739,9 @@ mod tests {
         };
         assert_eq!(e.subsystem(), Subsystem::Netsim);
         assert_eq!(e.kind(), "msg_dropped");
-        for sub in Subsystem::ALL {
-            assert_eq!(Subsystem::parse(sub.as_str()), Some(sub));
+        for (i, sub) in Subsystem::ALL.into_iter().enumerate() {
+            assert_eq!(sub.slot(), i);
         }
-        assert_eq!(Subsystem::parse("bogus"), None);
     }
 
     #[test]
@@ -1032,7 +789,7 @@ mod tests {
     #[test]
     fn string_escaping_guards_control_characters() {
         let mut s = String::new();
-        push_kv_str(&mut s, "k", "a\"b\\c\nd\u{1}");
-        assert_eq!(s, ",\"k\":\"a\\\"b\\\\c\\nd\\u0001\"");
+        "a\"b\\c\nd\u{1}".put(&mut s);
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

@@ -8,7 +8,7 @@
 //!   (integer microseconds) plus a monotone sequence number — never the
 //!   wall clock. Two runs of the same seed therefore produce
 //!   byte-identical traces (lint rule R2 applies to this crate).
-//! * **Deterministic aggregation.** The [`MetricsRegistry`] keeps
+//! * **Deterministic aggregation.** The recorder's registry keeps
 //!   counters, gauges and fixed-bucket histograms in ordered maps, and
 //!   folds into a [`MetricsDigest`] that is `PartialEq`-comparable and
 //!   fingerprintable across runs.
@@ -36,20 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod metrics;
-pub mod recorder;
-pub mod sink;
+mod event;
+mod metrics;
+mod recorder;
+mod sink;
 
-pub use event::{DropCause, Subsystem, TraceEvent, TraceRecord};
-pub use metrics::{fnv1a, Histogram, HistogramSnapshot, MetricsDigest, MetricsRegistry};
+pub use event::{DropCause, EventSchema, Subsystem, TraceEvent, TraceRecord};
+pub use metrics::{fnv1a, Histogram, HistogramSnapshot, MetricsDigest};
 pub use recorder::{Recorder, RecorderCheckpoint, SamplingConfig};
 pub use sink::{JsonlSink, NullSink, RingHandle, RingSink, SharedBytes, TraceSink};
-
-/// Convenience re-exports mirroring the other subsystem crates.
-pub mod prelude {
-    pub use crate::event::{DropCause, Subsystem, TraceEvent, TraceRecord};
-    pub use crate::metrics::{Histogram, HistogramSnapshot, MetricsDigest, MetricsRegistry};
-    pub use crate::recorder::{Recorder, RecorderCheckpoint, SamplingConfig};
-    pub use crate::sink::{JsonlSink, NullSink, RingHandle, RingSink, SharedBytes, TraceSink};
-}

@@ -166,7 +166,8 @@ iobt_ckpt::wire_struct!(HistogramSnapshot {
 });
 
 /// The registry every [`Recorder`](crate::Recorder) carries: ordered
-/// maps of counters, gauges and histograms.
+/// maps of counters, gauges and histograms, read through its
+/// [`MetricsDigest`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
@@ -197,21 +198,6 @@ impl MetricsRegistry {
             .entry(name)
             .or_insert_with(|| Histogram::new(bounds))
             .record(v);
-    }
-
-    /// Current value of a counter, if it exists.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
-    }
-
-    /// Current value of a gauge, if it exists.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Read access to a histogram, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// Rebuilds a registry from a digest (checkpoint restore). Names

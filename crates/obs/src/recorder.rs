@@ -45,11 +45,6 @@ impl SamplingConfig {
         self
     }
 
-    /// The sampling interval for a subsystem.
-    pub fn interval(&self, sub: Subsystem) -> u32 {
-        self.every_nth[sub.slot()]
-    }
-
     fn keeps(&self, sub: Subsystem, emitted_before: u64) -> bool {
         match self.every_nth[sub.slot()] {
             0 => false,
@@ -285,22 +280,20 @@ impl Recorder {
     }
 }
 
-/// Folds an event into the registry. Every event increments at least
-/// one counter, so the digest alone reconstructs the event mix even
-/// under aggressive trace sampling.
+/// Folds an event into the registry. The schema row's counter counts
+/// the event itself (`count_one`); the arms here are the kinds that do
+/// more — a histogram, a gauge, a second counter, a count taken from a
+/// field — so the digest alone reconstructs the event mix even under
+/// aggressive trace sampling.
 fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
+    event.count_one(m);
     match event {
-        TraceEvent::MsgSent { .. } => m.inc("netsim.msg_sent", 1),
-        TraceEvent::MsgDelivered { latency_us, .. } => {
-            m.inc("netsim.msg_delivered", 1);
-            m.observe(
-                "netsim.latency_ms",
-                &LATENCY_MS_BOUNDS,
-                *latency_us as f64 / 1_000.0,
-            );
-        }
+        TraceEvent::MsgDelivered { latency_us, .. } => m.observe(
+            "netsim.latency_ms",
+            &LATENCY_MS_BOUNDS,
+            *latency_us as f64 / 1_000.0,
+        ),
         TraceEvent::MsgDropped { cause, .. } => {
-            m.inc("netsim.msg_dropped", 1);
             let name = match cause {
                 DropCause::NoRoute => "netsim.drop.no_route",
                 DropCause::Channel => "netsim.drop.channel",
@@ -309,26 +302,9 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
             };
             m.inc(name, 1);
         }
-        TraceEvent::RouteFallback { .. } => m.inc("netsim.route_fallback", 1),
-        TraceEvent::GraphRebuilt { .. } => m.inc("netsim.graph_rebuilds", 1),
-        TraceEvent::NodeDepleted { .. } => m.inc("netsim.node_depleted", 1),
-        TraceEvent::NodeDown { .. } => m.inc("netsim.node_down", 1),
-        TraceEvent::NodeUp { .. } => m.inc("netsim.node_up", 1),
-        TraceEvent::JammerSet { .. } => m.inc("netsim.jammer_toggles", 1),
-        TraceEvent::PartitionSet { .. } => m.inc("netsim.partition_toggles", 1),
-        TraceEvent::DegradeSet { .. } => m.inc("netsim.degrade_toggles", 1),
-        TraceEvent::CompromiseSet { .. } => m.inc("netsim.compromise_toggles", 1),
-        TraceEvent::MsgTampered { .. } => m.inc("netsim.msg_tampered", 1),
-        TraceEvent::RegionOutage { killed, .. } => {
-            m.inc("netsim.region_outages", 1);
-            m.inc("netsim.region_killed", *killed);
-        }
-        TraceEvent::RegionRestore { revived, .. } => {
-            m.inc("netsim.region_restores", 1);
-            m.inc("netsim.region_revived", *revived);
-        }
+        TraceEvent::RegionOutage { killed, .. } => m.inc("netsim.region_killed", *killed),
+        TraceEvent::RegionRestore { revived, .. } => m.inc("netsim.region_revived", *revived),
         TraceEvent::FaultScheduled { fault, .. } => {
-            m.inc("faults.scheduled", 1);
             let name = match *fault {
                 "crash" => "faults.crash",
                 "crash_recover" => "faults.crash_recover",
@@ -341,61 +317,28 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
             m.inc(name, 1);
         }
         TraceEvent::Recruitment { recruited, .. } => {
-            m.inc("core.recruitments", 1);
             m.set_gauge("core.recruited", *recruited as f64);
         }
         TraceEvent::WindowClosed { utility, .. } => {
-            m.inc("core.windows", 1);
             m.observe("core.window_utility", &UTILITY_BOUNDS, *utility);
         }
-        TraceEvent::RepairTriggered { .. } => m.inc("core.repairs_triggered", 1),
-        TraceEvent::RepairApplied { .. } => m.inc("core.repairs_applied", 1),
-        TraceEvent::Suspected { .. } => m.inc("core.suspected", 1),
-        TraceEvent::EarlyRepair { .. } => m.inc("core.early_repairs", 1),
-        TraceEvent::Shed { .. } => m.inc("core.sheds", 1),
-        TraceEvent::Restore { .. } => m.inc("core.restores", 1),
-        TraceEvent::TaskRetry { .. } => m.inc("core.task_retries", 1),
-        TraceEvent::TaskAbandoned { .. } => m.inc("core.task_abandoned", 1),
         TraceEvent::Solve { steps, .. } => {
-            m.inc("synthesis.solves", 1);
-            m.observe(
-                "synthesis.solve_steps",
-                &SOLVER_STEP_BOUNDS,
-                *steps as f64,
-            );
+            m.observe("synthesis.solve_steps", &SOLVER_STEP_BOUNDS, *steps as f64);
         }
-        TraceEvent::PortfolioMember { .. } => m.inc("synthesis.portfolio_members", 1),
         TraceEvent::Actuation { decision, .. } => {
-            m.inc("adapt.actuations", 1);
             let name = match *decision {
                 "approved" => "adapt.actuation.approved",
                 "withheld_occupied" => "adapt.actuation.withheld_occupied",
                 "denied_no_authorization" => "adapt.actuation.denied_no_authorization",
+                "denied_degraded" => "adapt.actuation.denied_degraded",
                 _ => "adapt.actuation.other",
             };
             m.inc(name, 1);
         }
-        TraceEvent::Allocation { .. } => m.inc("adapt.alloc_epochs", 1),
-        TraceEvent::FleetAdmit { .. } => m.inc("fleet.admitted", 1),
-        TraceEvent::FleetSlice { windows, .. } => {
-            m.inc("fleet.slices", 1);
-            m.inc("fleet.windows", *windows);
-        }
-        TraceEvent::FleetEvict { bytes, .. } => {
-            m.inc("fleet.evictions", 1);
-            m.inc("fleet.evicted_bytes", *bytes);
-        }
-        TraceEvent::FleetResume { .. } => m.inc("fleet.resumes", 1),
-        TraceEvent::FleetComplete { .. } => m.inc("fleet.completed", 1),
-        TraceEvent::FleetRetry { .. } => m.inc("fleet.retries", 1),
-        TraceEvent::FleetQuarantine { .. } => m.inc("fleet.quarantined", 1),
-        TraceEvent::FleetShed { .. } => m.inc("fleet.shed", 1),
-        TraceEvent::FleetRecover { .. } => m.inc("fleet.recovers", 1),
-        TraceEvent::BridgeConnect { .. } => m.inc("bridge.connects", 1),
-        TraceEvent::BridgeRetry { .. } => m.inc("bridge.retries", 1),
+        TraceEvent::FleetSlice { windows, .. } => m.inc("fleet.windows", *windows),
+        TraceEvent::FleetEvict { bytes, .. } => m.inc("fleet.evicted_bytes", *bytes),
         TraceEvent::BridgeDrop { frames, .. } => m.inc("bridge.dropped", *frames),
-        TraceEvent::BridgeGaveUp { .. } => m.inc("bridge.gave_up", 1),
-        TraceEvent::BridgeCmdDup { .. } => m.inc("bridge.cmd_dup", 1),
+        _ => {}
     }
 }
 

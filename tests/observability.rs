@@ -139,3 +139,101 @@ fn sampling_gates_the_sink_but_not_the_metrics() {
     };
     assert_eq!(core_count(&full_records), core_count(&sampled_records));
 }
+
+include!("support/one_of_each.rs");
+
+fn stamped(events: Vec<TraceEvent>) -> Vec<TraceRecord> {
+    events
+        .into_iter()
+        .enumerate()
+        .map(|(i, event)| TraceRecord { t_us: 1_000 * i as u64 + 7, seq: i as u64, event })
+        .collect()
+}
+
+/// Every byte the trace schema decides, for one event of every kind,
+/// pinned to literals read off the build *before* the schema became one
+/// table (PR 19): the JSONL lines, the bridge frames, the metrics every
+/// event folds into, and the `kind`/subsystem/primary-node mapping.
+/// `bridge_cmd_dup` is left out of the two line hashes — its command
+/// sequence moved from a second `"seq"` key to `cmd_seq` in that PR —
+/// and pinned as a literal instead.
+#[test]
+fn one_of_each_kind_is_pinned_to_the_hand_written_encoder() {
+    let records = stamped(one_of_each());
+    let (mut lines, mut frames, mut mapping) = (String::new(), String::new(), String::new());
+    let recorder = Recorder::null();
+    for r in &records {
+        if r.event.kind() != "bridge_cmd_dup" {
+            lines.push_str(&r.to_jsonl());
+            frames.push_str(&iobt::bridge::encode_frame(7, r));
+        }
+        mapping.push_str(&format!(
+            "{}|{}|{:?}\n",
+            r.event.kind(),
+            r.event.subsystem().as_str(),
+            r.event.primary_node()
+        ));
+        recorder.record_at(r.t_us, r.event.clone());
+    }
+    let fnv = |s: &str| iobt::obs::fnv1a(s.as_bytes());
+    assert_eq!(fnv(&lines), 0xb3f3_ca3f_3208_836e, "JSONL lines");
+    assert_eq!(fnv(&frames), 0x87e9_65a6_27a6_aa68, "bridge frames");
+    assert_eq!(recorder.metrics_digest().fingerprint(), 0x68a7_2f7c_c254_9f50, "metrics");
+    assert_eq!(fnv(&mapping), 0x4efa_bfc4_bfa1_52ab, "kind|sub|primary_node");
+}
+
+/// `one_of_each()` and `TraceEvent::SCHEMA` describe the same 44 kinds,
+/// row for row — so the pins above cover the whole schema, and what
+/// `iobt-trace` reads from `SCHEMA` is what the encoder writes.
+#[test]
+fn schema_rows_match_what_the_encoder_writes() {
+    let records = stamped(one_of_each());
+    assert_eq!(records.len(), TraceEvent::SCHEMA.len());
+    let mut kinds = std::collections::BTreeSet::new();
+    for (r, row) in records.iter().zip(TraceEvent::SCHEMA) {
+        assert!(kinds.insert(row.kind), "kind {} declared twice", row.kind);
+        assert_eq!((r.event.kind(), r.event.subsystem()), (row.kind, row.sub));
+        // The line is flat and its strings are snake_case names, so
+        // splitting on `,` and `:` is a complete parse.
+        let line = r.to_jsonl();
+        let members: Vec<(&str, &str)> = line
+            .trim_end()
+            .trim_start_matches('{')
+            .trim_end_matches('}')
+            .split(',')
+            .map(|m| m.split_once(':').expect("key:value"))
+            .map(|(k, v)| (k.trim_matches('"'), v))
+            .collect();
+        let keys: Vec<&str> = members.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys[..4], ["seq", "t_us", "sub", "kind"]);
+        assert_eq!(keys[4..], *row.fields, "{}", row.kind);
+        for key in row.fields {
+            assert!(
+                !["topic", "seq", "t_us", "sub", "kind"].contains(key),
+                "{}: payload key {key} collides with the envelope",
+                row.kind
+            );
+        }
+        for key in row.node_keys {
+            assert!(row.fields.contains(key), "{}: node key {key} is not a field", row.kind);
+        }
+        let primary = row.node_keys.first().map(|key| {
+            let (_, v) = members.iter().find(|(k, _)| k == key).expect("node key present");
+            v.parse::<u64>().expect("node ids are integers")
+        });
+        assert_eq!(r.event.primary_node(), primary, "{}", row.kind);
+    }
+
+    // The one line that differs from the hand-written encoder's.
+    let dup = records.last().expect("44 records");
+    assert_eq!(
+        dup.to_jsonl(),
+        "{\"seq\":43,\"t_us\":43007,\"sub\":\"bridge\",\"kind\":\"bridge_cmd_dup\",\
+         \"src\":183,\"cmd_seq\":184,\"stale\":true}\n"
+    );
+
+    // Slot order is the checkpoint's counter-block order.
+    let names: Vec<&str> = Subsystem::ALL.iter().map(|s| s.as_str()).collect();
+    assert_eq!(names, ["netsim", "core", "synthesis", "adapt", "faults", "fleet", "bridge"]);
+    assert_eq!(Subsystem::COUNT, 7);
+}
