@@ -214,6 +214,8 @@ struct BridgeCore {
     tick: u64,
     /// Earliest tick at which the next reconnect may be attempted.
     next_retry_at: u64,
+    /// Frames the ring held when the bridge detached (see `give_up`).
+    discarded: u64,
     board: Option<TaskBoard>,
     /// Highest applied sequence number per command source.
     last_seq: BTreeMap<u64, u64>,
@@ -225,6 +227,11 @@ struct BridgeCore {
 impl BridgeCore {
     fn record(&self, event: TraceEvent) {
         self.recorder.record_at(self.tick, event);
+    }
+
+    /// The transport holds a connection, stalled or not.
+    fn link_up(&self) -> bool {
+        matches!(self.state, ConnState::Connected | ConnState::Degraded)
     }
 
     /// Accepts one encoded frame from the sink, applying the overflow
@@ -261,10 +268,10 @@ impl BridgeCore {
             }
             OverflowPolicy::Block { deadline } => {
                 for _ in 0..deadline {
-                    if self.state != ConnState::Connected && self.state != ConnState::Degraded {
+                    if !self.link_up() {
                         break;
                     }
-                    if self.flush_front() && self.ring.len() < self.config.ring_capacity.max(1) {
+                    if self.flush(1) == 1 && self.ring.len() < self.config.ring_capacity.max(1) {
                         self.ring.push_back(frame);
                         return;
                     }
@@ -278,27 +285,25 @@ impl BridgeCore {
         }
     }
 
-    /// Tries to push the front frame to the transport. Returns true on
-    /// delivery; on failure updates the connection state.
-    fn flush_front(&mut self) -> bool {
-        let Some(front) = self.ring.front() else {
-            return false;
-        };
-        match self.transport.send(front.as_bytes()) {
-            Ok(()) => {
-                self.ring.pop_front();
-                self.delivered += 1;
-                self.recorder.inc("bridge.delivered", 1);
-                if self.state == ConnState::Degraded {
-                    self.state = ConnState::Connected;
-                }
-                true
-            }
-            Err(e) => {
-                self.on_send_failure(e);
-                false
+    /// Hands the transport the first `n` buffered frames as one batch and
+    /// retires the prefix it accepted — the bridge's only frame egress,
+    /// whether a pump tick or the `Block` policy asks. Returns how many
+    /// frames that was; a failure updates the connection state.
+    fn flush(&mut self, n: usize) -> usize {
+        let mut batch = self.ring.iter().take(n).map(String::as_bytes);
+        let (sent, outcome) = self.transport.send_batch(&mut batch);
+        if sent > 0 {
+            self.ring.drain(..sent);
+            self.delivered += sent as u64;
+            self.recorder.inc("bridge.delivered", sent as u64);
+            if self.state == ConnState::Degraded {
+                self.state = ConnState::Connected;
             }
         }
+        if let Err(e) = outcome {
+            self.on_send_failure(e);
+        }
+        sent
     }
 
     fn on_send_failure(&mut self, e: TransportError) {
@@ -378,6 +383,7 @@ impl BridgeCore {
         });
         self.transport.close();
         self.state = ConnState::GaveUp;
+        self.discarded = discarded;
     }
 
     fn maybe_heartbeat(&mut self) {
@@ -404,7 +410,7 @@ impl BridgeCore {
     /// each `(src, seq)` at most once.
     fn poll_ingress(&mut self) {
         for _ in 0..self.config.batch_per_tick.max(1) {
-            if self.state != ConnState::Connected && self.state != ConnState::Degraded {
+            if !self.link_up() {
                 return;
             }
             match self.transport.recv() {
@@ -454,24 +460,16 @@ impl BridgeCore {
     /// at most `batch_per_tick` frames, poll ingress.
     fn pump(&mut self) -> ConnState {
         self.tick += 1;
-        match self.state {
-            ConnState::GaveUp => {}
-            ConnState::Reconnecting => self.try_reconnect(),
-            ConnState::Connected | ConnState::Degraded => {}
+        if self.state == ConnState::Reconnecting {
+            self.try_reconnect();
         }
-        if self.state == ConnState::Connected || self.state == ConnState::Degraded {
-            // A degraded transport gets one probe per tick; success
-            // flips back to Connected inside flush_front.
+        if self.link_up() {
             self.maybe_heartbeat();
-            for _ in 0..self.config.batch_per_tick.max(1) {
-                if self.ring.is_empty()
-                    || (self.state != ConnState::Connected && self.state != ConnState::Degraded)
-                {
-                    break;
-                }
-                if !self.flush_front() {
-                    break;
-                }
+            // The heartbeat may just have found the link dead. A degraded
+            // transport is probed by the batch itself: the first frame it
+            // accepts flips the state back to Connected.
+            if self.link_up() {
+                self.flush(self.config.batch_per_tick.max(1));
             }
             self.poll_ingress();
         }
@@ -540,6 +538,7 @@ impl Bridge {
                 attempts: 0,
                 tick: 0,
                 next_retry_at: 0,
+                discarded: 0,
                 board: None,
                 last_seq: BTreeMap::new(),
                 cmds_applied: 0,
@@ -583,27 +582,23 @@ impl Bridge {
     /// `max_ticks` elapse. Returns the ticks consumed.
     pub fn drain(&self, max_ticks: u64) -> Result<u64, BridgeError> {
         let mut core = self.core.borrow_mut();
-        for used in 0..max_ticks {
-            if core.ring.is_empty() && core.state == ConnState::Connected {
-                return Ok(used);
-            }
+        let mut used = 0;
+        loop {
             if core.state == ConnState::GaveUp {
                 return Err(BridgeError::GaveUp {
-                    discarded: core.dropped,
+                    discarded: core.discarded,
+                });
+            }
+            if core.ring.is_empty() && (core.state == ConnState::Connected || used == max_ticks) {
+                return Ok(used);
+            }
+            if used == max_ticks {
+                return Err(BridgeError::Timeout {
+                    buffered: core.ring.len() as u64,
                 });
             }
             core.pump();
-        }
-        if core.ring.is_empty() {
-            Ok(max_ticks)
-        } else if core.state == ConnState::GaveUp {
-            Err(BridgeError::GaveUp {
-                discarded: core.dropped,
-            })
-        } else {
-            Err(BridgeError::Timeout {
-                buffered: core.ring.len() as u64,
-            })
+            used += 1;
         }
     }
 
@@ -735,6 +730,27 @@ mod tests {
     }
 
     #[test]
+    fn drain_reports_what_the_detach_discarded_not_every_drop() {
+        let (bridge, peer) = bridge_with(BridgeConfig {
+            ring_capacity: 2,
+            overflow: OverflowPolicy::DropOldest,
+            max_attempts: 2,
+            backoff_cap: 1,
+            ..BridgeConfig::default()
+        });
+        peer.refuse_connects(true);
+        let mut sink = bridge.sink();
+        for i in 0..5 {
+            sink.accept(&rec(i));
+        }
+        // Three overflow drops before the detach, two frames discarded by it.
+        assert_eq!(bridge.drain(100), Err(BridgeError::GaveUp { discarded: 2 }));
+        assert_eq!(bridge.report().dropped, 5);
+        // A detached bridge says so even with no ticks to spend.
+        assert_eq!(bridge.drain(0), Err(BridgeError::GaveUp { discarded: 2 }));
+    }
+
+    #[test]
     fn ingress_commands_are_idempotent() {
         let (t, peer) = memory_pair();
         let trace = iobt_obs::SharedBytes::new();
@@ -765,6 +781,78 @@ mod tests {
                 "{\"seq\":1,\"t_us\":2,\"sub\":\"bridge\",\"kind\":\"bridge_cmd_dup\",\"src\":1,\"cmd_seq\":1,\"stale\":false}",
                 "{\"seq\":2,\"t_us\":2,\"sub\":\"bridge\",\"kind\":\"bridge_cmd_dup\",\"src\":1,\"cmd_seq\":0,\"stale\":true}",
             ]
+        );
+    }
+
+    /// The `seq` of a trace frame: `{"topic":"…","seq":N,…`.
+    fn seq_of(frame: &[u8]) -> u64 {
+        let text = std::str::from_utf8(frame).expect("utf8");
+        let rest = &text[text.find(",\"seq\":").expect("a seq key") + 7..];
+        rest[..rest.find(',').expect("a key after seq")]
+            .parse()
+            .expect("a number")
+    }
+
+    #[test]
+    fn tcp_consumer_that_drops_the_socket_gets_every_frame_once() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let bridge = Bridge::new(
+            BridgeConfig {
+                heartbeat_every: 0,
+                batch_per_tick: 64,
+                ..BridgeConfig::default()
+            },
+            Box::new(crate::transport::TcpTransport::new(addr)),
+        );
+        let mut sink = bridge.sink();
+        let mut seen = BTreeMap::new();
+        let mut read = |stream: &mut std::net::TcpStream, frames: u64| {
+            let first = bridge.report().delivered - frames;
+            for expected in first..first + frames {
+                let frame = crate::transport::read_framed(stream)
+                    .expect("read")
+                    .expect("a frame");
+                assert_eq!(seq_of(&frame), expected, "frames arrive in ring order");
+                *seen.entry(expected).or_insert(0u32) += 1;
+            }
+        };
+
+        for seq in 0..10 {
+            sink.accept(&rec(seq));
+        }
+        bridge.pump(); // dials (the connect completes against the backlog), sends ten
+        let (mut first, _) = listener.accept().expect("first accept");
+        read(&mut first, 10);
+        drop(first);
+        // TCP shows the bridge no acknowledgement: a frame written after
+        // the peer closed and before the bridge noticed is counted
+        // delivered and never read. Nothing is offered until the ingress
+        // poll has seen the EOF, so this test never writes in that gap.
+        let mut polls = 0;
+        while bridge.pump() == ConnState::Connected {
+            polls += 1;
+            assert!(polls < 10_000_000, "the EOF never surfaced");
+            std::thread::yield_now();
+        }
+        assert_eq!(bridge.state(), ConnState::Reconnecting);
+        for seq in 10..50 {
+            sink.accept(&rec(seq)); // buffered through the outage
+        }
+        assert_eq!(bridge.report().buffered, 40);
+        bridge.drain(100).expect("redial and drain");
+        let (mut second, _) = listener.accept().expect("second accept");
+        read(&mut second, 40); // from the ring front: 10 first
+
+        let r = bridge.report();
+        assert_eq!(
+            (r.connects, r.delivered, r.dropped, r.buffered),
+            (2, 50, 0, 0)
+        );
+        assert!(r.accounted());
+        assert_eq!(
+            seen,
+            (0..50).map(|seq| (seq, 1)).collect::<BTreeMap<u64, u32>>()
         );
     }
 

@@ -15,20 +15,25 @@
 //! truncation of a valid frame yields a typed [`FrameError`], never a
 //! panic (fuzzed in `tests/bridge.rs`).
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
-use iobt_obs::TraceRecord;
+use iobt_obs::{push_u64, TraceRecord};
 
 /// Appends the topic for a record: `iobt/<mission>/<node>/<kind>`,
 /// with `-` standing in for events that have no primary node (mission
 /// milestones, allocation epochs, bridge self-events). Matches the
 /// derivation `iobt-trace --topics` applies to raw trace files.
 fn push_topic(out: &mut String, mission: u64, record: &TraceRecord) {
-    // Infallible: fmt::Write for String never errors.
-    let _ = match record.event.primary_node() {
-        Some(node) => write!(out, "iobt/{mission}/{node}/"),
-        None => write!(out, "iobt/{mission}/-/"),
-    };
+    out.push_str("iobt/");
+    push_u64(out, mission);
+    match record.event.primary_node() {
+        Some(node) => {
+            out.push('/');
+            push_u64(out, node);
+            out.push('/');
+        }
+        None => out.push_str("/-/"),
+    }
     out.push_str(record.event.kind());
 }
 

@@ -21,11 +21,13 @@
 //! Events carry only plain values (raw `u64` identifiers, integer
 //! microseconds, `f64` measurements, static names) so this crate stays
 //! at the bottom of the dependency graph and the encoding stays stable.
-//! The encoder is still direct: each generated arm is the `write!`s a
+//! The encoder is still direct: each generated arm is the pushes a
 //! hand-written one would hold, dispatched statically through the
 //! private `Field` trait into the caller's `String` — no `dyn`, no
-//! intermediate key/value list, no `serde_json` — because
-//! `encode_jsonl` runs once per kept record on the simulator's hot path.
+//! intermediate key/value list, no `serde_json`, and no `fmt` for
+//! anything but an `f64` (whose shortest-roundtrip `Display` *is* the
+//! format) — because `encode_jsonl` runs once per kept record on the
+//! simulator's hot path.
 
 use std::fmt::Write as _;
 
@@ -133,9 +135,26 @@ trait Field: Copy {
 
 impl Field for u64 {
     fn put(self, out: &mut String) {
-        // Infallible: fmt::Write for String never errors.
-        let _ = write!(out, "{self}");
+        push_u64(out, self);
     }
+}
+
+/// Appends `v` in decimal — what `write!(out, "{v}")` appends, without
+/// the `fmt` machinery: integers are most of what a trace line holds.
+/// Public for the bridge's topic encoder, which writes the same ids.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    // u64::MAX has twenty digits; filled from the back.
+    let mut digits = [0u8; 20];
+    let mut first = digits.len();
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[first..].iter().map(|&d| char::from(d)));
 }
 
 impl Field for bool {
@@ -316,14 +335,15 @@ impl TraceRecord {
     /// after the opening brace, for a caller that has opened the object
     /// with keys of its own (the bridge's `topic`).
     pub fn encode_body(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "\"seq\":{},\"t_us\":{},\"sub\":\"{}\",\"kind\":\"{}\"",
-            self.seq,
-            self.t_us,
-            self.event.subsystem().as_str(),
-            self.event.kind()
-        );
+        out.push_str("\"seq\":");
+        push_u64(out, self.seq);
+        out.push_str(",\"t_us\":");
+        push_u64(out, self.t_us);
+        out.push_str(",\"sub\":\"");
+        out.push_str(self.event.subsystem().as_str());
+        out.push_str("\",\"kind\":\"");
+        out.push_str(self.event.kind());
+        out.push('"');
         self.event.encode_fields(out);
         out.push_str("}\n");
     }
@@ -784,6 +804,42 @@ mod tests {
             },
         };
         assert!(nan.to_jsonl().contains("\"utility\":null"));
+    }
+
+    #[test]
+    fn integers_are_what_display_writes() {
+        let edges = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            10u64.pow(19) - 1,
+            10u64.pow(19),
+            u64::MAX,
+        ];
+        for v in edges {
+            let mut s = String::from("x");
+            push_u64(&mut s, v);
+            assert_eq!(s, format!("x{v}"));
+            // As `seq`, as `t_us` and as a payload field.
+            let r = TraceRecord {
+                t_us: v,
+                seq: v,
+                event: TraceEvent::MsgDelivered {
+                    from: v,
+                    to: 3,
+                    latency_us: v,
+                },
+            };
+            assert_eq!(
+                r.to_jsonl(),
+                format!(
+                    "{{\"seq\":{v},\"t_us\":{v},\"sub\":\"netsim\",\"kind\":\"msg_delivered\",\
+                     \"from\":{v},\"to\":3,\"latency_us\":{v}}}\n"
+                )
+            );
+        }
     }
 
     #[test]

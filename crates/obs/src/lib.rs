@@ -41,7 +41,7 @@ mod metrics;
 mod recorder;
 mod sink;
 
-pub use event::{DropCause, EventSchema, Subsystem, TraceEvent, TraceRecord};
+pub use event::{push_u64, DropCause, EventSchema, Subsystem, TraceEvent, TraceRecord};
 pub use metrics::{fnv1a, Histogram, HistogramSnapshot, MetricsDigest};
 pub use recorder::{Recorder, RecorderCheckpoint, SamplingConfig};
 pub use sink::{JsonlSink, NullSink, RingHandle, RingSink, SharedBytes, TraceSink};

@@ -9,11 +9,22 @@
 //! *bit-identical* to a bridgeless run. The matrix walks seeds
 //! {3, 17, 42} × all three overflow policies × fault profiles
 //! including a disconnect armed at every single flush boundary.
+//!
+//! That matrix compares a run with itself. The goldens at the bottom
+//! compare it with an earlier build: every cell's whole `BridgeReport`
+//! and the bytes the consumer received, and the exact call sequence a
+//! transport sees under a scripted offer/pump sequence, are pinned to
+//! literals, so a bridge whose behaviour under faults moves between
+//! commits fails here.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use iobt::bridge::{
     memory_pair, parse_command, Bridge, BridgeConfig, BridgeReport, ConnState, FaultyTransport,
-    MemoryEndpoint, OverflowPolicy, TransportFaultProfile,
+    MemoryEndpoint, OverflowPolicy, Transport, TransportError, TransportFaultProfile,
 };
+use iobt::obs::{fnv1a, TraceEvent, TraceRecord, TraceSink};
 use iobt::prelude::*;
 
 const SEEDS: [u64; 3] = [3, 17, 42];
@@ -71,11 +82,23 @@ fn bridged_run(
     policy: OverflowPolicy,
     profile: TransportFaultProfile,
 ) -> (EndStateDigest, u64, BridgeReport, MemoryEndpoint) {
+    bridged_run_sampled(seed, policy, profile, 16)
+}
+
+/// [`bridged_run`] keeping one record in `stride` per subsystem: 16 is a
+/// trickle the ring of 32 always holds, 1 is every record, which overflows
+/// it inside the first window.
+fn bridged_run_sampled(
+    seed: u64,
+    policy: OverflowPolicy,
+    profile: TransportFaultProfile,
+    stride: u32,
+) -> (EndStateDigest, u64, BridgeReport, MemoryEndpoint) {
     let (mem, peer) = memory_pair();
     let transport = FaultyTransport::new(mem, profile);
     let bridge = Bridge::new(bridge_config(seed, policy), Box::new(transport));
-    let recorder = Recorder::with_sink(Box::new(bridge.sink()))
-        .with_sampling(SamplingConfig::all(16));
+    let recorder =
+        Recorder::with_sink(Box::new(bridge.sink())).with_sampling(SamplingConfig::all(stride));
     let config = mission_config(recorder.clone());
     let scenario = scenario_for(seed);
     let mut runner = MissionRunner::new(&scenario, &config);
@@ -315,4 +338,224 @@ fn external_commands_enter_the_mission_once() {
     assert_eq!(report.cmds_applied, 1, "one (src, seq) applies exactly once");
     assert!(report.cmds_dup >= 2, "replays are counted, not re-applied");
     assert!(report.accounted());
+}
+
+/// One line per ledger: every `BridgeReport` field, in declaration order.
+fn ledger_line(r: &BridgeReport) -> String {
+    format!(
+        "emitted={} delivered={} dropped={} buffered={} heartbeats={} connects={} retries={} \
+         state={} cmds={}/{}/{}",
+        r.emitted,
+        r.delivered,
+        r.dropped,
+        r.buffered,
+        r.heartbeats,
+        r.connects,
+        r.retries,
+        r.state,
+        r.cmds_applied,
+        r.cmds_dup,
+        r.cmds_rejected
+    )
+}
+
+/// Recorded on the build before `Transport::send_batch` existed (PR 19):
+/// sampling stride, seed, overflow policy, profile → the ledger and
+/// FNV-1a of every byte the consumer received, torn and duplicated frames
+/// included. Stride 16 is the chaos matrix's own trickle, which the ring
+/// always holds; stride 1 overflows it, so the policies tell apart.
+const PINNED_RUNS: &[&str] = &[
+    "1/16 3 oldest benign: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=d377180437a0cdbd",
+    "1/16 3 oldest chaos: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=0 connects=7 retries=1 state=connected cmds=0/0/0 egress=decd4bce9002d20f",
+    "1/16 3 newest benign: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=d377180437a0cdbd",
+    "1/16 3 newest chaos: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=0 connects=7 retries=1 state=connected cmds=0/0/0 egress=decd4bce9002d20f",
+    "1/16 3 block4 benign: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=d377180437a0cdbd",
+    "1/16 3 block4 chaos: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=0 connects=7 retries=1 state=connected cmds=0/0/0 egress=decd4bce9002d20f",
+    "1/16 17 oldest benign: emitted=7 delivered=7 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=e410cdd2b4dc0219",
+    "1/16 17 oldest chaos: emitted=7 delivered=7 dropped=0 buffered=0 heartbeats=0 connects=8 retries=0 state=connected cmds=0/0/0 egress=e879c5cc0bcfb66f",
+    "1/16 17 newest benign: emitted=7 delivered=7 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=e410cdd2b4dc0219",
+    "1/16 17 newest chaos: emitted=7 delivered=7 dropped=0 buffered=0 heartbeats=0 connects=8 retries=0 state=connected cmds=0/0/0 egress=e879c5cc0bcfb66f",
+    "1/16 17 block4 benign: emitted=7 delivered=7 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=e410cdd2b4dc0219",
+    "1/16 17 block4 chaos: emitted=7 delivered=7 dropped=0 buffered=0 heartbeats=0 connects=8 retries=0 state=connected cmds=0/0/0 egress=e879c5cc0bcfb66f",
+    "1/16 42 oldest benign: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=71789711d34b66e7",
+    "1/16 42 oldest chaos: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=5 retries=0 state=connected cmds=0/0/0 egress=efbfc095d7120078",
+    "1/16 42 newest benign: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=71789711d34b66e7",
+    "1/16 42 newest chaos: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=5 retries=0 state=connected cmds=0/0/0 egress=efbfc095d7120078",
+    "1/16 42 block4 benign: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=71789711d34b66e7",
+    "1/16 42 block4 chaos: emitted=8 delivered=8 dropped=0 buffered=0 heartbeats=2 connects=5 retries=0 state=connected cmds=0/0/0 egress=efbfc095d7120078",
+    "1/1 3 oldest benign: emitted=92 delivered=64 dropped=28 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=31c89998ef823aa2",
+    "1/1 3 oldest chaos: emitted=92 delivered=35 dropped=57 buffered=0 heartbeats=4 connects=24 retries=8 state=connected cmds=0/0/0 egress=fd5270f0b15c62ba",
+    "1/1 3 newest benign: emitted=92 delivered=64 dropped=28 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=025c2f5aac742a3e",
+    "1/1 3 newest chaos: emitted=92 delivered=35 dropped=57 buffered=0 heartbeats=4 connects=24 retries=8 state=connected cmds=0/0/0 egress=57d1f9fbb5bf91ef",
+    "1/1 3 block4 benign: emitted=92 delivered=77 dropped=15 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=2d6db04f80295084",
+    "1/1 3 block4 chaos: emitted=92 delivered=35 dropped=57 buffered=0 heartbeats=4 connects=24 retries=8 state=connected cmds=0/0/0 egress=57d1f9fbb5bf91ef",
+    "1/1 17 oldest benign: emitted=72 delivered=64 dropped=8 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=638cbbd0e355c853",
+    "1/1 17 oldest chaos: emitted=72 delivered=37 dropped=35 buffered=0 heartbeats=1 connects=19 retries=6 state=connected cmds=0/0/0 egress=5414989a20fcd097",
+    "1/1 17 newest benign: emitted=72 delivered=64 dropped=8 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=41d83dfc961cffc8",
+    "1/1 17 newest chaos: emitted=72 delivered=37 dropped=35 buffered=0 heartbeats=1 connects=19 retries=6 state=connected cmds=0/0/0 egress=5fa6d0855e0c4d92",
+    "1/1 17 block4 benign: emitted=72 delivered=67 dropped=5 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=353a768e14f8eedf",
+    "1/1 17 block4 chaos: emitted=72 delivered=37 dropped=35 buffered=0 heartbeats=1 connects=19 retries=6 state=connected cmds=0/0/0 egress=5fa6d0855e0c4d92",
+    "1/1 42 oldest benign: emitted=86 delivered=64 dropped=22 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=ed768945b9517f12",
+    "1/1 42 oldest chaos: emitted=86 delivered=39 dropped=47 buffered=0 heartbeats=8 connects=29 retries=7 state=connected cmds=0/0/0 egress=6f5571def213e969",
+    "1/1 42 newest benign: emitted=86 delivered=64 dropped=22 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=ca6c5a6ff4a47344",
+    "1/1 42 newest chaos: emitted=86 delivered=39 dropped=47 buffered=0 heartbeats=8 connects=29 retries=7 state=connected cmds=0/0/0 egress=7d0a416494bd3d82",
+    "1/1 42 block4 benign: emitted=86 delivered=73 dropped=13 buffered=0 heartbeats=2 connects=1 retries=0 state=connected cmds=0/0/0 egress=7b771291f94ca6db",
+    "1/1 42 block4 chaos: emitted=86 delivered=39 dropped=47 buffered=0 heartbeats=8 connects=29 retries=7 state=connected cmds=0/0/0 egress=7d0a416494bd3d82",
+];
+
+/// The chaos matrix again, against an earlier build instead of against
+/// itself: what the bridge delivered, dropped, retried and put on the
+/// wire under each fault schedule is part of its contract (the faulty
+/// transport keys its schedule on the order of `send` calls, so a bridge
+/// that drives its transport differently lands different faults).
+#[test]
+fn bridge_reports_and_egress_bytes_are_pinned() {
+    let mut lines = Vec::new();
+    for stride in [16, 1] {
+        for seed in SEEDS {
+            for (policy, policy_name) in POLICIES.into_iter().zip(["oldest", "newest", "block4"]) {
+                for (profile, profile_name) in [
+                    (TransportFaultProfile::benign(seed), "benign"),
+                    (TransportFaultProfile::chaos(seed), "chaos"),
+                ] {
+                    let (_, _, report, peer) = bridged_run_sampled(seed, policy, profile, stride);
+                    let egress = fnv1a(&peer.take_frames().concat());
+                    lines.push(format!(
+                        "1/{stride} {seed} {policy_name} {profile_name}: {} egress={egress:016x}",
+                        ledger_line(&report)
+                    ));
+                }
+            }
+        }
+    }
+    assert_eq!(lines, PINNED_RUNS, "got:\n{}", lines.join("\n"));
+}
+
+/// What a [`ScriptedTransport`] was asked to do, one line per call, and
+/// which `send` ordinals (0-based, heartbeats included) it must fail.
+#[derive(Default)]
+struct Script {
+    log: String,
+    sends: u64,
+    fail_send: Vec<(u64, TransportError)>,
+}
+
+/// A transport that implements the four required methods only, logs each
+/// call with its outcome, and fails the scripted sends.
+struct ScriptedTransport(Rc<RefCell<Script>>);
+
+impl Transport for ScriptedTransport {
+    fn connect(&mut self) -> Result<(), TransportError> {
+        self.0.borrow_mut().log.push_str("connect\n");
+        Ok(())
+    }
+
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        let mut s = self.0.borrow_mut();
+        let ordinal = s.sends;
+        s.sends += 1;
+        let planned = s.fail_send.iter().find(|(at, _)| *at == ordinal);
+        let outcome = planned.map_or(Ok(()), |(_, e)| Err(*e));
+        let line = format!("send#{ordinal} {} {outcome:?}\n", frame.len());
+        s.log.push_str(&line);
+        outcome
+    }
+
+    fn recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+        self.0.borrow_mut().log.push_str("recv\n");
+        Ok(None)
+    }
+
+    fn close(&mut self) {
+        self.0.borrow_mut().log.push_str("close\n");
+    }
+}
+
+/// Recorded on the build before `Transport::send_batch` existed (PR 19).
+/// `send` calls, and FNV-1a of the whole log.
+const PINNED_CALL_LOG: (u64, u64) = (21, 0x8482969dca5934fd);
+
+/// A transport that does not override `send_batch` sees one `send` per
+/// frame, in ring order, stopping at the first failure — the sequence a
+/// decorator's fault schedule is keyed on. The script walks a `Block`
+/// overflow flushed inline, a `Busy` in the middle of a pump batch, a
+/// `Disconnected` in the middle of the next, the resend after reconnect,
+/// and inline flushes that stall and then die.
+#[test]
+fn a_transport_without_send_batch_sees_the_same_calls() {
+    let script = Rc::new(RefCell::new(Script {
+        // 3: second frame of the first pump batch. 8: second frame of a
+        // later batch. 13: an inline flush stalls once. 15: an inline
+        // flush finds the link dead. 19: a heartbeat stalls, and the
+        // batch behind it still goes out.
+        fail_send: vec![
+            (3, TransportError::Busy),
+            (8, TransportError::Disconnected),
+            (13, TransportError::Busy),
+            (15, TransportError::Disconnected),
+            (19, TransportError::Busy),
+        ],
+        ..Script::default()
+    }));
+    let bridge = Bridge::new(
+        BridgeConfig {
+            mission: 9,
+            ring_capacity: 4,
+            overflow: OverflowPolicy::Block { deadline: 3 },
+            heartbeat_every: 3,
+            batch_per_tick: 3,
+            ..BridgeConfig::default()
+        },
+        Box::new(ScriptedTransport(Rc::clone(&script))),
+    );
+    let mut sink = bridge.sink();
+    let mut seq = 0u64;
+    let mut offer = |n: u64| {
+        for _ in 0..n {
+            // Frame lengths vary with the digits of `seq` and `to`.
+            let event = TraceEvent::MsgSent {
+                from: seq % 7,
+                to: seq * seq * 1_000,
+            };
+            sink.accept(&TraceRecord {
+                t_us: seq * 250,
+                seq,
+                event,
+            });
+            seq += 1;
+        }
+    };
+    let mark = |what: &str| {
+        let line = format!("-- {what}: {}\n", ledger_line(&bridge.report()));
+        script.borrow_mut().log.push_str(&line);
+    };
+
+    bridge.pump();
+    mark("connected");
+    offer(6); // four fill the ring, two are flushed in inline
+    mark("offered 6 into a ring of 4");
+    bridge.pump(); // one frame out, then Busy
+    mark("stalled mid-batch");
+    bridge.pump_n(2); // the degraded probe succeeds and the batch follows it
+    mark("recovered");
+    offer(4);
+    bridge.pump(); // one frame out, then Disconnected
+    mark("cut mid-batch");
+    bridge.pump_n(2); // redial, heartbeat, resend from the ring front
+    mark("reconnected");
+    offer(6); // refill; inline flushes stall once, then the link dies
+    mark("inline flush died");
+    offer(1); // reconnecting: no inline flush, dropped at once
+    let drained = bridge.drain(50);
+    mark("drained");
+
+    let s = script.borrow();
+    assert_eq!(drained, Ok(2), "log:\n{}", s.log);
+    assert!(bridge.report().accounted());
+    assert_eq!(
+        (s.sends, fnv1a(s.log.as_bytes())),
+        PINNED_CALL_LOG,
+        "log:\n{}",
+        s.log
+    );
 }
