@@ -10,7 +10,7 @@ use iobt_ckpt::{Dec, DecodeError, Enc, Wire};
 use iobt_types::{Point, RadioKind};
 use rand::Rng;
 
-use crate::terrain::Terrain;
+use crate::terrain::{Clutter, Terrain};
 
 /// Reference path loss at 1 m, in dB (2.4 GHz-class radios).
 pub const REFERENCE_LOSS_DB: f64 = 40.0;
@@ -144,8 +144,7 @@ impl Channel {
     /// [`Channel::path_loss_db`] between endpoints whose distance the
     /// caller already holds.
     pub(crate) fn path_loss_over(&self, from: Point, to: Point, distance_m: f64) -> f64 {
-        let n = self.terrain.clutter_between(from, to).path_loss_exponent();
-        REFERENCE_LOSS_DB + 10.0 * n * distance_m.max(1.0).log10()
+        log_distance_loss_db(self.terrain.clutter_between(from, to), distance_m)
     }
 
     /// Received power at `to` for a transmitter of `tx_power_w` at `from`,
@@ -182,13 +181,20 @@ impl Channel {
         to: Point,
         radio: RadioKind,
     ) -> f64 {
-        let sigma = self.terrain.clutter_between(from, to).shadowing_sigma_db();
-        // Box-Muller-free: rand_distr is available but a simple sum of
-        // uniforms (Irwin-Hall, n=12) gives a good normal with exactly one
-        // RNG word per uniform and no rejection loop.
-        let z: f64 = (0..12).map(|_| rng.gen::<f64>()).sum::<f64>() - 6.0;
-        let sinr = self.sinr_db(from, to, radio) + z * sigma;
-        logistic((sinr - SINR_MIDPOINT_DB) / SINR_SLOPE_DB)
+        sample_delivery(rng, self.hop_budget(from, to, radio))
+    }
+
+    /// What every transmission over one hop shares: the link's mean SINR
+    /// (bit-equal to [`Channel::sinr_db`]) and its shadowing spread, from
+    /// one terrain walk between the endpoints.
+    pub(crate) fn hop_budget(&self, from: Point, to: Point, radio: RadioKind) -> HopBudget {
+        let clutter = self.terrain.clutter_between(from, to);
+        let path_loss_db = log_distance_loss_db(clutter, from.distance_to(to));
+        HopBudget {
+            sinr_db: watts_to_dbm(radio.tx_power_w()) - path_loss_db - self.noise_dbm(to)
+                - self.extra_loss_db,
+            sigma_db: clutter.shadowing_sigma_db(),
+        }
     }
 
     /// Expected (shadowing-averaged) delivery probability; used for link
@@ -224,6 +230,31 @@ impl Channel {
 pub(crate) struct LinkBudget {
     pub(crate) path_loss_db: f64,
     pub(crate) noise_dbm: f64,
+}
+
+/// A hop's share of [`Channel::delivery_probability`], from
+/// [`Channel::hop_budget`]; valid for the channel state and endpoint
+/// positions it was computed under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct HopBudget {
+    sinr_db: f64,
+    sigma_db: f64,
+}
+
+/// One transmission's delivery probability over a hop: samples
+/// log-normal shadowing around the budget's mean SINR.
+pub(crate) fn sample_delivery<R: Rng + ?Sized>(rng: &mut R, budget: HopBudget) -> f64 {
+    // Box-Muller-free: rand_distr is available but a simple sum of
+    // uniforms (Irwin-Hall, n=12) gives a good normal with exactly one
+    // RNG word per uniform and no rejection loop.
+    let z: f64 = (0..12).map(|_| rng.gen::<f64>()).sum::<f64>() - 6.0;
+    let sinr = budget.sinr_db + z * budget.sigma_db;
+    logistic((sinr - SINR_MIDPOINT_DB) / SINR_SLOPE_DB)
+}
+
+/// The log-distance law: path loss over `distance_m` through `clutter`.
+fn log_distance_loss_db(clutter: Clutter, distance_m: f64) -> f64 {
+    REFERENCE_LOSS_DB + 10.0 * clutter.path_loss_exponent() * distance_m.max(1.0).log10()
 }
 
 impl Default for Channel {
@@ -337,6 +368,54 @@ mod tests {
                 let tx_dbm = watts_to_dbm(radio.tx_power_w());
                 let budgeted = ch.mean_delivery_probability_at(budget, tx_dbm);
                 assert_eq!(plain.to_bits(), budgeted.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_hop_budget_samples_what_each_attempt_computed_alone() {
+        // `delivery_probability` as it was before hops shared a budget:
+        // two terrain walks per attempt, one for the spread and one
+        // inside `sinr_db`.
+        fn per_attempt(
+            ch: &Channel,
+            rng: &mut StdRng,
+            from: Point,
+            to: Point,
+            radio: RadioKind,
+        ) -> f64 {
+            let sigma = ch.terrain.clutter_between(from, to).shadowing_sigma_db();
+            let z: f64 = (0..12).map(|_| rng.gen::<f64>()).sum::<f64>() - 6.0;
+            let sinr = ch.sinr_db(from, to, radio) + z * sigma;
+            logistic((sinr - SINR_MIDPOINT_DB) / SINR_SLOPE_DB)
+        }
+        let bounds = Rect::square(3_000.0);
+        for seed in 0..3u64 {
+            let mut ch = Channel::new(Terrain::random_urban(bounds, 12, 12, seed));
+            let jammer = ch.add_jammer(Jammer::new(Point::new(1_400.0, 1_600.0), 4.0));
+            // 1.3 dB is not a round number next to the noise floor, so a
+            // reassociated `- noise - extra` rounds differently there.
+            let states = [false, true].into_iter().flat_map(|j| [(j, 0.0), (j, 3.0), (j, 1.3)]);
+            for (jamming, extra_db) in states {
+                ch.set_jammer_active(jammer, jamming);
+                ch.set_extra_loss_db(extra_db);
+                let mut hops = StdRng::seed_from_u64(seed);
+                let (mut before, mut after) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+                for _ in 0..300 {
+                    let x = hops.gen_range(0.0..3_000.0);
+                    let from = Point::new(x, hops.gen_range(0.0..3_000.0));
+                    let reach = [0.0, 0.5, 30.0, 400.0, 2_500.0][hops.gen_range(0..5usize)];
+                    let (r, phi) = (hops.gen_range(0.0..=reach), hops.gen_range(0.0..6.3f64));
+                    let to = Point::new(from.x + r * phi.cos(), from.y + r * phi.sin());
+                    let radio = RadioKind::ALL[hops.gen_range(0..RadioKind::ALL.len())];
+                    let budget = ch.hop_budget(from, to, radio);
+                    for attempt in 0..hops.gen_range(1..4) {
+                        let want = per_attempt(&ch, &mut before, from, to, radio);
+                        let got = sample_delivery(&mut after, budget);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{from:?} -> {to:?} #{attempt}");
+                        assert_eq!(after.state(), before.state());
+                    }
+                }
             }
         }
     }

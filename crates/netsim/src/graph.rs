@@ -23,8 +23,10 @@
 //!   rebuilding the whole graph (see the sim's dirty-tracking for the
 //!   rules).
 //! * **One routing path** — every search is an early-exit Dijkstra over
-//!   reused scratch. The graph caches no routes; the simulator keeps
-//!   each source's last answer for as long as the topology stands.
+//!   reused scratch whose indexed 4-ary heap holds each node at most
+//!   once and pops it once, at its final distance. The graph caches no
+//!   routes; the simulator keeps each source's last answer for as long
+//!   as the topology stands.
 //! * **Reachability is a component** — links are undirected and every
 //!   weight is finite, so "who can reach this node" is one `O(V + E)`
 //!   sweep ([`ConnectivityGraph::component_of`]), not a route per asker.
@@ -37,7 +39,7 @@
 //!   predicate is asked last, about pairs that would otherwise link.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use iobt_types::{NodeId, Point, RadioKind};
@@ -431,13 +433,19 @@ impl ConnectivityGraph {
     /// [`ConnectivityGraph::route`] on dense indices with caller-owned
     /// scratch space: the form the simulator uses for every message.
     ///
-    /// The per-query distance/predecessor state is epoch-stamped instead
-    /// of cleared and the heap keeps its capacity; the returned path is
-    /// built in the scratch's path buffer and moved out, so a caller
-    /// that hands it back with [`RouteScratch::recycle`] pays no
-    /// allocation per query once the scratch has warmed up. Stale heap
-    /// entries — nodes already settled via a cheaper path — are skipped
-    /// on pop.
+    /// The per-query node state is epoch-stamped instead of cleared and
+    /// the heap keeps its capacity; the returned path is built in the
+    /// scratch's path buffer and moved out, so a caller that hands it
+    /// back with [`RouteScratch::recycle`] pays no allocation per query
+    /// once the scratch has warmed up.
+    ///
+    /// A cheaper path to a queued node lowers its key in place, so every
+    /// node is queued once and popped once. Keys order by cost
+    /// (`total_cmp`), then node index. A lazy-deletion heap of `(cost,
+    /// node)` entries pops in the same order — its live entries are
+    /// exactly the queued nodes at their current cost, and it skips the
+    /// stale ones — so both settle the same nodes with the same
+    /// predecessors; a unit test holds the two searches equal.
     pub(crate) fn route_idx_with(
         &self,
         scratch: &mut RouteScratch,
@@ -453,30 +461,22 @@ impl ConnectivityGraph {
             return Some(path);
         }
         scratch.reset(self.ids.len());
-        scratch.set(s, 0.0, u32::MAX);
-        scratch.heap.push(HeapEntry { cost: 0.0, node: s });
-        while let Some(HeapEntry { cost, node }) = scratch.heap.pop() {
-            if cost > scratch.dist(node) {
-                continue; // stale entry: settled earlier via a cheaper path
-            }
+        scratch.relax(s, 0.0, u32::MAX);
+        while let Some(Frontier { cost, node }) = scratch.pop() {
             if node == d {
                 break;
             }
             for e in &self.adj[node as usize] {
-                let nd = cost + e.weight;
-                if nd < scratch.dist(e.to) {
-                    scratch.set(e.to, nd, node);
-                    scratch.heap.push(HeapEntry { cost: nd, node: e.to });
-                }
+                scratch.relax(e.to, cost + e.weight, node);
             }
         }
-        if scratch.dist(d).is_infinite() {
+        if !scratch.touched(d) {
             scratch.path = path;
             return None;
         }
         let mut cur = d;
         while cur != s {
-            cur = scratch.prev(cur);
+            cur = scratch.slots[cur as usize].prev;
             path.push(cur);
         }
         path.reverse();
@@ -653,19 +653,59 @@ impl<'a> PairKernel<'a> {
     }
 }
 
-/// Reusable Dijkstra working state for `ConnectivityGraph::route_idx_with`.
+/// Reusable Dijkstra working state for `ConnectivityGraph::route_idx_with`:
+/// one [`Slot`] per node and an indexed 4-ary min-heap of the queued ones.
 ///
-/// Distance and predecessor slots are validated by an epoch stamp, so
-/// starting a new query is `O(1)` — no per-node clearing — and the heap
-/// and path buffer keep their capacity across queries.
+/// Slots are validated by an epoch stamp, so starting a new query is
+/// `O(1)` — no per-node clearing — and the heap and path buffer keep
+/// their capacity across queries.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteScratch {
-    dist: Vec<f64>,
-    prev: Vec<u32>,
-    stamp: Vec<u32>,
+    slots: Vec<Slot>,
     epoch: u32,
-    heap: BinaryHeap<HeapEntry>,
+    /// The queued nodes at their current cost, each parent preceding its
+    /// [`ARITY`] children under [`Frontier::precedes`]; an entry's index
+    /// here is its node's [`Slot::pos`].
+    heap: Vec<Frontier>,
     path: Vec<u32>,
+}
+
+/// One node's search state; meaningful only while `stamp` is the
+/// scratch's epoch, i.e. once the current search has reached the node.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    dist: f64,
+    prev: u32,
+    stamp: u32,
+    /// Index of the node's heap entry while queued; [`SETTLED`] once
+    /// popped.
+    pos: u32,
+}
+
+/// [`Slot::pos`] of a node the current search has popped.
+const SETTLED: u32 = u32::MAX;
+
+/// Children per heap node: a shallower heap than a binary one, for the
+/// price of comparing up to four children on the way down.
+const ARITY: usize = 4;
+
+/// A heap entry: a node on the search frontier and its cost so far.
+#[derive(Debug, Clone, Copy)]
+struct Frontier {
+    cost: f64,
+    node: u32,
+}
+
+impl Frontier {
+    /// Whether `self` pops before `other`: cheaper, or as cheap with a
+    /// lower node index (a total order, so the minimum is unique).
+    #[inline]
+    fn precedes(&self, other: &Self) -> bool {
+        self.cost
+            .total_cmp(&other.cost)
+            .then(self.node.cmp(&other.node))
+            == Ordering::Less
+    }
 }
 
 impl RouteScratch {
@@ -688,72 +728,110 @@ impl RouteScratch {
         self.path = path;
     }
 
-    /// Begins a new query over `n` nodes.
+    /// Begins a new query over `n` nodes. Slots a resize adds carry stamp
+    /// 0, which no epoch takes, and the epoch only grows until it wraps.
     fn reset(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, f64::INFINITY);
-            self.prev.resize(n, u32::MAX);
-            self.stamp.resize(n, 0);
-            // A resize may keep a prefix whose stamps collide with a
-            // restarted epoch sequence; invalidate everything.
-            self.stamp.fill(0);
-            self.epoch = 0;
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
         }
         self.heap.clear();
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
             None => {
                 // Stamp wrap-around: invalidate everything explicitly.
-                self.stamp.fill(0);
+                self.slots.iter_mut().for_each(|slot| slot.stamp = 0);
                 1
             }
         };
     }
 
+    /// Whether the current search has reached node `i`.
     #[inline]
-    fn dist(&self, i: u32) -> f64 {
-        if self.stamp[i as usize] == self.epoch {
-            self.dist[i as usize]
+    fn touched(&self, i: u32) -> bool {
+        self.slots[i as usize].stamp == self.epoch
+    }
+
+    /// Offers node `i` the cost `cost` via `prev`: queues it if the
+    /// search has not reached it, lowers its key if `cost` beats the one
+    /// it is queued at, and otherwise leaves it alone. A settled node is
+    /// never beaten — weights are at least `-0.0` and pops come in
+    /// non-decreasing cost — so a settled slot's `pos` is never read.
+    #[inline]
+    fn relax(&mut self, i: u32, cost: f64, prev: u32) {
+        let epoch = self.epoch;
+        let slot = &mut self.slots[i as usize];
+        let at = if slot.stamp != epoch {
+            *slot = Slot { dist: cost, prev, stamp: epoch, pos: 0 };
+            self.heap.push(Frontier { cost, node: i });
+            self.heap.len() - 1
+        } else if cost < slot.dist {
+            debug_assert_ne!(slot.pos, SETTLED, "a settled node was beaten");
+            slot.dist = cost;
+            slot.prev = prev;
+            self.heap[slot.pos as usize].cost = cost;
+            slot.pos as usize
         } else {
-            f64::INFINITY
+            return;
+        };
+        self.sift_up(at);
+    }
+
+    /// Removes and returns the first queued node, marking it settled.
+    fn pop(&mut self) -> Option<Frontier> {
+        let last = self.heap.pop()?;
+        let top = match self.heap.first_mut() {
+            Some(root) => {
+                let top = std::mem::replace(root, last);
+                self.sift_down(0);
+                top
+            }
+            None => last,
+        };
+        self.slots[top.node as usize].pos = SETTLED;
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut at: usize) {
+        let item = self.heap[at];
+        while at > 0 {
+            let parent = (at - 1) / ARITY;
+            if !item.precedes(&self.heap[parent]) {
+                break;
+            }
+            self.place(at, self.heap[parent]);
+            at = parent;
         }
+        self.place(at, item);
     }
 
+    fn sift_down(&mut self, mut at: usize) {
+        let item = self.heap[at];
+        loop {
+            let first = at * ARITY + 1;
+            let end = (first + ARITY).min(self.heap.len());
+            if first >= end {
+                break;
+            }
+            let mut best = first;
+            for child in first + 1..end {
+                if self.heap[child].precedes(&self.heap[best]) {
+                    best = child;
+                }
+            }
+            if !self.heap[best].precedes(&item) {
+                break;
+            }
+            self.place(at, self.heap[best]);
+            at = best;
+        }
+        self.place(at, item);
+    }
+
+    /// Writes `item` at heap index `at` and records the index in its slot.
     #[inline]
-    fn prev(&self, i: u32) -> u32 {
-        debug_assert_eq!(self.stamp[i as usize], self.epoch);
-        self.prev[i as usize]
-    }
-
-    #[inline]
-    fn set(&mut self, i: u32, dist: f64, prev: u32) {
-        self.dist[i as usize] = dist;
-        self.prev[i as usize] = prev;
-        self.stamp[i as usize] = self.epoch;
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    node: u32,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on cost; tie-break on node index for determinism.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    fn place(&mut self, at: usize, item: Frontier) {
+        self.heap[at] = item;
+        self.slots[item.node as usize].pos = at as u32;
     }
 }
 
@@ -795,6 +873,202 @@ mod tests {
             }
         }
         best
+    }
+
+    /// The search `route_idx_with` ran before its heap was indexed, kept
+    /// as its oracle: a lazy-deletion binary heap that pushes an entry on
+    /// every improvement and skips stale ones on pop. Returns the path
+    /// and how many nodes it settled (popped at their final cost and
+    /// expanded; the destination's pop ends the search unexpanded).
+    fn lazy_heap_route(g: &ConnectivityGraph, s: u32, d: u32) -> (Option<Vec<u32>>, usize) {
+        use std::collections::BinaryHeap;
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        struct HeapEntry {
+            cost: f64,
+            node: u32,
+        }
+
+        impl Eq for HeapEntry {}
+
+        impl Ord for HeapEntry {
+            fn cmp(&self, other: &Self) -> Ordering {
+                // Min-heap on cost; tie-break on node index for determinism.
+                other
+                    .cost
+                    .total_cmp(&self.cost)
+                    .then_with(|| other.node.cmp(&self.node))
+            }
+        }
+
+        impl PartialOrd for HeapEntry {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let n = g.ids.len();
+        if s as usize >= n || d as usize >= n {
+            return (None, 0);
+        }
+        if s == d {
+            return (Some(vec![d]), 0);
+        }
+        let (mut dist, mut prev) = (vec![f64::INFINITY; n], vec![u32::MAX; n]);
+        let mut heap = BinaryHeap::new();
+        let mut settled = 0;
+        dist[s as usize] = 0.0;
+        heap.push(HeapEntry { cost: 0.0, node: s });
+        while let Some(HeapEntry { cost, node }) = heap.pop() {
+            if cost > dist[node as usize] {
+                continue; // stale entry: settled earlier via a cheaper path
+            }
+            if node == d {
+                break;
+            }
+            settled += 1;
+            for e in &g.adj[node as usize] {
+                let nd = cost + e.weight;
+                if nd < dist[e.to as usize] {
+                    dist[e.to as usize] = nd;
+                    prev[e.to as usize] = node;
+                    heap.push(HeapEntry { cost: nd, node: e.to });
+                }
+            }
+        }
+        if dist[d as usize].is_infinite() {
+            return (None, settled);
+        }
+        let mut path = vec![d];
+        let mut cur = d;
+        while cur != s {
+            cur = prev[cur as usize];
+            path.push(cur);
+        }
+        path.reverse();
+        (Some(path), settled)
+    }
+
+    /// `route_idx_with` through `scratch` against [`lazy_heap_route`] for
+    /// every `(s, d)` over the graph's indices and `extra` out-of-range
+    /// ones, and after each search the heap's bookkeeping: every reached
+    /// node popped or queued exactly once (so the heap never held more
+    /// entries than nodes), each entry where its slot says, at its slot's
+    /// cost, below its parent, and one pop per settled node plus one for
+    /// a reached destination.
+    fn assert_searches_match_the_lazy_heap(
+        g: &ConnectivityGraph,
+        scratch: &mut RouteScratch,
+        extra: &[u32],
+    ) {
+        let n = g.len() as u32;
+        let indices: Vec<u32> = (0..n).chain(extra.iter().copied()).collect();
+        for &s in &indices {
+            for &d in &indices {
+                let got = g.route_idx_with(scratch, s, d);
+                let (want, settled) = lazy_heap_route(g, s, d);
+                assert_eq!(got, want, "route {s} -> {d}");
+                if s < n && d < n && s != d {
+                    let epoch = scratch.epoch;
+                    let reached = scratch.slots.iter().filter(|x| x.stamp == epoch);
+                    let popped = reached.clone().filter(|x| x.pos == SETTLED).count();
+                    assert_eq!(reached.count(), popped + scratch.heap.len(), "{s} -> {d}");
+                    for (at, q) in scratch.heap.iter().enumerate() {
+                        let slot = scratch.slots[q.node as usize];
+                        assert_eq!((slot.stamp, slot.pos as usize), (epoch, at));
+                        assert_eq!(slot.dist.to_bits(), q.cost.to_bits());
+                        assert!(at == 0 || !q.precedes(&scratch.heap[(at - 1) / ARITY]));
+                    }
+                    assert_eq!(popped, settled + usize::from(got.is_some()), "{s} -> {d}");
+                }
+                if let Some(path) = got {
+                    scratch.recycle(path);
+                }
+            }
+        }
+    }
+
+    /// A `cols`×`rows` wifi lattice at exactly `spacing_m`, ids row-major.
+    fn wifi_lattice(cols: u64, rows: u64, spacing_m: f64) -> Vec<GraphNode> {
+        (0..cols * rows)
+            .map(|i| {
+                let (x, y) = ((i % cols) as f64 * spacing_m, (i / cols) as f64 * spacing_m);
+                node(i, x, y, &[RadioKind::Wifi])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_heap_search_equals_the_lazy_heap_search() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut scratch = RouteScratch::new();
+        let out_of_range = |n: u32| [n, n + 5, u32::MAX];
+
+        // Random fields over mixed terrain and mixed loadouts, with dead
+        // and isolated nodes among them.
+        let loadouts: [&[RadioKind]; 5] = [
+            &[RadioKind::Wifi],
+            &[RadioKind::Wifi, RadioKind::TacticalUhf],
+            &[RadioKind::TacticalUhf],
+            &[RadioKind::Cellular, RadioKind::Wifi],
+            &[RadioKind::Bluetooth],
+        ];
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bounds = Rect::square(1_500.0);
+            let ch = Channel::new(Terrain::random_urban(bounds, 12, 12, seed));
+            let mut nodes: Vec<GraphNode> = (0..70)
+                .map(|i| {
+                    let (x, y) = (rng.gen_range(0.0..1_500.0), rng.gen_range(0.0..1_500.0));
+                    let mut n = node(i, x, y, loadouts[rng.gen_range(0..loadouts.len())]);
+                    n.alive = rng.gen_range(0..10) != 0;
+                    n
+                })
+                .collect();
+            nodes.push(node(70, 1_499.0, 1_499.0, &[])); // isolated: no radio
+            let g = ConnectivityGraph::build(&nodes, &ch);
+            assert!(g.link_count() > 70, "seed {seed}: too sparse to test");
+            assert_searches_match_the_lazy_heap(&g, &mut scratch, &out_of_range(71));
+        }
+
+        // Equal-cost ties everywhere: a lattice at exact spacing, where
+        // straight, diagonal and stair-step paths sum the same weights.
+        let g = ConnectivityGraph::build(&wifi_lattice(12, 12, 60.0), &open_channel());
+        assert_searches_match_the_lazy_heap(&g, &mut scratch, &out_of_range(144));
+
+        // Zero-weight links: clusters of co-located nodes whose links
+        // saturate to p == 1.0, i.e. weight -0.0, joined by lossy ones.
+        let nodes: Vec<GraphNode> = (0..24)
+            .map(|i| {
+                let (cluster, k) = (i / 4, i % 4);
+                let x = (cluster % 3) as f64 * 80.0 + (k % 2) as f64;
+                let y = (cluster / 3) as f64 * 80.0 + (k / 2) as f64 * 0.5;
+                node(i, x, y, &[RadioKind::Wifi])
+            })
+            .collect();
+        let g = ConnectivityGraph::build(&nodes, &open_channel());
+        let zero = g.adj.iter().flatten().filter(|e| e.weight.to_bits() == (-0.0f64).to_bits());
+        assert!(zero.count() >= 6 * 12, "every cluster's links must saturate");
+        assert!(g.adj.iter().flatten().any(|e| e.weight > 0.0));
+        assert_searches_match_the_lazy_heap(&g, &mut scratch, &out_of_range(24));
+    }
+
+    #[test]
+    fn searches_across_the_epoch_wrap_match_a_fresh_scratch() {
+        let g = ConnectivityGraph::build(&wifi_lattice(12, 12, 60.0), &open_channel());
+        let mut warm = RouteScratch::new();
+        // The warm-up leaves stamp 1, the epoch the wrap restarts at, on
+        // most of the lattice; the search at `u32::MAX` is one hop, so it
+        // overwrites few of them.
+        let path = g.route_idx_with(&mut warm, 0, 143).expect("lattice is connected");
+        warm.recycle(path);
+        warm.epoch = u32::MAX - 1;
+        for (s, d) in [(70, 71), (143, 0), (132, 11)] {
+            let got = g.route_idx_with(&mut warm, s, d);
+            assert_eq!(got, g.route_idx_with(&mut RouteScratch::new(), s, d), "{s} -> {d}");
+            warm.recycle(got.expect("lattice is connected"));
+        }
+        assert_eq!(warm.epoch, 2, "the three searches ran at u32::MAX, 1 and 2");
     }
 
     #[test]

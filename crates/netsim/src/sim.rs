@@ -57,7 +57,7 @@ mod topology;
 pub use snapshot::{BehaviorRegistry, BehaviorSnapshot, SnapshotError};
 use topology::{Topology, World};
 
-use crate::channel::{Channel, Jammer};
+use crate::channel::{sample_delivery, Channel, Jammer};
 use crate::graph::{ConnectivityGraph, LinkQuality};
 use crate::message::Message;
 use crate::mobility::{MobilityModel, MobilityState};
@@ -873,14 +873,14 @@ impl Core {
     }
 
     /// Tries a hop up to `retries + 1` times; returns success and the
-    /// number of attempts consumed.
+    /// number of attempts consumed. Nothing moves between attempts, so
+    /// the hop's budget is computed once and each attempt only samples.
     fn attempt_hop(&mut self, from: u32, to: u32, link: LinkQuality) -> (bool, u32) {
         let from_pos = self.nodes[from as usize].mobility.position();
         let to_pos = self.nodes[to as usize].mobility.position();
+        let budget = self.channel.hop_budget(from_pos, to_pos, link.radio);
         for attempt in 1..=(self.retries + 1) {
-            let p = self
-                .channel
-                .delivery_probability(&mut self.rng, from_pos, to_pos, link.radio);
+            let p = sample_delivery(&mut self.rng, budget);
             if self.rng.gen::<f64>() < p {
                 return (true, attempt);
             }
