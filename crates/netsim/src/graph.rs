@@ -37,10 +37,21 @@
 //!   and relink: no shared radio, then too far for the longest shared
 //!   range, and only then a terrain walk and a logistic; the partition
 //!   predicate is asked last, about pairs that would otherwise link.
+//! * **Pairs on every core** — a full build of at least
+//!   `STRIPE_MIN_OWNERS` live, radio-equipped nodes cuts its owners into
+//!   one run of about equal work per core (at most `MAX_BUILD_STRIPES`),
+//!   each computed on a scoped thread of its own and the first on the
+//!   calling thread, which asks the partition predicate and files every
+//!   link in the order one thread would. The kernel is a pure function
+//!   of a pair and each adjacency list is sorted by its unique targets,
+//!   so the graph is the same whatever the thread count or schedule. A
+//!   single-node relink stays on the calling thread.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::OnceLock;
+use std::{panic, thread};
 
 use iobt_types::{NodeId, Point, RadioKind};
 
@@ -168,7 +179,9 @@ impl ConnectivityGraph {
     /// `O(n + pairs-within-range)` while that range is small against the
     /// theatre, and `O(n^2)` cheap rejects when it spans it — 1,001 nodes
     /// with tactical UHF on a 3 km square file into one bucket and all
-    /// 500,500 pairs meet the kernel.
+    /// 500,500 pairs meet the kernel. A build with enough nodes computes
+    /// its pairs on every core the process may use (see the module doc);
+    /// the result does not depend on how many there are.
     pub fn build(nodes: &[GraphNode], channel: &Channel) -> Self {
         Self::build_filtered(nodes, channel, &|_, _| false)
     }
@@ -177,8 +190,9 @@ impl ConnectivityGraph {
     /// for which `deny(a, b)` returns true gets no link regardless of
     /// radio compatibility. This is how network-partition faults cut the
     /// topology without touching node liveness. The predicate must be
-    /// pure and symmetric; it is consulted once per unordered pair that
-    /// would otherwise link.
+    /// pure and symmetric; it is asked once about each unordered pair
+    /// that would otherwise link, always on the calling thread (so it
+    /// need not be `Sync`), in an unspecified order.
     pub fn build_filtered(
         nodes: &[GraphNode],
         channel: &Channel,
@@ -206,6 +220,36 @@ impl ConnectivityGraph {
         channel: &Channel,
         deny: &dyn Fn(NodeId, NodeId) -> bool,
     ) -> Self {
+        Self::build_striped(ids, index, nodes, channel, deny, stripes_for)
+    }
+
+    /// [`ConnectivityGraph::build_shared`] with the pair loop cut into
+    /// `T = stripes(owners)` stripes, where `owners` counts the live,
+    /// radio-equipped nodes; tests force `T` through it.
+    ///
+    /// The owners, in bucket-visiting order, are cut into `T` contiguous
+    /// runs of about equal weight ([`stripe_bounds`]): run 0 on the
+    /// calling thread, each other one on a scoped thread of its own. The
+    /// calling thread asks `deny` and files every link — run 0's as it
+    /// finds them, then each other run's in turn — so the predicate never
+    /// leaves it, and links reach the adjacency in exactly the order one
+    /// thread would file them. Each unordered pair is still computed once
+    /// by the same pure kernel, and each list is sorted by its unique `to`
+    /// keys at the end: the graph is the same for every `T`.
+    ///
+    /// Keep the one-thread filing order even though the bits would not
+    /// show another: it also allocates the lists in the one-thread
+    /// sequence, and route searches depend on that layout — the same
+    /// bits filed owner-interleaved searched 7–10 % slower
+    /// (EXPERIMENTS.md, "Every core builds the graph").
+    fn build_striped(
+        ids: Rc<[NodeId]>,
+        index: Rc<BTreeMap<NodeId, u32>>,
+        nodes: Vec<GraphNode>,
+        channel: &Channel,
+        deny: &dyn Fn(NodeId, NodeId) -> bool,
+        stripes: impl FnOnce(usize) -> usize,
+    ) -> Self {
         debug_assert_eq!(ids.len(), nodes.len());
         debug_assert!(nodes.iter().enumerate().all(|(i, n)| n.id == ids[i]));
         let n = nodes.len();
@@ -222,38 +266,75 @@ impl ConnectivityGraph {
                 .or_default()
                 .push(i as u32);
         }
-        let kernel = PairKernel::new(channel, deny);
-        let masks: Vec<u8> = nodes.iter().map(radio_mask).collect();
+        let kernel = PairKernel::new(channel);
+        let ends: Vec<PairEnd<'_>> = nodes.iter().map(PairEnd::of).collect();
+        // Each owner weighs one plus the members after it in its own
+        // bucket: the one-bucket triangle exactly (owner `i` of `n` meets
+        // `n - 1 - i` pairs), and near-uniform where buckets are small.
+        let owners: Vec<(u32, u32)> = buckets
+            .values()
+            .flat_map(|members| {
+                let m = members.len();
+                members
+                    .iter()
+                    .enumerate()
+                    .map(move |(rank, &i)| (i, (m - rank) as u32))
+            })
+            .filter(|&(i, _)| ends[i as usize].mask != 0)
+            .collect();
+        let stripes = stripes(owners.len()).max(1);
+        let bounds = stripe_bounds(&owners, stripes);
         // Each unordered pair is visited exactly once with the lower
         // index as owner, so no dedup pass is needed and the stored link
         // orientation is deterministic regardless of bucket layout.
-        for (&(bx, by), members) in &buckets {
-            for &i in members {
-                if masks[i as usize] == 0 {
-                    continue;
-                }
+        let pairs = |stripe: usize, out: LinkSink<'_>| {
+            for &(i, _) in &owners[bounds[stripe]..bounds[stripe + 1]] {
+                let a = &ends[i as usize];
+                let (bx, by) = bucket_key(a.position, cell);
                 for dx in -1..=1 {
                     for dy in -1..=1 {
                         let Some(others) = buckets.get(&(bx + dx, by + dy)) else {
                             continue;
                         };
                         for &j in others {
-                            if j <= i {
-                                continue;
-                            }
-                            let (a, b) = (&nodes[i as usize], &nodes[j as usize]);
-                            if let Some(link) =
-                                kernel.link(a, masks[i as usize], b, masks[j as usize])
-                            {
-                                let edge = Edge::new(j, link);
-                                adj[i as usize].push(edge);
-                                adj[j as usize].push(Edge { to: i, ..edge });
+                            if j > i {
+                                if let Some(link) = kernel.link(a, &ends[j as usize]) {
+                                    out(i, j, link);
+                                }
                             }
                         }
                     }
                 }
             }
-        }
+        };
+        let mut file = |i: u32, j: u32, link: LinkQuality| {
+            if !deny(ids[i as usize], ids[j as usize]) {
+                let edge = Edge::new(j, link);
+                adj[i as usize].push(edge);
+                adj[j as usize].push(Edge { to: i, ..edge });
+            }
+        };
+        thread::scope(|scope| {
+            let pairs = &pairs;
+            let workers: Vec<_> = (1..stripes)
+                .map(|stripe| {
+                    let worker = thread::Builder::new()
+                        .spawn_scoped(scope, move || Found::record(|out| pairs(stripe, out)));
+                    (stripe, worker.ok())
+                })
+                .collect();
+            pairs(0, &mut file);
+            for (stripe, worker) in workers {
+                match worker {
+                    Some(worker) => {
+                        let found = worker.join().unwrap_or_else(|p| panic::resume_unwind(p));
+                        Found::replay(found, &ends, &mut file);
+                    }
+                    // The OS refused a thread: the same stripe, run here.
+                    None => pairs(stripe, &mut file),
+                }
+            }
+        });
         for list in &mut adj {
             list.sort_by_key(|e| e.to);
         }
@@ -330,14 +411,14 @@ impl ConnectivityGraph {
             }
         }
         self.nodes[iu].alive = alive;
-        let mask_i = radio_mask(&self.nodes[iu]);
-        if mask_i == 0 {
+        let end_i = PairEnd::of(&self.nodes[iu]);
+        if end_i.mask == 0 {
             return;
         }
-        let kernel = PairKernel::new(channel, deny);
+        let kernel = PairKernel::new(channel);
         // Rediscover links against the neighborhood, with the same
         // lower-index-owner orientation as a full build.
-        let (bx, by) = bucket_key(self.nodes[iu].position, self.cell_m);
+        let (bx, by) = bucket_key(end_i.position, self.cell_m);
         for dx in -1..=1 {
             for dy in -1..=1 {
                 let Some(others) = self.buckets.get(&(bx + dx, by + dy)) else {
@@ -347,13 +428,14 @@ impl ConnectivityGraph {
                     if j == i {
                         continue;
                     }
-                    let mask_j = radio_mask(&self.nodes[j as usize]);
-                    let (a, mask_a, b, mask_b) = if i < j {
-                        (iu, mask_i, j as usize, mask_j)
+                    let end_j = PairEnd::of(&self.nodes[j as usize]);
+                    let (a, b) = if i < j {
+                        (&end_i, &end_j)
                     } else {
-                        (j as usize, mask_j, iu, mask_i)
+                        (&end_j, &end_i)
                     };
-                    let link = kernel.link(&self.nodes[a], mask_a, &self.nodes[b], mask_b);
+                    let (owner, far) = (self.ids[i.min(j) as usize], self.ids[i.max(j) as usize]);
+                    let link = kernel.link(a, b).filter(|_| !deny(owner, far));
                     if let Some(link) = link {
                         let edge = Edge::new(j, link);
                         self.adj[iu].push(edge);
@@ -560,13 +642,121 @@ impl ConnectivityGraph {
     }
 }
 
-/// One bit per [`RadioKind`] a live node carries; `0` for a dead or
-/// radio-less node, which links to nothing.
-fn radio_mask(node: &GraphNode) -> u8 {
-    if !node.alive {
-        return 0;
+/// Threads that share one full build's pair loop, at most.
+const MAX_BUILD_STRIPES: usize = 8;
+
+/// A build with fewer owners than this runs its pair loop on the calling
+/// thread alone: below it, starting a thread costs about what the pairs
+/// it would take over do (EXPERIMENTS.md, "Every core builds the graph").
+const STRIPE_MIN_OWNERS: usize = 128;
+
+/// How many stripes a full build with `owners` owners runs in: one below
+/// [`STRIPE_MIN_OWNERS`], else the cores this process may run on, capped
+/// at [`MAX_BUILD_STRIPES`]. The core count is read once per process:
+/// asking re-reads the affinity mask and the cgroup quota, ~15 µs, half
+/// of what spawning and joining the thread costs.
+fn stripes_for(owners: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    if owners < STRIPE_MIN_OWNERS {
+        return 1;
     }
-    node.radios.iter().fold(0, |mask, &r| mask | 1 << r as u8)
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+    cores.min(MAX_BUILD_STRIPES)
+}
+
+/// Where each of `stripes` contiguous runs of `owners` (each with its
+/// weight) begins, then the end: run `s` begins at the first owner whose
+/// predecessors weigh at least `s / stripes` of the total. A run may be
+/// empty.
+fn stripe_bounds(owners: &[(u32, u32)], stripes: usize) -> Vec<usize> {
+    let total: u64 = owners.iter().map(|&(_, w)| u64::from(w)).sum();
+    let mut bounds = Vec::with_capacity(stripes + 1);
+    let mut before = 0u64;
+    for (k, &(_, w)) in owners.iter().enumerate() {
+        while bounds.len() < stripes && before * stripes as u64 >= bounds.len() as u64 * total {
+            bounds.push(k);
+        }
+        before += u64::from(w);
+    }
+    bounds.resize(stripes + 1, owners.len());
+    bounds
+}
+
+/// A node as the pair kernel reads it. Unlike [`GraphNode`], whose
+/// loadout is an `Rc`, it is `Sync`, so a build's worker threads can
+/// share one slice of them.
+#[derive(Debug, Clone, Copy)]
+struct PairEnd<'a> {
+    position: Point,
+    /// One bit per [`RadioKind`] a live node carries; `0` for a dead or
+    /// radio-less node, which links to nothing.
+    mask: u8,
+    /// The loadout in the node's own order, which breaks ties.
+    radios: &'a [RadioKind],
+}
+
+impl<'a> PairEnd<'a> {
+    fn of(node: &'a GraphNode) -> Self {
+        let mask = if node.alive {
+            node.radios.iter().fold(0, |mask, &r| mask | 1 << r as u8)
+        } else {
+            0
+        };
+        PairEnd {
+            position: node.position,
+            mask,
+            radios: &node.radios,
+        }
+    }
+}
+
+/// What a build's worker thread hands back, in the order it found it:
+/// each owner that has links, then those links as far end, radio and
+/// delivery probability. The distance is left out because the calling
+/// thread recomputes it bit for bit from the two positions; that keeps
+/// a record at 16 bytes, and the worker's buffer is what a striped build
+/// adds to peak memory.
+enum Found {
+    Owner(u32),
+    Link(u32, RadioKind, f64),
+}
+
+type LinkSink<'s> = &'s mut dyn FnMut(u32, u32, LinkQuality);
+
+impl Found {
+    /// Records the `(owner, far, link)` triples `pairs` emits.
+    fn record(pairs: impl FnOnce(LinkSink<'_>)) -> Vec<Found> {
+        let (mut found, mut owner) = (Vec::new(), None);
+        pairs(&mut |i, j, link| {
+            if owner != Some(i) {
+                owner = Some(i);
+                found.push(Found::Owner(i));
+            }
+            found.push(Found::Link(j, link.radio, link.delivery_prob));
+        });
+        found
+    }
+
+    /// Emits the triples [`Found::record`] recorded, in its order, each
+    /// distance computed as the kernel computed it.
+    fn replay(found: Vec<Found>, ends: &[PairEnd<'_>], out: LinkSink<'_>) {
+        let mut owner = 0;
+        for found in found {
+            match found {
+                Found::Owner(i) => owner = i,
+                Found::Link(j, radio, delivery_prob) => {
+                    let (a, b) = (&ends[owner as usize], &ends[j as usize]);
+                    let distance_m = a.position.distance_to(b.position);
+                    let link = LinkQuality {
+                        delivery_prob,
+                        radio,
+                        distance_m,
+                    };
+                    out(owner, j, link);
+                }
+            }
+        }
+    }
 }
 
 /// The pair test of a full build and of a single-node relink, with
@@ -574,11 +764,10 @@ fn radio_mask(node: &GraphNode) -> u8 {
 /// only skips work whose answer is already `None`: no shared radio among
 /// live nodes; squared distance beyond the longest shared nominal range,
 /// padded by `1 + 1e-9` so that no rounding can reject a pair the exact
-/// `distance_m > range` tests that follow accept; `deny`, pure and
-/// symmetric, asked only about a pair that has a link to lose.
+/// `distance_m > range` tests that follow accept. A pure function of its
+/// two ends; the partition predicate is its callers' to ask.
 struct PairKernel<'a> {
     channel: &'a Channel,
-    deny: &'a dyn Fn(NodeId, NodeId) -> bool,
     /// Indexed by shared-radio mask: the padded reject distance, squared.
     reach_sq: [f64; 1 << RadioKind::ALL.len()],
     /// Indexed by `RadioKind as usize`: transmit power in dBm.
@@ -587,7 +776,7 @@ struct PairKernel<'a> {
 }
 
 impl<'a> PairKernel<'a> {
-    fn new(channel: &'a Channel, deny: &'a dyn Fn(NodeId, NodeId) -> bool) -> Self {
+    fn new(channel: &'a Channel) -> Self {
         let mut reach_sq = [0.0; 1 << RadioKind::ALL.len()];
         for (mask, slot) in reach_sq.iter_mut().enumerate() {
             let reach = RadioKind::ALL
@@ -600,7 +789,6 @@ impl<'a> PairKernel<'a> {
         }
         PairKernel {
             channel,
-            deny,
             reach_sq,
             tx_dbm: RadioKind::ALL.map(|r| watts_to_dbm(r.tx_power_w())),
             quiet_noise_dbm: channel.quiet_noise_dbm(),
@@ -608,10 +796,14 @@ impl<'a> PairKernel<'a> {
     }
 
     /// The best link between `a` and `b` (`a` the lower index: on equal
-    /// delivery probability its radio order decides), given each one's
-    /// [`radio_mask`].
-    fn link(&self, a: &GraphNode, mask_a: u8, b: &GraphNode, mask_b: u8) -> Option<LinkQuality> {
-        let shared = mask_a & mask_b;
+    /// delivery probability its radio order decides).
+    ///
+    /// Inlined into the build's pair loop, which calls it once per
+    /// candidate pair and mostly takes the first reject: called out of
+    /// line, a single-threaded build ran 5–10 % slower.
+    #[inline(always)]
+    fn link(&self, a: &PairEnd<'_>, b: &PairEnd<'_>) -> Option<LinkQuality> {
+        let shared = a.mask & b.mask;
         if shared == 0 || a.position.distance_sq_to(b.position) > self.reach_sq[shared as usize] {
             return None;
         }
@@ -649,7 +841,7 @@ impl<'a> PairKernel<'a> {
                 _ => Some(candidate),
             };
         }
-        best.filter(|_| !(self.deny)(a.id, b.id))
+        best
     }
 }
 
@@ -856,7 +1048,7 @@ mod tests {
 
     /// The pair test spelled straight from the channel's public formulas:
     /// what [`PairKernel::link`] must equal bit for bit (`a` owns the
-    /// pair; no deny predicate).
+    /// pair).
     fn reference_link(a: &GraphNode, b: &GraphNode, channel: &Channel) -> Option<LinkQuality> {
         let distance_m = a.position.distance_to(b.position);
         if !a.alive || !b.alive || distance_m > MAX_LINK_RANGE_M {
@@ -1349,6 +1541,14 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_record_is_16_bytes() {
+        // A striped build's worker buffers one record per link it finds
+        // until the calling thread files them: 32 bytes per link read
+        // +7.6 % `peak_rss_mb` on `large_mission`, 16 bytes +5.3 %.
+        assert_eq!(std::mem::size_of::<Found>(), 16);
+    }
+
+    #[test]
     fn stored_weights_follow_delivery_prob_through_churn() {
         // `same_topology` compares stored weights along with everything
         // else, so it only means "same routes" if every weight — pushed
@@ -1420,8 +1620,7 @@ mod tests {
             if rng.gen() {
                 ch.set_extra_loss_db(rng.gen_range(0.0..15.0));
             }
-            let never = |_: NodeId, _: NodeId| false;
-            let kernel = PairKernel::new(&ch, &never);
+            let kernel = PairKernel::new(&ch);
             let random_node = |rng: &mut StdRng, id: u64, position: Point| {
                 let mut radios = RadioKind::ALL.to_vec();
                 radios.shuffle(rng);
@@ -1459,7 +1658,7 @@ mod tests {
                     l.map(|l| (l.delivery_prob.to_bits(), l.radio, l.distance_m.to_bits()))
                 };
                 proptest::prop_assert_eq!(
-                    bits(kernel.link(&a, radio_mask(&a), &b, radio_mask(&b))),
+                    bits(kernel.link(&PairEnd::of(&a), &PairEnd::of(&b))),
                     bits(reference_link(&a, &b, &ch)),
                     "{:?} -> {:?}", a, b
                 );
@@ -1467,20 +1666,139 @@ mod tests {
         }
     }
 
+    /// [`ConnectivityGraph::build_filtered`] in exactly `stripes` stripes,
+    /// whatever the owner count or the cores.
+    fn build_in_stripes(
+        nodes: &[GraphNode],
+        ch: &Channel,
+        deny: &dyn Fn(NodeId, NodeId) -> bool,
+        stripes: usize,
+    ) -> ConnectivityGraph {
+        let ids: Rc<[NodeId]> = nodes.iter().map(|g| g.id).collect();
+        let index = Rc::new(
+            ids.iter()
+                .enumerate()
+                .map(|(i, &id)| (id, i as u32))
+                .collect(),
+        );
+        ConnectivityGraph::build_striped(ids, index, nodes.to_vec(), ch, deny, |_| stripes)
+    }
+
+    #[test]
+    fn striped_builds_equal_the_serial_build() {
+        use crate::channel::Jammer;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(22);
+        // Tactical UHF's 5 km cell holds a 3 km theatre in one bucket, so
+        // every pair meets the kernel and owner `i` has `n - 1 - i` pairs.
+        let loadouts: [&[RadioKind]; 7] = [
+            &[RadioKind::TacticalUhf],
+            &[RadioKind::Wifi, RadioKind::TacticalUhf],
+            &[RadioKind::TacticalUhf, RadioKind::Cellular],
+            &[RadioKind::Cellular, RadioKind::Wifi],
+            &[RadioKind::Wifi],
+            &[RadioKind::Bluetooth],
+            &[],
+        ];
+        let theatre: Vec<GraphNode> = (0..1_001)
+            .map(|i| {
+                let (x, y) = (rng.gen_range(0.0..3_000.0), rng.gen_range(0.0..3_000.0));
+                let mut n = node(i, x, y, loadouts[rng.gen_range(0..loadouts.len())]);
+                n.alive = rng.gen_range(0..12) != 0;
+                n
+            })
+            .collect();
+        let urban = Channel::new(Terrain::random_urban(Rect::square(3_000.0), 24, 24, 22));
+        let mut jammed = urban.clone();
+        jammed.add_jammer(Jammer::new(Point::new(1_200.0, 1_700.0), 5.0));
+        assert!(jammed.quiet_noise_dbm().is_none(), "per-receiver noise");
+        // A wifi lattice over many 120 m buckets, with dead and radio-less
+        // nodes among them.
+        let mut lattice = wifi_lattice(40, 30, 55.0);
+        for i in (0..lattice.len()).step_by(7) {
+            lattice[i].alive = false;
+        }
+        for i in (3..lattice.len()).step_by(11) {
+            lattice[i].radios = Rc::from(&[][..]);
+        }
+        let open = open_channel();
+        let never = |_: NodeId, _: NodeId| false;
+        let west =
+            |nodes: &[GraphNode], x: f64, id: NodeId| nodes[id.raw() as usize].position.x < x;
+        let theatre_cut =
+            |a: NodeId, b: NodeId| west(&theatre, 1_500.0, a) != west(&theatre, 1_500.0, b);
+        let lattice_cut =
+            |a: NodeId, b: NodeId| west(&lattice, 1_100.0, a) != west(&lattice, 1_100.0, b);
+        type Deny<'a> = &'a dyn Fn(NodeId, NodeId) -> bool;
+        let cases: [(&str, &[GraphNode], &Channel, Deny<'_>, bool); 4] = [
+            ("one-bucket theatre", &theatre, &urban, &never, false),
+            ("jammed, cut theatre", &theatre, &jammed, &theatre_cut, true),
+            ("lattice", &lattice, &open, &never, false),
+            ("partitioned lattice", &lattice, &open, &lattice_cut, true),
+        ];
+        for (name, nodes, ch, deny, cuts) in cases {
+            // A `RefCell` recorder: `deny` is not `Sync`, so the compiler
+            // holds it to the calling thread. It is asked in the order the
+            // links are filed, which is the one-thread order for every `T`.
+            let asked = std::cell::RefCell::new(Vec::new());
+            let recording = |a: NodeId, b: NodeId| {
+                asked.borrow_mut().push((a, b));
+                deny(a, b)
+            };
+            let build = |stripes| {
+                let g = build_in_stripes(nodes, ch, &recording, stripes);
+                (g, asked.take())
+            };
+            let (serial, serial_asked) = build(1);
+            assert!(serial.link_count() > 1_000, "{name}: too sparse to test");
+            let cut = serial_asked.iter().filter(|&&(a, b)| deny(a, b)).count();
+            assert_eq!(cut > 50, cuts, "{name}: {cut} links cut");
+            for stripes in [2, 3, 5] {
+                let (g, pairs) = build(stripes);
+                assert!(g.same_topology(&serial), "{name}: {stripes} stripes");
+                assert_eq!(g.adj, serial.adj, "{name}: {stripes} stripes");
+                assert_eq!(pairs, serial_asked, "{name}: {stripes} stripes");
+            }
+        }
+    }
+
+    #[test]
+    fn stripe_bounds_halve_the_triangle_and_allow_empty_runs() {
+        // One bucket of 1,001: the first run ends where the pairs behind
+        // it are half of all, near `n (1 - 1/√2)`, not at `n / 2`.
+        let triangle: Vec<(u32, u32)> = (0..1_001).map(|r| (r, 1_001 - r)).collect();
+        let bounds = stripe_bounds(&triangle, 2);
+        assert_eq!((bounds[0], bounds[2]), (0, 1_001));
+        assert!((290..=296).contains(&bounds[1]), "{bounds:?}");
+        // Uniform weights cut evenly; more runs than owners leaves some empty.
+        assert_eq!(stripe_bounds(&[(7, 1); 9], 3), [0, 3, 6, 9]);
+        assert_eq!(stripe_bounds(&[(7, 1); 2], 5), [0, 1, 1, 2, 2, 2]);
+        assert_eq!(stripe_bounds(&[], 3), [0, 0, 0, 0]);
+    }
+
     #[test]
     fn deny_is_asked_only_about_pairs_that_would_link() {
-        let nodes: Vec<GraphNode> = (0..40)
-            .map(|i| node(i, (i % 8) as f64 * 70.0, (i / 8) as f64 * 70.0, &[RadioKind::Wifi]))
-            .collect();
         let ch = open_channel();
         let asked = std::cell::Cell::new(0usize);
         let counting = |_: NodeId, _: NodeId| {
             asked.set(asked.get() + 1);
             false
         };
-        let g = ConnectivityGraph::build_filtered(&nodes, &ch, &counting);
-        assert!(g.link_count() > 0 && g.link_count() < 40 * 39 / 2);
-        assert_eq!(asked.get(), g.link_count());
+        // Below the stripe threshold, above it, and above it in stripes
+        // forced on whatever the cores: the pairs may be computed on other
+        // threads, but `deny` is asked here.
+        let (small, large) = (wifi_lattice(8, 5, 70.0), wifi_lattice(16, 12, 70.0));
+        assert!(small.len() < STRIPE_MIN_OWNERS && large.len() >= STRIPE_MIN_OWNERS);
+        for (nodes, stripes) in [(&small, None), (&large, None), (&large, Some(3))] {
+            asked.set(0);
+            let g = match stripes {
+                None => ConnectivityGraph::build_filtered(nodes, &ch, &counting),
+                Some(stripes) => build_in_stripes(nodes, &ch, &counting, stripes),
+            };
+            let n = nodes.len();
+            assert!(g.link_count() > 0 && g.link_count() < n * (n - 1) / 2);
+            assert_eq!(asked.get(), g.link_count());
+        }
     }
 
     #[test]
