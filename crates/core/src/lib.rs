@@ -1,6 +1,7 @@
 //! The IoBT runtime facade (paper Fig. 1): discovery → recruitment →
 //! assured synthesis → adaptive execution, end to end over the battlefield
-//! simulator, with the learning services available alongside.
+//! simulator. The adaptation and learning services sit beside it in the
+//! root `iobt` crate.
 //!
 //! * [`scenario`] — builders for the operations the paper motivates
 //!   (urban evacuation, persistent surveillance, disaster relief).
@@ -20,9 +21,9 @@
 //! * [`behaviors`] — the simulator behaviours (sensor reporters, command
 //!   sink) the runtime deploys.
 //!
-//! The individual subsystems are re-exported for direct access:
-//! [`discovery`], [`synthesis`], [`adapt`], [`truth`], [`tomography`],
-//! [`learning`], [`netsim`], [`types`].
+//! The subsystems the runtime calls are re-exported for direct access:
+//! [`discovery`], [`synthesis`], [`truth`], [`tomography`], [`netsim`],
+//! [`types`].
 //!
 //! # Examples
 //!
@@ -70,12 +71,10 @@ pub use scenario::{
     COMMAND_POST_ID,
 };
 
-pub use iobt_adapt as adapt;
 pub use iobt_ckpt as ckpt;
 pub use iobt_discovery as discovery;
 pub use iobt_faults as faults;
 pub use iobt_obs as obs;
-pub use iobt_learning as learning;
 pub use iobt_netsim as netsim;
 pub use iobt_synthesis as synthesis;
 pub use iobt_tomography as tomography;

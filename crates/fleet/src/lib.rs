@@ -74,6 +74,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod core;
 mod error;
 mod manifest;
 mod scheduler;

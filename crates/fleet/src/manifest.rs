@@ -113,9 +113,9 @@ fn generations(dir: impl Into<PathBuf>) -> NumberedFiles {
     NumberedFiles::new(dir, "manifest-", ".fman")
 }
 
-/// The on-disk ticket table. The scheduler owns one per fleet (behind
-/// its own lock) and calls [`ManifestFile::persist`] after each state
-/// transition when durability is enabled.
+/// The on-disk ticket table. The scheduler owns one per fleet (inside
+/// its [`ManifestState`]) and calls [`ManifestFile::persist`] after each
+/// state transition when durability is enabled.
 #[derive(Debug)]
 pub(crate) struct ManifestFile {
     files: NumberedFiles,
@@ -186,8 +186,8 @@ impl ManifestFile {
 
 /// The scheduler's in-memory mirror of the on-disk ticket table: one
 /// record per ticket, rewritten as a whole new generation on every
-/// update. Holding the full table here means a worker persisting one
-/// mission's transition never needs to lock any other mission's slot.
+/// update. During a drain it sits beside the scheduling core under the
+/// drain's one lock, so a record lands before its ticket moves on.
 #[derive(Debug)]
 pub(crate) struct ManifestState {
     file: ManifestFile,

@@ -1,7 +1,7 @@
 //! The fleet scheduler: admission queue, `std::thread::scope` worker
-//! pool, per-mission state machine, checkpoint-eviction, and the
-//! supervision layer (panic isolation, retry/backoff on checkpoint-IO
-//! faults, quarantine, deadlines, and whole-fleet crash recovery).
+//! pool, checkpoint-eviction, and the supervision layer (panic
+//! isolation, retry/backoff on checkpoint-IO faults, quarantine,
+//! deadlines, and whole-fleet crash recovery).
 //!
 //! # Scheduling model
 //!
@@ -11,20 +11,20 @@
 //! workers only through its serialized checkpoint — which is exactly the
 //! eviction path, so migration and crash recovery are one mechanism.
 //!
-//! Each worker is admission-first: it prefers the global queue (fresh
-//! and evicted tickets) over its own residents, so every submitted
-//! mission keeps making progress instead of the first `max_resident`
-//! running to completion while the rest wait. When a worker's resident
-//! count exceeds its threshold, the least-recently-sliced resident is
-//! checkpointed to disk and its ticket returned to the global queue for
-//! any worker to resume.
+//! Every scheduling decision — admission before residents, LRU eviction
+//! past `max_resident`, retry or quarantine, the slice clock, the halt
+//! latch — is made by the plain-data core (`core.rs`); this file is its
+//! shell. The pool shares one `Mutex` (the core and the manifest mirror)
+//! and one `Condvar`: a worker locks, asks the core what to do, does it
+//! outside the lock, reports back under it and wakes the parked, whose
+//! wait therefore needs no timeout.
 //!
 //! # Supervision model
 //!
-//! Every slice runs under `catch_unwind`: a panicking mission is
-//! [`Quarantined`](MissionStatus::Quarantined) with its payload
-//! captured, the worker survives, and — because missions share no
-//! mutable state — every other mission's digest is bit-identical to a
+//! Every slice and eviction runs under `catch_unwind`: a panicking
+//! mission is [`Quarantined`](MissionStatus::Quarantined) with its
+//! payload captured, the worker survives, and — because missions share
+//! no mutable state — every other mission's digest is bit-identical to a
 //! panic-free run. Checkpoint-IO faults are classified by
 //! [`MissionError::retryable`]: transient faults retry up to
 //! [`FleetBuilder::retry_limit`] times with capped exponential backoff
@@ -33,112 +33,27 @@
 //! reproducible); exhausted or non-retryable faults quarantine. With
 //! [`FleetBuilder::durable_manifest`] on, every durable state
 //! transition is recorded in a checksummed manifest *after* its
-//! checkpoint write, and [`Fleet::recover`] rebuilds the whole fleet
-//! from the newest good manifest generation.
+//! checkpoint write and before another worker can take the ticket, and
+//! [`Fleet::recover`] rebuilds the whole fleet from the newest good
+//! manifest generation.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
+use iobt_ckpt::CkptError;
 use iobt_core::{
-    EndStateDigest, MissionReport, MissionRunner, RunConfig, Scenario, StepOutcome,
+    EndStateDigest, MissionReport, MissionRunner, PortableRunConfig, RunConfig, Scenario,
+    StepOutcome,
 };
 use iobt_obs::{Recorder, TraceEvent};
 
 use crate::config::FleetConfig;
+use crate::core::{Action, Core, End, Eviction, Outcome, Ticket};
 use crate::error::{ckpt_fault_is_retryable, MissionError, MissionErrorKind, RecoverError};
 use crate::manifest::{scenario_fingerprint, ManifestFile, ManifestState, TicketRecord};
 use crate::{FleetBuilder, MissionStatus, MissionTicket, SubmitError};
-
-/// Locks a mutex, recovering the data on poisoning: a worker that
-/// panicked mid-slice fails its own mission, but must not take the whole
-/// fleet's bookkeeping down with it.
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Everything the fleet knows about one submitted mission: the durable
-/// record the manifest persists as it stands, and beside it what a crash
-/// loses.
-struct Slot {
-    record: TicketRecord,
-    /// Not serialisable; recovery takes it from the caller again and
-    /// checks it against `record.scenario_hash`.
-    scenario: Scenario,
-    /// The full report once `Done`; after a recovery only the record's
-    /// digest and metrics fingerprint are left of it.
-    report: Option<MissionReport>,
-    /// Scheduler events `(t_us, event)` observed by workers, recorded into
-    /// the fleet recorder after the pool joins (in canonical ticket order
-    /// — the same post-join pattern the portfolio solver uses to keep
-    /// multi-threaded traces deterministic in layout).
-    events: Vec<(u64, TraceEvent)>,
-}
-
-impl Slot {
-    /// Buffers `event`, stamped with the mission's own sim time at the
-    /// `window` boundary (the fleet has no clock of its own).
-    fn note(&mut self, window: u64, event: TraceEvent) {
-        self.events.push((window * self.record.window_us, event));
-    }
-}
-
-// Missions must cross worker threads as plain data; this is the
-// compile-time proof that a `Slot` (scenario, portable config, report,
-// buffered events) contains nothing thread-bound.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<Slot>();
-};
-
-/// The shared runnable-work pool: `ready` tickets any worker may take
-/// now, and `deferred` tickets waiting out a retry backoff (promoted to
-/// `ready` when the slice clock reaches their time).
-struct QueueState {
-    ready: VecDeque<u64>,
-    deferred: Vec<(u64, u64)>,
-}
-
-/// Moves every deferred ticket whose backoff has elapsed into `ready`.
-fn promote_due(q: &mut QueueState, now: u64) {
-    let mut i = 0;
-    while i < q.deferred.len() {
-        if q.deferred[i].0 <= now {
-            let (_, ticket) = q.deferred.remove(i);
-            q.ready.push_back(ticket);
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Shared state for one `drain` run.
-struct DrainCtx<'a> {
-    cfg: &'a FleetConfig,
-    cells: &'a [Mutex<&'a mut Slot>],
-    /// Tickets runnable by any worker: fresh admissions, evicted
-    /// missions, and backoff-deferred retries.
-    queue: Mutex<QueueState>,
-    /// Wakes parked workers when the queue grows or the drain finishes.
-    cv: Condvar,
-    /// Missions not yet `Done`/`Quarantined`.
-    remaining: AtomicUsize,
-    /// The fleet's logical clock: total slices executed this drain.
-    /// Retry backoff is measured against this — never wall time — so
-    /// faulty runs stay deterministic. Fast-forwarded when only
-    /// deferred work remains.
-    slice_clock: AtomicU64,
-    /// Set when `halt_after_slices` trips: workers stop taking work and
-    /// unfinished missions stay wherever they are.
-    halted: AtomicBool,
-    /// Wall-clock slice latencies, milliseconds. Reporting only — never
-    /// feeds back into scheduling decisions or results.
-    latencies: Mutex<Vec<f64>>,
-    /// The durable manifest, when enabled.
-    manifest: Option<&'a Mutex<ManifestState>>,
-}
 
 /// Aggregate outcome of one [`Fleet::drain`] call.
 ///
@@ -181,17 +96,20 @@ pub struct FleetSummary {
 pub struct Fleet {
     cfg: FleetConfig,
     recorder: Recorder,
-    slots: Vec<Slot>,
+    tickets: Vec<Ticket>,
+    /// Not serialisable; recovery takes them from the caller again and
+    /// checks each against its record's `scenario_hash`.
+    scenarios: Vec<Scenario>,
     /// In-memory mirror of the on-disk ticket table, when durability is
     /// on.
-    manifest: Option<Mutex<ManifestState>>,
+    manifest: Option<ManifestState>,
 }
 
 impl std::fmt::Debug for Fleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fleet")
             .field("workers", &self.cfg.workers)
-            .field("missions", &self.slots.len())
+            .field("missions", &self.tickets.len())
             .finish_non_exhaustive()
     }
 }
@@ -200,11 +118,12 @@ impl Fleet {
     pub(crate) fn from_parts(cfg: FleetConfig, recorder: Recorder) -> Self {
         let manifest = cfg
             .durable_manifest
-            .then(|| Mutex::new(ManifestState::open(&cfg.checkpoint_root)));
+            .then(|| ManifestState::open(&cfg.checkpoint_root));
         Fleet {
             cfg,
             recorder,
-            slots: Vec::new(),
+            tickets: Vec::new(),
+            scenarios: Vec::new(),
             manifest,
         }
     }
@@ -227,8 +146,8 @@ impl Fleet {
                 got: scenarios.len(),
             });
         }
-        let mut slots = Vec::with_capacity(scenarios.len());
-        for (i, (record, scenario)) in loaded.records.into_iter().zip(scenarios).enumerate() {
+        let mut tickets = Vec::with_capacity(scenarios.len());
+        for (i, (record, scenario)) in loaded.records.into_iter().zip(&scenarios).enumerate() {
             let ticket = i as u64;
             let hash = scenario_fingerprint(&format!("{scenario:?}"));
             if hash != record.scenario_hash {
@@ -259,21 +178,21 @@ impl Fleet {
                     },
                 );
             }
-            slots.push(Slot {
+            tickets.push(Ticket {
                 record: TicketRecord {
                     status,
                     ckpt_window,
                     ..record
                 },
-                scenario,
                 report: None,
                 events: Vec::new(),
             });
         }
         self.recorder.flush();
-        self.slots = slots;
-        if let Some(manifest) = &self.manifest {
-            lock(manifest).replace(self.slots.iter().map(|s| s.record.clone()).collect());
+        self.tickets = tickets;
+        self.scenarios = scenarios;
+        if let Some(manifest) = &mut self.manifest {
+            manifest.replace(self.tickets.iter().map(|t| t.record.clone()).collect());
         }
         Ok(())
     }
@@ -308,12 +227,12 @@ impl Fleet {
             return Err(SubmitError::EmptyCatalog);
         }
         if self.cfg.max_queued > 0 {
-            let queued = self.slots.iter().filter(|s| !s.record.status.is_terminal()).count();
+            let queued = self.tickets.iter().filter(|t| !t.record.status.is_terminal()).count();
             if queued >= self.cfg.max_queued {
                 self.recorder.record_at(
                     0,
                     TraceEvent::FleetShed {
-                        ticket: self.slots.len() as u64,
+                        ticket: self.tickets.len() as u64,
                         queued: queued as u64,
                     },
                 );
@@ -325,31 +244,30 @@ impl Fleet {
         let window_us = config.window.as_micros();
         let seed = scenario.seed;
         let (portable, _disabled) = config.into_portable();
-        let ticket = MissionTicket(self.slots.len() as u64);
-        let scenario_hash = scenario_fingerprint(&format!("{scenario:?}"));
-        self.slots.push(Slot {
-            record: TicketRecord {
-                scenario_hash,
-                seed,
-                window_us,
-                total_windows,
-                status: MissionStatus::Queued,
-                ckpt_window: None,
-                retries: 0,
-                slices_used: 0,
-                digest: None,
-                metrics_fp: None,
-                error: None,
-                portable,
-            },
-            scenario,
+        let ticket = MissionTicket(self.tickets.len() as u64);
+        let record = TicketRecord {
+            scenario_hash: scenario_fingerprint(&format!("{scenario:?}")),
+            seed,
+            window_us,
+            total_windows,
+            status: MissionStatus::Queued,
+            ckpt_window: None,
+            retries: 0,
+            slices_used: 0,
+            digest: None,
+            metrics_fp: None,
+            error: None,
+            portable,
+        };
+        if let Some(manifest) = &mut self.manifest {
+            manifest.update(ticket.0, record.clone());
+        }
+        self.tickets.push(Ticket {
+            record,
             report: None,
             events: Vec::new(),
         });
-        if let Some(manifest) = &self.manifest {
-            let record = self.slots[ticket.0 as usize].record.clone();
-            lock(manifest).update(ticket.0, record);
-        }
+        self.scenarios.push(scenario);
         self.recorder.record_at(
             0,
             TraceEvent::FleetAdmit {
@@ -361,50 +279,42 @@ impl Fleet {
         Ok(ticket)
     }
 
+    fn record(&self, ticket: MissionTicket) -> Option<&TicketRecord> {
+        self.tickets.get(ticket.0 as usize).map(|t| &t.record)
+    }
+
     /// The mission's current lifecycle state, or `None` for a ticket
     /// this fleet never issued.
     pub fn poll(&self, ticket: MissionTicket) -> Option<MissionStatus> {
-        self.slots.get(ticket.0 as usize).map(|s| s.record.status)
+        self.record(ticket).map(|r| r.status)
     }
 
     /// The completed mission's full report (`None` until `Done`, and
     /// `None` after crash recovery — only the digest and metrics
     /// fingerprint survive the manifest).
     pub fn report(&self, ticket: MissionTicket) -> Option<&MissionReport> {
-        self.slots
-            .get(ticket.0 as usize)
-            .and_then(|s| s.report.as_ref())
+        self.tickets.get(ticket.0 as usize).and_then(|t| t.report.as_ref())
     }
 
     /// The completed mission's end-state digest (`None` until `Done`).
     pub fn digest(&self, ticket: MissionTicket) -> Option<&EndStateDigest> {
-        self.slots
-            .get(ticket.0 as usize)
-            .and_then(|s| s.record.digest.as_ref())
+        self.record(ticket).and_then(|r| r.digest.as_ref())
     }
 
     /// The completed mission's metrics fingerprint (`None` until `Done`).
     pub fn metrics_fingerprint(&self, ticket: MissionTicket) -> Option<u64> {
-        self.slots.get(ticket.0 as usize).and_then(|s| s.record.metrics_fp)
+        self.record(ticket).and_then(|r| r.metrics_fp)
     }
 
     /// Why a [`Quarantined`](MissionStatus::Quarantined) mission was
     /// isolated (`None` otherwise).
     pub fn error(&self, ticket: MissionTicket) -> Option<&MissionError> {
-        self.slots
-            .get(ticket.0 as usize)
-            .and_then(|s| s.record.error.as_ref())
+        self.record(ticket).and_then(|r| r.error.as_ref())
     }
 
     /// Every ticket this fleet has issued, in submission order.
     pub fn tickets(&self) -> Vec<MissionTicket> {
-        (0..self.slots.len() as u64).map(MissionTicket).collect()
-    }
-
-    /// Total utility windows the mission will execute (`None` for a
-    /// ticket this fleet never issued).
-    pub fn total_windows(&self, ticket: MissionTicket) -> Option<u64> {
-        self.slots.get(ticket.0 as usize).map(|s| s.record.total_windows)
+        (0..self.tickets.len() as u64).map(MissionTicket).collect()
     }
 
     /// Runs every non-terminal mission to completion across the worker
@@ -414,54 +324,49 @@ impl Fleet {
     /// leaves unfinished missions resumable by the next drain (or by
     /// [`Fleet::recover`] in a new process).
     pub fn drain(&mut self) -> FleetSummary {
-        let pending: Vec<u64> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.record.status.is_terminal())
-            .map(|(i, _)| i as u64)
-            .collect();
-        let submitted = pending.len();
-        let start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in FleetSummary.wall_s, never in a decision or digest
-        let mut latencies: Vec<f64> = Vec::new();
-        if submitted > 0 {
-            let manifest = self.manifest.as_ref();
-            let cells: Vec<Mutex<&mut Slot>> = self.slots.iter_mut().map(Mutex::new).collect();
-            let ctx = DrainCtx {
-                cfg: &self.cfg,
-                cells: &cells,
-                queue: Mutex::new(QueueState {
-                    ready: pending.iter().copied().collect(),
-                    deferred: Vec::new(),
-                }),
-                cv: Condvar::new(),
-                remaining: AtomicUsize::new(submitted),
-                slice_clock: AtomicU64::new(0),
-                halted: AtomicBool::new(false),
-                latencies: Mutex::new(Vec::new()),
-                manifest,
-            };
+        self.drain_with(|shell, state| {
+            let (shell, state, cv) = (&shell, &Mutex::new(state), &Condvar::new());
             std::thread::scope(|s| {
-                for _ in 0..self.cfg.workers {
-                    s.spawn(|| worker_loop(&ctx));
-                }
-            });
-            latencies = ctx.latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-        }
-        let wall_s = start.elapsed().as_secs_f64();
+                let workers: Vec<_> = (0..shell.cfg.workers)
+                    .map(|w| s.spawn(move || shell.worker(w, state, cv)))
+                    .collect();
+                let joined = workers.into_iter().map(|h| h.join());
+                joined.flat_map(|r| r.unwrap_or_else(|p| resume_unwind(p))).collect()
+            })
+        })
+    }
 
-        // Post-join: fold the workers' buffered scheduler events into
-        // the fleet trace in canonical (ticket, mission-chronological)
-        // order — the post-join pattern that keeps a multi-threaded
-        // trace's layout deterministic — and total up the summary.
+    /// A drain whose worker pool is `pool`: it runs the shell's workers
+    /// against the shared state and returns their slice latencies.
+    fn drain_with(
+        &mut self,
+        pool: impl FnOnce(Shell<'_>, Shared<'_>) -> Vec<f64>,
+    ) -> FleetSummary {
+        let submitted = self.tickets.iter().filter(|t| !t.record.status.is_terminal()).count();
+        let start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in FleetSummary.wall_s, never in a decision or digest
+        let mut latencies = Vec::new();
+        if submitted > 0 {
+            let shell = Shell {
+                cfg: &self.cfg,
+                scenarios: &self.scenarios,
+            };
+            let state = Shared {
+                core: Core::new(&self.cfg, &mut self.tickets),
+                manifest: self.manifest.as_mut(),
+            };
+            latencies = pool(shell, state);
+        }
         let mut summary = FleetSummary {
             submitted,
-            wall_s,
+            wall_s: start.elapsed().as_secs_f64(),
             ..FleetSummary::default()
         };
-        let recorder = self.recorder.clone();
-        for slot in &mut self.slots {
-            for (t_us, event) in std::mem::take(&mut slot.events) {
+
+        // Fold the buffered scheduler events into the fleet trace in
+        // canonical (ticket, mission-chronological) order — the layout
+        // stays deterministic whatever the schedule — and total up.
+        for ticket in &mut self.tickets {
+            for (t_us, event) in std::mem::take(&mut ticket.events) {
                 match event {
                     TraceEvent::FleetSlice { windows, .. } => {
                         summary.slices += 1;
@@ -470,19 +375,14 @@ impl Fleet {
                     TraceEvent::FleetEvict { .. } => summary.evictions += 1,
                     TraceEvent::FleetResume { .. } => summary.resumes += 1,
                     TraceEvent::FleetRetry { .. } => summary.retries += 1,
+                    TraceEvent::FleetComplete { .. } => summary.completed += 1,
+                    TraceEvent::FleetQuarantine { .. } => summary.quarantined += 1,
                     _ => {}
                 }
-                recorder.record_at(t_us, event);
+                self.recorder.record_at(t_us, event);
             }
         }
-        for &i in &pending {
-            match self.slots[i as usize].record.status {
-                MissionStatus::Done => summary.completed += 1,
-                MissionStatus::Quarantined => summary.quarantined += 1,
-                _ => {}
-            }
-        }
-        recorder.flush();
+        self.recorder.flush();
         latencies.sort_by(f64::total_cmp);
         summary.p50_slice_ms = quantile(&latencies, 0.50);
         summary.p99_slice_ms = quantile(&latencies, 0.99);
@@ -500,461 +400,220 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn worker_loop(ctx: &DrainCtx<'_>) {
-    let mut resident: VecDeque<u64> = VecDeque::new();
-    let mut runners: BTreeMap<u64, (MissionRunner, Recorder)> = BTreeMap::new();
-    loop {
-        if ctx.remaining.load(Ordering::SeqCst) == 0 || ctx.halted.load(Ordering::SeqCst) {
-            break;
+/// Locks the drain's one mutex, recovering the data on poisoning.
+fn lock<'m, 'a>(m: &'m Mutex<Shared<'a>>) -> MutexGuard<'m, Shared<'a>> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A mission materialized on one worker (boxed: a runner is kilobytes).
+type Live = Box<(MissionRunner, Recorder)>;
+
+/// A held ticket's mission: live on this worker, or what materializing
+/// it needs from its record (the newest checkpoint's window, if any, and
+/// the run parameters).
+enum Mission {
+    Live(Live),
+    Stored(Option<u64>, PortableRunConfig),
+}
+
+impl Mission {
+    /// Takes `t` out of `runners`, or copies what materializing it needs.
+    fn take(runners: &mut BTreeMap<u64, Live>, t: u64, record: &TicketRecord) -> Self {
+        match runners.remove(&t) {
+            Some(live) => Mission::Live(live),
+            None => Mission::Stored(record.ckpt_window, record.portable.clone()),
         }
-        // Admission-first: prefer the global queue so every submitted
-        // mission keeps progressing; fall back to our own residents.
-        let next = {
-            let mut q = lock(&ctx.queue);
-            promote_due(&mut q, ctx.slice_clock.load(Ordering::SeqCst));
-            q.ready.pop_front()
+    }
+}
+
+/// Everything the drain's one lock guards.
+struct Shared<'a> {
+    core: Core<'a>,
+    /// The durable manifest, when enabled.
+    manifest: Option<&'a mut ManifestState>,
+}
+
+impl Shared<'_> {
+    /// Hands worker `w`'s report on ticket `t` to the core and mirrors a
+    /// durable change into the manifest; `true` when the worker keeps
+    /// the ticket's runner.
+    fn complete(&mut self, w: usize, t: u64, outcome: Outcome) -> bool {
+        let settled = self.core.complete(w, outcome);
+        if let Some(manifest) = self.manifest.as_deref_mut().filter(|_| settled.persist) {
+            manifest.update(t, self.core.record(t).clone());
         }
-        .or_else(|| resident.pop_front());
-        match next {
-            Some(ticket) => run_slice(ctx, ticket, &mut resident, &mut runners),
-            None => {
-                let mut q = lock(&ctx.queue);
-                if !q.ready.is_empty() {
-                    continue;
+        settled.keep
+    }
+}
+
+/// What a worker reads outside the lock: fixed for the whole drain.
+struct Shell<'a> {
+    cfg: &'a FleetConfig,
+    scenarios: &'a [Scenario],
+}
+
+impl Shell<'_> {
+    /// One pool thread: lock, ask, run outside the lock, report, wake the
+    /// parked. Returns its slice latencies.
+    fn worker(&self, w: usize, shared: &Mutex<Shared<'_>>, cv: &Condvar) -> Vec<f64> {
+        let mut runners = BTreeMap::new();
+        let mut latencies = Vec::new();
+        let mut state = lock(shared);
+        loop {
+            let action = state.core.next(w);
+            let (Action::Run(t, _) | Action::Evict(t)) = action else {
+                if action == Action::Exit {
+                    return latencies;
                 }
-                if !q.deferred.is_empty() {
-                    // Only backoff-deferred work is left anywhere this
-                    // worker can see: fast-forward the slice clock to
-                    // the earliest due time instead of spinning.
-                    // Backoff paces retries relative to fleet progress;
-                    // when there is no other progress to wait behind,
-                    // waiting has no meaning — and the clock is never
-                    // digest-visible.
-                    let due = q.deferred.iter().map(|&(at, _)| at).min().unwrap_or(0);
-                    ctx.slice_clock.fetch_max(due, Ordering::SeqCst);
-                    promote_due(&mut q, ctx.slice_clock.load(Ordering::SeqCst));
-                    ctx.cv.notify_all();
-                } else if ctx.remaining.load(Ordering::SeqCst) != 0
-                    && !ctx.halted.load(Ordering::SeqCst)
-                {
-                    // Nothing runnable on this worker. Park until
-                    // notified (evictions, retries, and completion all
-                    // notify); the long timeout is only a liveness
-                    // backstop against a lost wakeup, not a poll
-                    // interval.
-                    let _ = ctx
-                        .cv
-                        .wait_timeout(q, Duration::from_millis(100))
-                        .unwrap_or_else(|e| e.into_inner());
+                state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            let mission = Mission::take(&mut runners, t, state.core.record(t));
+            drop(state);
+            let (outcome, live) = self.act(action, mission, &mut latencies);
+            state = lock(shared);
+            if state.complete(w, t, outcome) {
+                runners.extend(live.map(|live| (t, live)));
+            }
+            cv.notify_all();
+        }
+    }
+
+    /// Runs `action` outside the lock and returns the report, with the
+    /// runner while it lives.
+    fn act(&self, action: Action, mission: Mission, lat: &mut Vec<f64>) -> (Outcome, Option<Live>) {
+        match (action, mission) {
+            (Action::Run(t, evict_after), mission) => self.slice(t, evict_after, mission, lat),
+            (Action::Evict(t), Mission::Live(live)) => {
+                let window = live.0.window_index() as u64;
+                let eviction = catch_unwind(AssertUnwindSafe(|| self.save(t, &live.0)))
+                    .unwrap_or_else(|p| Eviction { window, saved: Err(panicked(p)) });
+                // A runner checkpointed to disk is dropped here, outside the lock.
+                let kept = eviction.saved.is_err().then_some(live);
+                (Outcome::Evict(eviction), kept)
+            }
+            _ => unreachable!("the core evicts only residents and never hands out Park or Exit"),
+        }
+    }
+
+    /// One scheduling quantum under an unwind guard: a panic anywhere in
+    /// materializing, stepping, finishing or saving quarantines this
+    /// mission and leaves the worker — and every other mission —
+    /// untouched.
+    fn slice(
+        &self,
+        t: u64,
+        evict_after: bool,
+        mission: Mission,
+        latencies: &mut Vec<f64>,
+    ) -> (Outcome, Option<Live>) {
+        let (mut resumed, mut stepped, mut kept) = (None, None, None);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let (mut runner, recorder) = match mission {
+                Mission::Live(live) => *live,
+                Mission::Stored(ckpt, portable) => {
+                    self.materialize(t, ckpt, portable, &mut resumed)?
                 }
+            };
+            let from_window = runner.window_index() as u64;
+            if self.cfg.inject_panic == Some((t, from_window)) {
+                // Deliberate chaos injection behind the test-only
+                // inject_panic knob; the guard around us catches it.
+                panic!("injected panic in mission m-{t:06} at window {from_window}");
             }
-        }
-    }
-}
-
-/// How a slice left its mission, as seen by `run_slice`'s unwind guard.
-/// The runner is boxed so the settled arm doesn't pay for the largest
-/// variant.
-enum SliceOutcome {
-    /// The mission stays materialized on this worker.
-    Resident(Box<(MissionRunner, Recorder)>),
-    /// The mission completed, evicted, deferred, or quarantined; no
-    /// runner survives on this worker.
-    Settled,
-}
-
-/// A classified fault on the slice path, before retry accounting.
-struct Fault {
-    kind: MissionErrorKind,
-    retryable: bool,
-    detail: String,
-}
-
-/// Executes one scheduling quantum for `ticket` on this worker under an
-/// unwind guard: a panic anywhere in materialization, stepping, or
-/// completion quarantines *this* mission and leaves the worker — and
-/// every other mission — untouched.
-fn run_slice(
-    ctx: &DrainCtx<'_>,
-    ticket: u64,
-    resident: &mut VecDeque<u64>,
-    runners: &mut BTreeMap<u64, (MissionRunner, Recorder)>,
-) {
-    let mut guard = lock(&ctx.cells[ticket as usize]);
-    let slot: &mut Slot = &mut guard;
-    let existing = runners.remove(&ticket);
-    // The cell guard is held *outside* the unwind boundary, so a panic
-    // can never poison the slot's mutex.
-    let outcome = catch_unwind(AssertUnwindSafe(|| slice_body(ctx, slot, ticket, existing)));
-    match outcome {
-        Ok(SliceOutcome::Resident(pair)) => {
-            slot.record.status = MissionStatus::Idle;
-            resident.push_back(ticket);
-            runners.insert(ticket, *pair);
-            drop(guard);
-            enforce_residency(ctx, resident, runners);
-        }
-        Ok(SliceOutcome::Settled) => {}
-        Err(payload) => {
-            let error = MissionError::new(MissionErrorKind::Panic, false, panic_detail(payload));
-            quarantine(ctx, slot, ticket, error);
-        }
-    }
-}
-
-/// The fallible/panicky part of a slice: materialize (fresh or
-/// resumed), step one utility window, then complete, keep resident,
-/// or evict.
-fn slice_body(
-    ctx: &DrainCtx<'_>,
-    slot: &mut Slot,
-    ticket: u64,
-    existing: Option<(MissionRunner, Recorder)>,
-) -> SliceOutcome {
-    let (mut runner, recorder) = match existing {
-        Some(pair) => pair,
-        None => match materialize(ctx, slot, ticket) {
-            Ok(pair) => pair,
-            Err(fault) => {
-                mission_fault(ctx, slot, ticket, fault);
-                return SliceOutcome::Settled;
+            let t0 = Instant::now(); // lint: allow(wall-clock) — reporting only; slice latency lands in FleetSummary, never in a decision or digest
+            // `Finished`, and conservatively any future non-progress
+            // outcome (`StepOutcome` is `#[non_exhaustive]`), ran no window.
+            let ran = matches!(runner.step_window(), StepOutcome::WindowClosed { .. });
+            latencies.push(t0.elapsed().as_secs_f64() * 1_000.0);
+            stepped = Some((from_window, u64::from(ran)));
+            if runner.is_finished() {
+                let windows = runner.total_windows() as u64;
+                let report = runner.finish();
+                let metrics_fp = recorder.metrics_digest().fingerprint();
+                // The checkpoints are no longer needed; reclaim the disk
+                // (best-effort — a leftover directory is harmless).
+                self.cfg.store.clear(t);
+                return Ok(End::Finished(windows, metrics_fp, Box::new(report)));
             }
-        },
-    };
+            let eviction = evict_after.then(|| self.save(t, &runner));
+            if eviction.as_ref().is_none_or(|e| e.saved.is_err()) {
+                kept = Some(Box::new((runner, recorder)));
+            }
+            Ok(End::Live(eviction))
+        }));
+        let end = result.unwrap_or_else(|p| Err(panicked(p))).unwrap_or_else(End::Failed);
+        (Outcome::Slice { resumed, stepped, end }, kept)
+    }
 
-    slot.record.status = MissionStatus::Running;
-    let from_window = runner.window_index() as u64;
-    let t0 = Instant::now(); // lint: allow(wall-clock) — reporting only; slice latency lands in FleetSummary, never in a decision or digest
-    if let Some((target, window)) = ctx.cfg.inject_panic {
-        if target == ticket && runner.window_index() as u64 == window {
-            // Deliberate chaos injection behind the test-only
-            // inject_panic knob; the supervision layer under test
-            // catches this unwind.
-            panic!("injected panic in mission m-{ticket:06} at window {window}");
+    /// Builds the mission's runner on this worker: fresh, or resumed
+    /// from its newest good on-disk checkpoint when it has one.
+    fn materialize(
+        &self,
+        t: u64,
+        ckpt_window: Option<u64>,
+        portable: PortableRunConfig,
+        resumed: &mut Option<u64>,
+    ) -> Result<(MissionRunner, Recorder), MissionError> {
+        // Metrics-only, so `Fleet::metrics_fingerprint` has something to read.
+        let recorder = Recorder::null();
+        let config = portable.into_config(recorder.clone());
+        let scenario = &self.scenarios[t as usize];
+        if ckpt_window.is_none() {
+            return Ok((MissionRunner::new(scenario, &config), recorder));
         }
-    }
-    // `Finished`, and conservatively any future non-progress outcome
-    // (`StepOutcome` is `#[non_exhaustive]`), ran no window.
-    let ran = u64::from(matches!(runner.step_window(), StepOutcome::WindowClosed { .. }));
-    lock(&ctx.latencies).push(t0.elapsed().as_secs_f64() * 1_000.0);
-    slot.note(from_window + ran, TraceEvent::FleetSlice { ticket, from_window, windows: ran });
-    slot.record.slices_used += 1;
-    tick_clock(ctx);
-
-    if runner.is_finished() {
-        let windows = runner.total_windows() as u64;
-        let report = runner.finish();
-        let repairs = report.repairs as u64;
-        slot.note(windows, TraceEvent::FleetComplete { ticket, windows, repairs });
-        slot.record.metrics_fp = Some(recorder.metrics_digest().fingerprint());
-        slot.record.digest = Some(report.digest.clone());
-        slot.report = Some(report);
-        slot.record.ckpt_window = None;
-        slot.record.status = MissionStatus::Done;
-        // The mission's checkpoints are no longer needed; reclaim the
-        // disk space (best-effort — a leftover directory is harmless).
-        ctx.cfg.store.clear(ticket);
-        persist_slot(ctx, ticket, slot);
-        finish_one(ctx);
-        return SliceOutcome::Settled;
-    }
-
-    if let Some(budget) = ctx.cfg.slice_budget {
-        if slot.record.slices_used >= budget {
-            let attempts = slot.record.retries + 1;
-            drop(runner);
-            quarantine(
-                ctx,
-                slot,
-                ticket,
-                MissionError {
-                    kind: MissionErrorKind::DeadlineExceeded,
-                    retryable: false,
-                    attempts,
-                    detail: format!(
-                        "mission still at window {} of {} after {budget} slices",
-                        from_window + ran,
-                        slot.record.total_windows
-                    ),
-                },
-            );
-            return SliceOutcome::Settled;
-        }
-    }
-
-    if ctx.cfg.evict_every_slice {
-        match evict(ctx, slot, ticket, runner, recorder) {
-            Some(pair) => SliceOutcome::Resident(Box::new(pair)),
-            None => SliceOutcome::Settled,
-        }
-    } else {
-        SliceOutcome::Resident(Box::new((runner, recorder)))
-    }
-}
-
-/// Advances the global slice clock and trips the halt latch when the
-/// configured kill point is reached.
-fn tick_clock(ctx: &DrainCtx<'_>) {
-    let now = ctx.slice_clock.fetch_add(1, Ordering::SeqCst) + 1;
-    if let Some(halt) = ctx.cfg.halt_after_slices {
-        if now >= halt && !ctx.halted.swap(true, Ordering::SeqCst) {
-            ctx.cv.notify_all();
-        }
-    }
-}
-
-/// Residency cap: checkpoint the least-recently-sliced missions out
-/// until this worker is back under its threshold.
-fn enforce_residency(
-    ctx: &DrainCtx<'_>,
-    resident: &mut VecDeque<u64>,
-    runners: &mut BTreeMap<u64, (MissionRunner, Recorder)>,
-) {
-    while resident.len() > ctx.cfg.max_resident {
-        let Some(victim) = resident.pop_front() else {
-            break;
+        let fault = |kind, e: &CkptError, detail| {
+            MissionError::new(kind, ckpt_fault_is_retryable(e), detail)
         };
-        let Some((victim_runner, victim_rec)) = runners.remove(&victim) else {
-            continue;
+        let latest = self.cfg.store.load_latest(t, scenario.seed).map_err(|e| {
+            fault(MissionErrorKind::CheckpointLoad, &e, format!("scan checkpoints: {e}"))
+        })?;
+        let Some((window, payload)) = latest else {
+            let detail = "evicted mission has no good checkpoint on disk".to_string();
+            return Err(MissionError::new(MissionErrorKind::NoCheckpoint, false, detail));
         };
-        // Only this worker owns `victim`, so locking its cell here
-        // cannot contend with another worker.
-        let mut vguard = lock(&ctx.cells[victim as usize]);
-        if let Some(pair) = evict(ctx, &mut vguard, victim, victim_runner, victim_rec) {
-            // The checkpoint write failed retryably: keep the runner
-            // resident (dropping it would strand live state) and stop
-            // evicting this round; the next slice retries the save.
-            vguard.record.status = MissionStatus::Idle;
-            resident.push_back(victim);
-            runners.insert(victim, pair);
-            break;
-        }
+        let runner = MissionRunner::resume(scenario, &config, &payload).map_err(|e| {
+            fault(MissionErrorKind::Resume, &e, format!("resume from window {window}: {e}"))
+        })?;
+        *resumed = Some(window);
+        Ok((runner, recorder))
     }
-}
 
-/// Builds the mission's runner on this worker: fresh for `Queued`,
-/// or resumed from its newest good on-disk checkpoint for `Evicted`.
-fn materialize(
-    ctx: &DrainCtx<'_>,
-    slot: &mut Slot,
-    ticket: u64,
-) -> Result<(MissionRunner, Recorder), Fault> {
-    // Metrics-only, so `Fleet::metrics_fingerprint` has something to read.
-    let recorder = Recorder::null();
-    let config = slot.record.portable.clone().into_config(recorder.clone());
-    match slot.record.ckpt_window {
-        None => Ok((MissionRunner::new(&slot.scenario, &config), recorder)),
-        Some(_) => {
-            let latest = ctx
-                .cfg
-                .store
-                .load_latest(ticket, slot.record.seed)
-                .map_err(|e| Fault {
-                    kind: MissionErrorKind::CheckpointLoad,
-                    retryable: ckpt_fault_is_retryable(&e),
-                    detail: format!("scan checkpoints: {e}"),
-                })?;
-            let (window, payload) = latest.ok_or_else(|| Fault {
-                kind: MissionErrorKind::NoCheckpoint,
-                retryable: false,
-                detail: "evicted mission has no good checkpoint on disk".to_string(),
-            })?;
-            let runner =
-                MissionRunner::resume(&slot.scenario, &config, &payload).map_err(|e| Fault {
-                    kind: MissionErrorKind::Resume,
-                    retryable: ckpt_fault_is_retryable(&e),
-                    detail: format!("resume from window {window}: {e}"),
-                })?;
-            slot.note(window, TraceEvent::FleetResume { ticket, window });
-            Ok((runner, recorder))
-        }
-    }
-}
-
-/// Backoff before attempt `attempts + 1`, in scheduler slices: capped
-/// exponential on the attempt count — pure arithmetic, no clock, no
-/// jitter, so faulty runs replay exactly.
-fn backoff_for(cfg: &FleetConfig, attempts: u32) -> u64 {
-    let exp = attempts.saturating_sub(1).min(32);
-    cfg.retry_backoff_base
-        .checked_shl(exp)
-        .unwrap_or(u64::MAX)
-        .min(cfg.retry_backoff_cap)
-}
-
-/// Supervises a classified fault on a mission with no live runner
-/// (materialization failed): retryable faults within budget are
-/// backoff-deferred; everything else quarantines.
-fn mission_fault(ctx: &DrainCtx<'_>, slot: &mut Slot, ticket: u64, fault: Fault) {
-    let attempts = slot.record.retries + 1;
-    if fault.retryable && attempts < ctx.cfg.retry_limit {
-        slot.record.retries = attempts;
-        let backoff = backoff_for(ctx.cfg, attempts);
-        let window = slot.record.ckpt_window.unwrap_or(0);
-        slot.note(
-            window,
-            TraceEvent::FleetRetry {
-                ticket,
-                window,
-                attempt: u64::from(attempts),
-                backoff_slices: backoff,
-            },
-        );
-        persist_slot(ctx, ticket, slot);
-        let ready_at = ctx.slice_clock.load(Ordering::SeqCst) + backoff;
-        lock(&ctx.queue).deferred.push((ready_at, ticket));
-        ctx.cv.notify_all();
-    } else {
-        quarantine(
-            ctx,
-            slot,
-            ticket,
-            MissionError {
-                kind: fault.kind,
-                retryable: fault.retryable,
-                attempts,
-                detail: fault.detail,
-            },
-        );
-    }
-}
-
-/// Checkpoints `runner` to the mission's store, drops it, and returns
-/// the ticket to the global queue for any worker to resume. On a
-/// retryable store fault within budget, hands the runner back to the
-/// caller (`Some`) so the mission stays resident and retries the save
-/// on its next slice; otherwise quarantines and returns `None`.
-fn evict(
-    ctx: &DrainCtx<'_>,
-    slot: &mut Slot,
-    ticket: u64,
-    runner: MissionRunner,
-    recorder: Recorder,
-) -> Option<(MissionRunner, Recorder)> {
-    let window = runner.window_index() as u64;
-    let payload = match runner.save() {
-        Ok(p) => p,
-        Err(e) => {
+    /// Checkpoints `runner` to the mission's store.
+    fn save(&self, t: u64, runner: &MissionRunner) -> Eviction {
+        let window = runner.window_index() as u64;
+        let saved = match runner.save() {
             // Serialization failure is a bug in mission state, not a
             // storage fault; retrying cannot fix it.
-            let attempts = slot.record.retries + 1;
-            quarantine(
-                ctx,
-                slot,
-                ticket,
-                MissionError {
-                    kind: MissionErrorKind::CheckpointSave,
-                    retryable: false,
-                    attempts,
-                    detail: format!("serialize mission state: {e}"),
-                },
-            );
-            return None;
-        }
-    };
-    match ctx.cfg.store.save(ticket, slot.record.seed, window, &payload) {
-        Ok(()) => {
-            let bytes = payload.len() as u64;
-            slot.note(window, TraceEvent::FleetEvict { ticket, window, bytes });
-            slot.record.ckpt_window = Some(window);
-            slot.record.status = MissionStatus::Evicted;
-            persist_slot(ctx, ticket, slot);
-            lock(&ctx.queue).ready.push_back(ticket);
-            ctx.cv.notify_one();
-            None
-        }
-        Err(e) => {
-            let attempts = slot.record.retries + 1;
-            let retryable = ckpt_fault_is_retryable(&e);
-            if retryable && attempts < ctx.cfg.retry_limit {
-                slot.record.retries = attempts;
-                // The mission stays resident with its live runner, so
-                // the retry happens at its next natural slice — no
-                // deferral needed (backoff_slices: 0 in the event).
-                slot.note(
-                    window,
-                    TraceEvent::FleetRetry {
-                        ticket,
-                        window,
-                        attempt: u64::from(attempts),
-                        backoff_slices: 0,
-                    },
-                );
-                persist_slot(ctx, ticket, slot);
-                Some((runner, recorder))
-            } else {
-                quarantine(
-                    ctx,
-                    slot,
-                    ticket,
-                    MissionError {
-                        kind: MissionErrorKind::CheckpointSave,
-                        retryable,
-                        attempts,
-                        detail: format!("write checkpoint: {e}"),
-                    },
-                );
-                None
+            Err(e) => Err(MissionError::new(
+                MissionErrorKind::CheckpointSave,
+                false,
+                format!("serialize mission state: {e}"),
+            )),
+            Ok(payload) => {
+                let seed = self.scenarios[t as usize].seed;
+                let written = self.cfg.store.save(t, seed, window, &payload);
+                written.map(|()| payload.len() as u64).map_err(|e| {
+                    let retryable = ckpt_fault_is_retryable(&e);
+                    let detail = format!("write checkpoint: {e}");
+                    MissionError::new(MissionErrorKind::CheckpointSave, retryable, detail)
+                })
             }
-        }
+        };
+        Eviction { window, saved }
     }
 }
 
-/// Isolates a mission terminally: records the typed error, marks the
-/// slot `Quarantined`, persists the transition, and accounts for the
-/// termination. Every other mission is unaffected.
-fn quarantine(ctx: &DrainCtx<'_>, slot: &mut Slot, ticket: u64, error: MissionError) {
-    slot.note(
-        slot.record.ckpt_window.unwrap_or(0),
-        TraceEvent::FleetQuarantine {
-            ticket,
-            error: error.kind.as_str(),
-            attempts: u64::from(error.attempts),
-        },
-    );
-    slot.record.error = Some(error);
-    slot.record.status = MissionStatus::Quarantined;
-    persist_slot(ctx, ticket, slot);
-    finish_one(ctx);
-}
-
-/// Renders a caught panic payload for the quarantine record.
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
+/// A caught panic as a quarantine cause.
+fn panicked(payload: Box<dyn std::any::Any + Send>) -> MissionError {
+    let detail = if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "opaque panic payload".to_string()
-    }
-}
-
-/// Mirrors the slot's durable image into the manifest (no-op unless
-/// durability is on). Best-effort: a manifest write failure degrades
-/// recoverability, never the running batch.
-fn persist_slot(ctx: &DrainCtx<'_>, ticket: u64, slot: &Slot) {
-    if let Some(manifest) = ctx.manifest {
-        lock(manifest).update(ticket, slot.record.clone());
-    }
-}
-
-/// One mission reached a terminal state; wake everyone when it was the
-/// last.
-fn finish_one(ctx: &DrainCtx<'_>) {
-    if ctx.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-        ctx.cv.notify_all();
-    }
-}
-
-impl Default for Fleet {
-    fn default() -> Self {
-        // Defaults are always valid; the builder only rejects explicit
-        // zeros.
-        match FleetBuilder::new().build() {
-            Ok(fleet) => fleet,
-            Err(_) => unreachable!("default fleet configuration is valid"),
-        }
-    }
+    };
+    MissionError::new(MissionErrorKind::Panic, false, detail)
 }
 
 #[cfg(test)]
@@ -1067,7 +726,6 @@ mod tests {
         let stranger = MissionTicket(123);
         assert_eq!(fleet.poll(stranger), None);
         assert!(fleet.report(stranger).is_none());
-        assert_eq!(fleet.total_windows(stranger), None);
     }
 
     #[test]
@@ -1141,5 +799,151 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(tickets, sorted, "post-join events are grouped by ticket");
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    use crate::core::tests::{interleave, Rng};
+    use crate::core::Settled;
+    use crate::{DiskStore, FailingStore, FaultProfile};
+
+    /// What the single-threaded driver keeps per virtual worker, and the
+    /// manifest it mirrors records into.
+    struct Harness<'m> {
+        runners: Vec<BTreeMap<u64, Live>>,
+        held: Vec<Option<Live>>,
+        latencies: Vec<f64>,
+        manifest: Option<&'m mut ManifestState>,
+        root: std::path::PathBuf,
+        generation: u64,
+    }
+
+    /// Drains `fleet` on one thread: the pool's shell actions, with the
+    /// worker at every step picked by `seed` (`interleave`). With the
+    /// manifest on, every persisted record must be on disk in a newer
+    /// generation before the next step.
+    fn drain_seeded(fleet: &mut Fleet, seed: u64) -> FleetSummary {
+        let root = fleet.cfg.checkpoint_root.clone();
+        fleet.drain_with(|shell, mut state| {
+            let n = shell.cfg.workers;
+            let mut h = Harness {
+                runners: (0..n).map(|_| BTreeMap::new()).collect(),
+                held: (0..n).map(|_| None).collect(),
+                latencies: Vec::new(),
+                manifest: state.manifest.take(),
+                root,
+                generation: 0,
+            };
+            let act = |h: &mut Harness<'_>, core: &Core<'_>, w: usize, action: Action| {
+                let (Action::Run(t, _) | Action::Evict(t)) = action else { unreachable!() };
+                let mission = Mission::take(&mut h.runners[w], t, core.record(t));
+                let (outcome, live) = shell.act(action, mission, &mut h.latencies);
+                h.held[w] = live;
+                outcome
+            };
+            let settle = |h: &mut Harness<'_>, core: &Core<'_>, w: usize, t: u64, s: Settled| {
+                let live = h.held[w].take();
+                if s.keep {
+                    h.runners[w].extend(live.map(|live| (t, live)));
+                }
+                if let Some(manifest) = h.manifest.as_deref_mut().filter(|_| s.persist) {
+                    manifest.update(t, core.record(t).clone());
+                    let disk = ManifestFile::load_latest(&h.root).unwrap().unwrap();
+                    assert!(disk.generation > h.generation, "manifest generations are monotone");
+                    assert_eq!(&disk.records[t as usize], core.record(t));
+                    h.generation = disk.generation;
+                }
+            };
+            interleave(&mut state.core, &mut Rng(seed), &mut h, act, settle);
+            h.latencies
+        })
+    }
+
+    /// One seed of the real-mission sweep: three 3-window missions under
+    /// a seed-picked worker count, residency and eviction policy, and one
+    /// of four profiles — clean, checkpoint-IO faults, an injected panic,
+    /// or a halt followed by recovery. Every finished mission must match
+    /// its solo run.
+    fn explore_real(seed: u64, solo: &[(EndStateDigest, u64)]) {
+        let mut rng = Rng(seed);
+        let root = temp_root(&format!("explore-{seed}"));
+        let _ = std::fs::remove_dir_all(&root);
+        let workers = [1, 2, 4][rng.below(3) as usize];
+        let configure = |rng: &mut Rng| {
+            FleetBuilder::new()
+                .workers(workers)
+                .checkpoint_root(&root)
+                .max_resident(1 + rng.below(3) as usize)
+                .evict_every_slice(rng.below(2) == 0)
+        };
+        let mut builder = configure(&mut rng);
+        let profile = seed % 4;
+        let mut panicked = None;
+        match profile {
+            1 => {
+                let faults = FaultProfile::uniform(seed, 4);
+                builder = builder
+                    .store(FailingStore::new(DiskStore::new(&root), faults))
+                    .retry_limit(64)
+                    .retry_backoff(rng.below(3), 4);
+            }
+            2 => {
+                let (ticket, window) = (rng.below(3), rng.below(3));
+                panicked = Some(ticket);
+                builder = builder.inject_panic(ticket, window);
+            }
+            3 => builder = builder.durable_manifest(true).halt_after_slices(1 + rng.below(8)),
+            _ => {}
+        }
+        let scenarios: Vec<Scenario> = (0..3).map(|i| persistent_surveillance(60, 7 + i)).collect();
+        let mut fleet = builder.build().expect("valid");
+        for scenario in &scenarios {
+            fleet.submit(scenario.clone(), quick_config()).expect("admissible");
+        }
+        drain_seeded(&mut fleet, seed);
+        if profile == 3 {
+            drop(fleet);
+            fleet = configure(&mut rng).recover(scenarios).expect("manifest rebuilds the fleet");
+            drain_seeded(&mut fleet, !seed);
+        }
+        for (i, ticket) in fleet.tickets().into_iter().enumerate() {
+            if panicked == Some(i as u64) {
+                assert_eq!(fleet.poll(ticket), Some(MissionStatus::Quarantined), "seed {seed}");
+                continue;
+            }
+            assert_eq!(fleet.poll(ticket), Some(MissionStatus::Done), "seed {seed}: {ticket}");
+            assert_eq!(fleet.digest(ticket), Some(&solo[i].0), "seed {seed}: {ticket}");
+            assert_eq!(fleet.metrics_fingerprint(ticket), Some(solo[i].1), "seed {seed}: {ticket}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    fn solo_runs() -> Vec<(EndStateDigest, u64)> {
+        (0..3)
+            .map(|i| {
+                let recorder = Recorder::null();
+                let mut config = quick_config();
+                config.recorder = recorder.clone();
+                let report = iobt_core::run_mission(&persistent_surveillance(60, 7 + i), &config);
+                (report.digest, recorder.metrics_digest().fingerprint())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn explored_interleavings_of_real_missions_match_solo_runs() {
+        let solo = solo_runs();
+        for seed in 0..64 {
+            explore_real(seed, &solo);
+        }
+    }
+
+    /// The same sweep over 1,000 seeds; run it in release
+    /// (`cargo test --release -p iobt-fleet -- --ignored`).
+    #[test]
+    #[ignore = "1,000 seeds: minutes in a debug build"]
+    fn explored_interleavings_of_real_missions_match_solo_runs_1000_seeds() {
+        let solo = solo_runs();
+        for seed in 0..1_000 {
+            explore_real(seed, &solo);
+        }
     }
 }

@@ -321,3 +321,138 @@ fn backoff_parking_stays_live_without_busy_waiting() {
     );
     let _ = std::fs::remove_dir_all(root);
 }
+
+/// Eight missions over all three scenario families, for the residency
+/// row of the decision goldens.
+fn eight() -> Vec<Scenario> {
+    (0..8u64)
+        .map(|i| match i % 3 {
+            0 => persistent_surveillance(40 + 2 * i as usize, 301 + i),
+            1 => urban_evacuation(40 + 2 * i as usize, 301 + i),
+            _ => disaster_relief(40 + 2 * i as usize, 301 + i),
+        })
+        .collect()
+}
+
+/// What a one-worker drain decided: its summary counts (slices, windows,
+/// evictions, resumes, retries, completed, quarantined) and the FNV-1a
+/// of the fleet recorder's JSONL, admissions and recoveries included.
+type Decisions = ([u64; 7], u64);
+
+fn decisions_of(summary: &FleetSummary, jsonl: &SharedBytes) -> Decisions {
+    let counts = [
+        summary.slices,
+        summary.windows,
+        summary.evictions,
+        summary.resumes,
+        summary.retries,
+        summary.completed as u64,
+        summary.quarantined as u64,
+    ];
+    (counts, iobt::obs::fnv1a(&jsonl.to_vec()))
+}
+
+/// Submits `scenarios` to a one-worker fleet built by `configure` under
+/// a fresh root, drains it and returns its decisions.
+fn one_worker_drain(
+    tag: &str,
+    scenarios: Vec<Scenario>,
+    configure: impl FnOnce(FleetBuilder, &std::path::Path) -> FleetBuilder,
+) -> Decisions {
+    let root = temp_root(&format!("golden-{tag}"));
+    let _ = std::fs::remove_dir_all(&root);
+    let jsonl = SharedBytes::new();
+    let builder = FleetBuilder::new()
+        .workers(1)
+        .checkpoint_root(&root)
+        .recorder(Recorder::jsonl(jsonl.clone()));
+    let mut fleet = configure(builder, &root).build().expect("valid");
+    for s in scenarios {
+        fleet.submit(s, mission_config()).expect("admissible");
+    }
+    let summary = fleet.drain();
+    let _ = std::fs::remove_dir_all(root);
+    decisions_of(&summary, &jsonl)
+}
+
+/// A one-worker schedule is what CI and the ledger reproduce, so every
+/// scheduling decision it makes — admission before residents, the LRU
+/// victim, retry or quarantine, the backoff and its fast-forward, the
+/// halt latch and what recovery finds — is pinned here, row by row.
+/// Recorded on the scheduler before it was split into a plain-data core
+/// and a thread shell; the split had to reproduce every row unedited.
+#[test]
+fn one_worker_decisions_are_pinned() {
+    let residency = one_worker_drain("resident3", eight(), |b, _| b.max_resident(3));
+    let evict_all = one_worker_drain("evict-all", batch(), |b, _| b.evict_every_slice(true));
+    let io_faults = one_worker_drain("io-faults", eight(), |b, root| {
+        let profile = FaultProfile {
+            seed: 13,
+            write_error_one_in: 3,
+            torn_write_one_in: 0,
+            enospc_one_in: 0,
+            read_error_one_in: 3,
+        };
+        b.max_resident(2)
+            .store(FailingStore::new(DiskStore::new(root), profile))
+            .retry_backoff(2, 8)
+    });
+    let deadline = one_worker_drain("deadline", batch(), |b, _| {
+        b.max_resident(2).slice_budget(Some(3))
+    });
+    let panic = one_worker_drain("panic", batch(), |b, _| {
+        b.evict_every_slice(true).inject_panic(1, 2)
+    });
+
+    let root = temp_root("golden-halt");
+    let _ = std::fs::remove_dir_all(&root);
+    let halt_jsonl = SharedBytes::new();
+    let mut halted = FleetBuilder::new()
+        .workers(1)
+        .max_resident(2)
+        .checkpoint_root(&root)
+        .durable_manifest(true)
+        .halt_after_slices(7)
+        .recorder(Recorder::jsonl(halt_jsonl.clone()))
+        .build()
+        .expect("valid");
+    for s in batch() {
+        halted.submit(s, mission_config()).expect("admissible");
+    }
+    let halt = decisions_of(&halted.drain(), &halt_jsonl);
+    drop(halted);
+    let recover_jsonl = SharedBytes::new();
+    let mut recovered = FleetBuilder::new()
+        .workers(1)
+        .max_resident(2)
+        .checkpoint_root(&root)
+        .recorder(Recorder::jsonl(recover_jsonl.clone()))
+        .recover(batch())
+        .expect("manifest rebuilds the fleet");
+    let recover = decisions_of(&recovered.drain(), &recover_jsonl);
+    let _ = std::fs::remove_dir_all(root);
+
+    let rows = [
+        ("max_resident(3)", residency),
+        ("evict_every_slice", evict_all),
+        ("io faults 1-in-3", io_faults),
+        ("slice_budget(3)", deadline),
+        ("inject_panic(1, 2)", panic),
+        ("halt_after_slices(7)", halt),
+        ("recover", recover),
+    ];
+    let expected: [Decisions; 7] = [
+        ([32, 32, 21, 21, 0, 8, 0], 0x470d_d7f0_93ae_8298),
+        ([16, 16, 12, 12, 0, 4, 0], 0x83a5_319b_f687_2660),
+        ([32, 32, 21, 21, 14, 8, 0], 0x1ef2_bc3c_b8f1_0019),
+        ([12, 12, 6, 6, 0, 0, 4], 0xcad8_696d_5f73_8dcf),
+        ([14, 14, 11, 11, 0, 3, 1], 0x8ba6_eeea_56c5_27bd),
+        ([7, 7, 5, 3, 0, 0, 0], 0xe615_503d_426c_f95a),
+        ([11, 11, 5, 9, 0, 4, 0], 0xd453_4d8d_f355_4c90),
+    ];
+    for ((label, got), want) in rows.iter().zip(expected) {
+        // ([slices, windows, evictions, resumes, retries, completed,
+        // quarantined], FNV-1a of the JSONL)
+        assert_eq!(*got, want, "{label}");
+    }
+}
