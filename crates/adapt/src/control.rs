@@ -41,12 +41,6 @@ impl PiController {
         self.setpoint
     }
 
-    /// Retargets the controller (e.g. commander tightens the latency
-    /// budget) without resetting the integrator.
-    pub fn set_setpoint(&mut self, setpoint: f64) {
-        self.setpoint = setpoint;
-    }
-
     /// One control step: reads the measured value, returns the clamped
     /// actuation. `dt` is the step length in seconds.
     pub fn step(&mut self, measurement: f64, dt: f64) -> f64 {
@@ -192,13 +186,6 @@ mod tests {
         let mut plant = QueuePlant::new();
         plant.step(0.0, 100.0, 1.0);
         assert_eq!(plant.occupancy(), 0.0);
-    }
-
-    #[test]
-    fn setpoint_can_be_retargeted() {
-        let mut c = controller();
-        c.set_setpoint(-10.0);
-        assert_eq!(c.setpoint(), -10.0);
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl<S> Stabilizer<S> {
         self.monitors.is_empty()
     }
 
-    /// Checks all invariants without correcting.
-    pub fn all_hold(&self, state: &S) -> bool {
-        self.monitors.iter().all(|m| m.holds(state))
-    }
-
     /// Runs check-and-correct rounds until every invariant holds or
     /// `max_rounds` is exhausted (guarding against conflicting monitors
     /// that oscillate — the §IV-A "unexpected consequences" of interacting
@@ -175,10 +170,8 @@ mod tests {
             leader: None,
             queue_depth: 23,
         };
-        assert!(!s.all_hold(&state));
         let report = s.stabilize(&mut state, 20);
         assert!(report.stable);
-        assert!(s.all_hold(&state));
         assert_eq!(state.replicas, 3);
         assert_eq!(state.leader, Some(1));
         assert!(state.queue_depth <= 10);

@@ -28,7 +28,7 @@
 //! # Examples
 //!
 //! ```
-//! use iobt_adapt::prelude::*;
+//! use iobt_adapt::IntentGame;
 //!
 //! // Commander's intent decomposed into three weighted objectives;
 //! // twelve autonomous agents self-organize without coordination.
@@ -62,17 +62,3 @@ pub use invariant::{InvariantMonitor, StabilizationReport, Stabilizer};
 pub use modality::{ModalitySwitcher, SwitchPolicy};
 pub use safety::{ActuationController, ActuationDecision, AuditEntry, HumanAuthorization};
 pub use selfaware::{AdaptationLoop, AdaptationMetrics, LoadBandService, SelfAware};
-
-/// Convenience re-exports for downstream crates and examples.
-pub mod prelude {
-    pub use crate::{
-        hotspot_trace, simulate, simulate_observed, AllocationPolicy, AllocationRun, Equilibrium,
-        IntentGame, InvariantMonitor, ModalitySwitcher, PiController, QueuePlant, Recorder,
-        StabilizationReport, Stabilizer, SwitchPolicy,
-    };
-    pub use crate::estimation::{track, AlphaBetaFilter, FusionRule, TrackingRun};
-    pub use crate::safety::{
-        ActuationController, ActuationDecision, AuditEntry, HumanAuthorization,
-    };
-    pub use crate::selfaware::{AdaptationLoop, AdaptationMetrics, LoadBandService, SelfAware};
-}

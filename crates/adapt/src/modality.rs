@@ -86,16 +86,6 @@ impl ModalitySwitcher {
         self.active
     }
 
-    /// Marks a modality as immediately dead (sensor destroyed, link
-    /// jammed) and re-evaluates.
-    pub fn mark_failed(&mut self, kind: SensorKind) -> Option<SensorKind> {
-        if let Some(h) = self.health.get_mut(&kind) {
-            *h = 0.0;
-        }
-        self.reselect();
-        self.active
-    }
-
     fn reselect(&mut self) {
         let incumbent_health = self
             .active
@@ -168,14 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn jamming_failure_switches_immediately() {
-        let mut s = switcher();
-        let active = s.mark_failed(SensorKind::Visual);
-        assert_ne!(active, Some(SensorKind::Visual));
-        assert_eq!(s.switches(), 1);
-    }
-
-    #[test]
     fn hysteresis_prevents_flapping() {
         let mut s = switcher();
         // Two modalities oscillating within the margin: no switches.
@@ -207,9 +189,11 @@ mod tests {
     #[test]
     fn all_dead_means_no_active_modality() {
         let mut s = switcher();
-        s.mark_failed(SensorKind::Visual);
-        s.mark_failed(SensorKind::Seismic);
-        s.mark_failed(SensorKind::Acoustic);
+        for _ in 0..10 {
+            s.observe(SensorKind::Visual, 0.0);
+            s.observe(SensorKind::Seismic, 0.0);
+            s.observe(SensorKind::Acoustic, 0.0);
+        }
         assert_eq!(s.active(), None);
     }
 

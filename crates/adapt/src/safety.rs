@@ -122,13 +122,9 @@ impl ActuationController {
     /// threshold is halved, and *every* actuator needs a live human
     /// authorization, not just the kinds flagged for it (§VI: when the
     /// machine knows less, the human decides more).
+    // lint: allow(unused-pub) — the only switch of the §VI degraded interlock DESIGN.md:272 names
     pub fn set_degraded(&mut self, degraded: bool) {
         self.degraded = degraded;
-    }
-
-    /// Whether the controller is in degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Attaches a [`Recorder`]; every decision from [`request`](Self::request)
@@ -323,9 +319,7 @@ mod tests {
     #[test]
     fn degraded_mode_requires_authorization_for_everything() {
         let mut c = controller();
-        assert!(!c.is_degraded());
         c.set_degraded(true);
-        assert!(c.is_degraded());
         // Markers are normally autonomous; degraded they need a human.
         let d = c.request(NodeId::new(1), ActuatorKind::Marker, 0, 10.0);
         assert_eq!(d, ActuationDecision::DeniedDegraded);

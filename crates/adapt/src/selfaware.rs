@@ -47,17 +47,6 @@ pub struct AdaptationMetrics {
     pub worst_violation_streak: usize,
 }
 
-impl AdaptationMetrics {
-    /// Fraction of steps in goal, in `[0, 1]` (1.0 for an empty run).
-    pub fn goal_fraction(&self) -> f64 {
-        if self.steps == 0 {
-            1.0
-        } else {
-            self.steps_in_goal as f64 / self.steps as f64
-        }
-    }
-}
-
 /// Drives a [`SelfAware`] component over an observation stream: each step
 /// delivers one observation, then adapts (up to `max_actions_per_step`
 /// corrective actions) until the goal holds again or actions run out.
@@ -68,7 +57,7 @@ impl AdaptationMetrics {
 /// let metrics = AdaptationLoop::default()
 ///     .run(&mut service, std::iter::repeat(60.0).take(20));
 /// assert!(service.capacity() > 10.0, "scaled up under load");
-/// assert!(metrics.goal_fraction() > 0.5);
+/// assert!(metrics.steps_in_goal > metrics.steps / 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptationLoop {
@@ -210,7 +199,7 @@ mod tests {
         assert!((0.4..=0.8).contains(&u), "utilization in band: {u}");
         assert!(metrics.adaptations > 0);
         assert_eq!(metrics.dead_ends, 0);
-        assert!(metrics.goal_fraction() > 0.5, "{:?}", metrics);
+        assert!(metrics.steps_in_goal > metrics.steps / 2, "{:?}", metrics);
     }
 
     #[test]
@@ -230,7 +219,7 @@ mod tests {
         );
         assert!(metrics.dead_ends > 0, "{metrics:?}");
         assert_eq!(svc.capacity(), 20.0, "pinned at the limit");
-        assert!(metrics.goal_fraction() < 0.5);
+        assert!(metrics.steps_in_goal < metrics.steps / 2);
         assert!(metrics.worst_violation_streak >= 5);
     }
 
@@ -241,7 +230,6 @@ mod tests {
             AdaptationLoop::default().run(&mut svc, std::iter::repeat_n(0.0, 10));
         assert_eq!(metrics.steps_in_goal, 10);
         assert_eq!(metrics.adaptations, 0);
-        assert_eq!(metrics.goal_fraction(), 1.0);
     }
 
     #[test]
@@ -249,7 +237,6 @@ mod tests {
         let mut svc = LoadBandService::new(10.0, (0.4, 0.8), (1.0, 100.0));
         let metrics = AdaptationLoop::default().run(&mut svc, std::iter::empty());
         assert_eq!(metrics.steps, 0);
-        assert_eq!(metrics.goal_fraction(), 1.0);
     }
 
     /// A second SelfAware implementation proving the abstraction is not

@@ -5,10 +5,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use serde::Serialize;
+use iobt_obs::push_json_str;
 
 /// A printable results table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment identifier (e.g. `f2_synthesis_scale`).
     pub id: String,
@@ -75,11 +75,38 @@ impl Table {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
         if fs::create_dir_all(&dir).is_ok() {
             let path = dir.join(format!("{}.json", self.id));
-            if let Ok(json) = serde_json::to_string_pretty(self) {
-                let _ = fs::write(&path, json);
+            if fs::write(&path, self.to_json()).is_ok() {
                 println!("\n[saved {}]", path.display());
             }
         }
+    }
+
+    /// The table as one JSON object: `id`, `title`, `columns`, then
+    /// `rows` (one row per line), every cell a string.
+    fn to_json(&self) -> String {
+        fn push_strings(out: &mut String, cells: &[String]) {
+            out.push('[');
+            for (i, cell) in cells.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_json_str(out, cell);
+            }
+            out.push(']');
+        }
+        let mut out = String::from("{\"id\":");
+        push_json_str(&mut out, &self.id);
+        out.push_str(",\"title\":");
+        push_json_str(&mut out, &self.title);
+        out.push_str(",\"columns\":");
+        push_strings(&mut out, &self.columns);
+        out.push_str(",\"rows\":[");
+        for (i, row) in self.rows.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            push_strings(&mut out, row);
+        }
+        out.push_str("\n]}\n");
+        out
     }
 }
 
@@ -118,6 +145,19 @@ mod tests {
         let mut t = Table::new("x", "t", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.rows.len(), 1);
+    }
+
+    #[test]
+    fn json_keeps_key_order_and_escapes_cells() {
+        let mut t = Table::new("x", "a \"quoted\" title", &["a", "b"]);
+        t.row(vec!["1".into(), "back\\slash".into()]);
+        t.row(vec!["±".into(), "tab\t".into()]);
+        assert_eq!(
+            t.to_json(),
+            "{\"id\":\"x\",\"title\":\"a \\\"quoted\\\" title\",\"columns\":[\"a\",\"b\"],\"rows\":[\n\
+             [\"1\",\"back\\\\slash\"],\n\
+             [\"±\",\"tab\\t\"]\n]}\n"
+        );
     }
 
     #[test]

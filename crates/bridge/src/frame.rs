@@ -37,13 +37,6 @@ fn push_topic(out: &mut String, mission: u64, record: &TraceRecord) {
     out.push_str(record.event.kind());
 }
 
-/// The topic a record is published under (see the module docs).
-pub fn topic(mission: u64, record: &TraceRecord) -> String {
-    let mut out = String::with_capacity(48);
-    push_topic(&mut out, mission, record);
-    out
-}
-
 /// Encodes one record as an egress frame: `"topic"` as the first key,
 /// then the record's own deterministic JSON line, written into one
 /// buffer.
@@ -208,17 +201,6 @@ fn scan_scalar(s: &str) -> Result<(Scalar<'_>, &str), FrameError> {
     Ok((Scalar::U64(v), &s[digits_end..]))
 }
 
-/// Renders a command back to its canonical frame encoding — the format
-/// external controllers send, also used by tests and the example.
-pub fn encode_command(cmd: &Command) -> String {
-    match cmd.action {
-        CommandAction::Assign { node } => format!(
-            "{{\"src\":{},\"seq\":{},\"cmd\":\"assign\",\"node\":{}}}",
-            cmd.src, cmd.seq, node
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,9 +217,9 @@ mod tests {
     #[test]
     fn topic_uses_primary_node_or_dash() {
         let with_node = rec(1, TraceEvent::MsgSent { from: 9, to: 2 });
-        assert_eq!(topic(3, &with_node), "iobt/3/9/msg_sent");
+        assert!(encode_frame(3, &with_node).starts_with("{\"topic\":\"iobt/3/9/msg_sent\","));
         let no_node = rec(2, TraceEvent::BridgeConnect { attempt: 1 });
-        assert_eq!(topic(3, &no_node), "iobt/3/-/bridge_connect");
+        assert!(encode_frame(3, &no_node).starts_with("{\"topic\":\"iobt/3/-/bridge_connect\","));
     }
 
     #[test]
@@ -255,8 +237,8 @@ mod tests {
             seq: 11,
             action: CommandAction::Assign { node: 42 },
         };
-        let encoded = encode_command(&cmd);
-        assert_eq!(parse_command(encoded.as_bytes()), Ok(cmd));
+        let encoded = b"{\"src\":5,\"seq\":11,\"cmd\":\"assign\",\"node\":42}";
+        assert_eq!(parse_command(encoded), Ok(cmd));
     }
 
     #[test]

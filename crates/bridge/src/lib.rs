@@ -56,20 +56,8 @@ pub use bridge::{
     Bridge, BridgeConfig, BridgeError, BridgeReport, BridgeSink, ConnState, OverflowPolicy,
 };
 pub use faulty::{FaultStats, FaultyTransport, TransportFaultProfile};
-pub use frame::{encode_command, encode_frame, parse_command, topic, Command, CommandAction, FrameError};
+pub use frame::{encode_frame, parse_command, Command, CommandAction, FrameError};
 pub use transport::{
-    encode_framed, memory_pair, read_framed, MemoryEndpoint, MemoryTransport, TcpTransport,
-    Transport, TransportError, MAX_FRAME_LEN,
+    memory_pair, read_framed, MemoryEndpoint, MemoryTransport, TcpTransport, Transport,
+    TransportError, MAX_FRAME_LEN,
 };
-
-/// Convenience re-exports mirroring the other subsystem crates.
-pub mod prelude {
-    pub use crate::bridge::{
-        Bridge, BridgeConfig, BridgeError, BridgeReport, BridgeSink, ConnState, OverflowPolicy,
-    };
-    pub use crate::faulty::{FaultStats, FaultyTransport, TransportFaultProfile};
-    pub use crate::frame::{encode_command, parse_command, Command, CommandAction, FrameError};
-    pub use crate::transport::{
-        memory_pair, MemoryEndpoint, MemoryTransport, TcpTransport, Transport, TransportError,
-    };
-}

@@ -189,21 +189,9 @@ impl MemoryEndpoint {
         self.0.borrow_mut().ingress.push_back(frame.to_vec());
     }
 
-    /// Cuts the link: the bridge's next send/recv fails with
-    /// `Disconnected` until it reconnects.
-    pub fn drop_link(&self) {
-        self.0.borrow_mut().connected = false;
-    }
-
     /// True while the bridge side holds an open connection.
     pub fn is_connected(&self) -> bool {
         self.0.borrow().connected
-    }
-
-    /// When `refuse` is set, every subsequent connect attempt is
-    /// rejected with `Refused` until lifted.
-    pub fn refuse_connects(&self, refuse: bool) {
-        self.0.borrow_mut().refuse_connect = refuse;
     }
 
     /// Number of successful connects the bridge has made on this link.
@@ -216,15 +204,8 @@ impl MemoryEndpoint {
 // Length-framed TCP
 // ---------------------------------------------------------------------------
 
-/// Encodes one frame for the TCP wire: `u32` little-endian payload
-/// length, then the payload. Shared by [`TcpTransport`] and any
-/// consumer that writes commands back.
-pub fn encode_framed(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + payload.len());
-    push_framed(&mut out, payload);
-    out
-}
-
+/// Appends one frame as the TCP wire carries it: `u32` little-endian
+/// payload length, then the payload.
 fn push_framed(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
@@ -501,6 +482,26 @@ mod tests {
 
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
+        }
+    }
+
+    fn encode_framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_framed(&mut out, payload);
+        out
+    }
+
+    impl MemoryEndpoint {
+        /// Cuts the link: the bridge's next send/recv fails with
+        /// `Disconnected` until it reconnects.
+        fn drop_link(&self) {
+            self.0.borrow_mut().connected = false;
+        }
+
+        /// When `refuse` is set, every subsequent connect attempt is
+        /// rejected with `Refused` until lifted.
+        pub(crate) fn refuse_connects(&self, refuse: bool) {
+            self.0.borrow_mut().refuse_connect = refuse;
         }
     }
 

@@ -322,13 +322,6 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, CkptError> {
     })
 }
 
-/// Reads and verifies a checkpoint file, returning header + payload.
-pub fn read_checkpoint_file(path: &Path) -> Result<(CheckpointHeader, Vec<u8>), CkptError> {
-    let bytes = read_file(path)?;
-    let (header, payload) = decode_checkpoint(&bytes)?;
-    Ok((header, payload.to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,7 +412,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("one.ickpt");
         write_checkpoint_atomic(&path, 9, 2, b"payload").unwrap();
-        let (header, payload) = read_checkpoint_file(&path).unwrap();
+        let bytes = read_file(&path).unwrap();
+        let (header, payload) = decode_checkpoint(&bytes).unwrap();
         assert_eq!((header.seed, header.window), (9, 2));
         assert_eq!(payload, b"payload");
         // No temp file left behind.

@@ -33,7 +33,7 @@ pub mod store;
 
 pub use codec::{Dec, DecodeError, Enc, Wire};
 pub use envelope::{
-    crc32, decode_checkpoint, encode_checkpoint, open, read_checkpoint_file, seal, write_atomic,
-    write_checkpoint_atomic, CheckpointHeader, CkptError, FORMAT_VERSION, MAGIC,
+    crc32, decode_checkpoint, encode_checkpoint, open, seal, write_atomic, write_checkpoint_atomic,
+    CheckpointHeader, CkptError, FORMAT_VERSION, MAGIC,
 };
 pub use store::{CheckpointStore, LatestGood, NumberedFiles};

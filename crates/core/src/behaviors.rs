@@ -165,11 +165,6 @@ impl TaskBoardInner {
         }
     }
 
-    /// Assignments still awaiting an ack.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The full retransmit state — `(node, attempts, next retry time)`
     /// per pending assignment, ascending node id — for checkpoints.
     pub fn pending_entries(&self) -> Vec<(NodeId, u32, SimTime)> {
@@ -564,7 +559,7 @@ mod tests {
         assert_eq!(stats.assigned, 2, "duplicate assign must not double-count");
         assert_eq!(stats.acked, 2, "both reachable sensors must ack");
         assert_eq!(stats.abandoned, 0);
-        assert_eq!(board.borrow().outstanding(), 0);
+        assert!(board.borrow().pending_entries().is_empty());
         let log = log.borrow();
         assert!(
             log.iter().any(|r| r.from == NodeId::new(1))
@@ -597,7 +592,7 @@ mod tests {
         assert_eq!(stats.acked, 0);
         assert_eq!(stats.retries, 2, "attempts 2 and 3 are retries");
         assert_eq!(stats.abandoned, 1);
-        assert_eq!(board.borrow().outstanding(), 0);
+        assert!(board.borrow().pending_entries().is_empty());
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl FailureDetector {
         }
     }
 
-    /// Number of nodes currently watched.
-    pub fn watched(&self) -> usize {
-        self.last_seen.len()
-    }
-
     /// The watch table — every watched node with the time it was last
     /// heard, ascending node id. Exposed for mission checkpoints.
     pub fn entries(&self) -> Vec<(NodeId, SimTime)> {
@@ -269,7 +264,7 @@ mod tests {
     fn detector_ignores_unwatched_and_stale_heartbeats() {
         let mut det = FailureDetector::new(SimDuration::from_secs_f64(1.0), 2.0);
         det.heard(NodeId::new(9), secs(1.0));
-        assert_eq!(det.watched(), 0);
+        assert!(det.entries().is_empty());
         det.watch(NodeId::new(1), secs(5.0));
         det.heard(NodeId::new(1), secs(3.0)); // stale: must not rewind
         assert!(det.suspects(secs(6.0)).is_empty());

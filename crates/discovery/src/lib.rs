@@ -12,7 +12,7 @@
 //! # Examples
 //!
 //! ```
-//! use iobt_discovery::prelude::*;
+//! use iobt_discovery::{AffiliationClassifier, EmissionModel, NaiveBayes};
 //! use iobt_types::Affiliation;
 //!
 //! // Train a side-channel classifier on synthetic emission captures.
@@ -44,12 +44,3 @@ pub use metrics::ConfusionMatrix;
 pub use probe::{ProbeProfile, ProbeRecord, ProbeTarget, Prober};
 pub use recruit::{recruit, recruit_with_probes, RecruitPolicy, RecruitedAsset, RecruitmentPool};
 pub use tracker::{AssetEstimate, DiscoveryTracker, TrackerConfig};
-
-/// Convenience re-exports for downstream crates and examples.
-pub mod prelude {
-    pub use crate::{
-        evaluate, recruit, recruit_with_probes, AffiliationClassifier, AssetEstimate, ConfusionMatrix,
-        DiscoveryTracker, EmissionFeatures, EmissionModel, LogisticClassifier, LogisticConfig,
-        NaiveBayes, ProbeTarget, Prober, RecruitPolicy, RecruitmentPool, TrackerConfig,
-    };
-}

@@ -78,18 +78,6 @@ impl ProbeProfile {
         }
     }
 
-    /// Infers the compute class from the latency fingerprint: faster
-    /// machines answer probes quicker. Returns `None` without responses.
-    pub fn inferred_compute(&self) -> Option<ComputeClass> {
-        let latency = self.mean_latency_ms()?;
-        Some(match latency {
-            l if l < 2.0 => ComputeClass::EdgeCloud,
-            l if l < 8.0 => ComputeClass::EdgeServer,
-            l if l < 40.0 => ComputeClass::Embedded,
-            _ => ComputeClass::Disposable,
-        })
-    }
-
     fn record(&mut self, r: ProbeRecord) {
         self.probes += 1;
         if r.responded {
@@ -128,6 +116,7 @@ impl Prober {
 
     /// Probes every target once, returning this round's records and
     /// folding them into the profiles.
+    // lint: allow(unused-pub) — the only way to probe; DESIGN.md:56 lists active probing
     pub fn probe_round(&mut self, targets: &[ProbeTarget]) -> Vec<ProbeRecord> {
         let mut records = Vec::with_capacity(targets.len());
         for t in targets {
@@ -150,25 +139,9 @@ impl Prober {
         records
     }
 
-    /// Runs `rounds` probe rounds.
-    pub fn probe_rounds(&mut self, targets: &[ProbeTarget], rounds: usize) {
-        for _ in 0..rounds {
-            self.probe_round(targets);
-        }
-    }
-
     /// Profile of one node, if it has ever been probed.
     pub fn profile(&self, id: NodeId) -> Option<&ProbeProfile> {
         self.profiles.get(&id)
-    }
-
-    /// Nodes whose estimated availability clears `threshold`, ascending id.
-    pub fn available_nodes(&self, threshold: f64) -> Vec<NodeId> {
-        self.profiles
-            .iter()
-            .filter(|(_, p)| p.availability() >= threshold)
-            .map(|(&id, _)| id)
-            .collect()
     }
 }
 
@@ -184,10 +157,16 @@ mod tests {
         ]
     }
 
+    fn probe_rounds(p: &mut Prober, targets: &[ProbeTarget], rounds: usize) {
+        for _ in 0..rounds {
+            p.probe_round(targets);
+        }
+    }
+
     #[test]
     fn availability_estimates_converge() {
         let mut p = Prober::new(1);
-        p.probe_rounds(&targets(), 400);
+        probe_rounds(&mut p, &targets(), 400);
         let est1 = p.profile(NodeId::new(1)).unwrap().availability();
         let est2 = p.profile(NodeId::new(2)).unwrap().availability();
         let est3 = p.profile(NodeId::new(3)).unwrap().availability();
@@ -197,38 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn compute_class_is_inferred_from_latency() {
-        let mut p = Prober::new(2);
-        p.probe_rounds(&targets(), 200);
-        assert_eq!(
-            p.profile(NodeId::new(1)).unwrap().inferred_compute(),
-            Some(ComputeClass::EdgeCloud)
-        );
-        assert_eq!(
-            p.profile(NodeId::new(2)).unwrap().inferred_compute(),
-            Some(ComputeClass::Embedded)
-        );
-    }
-
-    #[test]
     fn unresponsive_nodes_have_no_latency_estimate() {
         let t = [ProbeTarget::new(NodeId::new(9), 0.0, ComputeClass::Embedded)];
         let mut p = Prober::new(3);
-        p.probe_rounds(&t, 50);
+        probe_rounds(&mut p, &t, 50);
         let profile = p.profile(NodeId::new(9)).unwrap();
         assert_eq!(profile.availability(), 0.0);
         assert_eq!(profile.mean_latency_ms(), None);
-        assert_eq!(profile.inferred_compute(), None);
-    }
-
-    #[test]
-    fn available_nodes_filters_by_threshold() {
-        let mut p = Prober::new(4);
-        p.probe_rounds(&targets(), 300);
-        let available = p.available_nodes(0.4);
-        assert!(available.contains(&NodeId::new(1)));
-        assert!(available.contains(&NodeId::new(2)));
-        assert!(!available.contains(&NodeId::new(3)));
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl RecruitmentPool {
             self.infiltration_count() as f64 / self.admitted.len() as f64
         }
     }
-
-    /// Ids of admitted assets, ascending.
-    pub fn admitted_ids(&self) -> Vec<NodeId> {
-        self.admitted.iter().map(|a| a.spec.id()).collect()
-    }
 }
 
 /// Runs a recruitment pass at time `now_s`.
@@ -164,6 +159,10 @@ mod tests {
     use crate::tracker::{DiscoveryTracker, TrackerConfig};
     use iobt_types::{NodeSpec, Point};
 
+    fn admitted_ids(pool: &RecruitmentPool) -> Vec<NodeId> {
+        pool.admitted.iter().map(|a| a.spec.id()).collect()
+    }
+
     fn setup() -> (NodeCatalog, DiscoveryTracker, TrustLedger) {
         let mut catalog = NodeCatalog::new();
         let mut ledger = TrustLedger::new();
@@ -200,7 +199,7 @@ mod tests {
             101.0,
             120.0,
         );
-        assert_eq!(pool.admitted_ids(), vec![NodeId::new(1), NodeId::new(3)]);
+        assert_eq!(admitted_ids(&pool), vec![NodeId::new(1), NodeId::new(3)]);
         assert_eq!(pool.rejected_red, vec![NodeId::new(2)]);
         assert_eq!(pool.infiltration_count(), 0);
     }
@@ -213,7 +212,7 @@ mod tests {
             ..RecruitPolicy::default()
         };
         let pool = recruit(&catalog, &tracker, &ledger, &policy, 101.0, 120.0);
-        assert_eq!(pool.admitted_ids(), vec![NodeId::new(1)]);
+        assert_eq!(admitted_ids(&pool), vec![NodeId::new(1)]);
         assert!(pool.rejected_other.contains(&NodeId::new(3)));
     }
 
@@ -267,13 +266,13 @@ mod tests {
         let (catalog, tracker, ledger) = setup();
         let mut prober = Prober::new(1);
         // Node 1 answers almost always; node 3 almost never.
-        prober.probe_rounds(
-            &[
-                ProbeTarget::new(NodeId::new(1), 0.95, ComputeClass::Embedded),
-                ProbeTarget::new(NodeId::new(3), 0.02, ComputeClass::Embedded),
-            ],
-            200,
-        );
+        let targets = [
+            ProbeTarget::new(NodeId::new(1), 0.95, ComputeClass::Embedded),
+            ProbeTarget::new(NodeId::new(3), 0.02, ComputeClass::Embedded),
+        ];
+        for _ in 0..200 {
+            prober.probe_round(&targets);
+        }
         let pool = super::recruit_with_probes(
             &catalog,
             &tracker,
@@ -283,11 +282,11 @@ mod tests {
             120.0,
             Some(&prober),
         );
-        assert!(pool.admitted_ids().contains(&NodeId::new(1)));
+        assert!(admitted_ids(&pool).contains(&NodeId::new(1)));
         assert!(
-            !pool.admitted_ids().contains(&NodeId::new(3)),
+            !admitted_ids(&pool).contains(&NodeId::new(3)),
             "a 2%-available asset is useless: {:?}",
-            pool.admitted_ids()
+            admitted_ids(&pool)
         );
         assert!(pool.rejected_other.contains(&NodeId::new(3)));
     }

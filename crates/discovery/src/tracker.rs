@@ -180,32 +180,6 @@ impl DiscoveryTracker {
         self.assets.get(&id)
     }
 
-    /// All assets with presence ≥ `min_presence` at `now_s`, ascending id.
-    pub fn present_assets(&self, now_s: f64, min_presence: f64) -> Vec<&AssetEstimate> {
-        self.assets
-            .values()
-            .filter(|a| a.presence(now_s, self.config.presence_tau_s) >= min_presence)
-            .collect()
-    }
-
-    /// Assets whose red-posterior exceeds `threshold` — the suspected
-    /// adversarial set handed to security monitoring.
-    pub fn suspected_red(&self, threshold: f64) -> Vec<NodeId> {
-        self.assets
-            .values()
-            .filter(|a| a.posterior()[Affiliation::Red.index()] >= threshold)
-            .map(|a| a.id)
-            .collect()
-    }
-
-    /// Drops assets unseen since before `cutoff_s` (garbage collection for
-    /// long-running deployments under churn).
-    pub fn evict_stale(&mut self, cutoff_s: f64) -> usize {
-        let before = self.assets.len();
-        self.assets.retain(|_, a| a.last_seen_s >= cutoff_s);
-        before - self.assets.len()
-    }
-
     /// Iterates over all estimates, ascending id.
     pub fn iter(&self) -> impl Iterator<Item = &AssetEstimate> {
         self.assets.values()
@@ -271,35 +245,5 @@ mod tests {
         assert_eq!(e.last_seen_s(), 50.0);
         assert_eq!(e.position(), Point::ORIGIN, "stale position ignored");
         assert_eq!(e.observations(), 2, "evidence still fused");
-    }
-
-    #[test]
-    fn suspected_red_lists_high_posterior_nodes() {
-        let mut t = tracker();
-        t.observe(NodeId::new(1), 0.0, Point::ORIGIN, [0.05, 0.9, 0.05]);
-        t.observe(NodeId::new(2), 0.0, Point::ORIGIN, [0.9, 0.05, 0.05]);
-        assert_eq!(t.suspected_red(0.5), vec![NodeId::new(1)]);
-    }
-
-    #[test]
-    fn evict_stale_removes_old_tracks() {
-        let mut t = tracker();
-        t.observe(NodeId::new(1), 10.0, Point::ORIGIN, [1.0 / 3.0; 3]);
-        t.observe(NodeId::new(2), 500.0, Point::ORIGIN, [1.0 / 3.0; 3]);
-        let evicted = t.evict_stale(100.0);
-        assert_eq!(evicted, 1);
-        assert!(t.estimate(NodeId::new(1)).is_none());
-        assert!(t.estimate(NodeId::new(2)).is_some());
-    }
-
-    #[test]
-    fn present_assets_filters_and_orders() {
-        let mut t = tracker();
-        t.observe(NodeId::new(3), 100.0, Point::ORIGIN, [1.0 / 3.0; 3]);
-        t.observe(NodeId::new(1), 100.0, Point::ORIGIN, [1.0 / 3.0; 3]);
-        t.observe(NodeId::new(2), 0.0, Point::ORIGIN, [1.0 / 3.0; 3]);
-        let present = t.present_assets(101.0, 0.5);
-        let ids: Vec<NodeId> = present.iter().map(|a| a.id()).collect();
-        assert_eq!(ids, vec![NodeId::new(1), NodeId::new(3)]);
     }
 }

@@ -82,24 +82,6 @@ impl MixingTopology {
             }
         }
     }
-
-    /// Number of undirected edges used per round for `n` nodes (for the
-    /// communication-cost accounting of `t6_learning_cost`).
-    pub fn edges_per_round(&self, n: usize) -> usize {
-        match *self {
-            MixingTopology::Complete => n * (n - 1) / 2,
-            MixingTopology::Ring => {
-                if n < 2 {
-                    0
-                } else if n == 2 {
-                    1
-                } else {
-                    n
-                }
-            }
-            MixingTopology::Random { degree } => (n * degree.max(2) / 2).max(n - 1),
-        }
-    }
 }
 
 /// One Metropolis-weighted gossip mixing round, in place.
@@ -279,8 +261,6 @@ mod tests {
         assert_eq!(MixingTopology::Ring.edges(5, 0, 0).len(), 5);
         assert_eq!(MixingTopology::Ring.edges(2, 0, 0).len(), 1);
         assert!(MixingTopology::Complete.edges(1, 0, 0).is_empty());
-        assert_eq!(MixingTopology::Complete.edges_per_round(5), 10);
-        assert_eq!(MixingTopology::Ring.edges_per_round(5), 5);
     }
 
     #[test]

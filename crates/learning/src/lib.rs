@@ -20,7 +20,10 @@
 //! # Examples
 //!
 //! ```
-//! use iobt_learning::prelude::*;
+//! use iobt_learning::{
+//!     logistic_dataset, partition, train_federated, Aggregator, ByzantineAttack, Dataset,
+//!     FederatedConfig,
+//! };
 //!
 //! let data = logistic_dataset(800, 5, 5.0, 1);
 //! let (train, test) = data.examples.split_at(600);
@@ -58,15 +61,4 @@ pub use gossip::{
     consensus_error, decentralized_sgd, gossip_mix, DecentralizedRun, MixingTopology,
 };
 pub use model::LogisticModel;
-pub use pushsum::{directed_ring, push_sum_average, push_sum_round, PushSumNode};
-
-/// Convenience re-exports for downstream crates and examples.
-pub mod prelude {
-    pub use crate::{
-        cost_aware_sgd, decentralized_sgd, logistic_dataset, partition, poison_labels,
-        train_blind, train_contextual, train_federated, ActivationPolicy, Aggregator,
-        ByzantineAttack, ContinualResult, CostAwareRun, Dataset, DecentralizedRun, Example,
-        FederatedConfig, FederatedRun, LogisticModel, MixingTopology, PushSumNode, TaskStream,
-    };
-    pub use crate::pushsum::{directed_ring, push_sum_average, push_sum_round};
-}
+pub use pushsum::{push_sum_average, push_sum_round, PushSumNode};

@@ -81,12 +81,15 @@ pub fn push_sum_round(nodes: &mut [PushSumNode], edges: &[(usize, usize)]) {
 /// round (the convergence trace).
 ///
 /// ```
-/// # use iobt_learning::pushsum::{directed_ring, push_sum_average};
+/// # use iobt_learning::pushsum::push_sum_average;
 /// let initial: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64]).collect();
-/// let (nodes, trace) = push_sum_average(&initial, |_| directed_ring(6), 150);
+/// // A directed ring, i -> i + 1: symmetric gossip cannot run on it.
+/// let ring: Vec<(usize, usize)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+/// let (nodes, trace) = push_sum_average(&initial, |_| ring.clone(), 150);
 /// assert!(trace.last().unwrap() < &1e-6);
 /// assert!((nodes[0].estimate()[0] - 2.5).abs() < 1e-6);
 /// ```
+// lint: allow(unused-pub) — runs the push-sum averaging over directed graphs DESIGN.md:92 names
 pub fn push_sum_average(
     initial: &[Vec<f64>],
     mut edges_at: impl FnMut(u64) -> Vec<(usize, usize)>,
@@ -123,16 +126,16 @@ pub fn push_sum_average(
     (nodes, trace)
 }
 
-/// A directed ring: `i -> (i + 1) % n` — strongly connected but maximally
-/// asymmetric; symmetric gossip cannot even be expressed on it.
-pub fn directed_ring(n: usize) -> Vec<(usize, usize)> {
-    (0..n).map(|i| (i, (i + 1) % n)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A directed ring: `i -> (i + 1) % n` — strongly connected but
+    /// maximally asymmetric; symmetric gossip cannot even be expressed on it.
+    fn directed_ring(n: usize) -> Vec<(usize, usize)> {
+        (0..n).map(|i| (i, (i + 1) % n)).collect()
+    }
 
     #[test]
     fn mass_invariants_hold_every_round() {

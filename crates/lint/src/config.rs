@@ -242,21 +242,6 @@ impl AllowSet {
     pub fn directives(&self) -> &[Directive] {
         &self.directives
     }
-
-    /// Whether `rule` is allowed on `line` by a justified directive.
-    pub fn allowed(&self, rule: Rule, line: u32) -> bool {
-        self.directives
-            .iter()
-            .any(|d| d.justified && d.rule == rule.name() && d.from <= line && line <= d.to)
-    }
-
-    /// Whether an unjustified directive covers `(rule, line)` — used to
-    /// improve the violation message.
-    pub fn unjustified(&self, rule: Rule, line: u32) -> bool {
-        self.directives
-            .iter()
-            .any(|d| !d.justified && d.rule == rule.name() && d.from <= line && line <= d.to)
-    }
 }
 
 /// Extracts `(rule name, has_reason)` for every directive in a comment.
@@ -286,6 +271,15 @@ fn parse_directives(text: &str) -> Vec<(String, bool)> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
+
+    impl AllowSet {
+        /// Whether `rule` is allowed on `line` by a justified directive.
+        fn allowed(&self, rule: Rule, line: u32) -> bool {
+            self.directives
+                .iter()
+                .any(|d| d.justified && d.rule == rule.name() && d.from <= line && line <= d.to)
+        }
+    }
 
     #[test]
     fn default_config_skips_target_and_compat() {
@@ -363,7 +357,7 @@ crates = ["types"]
         let lexed = lex("// lint: allow(panic)\nlet x = y.unwrap();\n");
         let a = AllowSet::from_comments(&lexed.comments);
         assert!(!a.allowed(Rule::Panic, 2));
-        assert!(a.unjustified(Rule::Panic, 2));
+        assert!(!a.directives()[0].justified);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! contract crates; R6 on `Lib`+`Bin` of its scoped crates plus any file
 //! listed in its `paths` config; R7 on `Lib` of its scoped crates; R8
 //! everywhere (a stale directive is stale wherever it sits); R9 on the
-//! definitions in all `Lib` code, counting names over every scanned file.
+//! definitions in all `Lib` code, counting names over every scanned file
+//! except the defining crate's own `src/` test code and `pub use` lists.
 //!
 //! Since the semantic rules (R6/R7/R9) need cross-file context, linting is
 //! two-pass: pass one lexes/parses every file and builds the workspace
@@ -210,35 +211,6 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
     Ok(report)
 }
 
-/// Lints one file's source text under its relative path. Exposed so the
-/// fixture tests (and future editor integrations) can lint in-memory
-/// content. Cross-file context is limited to this one file: R6 resolves
-/// only structs declared here, R7 sees only this file's digest fns, and
-/// R9, which is nothing without the callers' files, does not run.
-pub fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violation> {
-    let unit = analyse(rel_path, source, config);
-    if unit.rules.is_empty() {
-        return Vec::new();
-    }
-    let mut table = SymbolTable::default();
-    if let Some(crate_name) = &unit.crate_name {
-        table.add_file(crate_name, rel_path, &unit.parsed);
-    }
-    let input = file_input(&unit);
-    let mut raw = check_file_raw(&input, &table, &unit.rules, unit.r6_path_scoped);
-    if unit.rules.contains(&Rule::DigestCoverage) {
-        let mut digest_violations = Vec::new();
-        check_digest_coverage(
-            std::slice::from_ref(&input),
-            &config.types_of(Rule::DigestCoverage),
-            &[true],
-            &mut digest_violations,
-        );
-        raw.extend(digest_violations.into_iter().map(|(_, v)| v));
-    }
-    apply_allows(raw, &unit.allows, unit.rules.contains(&Rule::StaleAllow))
-}
-
 /// Pass one for a single file.
 fn analyse(rel_path: &str, source: &str, config: &Config) -> Unit {
     let class = classify(rel_path);
@@ -317,6 +289,34 @@ fn rel_str(root: &Path, path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lints one file's source text under its relative path, in memory.
+    /// Cross-file context is limited to this one file: R6 resolves
+    /// only structs declared here, R7 sees only this file's digest fns, and
+    /// R9, which is nothing without the callers' files, does not run.
+    fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violation> {
+        let unit = analyse(rel_path, source, config);
+        if unit.rules.is_empty() {
+            return Vec::new();
+        }
+        let mut table = SymbolTable::default();
+        if let Some(crate_name) = &unit.crate_name {
+            table.add_file(crate_name, rel_path, &unit.parsed);
+        }
+        let input = file_input(&unit);
+        let mut raw = check_file_raw(&input, &table, &unit.rules, unit.r6_path_scoped);
+        if unit.rules.contains(&Rule::DigestCoverage) {
+            let mut digest_violations = Vec::new();
+            check_digest_coverage(
+                std::slice::from_ref(&input),
+                &config.types_of(Rule::DigestCoverage),
+                &[true],
+                &mut digest_violations,
+            );
+            raw.extend(digest_violations.into_iter().map(|(_, v)| v));
+        }
+        apply_allows(raw, &unit.allows, unit.rules.contains(&Rule::StaleAllow))
+    }
 
     #[test]
     fn classification_matches_cargo_layout() {

@@ -37,7 +37,7 @@
 //! | R6 | `state-coverage` | save/restore fns and hand-written `Wire::put`s destructure `Self` exhaustively |
 //! | R7 | `digest-coverage` | every digest-root field flows into the fingerprint; equality is derived |
 //! | R8 | `stale-allow` | allow directives must suppress something |
-//! | R9 | `unused-pub` | a library `pub fn` is named somewhere besides its definition |
+//! | R9 | `unused-pub` | a library `pub fn` is named outside its definition, own crate's unit tests and `pub use` lists |
 //!
 //! The `iobt-lint` binary (`cargo run -p iobt-lint -- --deny-all`) wires
 //! this into CI with `--format json`, a findings baseline for
@@ -55,5 +55,5 @@ pub mod regions;
 pub mod rules;
 
 pub use config::{AllowSet, Config};
-pub use engine::{applicable_rules, classify, lint_root, lint_source, Report, Section};
+pub use engine::{applicable_rules, classify, lint_root, Report, Section};
 pub use rules::{Rule, Violation};

@@ -216,14 +216,13 @@ pub fn map_file(lexed: &Lexed) -> FileMap {
     map
 }
 
-/// Convenience: lex + map in one call (used by tests).
-pub fn map_source(src: &str) -> FileMap {
-    map_file(&crate::lexer::lex(src))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn map_source(src: &str) -> FileMap {
+        map_file(&crate::lexer::lex(src))
+    }
 
     #[test]
     fn cfg_test_module_is_a_test_region() {

@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 
 use crate::config::AllowSet;
+use crate::engine::{classify, Section};
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::parser::{FnDef, ParsedFile, StructKind, StructSig, SymbolTable};
 use crate::regions::FileMap;
@@ -43,7 +44,8 @@ pub enum Rule {
     /// zero findings is itself an error.
     StaleAllow,
     /// R9 `unused-pub`: a `pub fn` in library code whose name appears
-    /// nowhere else in the scanned workspace has no caller.
+    /// nowhere in the scanned workspace but at its definition, in its own
+    /// crate's unit tests and in `pub use` lists has no caller.
     UnusedPub,
 }
 
@@ -229,13 +231,16 @@ impl Rule {
                  \n\
                  rustc reports dead private and `pub(crate)` code but must assume a\n\
                  `pub fn` in a library has callers elsewhere. In this workspace\n\
-                 elsewhere is scanned too: a `pub fn` in library code whose name\n\
-                 occurs as an identifier exactly once — its definition — across\n\
-                 every scanned file (tests, examples, benches and the benchmark\n\
-                 included; doc comments are not code) has no caller. The check is\n\
-                 by name, not by call graph: a shared name (`new`, `len`) hides an\n\
-                 unused function, never the reverse. Delete the function, narrow\n\
-                 it to `pub(crate)`, or justify it with\n\
+                 elsewhere is scanned too: a `pub fn` in library code has no caller\n\
+                 when its name occurs as an identifier nowhere but at its definition,\n\
+                 in the unit tests (test-only code) under its own crate's `src/`, and\n\
+                 in `pub use` statements. Everything else counts: integration tests,\n\
+                 examples, benches, the benchmark and other crates' unit tests (doc\n\
+                 comments are not code). A function only its own unit tests call is\n\
+                 test code; a re-export calls nothing. The check is by name, not by\n\
+                 call graph: a shared name (`new`, `len`) hides an unused function,\n\
+                 never the reverse. Delete the function, narrow it to `pub(crate)`,\n\
+                 move it into the tests, or justify it with\n\
                  `// lint: allow(unused-pub) — <reason>`."
             }
         }
@@ -532,19 +537,48 @@ fn check_docs(lexed: &Lexed, map: &FileMap, out: &mut Vec<Violation>) {
     }
 }
 
+/// How often R9 saw one identifier outside `pub use` statements: in all,
+/// and within each crate's own `src/` test code.
+#[derive(Default)]
+struct Mentions<'a> {
+    anywhere: usize,
+    in_src_tests: BTreeMap<&'a str, usize>,
+}
+
 /// R9: every `pub fn` (restricted `pub(…)` visibility excluded) outside
-/// test code in the `applicable` files whose name is an identifier token
-/// exactly once across *all* of `inputs`. Pushes `(file index,
-/// violation)` pairs.
+/// test code in the `applicable` files whose name occurs as an
+/// identifier nowhere across `inputs` but at its definition, in test
+/// code under its own crate's `src/`, and in `pub use` statements.
+/// Pushes `(file index, violation)` pairs.
 pub fn check_unused_pub(
     inputs: &[FileInput],
     applicable: &[bool],
     out: &mut Vec<(usize, Violation)>,
 ) {
-    let mut mentions: BTreeMap<&str, usize> = BTreeMap::new();
-    for t in inputs.iter().flat_map(|input| &input.lexed.tokens) {
-        if t.kind == TokenKind::Ident {
-            *mentions.entry(&t.text).or_default() += 1;
+    let mut mentions: BTreeMap<&str, Mentions> = BTreeMap::new();
+    for input in inputs {
+        let src_crate = input.crate_name.filter(|_| {
+            matches!(classify(input.rel_path).section, Section::Lib | Section::Bin)
+        });
+        let mut in_pub_use = false;
+        for (k, t) in input.lexed.tokens.iter().enumerate() {
+            if in_pub_use {
+                in_pub_use = !t.is_punct(';');
+                continue;
+            }
+            let next = input.lexed.tokens.get(k + 1);
+            if t.is_ident("pub") && next.is_some_and(|u| u.is_ident("use")) {
+                in_pub_use = true;
+                continue;
+            }
+            if t.kind != TokenKind::Ident {
+                continue;
+            }
+            let m = mentions.entry(&t.text).or_default();
+            m.anywhere += 1;
+            if let Some(c) = src_crate.filter(|_| input.map.is_test_line(t.line)) {
+                *m.in_src_tests.entry(c).or_default() += 1;
+            }
         }
     }
     for (i, input) in inputs.iter().enumerate() {
@@ -564,16 +598,23 @@ pub fn check_unused_pub(
             if !keyword.is_ident("fn") || name.kind != TokenKind::Ident {
                 continue;
             }
-            if mentions.get(name.text.as_str()) == Some(&1) {
+            let Some(m) = mentions.get(name.text.as_str()) else { continue };
+            let own_tests = input
+                .crate_name
+                .and_then(|c| m.in_src_tests.get(c))
+                .copied()
+                .unwrap_or(0);
+            if m.anywhere - own_tests == 1 {
                 out.push((
                     i,
                     Violation {
                         line: name.line,
                         rule: Rule::UnusedPub,
                         message: format!(
-                            "`pub fn {}` is named nowhere else in the scanned workspace — no \
-                             caller, test, bench or example: delete it, narrow it to \
-                             `pub(crate)`, or justify with `// lint: allow(unused-pub) — <reason>`",
+                            "`pub fn {}` is named only by its definition, its own crate's unit \
+                             tests and `pub use` lists — no caller, integration test, bench or \
+                             example: delete it, narrow it to `pub(crate)`, or justify with \
+                             `// lint: allow(unused-pub) — <reason>`",
                             name.text
                         ),
                     },
@@ -1571,6 +1612,9 @@ pub(crate) fn restricted_is_rustcs_to_police() {}
 pub fn named_in_a_comment_only() {} // named_in_a_comment_only
 pub fn called_from_own_tests() {}
 fn private() {}
+pub fn named_only_in_a_pub_use() {}
+pub use self::named_only_in_a_pub_use as renamed;
+pub fn called_from_a_sibling_crates_tests() {}
 #[cfg(test)]
 mod tests {
     pub fn helpers_in_tests_are_exempt() {}
@@ -1578,24 +1622,32 @@ mod tests {
 }
 ";
         let caller = "fn main() { called_from_the_other_file(); }\npub fn uncalled_but_not_applicable() {}\n";
-        let (lib, caller) = (lex(lib), lex(caller));
-        let (lib_map, caller_map) = (map_file(&lib), map_file(&caller));
-        let (lib_items, caller_items) = (parse_items(&lib), parse_items(&caller));
-        let input = |rel_path, lexed, map, parsed| FileInput {
-            rel_path,
-            crate_name: Some("c"),
-            lexed,
-            map,
-            parsed,
-        };
-        let inputs = [
-            input("crates/c/src/lib.rs", &lib, &lib_map, &lib_items),
-            input("examples/caller.rs", &caller, &caller_map, &caller_items),
+        let sibling =
+            "#[cfg(test)]\nmod tests {\n    fn t() { c::called_from_a_sibling_crates_tests(); }\n}\n";
+        let sources = [
+            ("crates/c/src/lib.rs", "c", lex(lib)),
+            ("examples/caller.rs", "c", lex(caller)),
+            ("crates/d/src/lib.rs", "d", lex(sibling)),
         ];
+        let maps: Vec<_> = sources.iter().map(|(_, _, l)| map_file(l)).collect();
+        let items: Vec<_> = sources.iter().map(|(_, _, l)| parse_items(l)).collect();
+        let inputs: Vec<FileInput> = sources
+            .iter()
+            .zip(&maps)
+            .zip(&items)
+            .map(|(((rel_path, crate_name, lexed), map), parsed)| FileInput {
+                rel_path,
+                crate_name: Some(crate_name),
+                lexed,
+                map,
+                parsed,
+            })
+            .collect();
         let mut out = Vec::new();
-        check_unused_pub(&inputs, &[true, false], &mut out);
+        check_unused_pub(&inputs, &[true, false, false], &mut out);
         let hits: Vec<(usize, u32)> = out.iter().map(|(file, v)| (*file, v.line)).collect();
-        assert_eq!(hits, vec![(0, 2), (0, 4)], "{out:?}");
+        // Lone definition, comment-only name, own unit test only, `pub use` only.
+        assert_eq!(hits, vec![(0, 2), (0, 4), (0, 5), (0, 7)], "{out:?}");
         assert!(out[0].1.message.contains("`pub fn lone_const`"), "{}", out[0].1.message);
     }
 }

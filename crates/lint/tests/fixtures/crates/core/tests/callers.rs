@@ -4,6 +4,7 @@
 
 #[test]
 fn every_other_fixture_fn_has_a_caller() {
+    let _ = core::seeded_panic(Some(1));
     let _ = core::allowed_panic(Some(1));
     let _ = core::seeded_missing_docs();
     let _ = learning::seeded_rng_is_fine(7);

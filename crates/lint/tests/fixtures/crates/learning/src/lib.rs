@@ -1,5 +1,5 @@
-//! Fixture: a "learning" crate with one seeded R4 violation — even though
-//! the call sits inside test code, OS entropy is flagged everywhere.
+//! Fixture: a "learning" crate with one seeded R4 violation (OS entropy
+//! is flagged even inside test code) and three seeded R9 violations.
 
 /// Clean: seeded randomness is the required pattern.
 pub fn seeded_rng_is_fine(seed: u64) -> u64 {
@@ -25,4 +25,26 @@ pub(crate) fn restricted_and_unused() -> u64 {
 /// even by `core/tests/callers.rs`, which vouches for every other fixture fn.
 pub fn seeded_unused_pub() -> u64 {
     7
+}
+
+/// Seeded R9 violation: its one caller is this crate's own unit test,
+/// which does not count.
+pub fn seeded_own_test_only() -> u64 {
+    11
+}
+
+/// Seeded R9 violation: named only by the `pub use` below, which
+/// re-exports it and calls nothing.
+pub fn seeded_reexport_only() -> u64 {
+    13
+}
+
+pub use self::seeded_reexport_only as reexported_name;
+
+#[cfg(test)]
+mod own_tests {
+    #[test]
+    fn calls_into_its_own_crate() {
+        assert_eq!(super::seeded_own_test_only(), 11);
+    }
 }

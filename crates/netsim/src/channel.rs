@@ -172,18 +172,6 @@ impl Channel {
             - self.extra_loss_db
     }
 
-    /// Single-transmission delivery probability on a link, sampling
-    /// log-normal shadowing from `rng`. Deterministic given the RNG state.
-    pub fn delivery_probability<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        from: Point,
-        to: Point,
-        radio: RadioKind,
-    ) -> f64 {
-        sample_delivery(rng, self.hop_budget(from, to, radio))
-    }
-
     /// What every transmission over one hop shares: the link's mean SINR
     /// (bit-equal to [`Channel::sinr_db`]) and its shadowing spread, from
     /// one terrain walk between the endpoints.
@@ -232,7 +220,7 @@ pub(crate) struct LinkBudget {
     pub(crate) noise_dbm: f64,
 }
 
-/// A hop's share of [`Channel::delivery_probability`], from
+/// What every transmission over one hop shares, from
 /// [`Channel::hop_budget`]; valid for the channel state and endpoint
 /// positions it was computed under.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -338,8 +326,8 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(3);
         for i in 0..100 {
             let to = Point::new(10.0 + i as f64 * 5.0, 0.0);
-            let p1 = ch.delivery_probability(&mut rng1, Point::ORIGIN, to, RadioKind::Wifi);
-            let p2 = ch.delivery_probability(&mut rng2, Point::ORIGIN, to, RadioKind::Wifi);
+            let budget = ch.hop_budget(Point::ORIGIN, to, RadioKind::Wifi);
+            let (p1, p2) = (sample_delivery(&mut rng1, budget), sample_delivery(&mut rng2, budget));
             assert!((0.0..=1.0).contains(&p1));
             assert_eq!(p1, p2);
         }
@@ -374,7 +362,7 @@ mod tests {
 
     #[test]
     fn a_hop_budget_samples_what_each_attempt_computed_alone() {
-        // `delivery_probability` as it was before hops shared a budget:
+        // One transmission's probability as it was before hops shared a budget:
         // two terrain walks per attempt, one for the spread and one
         // inside `sinr_db`.
         fn per_attempt(

@@ -624,22 +624,6 @@ impl ConnectivityGraph {
         comp.sort();
         comp
     }
-
-    /// Whether every node with at least one link can reach every other
-    /// (isolated/dead nodes are ignored).
-    pub fn connected_core(&self) -> bool {
-        let linked: Vec<usize> = (0..self.ids.len())
-            .filter(|&i| !self.adj[i].is_empty())
-            .collect();
-        if linked.len() <= 1 {
-            return true;
-        }
-        self.components()
-            .iter()
-            .filter(|c| c.len() > 1)
-            .count()
-            <= 1
-    }
 }
 
 /// Threads that share one full build's pair loop, at most.
@@ -1273,7 +1257,6 @@ mod tests {
         assert_eq!(route.first(), Some(&NodeId::new(0)));
         assert_eq!(route.last(), Some(&NodeId::new(4)));
         assert!(route.len() >= 2);
-        assert!(g.connected_core());
     }
 
     #[test]
@@ -1330,7 +1313,6 @@ mod tests {
         let comps = g.components();
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0].len(), 2);
-        assert!(!g.connected_core());
         assert!(g.route(NodeId::new(0), NodeId::new(3)).is_none());
     }
 

@@ -120,15 +120,6 @@ impl MobilityState {
         &self.model
     }
 
-    /// Whether the node has finished a fixed route (always `false` for
-    /// other models).
-    pub fn route_complete(&self) -> bool {
-        match &self.model {
-            MobilityModel::Route { waypoints, .. } => self.route_index >= waypoints.len(),
-            _ => false,
-        }
-    }
-
     /// Advances the node by `dt_s` seconds, sampling any new waypoints from
     /// `rng`. Returns the new position.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R, dt_s: f64) -> Point {
@@ -234,11 +225,9 @@ mod tests {
         // After 5 s at 1 m/s: halfway to the first waypoint.
         m.step(&mut rng, 5.0);
         assert!((m.position().x - 5.0).abs() < 1e-9);
-        assert!(!m.route_complete());
         // After another 15 s: reached both waypoints (10 + 10 = 20 m total).
         m.step(&mut rng, 15.0);
         assert_eq!(m.position(), Point::new(10.0, 10.0));
-        assert!(m.route_complete());
         // Further steps stay put.
         m.step(&mut rng, 100.0);
         assert_eq!(m.position(), Point::new(10.0, 10.0));

@@ -519,6 +519,7 @@ impl SimulatorBuilder {
     /// Assigns a duty-cycle sleep schedule to one node (default: always
     /// awake). Sleeping nodes neither receive nor transmit and take no
     /// relay role while asleep.
+    // lint: allow(unused-pub) — the only way to set the duty cycle DESIGN.md:93 names
     pub fn sleep_schedule(mut self, node: NodeId, schedule: SleepSchedule) -> Self {
         self.sleep.insert(node, schedule);
         self

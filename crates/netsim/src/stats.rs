@@ -74,21 +74,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation, or `0.0` when fewer than 2 samples.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        var.sqrt()
-    }
-
     /// Exact `q`-quantile (`q` clamped to `[0, 1]`) using the
     /// nearest-rank-above method, or `0.0` when empty.
     pub fn quantile(&mut self, q: f64) -> f64 {
@@ -291,12 +276,6 @@ mod tests {
         assert_eq!(s.quantile(0.5), 50.0);
         assert_eq!(s.quantile(0.99), 99.0);
         assert_eq!(s.quantile(1.0), 100.0);
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        let s: Summary = std::iter::repeat_n(4.2, 10).collect();
-        assert!(s.stddev() < 1e-12);
     }
 
     #[test]

@@ -68,22 +68,6 @@ impl Terrain {
         }
     }
 
-    /// Creates a terrain from an explicit row-major cell grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cells.len() != cols * rows` or either dimension is zero.
-    pub fn from_cells(bounds: Rect, cols: usize, rows: usize, cells: Vec<Clutter>) -> Self {
-        assert!(cols > 0 && rows > 0, "terrain dimensions must be nonzero");
-        assert_eq!(cells.len(), cols * rows, "cell count must match grid");
-        Terrain {
-            bounds,
-            cols,
-            rows,
-            cells,
-        }
-    }
-
     /// Samples a mixed urban battlefield: an urban core surrounded by
     /// suburban fringe over open ground, with `seed` controlling the exact
     /// layout. The split is roughly 25% urban / 35% suburban / 40% open.
@@ -157,20 +141,6 @@ impl Terrain {
         }
         worst
     }
-
-    /// Fraction of cells of each clutter class as `[open, suburban, urban]`.
-    pub fn clutter_mix(&self) -> [f64; 3] {
-        let mut counts = [0usize; 3];
-        for c in &self.cells {
-            counts[severity(*c)] += 1;
-        }
-        let total = self.cells.len() as f64;
-        [
-            counts[0] as f64 / total,
-            counts[1] as f64 / total,
-            counts[2] as f64 / total,
-        ]
-    }
 }
 
 impl Default for Terrain {
@@ -192,6 +162,12 @@ const fn severity(c: Clutter) -> usize {
 mod tests {
     use super::*;
 
+    /// A terrain over an explicit row-major cell grid.
+    fn from_cells(bounds: Rect, cols: usize, rows: usize, cells: Vec<Clutter>) -> Terrain {
+        assert_eq!(cells.len(), cols * rows, "cell count must match grid");
+        Terrain { bounds, cols, rows, cells }
+    }
+
     #[test]
     fn uniform_terrain_everywhere() {
         let t = Terrain::uniform(Rect::square(100.0), Clutter::Suburban);
@@ -203,7 +179,7 @@ mod tests {
 
     #[test]
     fn from_cells_maps_row_major() {
-        let t = Terrain::from_cells(
+        let t = from_cells(
             Rect::square(100.0),
             2,
             2,
@@ -215,14 +191,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cell count")]
-    fn from_cells_validates_length() {
-        Terrain::from_cells(Rect::square(10.0), 2, 2, vec![Clutter::Open]);
-    }
-
-    #[test]
     fn clutter_between_takes_the_worst() {
-        let t = Terrain::from_cells(
+        let t = from_cells(
             Rect::square(100.0),
             2,
             1,
@@ -244,7 +214,7 @@ mod tests {
         let classes = [Clutter::Open, Clutter::Suburban, Clutter::Urban];
         let (cols, rows) = (6, 5);
         let cells = (0..cols * rows).map(|i| classes[(i * 7 + i / cols) % 3]).collect();
-        let t = Terrain::from_cells(Rect::square(600.0), cols, rows, cells);
+        let t = from_cells(Rect::square(600.0), cols, rows, cells);
         let centre = |i: usize| {
             Point::new(((i % cols) as f64 + 0.5) * 100.0, ((i / cols) as f64 + 0.5) * 120.0)
         };
@@ -266,9 +236,8 @@ mod tests {
         let a = Terrain::random_urban(bounds, 20, 20, 5);
         let b = Terrain::random_urban(bounds, 20, 20, 5);
         assert_eq!(a, b);
-        let mix = a.clutter_mix();
-        assert!((mix.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(mix[2] > 0.05, "urban core should exist: {mix:?}");
+        let urban = a.cells.iter().filter(|&&c| c == Clutter::Urban).count();
+        assert!(urban > a.cells.len() / 20, "urban core should exist: {urban} cells");
     }
 
     #[test]

@@ -180,22 +180,28 @@ impl Field for f64 {
 /// needed, but guard anyway so the encoder can never emit bad JSON.
 impl Field for &'static str {
     fn put(self, out: &mut String) {
-        out.push('"');
-        for c in self.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
+        push_json_str(out, self);
     }
+}
+
+/// Appends `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters. Public for the experiment tables' JSON.
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 impl Field for DropCause {

@@ -13,12 +13,13 @@
 //!   folds into a [`MetricsDigest`] that is `PartialEq`-comparable and
 //!   fingerprintable across runs.
 //! * **Near-zero cost when off.** A disabled [`Recorder`] is a `None`
-//!   handle: every recording site is a single branch. The [`NullSink`]
-//!   keeps metrics but discards trace records.
+//!   handle: every recording site is a single branch.
+//!   [`Recorder::null`] keeps metrics but discards trace records.
 //!
-//! Sinks are pluggable: [`NullSink`] (metrics only), [`RingSink`]
-//! (bounded in-memory buffer for tests and post-mortems) and
-//! [`JsonlSink`] (one JSON object per line, stable key order). Sampling
+//! Sinks are pluggable: [`Recorder::null`] (metrics only),
+//! [`Recorder::memory`] (bounded in-memory buffer for tests and
+//! post-mortems), [`Recorder::jsonl`] (one JSON object per line, stable
+//! key order) or any [`TraceSink`] through [`Recorder::with_sink`]. Sampling
 //! is per-subsystem and deterministic (`every_nth`), and gates only the
 //! sink — metrics always observe every event.
 //!
@@ -41,7 +42,9 @@ mod metrics;
 mod recorder;
 mod sink;
 
-pub use event::{push_u64, DropCause, EventSchema, Subsystem, TraceEvent, TraceRecord};
-pub use metrics::{fnv1a, Histogram, HistogramSnapshot, MetricsDigest};
+pub use event::{
+    push_json_str, push_u64, DropCause, EventSchema, Subsystem, TraceEvent, TraceRecord,
+};
+pub use metrics::{fnv1a, HistogramSnapshot, MetricsDigest};
 pub use recorder::{Recorder, RecorderCheckpoint, SamplingConfig};
-pub use sink::{JsonlSink, NullSink, RingHandle, RingSink, SharedBytes, TraceSink};
+pub use sink::{RingHandle, SharedBytes, TraceSink};

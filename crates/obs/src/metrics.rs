@@ -87,36 +87,6 @@ impl Histogram {
         }
     }
 
-    /// Total number of observations (including non-finite ones).
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of all finite observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of finite observations, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// The bucket bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts (`bounds().len() + 1` entries; the last is the
-    /// overflow bucket).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Rebuilds a histogram from a snapshot (checkpoint restore).
     /// Returns `None` when the snapshot is internally inconsistent —
     /// non-ascending/non-finite bounds or a count vector of the wrong
@@ -145,7 +115,7 @@ impl Histogram {
     }
 }
 
-/// An immutable, comparable snapshot of a [`Histogram`].
+/// An immutable, comparable snapshot of one of the registry's histograms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Ascending bucket bounds.
@@ -268,22 +238,6 @@ impl MetricsDigest {
             .map(|(_, v)| *v)
     }
 
-    /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Looks up a histogram snapshot by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, h)| h)
-    }
-
     /// True when no metric was ever touched.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
@@ -374,8 +328,8 @@ mod tests {
         h.record(99.9); // bucket 2
         h.record(100.0); // bucket 2
         h.record(1e9); // overflow bucket
-        assert_eq!(h.counts(), &[3, 2, 2, 1]);
-        assert_eq!(h.count(), 8);
+        assert_eq!(h.counts, [3, 2, 2, 1]);
+        assert_eq!(h.total, 8);
     }
 
     #[test]
@@ -383,20 +337,19 @@ mod tests {
         let mut h = Histogram::new(&[1.0]);
         h.record(f64::NAN);
         h.record(f64::INFINITY);
-        assert_eq!(h.counts(), &[0, 2]);
-        assert_eq!(h.sum(), 0.0);
+        assert_eq!(h.counts, [0, 2]);
+        assert_eq!(h.sum, 0.0);
         let empty = Histogram::new(&[1.0, 2.0]);
-        assert_eq!(empty.count(), 0);
-        assert_eq!(empty.mean(), 0.0);
-        assert_eq!(empty.counts(), &[0, 0, 0]);
+        assert_eq!(empty.total, 0);
+        assert_eq!(empty.counts, [0, 0, 0]);
     }
 
     #[test]
     fn histogram_rejects_bad_bounds() {
         let h = Histogram::new(&[1.0, 1.0, 0.5, 2.0, f64::NAN]);
         // Longest valid ascending prefix: [1.0, 2.0].
-        assert_eq!(h.bounds(), &[1.0, 2.0]);
-        assert_eq!(h.counts().len(), 3);
+        assert_eq!(h.bounds, [1.0, 2.0]);
+        assert_eq!(h.counts.len(), 3);
     }
 
     #[test]
@@ -406,7 +359,6 @@ mod tests {
         assert_eq!(d, MetricsDigest::default());
         assert_eq!(d.fingerprint(), MetricsDigest::default().fingerprint());
         assert_eq!(d.counter("anything"), None);
-        assert_eq!(d.histogram("anything"), None);
     }
 
     #[test]
@@ -426,7 +378,6 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest().fingerprint(), b.digest().fingerprint());
         assert_eq!(a.digest().counter("x.count"), Some(2));
-        assert_eq!(a.digest().gauge("x.level"), Some(0.25));
     }
 
     #[test]

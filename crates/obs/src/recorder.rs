@@ -3,7 +3,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Write};
 use std::rc::Rc;
 
 use crate::event::{DropCause, Subsystem, TraceEvent, TraceRecord};
@@ -142,7 +142,7 @@ impl Recorder {
     }
 
     /// Metrics-only mode: counters/gauges/histograms are kept, trace
-    /// records are discarded ([`NullSink`]).
+    /// records are discarded.
     pub fn null() -> Self {
         Self::with_sink(Box::new(NullSink))
     }
@@ -154,7 +154,9 @@ impl Recorder {
         (Self::with_sink(Box::new(sink)), handle)
     }
 
-    /// Streams JSON lines into `writer` (see [`JsonlSink`]).
+    /// Streams JSON lines into `writer`: one object per record, fixed key
+    /// order. A write error stops the stream; read it with
+    /// [`Recorder::io_error`].
     pub fn jsonl<W: Write + 'static>(writer: W) -> Self {
         Self::with_sink(Box::new(JsonlSink::new(writer)))
     }
@@ -178,14 +180,6 @@ impl Recorder {
     pub fn set_time_us(&self, t_us: u64) {
         if let Some(inner) = &self.0 {
             inner.borrow_mut().t_us = t_us;
-        }
-    }
-
-    /// The current sim-time clock (0 when disabled).
-    pub fn now_us(&self) -> u64 {
-        match &self.0 {
-            Some(inner) => inner.borrow().t_us,
-            None => 0,
         }
     }
 
@@ -278,6 +272,12 @@ impl Recorder {
             inner.borrow_mut().sink.flush();
         }
     }
+
+    /// The first write error that stopped the sink ([`TraceSink::io_error`]):
+    /// records after it were lost. `None` when disabled or healthy.
+    pub fn io_error(&self) -> Option<io::ErrorKind> {
+        self.0.as_ref().and_then(|inner| inner.borrow().sink.io_error())
+    }
 }
 
 /// Folds an event into the registry. The schema row's counter counts
@@ -353,7 +353,6 @@ mod tests {
         r.set_time_us(10);
         r.record(TraceEvent::MsgSent { from: 1, to: 2 });
         r.inc("x", 1);
-        assert_eq!(r.now_us(), 0);
         assert!(r.metrics_digest().is_empty());
     }
 
@@ -414,8 +413,9 @@ mod tests {
                 decision: "approved",
             },
         );
-        assert_eq!(r.now_us(), 100);
+        r.record(TraceEvent::MsgSent { from: 1, to: 2 });
         assert_eq!(ring.records()[0].t_us, 7_000_000);
+        assert_eq!(ring.records()[1].t_us, 100);
         assert_eq!(
             r.metrics_digest().counter("adapt.actuation.approved"),
             Some(1)
@@ -439,7 +439,6 @@ mod tests {
         let (b, ring_b) = Recorder::memory(64);
         let b = b.with_sampling(sampling);
         assert!(b.restore_checkpoint(&ckpt));
-        assert_eq!(b.now_us(), 1_000);
         assert_eq!(b.metrics_digest(), a.metrics_digest());
         // ...so post-restore events get the same seq numbers and the
         // same sampling verdicts in both recorders: the 6th netsim
@@ -452,7 +451,7 @@ mod tests {
         let last_a = ring_a.records().last().cloned().unwrap();
         let last_b = ring_b.records().last().cloned().unwrap();
         assert_eq!(last_a, last_b);
-        assert_eq!(last_b.seq, 6);
+        assert_eq!((last_b.seq, last_b.t_us), (6, 1_000));
         assert_eq!(ring_b.len(), 1, "only the kept event lands post-restore");
         assert_eq!(a.metrics_digest(), b.metrics_digest());
 

@@ -15,6 +15,12 @@ pub trait TraceSink {
 
     /// Flushes any buffered output. Default: no-op.
     fn flush(&mut self) {}
+
+    /// The first write error that stopped the sink, if any. Default:
+    /// `None` (a sink that cannot fail).
+    fn io_error(&self) -> Option<io::ErrorKind> {
+        None
+    }
 }
 
 /// Discards every record. With a `NullSink` the recorder still counts
@@ -34,7 +40,8 @@ struct RingState {
     dropped: u64,
 }
 
-/// A shared read handle onto a [`RingSink`]'s buffer. Cloning is cheap
+/// A shared read handle onto the buffer of a
+/// [`Recorder::memory`](crate::Recorder::memory) ring. Cloning is cheap
 /// (reference-counted); the handle stays valid after the recorder is
 /// dropped, which is how tests inspect what was traced.
 #[derive(Debug, Clone, Default)]
@@ -114,7 +121,8 @@ impl TraceSink for RingSink {
 ///
 /// I/O errors poison the sink: it stops writing and remembers the
 /// error instead of panicking mid-simulation (query with
-/// [`JsonlSink::io_error`]).
+/// [`TraceSink::io_error`], or [`Recorder::io_error`](crate::Recorder::io_error)
+/// once a recorder owns the sink).
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
@@ -130,17 +138,6 @@ impl<W: Write> JsonlSink<W> {
             line: String::with_capacity(128),
             error: None,
         }
-    }
-
-    /// The first I/O error encountered, if the sink is poisoned.
-    pub fn io_error(&self) -> Option<io::ErrorKind> {
-        self.error
-    }
-
-    /// Flushes and returns the inner writer (and any sticky error).
-    pub fn into_inner(mut self) -> (W, Option<io::ErrorKind>) {
-        let _ = self.writer.flush();
-        (self.writer, self.error)
     }
 }
 
@@ -162,6 +159,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
                 self.error = Some(e.kind());
             }
         }
+    }
+
+    fn io_error(&self) -> Option<io::ErrorKind> {
+        self.error
     }
 }
 
@@ -272,5 +273,14 @@ mod tests {
         assert_eq!(sink.io_error(), Some(io::ErrorKind::BrokenPipe));
         // Poisoned: further accepts are silently skipped, no panic.
         sink.accept(&rec(1));
+
+        // Boxed inside a recorder, the error is still readable there.
+        let recorder = crate::Recorder::jsonl(Failing);
+        assert_eq!(recorder.io_error(), None);
+        recorder.record(TraceEvent::MsgSent { from: 1, to: 2 });
+        recorder.flush();
+        assert_eq!(recorder.io_error(), Some(io::ErrorKind::BrokenPipe));
+        assert_eq!(recorder.metrics_digest().counter("netsim.msg_sent"), Some(1));
+        assert_eq!(crate::Recorder::null().io_error(), None);
     }
 }

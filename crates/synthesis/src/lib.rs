@@ -12,7 +12,7 @@
 //! # Examples
 //!
 //! ```
-//! use iobt_synthesis::prelude::*;
+//! use iobt_synthesis::{CompositionProblem, Solver};
 //! use iobt_types::prelude::*;
 //!
 //! let mission = Mission::builder(MissionId::new(1), MissionKind::Surveillance)
@@ -51,13 +51,3 @@ pub use index::CellIndex;
 pub use problem::{candidate_cost, Candidate, CompositionProblem};
 pub use repair::{repair, repair_with, repair_with_timed, RepairResult};
 pub use solvers::{CompositionResult, MemberOutcome, SolveStats, Solver, SolverBudget};
-
-/// Convenience re-exports for downstream crates and examples.
-pub mod prelude {
-    pub use crate::{
-        assess, candidate_cost, failure_probability, repair, repair_with, repair_with_timed,
-        AssuranceReport, Candidate, CellIndex, CompositionProblem, CompositionResult,
-        CoverageCounter, CoverageSet, MemberOutcome, RepairResult, SolveStats, Solver,
-        SolverBudget,
-    };
-}

@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! use iobt_tomography::prelude::*;
+//! use iobt_tomography::{greedy_placement, sample_metrics, MeasurementSystem, Topology};
 //!
 //! let net = Topology::grid(4, 3);
 //! let monitors = greedy_placement(&net, 6);
@@ -35,16 +35,8 @@ pub mod matrix;
 pub mod placement;
 pub mod topology;
 
-pub use additive::{exact_on_identifiable, sample_metrics, InferenceResult, MeasurementSystem};
+pub use additive::{sample_metrics, InferenceResult, MeasurementSystem};
 pub use boolean::{localize_failures, Localization};
 pub use matrix::{min_norm_solution, solve, Matrix};
 pub use placement::{degree_placement, greedy_placement, random_placement};
 pub use topology::Topology;
-
-/// Convenience re-exports for downstream crates and examples.
-pub mod prelude {
-    pub use crate::{
-        degree_placement, greedy_placement, localize_failures, random_placement, sample_metrics,
-        InferenceResult, Localization, Matrix, MeasurementSystem, Topology,
-    };
-}

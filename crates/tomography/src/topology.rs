@@ -47,17 +47,6 @@ impl Topology {
         Topology::new(n, edges)
     }
 
-    /// A balanced binary tree with `depth` levels below the root
-    /// (`2^(depth+1) - 1` nodes).
-    pub fn binary_tree(depth: u32) -> Self {
-        let n = (1usize << (depth + 1)) - 1;
-        let mut edges = Vec::new();
-        for child in 1..n {
-            edges.push(((child - 1) / 2, child));
-        }
-        Topology::new(n, edges)
-    }
-
     /// A `cols x rows` grid.
     pub fn grid(cols: usize, rows: usize) -> Self {
         assert!(cols > 0 && rows > 0, "grid dims must be nonzero");
@@ -136,11 +125,6 @@ impl Topology {
         self.adj[v].len()
     }
 
-    /// Nodes with degree 1.
-    pub fn leaves(&self) -> Vec<usize> {
-        (0..self.n).filter(|&v| self.degree(v) == 1).collect()
-    }
-
     /// BFS shortest path from `src` to `dst` as a list of **edge indices**,
     /// or `None` when disconnected. Ties resolve toward smaller node ids
     /// (deterministic).
@@ -205,6 +189,21 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Topology {
+        /// A balanced binary tree with `depth` levels below the root
+        /// (`2^(depth+1) - 1` nodes).
+        pub(crate) fn binary_tree(depth: u32) -> Self {
+            let n = (1usize << (depth + 1)) - 1;
+            let edges = (1..n).map(|child| ((child - 1) / 2, child)).collect();
+            Topology::new(n, edges)
+        }
+
+        /// Nodes with degree 1.
+        pub(crate) fn leaves(&self) -> Vec<usize> {
+            (0..self.n).filter(|&v| self.degree(v) == 1).collect()
+        }
+    }
     use proptest::prelude::*;
 
     #[test]

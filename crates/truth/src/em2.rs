@@ -78,6 +78,7 @@ impl Default for TwoParamConfig {
 /// # Panics
 ///
 /// Panics if any report references a source or claim out of range.
+// lint: allow(unused-pub) — runs the two-parameter Dawid–Skene fact-finder DESIGN.md:93 names
 pub fn discover_two_param(
     reports: &[Report],
     num_sources: usize,
@@ -161,6 +162,7 @@ pub fn discover_two_param(
 /// rarely fabricate (specificity ~ `spec`) but often miss events
 /// (sensitivity ~ `sens`). Returns `(reports, truth, sens_truth,
 /// spec_truth)`.
+// lint: allow(unused-pub) — generates the asymmetric witnesses DESIGN.md:59 names for em2
 pub fn asymmetric_scenario(
     num_sources: usize,
     num_claims: usize,

@@ -12,7 +12,7 @@
 //! # Examples
 //!
 //! ```
-//! use iobt_truth::prelude::*;
+//! use iobt_truth::{discover, majority_vote, EmConfig, ScenarioBuilder};
 //!
 //! let scenario = ScenarioBuilder::new(40, 100)
 //!     .observe_prob(0.4)
@@ -43,12 +43,3 @@ pub use em::{discover, EmConfig, StreamingDiscoverer, TruthEstimate};
 pub use em2::{asymmetric_scenario, discover_two_param, TwoParamConfig, TwoParamEstimate};
 pub use scenario::{ClaimId, Report, Scenario, ScenarioBuilder, SourceId};
 pub use vote::{majority_vote, weighted_vote};
-
-/// Convenience re-exports for downstream crates and examples.
-pub mod prelude {
-    pub use crate::{
-        discover, discover_two_param, majority_vote, rank_attention, weighted_vote,
-        AttentionScore, EmConfig, Report, Scenario, ScenarioBuilder, StreamingDiscoverer,
-        TruthEstimate, TwoParamConfig, TwoParamEstimate,
-    };
-}

@@ -170,28 +170,30 @@ impl Scenario {
             .count();
         correct as f64 / self.num_claims as f64
     }
-
-    /// Root-mean-square error between estimated and true source
-    /// reliabilities (over sources present in both).
-    pub fn reliability_rmse(&self, estimates: &[f64]) -> f64 {
-        let n = self.reliability.len().min(estimates.len());
-        if n == 0 {
-            return 0.0;
-        }
-        let sq: f64 = self
-            .reliability
-            .iter()
-            .zip(estimates)
-            .take(n)
-            .map(|(t, e)| (t - e) * (t - e))
-            .sum();
-        (sq / n as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Scenario {
+        /// Root-mean-square error between estimated and true source
+        /// reliabilities (over sources present in both).
+        pub(crate) fn reliability_rmse(&self, estimates: &[f64]) -> f64 {
+            let n = self.reliability.len().min(estimates.len());
+            if n == 0 {
+                return 0.0;
+            }
+            let sq: f64 = self
+                .reliability
+                .iter()
+                .zip(estimates)
+                .take(n)
+                .map(|(t, e)| (t - e) * (t - e))
+                .sum();
+            (sq / n as f64).sqrt()
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {

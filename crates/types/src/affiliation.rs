@@ -13,7 +13,7 @@ use std::fmt;
 /// use iobt_types::Affiliation;
 ///
 /// assert!(Affiliation::Blue.is_friendly());
-/// assert!(Affiliation::Red.is_adversarial());
+/// assert!(!Affiliation::Red.is_friendly());
 /// assert!(!Affiliation::Gray.is_friendly());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,16 +33,6 @@ impl Affiliation {
     /// Returns `true` for blue assets.
     pub const fn is_friendly(self) -> bool {
         matches!(self, Affiliation::Blue)
-    }
-
-    /// Returns `true` for red assets.
-    pub const fn is_adversarial(self) -> bool {
-        matches!(self, Affiliation::Red)
-    }
-
-    /// Returns `true` for gray assets.
-    pub const fn is_neutral(self) -> bool {
-        matches!(self, Affiliation::Gray)
     }
 
     /// Baseline prior trust associated with the affiliation, used to seed
@@ -90,17 +80,6 @@ impl fmt::Display for Affiliation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn predicates_are_disjoint() {
-        for a in Affiliation::ALL {
-            let hits = [a.is_friendly(), a.is_adversarial(), a.is_neutral()]
-                .iter()
-                .filter(|&&x| x)
-                .count();
-            assert_eq!(hits, 1, "{a} must satisfy exactly one predicate");
-        }
-    }
 
     #[test]
     fn index_roundtrip() {

@@ -47,21 +47,6 @@ impl SensorKind {
         SensorKind::Physiological,
         SensorKind::Occupancy,
     ];
-
-    /// Whether the modality keeps working when optical line-of-sight is lost
-    /// (smoke, darkness, obscurants). Used by the modality-switching reflex
-    /// (§IV-B: "seismic sensing may be used when smoke or other phenomena
-    /// render visual tracking unreliable").
-    pub const fn works_without_line_of_sight(self) -> bool {
-        matches!(
-            self,
-            SensorKind::Acoustic
-                | SensorKind::Seismic
-                | SensorKind::Radar
-                | SensorKind::RfSpectrum
-                | SensorKind::Chemical
-        )
-    }
 }
 
 impl fmt::Display for SensorKind {
@@ -148,16 +133,6 @@ impl ComputeClass {
         ComputeClass::EdgeServer,
         ComputeClass::EdgeCloud,
     ];
-
-    /// Sustained throughput in MFLOP/s used by the resource allocator.
-    pub const fn mflops(self) -> f64 {
-        match self {
-            ComputeClass::Disposable => 1.0,
-            ComputeClass::Embedded => 50.0,
-            ComputeClass::EdgeServer => 5_000.0,
-            ComputeClass::EdgeCloud => 500_000.0,
-        }
-    }
 }
 
 impl fmt::Display for ComputeClass {
@@ -309,15 +284,6 @@ impl Radio {
         }
     }
 
-    /// Creates a radio with an explicit range (e.g. a detuned or
-    /// high-gain variant). Negative values are clamped to zero.
-    pub fn with_range(kind: RadioKind, range_m: f64) -> Self {
-        Radio {
-            range_m: range_m.max(0.0),
-            ..Radio::new(kind)
-        }
-    }
-
     /// The radio technology.
     pub const fn kind(&self) -> RadioKind {
         self.kind
@@ -399,27 +365,6 @@ impl CapabilityProfile {
             .max_by(|a, b| a.range_m().total_cmp(&b.range_m()))
     }
 
-    /// Returns `true` when the node carries actuator `kind`.
-    pub fn can_actuate(&self, kind: ActuatorKind) -> bool {
-        self.actuators.contains(&kind)
-    }
-
-    /// The longest radio range on the node, or `0.0` with no radios.
-    pub fn max_radio_range_m(&self) -> f64 {
-        self.radios
-            .iter()
-            .map(Radio::range_m)
-            .fold(0.0, f64::max)
-    }
-
-    /// The highest bandwidth across interfaces, in kbps, or `0.0`.
-    pub fn max_bandwidth_kbps(&self) -> f64 {
-        self.radios
-            .iter()
-            .map(Radio::bandwidth_kbps)
-            .fold(0.0, f64::max)
-    }
-
     /// Returns `true` when the node has no way to communicate.
     pub fn is_isolated(&self) -> bool {
         self.radios.is_empty()
@@ -497,26 +442,8 @@ mod tests {
     #[test]
     fn radio_aggregates() {
         let p = sample_profile();
-        assert_eq!(p.max_radio_range_m(), 5_000.0);
-        assert_eq!(p.max_bandwidth_kbps(), 54_000.0);
         assert!(!p.is_isolated());
         assert!(CapabilityProfile::new().is_isolated());
-    }
-
-    #[test]
-    fn compute_classes_are_monotone() {
-        let mut prev = 0.0;
-        for c in ComputeClass::ALL {
-            assert!(c.mflops() > prev, "{c} should be faster than weaker tiers");
-            prev = c.mflops();
-        }
-    }
-
-    #[test]
-    fn non_los_modalities_include_seismic_not_visual() {
-        assert!(SensorKind::Seismic.works_without_line_of_sight());
-        assert!(!SensorKind::Visual.works_without_line_of_sight());
-        assert!(!SensorKind::Lidar.works_without_line_of_sight());
     }
 
     #[test]
@@ -530,18 +457,9 @@ mod tests {
     }
 
     #[test]
-    fn radio_with_range_clamps_negative() {
-        let r = Radio::with_range(RadioKind::Wifi, -10.0);
-        assert_eq!(r.range_m(), 0.0);
-        assert_eq!(r.kind(), RadioKind::Wifi);
-    }
-
-    #[test]
     fn empty_profile_has_nothing() {
         let p = CapabilityProfile::new();
         assert!(!p.can_sense(SensorKind::Visual));
-        assert!(!p.can_actuate(ActuatorKind::Marker));
         assert_eq!(p.compute(), None);
-        assert_eq!(p.max_radio_range_m(), 0.0);
     }
 }

@@ -103,19 +103,6 @@ impl NodeCatalog {
             .collect()
     }
 
-    /// Nodes within `radius_m` of `center`, ascending id order.
-    pub fn within_radius(&self, center: Point, radius_m: f64) -> Vec<&NodeSpec> {
-        let r2 = radius_m * radius_m;
-        self.iter()
-            .filter(|n| n.position().distance_sq_to(center) <= r2)
-            .collect()
-    }
-
-    /// Nodes inside the rectangle, ascending id order.
-    pub fn within_rect(&self, area: &Rect) -> Vec<&NodeSpec> {
-        self.iter().filter(|n| area.contains(n.position())).collect()
-    }
-
     /// Counts nodes per affiliation as `[blue, red, gray]`.
     pub fn affiliation_counts(&self) -> [usize; 3] {
         let mut counts = [0usize; 3];
@@ -365,18 +352,6 @@ mod tests {
         assert_eq!(err, TypesError::DuplicateNode(NodeId::new(1)));
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(NodeId::new(1)).unwrap().affiliation(), Affiliation::Blue);
-    }
-
-    #[test]
-    fn spatial_queries() {
-        let mut c = NodeCatalog::new();
-        c.insert(node(1, Affiliation::Blue, 0.0, 0.0)).unwrap();
-        c.insert(node(2, Affiliation::Blue, 10.0, 0.0)).unwrap();
-        c.insert(node(3, Affiliation::Gray, 100.0, 100.0)).unwrap();
-        assert_eq!(c.within_radius(Point::ORIGIN, 15.0).len(), 2);
-        assert_eq!(c.within_radius(Point::ORIGIN, 5.0).len(), 1);
-        let area = Rect::square(50.0);
-        assert_eq!(c.within_rect(&area).len(), 2);
     }
 
     #[test]

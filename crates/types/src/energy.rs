@@ -80,18 +80,6 @@ impl EnergyBudget {
         self.remaining_j
     }
 
-    /// Fraction of capacity remaining in `[0, 1]`; `1.0` for unlimited
-    /// budgets and `0.0` for zero-capacity budgets.
-    pub fn fraction_remaining(&self) -> f64 {
-        if self.capacity_j == 0.0 {
-            0.0
-        } else if self.capacity_j.is_infinite() {
-            1.0
-        } else {
-            self.remaining_j / self.capacity_j
-        }
-    }
-
     /// Consumes `joules` of energy, clamping at empty. Returns the unmet
     /// demand (zero when the budget covered the request).
     ///
@@ -106,17 +94,6 @@ impl EnergyBudget {
             self.remaining_j = 0.0;
             unmet
         }
-    }
-
-    /// Adds `joules` (harvesting/recharge), clamped to capacity. Negative
-    /// amounts are treated as zero.
-    pub fn recharge(&mut self, joules: f64) {
-        self.remaining_j = (self.remaining_j + joules.max(0.0)).min(self.capacity_j);
-    }
-
-    /// Whether the budget covers a demand of `joules`.
-    pub fn can_afford(&self, joules: f64) -> bool {
-        self.remaining_j >= joules.max(0.0)
     }
 
     /// Whether the battery is exhausted.
@@ -152,9 +129,6 @@ mod tests {
         let mut b = EnergyBudget::new(100.0);
         assert_eq!(b.drain(-5.0), 0.0);
         assert_eq!(b.remaining_j(), 100.0);
-        b.drain(30.0);
-        b.recharge(1_000.0);
-        assert_eq!(b.remaining_j(), 100.0);
     }
 
     #[test]
@@ -162,7 +136,6 @@ mod tests {
         let mut b = EnergyBudget::unlimited();
         assert_eq!(b.drain(1e12), 0.0);
         assert!(!b.is_depleted());
-        assert_eq!(b.fraction_remaining(), 1.0);
     }
 
     #[test]
@@ -170,15 +143,6 @@ mod tests {
         let mut b = EnergyBudget::new(0.0);
         assert_eq!(b.drain(5.0), 5.0);
         assert!(b.is_depleted());
-        assert_eq!(b.fraction_remaining(), 0.0);
-    }
-
-    #[test]
-    fn can_afford_boundary() {
-        let b = EnergyBudget::new(10.0);
-        assert!(b.can_afford(10.0));
-        assert!(!b.can_afford(10.1));
-        assert!(b.can_afford(-1.0));
     }
 
     #[test]
@@ -195,7 +159,11 @@ mod tests {
         ) {
             let mut b = EnergyBudget::new(capacity);
             for (amount, is_drain) in ops {
-                if is_drain { b.drain(amount); } else { b.recharge(amount); }
+                if is_drain {
+                    b.drain(amount);
+                } else {
+                    b = EnergyBudget::from_parts(b.capacity_j(), b.remaining_j() + amount);
+                }
                 prop_assert!(b.remaining_j() >= 0.0);
                 prop_assert!(b.remaining_j() <= b.capacity_j() + 1e-9);
             }

@@ -161,14 +161,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Returns `true` when the rectangles overlap (boundary contact counts).
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
-
     /// Clamps `p` to the closest point inside the rectangle.
     pub fn clamp(&self, p: Point) -> Point {
         Point::new(
@@ -260,16 +252,6 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn grid_rejects_zero_dims() {
         Rect::square(1.0).grid(0, 3);
-    }
-
-    #[test]
-    fn intersects_detects_overlap_and_separation() {
-        let a = Rect::square(10.0);
-        let b = Rect::new(Point::new(5.0, 5.0), Point::new(15.0, 15.0));
-        let c = Rect::new(Point::new(11.0, 11.0), Point::new(12.0, 12.0));
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
     }
 
     #[test]

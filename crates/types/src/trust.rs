@@ -44,11 +44,6 @@ impl TrustScore {
     pub const fn value(self) -> f64 {
         self.0
     }
-
-    /// Whether the score clears a recruitment threshold.
-    pub fn meets(self, threshold: f64) -> bool {
-        self.0 >= threshold
-    }
 }
 
 impl Default for TrustScore {
@@ -171,34 +166,6 @@ impl TrustLedger {
         }
     }
 
-    /// Exponentially decays all evidence toward the prior-free state by
-    /// factor `lambda` in `(0, 1]`; `1.0` is a no-op. Supports forgetting in
-    /// long-lived deployments where behaviour can change (§V-B continuous
-    /// learning).
-    pub fn decay(&mut self, lambda: f64) {
-        let lambda = lambda.clamp(0.0, 1.0);
-        for e in self.evidence.values_mut() {
-            e.alpha *= lambda;
-            e.beta *= lambda;
-            // Keep the posterior proper.
-            e.alpha = e.alpha.max(1e-3);
-            e.beta = e.beta.max(1e-3);
-        }
-    }
-
-    /// Nodes whose score clears `threshold`, sorted by descending score then
-    /// ascending id (deterministic output).
-    pub fn trusted_nodes(&self, threshold: f64) -> Vec<(NodeId, TrustScore)> {
-        let mut out: Vec<(NodeId, TrustScore)> = self
-            .evidence
-            .iter()
-            .map(|(&id, e)| (id, e.score()))
-            .filter(|(_, s)| s.meets(threshold))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
     /// Iterates over `(node, score)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, TrustScore)> + '_ {
         self.evidence.iter().map(|(&id, e)| (id, e.score()))
@@ -251,36 +218,7 @@ mod tests {
             ledger.record_positive(red);
         }
         // A consistently good red node (e.g. captured asset) becomes trusted.
-        assert!(ledger.score(red).unwrap().meets(0.9));
-    }
-
-    #[test]
-    fn trusted_nodes_sorted_and_filtered() {
-        let mut ledger = TrustLedger::new();
-        ledger.enroll(NodeId::new(1), Affiliation::Blue);
-        ledger.enroll(NodeId::new(2), Affiliation::Red);
-        ledger.enroll(NodeId::new(3), Affiliation::Gray);
-        let trusted = ledger.trusted_nodes(0.4);
-        assert_eq!(trusted.len(), 2);
-        assert_eq!(trusted[0].0, NodeId::new(1));
-        assert_eq!(trusted[1].0, NodeId::new(3));
-    }
-
-    #[test]
-    fn decay_moves_toward_half_without_breaking_bounds() {
-        let mut ledger = TrustLedger::new();
-        let n = NodeId::new(5);
-        ledger.enroll(n, Affiliation::Blue);
-        for _ in 0..50 {
-            ledger.record_positive(n);
-        }
-        let high = ledger.score(n).unwrap();
-        for _ in 0..20 {
-            ledger.decay(0.5);
-        }
-        let decayed = ledger.score(n).unwrap();
-        assert!(decayed <= high);
-        assert!(decayed.value() > 0.0 && decayed.value() <= 1.0);
+        assert!(ledger.score(red).unwrap().value() >= 0.9);
     }
 
     #[test]

@@ -76,6 +76,10 @@ fn main() {
     );
     if let Some(path) = trace_path {
         recorder.flush();
+        if let Some(kind) = recorder.io_error() {
+            eprintln!("trace: writing {path} failed ({kind}); the trace is incomplete");
+            std::process::exit(1);
+        }
         let digest = recorder.metrics_digest();
         println!(
             "\ntrace            : {} sends / {} deliveries traced -> {path} \

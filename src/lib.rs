@@ -99,9 +99,8 @@ pub mod prelude {
     pub use iobt_faults::{generate_campaign, CampaignConfig, FaultEvent, FaultKind, FaultPlan};
     // Observability (iobt-obs).
     pub use iobt_obs::{
-        DropCause, Histogram, HistogramSnapshot, JsonlSink, MetricsDigest, NullSink, Recorder,
-        RingHandle, RingSink, SamplingConfig, SharedBytes, Subsystem, TraceEvent, TraceRecord,
-        TraceSink,
+        DropCause, HistogramSnapshot, MetricsDigest, Recorder, RingHandle, SamplingConfig,
+        SharedBytes, Subsystem, TraceEvent, TraceRecord, TraceSink,
     };
     // Shared vocabulary types (iobt-types).
     pub use iobt_types::{
