@@ -36,11 +36,6 @@ impl PiController {
         }
     }
 
-    /// The current setpoint.
-    pub const fn setpoint(&self) -> f64 {
-        self.setpoint
-    }
-
     /// One control step: reads the measured value, returns the clamped
     /// actuation. `dt` is the step length in seconds.
     pub fn step(&mut self, measurement: f64, dt: f64) -> f64 {
@@ -70,11 +65,6 @@ impl QueuePlant {
     /// Creates an empty queue.
     pub fn new() -> Self {
         QueuePlant { occupancy: 0.0 }
-    }
-
-    /// Current queue occupancy (jobs).
-    pub const fn occupancy(&self) -> f64 {
-        self.occupancy
     }
 
     /// Advances the queue by `dt` seconds with the given arrival and
@@ -108,9 +98,9 @@ mod tests {
             // MORE service, so feed the controller the negated error
             // measurement by swapping the roles: track -occupancy against
             // -setpoint. Equivalent and keeps the PI form standard.
-            let service = controller.step(-plant.occupancy(), 0.1);
+            let service = controller.step(-plant.occupancy, 0.1);
             plant.step(arrival(t), service, 0.1);
-            trace.push(plant.occupancy());
+            trace.push(plant.occupancy);
         }
         trace
     }
@@ -157,13 +147,13 @@ mod tests {
         let mut c = PiController::new(10.0, 5.0, -5.0, 0.0, 30.0);
         let mut plant = QueuePlant::new();
         for t in 0..500 {
-            let service = c.step(-plant.occupancy(), 0.1);
+            let service = c.step(-plant.occupancy, 0.1);
             assert!((0.0..=30.0).contains(&service), "clamped output");
             plant.step(100.0, service, 0.1); // overload: arrivals > max service
             let _ = t;
         }
         // Overloaded queue grows — but output stayed clamped the whole time.
-        assert!(plant.occupancy() > 100.0);
+        assert!(plant.occupancy > 100.0);
     }
 
     #[test]
@@ -185,7 +175,7 @@ mod tests {
     fn queue_never_negative() {
         let mut plant = QueuePlant::new();
         plant.step(0.0, 100.0, 1.0);
-        assert_eq!(plant.occupancy(), 0.0);
+        assert_eq!(plant.occupancy, 0.0);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl AlphaBetaFilter {
         self.position
     }
 
-    /// Current velocity estimate (units per step).
-    pub const fn velocity(&self) -> f64 {
-        self.velocity
-    }
-
     /// Advances one time step with a fused measurement; returns the new
     /// position estimate. `dt` is the step length.
     pub fn update(&mut self, measurement: f64, dt: f64) -> f64 {
@@ -173,7 +168,7 @@ mod tests {
         for &x in &truth {
             f.update(x, 1.0);
         }
-        assert!((f.velocity() - 3.0).abs() < 0.1, "{}", f.velocity());
+        assert!((f.velocity - 3.0).abs() < 0.1, "{}", f.velocity);
     }
 
     #[test]

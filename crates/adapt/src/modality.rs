@@ -65,11 +65,6 @@ impl ModalitySwitcher {
         self.switches
     }
 
-    /// Smoothed health of a modality, or `None` if not available.
-    pub fn health(&self, kind: SensorKind) -> Option<f64> {
-        self.health.get(&kind).copied()
-    }
-
     /// Feeds one health observation (e.g. tracking confidence, link
     /// quality) for a modality and re-evaluates the selection. Returns the
     /// active modality after the update.
@@ -141,8 +136,8 @@ mod tests {
     fn starts_on_first_modality() {
         let s = switcher();
         assert_eq!(s.active(), Some(SensorKind::Visual));
-        assert_eq!(s.health(SensorKind::Seismic), Some(1.0));
-        assert_eq!(s.health(SensorKind::Radar), None);
+        assert_eq!(s.health.get(&SensorKind::Seismic).copied(), Some(1.0));
+        assert_eq!(s.health.get(&SensorKind::Radar).copied(), None);
     }
 
     #[test]
@@ -202,7 +197,7 @@ mod tests {
         let mut s = switcher();
         let active = s.observe(SensorKind::Radar, 0.0);
         assert_eq!(active, Some(SensorKind::Visual));
-        assert_eq!(s.health(SensorKind::Radar), None);
+        assert_eq!(s.health.get(&SensorKind::Radar).copied(), None);
     }
 
     #[test]

@@ -120,7 +120,6 @@ struct MemoryLink {
     /// When true, the next (and every subsequent) connect is refused
     /// until the test lifts it.
     refuse_connect: bool,
-    connects: u64,
 }
 
 /// Bridge-side end of an in-memory transport pair.
@@ -147,7 +146,6 @@ impl Transport for MemoryTransport {
             return Err(TransportError::Refused);
         }
         link.connected = true;
-        link.connects += 1;
         Ok(())
     }
 
@@ -179,11 +177,6 @@ impl MemoryEndpoint {
         self.0.borrow_mut().egress.drain(..).collect()
     }
 
-    /// Number of egress frames waiting to be taken.
-    pub fn pending(&self) -> usize {
-        self.0.borrow().egress.len()
-    }
-
     /// Queues a tasking command for the bridge's next ingress poll.
     pub fn push_command(&self, frame: &[u8]) {
         self.0.borrow_mut().ingress.push_back(frame.to_vec());
@@ -192,11 +185,6 @@ impl MemoryEndpoint {
     /// True while the bridge side holds an open connection.
     pub fn is_connected(&self) -> bool {
         self.0.borrow().connected
-    }
-
-    /// Number of successful connects the bridge has made on this link.
-    pub fn connects(&self) -> u64 {
-        self.0.borrow().connects
     }
 }
 
@@ -725,7 +713,7 @@ mod tests {
         assert_eq!(t.connect(), Err(TransportError::Refused));
         peer.refuse_connects(false);
         t.connect().expect("reconnect");
-        assert_eq!(peer.connects(), 2);
+        assert!(peer.is_connected());
     }
 
     #[test]

@@ -53,8 +53,12 @@ pub const MAGIC: [u8; 8] = *b"IOBTCKPT";
 /// after it; v4 widened it again from 6 to 7 slots for the `bridge`
 /// subsystem; v5 length-prefixes that counter block (so a new
 /// subsystem no longer moves any other field) and stores the config
-/// guard as the length-prefixed run-parameter codec bytes.
-pub const FORMAT_VERSION: u32 = 5;
+/// guard as the length-prefixed run-parameter codec bytes; v6 drops
+/// eight fixed run settings from that guard, the detector threshold (it
+/// follows from the guarded report period), the simulator snapshot's
+/// MAC-retry / mobility-step / idle-drain guard and the tasking sink's
+/// attempt cap and retry base, all now constants.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Trailing checksum size in bytes.
 pub const TRAILER_LEN: usize = 4;
@@ -402,7 +406,7 @@ mod tests {
         let previous = seal(&MAGIC, FORMAT_VERSION - 1, &[1, 1], b"x");
         assert!(matches!(
             decode_checkpoint(&previous),
-            Err(CkptError::UnsupportedVersion(4))
+            Err(CkptError::UnsupportedVersion(v)) if v == FORMAT_VERSION - 1
         ));
     }
 

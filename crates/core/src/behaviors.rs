@@ -38,13 +38,7 @@ pub fn mission_behavior_registry(log: &ReportLog, board: &TaskBoard) -> Behavior
     let task_log = log.clone();
     let task_board = board.clone();
     registry.register(BEHAVIOR_TASKING_SINK, move || {
-        // Blank instance; restore_state overwrites attempts/backoff.
-        Box::new(TaskingSink::new(
-            task_log.clone(),
-            task_board.clone(),
-            1,
-            SimDuration::from_millis(1),
-        ))
+        Box::new(TaskingSink::new(task_log.clone(), task_board.clone()))
     });
     registry.register(BEHAVIOR_SENSOR_REPORTER, move || {
         // Blank instance; restore_state overwrites every field.
@@ -197,44 +191,34 @@ pub fn new_task_board() -> TaskBoard {
     Rc::new(RefCell::new(TaskBoardInner::default()))
 }
 
+/// Task transmission attempts per assignment before it is abandoned.
+const TASK_ATTEMPTS: u32 = 4;
+/// Base retry delay for task dissemination: attempt `k` backs off
+/// `TASK_RETRY_BASE × 2^(k-1)`.
+const TASK_RETRY_BASE: SimDuration = SimDuration::from_millis(250);
+/// The dissemination tick: a quarter of the retry base.
+const TASK_TICK: SimDuration = SimDuration::from_micros(TASK_RETRY_BASE.as_micros() / 4);
+
 /// Command-post behaviour with acknowledged task dissemination: logs
 /// reports like [`CommandSink`] and, on a fixed tick, (re)transmits
 /// pending task assignments with deterministic capped exponential
-/// backoff — attempt `k` waits `retry_base × 2^(k-1)` before the next —
-/// until acked or the attempt cap is reached.
+/// backoff — attempt `k` waits 250 ms × 2^(k-1) before the next — until
+/// acked or 4 attempts have gone unacknowledged.
 #[derive(Debug)]
 pub struct TaskingSink {
     log: ReportLog,
     board: TaskBoard,
-    max_attempts: u32,
-    retry_base: SimDuration,
 }
 
 impl TaskingSink {
-    /// Creates a tasking sink. `max_attempts` is clamped to ≥ 1;
-    /// `retry_base` to ≥ 1 ms (the dissemination tick is a quarter of
-    /// it, so a zero base would busy-loop the event queue).
-    pub fn new(
-        log: ReportLog,
-        board: TaskBoard,
-        max_attempts: u32,
-        retry_base: SimDuration,
-    ) -> Self {
-        TaskingSink {
-            log,
-            board,
-            max_attempts: max_attempts.max(1),
-            retry_base: SimDuration::from_micros(retry_base.as_micros().max(1_000)),
-        }
+    /// Creates a tasking sink over the shared report log and task board.
+    pub fn new(log: ReportLog, board: TaskBoard) -> Self {
+        TaskingSink { log, board }
     }
 
-    fn tick(&self) -> SimDuration {
-        SimDuration::from_micros((self.retry_base.as_micros() / 4).max(250))
-    }
-
-    fn backoff(&self, attempt: u32) -> SimDuration {
+    fn backoff(attempt: u32) -> SimDuration {
         let exp = attempt.saturating_sub(1).min(20);
-        SimDuration::from_micros(self.retry_base.as_micros().saturating_mul(1 << exp))
+        SimDuration::from_micros(TASK_RETRY_BASE.as_micros().saturating_mul(1 << exp))
     }
 }
 
@@ -242,36 +226,17 @@ impl Behavior for TaskingSink {
     fn save_state(&self) -> Option<BehaviorSnapshot> {
         // Shared log/board handles come from the registry factory; the
         // board's pending map is checkpointed separately by the runner.
-        let Self { log: _, board: _, max_attempts, retry_base } = self;
-        let mut e = Enc::new();
-        e.u32(*max_attempts);
-        e.put(retry_base);
-        Some(BehaviorSnapshot::new(BEHAVIOR_TASKING_SINK, e.into_bytes()))
+        let Self { log: _, board: _ } = self;
+        Some(BehaviorSnapshot::new(BEHAVIOR_TASKING_SINK, Vec::new()))
     }
 
     fn restore_state(&mut self, state: &[u8]) -> bool {
-        // Coverage guard: every field's restore story is decided below
-        // (shared handles keep their factory-supplied values).
-        let Self { log: _, board: _, max_attempts: _, retry_base: _ } = self;
-        let mut d = Dec::new(state);
-        let Ok(max_attempts) = d.u32() else {
-            return false;
-        };
-        let Ok(retry_base) = d.get::<SimDuration>() else {
-            return false;
-        };
-        if d.finish().is_err() || max_attempts == 0 || retry_base.as_micros() < 1_000 {
-            // The constructor clamps attempts ≥ 1 and base ≥ 1 ms; a
-            // snapshot violating either is corrupt, not a valid state.
-            return false;
-        }
-        self.max_attempts = max_attempts;
-        self.retry_base = retry_base;
-        true
+        let Self { log: _, board: _ } = self;
+        state.is_empty()
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(self.tick(), 0);
+        ctx.set_timer(TASK_TICK, 0);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
@@ -290,7 +255,7 @@ impl Behavior for TaskingSink {
             for node in due {
                 // lint: allow(panic) — `node` comes from the pending map two lines up
                 let task = board.pending.get_mut(&node).expect("pending task");
-                if task.attempts >= self.max_attempts {
+                if task.attempts >= TASK_ATTEMPTS {
                     let attempts = task.attempts;
                     board.pending.remove(&node);
                     board.stats.abandoned += 1;
@@ -298,7 +263,7 @@ impl Behavior for TaskingSink {
                 } else {
                     task.attempts += 1;
                     let attempts = task.attempts;
-                    task.next_at = now + self.backoff(attempts);
+                    task.next_at = now + Self::backoff(attempts);
                     if attempts > 1 {
                         board.stats.retries += 1;
                     }
@@ -321,7 +286,7 @@ impl Behavior for TaskingSink {
                 attempts: u64::from(attempts),
             });
         }
-        ctx.set_timer(self.tick(), 0);
+        ctx.set_timer(TASK_TICK, 0);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, msg: &Message) {
@@ -537,12 +502,7 @@ mod tests {
         board.borrow_mut().assign(NodeId::new(2)); // duplicate: no-op
         sim.set_behavior(
             NodeId::new(0),
-            Box::new(TaskingSink::new(
-                log.clone(),
-                board.clone(),
-                4,
-                SimDuration::from_millis(200),
-            )),
+            Box::new(TaskingSink::new(log.clone(), board.clone())),
         );
         for i in 1..3 {
             sim.set_behavior(
@@ -579,35 +539,24 @@ mod tests {
         board.borrow_mut().assign(NodeId::new(2));
         sim.set_behavior(
             NodeId::new(0),
-            Box::new(TaskingSink::new(
-                log.clone(),
-                board.clone(),
-                3,
-                SimDuration::from_millis(100),
-            )),
+            Box::new(TaskingSink::new(log.clone(), board.clone())),
         );
         sim.run_for(SimDuration::from_secs_f64(5.0));
         let stats = board.borrow().stats();
         assert_eq!(stats.assigned, 1);
         assert_eq!(stats.acked, 0);
-        assert_eq!(stats.retries, 2, "attempts 2 and 3 are retries");
+        assert_eq!(stats.retries, 3, "attempts 2 to 4 are retries");
         assert_eq!(stats.abandoned, 1);
         assert!(board.borrow().pending_entries().is_empty());
     }
 
     #[test]
     fn tasking_backoff_is_capped_exponential() {
-        let sink = TaskingSink::new(
-            new_report_log(),
-            new_task_board(),
-            4,
-            SimDuration::from_millis(100),
-        );
-        assert_eq!(sink.backoff(1), SimDuration::from_millis(100));
-        assert_eq!(sink.backoff(2), SimDuration::from_millis(200));
-        assert_eq!(sink.backoff(3), SimDuration::from_millis(400));
+        assert_eq!(TaskingSink::backoff(1), SimDuration::from_millis(250));
+        assert_eq!(TaskingSink::backoff(2), SimDuration::from_millis(500));
+        assert_eq!(TaskingSink::backoff(3), SimDuration::from_millis(1_000));
         // The exponent is capped so huge attempt counts cannot overflow.
-        assert_eq!(sink.backoff(40), sink.backoff(21));
+        assert_eq!(TaskingSink::backoff(40), TaskingSink::backoff(21));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   under a different configuration would silently diverge;
 //! * the **window loop** state — next window, repairs, per-window
 //!   utility stats, the current selection and composition result, the
-//!   set of ever-failed nodes, failure-detector heartbeat table, and
+//!   set of ever-failed nodes, failure-detector heartbeat table (its
+//!   threshold follows from the guarded report period), and
 //!   degradation-ladder counters;
 //! * the **delivered-report log** and acked-tasking board;
 //! * the **recorder clock** — sim-time, trace sequence, per-subsystem
@@ -36,7 +37,7 @@
 //! an exhaustive destructure (DESIGN.md, "Payload codec").
 
 use iobt_ckpt::{wire_struct, CkptError, Dec, Enc};
-use iobt_netsim::{SimDuration, SimTime};
+use iobt_netsim::SimTime;
 use iobt_obs::{Recorder, RecorderCheckpoint, Subsystem};
 use iobt_synthesis::CompositionResult;
 use iobt_types::NodeId;
@@ -64,17 +65,9 @@ wire_struct!(PortableRunConfig {
     repair_threshold,
     grid,
     solver,
-    require_reachability,
     early_repair,
-    detector_ticks,
-    suspicion_periods,
     degradation_ladder,
-    shed_threshold,
-    restore_threshold,
-    ladder_patience,
     acked_tasking,
-    task_attempts,
-    task_retry_base,
     reference_mode,
 });
 
@@ -321,7 +314,6 @@ impl MissionRunner {
         e.put(&self.windows);
 
         // Failure detector heartbeat table.
-        e.put(&self.detector.threshold());
         e.put(&self.detector.entries());
 
         // Degradation ladder counters.
@@ -399,7 +391,6 @@ impl MissionRunner {
         let current: CompositionResult = d.get()?;
         let windows: Vec<WindowStat> = d.get()?;
 
-        let detector_threshold: SimDuration = d.get()?;
         let detector_entries: Vec<(NodeId, SimTime)> = d.get()?;
 
         let ladder_level = d.usize()?;
@@ -466,12 +457,8 @@ impl MissionRunner {
             }
         }
 
-        let detector = FailureDetector::from_checkpoint(detector_threshold, &detector_entries);
-        let mut ladder = DegradationLadder::new(
-            config.shed_threshold,
-            config.restore_threshold,
-            config.ladder_patience,
-        );
+        let detector = FailureDetector::from_checkpoint(config.report_period, &detector_entries);
+        let mut ladder = DegradationLadder::new();
         ladder.restore_counters(ladder_level, ladder_below, ladder_above);
 
         let total_windows =
@@ -507,6 +494,7 @@ mod tests {
     use super::*;
     use crate::runtime::StepOutcome;
     use crate::scenario::persistent_surveillance;
+    use iobt_netsim::SimDuration;
     use iobt_synthesis::Solver;
 
     fn cfg() -> RunConfig {
@@ -580,7 +568,7 @@ mod tests {
         let payload = runner.save().expect("checkpointable");
 
         type Flip = fn(RunConfigBuilder) -> RunConfigBuilder;
-        let flips: [Flip; 18] = [
+        let flips: [Flip; 10] = [
             |b| b.duration(SimDuration::from_secs_f64(50.0)),
             |b| b.window(SimDuration::from_secs_f64(20.0)),
             |b| b.report_period(SimDuration::from_secs_f64(1.0)),
@@ -588,17 +576,9 @@ mod tests {
             |b| b.repair_threshold(0.5),
             |b| b.grid(7),
             |b| b.solver(Solver::Random { seed: 1 }),
-            |b| b.require_reachability(false),
             |b| b.early_repair(true),
-            |b| b.detector_ticks(5),
-            |b| b.suspicion_periods(2.0),
             |b| b.degradation_ladder(true),
-            |b| b.shed_threshold(0.4),
-            |b| b.restore_threshold(0.9),
-            |b| b.ladder_patience(3),
             |b| b.acked_tasking(true),
-            |b| b.task_attempts(5),
-            |b| b.task_retry_base(SimDuration::from_millis(500)),
         ];
         for (i, flip) in flips.into_iter().enumerate() {
             let flipped = flip(base()).build().expect("valid");

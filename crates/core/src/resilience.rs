@@ -7,13 +7,13 @@
 //! thrashing on repairs it cannot complete.
 //!
 //! * [`FailureDetector`] — a sim-time heartbeat detector over the report
-//!   stream: a watched node that has been silent for longer than
-//!   `suspicion_periods × report_period` is suspected. No wall clock
+//!   stream: a watched node that has been silent for at least
+//!   `SUSPICION_PERIODS × report_period` is suspected. No wall clock
 //!   anywhere; suspicion is a pure function of sim-time observations.
 //! * [`DegradationLadder`] — a hysteresis ladder of requirement
 //!   relaxations (shed redundancy → shed the last modality → shed
-//!   coverage fraction), climbed only after `patience` consecutive bad
-//!   windows and descended again after `patience` good ones.
+//!   coverage fraction), climbed only after `LADDER_PATIENCE` consecutive
+//!   bad windows and descended again after as many good ones.
 
 use std::collections::BTreeMap;
 
@@ -35,7 +35,7 @@ use iobt_types::NodeId;
 /// use iobt_types::NodeId;
 ///
 /// let period = SimDuration::from_secs_f64(2.0);
-/// let mut det = FailureDetector::new(period, 3.0);
+/// let mut det = FailureDetector::new(period); // suspects after 3 periods
 /// det.watch(NodeId::new(1), SimTime::ZERO);
 /// assert!(det.suspects(SimTime::from_secs_f64(5.0)).is_empty());
 /// let suspects = det.suspects(SimTime::from_secs_f64(6.5));
@@ -48,23 +48,19 @@ pub struct FailureDetector {
     last_seen: BTreeMap<NodeId, SimTime>,
 }
 
+/// A watched node is suspected after this many report periods of
+/// silence, so a lost report or two does not make a healthy reporter a
+/// suspect.
+const SUSPICION_PERIODS: f64 = 3.0;
+
 impl FailureDetector {
     /// Creates a detector: a node is suspected after
-    /// `suspicion_periods × report_period` of silence.
-    /// `suspicion_periods` is clamped to ≥ 1 (suspecting a node inside
-    /// one report period would flag healthy jittered reporters).
-    pub fn new(report_period: SimDuration, suspicion_periods: f64) -> Self {
+    /// `SUSPICION_PERIODS` (3) × `report_period` of silence.
+    pub fn new(report_period: SimDuration) -> Self {
         FailureDetector {
-            threshold: SimDuration::from_secs_f64(
-                report_period.as_secs_f64() * suspicion_periods.max(1.0),
-            ),
+            threshold: SimDuration::from_secs_f64(report_period.as_secs_f64() * SUSPICION_PERIODS),
             last_seen: BTreeMap::new(),
         }
-    }
-
-    /// The silence threshold after which a watched node is suspected.
-    pub fn threshold(&self) -> SimDuration {
-        self.threshold
     }
 
     /// Starts watching `node`, charging it as heard at `now` (a node
@@ -96,12 +92,13 @@ impl FailureDetector {
         self.last_seen.iter().map(|(&n, &t)| (n, t)).collect()
     }
 
-    /// Rebuilds a detector from checkpointed state: the exact silence
-    /// threshold and the full watch table.
-    pub fn from_checkpoint(threshold: SimDuration, entries: &[(NodeId, SimTime)]) -> Self {
+    /// Rebuilds a detector from checkpointed state: the threshold from
+    /// `report_period` as [`FailureDetector::new`] does, and the full
+    /// watch table.
+    pub fn from_checkpoint(report_period: SimDuration, entries: &[(NodeId, SimTime)]) -> Self {
         FailureDetector {
-            threshold,
             last_seen: entries.iter().copied().collect(),
+            ..FailureDetector::new(report_period)
         }
     }
 
@@ -132,6 +129,16 @@ pub enum LadderStep {
 /// Highest (most degraded) ladder level.
 pub const MAX_LADDER_LEVEL: usize = 3;
 
+/// Utility below this for [`LADDER_PATIENCE`] consecutive windows sheds
+/// one ladder level.
+const SHED_THRESHOLD: f64 = 0.45;
+/// Utility at or above this for [`LADDER_PATIENCE`] consecutive windows
+/// restores one ladder level; the gap to [`SHED_THRESHOLD`] is the
+/// hysteresis band.
+const RESTORE_THRESHOLD: f64 = 0.85;
+/// Consecutive windows the ladder waits before it moves.
+const LADDER_PATIENCE: u32 = 2;
+
 /// Graceful-degradation ladder with hysteresis.
 ///
 /// Levels, in shedding order — each keeps the mission alive at reduced
@@ -144,34 +151,21 @@ pub const MAX_LADDER_LEVEL: usize = 3;
 /// | 2     | `modality`  | the last required modality is shed          |
 /// | 3     | `coverage`  | required coverage fraction × 0.6            |
 ///
-/// The ladder sheds a level after `patience` consecutive windows with
-/// utility below `shed_threshold`, and restores a level after
-/// `patience` consecutive windows at or above `restore_threshold`; the
-/// gap between the two thresholds is the hysteresis band that prevents
-/// shed/restore thrash.
-#[derive(Debug, Clone)]
+/// The ladder sheds a level after 2 consecutive windows with utility
+/// below 0.45, and restores a level after 2 consecutive windows at or
+/// above 0.85; the gap between the two thresholds is the hysteresis band
+/// that prevents shed/restore thrash.
+#[derive(Debug, Clone, Default)]
 pub struct DegradationLadder {
     level: usize,
-    shed_threshold: f64,
-    restore_threshold: f64,
-    patience: u32,
     below: u32,
     above: u32,
 }
 
 impl DegradationLadder {
-    /// Creates a ladder at level 0. `patience` is clamped to ≥ 1 and
-    /// `restore_threshold` to ≥ `shed_threshold` (a crossed pair would
-    /// shed and restore on the same window).
-    pub fn new(shed_threshold: f64, restore_threshold: f64, patience: u32) -> Self {
-        DegradationLadder {
-            level: 0,
-            shed_threshold,
-            restore_threshold: restore_threshold.max(shed_threshold),
-            patience: patience.max(1),
-            below: 0,
-            above: 0,
-        }
+    /// Creates a ladder at level 0.
+    pub fn new() -> Self {
+        DegradationLadder::default()
     }
 
     /// Current level (0 = full requirement, [`MAX_LADDER_LEVEL`] = most
@@ -191,9 +185,8 @@ impl DegradationLadder {
         }
     }
 
-    /// The ladder's mutable state — `(level, below-streak, above-streak)`
-    /// — for mission checkpoints. Thresholds and patience are rebuilt
-    /// from configuration at resume, not checkpointed.
+    /// The ladder's state — `(level, below-streak, above-streak)` — for
+    /// mission checkpoints.
     pub fn counters(&self) -> (usize, u32, u32) {
         (self.level, self.below, self.above)
     }
@@ -209,21 +202,21 @@ impl DegradationLadder {
 
     /// Observes one window's utility and possibly moves one level.
     pub fn observe(&mut self, utility: f64) -> LadderStep {
-        if utility < self.shed_threshold {
+        if utility < SHED_THRESHOLD {
             self.above = 0;
             if self.level < MAX_LADDER_LEVEL {
                 self.below += 1;
-                if self.below >= self.patience {
+                if self.below >= LADDER_PATIENCE {
                     self.below = 0;
                     self.level += 1;
                     return LadderStep::Shed;
                 }
             }
-        } else if utility >= self.restore_threshold {
+        } else if utility >= RESTORE_THRESHOLD {
             self.below = 0;
             if self.level > 0 {
                 self.above += 1;
-                if self.above >= self.patience {
+                if self.above >= LADDER_PATIENCE {
                     self.above = 0;
                     self.level -= 1;
                     return LadderStep::Restore;
@@ -248,10 +241,12 @@ mod tests {
 
     #[test]
     fn detector_suspects_only_after_threshold_of_silence() {
-        let mut det = FailureDetector::new(SimDuration::from_secs_f64(2.0), 3.0);
+        let mut det = FailureDetector::new(SimDuration::from_secs_f64(2.0));
         det.watch(NodeId::new(1), SimTime::ZERO);
         det.watch(NodeId::new(2), SimTime::ZERO);
-        assert_eq!(det.threshold(), SimDuration::from_secs_f64(6.0));
+        // Three report periods of silence: 6 s, not a microsecond less.
+        assert!(det.suspects(SimTime::from_micros(5_999_999)).is_empty());
+        assert_eq!(det.suspects(secs(6.0)).len(), 2);
         det.heard(NodeId::new(1), secs(4.0));
         // At t=7: node 2 silent 7s (suspect), node 1 silent 3s (fine).
         let suspects = det.suspects(secs(7.0));
@@ -262,7 +257,7 @@ mod tests {
 
     #[test]
     fn detector_ignores_unwatched_and_stale_heartbeats() {
-        let mut det = FailureDetector::new(SimDuration::from_secs_f64(1.0), 2.0);
+        let mut det = FailureDetector::new(SimDuration::from_secs_f64(1.0));
         det.heard(NodeId::new(9), secs(1.0));
         assert!(det.entries().is_empty());
         det.watch(NodeId::new(1), secs(5.0));
@@ -274,21 +269,15 @@ mod tests {
 
     #[test]
     fn detector_rewatch_keeps_existing_deadline() {
-        let mut det = FailureDetector::new(SimDuration::from_secs_f64(1.0), 1.0);
+        let mut det = FailureDetector::new(SimDuration::from_secs_f64(0.5));
         det.watch(NodeId::new(1), SimTime::ZERO);
         det.watch(NodeId::new(1), secs(10.0)); // no-op
         assert_eq!(det.suspects(secs(2.0)).len(), 1);
     }
 
     #[test]
-    fn suspicion_periods_below_one_clamp_up() {
-        let det = FailureDetector::new(SimDuration::from_secs_f64(2.0), 0.25);
-        assert_eq!(det.threshold(), SimDuration::from_secs_f64(2.0));
-    }
-
-    #[test]
     fn ladder_sheds_after_patience_and_restores_with_hysteresis() {
-        let mut ladder = DegradationLadder::new(0.45, 0.85, 2);
+        let mut ladder = DegradationLadder::new();
         assert_eq!(ladder.observe(0.2), LadderStep::Hold); // streak 1
         assert_eq!(ladder.observe(0.2), LadderStep::Shed); // streak 2
         assert_eq!(ladder.level(), 1);
@@ -302,7 +291,7 @@ mod tests {
 
     #[test]
     fn ladder_is_bounded_at_both_ends() {
-        let mut ladder = DegradationLadder::new(0.5, 0.8, 1);
+        let mut ladder = DegradationLadder::new();
         for _ in 0..10 {
             ladder.observe(0.0);
         }

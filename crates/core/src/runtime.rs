@@ -62,40 +62,18 @@ pub struct PortableRunConfig {
     pub grid: usize,
     /// Composition solver.
     pub solver: Solver,
-    /// Drop recruited assets that cannot reach the command post over the
-    /// initial connectivity graph (§III-B network composition: selecting a
-    /// sensor that cannot report is wasted coverage).
-    pub require_reachability: bool,
     /// Run the sim-time heartbeat failure detector between windows and
     /// repair as soon as nodes are suspected, instead of waiting for the
     /// window to close (requires `adaptive`). Off by default.
     pub early_repair: bool,
-    /// Detector ticks per utility window when `early_repair` is on.
-    pub detector_ticks: u32,
-    /// A watched node is suspected after this many report periods of
-    /// silence.
-    pub suspicion_periods: f64,
     /// Shed mission requirements down the graceful-degradation ladder
     /// when utility stays critically low, and restore them when it
     /// recovers (requires `adaptive`). Off by default.
     pub degradation_ladder: bool,
-    /// Utility below this for `ladder_patience` consecutive windows
-    /// sheds one ladder level.
-    pub shed_threshold: f64,
-    /// Utility at or above this for `ladder_patience` consecutive
-    /// windows restores one ladder level.
-    pub restore_threshold: f64,
-    /// Consecutive windows required before the ladder moves.
-    pub ladder_patience: u32,
     /// Disseminate task assignments as acknowledged messages with
     /// bounded deterministic retries, instead of instantaneous
     /// out-of-band activation. Off by default.
     pub acked_tasking: bool,
-    /// Maximum task transmission attempts per assignment.
-    pub task_attempts: u32,
-    /// Base retry delay for task dissemination; attempt `k` backs off
-    /// `task_retry_base × 2^(k-1)`.
-    pub task_retry_base: SimDuration,
     /// Run the network simulator on its reference path: never patch the
     /// connectivity graph, never keep one ahead of its first access,
     /// never memoise a route, one event per pop. Both paths are
@@ -116,17 +94,9 @@ impl Default for PortableRunConfig {
             repair_threshold: 0.7,
             grid: 6,
             solver: Solver::Greedy,
-            require_reachability: true,
             early_repair: false,
-            detector_ticks: 4,
-            suspicion_periods: 3.0,
             degradation_ladder: false,
-            shed_threshold: 0.45,
-            restore_threshold: 0.85,
-            ladder_patience: 2,
             acked_tasking: false,
-            task_attempts: 4,
-            task_retry_base: SimDuration::from_millis(250),
             reference_mode: false,
         }
     }
@@ -293,30 +263,14 @@ impl RunConfigBuilder {
         grid: usize,
         /// Sets the composition solver.
         solver: Solver,
-        /// Enables or disables the reachability filter on recruited assets.
-        require_reachability: bool,
         /// Enables or disables between-window failure detection and early
         /// repair (active only when `adaptive` is also on).
         early_repair: bool,
-        /// Sets the number of detector ticks per utility window.
-        detector_ticks: u32,
-        /// Sets the suspicion threshold in report periods.
-        suspicion_periods: f64,
         /// Enables or disables the graceful-degradation ladder (active only
         /// when `adaptive` is also on).
         degradation_ladder: bool,
-        /// Sets the ladder's shed threshold.
-        shed_threshold: f64,
-        /// Sets the ladder's restore threshold.
-        restore_threshold: f64,
-        /// Sets how many consecutive windows the ladder waits before moving.
-        ladder_patience: u32,
         /// Enables or disables acknowledged task dissemination.
         acked_tasking: bool,
-        /// Sets the task transmission attempt cap.
-        task_attempts: u32,
-        /// Sets the base retry delay for task dissemination.
-        task_retry_base: SimDuration,
         /// Runs the simulator on its reference path — never patch, never
         /// keep ahead, never memoise, one event per pop (the oracle for
         /// the equivalence tests).
@@ -336,9 +290,8 @@ impl RunConfigBuilder {
     /// * [`RunConfigError::ZeroWindow`] — the utility window is zero;
     /// * [`RunConfigError::WindowExceedsDuration`] — the window is
     ///   longer than the mission;
-    /// * [`RunConfigError::ThresholdOutOfRange`] — `repair_threshold`,
-    ///   `shed_threshold` or `restore_threshold` lies outside `[0, 1]`
-    ///   (including NaN).
+    /// * [`RunConfigError::ThresholdOutOfRange`] — `repair_threshold`
+    ///   lies outside `[0, 1]` (including NaN).
     pub fn build(self) -> Result<RunConfig, RunConfigError> {
         let c = &self.config;
         if c.window.as_micros() == 0 {
@@ -350,14 +303,11 @@ impl RunConfigBuilder {
                 duration: c.duration,
             });
         }
-        for (field, value) in [
-            ("repair_threshold", c.repair_threshold),
-            ("shed_threshold", c.shed_threshold),
-            ("restore_threshold", c.restore_threshold),
-        ] {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(RunConfigError::ThresholdOutOfRange { field, value });
-            }
+        if !(0.0..=1.0).contains(&c.repair_threshold) {
+            return Err(RunConfigError::ThresholdOutOfRange {
+                field: "repair_threshold",
+                value: c.repair_threshold,
+            });
         }
         Ok(self.config)
     }
@@ -506,7 +456,7 @@ pub struct MissionReport {
     /// Assets rejected as suspected red.
     pub rejected_red: usize,
     /// Recruited assets dropped because they could not reach the command
-    /// post (only counted when `require_reachability` is on).
+    /// post over the initial connectivity graph.
     pub unreachable: usize,
     /// Fraction of admitted assets that are truly red (ground truth).
     pub infiltration_rate: f64,
@@ -635,18 +585,16 @@ pub(crate) fn prologue(
     );
 
     // ---- Phase 3: synthesis + assurance ----
+    // Keep only assets in the command post's connected component of the
+    // initial connectivity graph (§III-B network composition: selecting a
+    // sensor that cannot report is wasted coverage). Links are undirected
+    // with finite weights, so that is exactly "has a route to it". A peek,
+    // not an access: the trace and the checkpoint must not see the look.
+    let reachable = sim.prime_connectivity().component_of(scenario.command_post);
     let mut specs: Vec<NodeSpec> = pool.admitted.iter().map(|a| a.spec.clone()).collect();
-    let mut unreachable = 0usize;
-    if config.require_reachability {
-        // Keep only assets in the command post's connected component of
-        // the initial connectivity graph: links are undirected with finite
-        // weights, so that is exactly "has a route to it". A peek, not an
-        // access: the trace and the checkpoint must not see the look.
-        let reachable = sim.prime_connectivity().component_of(scenario.command_post);
-        let before = specs.len();
-        specs.retain(|spec| reachable.binary_search(&spec.id()).is_ok());
-        unreachable = before - specs.len();
-    }
+    let before = specs.len();
+    specs.retain(|spec| reachable.binary_search(&spec.id()).is_ok());
+    let unreachable = before - specs.len();
     let problem = CompositionProblem::from_mission(&scenario.mission, &specs, config.grid);
     let solve_start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in WallClockReport, never in a decision or digest
     let composition = config.solver.solve_observed(&problem, recorder);
@@ -767,6 +715,11 @@ impl fmt::Debug for MissionRunner {
     }
 }
 
+/// Failure-detector ticks per utility window when `early_repair` is on:
+/// the window runs in this many slices, and suspects are collected after
+/// each.
+const DETECTOR_TICKS: u32 = 4;
+
 impl MissionRunner {
     /// Runs phases 1–3 and stands up the execution simulator, ready to
     /// step window 0.
@@ -779,12 +732,7 @@ impl MissionRunner {
         if config.acked_tasking {
             sim.set_behavior(
                 scenario.command_post,
-                Box::new(TaskingSink::new(
-                    log.clone(),
-                    board.clone(),
-                    config.task_attempts,
-                    config.task_retry_base,
-                )),
+                Box::new(TaskingSink::new(log.clone(), board.clone())),
             );
         } else {
             sim.set_behavior(
@@ -807,17 +755,12 @@ impl MissionRunner {
         );
         let total_windows =
             (config.duration.as_secs_f64() / config.window.as_secs_f64()).ceil() as usize;
-        let mut detector = FailureDetector::new(config.report_period, config.suspicion_periods);
+        let mut detector = FailureDetector::new(config.report_period);
         if config.adaptive && config.early_repair {
             for &i in &selection {
                 detector.watch(problem.candidates[i].id, sim.now());
             }
         }
-        let ladder = DegradationLadder::new(
-            config.shed_threshold,
-            config.restore_threshold,
-            config.ladder_patience,
-        );
         MissionRunner {
             scenario: scenario.clone(),
             config: config.clone(),
@@ -835,7 +778,7 @@ impl MissionRunner {
             next_window: 0,
             failed_ever: BTreeSet::new(),
             detector,
-            ladder,
+            ladder: DegradationLadder::new(),
             resilience: ResilienceReport::default(),
             log_cursor: 0,
             repair_ms: 0.0,
@@ -887,11 +830,7 @@ impl MissionRunner {
         let use_ladder = self.config.adaptive && self.config.degradation_ladder;
         let start_s = self.sim.now().as_secs_f64();
         let mark = self.log.borrow().len();
-        let ticks = if use_detector {
-            self.config.detector_ticks.max(1)
-        } else {
-            1
-        };
+        let ticks = if use_detector { DETECTOR_TICKS } else { 1 };
         let tick_us = self.config.window.as_micros() / u64::from(ticks);
         for t in 0..ticks {
             // The last tick absorbs the division remainder so every
@@ -1324,7 +1263,6 @@ mod tests {
         assert_eq!(built.repair_threshold, literal.repair_threshold);
         assert_eq!(built.grid, literal.grid);
         assert_eq!(built.solver, literal.solver);
-        assert_eq!(built.require_reachability, literal.require_reachability);
     }
 
     #[test]
@@ -1348,16 +1286,9 @@ mod tests {
             })
         ));
         assert!(matches!(
-            RunConfig::builder().shed_threshold(-0.1).build(),
+            RunConfig::builder().repair_threshold(f64::NAN).build(),
             Err(RunConfigError::ThresholdOutOfRange {
-                field: "shed_threshold",
-                ..
-            })
-        ));
-        assert!(matches!(
-            RunConfig::builder().restore_threshold(f64::NAN).build(),
-            Err(RunConfigError::ThresholdOutOfRange {
-                field: "restore_threshold",
+                field: "repair_threshold",
                 ..
             })
         ));
@@ -1574,26 +1505,12 @@ mod tests {
     fn builder_covers_resilience_fields() {
         let built = RunConfig::builder()
             .early_repair(true)
-            .detector_ticks(8)
-            .suspicion_periods(2.5)
             .degradation_ladder(true)
-            .shed_threshold(0.4)
-            .restore_threshold(0.9)
-            .ladder_patience(3)
             .acked_tasking(true)
-            .task_attempts(6)
-            .task_retry_base(SimDuration::from_millis(500))
             .build()
             .unwrap();
         assert!(built.early_repair);
-        assert_eq!(built.detector_ticks, 8);
-        assert!((built.suspicion_periods - 2.5).abs() < 1e-12);
         assert!(built.degradation_ladder);
-        assert!((built.shed_threshold - 0.4).abs() < 1e-12);
-        assert!((built.restore_threshold - 0.9).abs() < 1e-12);
-        assert_eq!(built.ladder_patience, 3);
         assert!(built.acked_tasking);
-        assert_eq!(built.task_attempts, 6);
-        assert_eq!(built.task_retry_base, SimDuration::from_millis(500));
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! §III-A: mobile wireless assets "may be intermittently connected, so may
 //! not consistently respond to probes or emit traffic". The [`Prober`]
-//! issues probe rounds against nodes with duty-cycled availability and
-//! builds per-node [`ProbeProfile`]s (availability, latency fingerprint)
-//! that feed capability characterization.
+//! issues probe rounds against nodes with duty-cycled availability,
+//! returns each response's latency in its [`ProbeRecord`], and builds
+//! per-node availability [`ProbeProfile`]s that feed capability
+//! characterization.
 
 use std::collections::BTreeMap;
 
@@ -50,16 +51,9 @@ pub struct ProbeRecord {
 pub struct ProbeProfile {
     probes: u64,
     responses: u64,
-    latency_sum_ms: f64,
-    latency_sq_sum_ms: f64,
 }
 
 impl ProbeProfile {
-    /// Number of probes issued.
-    pub const fn probes(&self) -> u64 {
-        self.probes
-    }
-
     /// Estimated availability (response fraction), or `0.0` when unprobed.
     pub fn availability(&self) -> f64 {
         if self.probes == 0 {
@@ -69,21 +63,10 @@ impl ProbeProfile {
         }
     }
 
-    /// Mean response latency in ms, or `None` without any response.
-    pub fn mean_latency_ms(&self) -> Option<f64> {
-        if self.responses == 0 {
-            None
-        } else {
-            Some(self.latency_sum_ms / self.responses as f64)
-        }
-    }
-
     fn record(&mut self, r: ProbeRecord) {
         self.probes += 1;
         if r.responded {
             self.responses += 1;
-            self.latency_sum_ms += r.latency_ms;
-            self.latency_sq_sum_ms += r.latency_ms * r.latency_ms;
         }
     }
 }
@@ -182,7 +165,7 @@ mod tests {
         probe_rounds(&mut p, &t, 50);
         let profile = p.profile(NodeId::new(9)).unwrap();
         assert_eq!(profile.availability(), 0.0);
-        assert_eq!(profile.mean_latency_ms(), None);
+        assert_eq!(profile.responses, 0);
     }
 
     #[test]

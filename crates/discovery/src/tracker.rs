@@ -30,16 +30,6 @@ impl AssetEstimate {
         self.id
     }
 
-    /// Number of fused observations.
-    pub const fn observations(&self) -> u64 {
-        self.observations
-    }
-
-    /// Time of the latest sighting, in seconds.
-    pub const fn last_seen_s(&self) -> f64 {
-        self.last_seen_s
-    }
-
     /// Smoothed position estimate.
     pub const fn position(&self) -> Point {
         self.position
@@ -75,13 +65,6 @@ impl AssetEstimate {
         }
         // lint: allow(panic) — best is the argmax over exactly three classes, always a valid index
         Affiliation::from_index(best).expect("index in 0..3")
-    }
-
-    /// Confidence: the posterior mass of the winning class, in `[1/3, 1]`.
-    pub fn confidence(&self) -> f64 {
-        self.posterior()
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Presence belief at time `now_s`: decays as `exp(-(now - last)/tau)`.
@@ -242,8 +225,8 @@ mod tests {
         t.observe(NodeId::new(1), 50.0, Point::ORIGIN, [0.2, 0.6, 0.2]);
         t.observe(NodeId::new(1), 10.0, Point::new(100.0, 0.0), [0.2, 0.6, 0.2]);
         let e = t.estimate(NodeId::new(1)).unwrap();
-        assert_eq!(e.last_seen_s(), 50.0);
+        assert_eq!(e.last_seen_s, 50.0);
         assert_eq!(e.position(), Point::ORIGIN, "stale position ignored");
-        assert_eq!(e.observations(), 2, "evidence still fused");
+        assert_eq!(e.observations, 2, "evidence still fused");
     }
 }

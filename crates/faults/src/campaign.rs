@@ -95,7 +95,7 @@ const CLEAR_BY: f64 = 0.7;
 /// let a = generate_campaign(7, &nodes, &cfg);
 /// let b = generate_campaign(7, &nodes, &cfg);
 /// assert_eq!(a.len(), b.len());
-/// assert_eq!(a.horizon(), b.horizon());
+/// assert_eq!(a.transient_clear_time(), b.transient_clear_time());
 /// ```
 pub fn generate_campaign(seed: u64, nodes: &[NodeId], cfg: &CampaignConfig) -> FaultPlan {
     // Domain-separate the campaign stream from the simulator stream so

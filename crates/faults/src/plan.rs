@@ -119,7 +119,7 @@ pub struct FaultEvent {
 ///         SimDuration::from_millis(50),
 ///     );
 /// assert_eq!(plan.len(), 2);
-/// assert_eq!(plan.horizon(), SimTime::from_millis(250));
+/// assert_eq!(plan.transient_clear_time(), SimTime::from_millis(250));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
@@ -201,17 +201,6 @@ impl FaultPlan {
     /// The scheduled events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// The latest instant at which any fault in the plan is still
-    /// changing state: the last onset, recovery, lift, or expiry.
-    /// [`SimTime::ZERO`] for an empty plan.
-    pub fn horizon(&self) -> SimTime {
-        self.events
-            .iter()
-            .map(|ev| ev.kind.clear_time(ev.at).max(ev.at))
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// The latest instant at which every *transient* fault (one with a
@@ -344,16 +333,6 @@ mod tests {
                 CompromiseSpec::new([NodeId::new(1)], SimDuration::from_millis(5), true),
                 SimDuration::from_millis(20),
             )
-    }
-
-    #[test]
-    fn horizon_covers_last_state_change() {
-        // Latest state change: degrade 30ms + 500ms = 530ms.
-        assert_eq!(sample_plan().horizon(), SimTime::from_millis(530));
-        assert_eq!(FaultPlan::new().horizon(), SimTime::ZERO);
-        // A lone fail-stop crash's horizon is its onset.
-        let p = FaultPlan::new().crash(SimTime::from_millis(42), NodeId::new(0));
-        assert_eq!(p.horizon(), SimTime::from_millis(42));
     }
 
     #[test]

@@ -135,11 +135,11 @@ impl Default for FleetBuilder {
 }
 
 impl FleetBuilder {
-    /// Starts from the defaults: one worker per hardware thread, a
-    /// one-window quantum, 64 resident missions per worker, per-mission
-    /// metrics on, disk-backed checkpoints under a process-scoped temp
-    /// directory, 5 retry attempts with 1→8-slice capped backoff, no
-    /// deadline, no admission bound, and no durable manifest.
+    /// Starts from the defaults: one worker per hardware thread, 64
+    /// resident missions per worker, disk-backed checkpoints under a
+    /// process-scoped temp directory, 5 retry attempts with 1→8-slice
+    /// capped backoff, no deadline, no admission bound, and no durable
+    /// manifest.
     pub fn new() -> Self {
         Self::default()
     }

@@ -42,7 +42,12 @@ use crate::ticket::MissionStatus;
 pub(crate) const MANIFEST_MAGIC: [u8; 8] = *b"IOBTFMAN";
 
 /// Current manifest format version; the loader rejects others.
-pub(crate) const MANIFEST_VERSION: u32 = 1;
+///
+/// History: v2 dropped eight fixed run settings (reachability filter,
+/// detector ticks and suspicion periods, the ladder's two thresholds and
+/// patience, task attempts and retry base) from each ticket's
+/// [`PortableRunConfig`], shortening every record by 45 bytes.
+pub(crate) const MANIFEST_VERSION: u32 = 2;
 
 /// Everything the scheduler must remember about one mission to rebuild
 /// it after a crash. One record per ticket, indexed by ticket order.
@@ -307,17 +312,9 @@ mod tests {
         p.repair_threshold = 0.61 + f64::from(k) / 100.0;
         p.grid = 7 + k as usize;
         p.solver = solver;
-        p.require_reachability = k.is_multiple_of(2);
         p.early_repair = k.is_multiple_of(3);
-        p.detector_ticks = 5 + k;
-        p.suspicion_periods = 2.25 + f64::from(k);
         p.degradation_ladder = k % 3 == 1;
-        p.shed_threshold = 0.31 + f64::from(k) / 100.0;
-        p.restore_threshold = 0.91 + f64::from(k) / 100.0;
-        p.ladder_patience = 3 + k;
         p.acked_tasking = k % 4 < 2;
-        p.task_attempts = 6 + k;
-        p.task_retry_base = SimDuration::from_millis(125 + u64::from(k));
         p.reference_mode = k % 4 == 1;
         p
     }
@@ -381,11 +378,11 @@ mod tests {
         ];
         let bytes = encode_manifest(&records);
         assert_eq!(decode_manifest(&bytes).unwrap(), records);
-        // Recorded from the parent commit's binary (hand-written
-        // `enc_record`/`dec_record` twins) before the codec was touched:
-        // the `Wire` layouts must reproduce the manifest byte for byte.
-        assert_eq!(bytes.len(), 1_880);
-        assert_eq!(iobt_obs::fnv1a(&bytes), 0x961f_2ecf_beb0_2659);
+        // Re-recorded for manifest version 2: the version-1 bytes with the
+        // eight removed run settings (45 bytes) cut from each record, the
+        // version word and the CRC rewritten, and nothing else moved.
+        assert_eq!(bytes.len(), 1_610);
+        assert_eq!(iobt_obs::fnv1a(&bytes), 0xf599_c088_f028_1c4e);
     }
 
     #[test]
@@ -447,6 +444,38 @@ mod tests {
                 "truncation to {len} bytes must be detected"
             );
         }
+    }
+
+    #[test]
+    fn recovery_refuses_a_manifest_of_the_previous_version() {
+        use crate::{Fleet, RecoverError};
+        let dir = scratch("previous-version");
+        let mut enc = Enc::new();
+        enc.seq([sample_record(1, MissionStatus::Evicted)].iter());
+        let payload = enc.into_bytes();
+        let sealed = |version| seal(&MANIFEST_MAGIC, version, &[], &payload);
+        generations(&dir).create_dir().unwrap();
+        let path = generations(&dir).path_for(1);
+        // The same table under the current version decodes: recovery gets
+        // as far as counting the re-supplied scenarios.
+        fs::write(&path, sealed(MANIFEST_VERSION)).unwrap();
+        assert!(matches!(
+            Fleet::recover(&dir, Vec::new()),
+            Err(RecoverError::ScenarioCount {
+                expected: 1,
+                got: 0
+            })
+        ));
+        // Under the previous version it is refused by its version word,
+        // before a single record is read.
+        fs::write(&path, sealed(MANIFEST_VERSION - 1)).unwrap();
+        match Fleet::recover(&dir, Vec::new()) {
+            Err(RecoverError::Load(CkptError::UnsupportedVersion(v))) => {
+                assert_eq!(v, MANIFEST_VERSION - 1)
+            }
+            other => panic!("a previous-version manifest must be refused, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -149,11 +149,6 @@ impl<S: Store> FailingStore<S> {
         }
     }
 
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     fn next_op(&self, ticket: u64, group: u8) -> u64 {
         let mut ops = self.ops.lock().unwrap_or_else(|e| e.into_inner());
         let slot = ops.entry((ticket, group)).or_insert(0);
@@ -296,7 +291,7 @@ mod tests {
         assert!(path.exists(), "torn bytes landed under the final name");
         assert_eq!(store.load_latest(0, 9).unwrap(), None);
         // A later save of the same window overwrites the torn file.
-        store.inner().save(0, 9, 4, b"payload-bytes").unwrap();
+        store.inner.save(0, 9, 4, b"payload-bytes").unwrap();
         assert_eq!(
             store.load_latest(0, 9).unwrap(),
             Some((4, b"payload-bytes".to_vec()))

@@ -23,11 +23,6 @@ impl LogisticModel {
         }
     }
 
-    /// Feature dimension.
-    pub fn dim(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Model parameters as a flat vector `[weights…, bias]` — the format
     /// exchanged by distributed aggregation.
     pub fn to_params(&self) -> Vec<f64> {

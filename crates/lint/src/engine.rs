@@ -17,7 +17,7 @@
 //! contract crates; R6 on `Lib`+`Bin` of its scoped crates plus any file
 //! listed in its `paths` config; R7 on `Lib` of its scoped crates; R8
 //! everywhere (a stale directive is stale wherever it sits); R9 on the
-//! definitions in all `Lib` code, counting names over every scanned file
+//! definitions in all `Lib` code, counting calls over every scanned file
 //! except the defining crate's own `src/` test code and `pub use` lists.
 //!
 //! Since the semantic rules (R6/R7/R9) need cross-file context, linting is

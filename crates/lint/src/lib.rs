@@ -37,7 +37,7 @@
 //! | R6 | `state-coverage` | save/restore fns and hand-written `Wire::put`s destructure `Self` exhaustively |
 //! | R7 | `digest-coverage` | every digest-root field flows into the fingerprint; equality is derived |
 //! | R8 | `stale-allow` | allow directives must suppress something |
-//! | R9 | `unused-pub` | a library `pub fn` is named outside its definition, own crate's unit tests and `pub use` lists |
+//! | R9 | `unused-pub` | a library `pub fn` is called (`name(`, `name::<`, `::name`) outside its own crate's unit tests and `pub use` lists |
 //!
 //! The `iobt-lint` binary (`cargo run -p iobt-lint -- --deny-all`) wires
 //! this into CI with `--format json`, a findings baseline for

@@ -43,9 +43,10 @@ pub enum Rule {
     /// R8 `stale-allow`: a `// lint: allow(…)` directive that suppresses
     /// zero findings is itself an error.
     StaleAllow,
-    /// R9 `unused-pub`: a `pub fn` in library code whose name appears
-    /// nowhere in the scanned workspace but at its definition, in its own
-    /// crate's unit tests and in `pub use` lists has no caller.
+    /// R9 `unused-pub`: a `pub fn` in library code that nothing in the
+    /// scanned workspace calls or paths to (`name(`, `name::<`, `::name`)
+    /// outside its own crate's unit tests and `pub use` lists has no
+    /// caller.
     UnusedPub,
 }
 
@@ -232,16 +233,17 @@ impl Rule {
                  rustc reports dead private and `pub(crate)` code but must assume a\n\
                  `pub fn` in a library has callers elsewhere. In this workspace\n\
                  elsewhere is scanned too: a `pub fn` in library code has no caller\n\
-                 when its name occurs as an identifier nowhere but at its definition,\n\
-                 in the unit tests (test-only code) under its own crate's `src/`, and\n\
-                 in `pub use` statements. Everything else counts: integration tests,\n\
-                 examples, benches, the benchmark and other crates' unit tests (doc\n\
-                 comments are not code). A function only its own unit tests call is\n\
-                 test code; a re-export calls nothing. The check is by name, not by\n\
-                 call graph: a shared name (`new`, `len`) hides an unused function,\n\
-                 never the reverse. Delete the function, narrow it to `pub(crate)`,\n\
-                 move it into the tests, or justify it with\n\
-                 `// lint: allow(unused-pub) — <reason>`."
+                 when its name occurs in call or path position (`name(`, `name::<`,\n\
+                 `::name`) nowhere but in the unit tests (test-only code) under its\n\
+                 own crate's `src/` and in `pub use` statements. Everything else\n\
+                 counts: integration tests, examples, benches, the benchmark and\n\
+                 other crates' unit tests (doc comments are not code). A function\n\
+                 only its own unit tests call is test code; a re-export calls\n\
+                 nothing; a field, local or `wire_struct!` entry of the same name\n\
+                 is not a call. The check is by name, not by call graph: a shared\n\
+                 name (`new`, `len`) hides an unused function, never the reverse.\n\
+                 Delete the function, narrow it to `pub(crate)`, move it into the\n\
+                 tests, or justify it with `// lint: allow(unused-pub) — <reason>`."
             }
         }
     }
@@ -537,19 +539,30 @@ fn check_docs(lexed: &Lexed, map: &FileMap, out: &mut Vec<Violation>) {
     }
 }
 
-/// How often R9 saw one identifier outside `pub use` statements: in all,
-/// and within each crate's own `src/` test code.
+/// How often R9 saw one identifier called outside `pub use` statements:
+/// in all, and within each crate's own `src/` test code.
 #[derive(Default)]
 struct Mentions<'a> {
     anywhere: usize,
     in_src_tests: BTreeMap<&'a str, usize>,
 }
 
+/// Whether the identifier at `k` is in call or path position — `name(`,
+/// `name::<` or `::name` — and not the name a `fn` item defines. A field,
+/// a local or a list entry of the same name calls nothing.
+fn is_called(toks: &[Token], k: usize) -> bool {
+    let punct = |i: usize, c: char| toks.get(i).is_some_and(|t| t.is_punct(c));
+    let after_path = k >= 2 && punct(k - 1, ':') && punct(k - 2, ':');
+    let before_call =
+        punct(k + 1, '(') || (punct(k + 1, ':') && punct(k + 2, ':') && punct(k + 3, '<'));
+    (after_path || before_call) && !(k >= 1 && toks[k - 1].is_ident("fn"))
+}
+
 /// R9: every `pub fn` (restricted `pub(…)` visibility excluded) outside
-/// test code in the `applicable` files whose name occurs as an
-/// identifier nowhere across `inputs` but at its definition, in test
-/// code under its own crate's `src/`, and in `pub use` statements.
-/// Pushes `(file index, violation)` pairs.
+/// test code in the `applicable` files whose name is called or pathed to
+/// (`is_called`) nowhere across `inputs` but in test code under its own
+/// crate's `src/` and in `pub use` statements. Pushes `(file index,
+/// violation)` pairs.
 pub fn check_unused_pub(
     inputs: &[FileInput],
     applicable: &[bool],
@@ -571,7 +584,7 @@ pub fn check_unused_pub(
                 in_pub_use = true;
                 continue;
             }
-            if t.kind != TokenKind::Ident {
+            if t.kind != TokenKind::Ident || !is_called(&input.lexed.tokens, k) {
                 continue;
             }
             let m = mentions.entry(&t.text).or_default();
@@ -598,22 +611,21 @@ pub fn check_unused_pub(
             if !keyword.is_ident("fn") || name.kind != TokenKind::Ident {
                 continue;
             }
-            let Some(m) = mentions.get(name.text.as_str()) else { continue };
-            let own_tests = input
-                .crate_name
-                .and_then(|c| m.in_src_tests.get(c))
-                .copied()
-                .unwrap_or(0);
-            if m.anywhere - own_tests == 1 {
+            let calls = mentions.get(name.text.as_str()).map_or(0, |m| {
+                let own_tests = input.crate_name.and_then(|c| m.in_src_tests.get(c));
+                m.anywhere - own_tests.copied().unwrap_or(0)
+            });
+            if calls == 0 {
                 out.push((
                     i,
                     Violation {
                         line: name.line,
                         rule: Rule::UnusedPub,
                         message: format!(
-                            "`pub fn {}` is named only by its definition, its own crate's unit \
-                             tests and `pub use` lists — no caller, integration test, bench or \
-                             example: delete it, narrow it to `pub(crate)`, or justify with \
+                            "`pub fn {}` is called only by its own crate's unit tests, if at \
+                             all (a same-named field, local or `pub use` is not a call) — no \
+                             caller, integration test, bench or example: delete it, narrow it \
+                             to `pub(crate)`, or justify with \
                              `// lint: allow(unused-pub) — <reason>`",
                             name.text
                         ),
@@ -1615,13 +1627,23 @@ fn private() {}
 pub fn named_only_in_a_pub_use() {}
 pub use self::named_only_in_a_pub_use as renamed;
 pub fn called_from_a_sibling_crates_tests() {}
+pub struct Knobs { shares_its_name: u32 }
+impl Knobs {
+    pub fn shares_its_name(mut self, v: u32) -> Self { self.shares_its_name = v; self }
+    pub fn called_as_a_method(&self) -> u32 { let shares_its_name = 1; shares_its_name }
+    pub fn passed_as_a_path(&self) -> u32 { 0 }
+}
+wire_struct!(Knobs { shares_its_name, });
 #[cfg(test)]
 mod tests {
     pub fn helpers_in_tests_are_exempt() {}
     fn t() { super::called_from_own_tests(); }
 }
 ";
-        let caller = "fn main() { called_from_the_other_file(); }\npub fn uncalled_but_not_applicable() {}\n";
+        let caller = "\
+fn main() { called_from_the_other_file(); k.called_as_a_method(); v.map(Knobs::passed_as_a_path); }
+pub fn uncalled_but_not_applicable() {}
+";
         let sibling =
             "#[cfg(test)]\nmod tests {\n    fn t() { c::called_from_a_sibling_crates_tests(); }\n}\n";
         let sources = [
@@ -1646,8 +1668,10 @@ mod tests {
         let mut out = Vec::new();
         check_unused_pub(&inputs, &[true, false, false], &mut out);
         let hits: Vec<(usize, u32)> = out.iter().map(|(file, v)| (*file, v.line)).collect();
-        // Lone definition, comment-only name, own unit test only, `pub use` only.
-        assert_eq!(hits, vec![(0, 2), (0, 4), (0, 5), (0, 7)], "{out:?}");
+        // Lone definition, comment-only name, own unit test only, `pub use`
+        // only, and a setter whose name only a field, a local and a
+        // `wire_struct!` entry share.
+        assert_eq!(hits, vec![(0, 2), (0, 4), (0, 5), (0, 7), (0, 12)], "{out:?}");
         assert!(out[0].1.message.contains("`pub fn lone_const`"), "{}", out[0].1.message);
     }
 }

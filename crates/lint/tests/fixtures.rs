@@ -32,10 +32,13 @@ fn fixture_tree_trips_every_rule_once() {
         ("crates/core/src/lib.rs".to_string(), "R5", 15),
         ("crates/learning/src/lib.rs".to_string(), "R4", 15),
         // R9: the one public fn `core/tests/callers.rs` does not name, one
-        // named only by its own crate's unit test, one only by a `pub use`.
+        // named only by its own crate's unit test, one only by a `pub use`,
+        // and a setter whose name only a field, a local and a
+        // `wire_struct!` entry share.
         ("crates/learning/src/lib.rs".to_string(), "R9", 26),
         ("crates/learning/src/lib.rs".to_string(), "R9", 32),
         ("crates/learning/src/lib.rs".to_string(), "R9", 38),
+        ("crates/learning/src/lib.rs".to_string(), "R9", 61),
         ("crates/netsim/src/lib.rs".to_string(), "R1", 16),
         ("crates/netsim/src/lib.rs".to_string(), "R2", 22),
         // R6: rest-pattern destructure in a snapshot save_state.

@@ -8,6 +8,7 @@ fn every_other_fixture_fn_has_a_caller() {
     let _ = core::allowed_panic(Some(1));
     let _ = core::seeded_missing_docs();
     let _ = learning::seeded_rng_is_fine(7);
+    let _ = learning::seeded_twin_reader(&Default::default());
     let _ = netsim::decoy_strings();
     let _ = netsim::seeded_hash_iter();
     let _ = netsim::seeded_wall_clock();

@@ -1,5 +1,5 @@
 //! Fixture: a "learning" crate with one seeded R4 violation (OS entropy
-//! is flagged even inside test code) and three seeded R9 violations.
+//! is flagged even inside test code) and four seeded R9 violations.
 
 /// Clean: seeded randomness is the required pattern.
 pub fn seeded_rng_is_fine(seed: u64) -> u64 {
@@ -48,3 +48,27 @@ mod own_tests {
         assert_eq!(super::seeded_own_test_only(), 11);
     }
 }
+
+/// Seeded R9 violation: a setter nothing calls. Its name is everywhere
+/// else too — the field it sets, a local and a `wire_struct!` entry — but
+/// none of those is a call.
+pub struct SeededKnobs {
+    seeded_field_twin: u32,
+}
+
+impl SeededKnobs {
+    /// The uncalled setter.
+    pub fn seeded_field_twin(mut self, v: u32) -> Self {
+        self.seeded_field_twin = v;
+        self
+    }
+}
+
+/// Clean for R9: `core/tests/callers.rs` calls it. Its local shares the
+/// setter's name.
+pub fn seeded_twin_reader(k: &SeededKnobs) -> u32 {
+    let seeded_field_twin = k.seeded_field_twin;
+    seeded_field_twin
+}
+
+wire_struct!(SeededKnobs { seeded_field_twin });

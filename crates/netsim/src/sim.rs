@@ -234,11 +234,6 @@ impl CompromiseSpec {
             tamper,
         }
     }
-
-    /// The compromised relay ids.
-    pub fn relays(&self) -> &BTreeSet<NodeId> {
-        &self.relays
-    }
 }
 
 /// A registered region blackout: the rect is fixed at registration, the
@@ -489,9 +484,6 @@ pub struct SimulatorBuilder {
     mobility: BTreeMap<NodeId, MobilityModel>,
     sleep: BTreeMap<NodeId, SleepSchedule>,
     seed: u64,
-    mobility_step: SimDuration,
-    retries: u32,
-    idle_drain_w: f64,
     recorder: Recorder,
     reference_mode: bool,
 }
@@ -528,24 +520,6 @@ impl SimulatorBuilder {
     /// Seeds the simulation RNG (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Interval between mobility/connectivity updates (default 1 s).
-    pub fn mobility_step(mut self, step: SimDuration) -> Self {
-        self.mobility_step = step;
-        self
-    }
-
-    /// Per-hop MAC retries (default 3; total attempts = retries + 1).
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Idle power draw per node in watts (default 0.01 W).
-    pub fn idle_drain_w(mut self, watts: f64) -> Self {
-        self.idle_drain_w = watts.max(0.0);
         self
     }
 
@@ -630,9 +604,6 @@ impl SimulatorBuilder {
             rng: StdRng::seed_from_u64(self.seed),
             stats: NetStats::new(),
             topology: Topology::new(self.reference_mode || has_sleep),
-            retries: self.retries,
-            mobility_step: self.mobility_step,
-            idle_drain_w: self.idle_drain_w,
             recorder: self.recorder,
             partitions: Vec::new(),
             degradations: Vec::new(),
@@ -642,7 +613,7 @@ impl SimulatorBuilder {
             events_processed: 0,
             reference_mode: self.reference_mode,
         };
-        core.push(SimTime::ZERO + self.mobility_step, Event::MobilityTick);
+        core.push(SimTime::ZERO + MOBILITY_STEP, Event::MobilityTick);
         Simulator {
             core,
             behaviors: BTreeMap::new(),
@@ -669,9 +640,6 @@ struct Core {
     stats: NetStats,
     /// The connectivity graph and everything derived from it.
     topology: Topology,
-    retries: u32,
-    mobility_step: SimDuration,
-    idle_drain_w: f64,
     recorder: Recorder,
     partitions: Vec<(PartitionSpec, bool)>,
     degradations: Vec<(LinkDegradation, bool)>,
@@ -686,6 +654,14 @@ struct Core {
     /// [`SimulatorBuilder::reference_mode`].
     reference_mode: bool,
 }
+
+/// Interval between mobility / connectivity updates (and idle drain).
+const MOBILITY_STEP: SimDuration = SimDuration::from_millis(1_000);
+/// Per-hop MAC retries: a hop is attempted at most `MAC_RETRIES + 1`
+/// times.
+const MAC_RETRIES: u32 = 3;
+/// Idle power draw per live node, in watts.
+const IDLE_DRAIN_W: f64 = 0.01;
 
 /// Base MAC backoff before the first retransmission, in seconds.
 pub const MAC_BACKOFF_BASE_S: f64 = 0.0005;
@@ -873,20 +849,20 @@ impl Core {
         });
     }
 
-    /// Tries a hop up to `retries + 1` times; returns success and the
+    /// Tries a hop up to `MAC_RETRIES + 1` times; returns success and the
     /// number of attempts consumed. Nothing moves between attempts, so
     /// the hop's budget is computed once and each attempt only samples.
     fn attempt_hop(&mut self, from: u32, to: u32, link: LinkQuality) -> (bool, u32) {
         let from_pos = self.nodes[from as usize].mobility.position();
         let to_pos = self.nodes[to as usize].mobility.position();
         let budget = self.channel.hop_budget(from_pos, to_pos, link.radio);
-        for attempt in 1..=(self.retries + 1) {
+        for attempt in 1..=(MAC_RETRIES + 1) {
             let p = sample_delivery(&mut self.rng, budget);
             if self.rng.gen::<f64>() < p {
                 return (true, attempt);
             }
         }
-        (false, self.retries + 1)
+        (false, MAC_RETRIES + 1)
     }
 
     fn drain(&mut self, i: u32, joules: f64) {
@@ -902,7 +878,7 @@ impl Core {
     }
 
     fn mobility_tick(&mut self) {
-        let dt = self.mobility_step.as_secs_f64();
+        let dt = MOBILITY_STEP.as_secs_f64();
         let mut movers: Vec<u32> = Vec::new();
         for i in 0..self.nodes.len() {
             // Split borrow: temporarily move mobility state out so the
@@ -918,7 +894,7 @@ impl Core {
             }
             self.nodes[i].mobility = mob;
             if self.nodes[i].alive {
-                let idle = self.idle_drain_w * dt;
+                let idle = IDLE_DRAIN_W * dt;
                 self.nodes[i].energy.drain(idle);
                 self.stats.energy_spent_j += idle;
                 if self.nodes[i].energy.is_depleted() {
@@ -934,7 +910,7 @@ impl Core {
         self.topology.invalidate_moved(movers);
         self.recorder
             .set_gauge("netsim.energy_spent_j", self.stats.energy_spent_j);
-        let next = self.now + self.mobility_step;
+        let next = self.now + MOBILITY_STEP;
         self.push(next, Event::MobilityTick);
     }
 }
@@ -959,9 +935,6 @@ impl Simulator {
             mobility: BTreeMap::new(),
             sleep: BTreeMap::new(),
             seed: 0,
-            mobility_step: SimDuration::from_millis(1_000),
-            retries: 3,
-            idle_drain_w: 0.01,
             recorder: Recorder::disabled(),
             reference_mode: false,
         }

@@ -29,7 +29,7 @@ use iobt_types::{EnergyBudget, NodeId};
 
 use crate::mobility::MobilityState;
 use crate::stats::NetStats;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 use super::{
     Behavior, Blackout, CompromiseSpec, Core, Jammer, LinkDegradation, PartitionSpec, Queued,
@@ -125,8 +125,9 @@ pub enum SnapshotError {
     },
     /// The snapshot references a node id absent from this simulator.
     UnknownNode(u64),
-    /// The snapshot disagrees with this simulator's fixed configuration
-    /// (different catalog size, retries, mobility step, …).
+    /// The snapshot disagrees with this simulator (a different node
+    /// count) or holds a state it could never have saved (a zero-period
+    /// sleep schedule).
     Mismatch(String),
 }
 
@@ -199,9 +200,6 @@ impl Simulator {
             rng: _,
             stats: _,
             topology: _,
-            retries: _,
-            mobility_step: _,
-            idle_drain_w: _,
             recorder: _,
             partitions: _,
             degradations: _,
@@ -213,10 +211,7 @@ impl Simulator {
         } = core;
         let mut e = Enc::new();
 
-        // Fixed-configuration guard, checked at restore.
-        e.u32(core.retries);
-        e.put(&core.mobility_step);
-        e.f64(core.idle_drain_w);
+        // Node-count guard, checked at restore.
         e.usize(core.nodes.len());
 
         // Clock, event-sequence counter, RNG stream position.
@@ -295,26 +290,12 @@ impl Simulator {
         let Self { core: _, behaviors: _, started: _, batch: _ } = self;
         let mut d = Dec::new(bytes);
 
-        let retries = d.u32()?;
-        let mobility_step: SimDuration = d.get()?;
-        let idle_drain_w = d.f64()?;
         let node_count = d.usize()?;
-        {
-            let core = &self.core;
-            if retries != core.retries
-                || mobility_step != core.mobility_step
-                || idle_drain_w.to_bits() != core.idle_drain_w.to_bits()
-            {
-                return Err(SnapshotError::Mismatch(
-                    "builder configuration (retries/mobility step/idle drain) differs".into(),
-                ));
-            }
-            if node_count != core.nodes.len() {
-                return Err(SnapshotError::Mismatch(format!(
-                    "snapshot has {node_count} nodes, simulator has {}",
-                    core.nodes.len()
-                )));
-            }
+        if node_count != self.core.nodes.len() {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot has {node_count} nodes, simulator has {}",
+                self.core.nodes.len()
+            )));
         }
 
         let now: SimTime = d.get()?;
@@ -444,6 +425,7 @@ mod tests {
     use crate::mobility::MobilityModel;
     use crate::sim::{Context, Event};
     use crate::terrain::Terrain;
+    use crate::time::SimDuration;
     use iobt_types::{Affiliation, NodeCatalog, NodeSpec, Point, Radio, RadioKind, Rect};
 
     fn catalog(n: u64, gap_m: f64) -> NodeCatalog {
@@ -712,11 +694,11 @@ mod tests {
         assert!(core.queue.iter().any(|Reverse(q)| matches!(q.event, Event::Timer { .. })));
         assert!(core.stats.delivered > 0 && !core.stats.delivered_by_kind.is_empty());
 
-        // Recorded from the parent commit's binary (hand-written
-        // `enc_*`/`dec_*` twins) before the codec was touched: the `Wire`
-        // layouts must reproduce the blob byte for byte.
-        assert_eq!(blob.len(), 2_815);
-        assert_eq!(iobt_obs::fnv1a(&blob), 0x7191_6aa4_19c4_8fb7);
+        // Re-recorded when the MAC-retry / mobility-step / idle-drain guard
+        // left the snapshot: the blob is the previous one minus its first
+        // 20 bytes, everything after them byte for byte.
+        assert_eq!(blob.len(), 2_795);
+        assert_eq!(iobt_obs::fnv1a(&blob), 0x6dbb_b778_35f2_50c3);
 
         let mut restored = everything_world();
         restored.restore_state(&blob, &beacon_registry()).unwrap();

@@ -104,11 +104,6 @@ impl Terrain {
         }
     }
 
-    /// Battlefield bounds.
-    pub const fn bounds(&self) -> Rect {
-        self.bounds
-    }
-
     /// Clutter at a point; points outside the bounds clamp to the nearest
     /// cell.
     pub fn clutter_at(&self, p: Point) -> Clutter {

@@ -229,11 +229,6 @@ impl CoverageCounter {
         self.satisfied
     }
 
-    /// Exact per-pair multiplicities.
-    pub fn counts(&self) -> &[u16] {
-        &self.counts
-    }
-
     /// Marginal gain of adding `covers`: how many of its pairs are not
     /// yet saturated. One AND-NOT + popcount pass per word.
     #[inline]
@@ -330,7 +325,7 @@ mod tests {
         assert_eq!(c.newly_unsatisfied_if_removed(&b), 2);
         c.remove(&b);
         assert_eq!(c.satisfied(), 0);
-        assert_eq!(c.counts()[1], 1);
+        assert_eq!(c.counts[1], 1);
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl Topology {
         Topology { n, edges, adj }
     }
 
-    /// A path graph `0 - 1 - … - (n-1)`.
-    pub fn line(n: usize) -> Self {
-        let edges = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
-        Topology::new(n, edges)
-    }
-
     /// A `cols x rows` grid.
     pub fn grid(cols: usize, rows: usize) -> Self {
         assert!(cols > 0 && rows > 0, "grid dims must be nonzero");
@@ -105,15 +99,6 @@ impl Topology {
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// The endpoints of edge `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `e` is out of range.
-    pub fn edge(&self, e: usize) -> (usize, usize) {
-        self.edges[e]
     }
 
     /// Degree of node `v`.
@@ -191,6 +176,12 @@ mod tests {
     use super::*;
 
     impl Topology {
+        /// A path graph `0 - 1 - … - (n-1)`.
+        pub(crate) fn line(n: usize) -> Self {
+            let edges = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
+            Topology::new(n, edges)
+        }
+
         /// A balanced binary tree with `depth` levels below the root
         /// (`2^(depth+1) - 1` nodes).
         pub(crate) fn binary_tree(depth: u32) -> Self {
@@ -276,7 +267,7 @@ mod tests {
             // Walk the path, verifying consecutive edges share nodes.
             let mut at = 0usize;
             for &e in &path {
-                let (a, b) = g.edge(e);
+                let (a, b) = g.edges[e];
                 prop_assert!(at == a || at == b, "edge {e} not incident to {at}");
                 at = if at == a { b } else { a };
             }

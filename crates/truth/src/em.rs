@@ -195,11 +195,6 @@ impl StreamingDiscoverer {
         // lint: allow(panic) — assigned Some on the previous line
         self.latest.as_ref().expect("just set")
     }
-
-    /// The latest estimate, if any batch has been ingested.
-    pub fn latest(&self) -> Option<&TruthEstimate> {
-        self.latest.as_ref()
-    }
 }
 
 #[cfg(test)]
@@ -304,7 +299,7 @@ mod tests {
         let acc_first = s.score_claims(&first.claim_values());
         let acc_all = s.score_claims(&all.claim_values());
         assert!(acc_all >= acc_first - 0.05, "{acc_first} -> {acc_all}");
-        assert!(stream.latest().is_some());
+        assert!(stream.latest.is_some());
     }
 
     #[test]

@@ -54,8 +54,10 @@ pub struct ScenarioBuilder {
     observe_prob: f64,
     honest_reliability: (f64, f64),
     adversarial_fraction: f64,
-    true_claim_fraction: f64,
 }
+
+/// Fraction of claims whose ground truth is `true`.
+const TRUE_CLAIM_FRACTION: f64 = 0.5;
 
 impl ScenarioBuilder {
     /// Starts a scenario with `num_sources` sources and `num_claims` claims.
@@ -66,7 +68,6 @@ impl ScenarioBuilder {
             observe_prob: 0.3,
             honest_reliability: (0.6, 0.95),
             adversarial_fraction: 0.0,
-            true_claim_fraction: 0.5,
         }
     }
 
@@ -90,12 +91,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Fraction of claims whose ground truth is `true`.
-    pub fn true_claim_fraction(mut self, f: f64) -> Self {
-        self.true_claim_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
     /// Generates the scenario deterministically from `seed`.
     // `s` and `c` are source/claim identifiers stored in the reports, not
     // just indices, so the range loops are the clearest form here.
@@ -103,7 +98,7 @@ impl ScenarioBuilder {
     pub fn build(&self, seed: u64) -> Scenario {
         let mut rng = StdRng::seed_from_u64(seed);
         let truth: Vec<bool> = (0..self.num_claims)
-            .map(|_| rng.gen::<f64>() < self.true_claim_fraction)
+            .map(|_| rng.gen::<f64>() < TRUE_CLAIM_FRACTION)
             .collect();
         // Draw exactly round(fraction·n) adversaries rather than Bernoulli
         // per source: a chance draw near 50% adversarial mass pushes the

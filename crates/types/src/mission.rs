@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::{ActuatorKind, MissionId, Rect, SensorKind};
+use crate::{MissionId, Rect, SensorKind};
 
 /// Category of military operation (§I spans "the entire gamut of military
 /// operations", §II lists representative tasks).
@@ -81,17 +81,6 @@ pub enum Priority {
     Critical,
 }
 
-impl Priority {
-    /// Numeric weight for schedulers (higher wins).
-    pub const fn weight(self) -> u32 {
-        match self {
-            Priority::Low => 1,
-            Priority::Normal => 4,
-            Priority::Critical => 16,
-        }
-    }
-}
-
 impl fmt::Display for Priority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -150,11 +139,6 @@ impl CommanderIntent {
         self.area
     }
 
-    /// The free-text statement of intent.
-    pub fn statement(&self) -> &str {
-        &self.statement
-    }
-
     /// The priority.
     pub const fn priority(&self) -> Priority {
         self.priority
@@ -179,13 +163,11 @@ pub struct Mission {
     area: Rect,
     priority: Priority,
     required_modalities: Vec<SensorKind>,
-    required_actuators: Vec<ActuatorKind>,
     coverage_fraction: f64,
     latency_bound_ms: f64,
     bandwidth_kbps: f64,
     resilience: usize,
     min_trust: f64,
-    deadline_s: Option<f64>,
 }
 
 impl Mission {
@@ -198,13 +180,11 @@ impl Mission {
                 area: Rect::square(1_000.0),
                 priority: Priority::default(),
                 required_modalities: Vec::new(),
-                required_actuators: Vec::new(),
                 coverage_fraction: 0.9,
                 latency_bound_ms: 1_000.0,
                 bandwidth_kbps: 64.0,
                 resilience: 1,
                 min_trust: 0.6,
-                deadline_s: None,
             },
         }
     }
@@ -239,11 +219,6 @@ impl Mission {
         }
     }
 
-    /// Actuators the mission needs at least one of, each.
-    pub fn required_actuators(&self) -> &[ActuatorKind] {
-        &self.required_actuators
-    }
-
     /// Fraction of the area's coverage cells that must be sensed, in `[0,1]`.
     pub const fn coverage_fraction(&self) -> f64 {
         self.coverage_fraction
@@ -267,11 +242,6 @@ impl Mission {
     /// Minimum trust score for recruited assets, in `[0, 1]`.
     pub const fn min_trust(&self) -> f64 {
         self.min_trust
-    }
-
-    /// Completion deadline in seconds since mission start, if any.
-    pub const fn deadline_s(&self) -> Option<f64> {
-        self.deadline_s
     }
 }
 
@@ -344,12 +314,6 @@ impl MissionBuilder {
     /// Sets the minimum trust for recruited assets (clamped to `[0, 1]`).
     pub fn min_trust(mut self, trust: f64) -> Self {
         self.mission.min_trust = trust.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets a completion deadline in seconds.
-    pub fn deadline_s(mut self, seconds: f64) -> Self {
-        self.mission.deadline_s = Some(seconds.max(0.0));
         self
     }
 
@@ -440,8 +404,8 @@ mod tests {
 
     #[test]
     fn priority_weights_are_ordered() {
-        assert!(Priority::Critical.weight() > Priority::Normal.weight());
-        assert!(Priority::Normal.weight() > Priority::Low.weight());
+        assert!(Priority::Critical > Priority::Normal);
+        assert!(Priority::Normal > Priority::Low);
         assert_eq!(Priority::default(), Priority::Normal);
     }
 

@@ -10,6 +10,8 @@
 //! the position and payload of the first `GraphRebuilt` record and the
 //! order of the prologue's records must not notice which simulator
 //! answered, nor that the graph is now held in the same slot as any other.
+//! The payload hashes were re-recorded for `FORMAT_VERSION` 6: each payload
+//! is its version-5 self with the removed fixed settings (73 bytes) cut.
 
 use iobt::netsim::Jammer;
 use iobt::obs::{fnv1a, TraceEvent};
@@ -32,12 +34,12 @@ fn config(duration_s: f64, recorder: Recorder) -> RunConfig {
 /// announcing it.
 #[test]
 fn a_primed_graph_is_not_a_cached_graph_in_the_checkpoint() {
-    const AFTER_NEW: u64 = 0x65819388bd5a987d;
+    const AFTER_NEW: u64 = 0x5d8d4daa8c71e48b;
     const SILENT: [u64; 4] = [
-        0x17df46175cc1dfdd,
-        0xe7991178dae69921,
-        0x16b918c485e184d9,
-        0x64b427ce36ca7363,
+        0xcc3b8ce13b59efc0,
+        0xb908fac6293ce45e,
+        0xc316d40036d5c120,
+        0xe01dd67de8409f16,
     ];
     let scenario = persistent_surveillance(300, 42);
     let runner = MissionRunner::new(&scenario, &config(30.0, Recorder::disabled()));

@@ -266,23 +266,26 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 /// Checkpoint bytes, not only what resumes from them, are part of the
 /// contract: the FNV-1a of every window's payload for
 /// `urban_evacuation(250, 42)`, recorded on the commit before movement
-/// became a graph patch. The payload carries the simulator's
+/// became a graph patch and re-recorded for `FORMAT_VERSION` 6, whose
+/// payloads are the version-5 ones with the removed run settings, the
+/// detector threshold and the snapshot's builder guard (73 bytes) cut out.
+/// The payload carries the simulator's
 /// graph-disposition byte, so a change to when the graph counts as
 /// fully stale, clean or pending moves a hash here (the jammer at 60 s
 /// is a full invalidation; every other boundary is a pending patch).
 #[test]
 fn evacuation_checkpoint_payloads_are_pinned() {
     const PINNED: [u64; 10] = [
-        0x42a4cc690f16bf65,
-        0xeaae8e1d8c404c3e,
-        0x5ed065b90f3fecfd,
-        0x73c76ba21867bba4,
-        0xeb07902461975f57,
-        0xe0476ed3b58c1e35,
-        0x9317d3af055690c2,
-        0xdd828efbc6429e88,
-        0x3c382a3e4cc45fd9,
-        0x249d909d8ea0da7b,
+        0x181ec080f77e6718,
+        0x7735bb2a0a6113e7,
+        0x388ea44217fa76d8,
+        0x9ab013d1ea0d1b2d,
+        0xd1f82ca42acd29c1,
+        0x64cab588a458fc87,
+        0x749e61b71607cec7,
+        0x6870e51da27f5aa5,
+        0xb5e217a6b3bc516c,
+        0x2e3073c94ee5e37e,
     ];
     let scenario = urban_evacuation(250, 42);
     let config = RunConfig::builder()
