@@ -24,9 +24,15 @@
 //!   rules).
 //! * **One routing path** — every search is an early-exit Dijkstra over
 //!   reused scratch whose indexed 4-ary heap holds each node at most
-//!   once and pops it once, at its final distance. The graph caches no
-//!   routes; the simulator keeps each source's last answer for as long
-//!   as the topology stands.
+//!   once and pops it once, at its final distance. A search handed its
+//!   destination's reverse-distance table
+//!   (`ConnectivityGraph::distances_from`: the same loop run from the
+//!   destination with no early exit) drops every offer that cannot lie
+//!   on a route within `BOUND_SLACK` of the best one, and returns the
+//!   same path bit for bit (DESIGN.md, "Bounded by the destination").
+//!   The graph caches no routes and no tables; the simulator keeps each
+//!   source's last answer, and each busy destination's table, for as
+//!   long as the topology stands.
 //! * **Reachability is a component** — links are undirected and every
 //!   weight is finite, so "who can reach this node" is one `O(V + E)`
 //!   sweep ([`ConnectivityGraph::component_of`]), not a route per asker.
@@ -505,7 +511,7 @@ impl ConnectivityGraph {
         let &s = self.index.get(&src)?;
         let &d = self.index.get(&dst)?;
         Some(
-            self.route_idx_with(&mut RouteScratch::new(), s, d)?
+            self.route_idx_with(&mut RouteScratch::new(), s, d, None)?
                 .into_iter()
                 .map(|i| self.ids[i as usize])
                 .collect(),
@@ -528,12 +534,22 @@ impl ConnectivityGraph {
     /// exactly the queued nodes at their current cost, and it skips the
     /// stale ones — so both settle the same nodes with the same
     /// predecessors; a unit test holds the two searches equal.
+    ///
+    /// `to_d`, when given, is `d`'s table from
+    /// [`ConnectivityGraph::distances_from`] on this graph. The search
+    /// then drops every offer of a cost `c` to a node `v` with `c +
+    /// to_d[v] > to_d[s] · (1 + BOUND_SLACK)`: no such offer is on a
+    /// route within float rounding of the best one, so the answer is the
+    /// one the unbounded search returns (DESIGN.md, "Bounded by the
+    /// destination"). Where `s` cannot reach `d` the search is unbounded.
     pub(crate) fn route_idx_with(
         &self,
         scratch: &mut RouteScratch,
         s: u32,
         d: u32,
+        to_d: Option<&[f64]>,
     ) -> Option<Vec<u32>> {
+        scratch.settled = 0;
         if s as usize >= self.ids.len() || d as usize >= self.ids.len() {
             return None;
         }
@@ -542,15 +558,11 @@ impl ConnectivityGraph {
         if s == d {
             return Some(path);
         }
-        scratch.reset(self.ids.len());
-        scratch.relax(s, 0.0, u32::MAX);
-        while let Some(Frontier { cost, node }) = scratch.pop() {
-            if node == d {
-                break;
+        match to_d.map(|h| (h, h[s as usize] * (1.0 + BOUND_SLACK))) {
+            Some((h, limit)) if limit.is_finite() => {
+                self.search(scratch, s, d, |v, c| c + h[v as usize] <= limit)
             }
-            for e in &self.adj[node as usize] {
-                scratch.relax(e.to, cost + e.weight, node);
-            }
+            _ => self.search(scratch, s, d, |_, _| true),
         }
         if !scratch.touched(d) {
             scratch.path = path;
@@ -563,6 +575,50 @@ impl ConnectivityGraph {
         }
         path.reverse();
         Some(path)
+    }
+
+    /// Appends to `out` every node's distance from `d`, infinite where
+    /// none is linked to it: one search from `d` with no early exit.
+    /// Links are undirected and weigh the same both ways, so this is
+    /// also each node's distance *to* `d`, summed in the other order.
+    pub(crate) fn distances_from(&self, scratch: &mut RouteScratch, d: u32, out: &mut Vec<f64>) {
+        self.search(scratch, d, u32::MAX, |_, _| true);
+        let epoch = scratch.epoch;
+        out.extend(scratch.slots[..self.ids.len()].iter().map(|slot| {
+            if slot.stamp == epoch {
+                slot.dist
+            } else {
+                f64::INFINITY
+            }
+        }));
+    }
+
+    /// The one search loop: settles nodes from `s` until it pops `stop`
+    /// (never, for `u32::MAX`), offering a node `v` a cost `c` only where
+    /// `admit(v, c)`, and records in `scratch` how many nodes it settled.
+    fn search(
+        &self,
+        scratch: &mut RouteScratch,
+        s: u32,
+        stop: u32,
+        admit: impl Fn(u32, f64) -> bool,
+    ) {
+        scratch.reset(self.ids.len());
+        scratch.relax(s, 0.0, u32::MAX);
+        let mut settled = 0;
+        while let Some(Frontier { cost, node }) = scratch.pop() {
+            if node == stop {
+                break;
+            }
+            settled += 1;
+            for e in &self.adj[node as usize] {
+                let offer = cost + e.weight;
+                if admit(e.to, offer) {
+                    scratch.relax(e.to, offer, node);
+                }
+            }
+        }
+        scratch.settled = settled;
     }
 
     /// Link quality between two adjacent nodes, if a link exists.
@@ -829,6 +885,13 @@ impl<'a> PairKernel<'a> {
     }
 }
 
+/// The relative slack of a bounded search's limit (see
+/// `ConnectivityGraph::route_idx_with`). A node on the answer has a cost
+/// plus remaining distance within float rounding of the best route's —
+/// under `1e-11` relative for paths of up to 10^5 hops — so the slack
+/// never drops one, and it is still small enough to prune the rest.
+const BOUND_SLACK: f64 = 1e-9;
+
 /// Reusable Dijkstra working state for `ConnectivityGraph::route_idx_with`:
 /// one [`Slot`] per node and an indexed 4-ary min-heap of the queued ones.
 ///
@@ -844,6 +907,8 @@ pub(crate) struct RouteScratch {
     /// here is its node's [`Slot::pos`].
     heap: Vec<Frontier>,
     path: Vec<u32>,
+    /// Nodes the last search settled (popped and expanded).
+    settled: u32,
 }
 
 /// One node's search state; meaningful only while `stamp` is the
@@ -902,6 +967,13 @@ impl RouteScratch {
     /// back, so the next one is built in the same buffer.
     pub(crate) fn recycle(&mut self, path: Vec<u32>) {
         self.path = path;
+    }
+
+    /// Nodes the last search settled: popped and expanded, the
+    /// destination's own pop not counted; 0 after a `route_idx_with`
+    /// that needed no search.
+    pub(crate) fn settled(&self) -> u32 {
+        self.settled
     }
 
     /// Begins a new query over `n` nodes. Slots a resize adds carry stamp
@@ -1141,7 +1213,7 @@ mod tests {
         let indices: Vec<u32> = (0..n).chain(extra.iter().copied()).collect();
         for &s in &indices {
             for &d in &indices {
-                let got = g.route_idx_with(scratch, s, d);
+                let got = g.route_idx_with(scratch, s, d, None);
                 let (want, settled) = lazy_heap_route(g, s, d);
                 assert_eq!(got, want, "route {s} -> {d}");
                 if s < n && d < n && s != d {
@@ -1174,11 +1246,12 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn indexed_heap_search_equals_the_lazy_heap_search() {
+    /// The graphs the search oracles run over: random fields over mixed
+    /// terrain and loadouts with dead and isolated nodes, an exact
+    /// lattice full of equal-cost ties, and zero-weight clusters.
+    fn oracle_fixtures() -> Vec<(String, ConnectivityGraph)> {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut scratch = RouteScratch::new();
-        let out_of_range = |n: u32| [n, n + 5, u32::MAX];
+        let mut fixtures = Vec::new();
 
         // Random fields over mixed terrain and mixed loadouts, with dead
         // and isolated nodes among them.
@@ -1204,13 +1277,13 @@ mod tests {
             nodes.push(node(70, 1_499.0, 1_499.0, &[])); // isolated: no radio
             let g = ConnectivityGraph::build(&nodes, &ch);
             assert!(g.link_count() > 70, "seed {seed}: too sparse to test");
-            assert_searches_match_the_lazy_heap(&g, &mut scratch, &out_of_range(71));
+            fixtures.push((format!("random field {seed}"), g));
         }
 
         // Equal-cost ties everywhere: a lattice at exact spacing, where
         // straight, diagonal and stair-step paths sum the same weights.
         let g = ConnectivityGraph::build(&wifi_lattice(12, 12, 60.0), &open_channel());
-        assert_searches_match_the_lazy_heap(&g, &mut scratch, &out_of_range(144));
+        fixtures.push(("tied lattice".to_owned(), g));
 
         // Zero-weight links: clusters of co-located nodes whose links
         // saturate to p == 1.0, i.e. weight -0.0, joined by lossy ones.
@@ -1223,10 +1296,106 @@ mod tests {
             })
             .collect();
         let g = ConnectivityGraph::build(&nodes, &open_channel());
-        let zero = g.adj.iter().flatten().filter(|e| e.weight.to_bits() == (-0.0f64).to_bits());
-        assert!(zero.count() >= 6 * 12, "every cluster's links must saturate");
+        assert!(zero_weight_links(&g) >= 6 * 6, "every cluster's links must saturate");
         assert!(g.adj.iter().flatten().any(|e| e.weight > 0.0));
-        assert_searches_match_the_lazy_heap(&g, &mut scratch, &out_of_range(24));
+        fixtures.push(("zero-weight clusters".to_owned(), g));
+        fixtures
+    }
+
+    /// Undirected links of weight `-0.0` (delivery probability 1).
+    fn zero_weight_links(g: &ConnectivityGraph) -> usize {
+        let zero = g.adj.iter().flatten().filter(|e| e.weight.to_bits() == (-0.0f64).to_bits());
+        zero.count() / 2
+    }
+
+    #[test]
+    fn indexed_heap_search_equals_the_lazy_heap_search() {
+        let mut scratch = RouteScratch::new();
+        for (_, g) in oracle_fixtures() {
+            let n = g.len() as u32;
+            assert_searches_match_the_lazy_heap(&g, &mut scratch, &[n, n + 5, u32::MAX]);
+        }
+    }
+
+    /// A `large_mission`-shaped theatre: `n` tactical-UHF nodes (some
+    /// carrying wifi too, one in ten dead) on a 3 km urban square — one
+    /// spatial-hash bucket, so every pair meets the kernel — of which
+    /// `clusters` groups of three stand within a metre of each other, so
+    /// their links saturate to weight `-0.0`.
+    fn one_bucket_field(seed: u64, n: u64, clusters: u64) -> ConnectivityGraph {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ch = Channel::new(Terrain::random_urban(Rect::square(3_000.0), 24, 24, seed));
+        let loadouts: [&[RadioKind]; 2] =
+            [&[RadioKind::TacticalUhf], &[RadioKind::Wifi, RadioKind::TacticalUhf]];
+        let mut nodes: Vec<GraphNode> = Vec::new();
+        for i in 0..n {
+            let radios = loadouts[rng.gen_range(0..loadouts.len())];
+            let (x, y) = match nodes.get(i.saturating_sub(1) as usize) {
+                Some(prev) if i % 3 != 0 && i < 3 * clusters => {
+                    (prev.position.x + rng.gen_range(0.0..0.5), prev.position.y)
+                }
+                _ => (rng.gen_range(0.0..3_000.0), rng.gen_range(0.0..3_000.0)),
+            };
+            let mut node = node(i, x, y, radios);
+            node.alive = i < 3 * clusters || rng.gen_range(0..10) != 0;
+            nodes.push(node);
+        }
+        ConnectivityGraph::build(&nodes, &ch)
+    }
+
+    /// Every `(s, d)` of `g` searched bounded by `d`'s table and unbounded
+    /// must return the same path; returns the nodes settled by the
+    /// bounded and by the unbounded searches.
+    fn assert_bounded_searches_match(g: &ConnectivityGraph, name: &str) -> (u64, u64) {
+        let (mut scratch, mut table) = (RouteScratch::new(), Vec::new());
+        let (mut bounded, mut unbounded) = (0, 0);
+        for d in 0..g.len() as u32 {
+            table.clear();
+            g.distances_from(&mut scratch, d, &mut table);
+            assert_eq!(table.len(), g.len());
+            for s in 0..g.len() as u32 {
+                let want = g.route_idx_with(&mut scratch, s, d, None);
+                unbounded += u64::from(scratch.settled());
+                let got = g.route_idx_with(&mut scratch, s, d, Some(&table));
+                bounded += u64::from(scratch.settled());
+                assert_eq!(got, want, "{name}: route {s} -> {d}");
+                assert_eq!(got.is_some(), table[s as usize].is_finite(), "{name}: {s} -> {d}");
+            }
+        }
+        (bounded, unbounded)
+    }
+
+    #[test]
+    fn bounded_searches_equal_unbounded_searches() {
+        let mut fixtures = oracle_fixtures();
+        let g = one_bucket_field(28, 90, 3);
+        // Nine zero-weight links; a `large_mission` graph has six.
+        assert_eq!(zero_weight_links(&g), 9, "three saturated triangles");
+        fixtures.push(("one-bucket UHF field".to_owned(), g));
+        for (name, g) in fixtures {
+            let (bounded, unbounded) = assert_bounded_searches_match(&g, &name);
+            assert!(bounded < unbounded, "{name}: the bound pruned nothing");
+        }
+    }
+
+    /// [`bounded_searches_equal_unbounded_searches`] over 300 seeded
+    /// one-bucket fields of 40–120 nodes with up to five saturated
+    /// clusters each; ~30 s in a release build on two cores (`cargo test
+    /// --release -p iobt-netsim --lib -- --ignored bounded_search_sweep`).
+    #[test]
+    #[ignore = "a release-build sweep; CI runs it"]
+    fn bounded_search_sweep() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (mut bounded, mut unbounded) = (0, 0);
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let (n, clusters) = (rng.gen_range(40..=120), rng.gen_range(0..=5));
+            let g = one_bucket_field(seed, n, clusters);
+            let (b, u) = assert_bounded_searches_match(&g, &format!("seed {seed}"));
+            (bounded, unbounded) = (bounded + b, unbounded + u);
+        }
+        assert!(bounded * 2 < unbounded, "settled {bounded} bounded, {unbounded} unbounded");
     }
 
     #[test]
@@ -1236,12 +1405,12 @@ mod tests {
         // The warm-up leaves stamp 1, the epoch the wrap restarts at, on
         // most of the lattice; the search at `u32::MAX` is one hop, so it
         // overwrites few of them.
-        let path = g.route_idx_with(&mut warm, 0, 143).expect("lattice is connected");
+        let path = g.route_idx_with(&mut warm, 0, 143, None).expect("lattice is connected");
         warm.recycle(path);
         warm.epoch = u32::MAX - 1;
         for (s, d) in [(70, 71), (143, 0), (132, 11)] {
-            let got = g.route_idx_with(&mut warm, s, d);
-            assert_eq!(got, g.route_idx_with(&mut RouteScratch::new(), s, d), "{s} -> {d}");
+            let got = g.route_idx_with(&mut warm, s, d, None);
+            assert_eq!(got, g.route_idx_with(&mut RouteScratch::new(), s, d, None), "{s} -> {d}");
             warm.recycle(got.expect("lattice is connected"));
         }
         assert_eq!(warm.epoch, 2, "the three searches ran at u32::MAX, 1 and 2");
@@ -1384,7 +1553,7 @@ mod tests {
             for (a, b) in pairs {
                 let (ia, ib) = (g.index[&NodeId::new(a)], g.index[&NodeId::new(b)]);
                 let reused = g
-                    .route_idx_with(&mut scratch, ia, ib)
+                    .route_idx_with(&mut scratch, ia, ib, None)
                     .map(|path| path.into_iter().map(|i| g.ids[i as usize]).collect());
                 assert_eq!(
                     reused,

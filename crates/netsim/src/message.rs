@@ -83,7 +83,7 @@ impl Message {
     }
 
     /// Opaque payload bytes.
-    // lint: allow(unused-pub) — the receiving end of the zero-copy payloads DESIGN.md:816 names
+    // lint: allow(unused-pub) — the receiving end of the zero-copy payloads DESIGN.md:892 names
     pub const fn payload(&self) -> &Bytes {
         &self.payload
     }

@@ -748,11 +748,11 @@ impl Core {
             return;
         }
         // The path is an owned buffer: the hop walk below may refresh the
-        // graph and with it empty the memo. The reference path memoises
-        // nothing, so it searches every time.
-        let memoise = !self.reference_mode;
+        // graph and with it empty the memo. The reference path takes no
+        // shortcut: it searches every time, unbounded.
+        let shortcuts = !self.reference_mode;
         let (topology, world, recorder) = self.topology();
-        let route = topology.route(&world, recorder, src, dst, memoise);
+        let route = topology.route(&world, recorder, src, dst, shortcuts);
         let Some(route) = route else {
             self.drop_message(&msg, DropCause::NoRoute);
             return;
@@ -987,6 +987,16 @@ impl Simulator {
     /// checkpoint.
     pub fn route_memo_counts(&self) -> (u64, u64) {
         self.core.topology.route_memo_counts()
+    }
+
+    /// `(tables, bounded)`: destinations' reverse-distance tables built
+    /// since construction (each one full search from its destination),
+    /// and route searches run with one — every search toward a
+    /// destination that has earned a table on the graph as it stands.
+    /// Zero on the reference path. Reporting-only, like
+    /// [`Simulator::route_memo_counts`].
+    pub fn route_bound_counts(&self) -> (u64, u64) {
+        self.core.topology.route_bound_counts()
     }
 
     /// From-scratch connectivity-graph builds since construction (not

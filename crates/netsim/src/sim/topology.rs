@@ -20,8 +20,16 @@
 //! [`Topology::restore`] patches whatever is held to a restored world.
 //! With a sleep schedule anywhere (it folds the clock into liveness) or on
 //! the reference path the slot *never patches and never keeps ahead*.
-//! The route memo and the search scratch hang off the graph and live here
-//! with it. None of this is serialised.
+//!
+//! What routing learns about the graph lives here with it and goes with
+//! its links, in one place ([`Topology::links_changed`]): the route memo
+//! (each source's last answer) and, per destination, a reverse-distance
+//! table with the search work that earned it. A destination earns its
+//! table — one full search from it — once the unbounded searches toward
+//! it on this graph have settled as many nodes as the graph has; every
+//! later search toward it is bounded by the table and returns the same
+//! path (DESIGN.md, "Bounded by the destination"). The reference path
+//! neither memoises nor bounds. None of this is serialised.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -133,10 +141,14 @@ pub(super) struct Topology {
     rebuild_only: bool,
     scratch: RouteScratch,
     memo: RouteMemo,
+    tables: RouteTables,
     /// Routes asked for, and how many of them the memo answered.
     /// Reporting-only, like `Core::events_processed`.
     route_queries: u64,
     memo_hits: u64,
+    /// Tables built, and searches run with one. Reporting-only.
+    tables_built: u64,
+    bounded_searches: u64,
     /// From-scratch builds for the slot (not the `debug_assert!`
     /// oracle's). Reporting-only.
     builds: u64,
@@ -150,6 +162,11 @@ impl Topology {
     /// `(queries, hits)` of [`Topology::route`] since construction.
     pub(super) fn route_memo_counts(&self) -> (u64, u64) {
         (self.route_queries, self.memo_hits)
+    }
+
+    /// `(tables built, searches run with a table)` since construction.
+    pub(super) fn route_bound_counts(&self) -> (u64, u64) {
+        (self.tables_built, self.bounded_searches)
     }
 
     /// From-scratch graph builds since construction.
@@ -203,6 +220,14 @@ impl Topology {
         Some(&mut held.pending)
     }
 
+    /// The links routing learned from are gone: empties the memo, the
+    /// tables and the work toward each destination, keeping every
+    /// buffer's capacity for the next graph.
+    fn links_changed(&mut self) {
+        self.memo.clear();
+        self.tables.clear();
+    }
+
     fn build(&mut self, world: &World<'_>) -> Rc<ConnectivityGraph> {
         self.builds += 1;
         Rc::new(world.build_graph())
@@ -217,7 +242,7 @@ impl Topology {
                 pending.sort_unstable();
                 pending.dedup();
                 if !pending.is_empty() {
-                    self.memo.clear();
+                    self.links_changed();
                     if world.worth_patching(&pending) {
                         world.patch(&mut graph, &pending);
                     } else {
@@ -229,7 +254,7 @@ impl Topology {
                 (graph, owes)
             }
             None => {
-                self.memo.clear();
+                self.links_changed();
                 (self.build(world), Owes::UnseenRebuilt)
             }
         };
@@ -272,14 +297,16 @@ impl Topology {
 
     /// The route `src → dst` over the accessed graph, in a buffer to hand
     /// back through [`Topology::recycle`]: the memo's answer when it has
-    /// one for the graph as it stands, else a search — kept if `memoise`.
+    /// one for the graph as it stands, else a search. Only `shortcuts`
+    /// (off on the reference path) lets the search use or earn `dst`'s
+    /// table and the memo keep its answer.
     pub(super) fn route(
         &mut self,
         world: &World<'_>,
         recorder: &Recorder,
         src: u32,
         dst: u32,
-        memoise: bool,
+        shortcuts: bool,
     ) -> Option<Vec<u32>> {
         let graph = Rc::clone(self.access(world, recorder));
         self.route_queries += 1;
@@ -293,14 +320,61 @@ impl Topology {
                 })
             }
             None => {
-                let found = graph.route_idx_with(&mut self.scratch, src, dst);
-                if memoise {
+                let found = self.search(&graph, src, dst, shortcuts);
+                if shortcuts {
                     let path = found.as_deref().unwrap_or(&[]);
                     self.memo.store(graph.len(), src, dst, path);
                 }
                 found
             }
         }
+    }
+
+    /// A search for `src → dst` on `graph`: bounded by `dst`'s table
+    /// when `bound` and the destination has earned one (built here, the
+    /// first time it is needed), else unbounded — and then, if `bound`,
+    /// what it settled is put toward that table.
+    fn search(
+        &mut self,
+        graph: &ConnectivityGraph,
+        src: u32,
+        dst: u32,
+        bound: bool,
+    ) -> Option<Vec<u32>> {
+        let n = graph.len();
+        let tables = &mut self.tables;
+        if bound && tables.spent.is_empty() {
+            tables.spent.resize(n, 0);
+        }
+        // Ski rental: the table costs one search that settles every
+        // reachable node, so buy it once renting has cost as much.
+        let earned = bound && tables.spent[dst as usize] as usize >= n;
+        let table = if earned {
+            let k = match tables.dsts.iter().position(|&t| t == dst) {
+                Some(k) => k,
+                None => {
+                    graph.distances_from(&mut self.scratch, dst, &mut tables.dist);
+                    tables.dsts.push(dst);
+                    self.tables_built += 1;
+                    tables.dsts.len() - 1
+                }
+            };
+            Some(&tables.dist[k * n..][..n])
+        } else {
+            None
+        };
+        let found = graph.route_idx_with(&mut self.scratch, src, dst, table);
+        if earned {
+            self.bounded_searches += 1;
+            debug_assert!(
+                found == graph.route_idx_with(&mut RouteScratch::new(), src, dst, None),
+                "a bounded route search diverged from an unbounded one"
+            );
+        } else if bound {
+            let spent = &mut tables.spent[dst as usize];
+            *spent = spent.saturating_add(self.scratch.settled());
+        }
+        found
     }
 
     /// Hands a path from [`Topology::route`] back for reuse.
@@ -316,7 +390,7 @@ impl Topology {
     /// a graph gets one in step now, silently; one that had none leaves
     /// that to the next access.
     pub(super) fn restore(&mut self, world: &World<'_>, disposition: u8, same_rf_world: bool) {
-        self.memo.clear();
+        self.links_changed();
         self.rebuild_only |= world.nodes.iter().any(|n| n.sleep.is_some());
         let owes = match disposition {
             1 => Owes::Nothing,
@@ -337,6 +411,31 @@ impl Topology {
         if disposition > 0 {
             self.sync(world).owes = owes;
         }
+    }
+}
+
+/// Per destination, the search work toward it on the held graph and, once
+/// that work reaches the graph's size, its reverse-distance table. Derived
+/// state like [`RouteMemo`], emptied with it, and never filled on the
+/// reference path. Clearing keeps every buffer's capacity, so a run that
+/// changes topology every tick allocates nothing per tick for this.
+#[derive(Debug, Default)]
+struct RouteTables {
+    /// Per destination index: nodes the unbounded searches toward it have
+    /// settled. Empty until the first search after a clear, like the
+    /// memo's slots.
+    spent: Vec<u32>,
+    /// Destinations with a table, in the order they earned it; table `k`
+    /// is `dist[k * n..][..n]`.
+    dsts: Vec<u32>,
+    dist: Vec<f64>,
+}
+
+impl RouteTables {
+    fn clear(&mut self) {
+        self.spent.clear();
+        self.dsts.clear();
+        self.dist.clear();
     }
 }
 

@@ -1,11 +1,12 @@
-//! The route memo and the movement patch pay per *change* without
-//! changing a bit: a convergecast field with churn and walkers run on the
-//! fast path (memo consulted, moved nodes patched into the cached graph)
-//! and on `reference_mode` (a search per message, a rebuild per
-//! invalidation) must agree on every statistic, every node's energy and
-//! the whole JSONL stream; and a snapshot taken with the memo warm, with
-//! a move still pending or without, must resume into the uninterrupted
-//! run.
+//! The route memo, the sink's search bound and the movement patch pay
+//! per *change* without changing a bit: a convergecast field with churn
+//! and walkers run on the fast path (memo consulted, searches bounded by
+//! the sink's reverse-distance table, moved nodes patched into the cached
+//! graph) and on `reference_mode` (an unbounded search per message, a
+//! rebuild per invalidation) must agree on every statistic, every node's
+//! energy and the whole JSONL stream; and a snapshot taken with the memo
+//! and the table warm, with a move still pending or without, must resume
+//! into the uninterrupted run.
 
 use iobt_netsim::prelude::*;
 use iobt_obs::Recorder;
@@ -19,13 +20,17 @@ const SINK: u64 = 27;
 /// Off the 1 s mobility step, so no report shares an instant with a tick
 /// and a snapshot on a tick boundary finds that tick's moves unapplied.
 const REPORT_PERIOD_S: f64 = 0.4;
+/// How far behind the even nodes the odd ones report, so the odd round
+/// searches under the table the even round earned.
+const ODD_LAG_S: f64 = 0.1;
 
 /// Periodic reporter to the sink; stateless, so checkpointable as is.
 struct Reporter;
 
 impl Behavior for Reporter {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(SimDuration::from_secs_f64(REPORT_PERIOD_S), 0);
+        let lag = if ctx.id().raw() % 2 == 1 { ODD_LAG_S } else { 0.0 };
+        ctx.set_timer(SimDuration::from_secs_f64(REPORT_PERIOD_S + lag), 0);
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
         ctx.send(NodeId::new(SINK), 1, vec![0u8; 48]);
@@ -117,8 +122,8 @@ fn fast_path_matches_reference_under_churn_and_movement() {
 
         // The run must have exercised what it claims to compare: nodes
         // went down and came back, most messages arrived, and the memo
-        // answered some routes on the fast path and none on the reference
-        // path.
+        // answered some routes and the sink's table bounded some searches
+        // on the fast path and neither on the reference path.
         let metrics = rec_fast.metrics_digest();
         let (downs, ups) = (metrics.counter("netsim.node_down"), metrics.counter("netsim.node_up"));
         assert!(downs > Some(0) && ups > Some(0), "seed {seed}: {downs:?} downs, {ups:?} ups");
@@ -129,6 +134,10 @@ fn fast_path_matches_reference_under_churn_and_movement() {
         assert_eq!(queries, ref_queries);
         assert!(hits > 0 && hits < queries, "seed {seed}: {hits} hits of {queries}");
         assert_eq!(ref_hits, 0);
+        let (tables, bounded) = fast.route_bound_counts();
+        assert!(tables > 0 && bounded > tables, "seed {seed}: {bounded} bounded, {tables} tables");
+        assert!(bounded < queries - hits, "seed {seed}: every table is earned unbounded");
+        assert_eq!(reference.route_bound_counts(), (0, 0));
     }
 }
 
@@ -139,19 +148,29 @@ fn snapshot_with_warm_memo_resumes_exactly() {
     uninterrupted.run_for(SimDuration::from_secs_f64(end_s));
     let end_state = uninterrupted.save_state().expect("reporters are checkpointable");
 
-    // Two cuts, both with the memo warm. At 5.0 s the tick at that very
+    // Three cuts, all with the memo warm. At 5.0 s the tick at that very
     // instant has moved the walkers and no report has touched the graph
     // since, so the moves are pending and the next access rebuilds. At
-    // 5.5 s the reports of 5.2 s have refreshed the graph, restore
-    // rebuilds it silently and clean, and nothing but restore itself
-    // stands between the first report and a stale memo.
-    for cut_s in [5.0, 5.5] {
+    // 5.25 s and 5.5 s the reports of 5.2 s have refreshed the graph,
+    // restore rebuilds it silently and clean, and nothing but restore
+    // itself stands between the first report and a stale memo. At 5.25 s
+    // the sink's table the even round earned is warm too, and bounds the
+    // odd round of 5.3 s in the uninterrupted run; the resumed run has
+    // to earn its own and must route the odd round the same.
+    for cut_s in [5.0, 5.25, 5.5] {
         let mut first = field(seed, false, Recorder::disabled(), end_s);
         first.run_for(SimDuration::from_secs_f64(cut_s));
         let blob = first.save_state().expect("checkpointable");
         // The memo is warm at the cut and answers the very next round of
         // reports: one left over in the simulator restored into would too.
         let hits_at_cut = first.route_memo_counts().1;
+        if cut_s == 5.25 {
+            let (tables, bounded) = first.route_bound_counts();
+            first.run_for(SimDuration::from_secs_f64(0.1));
+            let (tables_after, bounded_after) = first.route_bound_counts();
+            assert_eq!(tables_after, tables, "the odd round bought a table");
+            assert!(bounded_after > bounded, "no table was warm at the cut");
+        }
         first.run_for(SimDuration::from_secs_f64(0.7));
         assert!(first.route_memo_counts().1 > hits_at_cut, "cut at {cut_s} s: no hit follows");
 
@@ -165,8 +184,8 @@ fn snapshot_with_warm_memo_resumes_exactly() {
             assert_eq!(blob, reference.save_state().expect("checkpointable"));
         }
 
-        // The simulator restored into has a memo of its own, warm from
-        // another time and topology: restore must empty it.
+        // The simulator restored into has a memo and a table of its own,
+        // warm from another time and topology: restore must empty them.
         let mut resumed = field(seed, false, Recorder::disabled(), end_s);
         resumed.run_for(SimDuration::from_secs_f64(2.7));
         resumed.restore_state(&blob, &registry()).expect("restore");
