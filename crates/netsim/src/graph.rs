@@ -177,6 +177,37 @@ fn bucket_key(p: Point, cell: f64) -> (i64, i64) {
     ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
 }
 
+/// A rectangle of spatial-hash cells, both corners inclusive, in the
+/// `i32` range (a key beyond it is clamped, which keeps every comparison
+/// the rectangle is used for on the safe side): the cells of the nodes a
+/// route search expanded ([`RouteScratch::expanded`]). Every link joins
+/// two nodes whose cells differ by at most one in each axis — a build and
+/// [`ConnectivityGraph::refresh_node`] only ever test such pairs — so
+/// the lists a patch can rewrite belong to nodes within one cell of a
+/// changed node's old or new cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CellRect {
+    pub(crate) x0: i32,
+    pub(crate) y0: i32,
+    pub(crate) x1: i32,
+    pub(crate) y1: i32,
+}
+
+impl CellRect {
+    /// No cell: what a search that expanded nothing read.
+    pub(crate) const EMPTY: CellRect =
+        CellRect { x0: i32::MAX, y0: i32::MAX, x1: i32::MIN, y1: i32::MIN };
+    /// Every cell.
+    pub(crate) const PLANE: CellRect =
+        CellRect { x0: i32::MIN, y0: i32::MIN, x1: i32::MAX, y1: i32::MAX };
+}
+
+impl Default for CellRect {
+    fn default() -> Self {
+        CellRect::EMPTY
+    }
+}
+
 impl ConnectivityGraph {
     /// Builds the graph from node states and the channel model.
     ///
@@ -476,6 +507,14 @@ impl ConnectivityGraph {
         &self.nodes
     }
 
+    /// The spatial-hash cell `p` falls in, clamped to the `i32` range
+    /// (see [`CellRect`]).
+    pub(crate) fn cell_of(&self, p: Point) -> (i32, i32) {
+        let (x, y) = bucket_key(p, self.cell_m);
+        let clamp = |k: i64| k.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
+        (clamp(x), clamp(y))
+    }
+
     /// Number of nodes (including dead ones, which have no links).
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -550,6 +589,7 @@ impl ConnectivityGraph {
         to_d: Option<&[f64]>,
     ) -> Option<Vec<u32>> {
         scratch.settled = 0;
+        scratch.expanded = CellRect::EMPTY;
         if s as usize >= self.ids.len() || d as usize >= self.ids.len() {
             return None;
         }
@@ -595,7 +635,9 @@ impl ConnectivityGraph {
 
     /// The one search loop: settles nodes from `s` until it pops `stop`
     /// (never, for `u32::MAX`), offering a node `v` a cost `c` only where
-    /// `admit(v, c)`, and records in `scratch` how many nodes it settled.
+    /// `admit(v, c)`, and records in `scratch` how many nodes it settled
+    /// and the cells they stand in. Of the graph it reads only the size
+    /// and the adjacency lists of the nodes it settles.
     fn search(
         &self,
         scratch: &mut RouteScratch,
@@ -606,11 +648,17 @@ impl ConnectivityGraph {
         scratch.reset(self.ids.len());
         scratch.relax(s, 0.0, u32::MAX);
         let mut settled = 0;
+        // The corners of the settled positions, converted to cells once
+        // at the end: `bucket_key` is monotone in each axis.
+        let (mut lo, mut hi) = (Point::new(f64::MAX, f64::MAX), Point::new(f64::MIN, f64::MIN));
         while let Some(Frontier { cost, node }) = scratch.pop() {
             if node == stop {
                 break;
             }
             settled += 1;
+            let at = self.nodes[node as usize].position;
+            (lo.x, lo.y) = (lo.x.min(at.x), lo.y.min(at.y));
+            (hi.x, hi.y) = (hi.x.max(at.x), hi.y.max(at.y));
             for e in &self.adj[node as usize] {
                 let offer = cost + e.weight;
                 if admit(e.to, offer) {
@@ -619,6 +667,12 @@ impl ConnectivityGraph {
             }
         }
         scratch.settled = settled;
+        scratch.expanded = if settled == 0 {
+            CellRect::EMPTY
+        } else {
+            let ((x0, y0), (x1, y1)) = (self.cell_of(lo), self.cell_of(hi));
+            CellRect { x0, y0, x1, y1 }
+        };
     }
 
     /// Link quality between two adjacent nodes, if a link exists.
@@ -909,6 +963,8 @@ pub(crate) struct RouteScratch {
     path: Vec<u32>,
     /// Nodes the last search settled (popped and expanded).
     settled: u32,
+    /// The cells those nodes stand in.
+    expanded: CellRect,
 }
 
 /// One node's search state; meaningful only while `stamp` is the
@@ -974,6 +1030,12 @@ impl RouteScratch {
     /// that needed no search.
     pub(crate) fn settled(&self) -> u32 {
         self.settled
+    }
+
+    /// The smallest [`CellRect`] holding every node the last search
+    /// settled; empty after a `route_idx_with` that needed no search.
+    pub(crate) fn expanded(&self) -> CellRect {
+        self.expanded
     }
 
     /// Begins a new query over `n` nodes. Slots a resize adds carry stamp

@@ -83,7 +83,7 @@ impl Message {
     }
 
     /// Opaque payload bytes.
-    // lint: allow(unused-pub) — the receiving end of the zero-copy payloads DESIGN.md:892 names
+    // lint: allow(unused-pub) — the receiving end of the zero-copy payloads DESIGN.md:952 names
     pub const fn payload(&self) -> &Bytes {
         &self.payload
     }

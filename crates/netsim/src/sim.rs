@@ -614,10 +614,12 @@ impl SimulatorBuilder {
             reference_mode: self.reference_mode,
         };
         core.push(SimTime::ZERO + MOBILITY_STEP, Event::MobilityTick);
+        let has_started = vec![false; core.nodes.len()];
         Simulator {
             core,
             behaviors: BTreeMap::new(),
             started: Vec::new(),
+            has_started,
             batch: Vec::new(),
         }
     }
@@ -920,7 +922,11 @@ impl Core {
 pub struct Simulator {
     core: Core,
     behaviors: BTreeMap<NodeId, Box<dyn Behavior>>,
+    /// Nodes whose behaviour's `on_start` has fired, in firing order.
     started: Vec<NodeId>,
+    /// Per dense index, whether the node is in `started`; derived from
+    /// it, so a restore rebuilds it.
+    has_started: Vec<bool>,
     /// Reused buffer for same-timestamp event batches in the run loop.
     batch: Vec<Event>,
 }
@@ -944,14 +950,23 @@ impl Simulator {
     /// the current simulation time.
     pub fn set_behavior(&mut self, node: NodeId, behavior: Box<dyn Behavior>) {
         self.behaviors.insert(node, behavior);
-        self.started.retain(|&n| n != node);
+        if let Some(i) = self.core.idx(node) {
+            if std::mem::take(&mut self.has_started[i as usize]) {
+                self.started.retain(|&n| n != node);
+            }
+        }
         self.dispatch_start(node);
     }
 
+    /// `node`'s dense index, while its behaviour has yet to start.
+    fn unstarted(&self, node: NodeId) -> Option<u32> {
+        self.core.idx(node).filter(|&i| !self.has_started[i as usize])
+    }
+
     fn dispatch_start(&mut self, node: NodeId) {
-        if self.started.contains(&node) || self.core.idx(node).is_none() {
+        let Some(i) = self.unstarted(node) else {
             return;
-        }
+        };
         if let Some(mut b) = self.behaviors.remove(&node) {
             let mut ctx = Context {
                 core: &mut self.core,
@@ -960,6 +975,7 @@ impl Simulator {
             b.on_start(&mut ctx);
             self.behaviors.insert(node, b);
             self.started.push(node);
+            self.has_started[i as usize] = true;
         }
     }
 
@@ -1133,7 +1149,7 @@ impl Simulator {
             .behaviors
             .keys()
             .copied()
-            .filter(|n| !self.started.contains(n))
+            .filter(|&n| self.unstarted(n).is_some())
             .collect();
         for n in pending {
             self.dispatch_start(n);
@@ -1886,8 +1902,9 @@ mod tests {
         let n = 16;
         let mut memo = topology::RouteMemo::default();
         assert_eq!(memo.get(3, 9), None, "nothing is remembered before the first store");
-        memo.store(n, 3, 9, &[3, 5, 9]);
-        memo.store(n, 4, 9, &[]);
+        let reach = crate::graph::CellRect::PLANE;
+        memo.store(n, 3, 9, &[3, 5, 9], reach);
+        memo.store(n, 4, 9, &[], reach);
         assert_eq!(memo.get(3, 9), Some(&[3, 5, 9][..]));
         assert_eq!(memo.get(4, 9), Some(&[][..]), "no route is an answer too");
         assert_eq!(memo.get(3, 8), None, "another destination is another question");
@@ -1896,7 +1913,7 @@ mod tests {
         // per store; the arena must not grow with the number of sends.
         for round in 0..10_000u32 {
             let dst = 8 + round % 2;
-            memo.store(n, 3, dst, &[3, 5, dst]);
+            memo.store(n, 3, dst, &[3, 5, dst], reach);
             assert_eq!(memo.get(3, dst), Some(&[3, 5, dst][..]));
             assert!(memo.arena.len() <= 2 * memo.live + n + 3, "round {round}");
         }

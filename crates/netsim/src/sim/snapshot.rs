@@ -181,9 +181,10 @@ impl Simulator {
     pub fn save_state(&self) -> Result<Vec<u8>, SnapshotError> {
         // Exhaustive-destructure convention (R6): adding a field to
         // `Simulator` or `Core` fails this lint (and this compile) until
-        // its checkpoint story is written. `batch` is a reused scratch
-        // buffer, empty between events.
-        let Self { core, behaviors, started, batch: _ } = self;
+        // its checkpoint story is written. `has_started` is derived from
+        // `started`; `batch` is a reused scratch buffer, empty between
+        // events.
+        let Self { core, behaviors, started, has_started: _, batch: _ } = self;
         // Every `Core` field is either serialised below or deliberately
         // excluded as derived (`ids`/`index`, and `topology`, of which
         // only the disposition byte is written), fixed-configuration
@@ -286,8 +287,9 @@ impl Simulator {
     ) -> Result<(), SnapshotError> {
         // Coverage guard (R6): every field's restore story is decided in
         // this fn — `core` is patched in place, `behaviors`/`started` are
-        // rebuilt from the blob, `batch` is scratch.
-        let Self { core: _, behaviors: _, started: _, batch: _ } = self;
+        // rebuilt from the blob, `has_started` from `started`, `batch` is
+        // scratch.
+        let Self { core: _, behaviors: _, started: _, has_started: _, batch: _ } = self;
         let mut d = Dec::new(bytes);
 
         let node_count = d.usize()?;
@@ -411,6 +413,12 @@ impl Simulator {
         let (topology, world, _) = core.topology();
         topology.restore(&world, graph_cached, same_rf_world);
         self.behaviors = behaviors;
+        self.has_started.fill(false);
+        for &node in &started {
+            if let Some(i) = self.core.idx(node) {
+                self.has_started[i as usize] = true;
+            }
+        }
         self.started = started;
         Ok(())
     }

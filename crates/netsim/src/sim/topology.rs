@@ -21,15 +21,19 @@
 //! With a sleep schedule anywhere (it folds the clock into liveness) or on
 //! the reference path the slot *never patches and never keeps ahead*.
 //!
-//! What routing learns about the graph lives here with it and goes with
-//! its links, in one place ([`Topology::links_changed`]): the route memo
-//! (each source's last answer) and, per destination, a reverse-distance
-//! table with the search work that earned it. A destination earns its
-//! table — one full search from it — once the unbounded searches toward
-//! it on this graph have settled as many nodes as the graph has; every
-//! later search toward it is bounded by the table and returns the same
-//! path (DESIGN.md, "Bounded by the destination"). The reference path
-//! neither memoises nor bounds. None of this is serialised.
+//! What routing learns about the graph lives here with it: the route
+//! memo (each source's last answer, with the cells its search expanded)
+//! and, per destination, a reverse-distance table with the search work
+//! that earned it. A destination earns its table — one full search from
+//! it — once the unbounded searches toward it on this graph have settled
+//! as many nodes as the graph has; every later search toward it is
+//! bounded by the table and returns the same path (DESIGN.md, "Bounded
+//! by the destination"). A build, a restore or a channel-wide change
+//! empties all of it ([`Topology::links_changed`]); a patch empties the
+//! tables and forgets only the answers whose search expanded a node
+//! within one cell of a changed node ([`Topology::forget_near`];
+//! DESIGN.md, "Pay per change"). The reference path neither memoises
+//! nor bounds. None of this is serialised.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -38,7 +42,7 @@ use iobt_obs::{Recorder, TraceEvent};
 use iobt_types::NodeId;
 
 use crate::channel::Channel;
-use crate::graph::{ConnectivityGraph, GraphNode, RouteScratch, PATCH_AT_MOST_ONE_IN};
+use crate::graph::{CellRect, ConnectivityGraph, GraphNode, RouteScratch, PATCH_AT_MOST_ONE_IN};
 use crate::time::SimTime;
 
 use super::{NodeRuntime, PartitionSpec};
@@ -228,24 +232,52 @@ impl Topology {
         self.tables.clear();
     }
 
+    /// `graph` is about to have the nodes in `pending` patched to where
+    /// and how `world` has them: empties the tables and the work toward
+    /// each destination, and forgets every remembered answer whose search
+    /// expanded a cell within one of a pending node's cell before or
+    /// after the patch. A kept answer is the one a fresh search would
+    /// return: the patch rewrites only the lists of pending nodes and of
+    /// their old and new neighbours, all within one cell of those cells,
+    /// and the search read no such list (DESIGN.md, "Pay per change").
+    fn forget_near(&mut self, graph: &ConnectivityGraph, world: &World<'_>, pending: &[u32]) {
+        self.tables.clear();
+        let cells: Vec<(i32, i32)> = pending
+            .iter()
+            .flat_map(|&i| {
+                let i = i as usize;
+                let now = world.nodes[i].mobility.position();
+                [graph.cell_of(graph.nodes()[i].position), graph.cell_of(now)]
+            })
+            .collect();
+        // A grid as fine as the graph is large costs about what a clear
+        // saves, so past that the memo goes whole.
+        match ChangedCells::count(&cells, graph.len()) {
+            Some(changed) => self.memo.forget(|reach| changed.any_within_one_of(reach)),
+            None => self.memo.clear(),
+        }
+    }
+
     fn build(&mut self, world: &World<'_>) -> Rc<ConnectivityGraph> {
         self.builds += 1;
         Rc::new(world.build_graph())
     }
 
     /// Brings the held graph in step with the world — building one, as
-    /// yet unseen, if none is held — and records nothing. The route memo
-    /// goes whenever links may have changed, and only then.
+    /// yet unseen, if none is held — and records nothing. A remembered
+    /// route goes whenever links its search read may have changed, and
+    /// only then.
     fn sync(&mut self, world: &World<'_>) -> &mut Held {
         let (graph, owes) = match self.held.take() {
             Some(Held { mut graph, mut pending, owes }) => {
                 pending.sort_unstable();
                 pending.dedup();
                 if !pending.is_empty() {
-                    self.links_changed();
                     if world.worth_patching(&pending) {
+                        self.forget_near(&graph, world, &pending);
                         world.patch(&mut graph, &pending);
                     } else {
+                        self.links_changed();
                         // One graph at a time: the stale one goes first.
                         drop(graph);
                         graph = self.build(world);
@@ -313,6 +345,11 @@ impl Topology {
         match self.memo.get(src, dst) {
             Some(path) => {
                 self.memo_hits += 1;
+                debug_assert!(
+                    graph.route_idx_with(&mut RouteScratch::new(), src, dst, None).as_deref()
+                        == (!path.is_empty()).then_some(path),
+                    "a remembered route differs from a fresh search"
+                );
                 (!path.is_empty()).then(|| {
                     let mut route = self.scratch.take_path();
                     route.extend_from_slice(path);
@@ -320,10 +357,10 @@ impl Topology {
                 })
             }
             None => {
-                let found = self.search(&graph, src, dst, shortcuts);
+                let (found, reach) = self.search(&graph, src, dst, shortcuts);
                 if shortcuts {
                     let path = found.as_deref().unwrap_or(&[]);
-                    self.memo.store(graph.len(), src, dst, path);
+                    self.memo.store(graph.len(), src, dst, path, reach);
                 }
                 found
             }
@@ -333,14 +370,17 @@ impl Topology {
     /// A search for `src → dst` on `graph`: bounded by `dst`'s table
     /// when `bound` and the destination has earned one (built here, the
     /// first time it is needed), else unbounded — and then, if `bound`,
-    /// what it settled is put toward that table.
+    /// what it settled is put toward that table. Returns the answer with
+    /// the cells whose lists it depends on: those the search expanded,
+    /// or every cell for a bounded search, which skips nodes an
+    /// unbounded search on a patched graph could expand.
     fn search(
         &mut self,
         graph: &ConnectivityGraph,
         src: u32,
         dst: u32,
         bound: bool,
-    ) -> Option<Vec<u32>> {
+    ) -> (Option<Vec<u32>>, CellRect) {
         let n = graph.len();
         let tables = &mut self.tables;
         if bound && tables.spent.is_empty() {
@@ -370,11 +410,13 @@ impl Topology {
                 found == graph.route_idx_with(&mut RouteScratch::new(), src, dst, None),
                 "a bounded route search diverged from an unbounded one"
             );
-        } else if bound {
+            return (found, CellRect::PLANE);
+        }
+        if bound {
             let spent = &mut tables.spent[dst as usize];
             *spent = spent.saturating_add(self.scratch.settled());
         }
-        found
+        (found, self.scratch.expanded())
     }
 
     /// Hands a path from [`Topology::route`] back for reuse.
@@ -439,14 +481,16 @@ impl RouteTables {
     }
 }
 
-/// Each source's last routing answer, valid exactly as long as the graph
-/// it was searched on. The same graph and the same `(src, dst)` give the
-/// same deterministic search, so an entry *is* the path a fresh search
-/// would return. Traffic is convergecast — a sensor reports to one
-/// post — so one slot per source is one slot per `(src, dst)` pair.
+/// Each source's last routing answer, with the cells its search expanded,
+/// valid as long as the lists of the nodes in those cells stand. The same
+/// lists and the same `(src, dst)` give the same deterministic search, so
+/// an entry *is* the path a fresh search would return. Traffic is
+/// convergecast — a sensor reports to one post — so one slot per source
+/// is one slot per `(src, dst)` pair.
 ///
-/// Derived state: never serialised, emptied whenever the held graph's
-/// links change, and never filled on the reference path.
+/// Derived state: never serialised, forgotten where a patch can reach
+/// it and emptied on any other change of links, and never filled on the
+/// reference path.
 #[derive(Debug, Default)]
 pub(super) struct RouteMemo {
     /// One slot per source index; empty until the first store after a
@@ -456,24 +500,28 @@ pub(super) struct RouteMemo {
     /// Path node indices, back to back; slots point into it.
     pub(super) arena: Vec<u32>,
     /// Arena entries some slot still points at. A slot overwritten for
-    /// a new destination strands its old path, and ticks that move
-    /// nothing never clear the memo, so the stranded share is bounded
-    /// in [`RouteMemo::store`].
+    /// a new destination or forgotten at a patch strands its old path
+    /// unless the next answer fits there, and a memo can outlive any
+    /// number of patches, so the stranded share is bounded in
+    /// [`RouteMemo::store`].
     pub(super) live: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct MemoSlot {
     /// Destination index the answer is for; `u32::MAX` marks a slot
-    /// that holds nothing.
+    /// that answers nothing, whose `start` and `len` then name the
+    /// stranded path its source's next answer may reuse.
     dst: u32,
     start: u32,
     /// Path length in nodes; 0 records that no route exists.
     len: u32,
+    /// The cells whose nodes' lists the answer was read from.
+    reach: CellRect,
 }
 
 impl MemoSlot {
-    const EMPTY: MemoSlot = MemoSlot { dst: u32::MAX, start: 0, len: 0 };
+    const EMPTY: MemoSlot = MemoSlot { dst: u32::MAX, start: 0, len: 0, reach: CellRect::EMPTY };
 }
 
 impl RouteMemo {
@@ -491,26 +539,136 @@ impl RouteMemo {
     }
 
     /// Remembers `path` (empty: no route) as the answer for `src → dst`
-    /// among `n` nodes.
-    pub(super) fn store(&mut self, n: usize, src: u32, dst: u32, path: &[u32]) {
-        // Stranded paths are dropped, with everything else, once they
-        // outweigh what is live plus a node's worth per source (or, in
-        // principle, once `start` would no longer fit its slot).
-        let stranded = self.arena.len() - self.live;
-        if stranded > self.live + n || self.arena.len() + path.len() > u32::MAX as usize {
+    /// among `n` nodes, read from the lists of the nodes in `reach`.
+    pub(super) fn store(&mut self, n: usize, src: u32, dst: u32, path: &[u32], reach: CellRect) {
+        // Stranded paths are squeezed out once they outweigh what is live
+        // plus a node's worth per source; everything goes only if, in
+        // principle, `start` would still not fit its slot.
+        if self.arena.len() - self.live > self.live + n {
+            self.compact();
+        }
+        if self.arena.len() + path.len() > u32::MAX as usize {
             self.clear();
         }
         if self.slots.is_empty() {
             self.slots.resize(n, MemoSlot::EMPTY);
         }
         let slot = &mut self.slots[src as usize];
-        self.live = self.live - slot.len as usize + path.len();
-        *slot = MemoSlot {
-            dst,
-            start: self.arena.len() as u32,
-            len: path.len() as u32,
+        if slot.dst != u32::MAX {
+            self.live -= slot.len as usize;
+        }
+        self.live += path.len();
+        // The source's last path, forgotten or overwritten, takes the new
+        // one where it fits: the answer after a patch is usually as long
+        // as the one before, so the arena need not grow past what the
+        // first round of searches filled.
+        let start = if path.len() <= slot.len as usize {
+            let start = slot.start as usize;
+            self.arena[start..start + path.len()].copy_from_slice(path);
+            start
+        } else {
+            self.arena.extend_from_slice(path);
+            self.arena.len() - path.len()
         };
-        self.arena.extend_from_slice(path);
+        *slot = MemoSlot { dst, start: start as u32, len: path.len() as u32, reach };
+    }
+
+    /// Forgets every answer whose `reach` a change reaches; its path stays
+    /// in the arena, stranded, for the source's next answer to reuse.
+    pub(super) fn forget(&mut self, reaches: impl Fn(CellRect) -> bool) {
+        for slot in &mut self.slots {
+            if slot.dst != u32::MAX && reaches(slot.reach) {
+                self.live -= slot.len as usize;
+                slot.dst = u32::MAX;
+            }
+        }
+    }
+
+    /// Moves every live path to the front of the arena, in arena order
+    /// (so each copy goes to or below where it is), and drops the
+    /// stranded rest, keeping the capacity.
+    fn compact(&mut self) {
+        for slot in self.slots.iter_mut().filter(|slot| slot.dst == u32::MAX) {
+            *slot = MemoSlot::EMPTY;
+        }
+        let mut order: Vec<u32> = (0u32..)
+            .zip(&self.slots)
+            .filter(|(_, slot)| slot.dst != u32::MAX)
+            .map(|(src, _)| src)
+            .collect();
+        order.sort_unstable_by_key(|&src| self.slots[src as usize].start);
+        let mut end = 0;
+        for src in order {
+            let slot = &mut self.slots[src as usize];
+            let (start, len) = (slot.start as usize, slot.len as usize);
+            self.arena.copy_within(start..start + len, end);
+            slot.start = end as u32;
+            end += len;
+        }
+        debug_assert_eq!(end, self.live, "live paths miscounted");
+        self.arena.truncate(end);
+    }
+}
+
+/// The cells a patch changes, counted over their bounding grid as a
+/// summed-area table, so whether one lies near a rectangle is four reads.
+/// Built afresh for each patch: a table kept from patch to patch is a
+/// small allocation made mid-run that outlives everything around it, and
+/// it held `netsim_dense`'s peak RSS up (EXPERIMENTS.md, "Forget only
+/// what a change can reach").
+struct ChangedCells {
+    /// The grid's least cell and its width and height in cells.
+    x0: i64,
+    y0: i64,
+    w: usize,
+    h: usize,
+    /// `(w + 1) × (h + 1)`, row-major: entry `(x, y)` counts the changed
+    /// cells left of column `x` and below row `y` of the grid.
+    sums: Vec<u32>,
+}
+
+impl ChangedCells {
+    /// Counts `cells` (at least one), unless their bounding grid has more
+    /// than `limit` cells.
+    fn count(cells: &[(i32, i32)], limit: usize) -> Option<Self> {
+        let (mut x0, mut y0, mut x1, mut y1) = (i32::MAX, i32::MAX, i32::MIN, i32::MIN);
+        for &(x, y) in cells {
+            (x0, y0, x1, y1) = (x0.min(x), y0.min(y), x1.max(x), y1.max(y));
+        }
+        let (w, h) = (i64::from(x1) - i64::from(x0) + 1, i64::from(y1) - i64::from(y0) + 1);
+        if (w as u64).checked_mul(h as u64).is_none_or(|cells| cells > limit as u64) {
+            return None;
+        }
+        let (x0, y0, w, h) = (i64::from(x0), i64::from(y0), w as usize, h as usize);
+        let row = w + 1;
+        let mut sums = vec![0u32; row * (h + 1)];
+        for &(x, y) in cells {
+            let (x, y) = ((i64::from(x) - x0) as usize, (i64::from(y) - y0) as usize);
+            sums[(y + 1) * row + x + 1] += 1;
+        }
+        for y in 1..=h {
+            for x in 1..=w {
+                let at = y * row + x;
+                sums[at] = sums[at] + sums[at - row] + sums[at - 1] - sums[at - row - 1];
+            }
+        }
+        Some(ChangedCells { x0, y0, w, h, sums })
+    }
+
+    /// Whether a counted cell lies in `rect` widened by one cell on
+    /// every side.
+    fn any_within_one_of(&self, rect: CellRect) -> bool {
+        let (gx1, gy1) = (self.x0 + self.w as i64 - 1, self.y0 + self.h as i64 - 1);
+        let (x0, x1) = ((i64::from(rect.x0) - 1).max(self.x0), (i64::from(rect.x1) + 1).min(gx1));
+        let (y0, y1) = ((i64::from(rect.y0) - 1).max(self.y0), (i64::from(rect.y1) + 1).min(gy1));
+        if x0 > x1 || y0 > y1 {
+            return false;
+        }
+        let (x0, x1) = ((x0 - self.x0) as usize, (x1 - self.x0) as usize + 1);
+        let (y0, y1) = ((y0 - self.y0) as usize, (y1 - self.y0) as usize + 1);
+        let row = self.w + 1;
+        let sum = |x: usize, y: usize| self.sums[y * row + x];
+        sum(x1, y1) + sum(x0, y0) > sum(x0, y1) + sum(x1, y0)
     }
 }
 
@@ -523,9 +681,7 @@ mod tests {
     use crate::time::SimDuration;
     use iobt_types::{EnergyBudget, Point, RadioKind};
 
-    /// A world the slot can be driven over without a `Simulator`: eight
-    /// wifi nodes 80 m apart on a line, a jammer (off) between nodes 4 and
-    /// 5 and a registered cut (inactive) between nodes 3 and 4.
+    /// A world the slot can be driven over without a `Simulator`.
     struct Field {
         ids: Rc<[NodeId]>,
         index: Rc<BTreeMap<NodeId, u32>>,
@@ -535,27 +691,44 @@ mod tests {
     }
 
     impl Field {
+        /// Eight wifi nodes 80 m apart on a line, a jammer (off) between
+        /// nodes 4 and 5 and a registered cut (inactive) between nodes 3
+        /// and 4.
         fn new() -> Self {
-            let ids: Rc<[NodeId]> = (0..8).map(NodeId::new).collect();
-            let index = Rc::new((0u32..).zip(ids.iter()).map(|(i, &id)| (id, i)).collect());
-            let nodes = (0u32..)
-                .zip(ids.iter())
-                .map(|(i, &id)| NodeRuntime {
-                    id,
-                    radios: vec![RadioKind::Wifi].into(),
-                    tx_power_w: RadioKind::Wifi.tx_power_w(),
-                    mobility: Self::parked(Point::new(f64::from(i) * 80.0, 0.0)),
-                    energy: EnergyBudget::new(1_000.0),
-                    alive: true,
-                    sleep: None,
-                })
-                .collect();
-            let mut channel = Channel::default();
+            let line = (0..8).map(|i| (Point::new(f64::from(i) * 80.0, 0.0), [RadioKind::Wifi]));
+            let mut field = Field::of(line, Channel::default());
             let mut jammer = Jammer::new(Point::new(360.0, 20.0), 1.0);
             jammer.active = false;
-            channel.add_jammer(jammer);
+            field.channel.add_jammer(jammer);
             let cut = PartitionSpec::new([NodeId::new(3)], [NodeId::new(4)]);
-            Field { ids, index, nodes, channel, partitions: vec![(cut, false)] }
+            field.partitions.push((cut, false));
+            field
+        }
+
+        /// One node, up, per `(place, radios)`, over `channel`, with no
+        /// partition registered.
+        fn of<R: Into<Rc<[RadioKind]>>>(
+            nodes: impl IntoIterator<Item = (Point, R)>,
+            channel: Channel,
+        ) -> Self {
+            let nodes: Vec<NodeRuntime> = (0..)
+                .zip(nodes)
+                .map(|(i, (at, radios))| {
+                    let radios: Rc<[RadioKind]> = radios.into();
+                    NodeRuntime {
+                        id: NodeId::new(i),
+                        tx_power_w: radios[0].tx_power_w(),
+                        radios,
+                        mobility: Self::parked(at),
+                        energy: EnergyBudget::new(1_000.0),
+                        alive: true,
+                        sleep: None,
+                    }
+                })
+                .collect();
+            let ids: Rc<[NodeId]> = nodes.iter().map(|n| n.id).collect();
+            let index = Rc::new((0u32..).zip(ids.iter()).map(|(i, &id)| (id, i)).collect());
+            Field { ids, index, nodes, channel, partitions: Vec::new() }
         }
 
         fn parked(at: Point) -> MobilityState {
@@ -758,5 +931,203 @@ mod tests {
                 assert_eq!(announced, usize::from(due), "{at}: only an access pays, once");
             }
         }
+    }
+
+    /// The answer a fresh, unbounded search gives, spelled as the memo
+    /// keeps it: empty for no route.
+    fn fresh(graph: &ConnectivityGraph, src: u32, dst: u32) -> Vec<u32> {
+        graph.route_idx_with(&mut RouteScratch::new(), src, dst, None).unwrap_or_default()
+    }
+
+    /// `src → dst` through the slot, as the fast path asks it.
+    fn ask(slot: &mut Topology, field: &Field, src: u32, dst: u32) -> Vec<u32> {
+        let route = slot.route(&field.world(), &Recorder::disabled(), src, dst, true);
+        let answer = route.clone().unwrap_or_default();
+        if let Some(route) = route {
+            slot.recycle(route);
+        }
+        answer
+    }
+
+    /// A route whose answer changes only through a node that stands one
+    /// cell beyond every node its search expanded: the patch that brings
+    /// that node up must forget the answer, while a change two cells
+    /// away keeps it.
+    #[test]
+    fn a_change_one_cell_beyond_what_a_search_expanded_forgets_its_answer() {
+        // Wifi only, so 120 m cells. `s` and `d` share cell (0, 0), 100 m
+        // apart; the relay `p`, 56 m from each, stands in cell (0, 1) and
+        // starts down; `q`, alone, stands in cell (0, 2).
+        let at = [(10.0, 100.0), (110.0, 100.0), (60.0, 125.0), (60.0, 300.0)];
+        let nodes = at.map(|(x, y)| (Point::new(x, y), [RadioKind::Wifi]));
+        let mut field = Field::of(nodes, Channel::default());
+        let (s, d, p, q) = (0, 1, 2, 3);
+        field.nodes[p as usize].alive = false;
+        let mut slot = Topology::new(false);
+
+        assert_eq!(ask(&mut slot, &field, s, d), [s, d]);
+        let reach = slot.memo.slots[s as usize].reach;
+        assert_eq!(reach, CellRect { x0: 0, y0: 0, x1: 0, y1: 0 }, "the search expanded `s` alone");
+        let cell = |i: u32| {
+            slot.held.as_ref().map(|h| h.graph.cell_of(h.graph.nodes()[i as usize].position))
+        };
+        assert_eq!((cell(p), cell(q)), (Some((0, 1)), Some((0, 2))));
+
+        field.nodes[q as usize].alive = false;
+        slot.invalidate_node(q);
+        assert_eq!(ask(&mut slot, &field, s, d), [s, d]);
+        assert_eq!(slot.route_memo_counts(), (2, 1), "a change two cells away keeps the answer");
+
+        field.nodes[p as usize].alive = true;
+        slot.invalidate_node(p);
+        assert_eq!(ask(&mut slot, &field, s, d), [s, p, d], "two short hops beat one long one");
+        assert_eq!(slot.route_memo_counts(), (3, 1), "a change one cell away forgets it");
+    }
+
+    /// Drives a seeded field through thirty patches, asking every
+    /// non-sink node's route to one of three sinks between them, and
+    /// checks after each patch that every answer the memo kept is the one
+    /// a fresh search gives. One field in three is Bluetooth only (25 m
+    /// cells), one wifi with some Bluetooth, one wifi with some tactical
+    /// UHF (5 km cells), three to eight cells across; a patch moves,
+    /// downs or revives one to three nodes. Returns the answers kept and
+    /// forgotten across patches.
+    fn assert_kept_answers_match(seed: u64) -> (u64, u64) {
+        use crate::terrain::Terrain;
+        use iobt_types::Rect;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use RadioKind::{Bluetooth, TacticalUhf, Wifi};
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x4B3E97);
+        let mixes: [(&[&[RadioKind]], f64); 3] = [
+            (&[&[Bluetooth]], 25.0),
+            (&[&[Wifi], &[Bluetooth, Wifi]], 120.0),
+            (&[&[Wifi], &[Wifi], &[Wifi, TacticalUhf]], 5_000.0),
+        ];
+        let (loadouts, cell) = mixes[(seed % 3) as usize];
+        let n = rng.gen_range(60..=160);
+        let extent = cell * rng.gen_range(3.0..8.0);
+        let terrain = Terrain::random_urban(Rect::square(extent), 8, 8, seed);
+        let nodes: Vec<(Point, &[RadioKind])> = (0..n)
+            .map(|_| {
+                let at = Point::new(rng.gen_range(0.0..extent), rng.gen_range(0.0..extent));
+                (at, loadouts[rng.gen_range(0..loadouts.len())])
+            })
+            .collect();
+        let mut field = Field::of(nodes, Channel::new(terrain));
+        let sinks: Vec<u32> = (0..3).map(|_| rng.gen_range(0..n)).collect();
+        let mut slot = Topology::new(false);
+        let (mut kept, mut forgotten) = (0, 0);
+        for step in 0..30 {
+            for src in (0..n).filter(|i| !sinks.contains(i)) {
+                ask(&mut slot, &field, src, sinks[src as usize % 3]);
+            }
+            let remembered =
+                |slot: &Topology| slot.memo.slots.iter().filter(|s| s.dst != u32::MAX).count();
+            let before = remembered(&slot);
+            for _ in 0..rng.gen_range(1..=3) {
+                let i = rng.gen_range(0..n);
+                let node = &mut field.nodes[i as usize];
+                if rng.gen_bool(0.5) {
+                    node.alive = !node.alive;
+                    slot.invalidate_node(i);
+                } else {
+                    let here = node.mobility.position();
+                    let step_m = |v: f64, rng: &mut StdRng| {
+                        (v + rng.gen_range(-cell..cell)).clamp(0.0, extent)
+                    };
+                    node.mobility = Field::parked(Point::new(
+                        step_m(here.x, &mut rng),
+                        step_m(here.y, &mut rng),
+                    ));
+                    slot.invalidate_moved(vec![i]);
+                }
+            }
+            let graph = Rc::clone(slot.access(&field.world(), &Recorder::disabled()));
+            assert!(graph.same_topology(&field.scratch()), "seed {seed} step {step}");
+            let after = remembered(&slot);
+            (kept, forgotten) = (kept + after as u64, forgotten + (before - after) as u64);
+            for (src, memo) in (0u32..).zip(&slot.memo.slots) {
+                if memo.dst != u32::MAX {
+                    let answer = slot.memo.get(src, memo.dst).map(<[u32]>::to_vec);
+                    assert_eq!(
+                        answer,
+                        Some(fresh(&graph, src, memo.dst)),
+                        "seed {seed} step {step}: {src} -> {}",
+                        memo.dst
+                    );
+                }
+            }
+        }
+        (kept, forgotten)
+    }
+
+    #[test]
+    fn kept_answers_equal_fresh_searches() {
+        let (mut kept, mut forgotten) = (0, 0);
+        for seed in 0..6 {
+            let (k, f) = assert_kept_answers_match(seed);
+            (kept, forgotten) = (kept + k, forgotten + f);
+        }
+        assert!(kept > 0 && forgotten > 0, "kept {kept}, forgot {forgotten}");
+    }
+
+    /// [`kept_answers_equal_fresh_searches`] over 300 seeds; a few
+    /// seconds in a release build (`cargo test --release -p iobt-netsim
+    /// --lib -- --ignored kept_answers_sweep`).
+    #[test]
+    #[ignore = "a release-build sweep; CI runs it"]
+    fn kept_answers_sweep() {
+        let (mut kept, mut forgotten) = (0, 0);
+        for seed in 0..300 {
+            let (k, f) = assert_kept_answers_match(seed);
+            (kept, forgotten) = (kept + k, forgotten + f);
+        }
+        assert!(kept > 0 && forgotten > 0, "kept {kept}, forgot {forgotten}");
+    }
+
+    /// Sources storing, overwriting and losing answers at random: every
+    /// answer still live must read back after each store, compactions
+    /// included, and the arena must not outgrow what the store rule allows.
+    #[test]
+    fn a_compaction_keeps_every_live_answer() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 64;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut memo = RouteMemo::default();
+        let mut want: Vec<Option<(u32, Vec<u32>, CellRect)>> = vec![None; n];
+        let mut compactions = 0;
+        for round in 0..5_000 {
+            let src = rng.gen_range(0..n as u32);
+            let dst = rng.gen_range(0..4);
+            let path: Vec<u32> =
+                (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..n as u32)).collect();
+            let x = rng.gen_range(0..8);
+            let reach = CellRect { x0: x, y0: 0, x1: x, y1: 0 };
+            let arena = memo.arena.len();
+            memo.store(n, src, dst, &path, reach);
+            compactions += usize::from(memo.arena.len() < arena);
+            // Before the store at most `live + n` were stranded; it added
+            // a path and may have stranded one, of at most five nodes each.
+            assert!(memo.arena.len() <= 2 * memo.live + n + 10, "round {round}");
+            want[src as usize] = Some((dst, path, reach));
+            if round % 40 == 0 {
+                let cut = rng.gen_range(0..8);
+                memo.forget(|reach| reach.x0 == cut);
+                for answer in &mut want {
+                    answer.take_if(|(_, _, reach)| reach.x0 == cut);
+                }
+            }
+            for (src, answer) in (0u32..).zip(&want) {
+                match answer {
+                    Some((dst, path, _)) => {
+                        assert_eq!(memo.get(src, *dst), Some(&path[..]), "round {round}")
+                    }
+                    None => assert!(memo.slots[src as usize].dst == u32::MAX, "round {round}"),
+                }
+            }
+        }
+        assert!(compactions > 10, "{compactions} compactions");
+        let live: usize = want.iter().flatten().map(|(_, path, _)| path.len()).sum();
+        assert_eq!(memo.live, live);
     }
 }

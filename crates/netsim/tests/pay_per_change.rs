@@ -4,9 +4,10 @@
 //! the sink's reverse-distance table, moved nodes patched into the cached
 //! graph) and on `reference_mode` (an unbounded search per message, a
 //! rebuild per invalidation) must agree on every statistic, every node's
-//! energy and the whole JSONL stream; and a snapshot taken with the memo
-//! and the table warm, with a move still pending or without, must resume
-//! into the uninterrupted run.
+//! energy and the whole JSONL stream; a node lost far from a route's
+//! search must not cost that route its memo entry; and a snapshot taken
+//! with the memo and the table warm, with a move still pending or
+//! without, must resume into the uninterrupted run.
 
 use iobt_netsim::prelude::*;
 use iobt_obs::Recorder;
@@ -200,4 +201,94 @@ fn snapshot_with_warm_memo_resumes_exactly() {
             "cut at {cut_s} s: full end state must be byte-identical"
         );
     }
+}
+
+/// A static wifi strip `STRIP_COLS` nodes long and three deep, cut into
+/// blocks of `BLOCK_COLS` columns, everyone reporting to the middle node
+/// of their block's second column, with the node at the far east corner
+/// lost at 2.1 s. The strip is long and the blocks small, so no head
+/// earns a reverse-distance table and every answer is an unbounded
+/// search's.
+fn strip(reference: bool, recorder: Recorder) -> Simulator {
+    let mut catalog = NodeCatalog::new();
+    for i in 0..STRIP_COLS * 3 {
+        let (col, row) = (i % STRIP_COLS, i / STRIP_COLS);
+        let spec = NodeSpec::builder(NodeId::new(i))
+            .affiliation(Affiliation::Blue)
+            .position(Point::new(col as f64 * SPACING_M, row as f64 * SPACING_M))
+            .radio(Radio::new(RadioKind::Wifi))
+            .energy(EnergyBudget::new(5_000.0))
+            .build();
+        catalog.insert(spec).expect("fresh ids never collide");
+    }
+    let extent = STRIP_COLS as f64 * SPACING_M;
+    let area = Rect::new(Point::new(-50.0, -50.0), Point::new(extent, 3.0 * SPACING_M));
+    let mut sim = Simulator::builder(catalog)
+        .terrain(Terrain::uniform(area, Clutter::Open))
+        .seed(11)
+        .reference_mode(reference)
+        .recorder(recorder)
+        .build();
+    for i in 0..STRIP_COLS * 3 {
+        let head = STRIP_COLS + (i % STRIP_COLS) / BLOCK_COLS * BLOCK_COLS + 1;
+        if i != head {
+            let sink = NodeId::new(head);
+            sim.set_behavior(NodeId::new(i), Box::new(StripReporter { sink }));
+        }
+    }
+    sim.schedule_node_down(SimTime::from_secs_f64(2.1), NodeId::new(3 * STRIP_COLS - 1));
+    sim
+}
+
+const STRIP_COLS: u64 = 48;
+const BLOCK_COLS: u64 = 4;
+
+/// A reporter to a given sink, every [`REPORT_PERIOD_S`].
+struct StripReporter {
+    sink: NodeId,
+}
+
+impl Behavior for StripReporter {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_secs_f64(REPORT_PERIOD_S), 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+        ctx.send(self.sink, 1, vec![0u8; 48]);
+        ctx.set_timer(SimDuration::from_secs_f64(REPORT_PERIOD_S), 0);
+    }
+}
+
+#[test]
+fn a_far_away_loss_keeps_the_answers_it_cannot_reach() {
+    let (rec_fast, ring_fast) = Recorder::memory(100_000);
+    let (rec_ref, ring_ref) = Recorder::memory(100_000);
+    let mut fast = strip(false, rec_fast);
+    let mut reference = strip(true, rec_ref);
+    // Rounds at 0.4 s steps: by 2.0 s the memo answers every report.
+    let round = |sim: &mut Simulator, until_s: f64| {
+        let before = sim.route_memo_counts();
+        sim.run_until(SimTime::from_secs_f64(until_s));
+        let after = sim.route_memo_counts();
+        (after.0 - before.0, after.1 - before.1)
+    };
+    round(&mut fast, 1.9);
+    let (queries, hits) = round(&mut fast, 2.3);
+    assert_eq!(hits, queries, "a static strip re-asks nothing");
+    // The round of 2.4 s, after the loss at 2.1 s: the blocks in the west
+    // searched nowhere near the east corner and keep their answers; the
+    // easternmost search again.
+    let (queries, hits) = round(&mut fast, 2.7);
+    let heads = STRIP_COLS / BLOCK_COLS;
+    assert_eq!(queries, STRIP_COLS * 3 - heads - 1, "all but the heads and the lost node ask");
+    assert!(hits > queries / 2 && hits < queries, "{hits} hits of {queries}");
+    assert_eq!(fast.route_bound_counts(), (0, 0), "no head earned a table");
+
+    reference.run_until(SimTime::from_secs_f64(2.7));
+    assert_eq!(reference.route_memo_counts(), (fast.route_memo_counts().0, 0));
+    assert_eq!(fast.stats(), reference.stats());
+    assert!(!fast.is_alive(NodeId::new(3 * STRIP_COLS - 1)), "the loss happened");
+    let jsonl = |ring: &iobt_obs::RingHandle| -> String {
+        ring.records().iter().map(|r| r.to_jsonl()).collect()
+    };
+    assert_eq!(jsonl(&ring_fast).as_bytes(), jsonl(&ring_ref).as_bytes());
 }
