@@ -5,84 +5,79 @@
 //! controller sets the admission/service allocation to keep queue
 //! occupancy at a setpoint. The integral term removes steady-state error;
 //! anti-windup clamps the integrator when actuation saturates.
-
-/// PI controller with output clamping and integrator anti-windup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PiController {
-    kp: f64,
-    ki: f64,
-    setpoint: f64,
-    integral: f64,
-    output_min: f64,
-    output_max: f64,
-}
-
-impl PiController {
-    /// Creates a controller tracking `setpoint` with gains `kp`, `ki`,
-    /// and actuation limits `[output_min, output_max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `output_min > output_max`.
-    pub fn new(kp: f64, ki: f64, setpoint: f64, output_min: f64, output_max: f64) -> Self {
-        assert!(output_min <= output_max, "invalid actuation limits");
-        PiController {
-            kp,
-            ki,
-            setpoint,
-            integral: 0.0,
-            output_min,
-            output_max,
-        }
-    }
-
-    /// One control step: reads the measured value, returns the clamped
-    /// actuation. `dt` is the step length in seconds.
-    pub fn step(&mut self, measurement: f64, dt: f64) -> f64 {
-        let dt = dt.max(0.0);
-        let error = self.setpoint - measurement;
-        let unclamped = self.kp * error + self.ki * (self.integral + error * dt);
-        let output = unclamped.clamp(self.output_min, self.output_max);
-        // Anti-windup: only integrate when not pushing further into
-        // saturation.
-        let saturated_high = unclamped > self.output_max && error > 0.0;
-        let saturated_low = unclamped < self.output_min && error < 0.0;
-        if !saturated_high && !saturated_low {
-            self.integral += error * dt;
-        }
-        output
-    }
-}
-
-/// A first-order queue plant: occupancy integrates `arrivals - service`,
-/// floored at zero.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueuePlant {
-    occupancy: f64,
-}
-
-impl QueuePlant {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        QueuePlant { occupancy: 0.0 }
-    }
-
-    /// Advances the queue by `dt` seconds with the given arrival and
-    /// service rates (jobs/s).
-    pub fn step(&mut self, arrival_rate: f64, service_rate: f64, dt: f64) {
-        self.occupancy = (self.occupancy + (arrival_rate - service_rate) * dt).max(0.0);
-    }
-}
-
-impl Default for QueuePlant {
-    fn default() -> Self {
-        QueuePlant::new()
-    }
-}
+//!
+//! Nothing outside these tests drives a controller, so the controller
+//! and its plant are defined with them.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    /// PI controller with output clamping and integrator anti-windup.
+    #[derive(Debug, Clone, PartialEq)]
+    struct PiController {
+        kp: f64,
+        ki: f64,
+        setpoint: f64,
+        integral: f64,
+        output_min: f64,
+        output_max: f64,
+    }
+
+    impl PiController {
+        /// Creates a controller tracking `setpoint` with gains `kp`, `ki`,
+        /// and actuation limits `[output_min, output_max]`.
+        ///
+        /// # Panics
+        ///
+        /// Panics when `output_min > output_max`.
+        fn new(kp: f64, ki: f64, setpoint: f64, output_min: f64, output_max: f64) -> Self {
+            assert!(output_min <= output_max, "invalid actuation limits");
+            PiController {
+                kp,
+                ki,
+                setpoint,
+                integral: 0.0,
+                output_min,
+                output_max,
+            }
+        }
+
+        /// One control step: reads the measured value, returns the clamped
+        /// actuation. `dt` is the step length in seconds.
+        fn step(&mut self, measurement: f64, dt: f64) -> f64 {
+            let dt = dt.max(0.0);
+            let error = self.setpoint - measurement;
+            let unclamped = self.kp * error + self.ki * (self.integral + error * dt);
+            let output = unclamped.clamp(self.output_min, self.output_max);
+            // Anti-windup: only integrate when not pushing further into
+            // saturation.
+            let saturated_high = unclamped > self.output_max && error > 0.0;
+            let saturated_low = unclamped < self.output_min && error < 0.0;
+            if !saturated_high && !saturated_low {
+                self.integral += error * dt;
+            }
+            output
+        }
+    }
+
+    /// A first-order queue plant: occupancy integrates `arrivals - service`,
+    /// floored at zero.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct QueuePlant {
+        occupancy: f64,
+    }
+
+    impl QueuePlant {
+        /// Creates an empty queue.
+        fn new() -> Self {
+            QueuePlant { occupancy: 0.0 }
+        }
+
+        /// Advances the queue by `dt` seconds with the given arrival and
+        /// service rates (jobs/s).
+        fn step(&mut self, arrival_rate: f64, service_rate: f64, dt: f64) {
+            self.occupancy = (self.occupancy + (arrival_rate - service_rate) * dt).max(0.0);
+        }
+    }
 
     /// Closed loop: the controller sets the *service* rate to keep the
     /// queue at the setpoint.

@@ -42,8 +42,6 @@ pub struct Equilibrium {
     pub moves: usize,
     /// Whether a Nash equilibrium was certified (no agent can improve).
     pub converged: bool,
-    /// The potential value at the end.
-    pub potential: f64,
 }
 
 impl Equilibrium {
@@ -76,19 +74,6 @@ impl IntentGame {
     /// An agent's utility for being one of `n_t` agents on task `t`.
     pub fn utility(&self, task: usize, n_t: usize) -> f64 {
         self.weights[task] / n_t.max(1) as f64
-    }
-
-    /// Rosenthal potential of an assignment.
-    pub fn potential(&self, assignment: &[usize]) -> f64 {
-        let mut loads = vec![0usize; self.weights.len()];
-        for &t in assignment {
-            loads[t] += 1;
-        }
-        loads
-            .iter()
-            .enumerate()
-            .map(|(t, &n)| (1..=n).map(|i| self.weights[t] / i as f64).sum::<f64>())
-            .sum()
     }
 
     /// Runs asynchronous best-response dynamics from a random initial
@@ -149,13 +134,11 @@ impl IntentGame {
                 break;
             }
         }
-        let potential = self.potential(&assignment);
         Equilibrium {
             assignment,
             sweeps,
             moves,
             converged,
-            potential,
         }
     }
 
@@ -182,6 +165,21 @@ impl IntentGame {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl IntentGame {
+        /// Rosenthal potential of an assignment.
+        fn potential(&self, assignment: &[usize]) -> f64 {
+            let mut loads = vec![0usize; self.weights.len()];
+            for &t in assignment {
+                loads[t] += 1;
+            }
+            loads
+                .iter()
+                .enumerate()
+                .map(|(t, &n)| (1..=n).map(|i| self.weights[t] / i as f64).sum::<f64>())
+                .sum()
+        }
+    }
 
     #[test]
     fn best_response_reaches_nash() {
@@ -226,7 +224,7 @@ mod tests {
         // Start everyone on task 1 (bad) and watch the potential climb.
         let all_on_one: Vec<usize> = vec![1; 6];
         let eq = g.best_response(6, 4);
-        assert!(eq.potential >= g.potential(&all_on_one) - 1e-9);
+        assert!(g.potential(&eq.assignment) >= g.potential(&all_on_one) - 1e-9);
     }
 
     #[test]

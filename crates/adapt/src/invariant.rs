@@ -31,11 +31,6 @@ impl<S> InvariantMonitor<S> {
         }
     }
 
-    /// The monitor's name (used in reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Whether the invariant currently holds.
     pub fn holds(&self, state: &S) -> bool {
         (self.check)(state)
@@ -59,8 +54,6 @@ pub struct StabilizationReport {
     pub corrections: usize,
     /// Whether all invariants held at the end.
     pub stable: bool,
-    /// Names of invariants still violated at the end (empty when stable).
-    pub violated: Vec<String>,
 }
 
 /// Runs monitors to a fixed point.
@@ -113,21 +106,13 @@ impl<S> Stabilizer<S> {
                     rounds: round,
                     corrections,
                     stable: true,
-                    violated: Vec::new(),
                 };
             }
         }
-        let violated: Vec<String> = self
-            .monitors
-            .iter()
-            .filter(|m| !m.holds(state))
-            .map(|m| m.name().to_string())
-            .collect();
         StabilizationReport {
             rounds: max_rounds,
             corrections,
-            stable: violated.is_empty(),
-            violated,
+            stable: self.monitors.iter().all(|m| m.holds(state)),
         }
     }
 }
@@ -204,7 +189,6 @@ mod tests {
         let report = s.stabilize(&mut state, 50);
         assert!(!report.stable);
         assert_eq!(report.rounds, 50);
-        assert!(!report.violated.is_empty());
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //!   (visual → seismic when smoke or jamming blinds the cameras).
 //! * [`alloc`] — adaptive edge-resource allocation that tracks hotspots
 //!   and caps DoS regions.
-//! * [`control`] — a PI admission controller with anti-windup, the
-//!   adaptive-control face of self-aware adaptation.
 //! * [`selfaware`] — the unifying goal/model/action abstraction (§IV-A's
 //!   "unifying theory of self-aware adaptation") with instrumented
-//!   assessment metrics.
+//!   assessment metrics. Its adaptive-control face, a PI admission
+//!   controller with anti-windup, is a test exemplar (`control`).
 //! * [`safety`] — §VI's actuation interlocks: human authorization for
 //!   weapon-like effects and occupancy-based withholding, with an audit
 //!   log.
@@ -42,7 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod control;
+mod control;
 pub mod estimation;
 pub mod game;
 pub mod invariant;
@@ -55,10 +54,9 @@ pub use alloc::{
     AllocationRun, SATURATION_PENALTY_MS,
 };
 pub use iobt_obs::Recorder;
-pub use control::{PiController, QueuePlant};
 pub use estimation::{track, AlphaBetaFilter, FusionRule, TrackingRun};
 pub use game::{Equilibrium, IntentGame};
 pub use invariant::{InvariantMonitor, StabilizationReport, Stabilizer};
 pub use modality::{ModalitySwitcher, SwitchPolicy};
 pub use safety::{ActuationController, ActuationDecision, AuditEntry, HumanAuthorization};
-pub use selfaware::{AdaptationLoop, AdaptationMetrics, LoadBandService, SelfAware};
+pub use selfaware::{AdaptationLoop, AdaptationMetrics, SelfAware};

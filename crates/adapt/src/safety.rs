@@ -31,8 +31,6 @@ fn actuator_code(kind: ActuatorKind) -> u64 {
 /// A time-limited human authorization for one actuator kind in one zone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HumanAuthorization {
-    /// The human (or command post) granting authority.
-    pub authorizer: NodeId,
     /// Actuator kind authorized.
     pub actuator: ActuatorKind,
     /// Zone the authorization covers.
@@ -61,8 +59,10 @@ pub enum ActuationDecision {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditEntry {
     /// Request time, seconds.
+    // lint: allow(unused-pub) — when, in the §VI audit log DESIGN.md:58 names
     pub at_s: f64,
     /// Requesting node.
+    // lint: allow(unused-pub) — who, in the §VI audit log DESIGN.md:58 names
     pub requester: NodeId,
     /// Actuator kind requested.
     pub actuator: ActuatorKind,
@@ -234,7 +234,6 @@ mod tests {
         let d = c.request(NodeId::new(1), ActuatorKind::Demolition, 0, 10.0);
         assert_eq!(d, ActuationDecision::DeniedNoAuthorization);
         c.grant(HumanAuthorization {
-            authorizer: NodeId::new(99),
             actuator: ActuatorKind::Demolition,
             zone: 0,
             expires_at_s: 100.0,
@@ -280,7 +279,6 @@ mod tests {
     fn authorization_is_zone_scoped() {
         let mut c = controller();
         c.grant(HumanAuthorization {
-            authorizer: NodeId::new(99),
             actuator: ActuatorKind::Demolition,
             zone: 7,
             expires_at_s: 100.0,
@@ -293,7 +291,6 @@ mod tests {
     fn occupancy_withholds_even_authorized_fires() {
         let mut c = controller();
         c.grant(HumanAuthorization {
-            authorizer: NodeId::new(99),
             actuator: ActuatorKind::Demolition,
             zone: 0,
             expires_at_s: 1_000.0,
@@ -324,7 +321,6 @@ mod tests {
         let d = c.request(NodeId::new(1), ActuatorKind::Marker, 0, 10.0);
         assert_eq!(d, ActuationDecision::DeniedDegraded);
         c.grant(HumanAuthorization {
-            authorizer: NodeId::new(99),
             actuator: ActuatorKind::Marker,
             zone: 0,
             expires_at_s: 100.0,
@@ -352,7 +348,6 @@ mod tests {
         // …but not the degraded 0.15 one, regardless of authorization.
         c.set_degraded(true);
         c.grant(HumanAuthorization {
-            authorizer: NodeId::new(99),
             actuator: ActuatorKind::Marker,
             zone: 0,
             expires_at_s: 100.0,

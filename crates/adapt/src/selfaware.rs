@@ -52,12 +52,19 @@ pub struct AdaptationMetrics {
 /// corrective actions) until the goal holds again or actions run out.
 ///
 /// ```
-/// # use iobt_adapt::selfaware::{AdaptationLoop, LoadBandService};
-/// let mut service = LoadBandService::new(10.0, (0.4, 0.8), (1.0, 1_000.0));
-/// let metrics = AdaptationLoop::default()
-///     .run(&mut service, std::iter::repeat(60.0).take(20));
-/// assert!(service.capacity() > 10.0, "scaled up under load");
-/// assert!(metrics.steps_in_goal > metrics.steps / 2);
+/// # use iobt_adapt::selfaware::{AdaptationLoop, SelfAware};
+/// // Goal: capacity covers the last observed load. Action: double it.
+/// struct Scaler { load: f64, capacity: f64 }
+/// impl SelfAware for Scaler {
+///     type Observation = f64;
+///     fn observe(&mut self, load: f64) { self.load = load; }
+///     fn goal_met(&self) -> bool { self.load <= self.capacity }
+///     fn adapt(&mut self) -> bool { self.capacity *= 2.0; true }
+/// }
+/// let mut service = Scaler { load: 0.0, capacity: 10.0 };
+/// let metrics = AdaptationLoop::default().run(&mut service, [5.0, 60.0, 60.0]);
+/// assert_eq!(service.capacity, 80.0, "scaled up under load");
+/// assert_eq!((metrics.adaptations, metrics.steps_in_goal), (3, 2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptationLoop {
@@ -106,86 +113,86 @@ impl AdaptationLoop {
     }
 }
 
-/// The adaptive-control exemplar from §IV-A wrapped as a [`SelfAware`]
-/// component: a service whose *goal* is keeping measured load within a
-/// band, whose *model* is an EMA of the load, and whose *action* is
-/// scaling capacity up/down.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadBandService {
-    /// Smoothed load estimate (the internal model).
-    load_estimate: f64,
-    /// Current capacity (the actuated resource).
-    capacity: f64,
-    /// Goal band on utilization `load / capacity`.
-    band: (f64, f64),
-    /// Capacity limits.
-    limits: (f64, f64),
-}
-
-impl LoadBandService {
-    /// Creates a service with `capacity` and a target utilization band.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the band or limits are inverted or non-positive.
-    pub fn new(capacity: f64, band: (f64, f64), limits: (f64, f64)) -> Self {
-        assert!(0.0 < band.0 && band.0 < band.1, "invalid band");
-        assert!(0.0 < limits.0 && limits.0 <= limits.1, "invalid limits");
-        LoadBandService {
-            load_estimate: 0.0,
-            capacity: capacity.clamp(limits.0, limits.1),
-            band,
-            limits,
-        }
-    }
-
-    /// Current capacity.
-    pub const fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
-    /// Current utilization estimate.
-    pub fn utilization(&self) -> f64 {
-        self.load_estimate / self.capacity
-    }
-}
-
-impl SelfAware for LoadBandService {
-    type Observation = f64; // instantaneous load
-
-    fn observe(&mut self, load: f64) {
-        self.load_estimate = 0.5 * self.load_estimate + 0.5 * load.max(0.0);
-    }
-
-    fn goal_met(&self) -> bool {
-        // Idle systems are in goal even below the band floor.
-        let u = self.utilization();
-        self.load_estimate < 1e-9 || (u >= self.band.0 && u <= self.band.1)
-    }
-
-    fn adapt(&mut self) -> bool {
-        let u = self.utilization();
-        let (lo, hi) = self.band;
-        // Aim at the band midpoint, not the edge, so a still-ramping load
-        // estimate does not re-violate on the very next observation.
-        let mid = (lo + hi) / 2.0;
-        let target = if u > hi || u < lo {
-            self.load_estimate / mid
-        } else {
-            return true;
-        };
-        let new_capacity = target.clamp(self.limits.0, self.limits.1);
-        if (new_capacity - self.capacity).abs() < 1e-12 {
-            return false; // pinned at a limit: no action left
-        }
-        self.capacity = new_capacity;
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The adaptive-control exemplar from §IV-A wrapped as a [`SelfAware`]
+    /// component: a service whose *goal* is keeping measured load within a
+    /// band, whose *model* is an EMA of the load, and whose *action* is
+    /// scaling capacity up/down.
+    #[derive(Debug, Clone, PartialEq)]
+    struct LoadBandService {
+        /// Smoothed load estimate (the internal model).
+        load_estimate: f64,
+        /// Current capacity (the actuated resource).
+        capacity: f64,
+        /// Goal band on utilization `load / capacity`.
+        band: (f64, f64),
+        /// Capacity limits.
+        limits: (f64, f64),
+    }
+
+    impl LoadBandService {
+        /// Creates a service with `capacity` and a target utilization band.
+        ///
+        /// # Panics
+        ///
+        /// Panics when the band or limits are inverted or non-positive.
+        fn new(capacity: f64, band: (f64, f64), limits: (f64, f64)) -> Self {
+            assert!(0.0 < band.0 && band.0 < band.1, "invalid band");
+            assert!(0.0 < limits.0 && limits.0 <= limits.1, "invalid limits");
+            LoadBandService {
+                load_estimate: 0.0,
+                capacity: capacity.clamp(limits.0, limits.1),
+                band,
+                limits,
+            }
+        }
+
+        /// Current capacity.
+        const fn capacity(&self) -> f64 {
+            self.capacity
+        }
+
+        /// Current utilization estimate.
+        fn utilization(&self) -> f64 {
+            self.load_estimate / self.capacity
+        }
+    }
+
+    impl SelfAware for LoadBandService {
+        type Observation = f64; // instantaneous load
+
+        fn observe(&mut self, load: f64) {
+            self.load_estimate = 0.5 * self.load_estimate + 0.5 * load.max(0.0);
+        }
+
+        fn goal_met(&self) -> bool {
+            // Idle systems are in goal even below the band floor.
+            let u = self.utilization();
+            self.load_estimate < 1e-9 || (u >= self.band.0 && u <= self.band.1)
+        }
+
+        fn adapt(&mut self) -> bool {
+            let u = self.utilization();
+            let (lo, hi) = self.band;
+            // Aim at the band midpoint, not the edge, so a still-ramping load
+            // estimate does not re-violate on the very next observation.
+            let mid = (lo + hi) / 2.0;
+            let target = if u > hi || u < lo {
+                self.load_estimate / mid
+            } else {
+                return true;
+            };
+            let new_capacity = target.clamp(self.limits.0, self.limits.1);
+            if (new_capacity - self.capacity).abs() < 1e-12 {
+                return false; // pinned at a limit: no action left
+            }
+            self.capacity = new_capacity;
+            true
+        }
+    }
 
     #[test]
     fn service_scales_up_under_a_load_step() {

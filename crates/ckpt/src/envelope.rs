@@ -69,11 +69,10 @@ const fn overhead(k: usize) -> usize {
     8 + 4 + 8 * k + 8 + TRAILER_LEN
 }
 
-/// Decoded checkpoint header fields.
+/// Decoded checkpoint header fields. The format version is checked,
+/// not kept: a decoded header's is always [`FORMAT_VERSION`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointHeader {
-    /// Format version the file was written with.
-    pub version: u32,
     /// Mission seed the checkpoint belongs to.
     pub seed: u64,
     /// Number of utility windows completed when the checkpoint was
@@ -279,11 +278,7 @@ pub fn encode_checkpoint(seed: u64, window: u64, payload: &[u8]) -> Vec<u8> {
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CheckpointHeader, &[u8]), CkptError> {
     let ([seed, window], payload) = open::<2>(&MAGIC, FORMAT_VERSION, bytes)?;
     Ok((
-        CheckpointHeader {
-            version: FORMAT_VERSION,
-            seed,
-            window,
-        },
+        CheckpointHeader { seed, window },
         payload,
     ))
 }
@@ -343,7 +338,6 @@ mod tests {
         let payload = b"mission state goes here";
         let bytes = encode_checkpoint(42, 7, payload);
         let (header, got) = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(header.version, FORMAT_VERSION);
         assert_eq!(header.seed, 42);
         assert_eq!(header.window, 7);
         assert_eq!(got, payload);

@@ -84,8 +84,6 @@ pub struct DiagnosisReport {
     pub suspected_nodes: Vec<NodeId>,
     /// Link-level precision against the injected ground truth.
     pub link_precision: f64,
-    /// Link-level recall against the injected ground truth.
-    pub link_recall: f64,
 }
 
 /// Localizes the links of `dead_nodes` from monitor observations only.
@@ -129,7 +127,6 @@ pub fn diagnose_failures(
     suspected_nodes.dedup();
     Some(DiagnosisReport {
         link_precision: loc.precision(&failed_links),
-        link_recall: loc.recall(&failed_links),
         suspected_nodes,
     })
 }
@@ -201,7 +198,6 @@ mod tests {
             "no false accusations: {}",
             report.link_precision
         );
-        assert!(report.link_recall > 0.0, "something localized");
         assert!(
             report.suspected_nodes.contains(&victim),
             "victim implicated: {:?}",
@@ -221,9 +217,9 @@ mod tests {
         let report = diagnose_failures(&model, &monitors, &[victim]).unwrap();
         // With sparse monitors recall is partial but the victim should
         // appear among the suspects (its links carry corner-to-corner
-        // shortest paths).
+        // shortest paths), if anything is localized at all.
         assert!(
-            report.suspected_nodes.contains(&victim) || report.link_recall == 0.0,
+            report.suspected_nodes.contains(&victim) || report.suspected_nodes.is_empty(),
             "sparse monitoring: {:?}",
             report
         );

@@ -14,15 +14,6 @@
 use iobt_truth::{Report, TruthEstimate};
 use iobt_types::{NodeId, TrustLedger};
 
-/// Outcome of one trust-calibration pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationSummary {
-    /// Sources whose evidence was updated (mapped node ids).
-    pub updated: Vec<NodeId>,
-    /// Sources skipped because they filed no reports.
-    pub silent: Vec<NodeId>,
-}
-
 /// Folds an EM [`TruthEstimate`] into the trust ledger.
 ///
 /// `source_ids[i]` is the node behind source index `i`. Each source's
@@ -32,25 +23,22 @@ pub struct CalibrationSummary {
 /// fast, and silent sources are left untouched.
 ///
 /// Sources must already be enrolled in the ledger; unknown ids are
-/// counted as silent.
+/// skipped like silent ones.
 pub fn calibrate_human_trust(
     ledger: &mut TrustLedger,
     estimate: &TruthEstimate,
     reports: &[Report],
     source_ids: &[NodeId],
-) -> CalibrationSummary {
+) {
     let mut report_counts = vec![0usize; source_ids.len()];
     for r in reports {
         if r.source < report_counts.len() {
             report_counts[r.source] += 1;
         }
     }
-    let mut updated = Vec::new();
-    let mut silent = Vec::new();
     for (i, &id) in source_ids.iter().enumerate() {
         let n = report_counts[i];
         if n == 0 || ledger.score(id).is_none() {
-            silent.push(id);
             continue;
         }
         let accuracy = estimate
@@ -66,9 +54,7 @@ pub fn calibrate_human_trust(
         for _ in 0..n.saturating_sub(positives) {
             ledger.record_negative(id);
         }
-        updated.push(id);
     }
-    CalibrationSummary { updated, silent }
 }
 
 #[cfg(test)]
@@ -93,9 +79,7 @@ mod tests {
             .iter()
             .map(|&id| ledger.score(id).unwrap().value())
             .collect();
-        let summary =
-            calibrate_human_trust(&mut ledger, &estimate, &s.reports, &source_ids);
-        assert!(!summary.updated.is_empty());
+        calibrate_human_trust(&mut ledger, &estimate, &s.reports, &source_ids);
         // Adversaries (ground truth) should have lost trust; honest
         // high-reliability sources should have gained.
         let mut adv_deltas = Vec::new();
@@ -125,10 +109,8 @@ mod tests {
         let mut ledger = TrustLedger::new();
         ledger.enroll(NodeId::new(1), Affiliation::Gray);
         let before = ledger.score(NodeId::new(1)).unwrap();
-        let summary = calibrate_human_trust(&mut ledger, &estimate, &s.reports, &ids);
-        assert!(summary.updated.is_empty(), "no reports, no updates");
-        assert_eq!(summary.silent.len(), 3);
-        assert_eq!(ledger.score(NodeId::new(1)).unwrap(), before);
+        calibrate_human_trust(&mut ledger, &estimate, &s.reports, &ids);
+        assert_eq!(ledger.score(NodeId::new(1)).unwrap(), before, "no reports, no updates");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use behaviors::{
 };
 pub use checkpoint::encode_end_state_digest;
 pub use diagnostics::{diagnose_failures, DiagnosisReport, NetworkModel};
-pub use humans::{calibrate_human_trust, CalibrationSummary};
+pub use humans::calibrate_human_trust;
 pub use resilience::{DegradationLadder, FailureDetector, LadderStep, MAX_LADDER_LEVEL};
 pub use runtime::{
     run_mission, EndStateDigest, MissionReport, MissionRunner, PortableRunConfig,
@@ -97,6 +97,6 @@ pub mod prelude {
         disaster_relief, persistent_surveillance, urban_evacuation, Disruption, Scenario,
     };
     pub use crate::tasking::{allocate_missions, MissionAllocation, TaskingPlan};
-    pub use crate::humans::{calibrate_human_trust, CalibrationSummary};
+    pub use crate::humans::calibrate_human_trust;
     pub use crate::diagnostics::{diagnose_failures, DiagnosisReport, NetworkModel};
 }

@@ -24,17 +24,6 @@ pub struct ProbeTarget {
     pub compute: ComputeClass,
 }
 
-impl ProbeTarget {
-    /// Creates a target, clamping availability into `[0, 1]`.
-    pub fn new(id: NodeId, availability: f64, compute: ComputeClass) -> Self {
-        ProbeTarget {
-            id,
-            availability: availability.clamp(0.0, 1.0),
-            compute,
-        }
-    }
-}
-
 /// One probe outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeRecord {
@@ -90,6 +79,7 @@ fn base_latency_ms(compute: ComputeClass) -> f64 {
 
 impl Prober {
     /// Creates a prober with a deterministic seed.
+    // lint: allow(unused-pub) — the only constructor of the active prober DESIGN.md:56 lists
     pub fn new(seed: u64) -> Self {
         Prober {
             rng: StdRng::seed_from_u64(seed),
@@ -132,11 +122,15 @@ impl Prober {
 mod tests {
     use super::*;
 
+    fn target(id: u64, availability: f64, compute: ComputeClass) -> ProbeTarget {
+        ProbeTarget { id: NodeId::new(id), availability, compute }
+    }
+
     fn targets() -> Vec<ProbeTarget> {
         vec![
-            ProbeTarget::new(NodeId::new(1), 0.95, ComputeClass::EdgeCloud),
-            ProbeTarget::new(NodeId::new(2), 0.5, ComputeClass::Embedded),
-            ProbeTarget::new(NodeId::new(3), 0.05, ComputeClass::Disposable),
+            target(1, 0.95, ComputeClass::EdgeCloud),
+            target(2, 0.5, ComputeClass::Embedded),
+            target(3, 0.05, ComputeClass::Disposable),
         ]
     }
 
@@ -160,7 +154,7 @@ mod tests {
 
     #[test]
     fn unresponsive_nodes_have_no_latency_estimate() {
-        let t = [ProbeTarget::new(NodeId::new(9), 0.0, ComputeClass::Embedded)];
+        let t = [target(9, 0.0, ComputeClass::Embedded)];
         let mut p = Prober::new(3);
         probe_rounds(&mut p, &t, 50);
         let profile = p.profile(NodeId::new(9)).unwrap();
@@ -179,7 +173,11 @@ mod tests {
 
     #[test]
     fn clamped_availability() {
-        let t = ProbeTarget::new(NodeId::new(1), 1.7, ComputeClass::Embedded);
-        assert_eq!(t.availability, 1.0);
+        // Out-of-range availabilities probe as always / never awake.
+        let t = [target(1, 1.7, ComputeClass::Embedded), target(2, -0.3, ComputeClass::Embedded)];
+        let mut p = Prober::new(5);
+        probe_rounds(&mut p, &t, 50);
+        assert_eq!(p.profile(NodeId::new(1)).unwrap().availability(), 1.0);
+        assert_eq!(p.profile(NodeId::new(2)).unwrap().availability(), 0.0);
     }
 }

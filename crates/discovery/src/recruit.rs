@@ -46,10 +46,6 @@ impl Default for RecruitPolicy {
 pub struct RecruitedAsset {
     /// The asset's full spec (as registered in the catalog).
     pub spec: NodeSpec,
-    /// Estimated affiliation from discovery (may be wrong!).
-    pub estimated_affiliation: Affiliation,
-    /// Presence belief at recruitment time.
-    pub presence: f64,
     /// Trust score at recruitment time.
     pub trust: f64,
 }
@@ -129,8 +125,7 @@ pub fn recruit_with_probes(
             .score(est.id())
             .map(|s| s.value())
             .unwrap_or_else(|| est.affiliation().prior_trust());
-        let estimated = est.affiliation();
-        let policy_ok = policy.allow_gray || estimated != Affiliation::Gray;
+        let policy_ok = policy.allow_gray || est.affiliation() != Affiliation::Gray;
         let available_ok = prober
             .and_then(|p| p.profile(est.id()))
             .map(|profile| profile.availability() >= policy.min_availability)
@@ -145,8 +140,6 @@ pub fn recruit_with_probes(
         }
         pool.admitted.push(RecruitedAsset {
             spec: spec.clone(),
-            estimated_affiliation: estimated,
-            presence,
             trust,
         });
     }
@@ -266,10 +259,12 @@ mod tests {
         let (catalog, tracker, ledger) = setup();
         let mut prober = Prober::new(1);
         // Node 1 answers almost always; node 3 almost never.
-        let targets = [
-            ProbeTarget::new(NodeId::new(1), 0.95, ComputeClass::Embedded),
-            ProbeTarget::new(NodeId::new(3), 0.02, ComputeClass::Embedded),
-        ];
+        let target = |id, availability| ProbeTarget {
+            id: NodeId::new(id),
+            availability,
+            compute: ComputeClass::Embedded,
+        };
+        let targets = [target(1, 0.95), target(3, 0.02)];
         for _ in 0..200 {
             prober.probe_round(&targets);
         }

@@ -48,8 +48,6 @@ pub struct FederatedRun {
     pub model: LogisticModel,
     /// Test accuracy after each round.
     pub accuracy_per_round: Vec<f64>,
-    /// Test loss after each round.
-    pub loss_per_round: Vec<f64>,
 }
 
 impl FederatedRun {
@@ -87,7 +85,6 @@ pub fn train_federated(
     let honest_count = shards.len() - config.num_attackers;
     let mut model = LogisticModel::new(dim);
     let mut accuracy_per_round = Vec::with_capacity(config.rounds);
-    let mut loss_per_round = Vec::with_capacity(config.rounds);
     for round in 0..config.rounds {
         let honest_grads: Vec<Vec<f64>> = shards[..honest_count]
             .iter()
@@ -106,12 +103,10 @@ pub fn train_federated(
         let update = config.aggregator.aggregate(&grads);
         model.apply_gradient(&update, config.learning_rate);
         accuracy_per_round.push(model.accuracy(test));
-        loss_per_round.push(model.loss(test));
     }
     FederatedRun {
         model,
         accuracy_per_round,
-        loss_per_round,
     }
 }
 

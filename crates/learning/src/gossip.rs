@@ -143,8 +143,6 @@ pub fn consensus_error(values: &[Vec<f64>]) -> f64 {
 /// Result of a decentralized SGD run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecentralizedRun {
-    /// The network-average model after the final round.
-    pub average_model: LogisticModel,
     /// Test accuracy of the average model per round.
     pub accuracy_per_round: Vec<f64>,
     /// Consensus error per round.
@@ -202,9 +200,7 @@ pub fn decentralized_sgd(
         accuracy_per_round.push(avg_model.accuracy(test));
         consensus_per_round.push(consensus_error(&params));
     }
-    let avg = crate::aggregate::mean(&params);
     DecentralizedRun {
-        average_model: LogisticModel::from_params(&avg),
         accuracy_per_round,
         consensus_per_round,
         messages,

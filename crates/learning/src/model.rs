@@ -114,25 +114,6 @@ impl LogisticModel {
         correct as f64 / test.len() as f64
     }
 
-    /// Mean cross-entropy loss on a set, or `0.0` when empty.
-    pub fn loss(&self, test: &[Example]) -> f64 {
-        if test.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = test
-            .iter()
-            .map(|e| {
-                let p = self.predict_proba(&e.features).clamp(1e-12, 1.0 - 1e-12);
-                if e.label {
-                    -p.ln()
-                } else {
-                    -(1.0 - p).ln()
-                }
-            })
-            .sum();
-        sum / test.len() as f64
-    }
-
     /// Trains with plain (centralized) mini-batch SGD — the upper-bound
     /// baseline for the distributed experiments.
     pub fn train_centralized(&mut self, data: &[Example], lr: f64, epochs: usize, batch: usize) {
@@ -150,6 +131,27 @@ impl LogisticModel {
 mod tests {
     use super::*;
     use crate::data::logistic_dataset;
+
+    impl LogisticModel {
+        /// Mean cross-entropy loss on a set, or `0.0` when empty.
+        fn loss(&self, test: &[Example]) -> f64 {
+            if test.is_empty() {
+                return 0.0;
+            }
+            let sum: f64 = test
+                .iter()
+                .map(|e| {
+                    let p = self.predict_proba(&e.features).clamp(1e-12, 1.0 - 1e-12);
+                    if e.label {
+                        -p.ln()
+                    } else {
+                        -(1.0 - p).ln()
+                    }
+                })
+                .sum();
+            sum / test.len() as f64
+        }
+    }
 
     #[test]
     fn params_roundtrip() {

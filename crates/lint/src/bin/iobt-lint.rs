@@ -19,10 +19,12 @@
 //! baseline. `--explain R6` prints the long-form rationale for a rule.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use iobt_lint::{lint_root, Config, Report, Rule, Violation};
+use iobt_lint::{lint_root, Config, Report, Rule};
+use iobt_obs::push_json_str;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -111,12 +113,6 @@ fn main() -> ExitCode {
         println!("{}", rule.explain());
         return ExitCode::SUCCESS;
     }
-    if args.list_rules {
-        for rule in Rule::ALL {
-            println!("{rule}: scope {:?}", rule.default_scope());
-        }
-        return ExitCode::SUCCESS;
-    }
     let config_path = args.config.clone().unwrap_or_else(|| args.root.join("lint.toml"));
     let config = match std::fs::read_to_string(&config_path) {
         Ok(text) => match Config::parse(&text) {
@@ -133,6 +129,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.list_rules {
+        print!("{}", rule_listing(&config));
+        return ExitCode::SUCCESS;
+    }
     let mut report = match lint_root(&args.root, &config) {
         Ok(r) => r,
         Err(e) => {
@@ -196,6 +196,20 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// One line per rule: the crates it applies to under `config`, and for
+/// R6 the files it audits whole.
+fn rule_listing(config: &Config) -> String {
+    let mut out = String::new();
+    for rule in Rule::ALL {
+        let _ = write!(out, "{rule}: scope {:?}", config.scope_of(rule));
+        if rule == Rule::StateCoverage {
+            let _ = write!(out, " paths {:?}", config.paths_of(rule));
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// Baseline file format: one `Rn <path> <count>` line per (rule, path)
@@ -263,53 +277,32 @@ fn apply_baseline(report: &mut Report, mut budget: BTreeMap<(String, String), us
 ///                 "name":"state-coverage","message":"…"}]}
 /// ```
 fn json_report(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "{{\"schema\":1,\"files_scanned\":{},\"violations\":[",
         report.files_scanned
-    ));
+    );
     for (i, (path, v)) in report.violations.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_violation(path, v));
+        out.push_str("{\"path\":");
+        push_json_str(&mut out, path);
+        let _ = write!(out, ",\"line\":{},\"rule\":", v.line);
+        push_json_str(&mut out, v.rule.id());
+        out.push_str(",\"name\":");
+        push_json_str(&mut out, v.rule.name());
+        out.push_str(",\"message\":");
+        push_json_str(&mut out, &v.message);
+        out.push('}');
     }
     out.push_str("]}");
-    out
-}
-
-fn json_violation(path: &str, v: &Violation) -> String {
-    format!(
-        "{{\"path\":{},\"line\":{},\"rule\":{},\"name\":{},\"message\":{}}}",
-        json_str(path),
-        v.line,
-        json_str(v.rule.id()),
-        json_str(v.rule.name()),
-        json_str(&v.message)
-    )
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iobt_lint::Violation;
 
     fn report_with(violations: Vec<(&str, Rule, u32)>) -> Report {
         Report {
@@ -334,6 +327,26 @@ mod tests {
             "{\"schema\":1,\"files_scanned\":1,\"violations\":[\
              {\"path\":\"a/b.rs\",\"line\":3,\"rule\":\"R6\",\
              \"name\":\"state-coverage\",\"message\":\"msg with \\\"quotes\\\"\"}]}"
+        );
+    }
+
+    #[test]
+    fn rule_listing_shows_the_configured_scopes() {
+        let config = Config::parse(
+            "[rules.hash-iter]\ncrates = [\"netsim\", \"obs\"]\n\
+             [rules.state-coverage]\npaths = [\"crates/core/src/checkpoint.rs\"]\n",
+        )
+        .unwrap();
+        let listing = rule_listing(&config);
+        let lines: Vec<&str> = listing.lines().collect();
+        assert_eq!(lines.len(), Rule::ALL.len());
+        assert_eq!(lines[0], "R1[hash-iter]: scope [\"netsim\", \"obs\"]");
+        // Unconfigured rules keep their built-in scope.
+        assert_eq!(lines[4], "R5[docs]: scope [\"types\", \"core\"]");
+        assert_eq!(
+            lines[5],
+            "R6[state-coverage]: scope [\"types\", \"netsim\", \"obs\", \"synthesis\", \
+             \"core\", \"ckpt\", \"fleet\"] paths [\"crates/core/src/checkpoint.rs\"]"
         );
     }
 

@@ -29,8 +29,7 @@ pub struct Config {
     /// not just `save_state`/`restore_state` — is audited.
     pub rule_paths: BTreeMap<String, Vec<String>>,
     /// Per-rule type-name scopes, keyed by rule name (`types = […]`).
-    /// For R7 these are the digest roots whose fields must flow into
-    /// `canonical_string`/`fingerprint`.
+    /// For R7 these are the digest types whose equality must be derived.
     pub rule_types: BTreeMap<String, Vec<String>>,
 }
 

@@ -17,13 +17,12 @@
 //! contract crates; R6 on `Lib`+`Bin` of its scoped crates plus any file
 //! listed in its `paths` config; R7 on `Lib` of its scoped crates; R8
 //! everywhere (a stale directive is stale wherever it sits); R9 on the
-//! definitions in all `Lib` code, counting calls over every scanned file
+//! definitions in all `Lib` code, counting uses over every scanned file
 //! except the defining crate's own `src/` test code and `pub use` lists.
 //!
-//! Since the semantic rules (R6/R7/R9) need cross-file context, linting is
-//! two-pass: pass one lexes/parses every file and builds the workspace
-//! [`SymbolTable`]; pass two runs the rules and filters through the
-//! allow directives.
+//! Since R6 and R9 need cross-file context, linting is two-pass: pass one
+//! lexes/parses every file and builds the workspace [`SymbolTable`]; pass
+//! two runs the rules and filters through the allow directives.
 
 use std::fs;
 use std::io;
@@ -33,10 +32,7 @@ use crate::config::{AllowSet, Config};
 use crate::lexer::{lex, Lexed};
 use crate::parser::{parse_items, ParsedFile, SymbolTable};
 use crate::regions::{map_file, FileMap};
-use crate::rules::{
-    apply_allows, check_digest_coverage, check_file_raw, check_unused_pub, FileInput, Rule,
-    Violation,
-};
+use crate::rules::{apply_allows, check_file_raw, check_unused_pub, FileInput, Rule, Violation};
 
 /// Which cargo target-kind a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,34 +167,27 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
         let src = fs::read_to_string(root.join(&rel))?;
         let unit = analyse(&rel, &src, config);
         if let Some(crate_name) = &unit.crate_name {
-            table.add_file(crate_name, &rel, &unit.parsed);
+            table.add_file(crate_name, &unit.parsed);
         }
         units.push(unit);
     }
 
-    // Pass two: per-file rules, then the workspace-wide R7 and R9 passes,
-    // then the allow-directive filter (which implements R8).
+    // Pass two: per-file rules, then the workspace-wide R9 pass, then the
+    // allow-directive filter (which implements R8).
     let mut report = Report {
         files_scanned: units.len(),
         violations: Vec::new(),
     };
+    let digest_types = config.types_of(Rule::DigestCoverage);
     let inputs: Vec<FileInput> = units.iter().map(file_input).collect();
     let mut raw: Vec<Vec<Violation>> = units
         .iter()
         .zip(&inputs)
-        .map(|(u, input)| check_file_raw(input, &table, &u.rules, u.r6_path_scoped))
+        .map(|(u, input)| check_file_raw(input, &table, &u.rules, u.r6_path_scoped, &digest_types))
         .collect();
-    let applicable = |rule: Rule| -> Vec<bool> {
-        units.iter().map(|u| u.rules.contains(&rule)).collect()
-    };
+    let applicable: Vec<bool> = units.iter().map(|u| u.rules.contains(&Rule::UnusedPub)).collect();
     let mut workspace_violations = Vec::new();
-    check_digest_coverage(
-        &inputs,
-        &config.types_of(Rule::DigestCoverage),
-        &applicable(Rule::DigestCoverage),
-        &mut workspace_violations,
-    );
-    check_unused_pub(&inputs, &applicable(Rule::UnusedPub), &mut workspace_violations);
+    check_unused_pub(&inputs, &applicable, &mut workspace_violations);
     for (i, v) in workspace_violations {
         raw[i].push(v);
     }
@@ -291,9 +280,9 @@ mod tests {
     use super::*;
 
     /// Lints one file's source text under its relative path, in memory.
-    /// Cross-file context is limited to this one file: R6 resolves
-    /// only structs declared here, R7 sees only this file's digest fns, and
-    /// R9, which is nothing without the callers' files, does not run.
+    /// Cross-file context is limited to this one file: R6 resolves only
+    /// structs declared here, and R9, which is nothing without the
+    /// callers' files, does not run.
     fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violation> {
         let unit = analyse(rel_path, source, config);
         if unit.rules.is_empty() {
@@ -301,20 +290,11 @@ mod tests {
         }
         let mut table = SymbolTable::default();
         if let Some(crate_name) = &unit.crate_name {
-            table.add_file(crate_name, rel_path, &unit.parsed);
+            table.add_file(crate_name, &unit.parsed);
         }
         let input = file_input(&unit);
-        let mut raw = check_file_raw(&input, &table, &unit.rules, unit.r6_path_scoped);
-        if unit.rules.contains(&Rule::DigestCoverage) {
-            let mut digest_violations = Vec::new();
-            check_digest_coverage(
-                std::slice::from_ref(&input),
-                &config.types_of(Rule::DigestCoverage),
-                &[true],
-                &mut digest_violations,
-            );
-            raw.extend(digest_violations.into_iter().map(|(_, v)| v));
-        }
+        let digest_types = config.types_of(Rule::DigestCoverage);
+        let raw = check_file_raw(&input, &table, &unit.rules, unit.r6_path_scoped, &digest_types);
         apply_allows(raw, &unit.allows, unit.rules.contains(&Rule::StaleAllow))
     }
 

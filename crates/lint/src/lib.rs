@@ -12,14 +12,14 @@
 //!
 //! It is a from-scratch static analysis pass (no `syn`, no clippy
 //! plugin — the workspace builds fully offline), token-level for R1–R5
-//! and R9 and item-level for the semantic rules R6–R8:
+//! and R8, and item-level for R6, R7 and R9:
 //!
 //! * [`lexer`] — a Rust lexer that gets the lexical layer right (nested
 //!   block comments, raw strings, char-vs-lifetime, doc comments);
 //! * [`regions`] — line classification: `#[cfg(test)]` / `mod tests`
 //!   regions, attribute and doc-comment lines, trait-impl spans;
 //! * [`parser`] — a lightweight item parser over the token stream:
-//!   structs (fields, derives, cfg-gating), impl blocks, fn bodies, and
+//!   structs (fields, derives), impl blocks, fn bodies, and
 //!   the workspace-wide symbol table the semantic rules resolve against;
 //! * [`rules`] — the rule catalogue, R1–R9;
 //! * [`config`] — `lint.toml` parsing and inline
@@ -35,9 +35,9 @@
 //! | R4 | `entropy`    | no `thread_rng`/`from_entropy` anywhere |
 //! | R5 | `docs`       | public items in contract crates are documented |
 //! | R6 | `state-coverage` | save/restore fns and hand-written `Wire::put`s destructure `Self` exhaustively |
-//! | R7 | `digest-coverage` | every digest-root field flows into the fingerprint; equality is derived |
+//! | R7 | `digest-coverage` | digest types derive equality; no manual `PartialEq`/`Hash` |
 //! | R8 | `stale-allow` | allow directives must suppress something |
-//! | R9 | `unused-pub` | a library `pub fn` is called (`name(`, `name::<`, `::name`) outside its own crate's unit tests and `pub use` lists |
+//! | R9 | `unused-pub` | a library `pub fn` or `pub` field is used outside its own crate's unit tests and `pub use` lists (a method by its type, a field by a read) |
 //!
 //! The `iobt-lint` binary (`cargo run -p iobt-lint -- --deny-all`) wires
 //! this into CI with `--format json`, a findings baseline for

@@ -1,15 +1,18 @@
-//! Item-level parsing on top of the token stream: structs (with fields,
-//! derives, and cfg attributes), impl blocks (with their fns and body
-//! token ranges), trait definitions, and free fns.
+//! Item-level parsing on top of the token stream: structs (with fields
+//! and derives), impl blocks (with their fns and body token ranges),
+//! trait definitions, and free fns.
 //!
 //! This is not a full Rust parser — it is the minimal item skeleton the
-//! semantic rules (R6 state-coverage, R7 digest-coverage) need:
+//! semantic rules (R6 state-coverage, R7 digest-coverage, R9 unused-pub)
+//! need:
 //!
 //! * which structs exist, with their exact field lists (so an
-//!   exhaustive destructure can be validated against the declaration);
+//!   exhaustive destructure can be validated against the declaration)
+//!   and which of those fields are `pub`;
 //! * which fns belong to which impl (so `save_state`, or a `Wire`
 //!   impl's `put`, can be tied to the type it persists), with body token
-//!   ranges (so the destructures inside can be found);
+//!   ranges (so the destructures inside can be found, and a `Self::m`
+//!   resolved to the impl's type);
 //! * which fns are trait-*definition* default bodies (excluded from
 //!   R6 — a default body cannot know the implementor's fields).
 //!
@@ -28,10 +31,8 @@ pub struct FieldDef {
     pub name: String,
     /// 1-based line of the field name.
     pub line: u32,
-    /// Identifiers appearing in the field's type, in order (`Vec<(String,
-    /// HistogramSnapshot)>` yields `["Vec", "String", "HistogramSnapshot"]`).
-    /// Used by R7 to chase nested digest types.
-    pub ty_idents: Vec<String>,
+    /// Whether the field is `pub` (restricted `pub(…)` is not).
+    pub public: bool,
 }
 
 /// The shape of a struct body.
@@ -58,8 +59,6 @@ pub struct StructDef {
     pub fields: Vec<FieldDef>,
     /// Traits listed in `#[derive(…)]` attributes, in order.
     pub derives: Vec<String>,
-    /// Whether a `#[cfg(…)]` / `#[cfg_attr(…)]` attribute guards the item.
-    pub cfg_gated: bool,
 }
 
 /// One fn item, wherever it appears.
@@ -90,6 +89,8 @@ pub struct ImplDef {
     pub trait_name: Option<String>,
     /// 1-based line of the `impl` keyword.
     pub line: u32,
+    /// Token index range of the body, *excluding* the outer braces.
+    pub body: (usize, usize),
     /// Fns declared directly in the impl body.
     pub fns: Vec<FnDef>,
 }
@@ -125,33 +126,31 @@ struct Parser<'a> {
 impl Parser<'_> {
     fn run(mut self) -> ParsedFile {
         let mut i = 0usize;
-        // Attributes seen since the last item: derives + cfg flag.
+        // Derives seen since the last item.
         let mut derives: Vec<String> = Vec::new();
-        let mut cfg_gated = false;
         while i < self.toks.len() {
             let t = &self.toks[i];
             if t.is_punct('#') {
-                i = self.attr(i, &mut derives, &mut cfg_gated);
+                i = self.attr(i, &mut derives);
                 continue;
             }
             if t.is_ident("macro_rules") {
                 i = self.skip_to_close_brace(i);
             } else if t.is_ident("struct") {
-                i = self.struct_item(i, std::mem::take(&mut derives), cfg_gated);
-                cfg_gated = false;
+                i = self.struct_item(i, std::mem::take(&mut derives));
             } else if t.is_ident("impl") {
                 i = self.impl_item(i);
-                (derives, cfg_gated) = (Vec::new(), false);
+                derives.clear();
             } else if t.is_ident("trait") {
                 i = self.trait_item(i);
-                (derives, cfg_gated) = (Vec::new(), false);
+                derives.clear();
             } else if t.is_ident("fn") {
                 let (f, next) = self.fn_item(i);
                 if let Some(f) = f {
                     self.out.free_fns.push(f);
                 }
                 i = next;
-                (derives, cfg_gated) = (Vec::new(), false);
+                derives.clear();
             } else if t.is_ident("enum")
                 || (t.is_ident("union")
                     && self
@@ -163,12 +162,12 @@ impl Parser<'_> {
                 // (`union` is contextual: `.union(other)` is a method
                 // call, hence the followed-by-identifier guard.)
                 i = self.skip_to_close_brace(i);
-                (derives, cfg_gated) = (Vec::new(), false);
+                derives.clear();
             } else if t.is_ident("pub") {
                 // Visibility never separates an attribute from its item.
                 i += 1;
                 if self.toks.get(i).is_some_and(|t| t.is_punct('(')) {
-                    i = self.skip_balanced(i, '(', ')');
+                    i = self.skip_balanced(i);
                 }
             } else {
                 // `mod x {` braces are scanned through transparently;
@@ -176,7 +175,6 @@ impl Parser<'_> {
                 // belonged to something we don't model.
                 if t.kind == TokenKind::Ident && !t.is_ident("unsafe") {
                     derives.clear();
-                    cfg_gated = false;
                 }
                 i += 1;
             }
@@ -185,8 +183,8 @@ impl Parser<'_> {
     }
 
     /// Parses one `#[…]` / `#![…]` attribute starting at the `#`;
-    /// records derives and cfg-gating. Returns the index after `]`.
-    fn attr(&mut self, i: usize, derives: &mut Vec<String>, cfg_gated: &mut bool) -> usize {
+    /// records derives. Returns the index after `]`.
+    fn attr(&mut self, i: usize, derives: &mut Vec<String>) -> usize {
         let mut j = i + 1;
         if self.toks.get(j).is_some_and(|t| t.is_punct('!')) {
             j += 1;
@@ -194,11 +192,7 @@ impl Parser<'_> {
         if !self.toks.get(j).is_some_and(|t| t.is_punct('[')) {
             return i + 1; // `#` that is not an attribute (shebang leftovers)
         }
-        let first = self.toks.get(j + 1);
-        let is_derive = first.is_some_and(|t| t.is_ident("derive"));
-        if first.is_some_and(|t| t.is_ident("cfg") || t.is_ident("cfg_attr")) {
-            *cfg_gated = true;
-        }
+        let is_derive = self.toks.get(j + 1).is_some_and(|t| t.is_ident("derive"));
         let mut depth = 0i64;
         while j < self.toks.len() {
             let t = &self.toks[j];
@@ -217,28 +211,6 @@ impl Parser<'_> {
         j
     }
 
-    /// Skips angle-bracketed generics starting at `<`. Returns the index
-    /// after the matching `>`. `->` arrows do not count as closers.
-    fn skip_generics(&self, mut i: usize) -> usize {
-        let mut depth = 0i64;
-        while i < self.toks.len() {
-            let t = &self.toks[i];
-            if t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct('>') {
-                let arrow = i > 0 && self.toks[i - 1].is_punct('-');
-                if !arrow {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-            }
-            i += 1;
-        }
-        i
-    }
-
     /// Skips from an opening context to just after the brace matching the
     /// next `{`. Used for enum/union/macro bodies.
     fn skip_to_close_brace(&self, mut i: usize) -> usize {
@@ -248,30 +220,17 @@ impl Parser<'_> {
             }
             i += 1;
         }
-        self.skip_balanced(i, '{', '}')
+        self.skip_balanced(i)
     }
 
-    /// With `toks[i]` the opening delimiter, returns the index just after
+    /// With `toks[i]` an opening delimiter, returns the index just after
     /// its match.
-    fn skip_balanced(&self, mut i: usize, open: char, close: char) -> usize {
-        let mut depth = 0i64;
-        while i < self.toks.len() {
-            let t = &self.toks[i];
-            if t.is_punct(open) {
-                depth += 1;
-            } else if t.is_punct(close) {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        i
+    fn skip_balanced(&self, i: usize) -> usize {
+        (close_of(self.toks, i) + 1).min(self.toks.len())
     }
 
     /// Parses `struct Name …` starting at the `struct` keyword.
-    fn struct_item(&mut self, i: usize, derives: Vec<String>, cfg_gated: bool) -> usize {
+    fn struct_item(&mut self, i: usize, derives: Vec<String>) -> usize {
         let line = self.toks[i].line;
         let Some(name_tok) = self.toks.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
             return i + 1;
@@ -279,7 +238,7 @@ impl Parser<'_> {
         let name = name_tok.text.clone();
         let mut j = i + 2;
         if self.toks.get(j).is_some_and(|t| t.is_punct('<')) {
-            j = self.skip_generics(j);
+            j = self.skip_balanced(j);
         }
         // Optional where clause before the body: scan to `{`, `(`, or `;`
         // outside nested delimiters and generics.
@@ -324,12 +283,11 @@ impl Parser<'_> {
                     kind,
                     fields: Vec::new(),
                     derives,
-                    cfg_gated,
                 });
                 body_at + 1
             }
             StructKind::Tuple(_) => {
-                let end = self.skip_balanced(body_at, '(', ')');
+                let end = self.skip_balanced(body_at);
                 let arity = self.tuple_arity(body_at + 1, end.saturating_sub(1));
                 self.out.structs.push(StructDef {
                     name,
@@ -337,12 +295,11 @@ impl Parser<'_> {
                     kind: StructKind::Tuple(arity),
                     fields: Vec::new(),
                     derives,
-                    cfg_gated,
                 });
                 end
             }
             StructKind::Named => {
-                let end = self.skip_balanced(body_at, '{', '}');
+                let end = self.skip_balanced(body_at);
                 let fields = self.named_fields(body_at + 1, end.saturating_sub(1));
                 self.out.structs.push(StructDef {
                     name,
@@ -350,7 +307,6 @@ impl Parser<'_> {
                     kind,
                     fields,
                     derives,
-                    cfg_gated,
                 });
                 end
             }
@@ -384,6 +340,7 @@ impl Parser<'_> {
     /// Parses named fields between token indices (exclusive of braces).
     fn named_fields(&self, from: usize, to: usize) -> Vec<FieldDef> {
         let mut fields = Vec::new();
+        let mut public = false;
         let mut j = from;
         while j < to {
             let t = &self.toks[j];
@@ -391,15 +348,17 @@ impl Parser<'_> {
             if t.is_punct('#') {
                 let mut k = j + 1;
                 if self.toks.get(k).is_some_and(|t| t.is_punct('[')) {
-                    k = self.skip_balanced(k, '[', ']');
+                    k = self.skip_balanced(k);
                 }
                 j = k;
                 continue;
             }
             if t.is_ident("pub") {
                 j += 1;
+                public = true;
                 if self.toks.get(j).is_some_and(|t| t.is_punct('(')) {
-                    j = self.skip_balanced(j, '(', ')');
+                    j = self.skip_balanced(j);
+                    public = false;
                 }
                 continue;
             }
@@ -410,7 +369,6 @@ impl Parser<'_> {
                 let line = t.line;
                 let mut k = j + 2;
                 let mut depth = 0i64;
-                let mut ty_idents = Vec::new();
                 while k < to {
                     let ty = &self.toks[k];
                     if ty.is_punct('(') || ty.is_punct('[') || ty.is_punct('{') {
@@ -423,15 +381,13 @@ impl Parser<'_> {
                         depth -= 1;
                     } else if ty.is_punct(',') && depth == 0 {
                         break;
-                    } else if ty.kind == TokenKind::Ident {
-                        ty_idents.push(ty.text.clone());
                     }
                     k += 1;
                 }
                 fields.push(FieldDef {
                     name,
                     line,
-                    ty_idents,
+                    public: std::mem::take(&mut public),
                 });
                 j = k + 1;
                 continue;
@@ -446,7 +402,7 @@ impl Parser<'_> {
         let line = self.toks[i].line;
         let mut j = i + 1;
         if self.toks.get(j).is_some_and(|t| t.is_punct('<')) {
-            j = self.skip_generics(j);
+            j = self.skip_balanced(j);
         }
         // Collect the header up to `{`, splitting on a top-level `for`.
         let mut pre_for: Vec<&Token> = Vec::new();
@@ -511,12 +467,13 @@ impl Parser<'_> {
         if !self.toks.get(j).is_some_and(|t| t.is_punct('{')) {
             return j;
         }
-        let end = self.skip_balanced(j, '{', '}');
+        let end = self.skip_balanced(j);
         let fns = self.body_fns(j + 1, end.saturating_sub(1));
         self.out.impls.push(ImplDef {
             self_ty,
             trait_name,
             line,
+            body: (j + 1, end.saturating_sub(1)),
             fns,
         });
         end
@@ -534,7 +491,7 @@ impl Parser<'_> {
         if j >= self.toks.len() {
             return j;
         }
-        let end = self.skip_balanced(j, '{', '}');
+        let end = self.skip_balanced(j);
         let fns = self.body_fns(j + 1, end.saturating_sub(1));
         self.out.trait_fns.extend(fns);
         end
@@ -555,12 +512,7 @@ impl Parser<'_> {
                 j = next;
             } else if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
                 // Nested delimiters (const initialisers, etc.): skip.
-                let close = match t.text.as_str() {
-                    "{" => '}',
-                    "(" => ')',
-                    _ => ']',
-                };
-                j = self.skip_balanced(j, t.text.chars().next().unwrap_or('{'), close);
+                j = self.skip_balanced(j);
             } else {
                 j += 1;
             }
@@ -578,10 +530,10 @@ impl Parser<'_> {
         let name = name_tok.text.clone();
         let mut j = i + 2;
         if self.toks.get(j).is_some_and(|t| t.is_punct('<')) {
-            j = self.skip_generics(j);
+            j = self.skip_balanced(j);
         }
         if self.toks.get(j).is_some_and(|t| t.is_punct('(')) {
-            j = self.skip_balanced(j, '(', ')');
+            j = self.skip_balanced(j);
         }
         // Return type / where clause: scan to the body `{` or a `;`
         // (bodyless trait signature), tracking generics depth so
@@ -602,7 +554,7 @@ impl Parser<'_> {
                     j + 1,
                 );
             } else if angle <= 0 && t.is_punct('{') {
-                let end = self.skip_balanced(j, '{', '}');
+                let end = self.skip_balanced(j);
                 return (
                     Some(FnDef {
                         name,
@@ -618,6 +570,32 @@ impl Parser<'_> {
     }
 }
 
+/// With `toks[open]` an opening `(`, `[`, `{` or `<`, the index of its
+/// match (`toks.len()` when there is none). A `->` arrow closes no `<`.
+pub(crate) fn close_of(toks: &[Token], open: usize) -> usize {
+    let Some(o) = toks.get(open).and_then(|t| t.text.chars().next()) else {
+        return toks.len();
+    };
+    let c = match o {
+        '(' => ')',
+        '[' => ']',
+        '<' => '>',
+        _ => '}',
+    };
+    let mut depth = 0i64;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct(o) {
+            depth += 1;
+        } else if t.is_punct(c) && !(c == '>' && j > 0 && toks[j - 1].is_punct('-')) {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    toks.len()
+}
+
 /// A struct signature in the workspace symbol table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructSig {
@@ -625,12 +603,6 @@ pub struct StructSig {
     pub kind: StructKind,
     /// Named field names, in declaration order.
     pub fields: Vec<String>,
-    /// Field type identifiers, per field (same order as `fields`).
-    pub field_ty_idents: Vec<Vec<String>>,
-    /// Derive list.
-    pub derives: Vec<String>,
-    /// Defining file (relative path) and line.
-    pub decl: (String, u32),
     /// Two same-named structs with different shapes exist in the crate —
     /// field validation is skipped for ambiguous names.
     pub ambiguous: bool,
@@ -648,15 +620,12 @@ pub struct SymbolTable {
 
 impl SymbolTable {
     /// Registers every struct of a parsed file under `crate_name`.
-    pub fn add_file(&mut self, crate_name: &str, rel_path: &str, parsed: &ParsedFile) {
+    pub fn add_file(&mut self, crate_name: &str, parsed: &ParsedFile) {
         for s in &parsed.structs {
             let key = (crate_name.to_string(), s.name.clone());
             let sig = StructSig {
                 kind: s.kind,
                 fields: s.fields.iter().map(|f| f.name.clone()).collect(),
-                field_ty_idents: s.fields.iter().map(|f| f.ty_idents.clone()).collect(),
-                derives: s.derives.clone(),
-                decl: (rel_path.to_string(), s.line),
                 ambiguous: false,
             };
             match self.structs.get_mut(&key) {
@@ -704,7 +673,7 @@ mod tests {
     #[test]
     fn named_struct_fields_and_derives() {
         let p = parse(
-            "#[derive(Debug, Clone, PartialEq)]\npub struct S {\n    pub a: u32,\n    b: Vec<(String, Inner)>,\n}\n",
+            "#[derive(Debug, Clone, PartialEq)]\npub struct S {\n    pub a: u32,\n    pub(crate) b: Vec<(String, Inner)>,\n}\n",
         );
         assert_eq!(p.structs.len(), 1);
         let s = &p.structs[0];
@@ -715,7 +684,11 @@ mod tests {
             s.fields.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
             vec!["a", "b"]
         );
-        assert_eq!(s.fields[1].ty_idents, vec!["Vec", "String", "Inner"]);
+        assert_eq!(
+            s.fields.iter().map(|f| f.public).collect::<Vec<_>>(),
+            vec![true, false],
+            "restricted visibility is not `pub`"
+        );
     }
 
     #[test]
@@ -745,17 +718,6 @@ mod tests {
                 ("Empty", StructKind::Tuple(0)),
             ]
         );
-    }
-
-    #[test]
-    fn cfg_attr_marks_struct_gated() {
-        let p = parse(
-            "#[cfg_attr(feature = \"x\", derive(Default))]\nstruct A { v: u8 }\n#[cfg(unix)]\nstruct B { v: u8 }\nstruct C { v: u8 }\n",
-        );
-        assert_eq!(p.structs.len(), 3);
-        assert!(p.structs[0].cfg_gated);
-        assert!(p.structs[1].cfg_gated);
-        assert!(!p.structs[2].cfg_gated);
     }
 
     #[test]
@@ -869,10 +831,10 @@ mod tests {
     #[test]
     fn symbol_table_flags_ambiguous_names() {
         let mut table = SymbolTable::default();
-        table.add_file("c", "a.rs", &parse("struct S { x: u8 }\n"));
-        table.add_file("c", "b.rs", &parse("struct S { y: u8 }\n"));
+        table.add_file("c", &parse("struct S { x: u8 }\n"));
+        table.add_file("c", &parse("struct S { y: u8 }\n"));
         assert!(table.lookup("c", "S").is_some_and(|s| s.ambiguous));
-        table.add_file("d", "c.rs", &parse("struct S { x: u8 }\n"));
+        table.add_file("d", &parse("struct S { x: u8 }\n"));
         assert!(table.lookup("d", "S").is_some_and(|s| !s.ambiguous));
     }
 }

@@ -1,7 +1,7 @@
 //! The rule catalogue: token-level checks R1–R5 enforcing determinism
 //! and panic discipline, the semantic passes R6–R8 built on the item
-//! parser (state coverage, digest coverage, stale-allow hygiene), and the
-//! workspace-wide name count R9 (public functions nobody names).
+//! parser (state coverage, digest equality, stale-allow hygiene), and the
+//! workspace-wide use count R9 (public functions and fields nobody uses).
 //! See `lint.toml` and the README "Static analysis" section for the
 //! rationale of each.
 
@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use crate::config::AllowSet;
 use crate::engine::{classify, Section};
 use crate::lexer::{Lexed, Token, TokenKind};
-use crate::parser::{FnDef, ParsedFile, StructKind, StructSig, SymbolTable};
+use crate::parser::{close_of, FnDef, ParsedFile, StructKind, StructSig, SymbolTable};
 use crate::regions::FileMap;
 
 /// A rule identity: stable ID (`R1`…`R9`) plus the kebab-case name used
@@ -38,15 +38,15 @@ pub enum Rule {
     /// `..` rest pattern).
     StateCoverage,
     /// R7 `digest-coverage`: digest/fingerprint types derive `PartialEq`
-    /// and every declared field flows into the digest computation.
+    /// and have no manual `PartialEq` or `Hash` impl.
     DigestCoverage,
     /// R8 `stale-allow`: a `// lint: allow(…)` directive that suppresses
     /// zero findings is itself an error.
     StaleAllow,
-    /// R9 `unused-pub`: a `pub fn` in library code that nothing in the
-    /// scanned workspace calls or paths to (`name(`, `name::<`, `::name`)
-    /// outside its own crate's unit tests and `pub use` lists has no
-    /// caller.
+    /// R9 `unused-pub`: a `pub fn` or named `pub` field in library code
+    /// that nothing in the scanned workspace uses outside its own crate's
+    /// unit tests and `pub use` lists; a method's uses are counted by its
+    /// type, a field's by its reads.
     UnusedPub,
 }
 
@@ -209,15 +209,17 @@ impl Rule {
                  destructure site."
             }
             Rule::DigestCoverage => {
-                "R7[digest-coverage] — digest types stay exhaustive.\n\
+                "R7[digest-coverage] — digest types derive their equality.\n\
                  \n\
                  End-state digests and metrics fingerprints exist to catch state\n\
-                 divergence; a field that is declared but never hashed or compared\n\
-                 is a blind spot. Scoped types must `#[derive(PartialEq)]` (a\n\
-                 manual impl can silently skip fields), and when a scoped type has\n\
-                 a `canonical_string`/`fingerprint` computation, every field of it\n\
-                 (and of scoped types nested in its fields) must appear in that\n\
-                 computation."
+                 divergence, and tests compare them with `==`. Scoped types must\n\
+                 `#[derive(PartialEq)]` and carry no manual `PartialEq`/`Hash` impl:\n\
+                 a hand-written one can silently skip a field. Whether every field\n\
+                 reaches the fingerprint is the compiler's check, not this rule's:\n\
+                 the digests fingerprint their `wire_struct!` bytes, and\n\
+                 `MetricsDigest::canonical_string` destructures both its structs\n\
+                 without `..`, so a new field fails to compile (E0027) until it is\n\
+                 rendered."
             }
             Rule::StaleAllow => {
                 "R8[stale-allow] — allow directives must suppress something.\n\
@@ -228,21 +230,28 @@ impl Rule {
                  longer applies. Delete it, or move it next to the code it exempts."
             }
             Rule::UnusedPub => {
-                "R9[unused-pub] — a public function somebody names.\n\
+                "R9[unused-pub] — public API somebody uses.\n\
                  \n\
                  rustc reports dead private and `pub(crate)` code but must assume a\n\
-                 `pub fn` in a library has callers elsewhere. In this workspace\n\
-                 elsewhere is scanned too: a `pub fn` in library code has no caller\n\
-                 when its name occurs in call or path position (`name(`, `name::<`,\n\
-                 `::name`) nowhere but in the unit tests (test-only code) under its\n\
-                 own crate's `src/` and in `pub use` statements. Everything else\n\
-                 counts: integration tests, examples, benches, the benchmark and\n\
-                 other crates' unit tests (doc comments are not code). A function\n\
-                 only its own unit tests call is test code; a re-export calls\n\
-                 nothing; a field, local or `wire_struct!` entry of the same name\n\
-                 is not a call. The check is by name, not by call graph: a shared\n\
-                 name (`new`, `len`) hides an unused function, never the reverse.\n\
-                 Delete the function, narrow it to `pub(crate)`, move it into the\n\
+                 `pub` item in a library has users elsewhere. In this workspace\n\
+                 elsewhere is scanned too: a `pub fn` or named `pub` field in\n\
+                 library code is unused when nothing uses it but the unit tests\n\
+                 (test-only code) under its own crate's `src/` and `pub use`\n\
+                 statements. Everything else counts: integration tests, examples,\n\
+                 benches, the benchmark and other crates' unit tests (doc comments\n\
+                 are not code).\n\
+                 \n\
+                 A free fn is used by a call or path of its name (`name(`,\n\
+                 `name::<`, `module::name`). A method of an inherent `impl T` is\n\
+                 used by `T::m`, by `Self::m` inside an `impl T`, by any `.m(`\n\
+                 (receivers are not resolved, so it counts for every type's `m`)\n\
+                 and by a qualifier that names no one type (a generic parameter,\n\
+                 `<…>::`); another type's `U::m` is not a use. A field is used by a\n\
+                 read: `.f` not followed by `(`, a `let`/`match`/`for`/parameter\n\
+                 destructure, or a `wire_struct!` entry; an initialiser or a derive\n\
+                 is not a read. A path segment (`crate::name::X`) uses nothing. A\n\
+                 shared name can hide an unused item, never flag a used one.\n\
+                 Delete the item, narrow it to `pub(crate)`, move it into the\n\
                  tests, or justify it with `// lint: allow(unused-pub) — <reason>`."
             }
         }
@@ -284,12 +293,14 @@ pub struct FileInput<'a> {
 /// Runs the per-file rules, producing *raw* violations — no allow
 /// filtering (that happens in [`apply_allows`], which also implements
 /// R8). `r6_path_scoped` marks files listed in the R6 `paths` config,
-/// where the exhaustiveness convention applies file-wide.
+/// where the exhaustiveness convention applies file-wide; `digest_types`
+/// are R7's `types`.
 pub fn check_file_raw(
     input: &FileInput,
     table: &SymbolTable,
     rules: &[Rule],
     r6_path_scoped: bool,
+    digest_types: &[String],
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     for &rule in rules {
@@ -300,9 +311,10 @@ pub fn check_file_raw(
             Rule::Entropy => check_entropy(input.lexed, &mut out),
             Rule::Docs => check_docs(input.lexed, input.map, &mut out),
             Rule::StateCoverage => check_state_coverage(input, table, r6_path_scoped, &mut out),
-            // R7 and R9 need the whole workspace; R8 needs the
-            // post-filter outcome. All run outside the per-file dispatch.
-            Rule::DigestCoverage | Rule::StaleAllow | Rule::UnusedPub => {}
+            Rule::DigestCoverage => check_digest_derives(input, digest_types, &mut out),
+            // R9 needs the whole workspace; R8 needs the post-filter
+            // outcome. Both run outside the per-file dispatch.
+            Rule::StaleAllow | Rule::UnusedPub => {}
         }
     }
     sort_dedup(&mut out);
@@ -539,58 +551,279 @@ fn check_docs(lexed: &Lexed, map: &FileMap, out: &mut Vec<Violation>) {
     }
 }
 
-/// How often R9 saw one identifier called outside `pub use` statements:
-/// in all, and within each crate's own `src/` test code.
+/// One use R9 counts. A method is counted by type wherever the
+/// qualifier names one; a field by name alone, since no receiver's type
+/// is resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Use<'a> {
+    /// `name(`, `name::<` or `module::name`: a free fn's call or path.
+    Call(&'a str),
+    /// `T::m`, or `Self::m` inside an `impl T`: `T`'s method `m` only.
+    Method(&'a str, &'a str),
+    /// `.m(`, or `Q::m` with `Q` a generic parameter, an alias or `<…>`:
+    /// the method `m` of every type.
+    AnyMethod(&'a str),
+    /// `.f` not followed by `(`, a field a pattern binds, or a
+    /// `wire_struct!` entry: a read of every struct's field `f`.
+    Read(&'a str),
+}
+
+/// How often R9 saw one use outside `pub use` statements: in all, and
+/// within each crate's own `src/` test code.
 #[derive(Default)]
-struct Mentions<'a> {
+struct Tally<'a> {
     anywhere: usize,
     in_src_tests: BTreeMap<&'a str, usize>,
 }
 
-/// Whether the identifier at `k` is in call or path position — `name(`,
-/// `name::<` or `::name` — and not the name a `fn` item defines. A field,
-/// a local or a list entry of the same name calls nothing.
-fn is_called(toks: &[Token], k: usize) -> bool {
-    let punct = |i: usize, c: char| toks.get(i).is_some_and(|t| t.is_punct(c));
-    let after_path = k >= 2 && punct(k - 1, ':') && punct(k - 2, ':');
-    let before_call =
-        punct(k + 1, '(') || (punct(k + 1, ':') && punct(k + 2, ':') && punct(k + 3, '<'));
-    (after_path || before_call) && !(k >= 1 && toks[k - 1].is_ident("fn"))
+fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
+    toks.get(i).is_some_and(|t| t.is_punct(c))
 }
 
-/// R9: every `pub fn` (restricted `pub(…)` visibility excluded) outside
-/// test code in the `applicable` files whose name is called or pathed to
-/// (`is_called`) nowhere across `inputs` but in test code under its own
-/// crate's `src/` and in `pub use` statements. Pushes `(file index,
-/// violation)` pairs.
+/// Whether `toks[i..]` opens with `::`.
+fn path_sep_at(toks: &[Token], i: usize) -> bool {
+    punct_at(toks, i, ':') && punct_at(toks, i + 1, ':')
+}
+
+fn is_type_name(t: &Token) -> bool {
+    t.kind == TokenKind::Ident && t.text.starts_with(|c: char| c.is_ascii_uppercase())
+}
+
+/// What a qualifier that is no type's own name stands for, across the
+/// workspace: a `type` alias or `use … as` rename stands for its target,
+/// a generic parameter, an associated type or a name with two meanings
+/// for no one type (`None`).
+fn type_variables<'a>(inputs: &[FileInput<'a>]) -> BTreeMap<&'a str, Option<&'a str>> {
+    let mut out: BTreeMap<&str, Option<&str>> = BTreeMap::new();
+    let mut bind = |name: &'a str, target: Option<&'a str>| {
+        let slot = out.entry(name).or_insert(target);
+        if *slot != target {
+            *slot = None;
+        }
+    };
+    for input in inputs {
+        let toks = &input.lexed.tokens;
+        let ident = |i: usize| toks.get(i).filter(|t| t.kind == TokenKind::Ident);
+        let mut in_use = false;
+        for (k, t) in toks.iter().enumerate() {
+            in_use = (in_use || t.is_ident("use")) && !t.is_punct(';');
+            let renamed =
+                (in_use && t.is_ident("as")).then(|| ident(k.wrapping_sub(1)).zip(ident(k + 1)));
+            if let Some(Some((from, name))) = renamed {
+                bind(&name.text, Some(&from.text));
+            }
+            if let Some(name) = ident(k + 1).filter(|_| t.is_ident("type")) {
+                // `type X = a::B<…>;` stands for `B`; `type X;` for none.
+                let mut j = k + 3;
+                let mut target = ident(j).filter(|_| punct_at(toks, k + 2, '='));
+                while let Some(seg) = target
+                    .and(ident(j + 3))
+                    .filter(|_| path_sep_at(toks, j + 1))
+                {
+                    (target, j) = (Some(seg), j + 3);
+                }
+                bind(&name.text, target.map(|t| t.text.as_str()));
+            }
+            let before =
+                |i: usize, w: &str| toks.get(k.wrapping_sub(i)).is_some_and(|p| p.is_ident(w));
+            let generics = t.is_punct('<')
+                && (before(1, "impl")
+                    || ["fn", "struct", "enum", "union", "trait", "type"]
+                        .iter()
+                        .any(|w| before(2, w)));
+            if !generics {
+                continue;
+            }
+            let mut depth = 0i64;
+            for j in k..close_of(toks, k) {
+                let p = &toks[j];
+                if p.is_punct('<') || p.is_punct('(') || p.is_punct('[') {
+                    depth += 1;
+                } else if p.is_punct(')')
+                    || p.is_punct(']')
+                    || (p.is_punct('>') && !toks[j - 1].is_punct('-'))
+                {
+                    depth -= 1;
+                } else if depth == 1
+                    && p.kind == TokenKind::Ident
+                    && !p.is_ident("const")
+                    && (toks[j - 1].is_punct('<')
+                        || toks[j - 1].is_punct(',')
+                        || toks[j - 1].is_ident("const"))
+                {
+                    bind(&p.text, None);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The use the identifier at `k` makes, after the `::` at `k - 2`: the
+/// method of the type the qualifier names, any type's method for a
+/// qualifier that names none, a free fn for a module path.
+fn qualified_use<'a>(
+    input: &FileInput<'a>,
+    type_vars: &BTreeMap<&'a str, Option<&'a str>>,
+    k: usize,
+) -> Use<'a> {
+    let toks = &input.lexed.tokens;
+    let name = toks[k].text.as_str();
+    let mut q = k - 3;
+    if toks[q].is_punct('>') {
+        // `Q::<…>::m` names `Q`; `<T as Tr>::m` names no type.
+        let mut depth = 0i64;
+        let open = (0..=q).rev().find(|&o| {
+            depth += i64::from(toks[o].is_punct('>')) - i64::from(toks[o].is_punct('<'));
+            depth == 0
+        });
+        match open {
+            Some(open) if open >= 3 && path_sep_at(toks, open - 2) => q = open - 3,
+            _ => return Use::AnyMethod(name),
+        }
+    }
+    let qual = &toks[q];
+    if qual.is_ident("Self") {
+        // Outside a parsed impl, `Self` is a trait's implementor or a
+        // macro's `$name`: neither reaches a parsed type's own method.
+        let own = input
+            .parsed
+            .impls
+            .iter()
+            .find(|i| i.body.0 <= q && q < i.body.1);
+        return Use::Method(own.map_or("Self", |i| &i.self_ty), name);
+    }
+    if !is_type_name(qual) {
+        return Use::Call(name);
+    }
+    match type_vars.get(qual.text.as_str()) {
+        Some(Some(target)) => Use::Method(target, name),
+        Some(None) => Use::AnyMethod(name),
+        None => Use::Method(&qual.text, name),
+    }
+}
+
+/// The field names inside `toks[open..=close]`, a `{ … }` group: each
+/// identifier directly inside a brace, after `{`, `,`, `ref` or `mut` and
+/// before `,`, `}` or a single `:`.
+fn bound_fields(toks: &[Token], open: usize, close: usize) -> impl Iterator<Item = &Token> + '_ {
+    let mut stack: Vec<&str> = Vec::new();
+    (open..close).filter_map(move |j| {
+        let t = &toks[j];
+        match t.text.as_str() {
+            "{" | "(" | "[" if t.kind == TokenKind::Punct => stack.push(&t.text),
+            "}" | ")" | "]" if t.kind == TokenKind::Punct => drop(stack.pop()),
+            _ => {}
+        }
+        let lead = toks.get(j.wrapping_sub(1)).is_some_and(|p| {
+            p.is_punct('{') || p.is_punct(',') || p.is_ident("ref") || p.is_ident("mut")
+        });
+        let field = t.kind == TokenKind::Ident
+            && stack.last() == Some(&"{")
+            && !["ref", "mut", "_"].iter().any(|w| t.is_ident(w))
+            && lead
+            && (punct_at(toks, j + 1, ',')
+                || punct_at(toks, j + 1, '}')
+                || (punct_at(toks, j + 1, ':') && !punct_at(toks, j + 2, ':')));
+        field.then_some(t)
+    })
+}
+
+/// Every use R9 counts in one file, with its line: calls and paths,
+/// field reads, the fields patterns bind and `wire_struct!` entries.
+/// `pub use` statements and the names `fn` items define are skipped.
+fn uses_in<'a>(
+    input: &FileInput<'a>,
+    type_vars: &BTreeMap<&'a str, Option<&'a str>>,
+) -> Vec<(Use<'a>, u32)> {
+    let toks = &input.lexed.tokens;
+    let mut out = Vec::new();
+    let mut in_pub_use = false;
+    for (k, t) in toks.iter().enumerate() {
+        if in_pub_use || (t.is_ident("pub") && toks.get(k + 1).is_some_and(|u| u.is_ident("use"))) {
+            in_pub_use = !t.is_punct(';');
+            continue;
+        }
+        let read = |f: &'a Token| (Use::Read(&f.text), f.line);
+        if t.is_ident("wire_struct") && punct_at(toks, k + 1, '!') {
+            let open = (k..toks.len())
+                .find(|&j| punct_at(toks, j, '{'))
+                .unwrap_or(k);
+            out.extend(bound_fields(toks, open, close_of(toks, open)).map(read));
+        }
+        // A `T { … }` group is a pattern when what follows it, past any
+        // `)` or `]`, is `=`, `=>`, `in`, `if`, `|` or a single `:`.
+        let typed = toks
+            .get(k.wrapping_sub(1))
+            .is_some_and(|p| p.is_ident("Self") || is_type_name(p));
+        if t.is_punct('{') && typed {
+            let close = close_of(toks, k);
+            let after = (close + 1..toks.len())
+                .find(|&j| !punct_at(toks, j, ')') && !punct_at(toks, j, ']'));
+            let pattern = after.is_some_and(|a| {
+                (punct_at(toks, a, '=') && !punct_at(toks, a + 1, '='))
+                    || (punct_at(toks, a, ':') && !punct_at(toks, a + 1, ':'))
+                    || punct_at(toks, a, '|')
+                    || toks[a].is_ident("in")
+                    || toks[a].is_ident("if")
+            });
+            if pattern {
+                out.extend(bound_fields(toks, k, close).map(read));
+            }
+        }
+        if t.kind != TokenKind::Ident || toks[k.saturating_sub(1)].is_ident("fn") {
+            continue;
+        }
+        let name = t.text.as_str();
+        let call =
+            punct_at(toks, k + 1, '(') || (path_sep_at(toks, k + 1) && punct_at(toks, k + 3, '<'));
+        let used = if path_sep_at(toks, k + 1) && !call {
+            continue; // a path segment (`crate::name::X`) uses nothing
+        } else if punct_at(toks, k.wrapping_sub(1), '.') && !punct_at(toks, k.wrapping_sub(2), '.')
+        {
+            if call {
+                Use::AnyMethod(name)
+            } else {
+                Use::Read(name)
+            }
+        } else if k >= 3 && path_sep_at(toks, k - 2) {
+            qualified_use(input, type_vars, k)
+        } else if call {
+            Use::Call(name)
+        } else {
+            continue;
+        };
+        out.push((used, t.line));
+    }
+    out
+}
+
+/// R9: every `pub fn` and named `pub` field (restricted `pub(…)`
+/// visibility excluded) outside test code in the `applicable` files that
+/// nothing across `inputs` uses but test code under its own crate's
+/// `src/` and `pub use` statements. A free fn is used by a call or path
+/// of its name; a method of an inherent `impl T` by `T::m`, `Self::m`
+/// inside an `impl T`, `.m(` or a qualifier that names no one type; a
+/// field by a read. Pushes `(file index, violation)` pairs.
 pub fn check_unused_pub(
     inputs: &[FileInput],
     applicable: &[bool],
     out: &mut Vec<(usize, Violation)>,
 ) {
-    let mut mentions: BTreeMap<&str, Mentions> = BTreeMap::new();
+    let type_vars = type_variables(inputs);
+    let mut tallies: BTreeMap<Use, Tally> = BTreeMap::new();
     for input in inputs {
         let src_crate = input.crate_name.filter(|_| {
-            matches!(classify(input.rel_path).section, Section::Lib | Section::Bin)
+            matches!(
+                classify(input.rel_path).section,
+                Section::Lib | Section::Bin
+            )
         });
-        let mut in_pub_use = false;
-        for (k, t) in input.lexed.tokens.iter().enumerate() {
-            if in_pub_use {
-                in_pub_use = !t.is_punct(';');
-                continue;
-            }
-            let next = input.lexed.tokens.get(k + 1);
-            if t.is_ident("pub") && next.is_some_and(|u| u.is_ident("use")) {
-                in_pub_use = true;
-                continue;
-            }
-            if t.kind != TokenKind::Ident || !is_called(&input.lexed.tokens, k) {
-                continue;
-            }
-            let m = mentions.entry(&t.text).or_default();
-            m.anywhere += 1;
-            if let Some(c) = src_crate.filter(|_| input.map.is_test_line(t.line)) {
-                *m.in_src_tests.entry(c).or_default() += 1;
+        for (used, line) in uses_in(input, &type_vars) {
+            let tally = tallies.entry(used).or_default();
+            tally.anywhere += 1;
+            if let Some(c) = src_crate.filter(|_| input.map.is_test_line(line)) {
+                *tally.in_src_tests.entry(c).or_default() += 1;
             }
         }
     }
@@ -598,7 +831,40 @@ pub fn check_unused_pub(
         if !applicable[i] {
             continue;
         }
+        let counts = |t: &Tally| {
+            let own_tests = input.crate_name.and_then(|c| t.in_src_tests.get(c));
+            t.anywhere > own_tests.copied().unwrap_or(0)
+        };
+        let used = |u: Use| tallies.get(&u).is_some_and(counts);
+        // A macro's `impl $name` could be any type's: any use of the name counts.
+        let used_by_name = |name: &str| {
+            tallies.iter().any(|(u, t)| {
+                matches!(*u, Use::Call(n) | Use::AnyMethod(n) | Use::Method(_, n) if n == name)
+                    && counts(t)
+            })
+        };
+        let mut flag = |line: u32, finding: String| {
+            out.push((
+                i,
+                Violation {
+                    line,
+                    rule: Rule::UnusedPub,
+                    message: format!(
+                        "{finding} outside its own crate's unit tests: delete it, narrow it to \
+                         `pub(crate)`, or justify with `// lint: allow(unused-pub) — <reason>`"
+                    ),
+                },
+            ));
+        };
         let toks = &input.lexed.tokens;
+        // `macro_rules!` bodies, whose `impl $name` no qualifier names.
+        let macros: Vec<(usize, usize)> = (1..toks.len())
+            .filter(|&k| toks[k - 1].is_ident("macro_rules") && punct_at(toks, k, '!'))
+            .filter_map(|k| {
+                (k..toks.len()).find(|&j| punct_at(toks, j, '{') || punct_at(toks, j, '('))
+            })
+            .map(|open| (open, close_of(toks, open)))
+            .collect();
         for (k, t) in toks.iter().enumerate() {
             if !t.is_ident("pub") || input.map.is_test_line(t.line) {
                 continue;
@@ -607,30 +873,51 @@ pub fn check_unused_pub(
                 .iter()
                 .take_while(|q| q.is_ident("const") || q.is_ident("async") || q.is_ident("unsafe"))
                 .count();
-            let [keyword, name, ..] = &toks[k + 1 + qualifiers..] else { continue };
+            let [keyword, name, ..] = &toks[k + 1 + qualifiers..] else {
+                continue;
+            };
             if !keyword.is_ident("fn") || name.kind != TokenKind::Ident {
                 continue;
             }
-            let calls = mentions.get(name.text.as_str()).map_or(0, |m| {
-                let own_tests = input.crate_name.and_then(|c| m.in_src_tests.get(c));
-                m.anywhere - own_tests.copied().unwrap_or(0)
-            });
-            if calls == 0 {
-                out.push((
-                    i,
-                    Violation {
-                        line: name.line,
-                        rule: Rule::UnusedPub,
-                        message: format!(
-                            "`pub fn {}` is called only by its own crate's unit tests, if at \
-                             all (a same-named field, local or `pub use` is not a call) — no \
-                             caller, integration test, bench or example: delete it, narrow it \
-                             to `pub(crate)`, or justify with \
-                             `// lint: allow(unused-pub) — <reason>`",
-                            name.text
-                        ),
-                    },
-                ));
+            let inherent = input
+                .parsed
+                .impls
+                .iter()
+                .find(|imp| imp.trait_name.is_none() && imp.body.0 <= k && k < imp.body.1);
+            let m = name.text.as_str();
+            let in_macro = macros.iter().any(|&(open, close)| open < k && k < close);
+            let unused = match inherent {
+                _ if in_macro => {
+                    (!used_by_name(m)).then(|| format!("`pub fn {m}` is named nowhere"))
+                }
+                Some(imp) => {
+                    let ty = imp.self_ty.as_str();
+                    (!used(Use::Method(ty, m)) && !used(Use::AnyMethod(m))).then(|| {
+                        format!(
+                            "`pub fn {ty}::{m}` is named by no `.{m}(`, `Self::{m}` or `{ty}::{m}`"
+                        )
+                    })
+                }
+                None => (!used(Use::Call(m))).then(|| format!("`pub fn {m}` is called nowhere")),
+            };
+            if let Some(finding) = unused {
+                flag(name.line, finding);
+            }
+        }
+        for s in &input.parsed.structs {
+            if input.map.is_test_line(s.line) {
+                continue;
+            }
+            for f in s
+                .fields
+                .iter()
+                .filter(|f| f.public && !used(Use::Read(&f.name)))
+            {
+                let finding = format!(
+                    "`pub` field `{}.{}` is read nowhere (an initialiser or a derive is not a read)",
+                    s.name, f.name
+                );
+                flag(f.line, finding);
             }
         }
     }
@@ -997,151 +1284,42 @@ fn name_list(names: &[&String]) -> String {
 // R7 digest-coverage
 // ---------------------------------------------------------------------
 
-/// R7: see [`Rule::DigestCoverage`]. Runs over the whole workspace at
-/// once (a digest type and its fingerprint computation may live in
-/// different files). Returns `(unit index, violation)` pairs; violations
-/// anchor at the struct declaration (derive checks) or the digest fn
-/// (field-flow checks). `applicable` gates which units the rule runs on.
-pub fn check_digest_coverage(
-    units: &[FileInput],
-    types: &[String],
-    applicable: &[bool],
-    out: &mut Vec<(usize, Violation)>,
-) {
+/// R7: see [`Rule::DigestCoverage`]. A scoped type declared outside
+/// test code must derive `PartialEq` and have no manual `PartialEq` or
+/// `Hash` impl; findings anchor at the struct or the impl.
+fn check_digest_derives(input: &FileInput, types: &[String], out: &mut Vec<Violation>) {
     let scoped = |name: &str| types.iter().any(|t| t == name);
-
-    // Struct declarations of scoped types: (unit, &StructDef).
-    let mut decls: Vec<(usize, &crate::parser::StructDef)> = Vec::new();
-    for (i, u) in units.iter().enumerate() {
-        if !applicable[i] {
-            continue;
-        }
-        for s in &u.parsed.structs {
-            if scoped(&s.name) && !u.map.is_test_line(s.line) {
-                decls.push((i, s));
-            }
-        }
-    }
-
-    // Check 1+2: derived equality, no manual PartialEq/Hash.
-    for &(i, s) in &decls {
-        if s.kind == StructKind::Named
-            && !s.derives.iter().any(|d| d == "PartialEq")
+    for s in &input.parsed.structs {
+        let derived = s.derives.iter().any(|d| d == "PartialEq");
+        if scoped(&s.name)
+            && s.kind == StructKind::Named
+            && !derived
+            && !input.map.is_test_line(s.line)
         {
-            out.push((
-                i,
-                Violation {
-                    line: s.line,
-                    rule: Rule::DigestCoverage,
-                    message: format!(
-                        "digest type `{}` must `#[derive(PartialEq)]` so equality \
-                         covers every field — divergence checks compare these \
-                         wholesale",
-                        s.name
-                    ),
-                },
-            ));
+            out.push(Violation {
+                line: s.line,
+                rule: Rule::DigestCoverage,
+                message: format!(
+                    "digest type `{}` must `#[derive(PartialEq)]` so equality covers every \
+                     field — divergence checks compare these wholesale",
+                    s.name
+                ),
+            });
         }
     }
-    for (i, u) in units.iter().enumerate() {
-        if !applicable[i] {
-            continue;
-        }
-        for imp in &u.parsed.impls {
-            let manual_eq = matches!(imp.trait_name.as_deref(), Some("PartialEq" | "Hash"));
-            if manual_eq && scoped(&imp.self_ty) && !u.map.is_test_line(imp.line) {
-                out.push((
-                    i,
-                    Violation {
-                        line: imp.line,
-                        rule: Rule::DigestCoverage,
-                        message: format!(
-                            "manual `impl {} for {}` can silently skip fields — \
-                             derive it instead so every field is compared",
-                            imp.trait_name.as_deref().unwrap_or("PartialEq"),
-                            imp.self_ty
-                        ),
-                    },
-                ));
-            }
-        }
-    }
-
-    // Check 3: field flow into canonical_string/fingerprint computations.
-    for root in types {
-        // Digest fns of this root type, across the workspace.
-        let mut mention: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        let mut anchor: Option<(usize, u32)> = None;
-        let mut fn_names: Vec<String> = Vec::new();
-        for (i, u) in units.iter().enumerate() {
-            if !applicable[i] {
-                continue;
-            }
-            for imp in &u.parsed.impls {
-                if imp.self_ty != *root {
-                    continue;
-                }
-                for f in &imp.fns {
-                    if (f.name == "canonical_string" || f.name == "fingerprint")
-                        && !u.map.is_test_line(f.line)
-                    {
-                        anchor.get_or_insert((i, f.line));
-                        fn_names.push(f.name.clone());
-                        for t in f.body_tokens(u.lexed) {
-                            if t.kind == TokenKind::Ident {
-                                mention.insert(t.text.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let Some((ai, aline)) = anchor else { continue };
-
-        // Scoped types reachable from the root through field types.
-        let mut reach: Vec<&str> = vec![root.as_str()];
-        let mut k = 0usize;
-        while k < reach.len() {
-            let cur = reach[k];
-            k += 1;
-            for &(_, s) in &decls {
-                if s.name != cur {
-                    continue;
-                }
-                for fld in &s.fields {
-                    for ty in &fld.ty_idents {
-                        if scoped(ty) && !reach.contains(&ty.as_str()) {
-                            reach.push(ty);
-                        }
-                    }
-                }
-            }
-        }
-        for ty in reach {
-            for &(_, s) in &decls {
-                if s.name != ty {
-                    continue;
-                }
-                for fld in &s.fields {
-                    if !mention.contains(&fld.name) {
-                        out.push((
-                            ai,
-                            Violation {
-                                line: aline,
-                                rule: Rule::DigestCoverage,
-                                message: format!(
-                                    "field `{}.{}` does not flow into `{root}::{}` — \
-                                     hash it, or exempt it with \
-                                     `// lint: allow(digest-coverage) — <reason>`",
-                                    s.name,
-                                    fld.name,
-                                    fn_names.first().map(String::as_str).unwrap_or("fingerprint"),
-                                ),
-                            },
-                        ));
-                    }
-                }
-            }
+    for imp in &input.parsed.impls {
+        let manual_eq = matches!(imp.trait_name.as_deref(), Some("PartialEq" | "Hash"));
+        if manual_eq && scoped(&imp.self_ty) && !input.map.is_test_line(imp.line) {
+            out.push(Violation {
+                line: imp.line,
+                rule: Rule::DigestCoverage,
+                message: format!(
+                    "manual `impl {} for {}` can silently skip fields — derive it instead so \
+                     every field is compared",
+                    imp.trait_name.as_deref().unwrap_or("PartialEq"),
+                    imp.self_ty
+                ),
+            });
         }
     }
 }
@@ -1159,7 +1337,7 @@ mod tests {
         let map = map_file(&lexed);
         let parsed = parse_items(&lexed);
         let mut table = SymbolTable::default();
-        table.add_file("c", rel, &parsed);
+        table.add_file("c", &parsed);
         let input = FileInput {
             rel_path: rel,
             crate_name: Some("c"),
@@ -1167,7 +1345,9 @@ mod tests {
             map: &map,
             parsed: &parsed,
         };
-        let raw = check_file_raw(&input, &table, rules, path_scoped);
+        let digest_types: Vec<String> =
+            Rule::DigestCoverage.default_types().iter().map(|s| s.to_string()).collect();
+        let raw = check_file_raw(&input, &table, rules, path_scoped, &digest_types);
         let allows = AllowSet::from_comments(&lexed.comments);
         apply_allows(raw, &allows, rules.contains(&Rule::StaleAllow))
     }
@@ -1482,24 +1662,7 @@ impl Runner {
     // -- R7 ---------------------------------------------------------
 
     fn run_digest(src: &str) -> Vec<Violation> {
-        let lexed = lex(src);
-        let map = map_file(&lexed);
-        let parsed = parse_items(&lexed);
-        let input = FileInput {
-            rel_path: "lib.rs",
-            crate_name: Some("c"),
-            lexed: &lexed,
-            map: &map,
-            parsed: &parsed,
-        };
-        let types: Vec<String> = Rule::DigestCoverage
-            .default_types()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut out = Vec::new();
-        check_digest_coverage(&[input], &types, &[true], &mut out);
-        out.into_iter().map(|(_, v)| v).collect()
+        run(src, &[Rule::DigestCoverage])
     }
 
     #[test]
@@ -1524,46 +1687,6 @@ impl PartialEq for MetricsDigest {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 3);
         assert!(v[0].message.contains("manual"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn digest_coverage_requires_fields_to_flow_into_fingerprint() {
-        let src = "\
-#[derive(PartialEq)]
-struct MetricsDigest { counters: Vec<u64>, spare: u32 }
-impl MetricsDigest {
-    fn canonical_string(&self) -> String {
-        format!(\"{:?}\", self.counters)
-    }
-}
-";
-        let v = run_digest(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 4);
-        assert!(v[0].message.contains("MetricsDigest.spare"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn digest_coverage_chases_nested_scoped_types() {
-        let src = "\
-#[derive(PartialEq)]
-struct MetricsDigest { histograms: Vec<(String, HistogramSnapshot)> }
-#[derive(PartialEq)]
-struct HistogramSnapshot { counts: Vec<u64>, bounds: Vec<f64> }
-impl MetricsDigest {
-    fn canonical_string(&self) -> String {
-        let mut s = String::new();
-        for (k, h) in &self.histograms {
-            s.push_str(k);
-            s.push_str(&format!(\"{:?}\", h.counts));
-        }
-        s
-    }
-}
-";
-        let v = run_digest(src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("HistogramSnapshot.bounds"), "{}", v[0].message);
     }
 
     // -- R8 ---------------------------------------------------------
@@ -1634,6 +1757,25 @@ impl Knobs {
     pub fn passed_as_a_path(&self) -> u32 { 0 }
 }
 wire_struct!(Knobs { shares_its_name, });
+pub struct Shadowed;
+impl Shadowed {
+    pub fn new() -> Self { Shadowed }
+    pub fn named_by_self() -> u32 { 0 }
+    pub fn named_through_a_generic() -> u32 { 0 }
+}
+impl Default for Shadowed {
+    fn default() -> Self { let _ = Self::named_by_self(); Shadowed }
+}
+fn generic<T: Default>() -> u32 { T::named_through_a_generic() }
+pub fn named_only_as_a_segment() {}
+#[derive(Debug)]
+pub struct Report {
+    pub read_by_dot: u32,
+    pub read_by_a_pattern: u32,
+    pub listed: u32,
+    pub only_initialised: u32,
+}
+wire_struct!(Report { listed });
 #[cfg(test)]
 mod tests {
     pub fn helpers_in_tests_are_exempt() {}
@@ -1642,6 +1784,9 @@ mod tests {
 ";
         let caller = "\
 fn main() { called_from_the_other_file(); k.called_as_a_method(); v.map(Knobs::passed_as_a_path); }
+fn other() { let _ = Other::new(); c::named_only_as_a_segment::Item::build(); }
+fn read(r: Report) -> u32 { let Report { read_by_a_pattern, .. } = r; r.read_by_dot + read_by_a_pattern }
+fn make() -> Report { Report { read_by_dot: 1, read_by_a_pattern: 2, listed: 3, only_initialised: 4 } }
 pub fn uncalled_but_not_applicable() {}
 ";
         let sibling =
@@ -1669,9 +1814,20 @@ pub fn uncalled_but_not_applicable() {}
         check_unused_pub(&inputs, &[true, false, false], &mut out);
         let hits: Vec<(usize, u32)> = out.iter().map(|(file, v)| (*file, v.line)).collect();
         // Lone definition, comment-only name, own unit test only, `pub use`
-        // only, and a setter whose name only a field, a local and a
-        // `wire_struct!` entry share.
-        assert_eq!(hits, vec![(0, 2), (0, 4), (0, 5), (0, 7), (0, 12)], "{out:?}");
-        assert!(out[0].1.message.contains("`pub fn lone_const`"), "{}", out[0].1.message);
+        // only, a setter whose name only a field, a local and a
+        // `wire_struct!` entry share, a `new` only another type's `new`
+        // shares, a fn named only as a path segment, and a field only
+        // initialised and derived-`Debug`. `.m()`, `Type::m`, `Self::m`,
+        // a generic `T::m`, a `.f` read, a destructure and a
+        // `wire_struct!` entry all count.
+        assert_eq!(
+            hits,
+            vec![(0, 2), (0, 4), (0, 5), (0, 7), (0, 12), (0, 19), (0, 27), (0, 33)],
+            "{out:?}"
+        );
+        let messages: Vec<&str> = out.iter().map(|(_, v)| v.message.as_str()).collect();
+        assert!(messages[0].contains("`pub fn lone_const`"), "{}", messages[0]);
+        assert!(messages[5].contains("`pub fn Shadowed::new`"), "{}", messages[5]);
+        assert!(messages[7].contains("`pub` field `Report.only_initialised`"), "{}", messages[7]);
     }
 }

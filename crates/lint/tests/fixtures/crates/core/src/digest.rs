@@ -1,4 +1,4 @@
-//! Fixture: digest types with seeded R7 coverage violations.
+//! Fixture: digest types with seeded R7 equality violations.
 
 /// Seeded R7: a digest type that does not derive `PartialEq`.
 #[derive(Debug, Clone)]
@@ -16,19 +16,5 @@ struct ResilienceReport {
 impl std::hash::Hash for ResilienceReport {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.repairs);
-    }
-}
-
-/// Every field must flow into `canonical_string`; `spare` does not.
-#[derive(Debug, Clone, PartialEq)]
-struct MetricsDigest {
-    ticks: u64,
-    spare: u64,
-}
-
-impl MetricsDigest {
-    /// Seeded R7: `spare` is declared but never hashed.
-    fn canonical_string(&self) -> String {
-        format!("ticks={}", self.ticks)
     }
 }

@@ -1,6 +1,7 @@
-//! Fixture: the callers. R9 counts a name over every scanned file, so a
-//! use from a `tests/` directory keeps a library's `pub fn` alive: every public
-//! fixture function but the seeded one in `learning` is named here.
+//! Fixture: the callers. R9 counts a use over every scanned file, so a
+//! use from a `tests/` directory keeps a library's `pub fn` or `pub`
+//! field alive: every public fixture function but the seeded ones in
+//! `learning` is named here, and one of `SeededReport`'s two fields read.
 
 #[test]
 fn every_other_fixture_fn_has_a_caller() {
@@ -9,6 +10,8 @@ fn every_other_fixture_fn_has_a_caller() {
     let _ = core::seeded_missing_docs();
     let _ = learning::seeded_rng_is_fine(7);
     let _ = learning::seeded_twin_reader(&Default::default());
+    let _ = learning::Other::new();
+    let _ = learning::seeded_report().read;
     let _ = netsim::decoy_strings();
     let _ = netsim::seeded_hash_iter();
     let _ = netsim::seeded_wall_clock();

@@ -1,5 +1,5 @@
 //! Fixture: a "learning" crate with one seeded R4 violation (OS entropy
-//! is flagged even inside test code) and four seeded R9 violations.
+//! is flagged even inside test code) and six seeded R9 violations.
 
 /// Clean: seeded randomness is the required pattern.
 pub fn seeded_rng_is_fine(seed: u64) -> u64 {
@@ -72,3 +72,39 @@ pub fn seeded_twin_reader(k: &SeededKnobs) -> u32 {
 }
 
 wire_struct!(SeededKnobs { seeded_field_twin });
+
+/// Seeded R9 violation at its `new`: `core/tests/callers.rs` calls
+/// `Other::new`, which is another type's `new`.
+pub struct SeededShadowed;
+
+impl SeededShadowed {
+    /// The uncalled constructor.
+    pub fn new() -> Self {
+        SeededShadowed
+    }
+}
+
+/// Clean for R9: its `new` is the one `core/tests/callers.rs` calls.
+pub struct Other;
+
+impl Other {
+    /// The called constructor.
+    pub fn new() -> Self {
+        Other
+    }
+}
+
+/// A report with one field read and one only written.
+#[derive(Debug)]
+pub struct SeededReport {
+    /// Clean for R9: `core/tests/callers.rs` reads it.
+    pub read: u32,
+    /// Seeded R9 violation: initialised below and printed by the derived
+    /// `Debug`, but read nowhere.
+    pub unread: u32,
+}
+
+/// Clean for R9: `core/tests/callers.rs` calls it.
+pub fn seeded_report() -> SeededReport {
+    SeededReport { read: 1, unread: 2 }
+}

@@ -115,11 +115,6 @@ impl MobilityState {
         self.position
     }
 
-    /// The mobility model.
-    pub const fn model(&self) -> &MobilityModel {
-        &self.model
-    }
-
     /// Advances the node by `dt_s` seconds, sampling any new waypoints from
     /// `rng`. Returns the new position.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R, dt_s: f64) -> Point {

@@ -132,6 +132,7 @@ impl SleepSchedule {
     /// # Panics
     ///
     /// Panics when `period` is zero.
+    // lint: allow(unused-pub) — the only constructor of the duty-cycle sleep schedules DESIGN.md:55 names
     pub fn new(period: SimDuration, awake_fraction: f64, phase: SimDuration) -> Self {
         assert!(period.as_micros() > 0, "period must be nonzero");
         SleepSchedule {

@@ -245,24 +245,37 @@ impl MetricsDigest {
 
     /// Renders the digest into one canonical string (the fingerprint
     /// input). Floats use shortest-roundtrip `Display`, so identical
-    /// bit patterns render identically.
+    /// bit patterns render identically. Both structs are destructured
+    /// without `..`, so a field added to either fails to compile here
+    /// until it is rendered (or bound as `_` on purpose).
     pub fn canonical_string(&self) -> String {
+        let MetricsDigest {
+            counters,
+            gauges,
+            histograms,
+        } = self;
         let mut s = String::with_capacity(256);
-        for (k, v) in &self.counters {
+        for (k, v) in counters {
             let _ = write!(s, "c:{k}={v};");
         }
-        for (k, v) in &self.gauges {
+        for (k, v) in gauges {
             let _ = write!(s, "g:{k}={v};");
         }
-        for (k, h) in &self.histograms {
-            let _ = write!(s, "h:{k}=n{}s{}", h.total, h.sum);
+        for (k, h) in histograms {
+            let HistogramSnapshot {
+                bounds,
+                counts,
+                total,
+                sum,
+            } = h;
+            let _ = write!(s, "h:{k}=n{total}s{sum}");
             // Bucket bounds are part of the histogram's identity: two
             // runs bucketing the same samples differently must not
             // fingerprint as equal.
-            for b in &h.bounds {
+            for b in bounds {
                 let _ = write!(s, "|{b}");
             }
-            for c in &h.counts {
+            for c in counts {
                 let _ = write!(s, ",{c}");
             }
             s.push(';');

@@ -20,14 +20,11 @@ use crate::problem::CompositionProblem;
 /// Assurance prediction for a composed selection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssuranceReport {
-    /// Probability each required pair keeps redundancy ≥ k after failures.
-    pub pair_survival: Vec<f64>,
-    /// Expected fraction of pairs surviving (analytic).
+    /// Expected fraction of required pairs keeping redundancy ≥ k after
+    /// failures (analytic).
     pub expected_coverage: f64,
     /// Monte-Carlo estimate of P(mission stays satisfied).
     pub success_probability: f64,
-    /// Number of Monte-Carlo trials behind `success_probability`.
-    pub trials: usize,
 }
 
 /// Per-node failure probability from its trust score: distrusted assets
@@ -70,14 +67,14 @@ pub fn assess(
     }
     // Analytic per-pair survival: P(#survivors >= k) via DP on the
     // Poisson-binomial distribution of its coverers.
-    let pair_survival: Vec<f64> = coverers
-        .iter()
-        .map(|cs| poisson_binomial_at_least(cs.iter().map(|&si| 1.0 - node_failure[si]), k))
-        .collect();
-    let expected_coverage = if pair_survival.is_empty() {
+    let expected_coverage = if coverers.is_empty() {
         1.0
     } else {
-        pair_survival.iter().sum::<f64>() / pair_survival.len() as f64
+        coverers
+            .iter()
+            .map(|cs| poisson_binomial_at_least(cs.iter().map(|&si| 1.0 - node_failure[si]), k))
+            .sum::<f64>()
+            / coverers.len() as f64
     };
     // Monte Carlo mission success.
     let needed = ((problem.required_fraction * problem.pair_count as f64).ceil() as usize)
@@ -95,14 +92,12 @@ pub fn assess(
         }
     }
     AssuranceReport {
-        pair_survival,
         expected_coverage,
         success_probability: if trials == 0 {
             0.0
         } else {
             successes as f64 / trials as f64
         },
-        trials,
     }
 }
 
@@ -224,7 +219,7 @@ mod tests {
         let p = problem_with_nodes(&nodes, 1);
         let report = assess(&p, &[0], &[0.0], 500, 3);
         assert_eq!(report.success_probability, 1.0);
-        assert!(report.pair_survival.iter().all(|&s| (s - 1.0).abs() < 1e-12));
+        assert!((report.expected_coverage - 1.0).abs() < 1e-12);
     }
 
     #[test]

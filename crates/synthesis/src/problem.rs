@@ -52,11 +52,8 @@ pub fn candidate_cost(spec: &NodeSpec) -> f64 {
 pub struct CompositionProblem {
     /// Candidates that passed the trust gate.
     pub candidates: Vec<Candidate>,
-    /// Cell centers of the mission-area grid.
-    pub cell_centers: Vec<Point>,
-    /// Modalities required (parallel to pair layout).
-    pub modalities: Vec<SensorKind>,
-    /// Total number of coverage pairs (`cells × modalities`).
+    /// Total number of coverage pairs (`cells × modalities`; pair
+    /// `cell · modalities + modality`).
     pub pair_count: usize,
     /// Required redundancy `k` per pair.
     pub redundancy: usize,
@@ -124,8 +121,6 @@ impl CompositionProblem {
         }
         CompositionProblem {
             candidates,
-            cell_centers,
-            modalities,
             pair_count,
             redundancy: mission.resilience(),
             required_fraction: mission.coverage_fraction(),
@@ -171,8 +166,6 @@ impl CompositionProblem {
             .collect();
         CompositionProblem {
             candidates,
-            cell_centers,
-            modalities,
             pair_count,
             redundancy: mission.resilience(),
             required_fraction: mission.coverage_fraction(),

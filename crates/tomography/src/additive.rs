@@ -67,11 +67,6 @@ impl MeasurementSystem {
         }
     }
 
-    /// The path measurement matrix (paths × edges).
-    pub const fn matrix(&self) -> &Matrix {
-        &self.matrix
-    }
-
     /// Monitor pairs with a usable path, in build order.
     pub fn paths(&self) -> &[(usize, usize)] {
         &self.paths

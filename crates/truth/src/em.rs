@@ -155,52 +155,43 @@ pub fn discover(
     }
 }
 
-/// Streaming EM: accumulates report batches as they arrive and, after
-/// each one, re-runs [`discover`] from scratch over every report seen so
-/// far — no state carries from one batch's EM to the next. Suited to the
-/// continuous, never-ending learning setting of §V-B.
-#[derive(Debug, Clone)]
-pub struct StreamingDiscoverer {
-    num_sources: usize,
-    num_claims: usize,
-    config: EmConfig,
-    reports: Vec<Report>,
-    latest: Option<TruthEstimate>,
-}
-
-impl StreamingDiscoverer {
-    /// Creates a streaming discoverer for a fixed source/claim universe.
-    pub fn new(num_sources: usize, num_claims: usize, config: EmConfig) -> Self {
-        StreamingDiscoverer {
-            num_sources,
-            num_claims,
-            config,
-            reports: Vec::new(),
-            latest: None,
-        }
-    }
-
-    /// Ingests a batch of reports and re-runs EM over everything seen so
-    /// far.
-    // lint: allow(unused-pub) — the only way to feed the streaming variant DESIGN.md:59 names
-    pub fn ingest(&mut self, batch: &[Report]) -> &TruthEstimate {
-        self.reports.extend_from_slice(batch);
-        let est = discover(
-            &self.reports,
-            self.num_sources,
-            self.num_claims,
-            self.config,
-        );
-        self.latest = Some(est);
-        // lint: allow(panic) — assigned Some on the previous line
-        self.latest.as_ref().expect("just set")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
+
+    /// Streaming EM: accumulates report batches as they arrive and, after
+    /// each one, re-runs [`discover`] from scratch over every report seen so
+    /// far — no state carries from one batch's EM to the next. Suited to the
+    /// continuous, never-ending learning setting of §V-B.
+    struct StreamingDiscoverer {
+        num_sources: usize,
+        num_claims: usize,
+        config: EmConfig,
+        reports: Vec<Report>,
+        latest: Option<TruthEstimate>,
+    }
+
+    impl StreamingDiscoverer {
+        /// Creates a streaming discoverer for a fixed source/claim universe.
+        fn new(num_sources: usize, num_claims: usize, config: EmConfig) -> Self {
+            StreamingDiscoverer {
+                num_sources,
+                num_claims,
+                config,
+                reports: Vec::new(),
+                latest: None,
+            }
+        }
+
+        /// Ingests a batch of reports and re-runs EM over everything seen so
+        /// far.
+        fn ingest(&mut self, batch: &[Report]) -> &TruthEstimate {
+            self.reports.extend_from_slice(batch);
+            let est = discover(&self.reports, self.num_sources, self.num_claims, self.config);
+            self.latest.insert(est)
+        }
+    }
 
     #[test]
     fn em_beats_chance_and_estimates_reliability() {

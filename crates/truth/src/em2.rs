@@ -23,8 +23,10 @@ pub struct TwoParamEstimate {
     /// Posterior probability each claim is true.
     pub claim_posterior: Vec<f64>,
     /// Estimated per-source sensitivity.
+    // lint: allow(unused-pub) — the per-source sensitivity DESIGN.md:59 names
     pub sensitivity: Vec<f64>,
     /// Estimated per-source specificity.
+    // lint: allow(unused-pub) — the per-source specificity DESIGN.md:59 names
     pub specificity: Vec<f64>,
     /// EM iterations performed.
     pub iterations: usize,

@@ -4,8 +4,8 @@
 //! adversarial sources; this crate recovers ground truth from their
 //! conflicting binary claims. It provides the [EM fact-finder](em)
 //! (Dawid–Skene-style joint estimation of claim truth and source
-//! accuracy), [voting baselines](vote), a [streaming variant](em::StreamingDiscoverer),
-//! and [attention diagnostics](diagnostics) that rank claims by anomaly
+//! accuracy), [voting baselines](vote), and [attention
+//! diagnostics](diagnostics) that rank claims by anomaly
 //! worthiness. [Synthetic scenarios](scenario) with ground truth drive the
 //! experiments.
 //!
@@ -39,7 +39,7 @@ pub mod scenario;
 pub mod vote;
 
 pub use diagnostics::{rank_attention, AttentionScore};
-pub use em::{discover, EmConfig, StreamingDiscoverer, TruthEstimate};
+pub use em::{discover, EmConfig, TruthEstimate};
 pub use em2::{asymmetric_scenario, discover_two_param, TwoParamConfig, TwoParamEstimate};
 pub use scenario::{ClaimId, Report, Scenario, ScenarioBuilder, SourceId};
 pub use vote::{majority_vote, weighted_vote};

@@ -72,7 +72,6 @@ fn main() {
     let d = safety.request(robot, ActuatorKind::Demolition, 1, 10.0);
     println!("  t=10s  demolition, no authorization : {}", show(d));
     safety.grant(HumanAuthorization {
-        authorizer: NodeId::new(1),
         actuator: ActuatorKind::Demolition,
         zone: 1,
         expires_at_s: 600.0,

@@ -73,7 +73,7 @@ pub mod prelude {
     // Mission runtime + scenarios (iobt-core).
     pub use iobt_core::{
         allocate_missions, calibrate_human_trust, diagnose_failures, disaster_relief,
-        persistent_surveillance, run_mission, urban_evacuation, CalibrationSummary,
+        persistent_surveillance, run_mission, urban_evacuation,
         DegradationLadder, DiagnosisReport, Disruption, EndStateDigest, FailureDetector,
         LadderStep, MissionAllocation, MissionReport, MissionRunner, NetworkModel,
         PortableRunConfig, ResilienceReport, RunConfig, RunConfigBuilder, RunConfigError,
@@ -124,8 +124,7 @@ pub mod prelude {
     pub use iobt_adapt::{
         hotspot_trace, simulate, simulate_observed, ActuationController, ActuationDecision,
         AllocationPolicy, AllocationRun, AuditEntry, Equilibrium, HumanAuthorization, IntentGame,
-        InvariantMonitor, ModalitySwitcher, PiController, QueuePlant, StabilizationReport,
-        Stabilizer, SwitchPolicy,
+        InvariantMonitor, ModalitySwitcher, StabilizationReport, Stabilizer, SwitchPolicy,
     };
     pub use iobt_adapt::estimation::{track, AlphaBetaFilter, FusionRule, TrackingRun};
     // Discovery + recruitment (iobt-discovery).
@@ -137,7 +136,7 @@ pub mod prelude {
     // of the prelude to avoid clashing with the mission scenario.
     pub use iobt_truth::{
         discover, majority_vote, rank_attention, weighted_vote, AttentionScore, EmConfig, Report,
-        ScenarioBuilder, StreamingDiscoverer, TruthEstimate,
+        ScenarioBuilder, TruthEstimate,
     };
     // Resilient learning (iobt-learning).
     pub use iobt_learning::{

@@ -92,7 +92,6 @@ fn safety_gate_blocks_unauthorized_demolition_in_a_scenario() {
     );
     // Command post authorizes, but an occupancy sensor trips first.
     gate.grant(HumanAuthorization {
-        authorizer: scenario.command_post,
         actuator: ActuatorKind::Demolition,
         zone: 0,
         expires_at_s: 1_000.0,
