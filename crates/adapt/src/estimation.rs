@@ -129,7 +129,7 @@ pub fn track(
                 x + noise + injected
             })
             .collect();
-        // lint: allow(panic) — readings has num_sensors ≥ 1 entries, so fuse never sees an empty slice
+        #[expect(clippy::expect_used, reason = "readings has num_sensors ≥ 1 entries, so fuse never sees an empty slice")]
         let fused = rule.fuse(&readings).expect("sensors exist");
         let est = filter.update(fused, 1.0);
         sq_sum += (est - x) * (est - x);

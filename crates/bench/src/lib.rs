@@ -2,6 +2,9 @@
 //! JSON result dumping (so `EXPERIMENTS.md` can be regenerated
 //! mechanically from `target/experiments/*.json`).
 
+#![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fs;
 use std::path::PathBuf;
 

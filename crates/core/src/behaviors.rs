@@ -253,7 +253,7 @@ impl Behavior for TaskingSink {
                 .map(|(&n, _)| n)
                 .collect();
             for node in due {
-                // lint: allow(panic) — `node` comes from the pending map two lines up
+                #[expect(clippy::expect_used, reason = "`node` comes from the pending map two lines up")]
                 let task = board.pending.get_mut(&node).expect("pending task");
                 if task.attempts >= TASK_ATTEMPTS {
                     let attempts = task.attempts;

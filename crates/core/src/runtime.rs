@@ -239,7 +239,6 @@ pub struct RunConfigBuilder {
 macro_rules! param_setters {
     ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {$(
         $(#[$doc])*
-        // lint: allow(docs) — each generated setter carries the doc comment written at its invocation below
         pub fn $field(mut self, $field: $ty) -> Self {
             self.config.params.$field = $field;
             self
@@ -547,7 +546,7 @@ pub(crate) fn prologue(
     // ---- Phase 1: discovery (side-channel classification + tracking) ----
     let mut emissions = EmissionModel::new(scenario.seed ^ 0xD15C);
     let train = emissions.labelled_dataset(300);
-    // lint: allow(panic) — labelled_dataset(300) emits 100 examples per class, so fit always succeeds
+    #[expect(clippy::expect_used, reason = "labelled_dataset(300) emits 100 examples per class, so fit always succeeds")]
     let classifier = NaiveBayes::fit(&train).expect("balanced training set");
     let mut tracker = DiscoveryTracker::new(TrackerConfig::default());
     let mut ledger = TrustLedger::new();
@@ -559,9 +558,9 @@ pub(crate) fn prologue(
         // Second sighting sharpens most estimates (continuous discovery).
         let obs2 = emissions.observe_with_spoofing(node.affiliation(), 0.1);
         tracker.observe(node.id(), 1.0, node.position(), classifier.posterior(&obs2));
+        #[expect(clippy::expect_used, reason = "observe() for this id ran two lines up, so the estimate exists")]
         let est = tracker
             .estimate(node.id())
-            // lint: allow(panic) — observe() for this id ran two lines up, so the estimate exists
             .expect("just observed")
             .affiliation();
         ledger.enroll(node.id(), est);
@@ -596,7 +595,8 @@ pub(crate) fn prologue(
     specs.retain(|spec| reachable.binary_search(&spec.id()).is_ok());
     let unreachable = before - specs.len();
     let problem = CompositionProblem::from_mission(&scenario.mission, &specs, config.grid);
-    let solve_start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in WallClockReport, never in a decision or digest
+    #[expect(clippy::disallowed_methods, reason = "reporting only; lands in WallClockReport, never in a decision or digest")]
+    let solve_start = Instant::now();
     let composition = config.solver.solve_observed(&problem, recorder);
     let solve_ms = solve_start.elapsed().as_secs_f64() * 1_000.0;
     let failure_probs: Vec<f64> = composition
@@ -875,7 +875,8 @@ impl MissionRunner {
                 window: w as u64,
                 suspects: new_suspects.len() as u64,
             });
-            let repair_start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in WallClockReport, never in a decision or digest
+            #[expect(clippy::disallowed_methods, reason = "reporting only; lands in WallClockReport, never in a decision or digest")]
+            let repair_start = Instant::now();
             let repaired = repair_with(
                 &self.problem,
                 &self.current,
@@ -989,7 +990,8 @@ impl MissionRunner {
                     self.failed_ever.insert(id);
                 }
             }
-            let repair_start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in WallClockReport, never in a decision or digest
+            #[expect(clippy::disallowed_methods, reason = "reporting only; lands in WallClockReport, never in a decision or digest")]
+            let repair_start = Instant::now();
             let repaired = repair_with(
                 &self.problem,
                 &self.current,

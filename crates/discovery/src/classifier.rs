@@ -25,6 +25,7 @@ pub trait AffiliationClassifier {
     fn posterior(&self, features: &EmissionFeatures) -> [f64; 3];
 
     /// The maximum-a-posteriori class.
+    #[expect(clippy::expect_used, reason = "best is the argmax over exactly three classes, always a valid index")]
     fn classify(&self, features: &EmissionFeatures) -> Affiliation {
         let p = self.posterior(features);
         let mut best = 0;
@@ -33,7 +34,6 @@ pub trait AffiliationClassifier {
                 best = i;
             }
         }
-        // lint: allow(panic) — best is the argmax over exactly three classes, always a valid index
         Affiliation::from_index(best).expect("index in 0..3")
     }
 }

@@ -142,7 +142,7 @@ impl EmissionModel {
         let sigma = self.effective_sigma();
         let mut values = [0.0; FEATURE_DIM];
         for i in 0..FEATURE_DIM {
-            // lint: allow(panic) — mean is a fixed table and sigma is clamped positive, so the params are valid
+            #[expect(clippy::expect_used, reason = "mean is a fixed table and sigma is clamped positive, so the params are valid")]
             let normal = Normal::new(mean[i], sigma[i].max(1e-9)).expect("finite params");
             values[i] = normal.sample(&mut self.rng);
         }

@@ -55,6 +55,7 @@ impl AssetEstimate {
     }
 
     /// Most likely affiliation.
+    #[expect(clippy::expect_used, reason = "best is the argmax over exactly three classes, always a valid index")]
     pub fn affiliation(&self) -> Affiliation {
         let p = self.posterior();
         let mut best = 0;
@@ -63,7 +64,6 @@ impl AssetEstimate {
                 best = i;
             }
         }
-        // lint: allow(panic) — best is the argmax over exactly three classes, always a valid index
         Affiliation::from_index(best).expect("index in 0..3")
     }
 

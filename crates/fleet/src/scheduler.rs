@@ -343,7 +343,8 @@ impl Fleet {
         pool: impl FnOnce(Shell<'_>, Shared<'_>) -> Vec<f64>,
     ) -> FleetSummary {
         let submitted = self.tickets.iter().filter(|t| !t.record.status.is_terminal()).count();
-        let start = Instant::now(); // lint: allow(wall-clock) — reporting only; lands in FleetSummary.wall_s, never in a decision or digest
+        #[expect(clippy::disallowed_methods, reason = "reporting only; lands in FleetSummary.wall_s, never in a decision or digest")]
+        let start = Instant::now();
         let mut latencies = Vec::new();
         if submitted > 0 {
             let shell = Shell {
@@ -521,7 +522,8 @@ impl Shell<'_> {
                 // inject_panic knob; the guard around us catches it.
                 panic!("injected panic in mission m-{t:06} at window {from_window}");
             }
-            let t0 = Instant::now(); // lint: allow(wall-clock) — reporting only; slice latency lands in FleetSummary, never in a decision or digest
+            #[expect(clippy::disallowed_methods, reason = "reporting only; slice latency lands in FleetSummary, never in a decision or digest")]
+            let t0 = Instant::now();
             // `Finished`, and conservatively any future non-progress
             // outcome (`StepOutcome` is `#[non_exhaustive]`), ran no window.
             let ran = matches!(runner.step_window(), StepOutcome::WindowClosed { .. });

@@ -56,7 +56,7 @@ impl ByzantineAttack {
             }
             ByzantineAttack::GaussianNoise { std } => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                // lint: allow(panic) — std is clamped to at least 1e-12, so the distribution is valid
+                #[expect(clippy::expect_used, reason = "std is clamped to at least 1e-12, so the distribution is valid")]
                 let normal = Normal::new(0.0, std.max(1e-12)).expect("finite std");
                 (0..num_attackers)
                     .map(|_| (0..dim).map(|_| normal.sample(&mut rng)).collect())

@@ -38,7 +38,8 @@ pub struct Dataset {
 pub fn logistic_dataset(n: usize, dim: usize, margin: f64, seed: u64) -> Dataset {
     assert!(dim > 0, "dimension must be nonzero");
     let mut rng = StdRng::seed_from_u64(seed);
-    let normal = Normal::new(0.0, 1.0).expect("unit normal"); // lint: allow(panic) — constant valid parameters
+    #[expect(clippy::expect_used, reason = "constant valid parameters")]
+    let normal = Normal::new(0.0, 1.0).expect("unit normal");
     let mut w: Vec<f64> = (0..dim).map(|_| normal.sample(&mut rng)).collect();
     let norm = w.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-12);
     for v in &mut w {

@@ -7,8 +7,10 @@
 //! ```
 //!
 //! Scans every `.rs` file under the root (default: the current
-//! directory), applies the R1–R9 invariants, and prints one
-//! `path:line: Rn[name] message` diagnostic per violation. With
+//! directory), applies the R6–R9 invariants with the scopes of the
+//! config (default: `lint.toml` under the root; a missing one is an
+//! error), and prints one `path:line: Rn[name] message` diagnostic per
+//! violation. R1–R5 are the compiler's: see the root `clippy.toml`. With
 //! `--deny-all` the process exits non-zero when any violation remains —
 //! that is the CI mode. Without it the run is advisory (exit 0).
 //!
@@ -84,7 +86,10 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: iobt-lint [--root DIR] [--config FILE] [--deny-all] [--list-rules]\n\
                      \x20                [--format text|json] [--baseline FILE]\n\
-                     \x20                [--write-baseline FILE] [--explain RULE]"
+                     \x20                [--write-baseline FILE] [--explain RULE]\n\
+                     \n\
+                     Applies R6–R9 with the scopes of --config (default: DIR/lint.toml).\n\
+                     R1–R5 are clippy's and rustc's: see clippy.toml."
                 );
                 std::process::exit(0);
             }
@@ -122,8 +127,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         },
-        // A missing lint.toml is only an error when explicitly requested.
-        Err(_) if args.config.is_none() => Config::default(),
         Err(e) => {
             eprintln!("iobt-lint: cannot read {}: {e}", config_path.display());
             return ExitCode::from(2);
@@ -333,29 +336,30 @@ mod tests {
     #[test]
     fn rule_listing_shows_the_configured_scopes() {
         let config = Config::parse(
-            "[rules.hash-iter]\ncrates = [\"netsim\", \"obs\"]\n\
+            "[rules.digest-coverage]\ncrates = [\"core\", \"obs\"]\n\
              [rules.state-coverage]\npaths = [\"crates/core/src/checkpoint.rs\"]\n",
         )
         .unwrap();
         let listing = rule_listing(&config);
         let lines: Vec<&str> = listing.lines().collect();
-        assert_eq!(lines.len(), Rule::ALL.len());
-        assert_eq!(lines[0], "R1[hash-iter]: scope [\"netsim\", \"obs\"]");
-        // Unconfigured rules keep their built-in scope.
-        assert_eq!(lines[4], "R5[docs]: scope [\"types\", \"core\"]");
         assert_eq!(
-            lines[5],
-            "R6[state-coverage]: scope [\"types\", \"netsim\", \"obs\", \"synthesis\", \
-             \"core\", \"ckpt\", \"fleet\"] paths [\"crates/core/src/checkpoint.rs\"]"
+            lines,
+            [
+                // What `lint.toml` leaves out is out of scope: no built-in list.
+                "R6[state-coverage]: scope [] paths [\"crates/core/src/checkpoint.rs\"]",
+                "R7[digest-coverage]: scope [\"core\", \"obs\"]",
+                "R8[stale-allow]: scope []",
+                "R9[unused-pub]: scope []",
+            ]
         );
     }
 
     #[test]
     fn baseline_round_trips_and_subtracts() {
         let mut r = report_with(vec![
-            ("a.rs", Rule::Panic, 1),
-            ("a.rs", Rule::Panic, 9),
-            ("b.rs", Rule::Docs, 2),
+            ("a.rs", Rule::UnusedPub, 1),
+            ("a.rs", Rule::UnusedPub, 9),
+            ("b.rs", Rule::StaleAllow, 2),
         ]);
         let text = baseline_text(&r);
         assert_eq!(text.lines().count(), 3, "header + two groups: {text}");
@@ -367,11 +371,11 @@ mod tests {
     #[test]
     fn baseline_budget_is_per_rule_and_path() {
         let mut r = report_with(vec![
-            ("a.rs", Rule::Panic, 1),
-            ("a.rs", Rule::Panic, 9),
-            ("b.rs", Rule::Panic, 2),
+            ("a.rs", Rule::UnusedPub, 1),
+            ("a.rs", Rule::UnusedPub, 9),
+            ("b.rs", Rule::UnusedPub, 2),
         ]);
-        let budget = parse_baseline("R3 a.rs 1\n").unwrap();
+        let budget = parse_baseline("R9 a.rs 1\n").unwrap();
         assert_eq!(apply_baseline(&mut r, budget), 1);
         // One a.rs finding forgiven; the second a.rs and the b.rs ones stay.
         assert_eq!(r.violations.len(), 2);
@@ -381,9 +385,11 @@ mod tests {
 
     #[test]
     fn baseline_rejects_garbage() {
-        assert!(parse_baseline("# fine\n\nR3 a.rs 1\n").is_ok());
+        assert!(parse_baseline("# fine\n\nR9 a.rs 1\n").is_ok());
         assert!(parse_baseline("R99 a.rs 1\n").is_err());
-        assert!(parse_baseline("R3 a.rs not-a-number\n").is_err());
-        assert!(parse_baseline("R3 a.rs 1 extra\n").is_err());
+        // A retired rule's ID is no longer a rule.
+        assert!(parse_baseline("R3 a.rs 1\n").is_err());
+        assert!(parse_baseline("R9 a.rs not-a-number\n").is_err());
+        assert!(parse_baseline("R9 a.rs 1 extra\n").is_err());
     }
 }

@@ -18,8 +18,8 @@ pub struct Config {
     /// Path prefixes (relative to the lint root, `/`-separated) that are
     /// never scanned.
     pub skip: Vec<String>,
-    /// Per-rule crate scope overrides, keyed by rule name. Rules not
-    /// listed keep their built-in default scope.
+    /// Per-rule crate scopes (`crates = […]`), keyed by rule name. A
+    /// rule that scopes by crate applies to no crate `lint.toml` omits.
     pub scopes: BTreeMap<String, Vec<String>>,
     /// Per-rule allowlisted path prefixes, keyed by rule name. A file
     /// whose relative path starts with an entry is exempt from that rule.
@@ -46,38 +46,27 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The crates a rule applies to, honouring `[rules.<name>] crates = …`
-    /// overrides and falling back to the rule's built-in default scope.
-    pub fn scope_of(&self, rule: Rule) -> Vec<String> {
-        if let Some(crates) = self.scopes.get(rule.name()) {
-            return crates.clone();
-        }
-        rule.default_scope().iter().map(|s| s.to_string()).collect()
+    /// The crates a rule applies to: its `[rules.<name>] crates = […]`,
+    /// or none.
+    pub fn scope_of(&self, rule: Rule) -> &[String] {
+        listed(&self.scopes, rule)
     }
 
     /// Whether `rel_path` is exempt from `rule` via `allow = […]`.
     pub fn path_allowed(&self, rule: Rule, rel_path: &str) -> bool {
-        self.allow_paths
-            .get(rule.name())
-            .is_some_and(|prefixes| prefixes.iter().any(|p| rel_path.starts_with(p.as_str())))
+        listed(&self.allow_paths, rule)
+            .iter()
+            .any(|p| rel_path.starts_with(p.as_str()))
     }
 
-    /// The positive path scope of `rule` (`paths = […]` override, else the
-    /// rule's built-in default paths).
-    pub fn paths_of(&self, rule: Rule) -> Vec<String> {
-        if let Some(paths) = self.rule_paths.get(rule.name()) {
-            return paths.clone();
-        }
-        rule.default_paths().iter().map(|s| s.to_string()).collect()
+    /// The positive path scope of `rule` (`paths = […]`), or none.
+    pub fn paths_of(&self, rule: Rule) -> &[String] {
+        listed(&self.rule_paths, rule)
     }
 
-    /// The type-name scope of `rule` (`types = […]` override, else the
-    /// rule's built-in default types).
-    pub fn types_of(&self, rule: Rule) -> Vec<String> {
-        if let Some(types) = self.rule_types.get(rule.name()) {
-            return types.clone();
-        }
-        rule.default_types().iter().map(|s| s.to_string()).collect()
+    /// The type-name scope of `rule` (`types = […]`), or none.
+    pub fn types_of(&self, rule: Rule) -> &[String] {
+        listed(&self.rule_types, rule)
     }
 
     /// Whether `rel_path` is skipped entirely.
@@ -139,6 +128,11 @@ impl Config {
         }
         Ok(config)
     }
+}
+
+/// The list `lint.toml` gives `rule` under one key, or an empty one.
+fn listed(lists: &BTreeMap<String, Vec<String>>, rule: Rule) -> &[String] {
+    lists.get(rule.name()).map_or(&[], Vec::as_slice)
 }
 
 /// Strips a trailing `# comment`, ignoring `#` inside quoted strings.
@@ -303,35 +297,33 @@ mod tests {
 [lint]
 skip = ["compat", "target"] # trailing
 
-[rules.hash-iter]
+[rules.state-coverage]
 crates = ["netsim", "core"]
 allow = ["crates/netsim/src/graph.rs"]
 
-[rules.docs]
-crates = ["types"]
+[rules.digest-coverage]
+crates = ["obs"]
+types = ["MetricsDigest"]
 "#;
         let c = Config::parse(toml).unwrap();
         assert_eq!(c.skip, vec!["compat".to_string(), "target".to_string()]);
         assert_eq!(
-            c.scope_of(Rule::HashIter),
-            vec!["netsim".to_string(), "core".to_string()]
+            c.scope_of(Rule::StateCoverage),
+            ["netsim".to_string(), "core".to_string()]
         );
-        assert!(c.path_allowed(Rule::HashIter, "crates/netsim/src/graph.rs"));
-        assert!(!c.path_allowed(Rule::HashIter, "crates/netsim/src/sim.rs"));
-        assert_eq!(c.scope_of(Rule::Docs), vec!["types".to_string()]);
+        assert!(c.path_allowed(Rule::StateCoverage, "crates/netsim/src/graph.rs"));
+        assert!(!c.path_allowed(Rule::StateCoverage, "crates/netsim/src/sim.rs"));
+        assert_eq!(c.scope_of(Rule::DigestCoverage), ["obs".to_string()]);
+        assert_eq!(c.types_of(Rule::DigestCoverage), ["MetricsDigest".to_string()]);
     }
 
     #[test]
-    fn unlisted_rules_keep_default_scope() {
-        let c = Config::parse("[rules.docs]\ncrates = [\"types\"]\n").unwrap();
-        assert_eq!(
-            c.scope_of(Rule::HashIter),
-            Rule::HashIter
-                .default_scope()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-        );
+    fn unlisted_rules_have_no_scope() {
+        let c = Config::parse("[rules.digest-coverage]\ncrates = [\"obs\"]\n").unwrap();
+        assert!(c.scope_of(Rule::StateCoverage).is_empty());
+        assert!(c.paths_of(Rule::StateCoverage).is_empty());
+        assert!(c.types_of(Rule::DigestCoverage).is_empty());
+        assert!(!c.path_allowed(Rule::DigestCoverage, "crates/obs/src/lib.rs"));
     }
 
     #[test]
@@ -343,36 +335,36 @@ crates = ["types"]
 
     #[test]
     fn directive_with_reason_allows_its_span_and_next_line() {
-        let lexed = lex("fn f() {\n    // lint: allow(panic) — invariant: map key inserted above\n    let _ = 1;\n}\n");
+        let lexed = lex("fn f() {\n    // lint: allow(unused-pub) — named in DESIGN.md\n    let _ = 1;\n}\n");
         let a = AllowSet::from_comments(&lexed.comments);
-        assert!(a.allowed(Rule::Panic, 2), "the comment's own line");
-        assert!(a.allowed(Rule::Panic, 3), "the following line");
-        assert!(!a.allowed(Rule::Panic, 4));
-        assert!(!a.allowed(Rule::HashIter, 3), "other rules unaffected");
+        assert!(a.allowed(Rule::UnusedPub, 2), "the comment's own line");
+        assert!(a.allowed(Rule::UnusedPub, 3), "the following line");
+        assert!(!a.allowed(Rule::UnusedPub, 4));
+        assert!(!a.allowed(Rule::StateCoverage, 3), "other rules unaffected");
     }
 
     #[test]
     fn directive_without_reason_is_inert_but_tracked() {
-        let lexed = lex("// lint: allow(panic)\nlet x = y.unwrap();\n");
+        let lexed = lex("// lint: allow(unused-pub)\npub fn f() {}\n");
         let a = AllowSet::from_comments(&lexed.comments);
-        assert!(!a.allowed(Rule::Panic, 2));
+        assert!(!a.allowed(Rule::UnusedPub, 2));
         assert!(!a.directives()[0].justified);
     }
 
     #[test]
     fn ascii_separators_work_too() {
         for sep in ["—", "--", "-", ":"] {
-            let src = format!("// lint: allow(wall-clock) {sep} reporting only\nfoo();\n");
+            let src = format!("// lint: allow(digest-coverage) {sep} test double only\nfoo();\n");
             let lexed = lex(&src);
             let a = AllowSet::from_comments(&lexed.comments);
-            assert!(a.allowed(Rule::WallClock, 2), "separator {sep:?}");
+            assert!(a.allowed(Rule::DigestCoverage, 2), "separator {sep:?}");
         }
     }
 
     #[test]
     fn doc_comments_never_enact_directives() {
         let lexed = lex(
-            "/// Quote the syntax: `// lint: allow(panic) — reason here`.\nfn f() { x.unwrap(); }\n",
+            "/// Quote the syntax: `// lint: allow(unused-pub) — reason here`.\npub fn f() {}\n",
         );
         let a = AllowSet::from_comments(&lexed.comments);
         assert!(a.directives().is_empty());
@@ -380,8 +372,8 @@ crates = ["types"]
 
     #[test]
     fn block_comment_directive_covers_span() {
-        let lexed = lex("/* lint: allow(entropy) — fixture uses OS RNG deliberately\n   spanning */\nthread_rng();\n");
+        let lexed = lex("/* lint: allow(unused-pub) — kept for the fixture\n   spanning */\npub fn f() {}\n");
         let a = AllowSet::from_comments(&lexed.comments);
-        assert!(a.allowed(Rule::Entropy, 3));
+        assert!(a.allowed(Rule::UnusedPub, 3));
     }
 }

@@ -11,14 +11,14 @@
 //! | `…/benches/…`                | `Benches`  |
 //! | `…/examples/…`, `examples/…` | `Examples` |
 //!
-//! Rule applicability: R1/R2 run on `Lib`+`Bin` of their scoped crates;
-//! R3 on all `Lib` code (panic discipline is a library property); R4
-//! everywhere (OS entropy is never acceptable); R5 on `Lib` of the
-//! contract crates; R6 on `Lib`+`Bin` of its scoped crates plus any file
-//! listed in its `paths` config; R7 on `Lib` of its scoped crates; R8
-//! everywhere (a stale directive is stale wherever it sits); R9 on the
-//! definitions in all `Lib` code, counting uses over every scanned file
-//! except the defining crate's own `src/` test code and `pub use` lists.
+//! Rule applicability, with every scope read from `lint.toml`:
+//!
+//! | rule | runs on |
+//! |------|---------|
+//! | R6 | `Lib`+`Bin` of its `crates`, plus each file in its `paths` |
+//! | R7 | `Lib` of its `crates`, for its `types` |
+//! | R8 | everywhere: a stale directive is stale wherever it sits |
+//! | R9 | definitions in all `Lib` code; uses in every scanned file but the defining crate's own `src/` test code and `pub use` lists |
 //!
 //! Since R6 and R9 need cross-file context, linting is two-pass: pass one
 //! lexes/parses every file and builds the workspace [`SymbolTable`]; pass
@@ -95,12 +95,6 @@ pub fn applicable_rules(class: &FileClass, rel_path: &str, config: &Config) -> V
     Rule::ALL
         .into_iter()
         .filter(|&rule| match rule {
-            Rule::HashIter | Rule::WallClock => {
-                matches!(class.section, Section::Lib | Section::Bin) && in_scope(rule)
-            }
-            Rule::Panic => class.section == Section::Lib,
-            Rule::Entropy => true,
-            Rule::Docs => class.section == Section::Lib && in_scope(rule),
             Rule::StateCoverage => {
                 (matches!(class.section, Section::Lib | Section::Bin) && in_scope(rule))
                     || r6_path_scoped(rel_path, config)
@@ -183,7 +177,7 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
     let mut raw: Vec<Vec<Violation>> = units
         .iter()
         .zip(&inputs)
-        .map(|(u, input)| check_file_raw(input, &table, &u.rules, u.r6_path_scoped, &digest_types))
+        .map(|(u, input)| check_file_raw(input, &table, &u.rules, u.r6_path_scoped, digest_types))
         .collect();
     let applicable: Vec<bool> = units.iter().map(|u| u.rules.contains(&Rule::UnusedPub)).collect();
     let mut workspace_violations = Vec::new();
@@ -208,7 +202,7 @@ fn analyse(rel_path: &str, source: &str, config: &Config) -> Unit {
     let map = map_file(&lexed);
     // Files in test/bench/example sections are wholly non-library code:
     // treat every line as test code for the line-level exclusions, so a
-    // `tests/` file never trips R1/R3 even if R1 were scoped onto it.
+    // `tests/` file never trips R6/R7 even if one were scoped onto it.
     let map = match class.section {
         Section::Tests | Section::Benches | Section::Examples => map.with_whole_file_test(),
         _ => map,
@@ -294,7 +288,7 @@ mod tests {
         }
         let input = file_input(&unit);
         let digest_types = config.types_of(Rule::DigestCoverage);
-        let raw = check_file_raw(&input, &table, &unit.rules, unit.r6_path_scoped, &digest_types);
+        let raw = check_file_raw(&input, &table, &unit.rules, unit.r6_path_scoped, digest_types);
         apply_allows(raw, &unit.allows, unit.rules.contains(&Rule::StaleAllow))
     }
 
@@ -317,55 +311,42 @@ mod tests {
         }
     }
 
+    /// The scopes the tests below lint under, shaped like `lint.toml`.
+    fn scoped() -> Config {
+        Config::parse(
+            "[rules.state-coverage]\ncrates = [\"netsim\", \"core\"]\n\
+             [rules.digest-coverage]\ncrates = [\"core\"]\ntypes = [\"EndStateDigest\"]\n",
+        )
+        .unwrap()
+    }
+
     #[test]
     fn rule_applicability_follows_scope_and_section() {
-        let config = Config::default();
+        let config = scoped();
         let lib = |p: &str| applicable_rules(&classify(p), p, &config);
-        // Scoped sim crate: everything except docs (netsim not a contract
-        // crate); R6 applies (netsim holds snapshot code), R7 does not.
+        // R6-scoped crate: R7 does not apply (netsim is not in its scope).
         assert_eq!(
             lib("crates/netsim/src/sim.rs"),
-            vec![
-                Rule::HashIter,
-                Rule::WallClock,
-                Rule::Panic,
-                Rule::Entropy,
-                Rule::StateCoverage,
-                Rule::StaleAllow,
-                Rule::UnusedPub
-            ]
+            vec![Rule::StateCoverage, Rule::StaleAllow, Rule::UnusedPub]
         );
-        // Contract crate in determinism, docs, state, and digest scopes.
+        // In both the state and the digest scopes.
         assert_eq!(
             lib("crates/core/src/runtime.rs"),
-            vec![
-                Rule::HashIter,
-                Rule::WallClock,
-                Rule::Panic,
-                Rule::Entropy,
-                Rule::Docs,
-                Rule::StateCoverage,
-                Rule::DigestCoverage,
-                Rule::StaleAllow,
-                Rule::UnusedPub
-            ]
+            vec![Rule::StateCoverage, Rule::DigestCoverage, Rule::StaleAllow, Rule::UnusedPub]
         );
-        // Unscoped crate: panic + entropy discipline, stale-allow hygiene
-        // and the unused-pub count.
+        // A binary of a scoped crate: R6 but no R9 (a bin's `pub fn` is rustc's).
+        assert_eq!(
+            lib("crates/netsim/src/bin/tool.rs"),
+            vec![Rule::StateCoverage, Rule::StaleAllow]
+        );
+        // Unscoped crate: stale-allow hygiene and the unused-pub count.
         assert_eq!(
             lib("crates/tomography/src/boolean.rs"),
-            vec![Rule::Panic, Rule::Entropy, Rule::StaleAllow, Rule::UnusedPub]
+            vec![Rule::StaleAllow, Rule::UnusedPub]
         );
-        // Benches: entropy + stale-allow only.
-        assert_eq!(
-            lib("crates/bench/benches/f2_synthesis_scale.rs"),
-            vec![Rule::Entropy, Rule::StaleAllow]
-        );
-        // Root integration tests: entropy + stale-allow only.
-        assert_eq!(
-            lib("tests/determinism.rs"),
-            vec![Rule::Entropy, Rule::StaleAllow]
-        );
+        // Benches and root integration tests: stale-allow only.
+        assert_eq!(lib("crates/bench/benches/f2_synthesis_scale.rs"), vec![Rule::StaleAllow]);
+        assert_eq!(lib("tests/determinism.rs"), vec![Rule::StaleAllow]);
     }
 
     #[test]
@@ -392,40 +373,33 @@ mod tests {
     #[test]
     fn path_allowlist_removes_a_rule_for_a_file() {
         let config = Config::parse(
-            "[rules.hash-iter]\nallow = [\"crates/netsim/src/graph.rs\"]\n",
+            "[rules.state-coverage]\ncrates = [\"core\"]\n\
+             [rules.digest-coverage]\ncrates = [\"core\"]\nallow = [\"crates/core/src/digest.rs\"]\n",
         )
         .unwrap();
         let rules = applicable_rules(
-            &classify("crates/netsim/src/graph.rs"),
-            "crates/netsim/src/graph.rs",
+            &classify("crates/core/src/digest.rs"),
+            "crates/core/src/digest.rs",
             &config,
         );
-        assert!(!rules.contains(&Rule::HashIter));
-        assert!(rules.contains(&Rule::WallClock));
+        assert!(!rules.contains(&Rule::DigestCoverage));
+        assert!(rules.contains(&Rule::StateCoverage));
     }
 
     #[test]
     fn lint_source_runs_end_to_end() {
-        let config = Config::default();
-        let v = lint_source(
-            "crates/netsim/src/fake.rs",
-            "use std::collections::HashMap;\n",
-            &config,
-        );
+        let config = scoped();
+        let src = "struct EndStateDigest { sent: u64 }\n";
+        let v = lint_source("crates/core/src/fake.rs", src, &config);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::HashIter);
+        assert_eq!(v[0].rule, Rule::DigestCoverage);
         // Same content in an out-of-scope crate: clean.
-        assert!(lint_source(
-            "crates/tomography/src/fake.rs",
-            "use std::collections::HashMap;\n",
-            &config
-        )
-        .is_empty());
+        assert!(lint_source("crates/tomography/src/fake.rs", src, &config).is_empty());
     }
 
     #[test]
     fn lint_source_runs_semantic_rules() {
-        let config = Config::default();
+        let config = scoped();
         // A save_state that never destructures Self: R6 fires.
         let v = lint_source(
             "crates/netsim/src/fake.rs",
@@ -437,7 +411,7 @@ mod tests {
         // A stale directive: R8 fires even in an unscoped crate.
         let v = lint_source(
             "crates/tomography/src/fake.rs",
-            "// lint: allow(panic) — nothing here panics any more\nfn f() {}\n",
+            "// lint: allow(unused-pub) — nothing here is public any more\nfn f() {}\n",
             &config,
         );
         assert_eq!(v.len(), 1, "{v:?}");

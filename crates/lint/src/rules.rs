@@ -1,9 +1,10 @@
-//! The rule catalogue: token-level checks R1–R5 enforcing determinism
-//! and panic discipline, the semantic passes R6–R8 built on the item
-//! parser (state coverage, digest equality, stale-allow hygiene), and the
+//! The rule catalogue: the semantic passes R6–R8 built on the item
+//! parser (state coverage, digest equality, stale-allow hygiene) and the
 //! workspace-wide use count R9 (public functions and fields nobody uses).
-//! See `lint.toml` and the README "Static analysis" section for the
-//! rationale of each.
+//! R1–R5 (hash containers, wall clock, panics, entropy, docs) are the
+//! compiler's: the root `clippy.toml`, `clippy::unwrap_used` /
+//! `expect_used` and `missing_docs`. See `lint.toml` and the README
+//! "Static analysis" section for the rationale of each.
 
 use std::collections::BTreeMap;
 
@@ -13,26 +14,10 @@ use crate::lexer::{Lexed, Token, TokenKind};
 use crate::parser::{close_of, FnDef, ParsedFile, StructKind, StructSig, SymbolTable};
 use crate::regions::FileMap;
 
-/// A rule identity: stable ID (`R1`…`R9`) plus the kebab-case name used
+/// A rule identity: stable ID (`R6`…`R9`) plus the kebab-case name used
 /// in allow directives and `lint.toml` sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1 `hash-iter`: no `HashMap`/`HashSet` in simulation/solver
-    /// crates — hash iteration order is nondeterministic and can change
-    /// solver output run to run.
-    HashIter,
-    /// R2 `wall-clock`: no `Instant::now` / `SystemTime` in code that
-    /// influences simulation or solver results. Pure time *reporting* is
-    /// allowlisted inline; benches are out of scope by construction.
-    WallClock,
-    /// R3 `panic`: no `unwrap()`/`expect()` in non-test library code
-    /// outside an inline-commented allowlist.
-    Panic,
-    /// R4 `entropy`: no `thread_rng`/`from_entropy` — all randomness must
-    /// flow from seeded RNGs, in tests as much as in library code.
-    Entropy,
-    /// R5 `docs`: public items in the contract crates carry doc comments.
-    Docs,
     /// R6 `state-coverage`: save/restore fns, and a hand-written `Wire`
     /// impl's `put`, exhaustively destructure the type they persist (no
     /// `..` rest pattern).
@@ -52,26 +37,16 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in ID order.
-    pub const ALL: [Rule; 9] = [
-        Rule::HashIter,
-        Rule::WallClock,
-        Rule::Panic,
-        Rule::Entropy,
-        Rule::Docs,
+    pub const ALL: [Rule; 4] = [
         Rule::StateCoverage,
         Rule::DigestCoverage,
         Rule::StaleAllow,
         Rule::UnusedPub,
     ];
 
-    /// Stable rule ID (`R1`…`R9`).
+    /// Stable rule ID (`R6`…`R9`; R1–R5 are the compiler's now).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::HashIter => "R1",
-            Rule::WallClock => "R2",
-            Rule::Panic => "R3",
-            Rule::Entropy => "R4",
-            Rule::Docs => "R5",
             Rule::StateCoverage => "R6",
             Rule::DigestCoverage => "R7",
             Rule::StaleAllow => "R8",
@@ -82,11 +57,6 @@ impl Rule {
     /// Kebab-case name used in `lint.toml` and allow directives.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::HashIter => "hash-iter",
-            Rule::WallClock => "wall-clock",
-            Rule::Panic => "panic",
-            Rule::Entropy => "entropy",
-            Rule::Docs => "docs",
             Rule::StateCoverage => "state-coverage",
             Rule::DigestCoverage => "digest-coverage",
             Rule::StaleAllow => "stale-allow",
@@ -101,96 +71,9 @@ impl Rule {
             .find(|r| r.name() == name || r.id() == name)
     }
 
-    /// The crates a rule applies to when `lint.toml` says nothing.
-    pub fn default_scope(self) -> &'static [&'static str] {
-        match self {
-            // The simulation/solver crates whose outputs must replay
-            // bit-for-bit.
-            Rule::HashIter | Rule::WallClock => {
-                &["netsim", "core", "synthesis", "adapt", "learning"]
-            }
-            // Panic, entropy, allow-directive hygiene and unused public
-            // functions hold everywhere; the scope list is unused
-            // (section-based).
-            Rule::Panic | Rule::Entropy | Rule::StaleAllow | Rule::UnusedPub => &[],
-            // The public-contract crates.
-            Rule::Docs => &["types", "core"],
-            // The crates holding snapshot/checkpoint code or a `Wire` impl.
-            Rule::StateCoverage => {
-                &["types", "netsim", "obs", "synthesis", "core", "ckpt", "fleet"]
-            }
-            // The crates defining digest/fingerprint types.
-            Rule::DigestCoverage => &["core", "obs"],
-        }
-    }
-
-    /// Files (relative paths) a rule additionally targets regardless of
-    /// crate scope. For R6 these are the codec-heavy files where *every*
-    /// destructure and every `save` fn is held to the exhaustiveness
-    /// convention.
-    pub fn default_paths(self) -> &'static [&'static str] {
-        match self {
-            Rule::StateCoverage => &[
-                "crates/netsim/src/sim/snapshot.rs",
-                "crates/core/src/checkpoint.rs",
-            ],
-            _ => &[],
-        }
-    }
-
-    /// Type names a rule targets (R7's digest types).
-    pub fn default_types(self) -> &'static [&'static str] {
-        match self {
-            Rule::DigestCoverage => &[
-                "EndStateDigest",
-                "ResilienceReport",
-                "MetricsDigest",
-                "TaskingStats",
-                "HistogramSnapshot",
-            ],
-            _ => &[],
-        }
-    }
-
     /// Long-form documentation for `--explain`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::HashIter => {
-                "R1[hash-iter] — no HashMap/HashSet in determinism-scoped crates.\n\
-                 \n\
-                 Hash iteration order is randomized per process, so any result that\n\
-                 depends on iterating a hash container can change run to run without\n\
-                 a single test failing. Use BTreeMap/BTreeSet, or sort before\n\
-                 iterating and justify the container with\n\
-                 `// lint: allow(hash-iter) — <reason>`."
-            }
-            Rule::WallClock => {
-                "R2[wall-clock] — no Instant::now/SystemTime in result-affecting code.\n\
-                 \n\
-                 Wall-clock reads make solver budgets and sim outcomes depend on host\n\
-                 speed. Use iteration/evaluation budgets or sim time. Pure reporting\n\
-                 (timing printed, never branched on) is justified inline with\n\
-                 `// lint: allow(wall-clock) — <reason>`."
-            }
-            Rule::Panic => {
-                "R3[panic] — no unwrap()/expect() in non-test library code.\n\
-                 \n\
-                 Library panics take down whole missions. Return an error or handle\n\
-                 the case; invariant-backed panics state the invariant inline with\n\
-                 `// lint: allow(panic) — <reason>`."
-            }
-            Rule::Entropy => {
-                "R4[entropy] — no thread_rng/from_entropy anywhere, tests included.\n\
-                 \n\
-                 OS entropy breaks replayability. All randomness flows from seeded\n\
-                 RNGs (`StdRng::seed_from_u64` or a stream derived from the run seed)."
-            }
-            Rule::Docs => {
-                "R5[docs] — public items in contract crates carry doc comments.\n\
-                 \n\
-                 The `types` and `core` crates are the repo's public API surface;\n\
-                 an undocumented `pub` item there is an unreviewed contract."
-            }
             Rule::StateCoverage => {
                 "R6[state-coverage] — checkpoint/snapshot fns pin their field coverage.\n\
                  \n\
@@ -305,11 +188,6 @@ pub fn check_file_raw(
     let mut out = Vec::new();
     for &rule in rules {
         match rule {
-            Rule::HashIter => check_hash_iter(input.lexed, input.map, &mut out),
-            Rule::WallClock => check_wall_clock(input.lexed, input.map, &mut out),
-            Rule::Panic => check_panic(input.lexed, input.map, &mut out),
-            Rule::Entropy => check_entropy(input.lexed, &mut out),
-            Rule::Docs => check_docs(input.lexed, input.map, &mut out),
             Rule::StateCoverage => check_state_coverage(input, table, r6_path_scoped, &mut out),
             Rule::DigestCoverage => check_digest_derives(input, digest_types, &mut out),
             // R9 needs the whole workspace; R8 needs the post-filter
@@ -404,151 +282,6 @@ pub fn apply_allows(raw: Vec<Violation>, allows: &AllowSet, stale_check: bool) -
     }
     sort_dedup(&mut kept);
     kept
-}
-
-/// R1: any `HashMap`/`HashSet` identifier outside test code. The rule is
-/// deliberately broader than "iteration" — at token level the safe
-/// invariant is *no hash-ordered containers at all* in result-affecting
-/// crates; lookup-only uses state their case in an allow directive.
-fn check_hash_iter(lexed: &Lexed, map: &FileMap, out: &mut Vec<Violation>) {
-    for t in &lexed.tokens {
-        if t.kind == TokenKind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-            && !map.is_test_line(t.line)
-        {
-            out.push(Violation {
-                line: t.line,
-                rule: Rule::HashIter,
-                message: format!(
-                    "`{}` in a determinism-scoped crate: hash iteration order varies \
-                     run to run; use BTreeMap/BTreeSet (or sort before iterating and \
-                     justify with `// lint: allow(hash-iter) — <reason>`)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// R2: `Instant::now` call sites and any `SystemTime` mention outside
-/// test code. `use std::time::Instant` alone is fine — only acquiring the
-/// clock is flagged, so passing an externally-captured timestamp through
-/// is allowed.
-fn check_wall_clock(lexed: &Lexed, map: &FileMap, out: &mut Vec<Violation>) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if map.is_test_line(t.line) {
-            continue;
-        }
-        let flagged = if t.is_ident("Instant") {
-            toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
-                && toks.get(i + 2).is_some_and(|a| a.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|a| a.is_ident("now"))
-        } else {
-            t.is_ident("SystemTime")
-        };
-        if flagged {
-            out.push(Violation {
-                line: t.line,
-                rule: Rule::WallClock,
-                message: "wall-clock read in a determinism-scoped crate: results must not \
-                 depend on real time; use iteration/evaluation budgets (e.g. \
-                 `SolverBudget`) or sim time, and justify pure reporting with \
-                 `// lint: allow(wall-clock) — <reason>`"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// R3: `.unwrap(` / `.expect(` in non-test library code.
-fn check_panic(lexed: &Lexed, map: &FileMap, out: &mut Vec<Violation>) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_punct('.') {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1) else { continue };
-        if !(name.is_ident("unwrap") || name.is_ident("expect")) {
-            continue;
-        }
-        if !toks.get(i + 2).is_some_and(|p| p.is_punct('(')) {
-            continue;
-        }
-        if map.is_test_line(name.line) {
-            continue;
-        }
-        out.push(Violation {
-            line: name.line,
-            rule: Rule::Panic,
-            message: format!(
-                "`{}()` in library code: return an error or handle the case; if the \
-                 panic is invariant-backed, justify with `// lint: allow(panic) — <reason>`",
-                name.text
-            ),
-        });
-    }
-}
-
-/// R4: `thread_rng` / `from_entropy` anywhere, including tests — OS
-/// entropy breaks replayability wherever it appears.
-fn check_entropy(lexed: &Lexed, out: &mut Vec<Violation>) {
-    for t in &lexed.tokens {
-        if t.kind == TokenKind::Ident && (t.text == "thread_rng" || t.text == "from_entropy") {
-            out.push(Violation {
-                line: t.line,
-                rule: Rule::Entropy,
-                message: format!(
-                    "`{}` draws OS entropy: all randomness must flow from seeded RNGs \
-                     (`StdRng::seed_from_u64` or a stream derived from the run seed)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// R5: `pub` items in contract crates need a doc comment. Skips
-/// `pub(…)` restricted visibility, `pub use` re-exports, `pub mod x;`
-/// declarations (docs live in the module file), tuple-struct fields, and
-/// members of trait impls (they inherit the trait's docs).
-fn check_docs(lexed: &Lexed, map: &FileMap, out: &mut Vec<Violation>) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("pub") || map.is_test_line(t.line) || map.is_trait_impl_line(t.line) {
-            continue;
-        }
-        let Some(next) = toks.get(i + 1) else { continue };
-        // `pub(crate)` / `pub(super)`: not part of the public API.
-        if next.is_punct('(') {
-            continue;
-        }
-        // Re-exports and externs don't carry their own docs.
-        if next.is_ident("use") || next.is_ident("extern") {
-            continue;
-        }
-        // `pub mod x;` — the module documents itself with `//!`.
-        if next.is_ident("mod") && toks.get(i + 3).is_some_and(|p| p.is_punct(';')) {
-            continue;
-        }
-        // Tuple-struct fields (`pub struct Id(pub u64)`): preceded by a
-        // `(` or `,` and NOT shaped like a named field (`pub name: Type`),
-        // which can also follow a comma inside a braced struct.
-        let named_field = matches!(next.kind, TokenKind::Ident)
-            && toks.get(i + 2).is_some_and(|p| p.is_punct(':'));
-        if i > 0 && (toks[i - 1].is_punct('(') || toks[i - 1].is_punct(',')) && !named_field {
-            continue;
-        }
-        if !map.has_doc_above(t.line) {
-            out.push(Violation {
-                line: t.line,
-                rule: Rule::Docs,
-                message: "public item lacks a doc comment: add `///` docs (or justify with \
-                 `// lint: allow(docs) — <reason>`)"
-                    .to_string(),
-            });
-        }
-    }
 }
 
 /// One use R9 counts. A method is counted by type wherever the
@@ -1345,8 +1078,7 @@ mod tests {
             map: &map,
             parsed: &parsed,
         };
-        let digest_types: Vec<String> =
-            Rule::DigestCoverage.default_types().iter().map(|s| s.to_string()).collect();
+        let digest_types = ["EndStateDigest", "MetricsDigest", "TaskingStats"].map(String::from);
         let raw = check_file_raw(&input, &table, rules, path_scoped, &digest_types);
         let allows = AllowSet::from_comments(&lexed.comments);
         apply_allows(raw, &allows, rules.contains(&Rule::StaleAllow))
@@ -1356,145 +1088,6 @@ mod tests {
         run_path("lib.rs", src, rules, false)
     }
 
-    fn rules_hit(src: &str, rules: &[Rule]) -> Vec<(&'static str, u32)> {
-        run(src, rules).iter().map(|v| (v.rule.id(), v.line)).collect()
-    }
-
-    #[test]
-    fn hash_iter_flags_non_test_uses_only() {
-        let src = "\
-use std::collections::HashMap;
-fn lib(m: &HashMap<u32, u32>) {}
-#[cfg(test)]
-mod tests {
-    use std::collections::HashSet;
-    fn t() { let _ = HashSet::<u32>::new(); }
-}
-";
-        assert_eq!(rules_hit(src, &[Rule::HashIter]), vec![("R1", 1), ("R1", 2)]);
-    }
-
-    #[test]
-    fn hash_iter_ignores_comments_and_strings() {
-        let src = "// HashMap in a comment\nfn f() { let s = \"HashMap\"; let r = r#\"HashSet\"#; }\n";
-        assert!(run(src, &[Rule::HashIter]).is_empty());
-    }
-
-    #[test]
-    fn hash_iter_allow_directive_with_reason() {
-        let src = "\
-use std::collections::HashMap; // lint: allow(hash-iter) — lookup-only index, never iterated
-fn f(m: &HashMap<u32, u32>) -> Option<&u32> { // lint: allow(hash-iter) — lookup-only
-    m.get(&1)
-}
-";
-        assert!(run(src, &[Rule::HashIter]).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_flags_now_but_not_type_mentions() {
-        let src = "\
-use std::time::Instant;
-fn report(start: Instant) -> f64 { start.elapsed().as_secs_f64() }
-fn bad() { let t = Instant::now(); let _ = t; }
-fn worse() { let _ = std::time::SystemTime::now(); }
-";
-        assert_eq!(
-            rules_hit(src, &[Rule::WallClock]),
-            vec![("R2", 3), ("R2", 4)]
-        );
-    }
-
-    #[test]
-    fn wall_clock_allowlisted_reporting() {
-        let src = "fn f() { let t = std::time::Instant::now(); } // lint: allow(wall-clock) — reporting only\n";
-        assert!(run(src, &[Rule::WallClock]).is_empty());
-    }
-
-    #[test]
-    fn panic_flags_unwrap_and_expect_outside_tests() {
-        let src = "\
-fn lib() {
-    let a: Option<u32> = None;
-    let _ = a.unwrap();
-    let _ = a.expect(\"boom\");
-    let _ = a.unwrap_or(3);
-}
-#[cfg(test)]
-mod tests {
-    fn t() { Some(1).unwrap(); }
-}
-";
-        assert_eq!(rules_hit(src, &[Rule::Panic]), vec![("R3", 3), ("R3", 4)]);
-    }
-
-    #[test]
-    fn panic_allow_requires_reason() {
-        let with_reason = "fn f() { x.unwrap(); } // lint: allow(panic) — key inserted two lines above\n";
-        assert!(run(with_reason, &[Rule::Panic]).is_empty());
-        let without = "fn f() { x.unwrap(); } // lint: allow(panic)\n";
-        let v = run(without, &[Rule::Panic]);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("lacks a justification"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn entropy_flags_tests_too() {
-        let src = "\
-fn lib() { let r = rand::thread_rng(); }
-#[cfg(test)]
-mod tests {
-    fn t() { let r = SmallRng::from_entropy(); }
-}
-";
-        assert_eq!(rules_hit(src, &[Rule::Entropy]), vec![("R4", 1), ("R4", 4)]);
-    }
-
-    #[test]
-    fn docs_flags_undocumented_pub_items() {
-        let src = "\
-/// Documented.
-pub fn good() {}
-pub fn bad() {}
-pub struct AlsoBad;
-pub(crate) fn internal() {}
-pub use std::collections::BTreeMap;
-pub mod submodule;
-";
-        assert_eq!(rules_hit(src, &[Rule::Docs]), vec![("R5", 3), ("R5", 4)]);
-    }
-
-    #[test]
-    fn docs_sees_through_attributes_and_skips_tuple_fields() {
-        let src = "\
-/// Documented wrapper.
-#[derive(Debug, Clone)]
-pub struct Id(pub u64);
-
-/// Documented struct.
-pub struct S {
-    /// Documented field.
-    pub x: f64,
-    pub y: f64,
-}
-";
-        assert_eq!(rules_hit(src, &[Rule::Docs]), vec![("R5", 9)]);
-    }
-
-    #[test]
-    fn docs_skips_trait_impl_members() {
-        let src = "\
-/// Documented.
-pub struct S;
-impl std::fmt::Display for S {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, \"s\")
-    }
-}
-";
-        assert!(run(src, &[Rule::Docs]).is_empty());
-    }
-
     #[test]
     fn rule_names_round_trip() {
         for r in Rule::ALL {
@@ -1502,7 +1095,7 @@ impl std::fmt::Display for S {
             assert_eq!(Rule::from_name(r.id()), Some(r));
         }
         assert_eq!(Rule::from_name("nope"), None);
-        assert_eq!(Rule::HashIter.to_string(), "R1[hash-iter]");
+        assert_eq!(Rule::StateCoverage.to_string(), "R6[state-coverage]");
     }
 
     // -- R6 ---------------------------------------------------------
@@ -1691,14 +1284,23 @@ impl PartialEq for MetricsDigest {
 
     // -- R8 ---------------------------------------------------------
 
+    /// A `save_state` that pins nothing: one R6 finding on line 3, where
+    /// `fn save_state` sits.
+    const UNPINNED: &str = "\
+struct S { a: u32 }
+impl S {
+    fn save_state(&self) -> u32 { self.a }
+}
+";
+
     #[test]
     fn stale_allow_flags_directives_that_suppress_nothing() {
         let src = "\
 fn clean() {}
-// lint: allow(panic) — leftover from a refactor
+// lint: allow(state-coverage) — leftover from a refactor
 fn also_clean() {}
 ";
-        let v = run(src, &[Rule::Panic, Rule::StaleAllow]);
+        let v = run(src, &[Rule::StateCoverage, Rule::StaleAllow]);
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].rule.id(), v[0].line), ("R8", 2));
         assert!(v[0].message.contains("stale"), "{}", v[0].message);
@@ -1706,8 +1308,19 @@ fn also_clean() {}
 
     #[test]
     fn stale_allow_accepts_live_directives() {
-        let src = "fn f() { x.unwrap(); } // lint: allow(panic) — invariant: x checked above\n";
-        assert!(run(src, &[Rule::Panic, Rule::StaleAllow]).is_empty());
+        // A justified directive suppresses the finding on its own line
+        // (trailing) and on the line below (standalone), and is live.
+        let trailing = UNPINNED.replace(
+            "self.a }",
+            "self.a } // lint: allow(state-coverage) — reporting-only state, rebuilt on restore",
+        );
+        let above = UNPINNED.replace(
+            "impl S {\n",
+            "impl S {\n    // lint: allow(state-coverage) — reporting-only state, rebuilt on restore\n",
+        );
+        for src in [trailing, above] {
+            assert!(run(&src, &[Rule::StateCoverage, Rule::StaleAllow]).is_empty(), "{src}");
+        }
     }
 
     #[test]
@@ -1720,22 +1333,23 @@ fn also_clean() {}
 
     #[test]
     fn stale_allow_unjustified_live_directive_is_not_stale() {
-        // The R3 violation is still reported (with a hint); the directive
+        // The R6 violation is still reported, with a hint; the directive
         // targeted something, so R8 stays quiet.
-        let src = "fn f() { x.unwrap(); } // lint: allow(panic)\n";
-        let v = run(src, &[Rule::Panic, Rule::StaleAllow]);
+        let src = UNPINNED.replace("self.a }", "self.a } // lint: allow(state-coverage)");
+        let v = run(&src, &[Rule::StateCoverage, Rule::StaleAllow]);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Panic);
+        assert_eq!((v[0].rule, v[0].line), (Rule::StateCoverage, 3));
+        assert!(v[0].message.contains("lacks a justification"), "{}", v[0].message);
     }
 
     #[test]
     fn stale_allow_can_itself_be_allowed() {
         let src = "\
 // lint: allow(stale-allow) — directive below documents a planned exemption
-// lint: allow(panic) — waiting on the follow-up change
+// lint: allow(state-coverage) — waiting on the follow-up change
 fn f() {}
 ";
-        assert!(run(src, &[Rule::Panic, Rule::StaleAllow]).is_empty());
+        assert!(run(src, &[Rule::StateCoverage, Rule::StaleAllow]).is_empty());
     }
 
     #[test]

@@ -1,38 +1,16 @@
-//! Fixture: a contract "core" crate with one seeded R3 and one seeded R5
-//! violation, plus allowlisted and test-code decoys.
+//! Fixture: the "core" crate root, where the allow directives live: a
+//! justified one suppresses an R9 finding, and one suppresses nothing
+//! (seeded R8).
 
-/// Seeded R3 violation inside this documented function.
-pub fn seeded_panic(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-
-/// Clean: invariant-backed expect with a justified allow directive.
-pub fn allowed_panic(x: Option<u32>) -> u32 {
-    // lint: allow(panic) — x is Some by construction in every caller
-    x.expect("always present")
-}
-
-pub fn seeded_missing_docs() -> u32 {
+/// Clean: nothing calls it, and the justified directive below says why.
+// lint: allow(unused-pub) — kept for the fixture: a justified directive suppresses its finding
+pub fn excused_unused() -> u32 {
     41
 }
 
-/// Clean: documented public item with attributes in between.
-#[derive(Debug, Clone, Copy)]
-pub struct Documented(pub u64);
-
-impl std::fmt::Display for Documented {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unwrap_in_tests_is_fine() {
-        assert_eq!(Some(1u32).map(|v| v + 1).unwrap(), 2);
-        let _ = seeded_panic(Some(3));
-    }
+/// Clean for R9: `core/tests/callers.rs` calls it.
+// Seeded R8 on the next line: the fn has a caller, so it excuses nothing.
+// lint: allow(unused-pub) — stale since the caller arrived
+pub fn called_and_excused() -> u32 {
+    42
 }

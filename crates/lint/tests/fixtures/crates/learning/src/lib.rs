@@ -1,18 +1,18 @@
-//! Fixture: a "learning" crate with one seeded R4 violation (OS entropy
-//! is flagged even inside test code) and six seeded R9 violations.
+//! Fixture: a "learning" crate with six seeded R9 violations, and the
+//! visibility and test-code decoys R9 must not flag.
 
-/// Clean: seeded randomness is the required pattern.
-pub fn seeded_rng_is_fine(seed: u64) -> u64 {
+/// Clean for R9: `core/tests/callers.rs` calls it.
+pub fn called_from_tests(seed: u64) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn seeded_entropy_violation() {
-        // Seeded R4 violation on the next line (`thread_rng` never lexes
-        // from this comment — comments yield no tokens).
-        let _ = rand::thread_rng();
+    /// Clean for R9: a `pub fn` inside test code is no library API, so
+    /// nothing has to call it.
+    pub fn test_helper_nobody_calls() -> u64 {
+        // (a helper the crate's tests would share)
+        5
     }
 }
 

@@ -1,46 +1,10 @@
-//! Fixture: a determinism-scoped "netsim" crate with one seeded R1 and
-//! one seeded R2 violation, plus decoys that must NOT be flagged.
+//! Fixture: the "netsim" crate root, clean under every rule. Hash
+//! containers and wall-clock reads are clippy's to refuse
+//! (`clippy.toml`), so none of these lines is the linter's business.
 
-// Decoy: HashMap in a comment must not trip R1.
-/* Nested /* block comment with HashSet */ still a comment. */
+use std::collections::HashMap;
 
-use std::collections::BTreeMap;
-
-/// Clean: a raw string mentioning HashMap is not a violation.
-pub fn decoy_strings() -> (&'static str, &'static str) {
-    (r#"HashMap " inside raw"#, "Instant::now() in a plain string")
-}
-
-/// Seeded R1 violation on the next line.
-pub fn seeded_hash_iter() -> usize {
-    let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+/// Clean for R9: `core/tests/callers.rs` calls it.
+pub fn clean(m: &HashMap<u32, u32>) -> usize {
     m.len()
-}
-
-/// Seeded R2 violation on the next line.
-pub fn seeded_wall_clock() -> f64 {
-    let t = std::time::Instant::now();
-    t.elapsed().as_secs_f64()
-}
-
-/// Clean: allowlisted wall-clock read with a justification.
-pub fn allowed_wall_clock() -> f64 {
-    let t = std::time::Instant::now(); // lint: allow(wall-clock) — reporting only, never affects results
-    t.elapsed().as_secs_f64()
-}
-
-/// Clean: deterministic containers.
-pub fn clean(m: &BTreeMap<u32, u32>) -> usize {
-    m.len()
-}
-
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
-
-    #[test]
-    fn test_code_may_use_hash_containers() {
-        let m: HashMap<u32, u32> = HashMap::new();
-        assert!(m.is_empty());
-    }
 }

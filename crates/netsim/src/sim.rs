@@ -426,8 +426,8 @@ impl<'a> Context<'a> {
     }
 
     /// Current position of this node.
+    #[expect(clippy::expect_used, reason = "contexts are only constructed for catalog nodes")]
     pub fn position(&self) -> Point {
-        // lint: allow(panic) — contexts are only constructed for catalog nodes
         self.core.node(self.node).expect("context node exists").mobility.position()
     }
 
@@ -1162,7 +1162,7 @@ impl Simulator {
                 if next.at > deadline {
                     break;
                 }
-                // lint: allow(panic) — the loop condition peeked this entry, so pop cannot fail
+                #[expect(clippy::expect_used, reason = "the loop condition peeked this entry, so pop cannot fail")]
                 let Reverse(q) = self.core.queue.pop().expect("peeked");
                 self.core.now = q.at;
                 // Stamp the shared observability clock before dispatching so
@@ -1191,7 +1191,7 @@ impl Simulator {
                     if head.at != at {
                         break;
                     }
-                    // lint: allow(panic) — the loop condition peeked this entry, so pop cannot fail
+                    #[expect(clippy::expect_used, reason = "the loop condition peeked this entry, so pop cannot fail")]
                     let Reverse(q) = self.core.queue.pop().expect("peeked");
                     batch.push(q.event);
                 }

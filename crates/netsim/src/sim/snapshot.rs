@@ -394,7 +394,7 @@ impl Simulator {
         core.rng = rand::rngs::StdRng::from_state(rng_state);
         core.stats = stats;
         for nr in node_restores {
-            // lint: allow(panic) — membership was verified during decoding above
+            #[expect(clippy::expect_used, reason = "membership was verified during decoding above")]
             let i = core.idx(nr.id).expect("verified during decode");
             let n = &mut core.nodes[i as usize];
             n.mobility = nr.mobility;

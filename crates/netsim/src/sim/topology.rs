@@ -305,6 +305,7 @@ impl Topology {
     /// The graph of the world as it stands, announced. Every hop of every
     /// message passes here, so the common case — nothing owed — inlines.
     #[inline]
+    #[expect(clippy::expect_used, reason = "`pay` leaves a held graph behind")]
     pub(super) fn access(
         &mut self,
         world: &World<'_>,
@@ -313,7 +314,6 @@ impl Topology {
         if !matches!(self.held, Some(Held { owes: Owes::Nothing, .. })) {
             self.pay(world, recorder);
         }
-        // lint: allow(panic) — `pay` leaves a held graph behind
         &self.held.as_ref().expect("paid").graph
     }
 

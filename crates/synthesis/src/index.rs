@@ -187,7 +187,7 @@ impl CellIndex {
                             continue;
                         };
                         // A hit exists, so the reverse scan terminates.
-                        // lint: allow(panic) — the forward scan just found a member, so the reverse scan must too
+                        #[expect(clippy::unwrap_used, reason = "the forward scan just found a member, so the reverse scan must too")]
                         let b = row.len() - row.iter().rev().position(inside).unwrap();
                         run(base + a as u32, base + b as u32, mi);
                     }

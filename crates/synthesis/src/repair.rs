@@ -116,7 +116,8 @@ pub fn repair_with_timed(
     failed: &BTreeSet<NodeId>,
     solver: Solver,
 ) -> (RepairResult, f64) {
-    let start = Instant::now(); // lint: allow(wall-clock) — reporting only: the timing channel never influences the repair
+    #[expect(clippy::disallowed_methods, reason = "reporting only: the timing channel never influences the repair")]
+    let start = Instant::now();
     let result = repair_with(problem, previous, failed, solver);
     (result, start.elapsed().as_secs_f64() * 1_000.0)
 }

@@ -278,7 +278,8 @@ impl Solver {
     /// milliseconds. The timing is a reporting channel only — it is not
     /// part of [`CompositionResult`] and can never influence a selection.
     pub fn solve_timed(&self, problem: &CompositionProblem) -> (CompositionResult, f64) {
-        let start = Instant::now(); // lint: allow(wall-clock) — reporting only: the timing channel never influences a selection
+        #[expect(clippy::disallowed_methods, reason = "reporting only: the timing channel never influences a selection")]
+        let start = Instant::now();
         let result = self.solve(problem);
         (result, start.elapsed().as_secs_f64() * 1_000.0)
     }
@@ -365,12 +366,12 @@ impl PartialOrd for CelfEntry {
 }
 
 impl Ord for CelfEntry {
+    #[expect(clippy::expect_used, reason = "gains are small integers and costs are in [1, 2], so both products are finite")]
     fn cmp(&self, other: &Self) -> Ordering {
         // Max-heap on ratio; equal ratios pop the smaller index first.
         let lhs = self.gain as f64 * other.cost;
         let rhs = other.gain as f64 * self.cost;
         lhs.partial_cmp(&rhs)
-            // lint: allow(panic) — gains are small integers and costs are in [1, 2], so both products are finite
             .expect("finite gains and costs")
             .then_with(|| other.idx.cmp(&self.idx))
     }
@@ -602,6 +603,7 @@ fn portfolio(
     seed: u64,
 ) -> (CompositionResult, SolveStats, Vec<MemberOutcome>) {
     let members = Solver::portfolio_members(iterations, seed);
+    #[expect(clippy::expect_used, reason = "join only fails if a member panicked; propagating that panic is the right response")]
     let results: Vec<(CompositionResult, SolveStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = members
             .iter()
@@ -611,7 +613,6 @@ fn portfolio(
         // `members` regardless of which thread finishes first.
         handles
             .into_iter()
-            // lint: allow(panic) — join only fails if a member panicked; propagating that panic is the right response
             .map(|h| h.join().expect("portfolio member panicked"))
             .collect()
     });

@@ -116,7 +116,7 @@ impl MeasurementSystem {
         let mut y = self.matrix.mul_vec(true_metrics);
         if noise_std > 0.0 {
             let mut rng = StdRng::seed_from_u64(seed);
-            // lint: allow(panic) — guarded by noise_std > 0.0, so the distribution parameters are valid
+            #[expect(clippy::expect_used, reason = "guarded by noise_std > 0.0, so the distribution parameters are valid")]
             let normal = Normal::new(0.0, noise_std).expect("finite std");
             for v in &mut y {
                 *v += normal.sample(&mut rng);

@@ -7,7 +7,7 @@
 //! links that cover the most unexplained failed paths (minimum-hitting-set
 //! heuristic).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::topology::Topology;
 
@@ -29,7 +29,7 @@ impl Localization {
         if self.inferred_failed.is_empty() {
             return if truth.is_empty() { 1.0 } else { 0.0 };
         }
-        let truth: HashSet<usize> = truth.iter().copied().collect();
+        let truth: BTreeSet<usize> = truth.iter().copied().collect();
         let tp = self
             .inferred_failed
             .iter()
@@ -43,7 +43,7 @@ impl Localization {
         if truth.is_empty() {
             return 1.0;
         }
-        let inferred: HashSet<usize> = self.inferred_failed.iter().copied().collect();
+        let inferred: BTreeSet<usize> = self.inferred_failed.iter().copied().collect();
         let tp = truth.iter().filter(|e| inferred.contains(e)).count();
         tp as f64 / truth.len() as f64
     }
@@ -75,7 +75,7 @@ pub fn localize_failures(
     for &e in failed_edges {
         assert!(e < topology.edge_count(), "failed edge out of range");
     }
-    let failed: HashSet<usize> = failed_edges.iter().copied().collect();
+    let failed: BTreeSet<usize> = failed_edges.iter().copied().collect();
 
     // Collect paths and observe their health.
     let mut working_paths: Vec<Vec<usize>> = Vec::new();
@@ -94,7 +94,7 @@ pub fn localize_failures(
     }
 
     // Exoneration: every link on a working path is good.
-    let mut exonerated: HashSet<usize> = HashSet::new();
+    let mut exonerated: BTreeSet<usize> = BTreeSet::new();
     for p in &working_paths {
         exonerated.extend(p.iter().copied());
     }

@@ -261,7 +261,7 @@ pub fn min_norm_solution(a: &Matrix, y: &[f64]) -> Vec<f64> {
             g.set(i, j, dot + if i == j { 1e-9 } else { 0.0 });
         }
     }
-    // lint: allow(panic) — the 1e-9 ridge term on the diagonal keeps the Gram matrix nonsingular
+    #[expect(clippy::expect_used, reason = "the 1e-9 ridge term on the diagonal keeps the Gram matrix nonsingular")]
     let alpha = solve(&g, y).expect("ridge keeps the Gram matrix nonsingular");
     a.transpose_mul_vec(&alpha)
 }

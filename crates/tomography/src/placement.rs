@@ -75,7 +75,7 @@ pub fn greedy_placement(topology: &Topology, k: usize) -> Vec<usize> {
                 best = Some((v, frac));
             }
         }
-        // lint: allow(panic) — k is clamped to the node count, so an unchosen candidate always remains
+        #[expect(clippy::expect_used, reason = "k is clamped to the node count, so an unchosen candidate always remains")]
         let (v, _) = best.expect("k <= node count leaves candidates");
         monitors.push(v);
         monitors.sort_unstable();

@@ -26,7 +26,7 @@ impl Topology {
     /// duplicate edges.
     pub fn new(n: usize, edges: Vec<(usize, usize)>) -> Self {
         assert!(n > 0, "graph must have nodes");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &(a, b) in &edges {
             assert!(a < n && b < n, "edge endpoint out of range");
             assert_ne!(a, b, "self-loops are not allowed");
@@ -65,7 +65,7 @@ impl Topology {
         assert!(n > 0, "graph must have nodes");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut edges = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         // Random tree: attach each node to a random earlier node.
         for v in 1..n {
             let u = rng.gen_range(0..v);
@@ -143,7 +143,7 @@ impl Topology {
         let mut path = Vec::new();
         let mut cur = dst;
         while cur != src {
-            // lint: allow(panic) — BFS sets prev for every visited node except src, and cur != src here
+            #[expect(clippy::expect_used, reason = "BFS sets prev for every visited node except src, and cur != src here")]
             let (p, e) = prev[cur].expect("visited nodes have predecessors");
             path.push(e);
             cur = p;

@@ -234,9 +234,9 @@ impl PopulationBuilder {
                 .energy(energy)
                 .human(is_human)
                 .build();
+            #[expect(clippy::expect_used, reason = "the builder assigns sequential ids, so duplicates are impossible")]
             catalog
                 .insert(node)
-                // lint: allow(panic) — the builder assigns sequential ids, so duplicates are impossible
                 .expect("population ids are sequential and unique");
         }
         catalog

@@ -8,7 +8,6 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        // lint: allow(docs) — docs are injected per expansion through the macro's $(#[$doc])* metavariable
         pub struct $name(u64);
 
         impl $name {

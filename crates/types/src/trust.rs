@@ -6,7 +6,7 @@
 //! evidence, and its [`TrustScore`] is the posterior mean of a Beta
 //! distribution seeded by the node's [`Affiliation`] prior.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::{Affiliation, NodeId};
@@ -111,7 +111,7 @@ impl Evidence {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrustLedger {
     prior_strength: f64,
-    evidence: HashMap<NodeId, Evidence>,
+    evidence: BTreeMap<NodeId, Evidence>,
 }
 
 impl TrustLedger {
@@ -122,7 +122,7 @@ impl TrustLedger {
     pub fn new() -> Self {
         TrustLedger {
             prior_strength: Self::DEFAULT_PRIOR_STRENGTH,
-            evidence: HashMap::new(),
+            evidence: BTreeMap::new(),
         }
     }
 
@@ -164,11 +164,6 @@ impl TrustLedger {
         if let Some(e) = self.evidence.get_mut(&node) {
             e.beta += 1.0;
         }
-    }
-
-    /// Iterates over `(node, score)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, TrustScore)> + '_ {
-        self.evidence.iter().map(|(&id, e)| (id, e.score()))
     }
 }
 

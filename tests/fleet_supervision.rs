@@ -288,7 +288,11 @@ fn backoff_parking_stays_live_without_busy_waiting() {
     // than spin or stall on the liveness backstop. The run must finish
     // promptly in wall-clock terms (seconds, not the minutes a stuck
     // 100ms-backstop loop would take) and still match the solo digest.
-    let t0 = std::time::Instant::now(); // bounds test runtime only; no simulated result depends on it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds test runtime only; no simulated result depends on it"
+    )]
+    let t0 = std::time::Instant::now();
     let store = FailingStore::new(
         DiskStore::new(&root),
         FaultProfile {
