@@ -12,6 +12,9 @@ use iobt_core::prelude::*;
 use iobt_netsim::{SimDuration, SimTime};
 use iobt_obs::{Recorder, SharedBytes};
 
+/// A recorder sink under test: its row label and how to make one.
+type Mode = (&'static str, fn() -> Recorder);
+
 fn scenario() -> Scenario {
     let mut s = urban_evacuation(200, 11);
     s.disruptions = vec![Disruption::JammerOn {
@@ -44,7 +47,7 @@ fn main() {
         "f1 evacuation (200 nodes, 120 s): run time by recorder sink",
         &["sink", "mean ms", "min ms", "overhead vs disabled %"],
     );
-    let modes: [(&str, fn() -> Recorder); 4] = [
+    let modes: [Mode; 4] = [
         ("disabled", Recorder::disabled),
         ("null (metrics only)", Recorder::null),
         ("memory ring (64k)", || Recorder::memory(1 << 16).0),

@@ -284,8 +284,10 @@ mod tests {
 
     #[test]
     fn skip_matches_whole_components_only() {
-        let mut c = Config::default();
-        c.skip = vec!["crates/lint/tests/fixtures".into()];
+        let c = Config {
+            skip: vec!["crates/lint/tests/fixtures".into()],
+            ..Config::default()
+        };
         assert!(c.path_skipped("crates/lint/tests/fixtures/crates/a/src/lib.rs"));
         assert!(!c.path_skipped("crates/lint/tests/fixtures_extra.rs"));
     }

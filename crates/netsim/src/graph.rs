@@ -23,13 +23,14 @@
 //!   rebuilding the whole graph (see the sim's dirty-tracking for the
 //!   rules).
 //! * **One routing path** — every search is an early-exit Dijkstra over
-//!   reused scratch whose indexed 4-ary heap holds each node at most
-//!   once and pops it once, at its final distance. A search handed its
-//!   destination's reverse-distance table
-//!   (`ConnectivityGraph::distances_from`: the same loop run from the
-//!   destination with no early exit) drops every offer that cannot lie
-//!   on a route within `BOUND_SLACK` of the best one, and returns the
-//!   same path bit for bit (DESIGN.md, "Bounded by the destination").
+//!   reused scratch whose binary heap takes an entry per strict
+//!   improvement and skips the stale ones, so each node settles once, at
+//!   its final distance. A search handed its destination's
+//!   reverse-distance table (`ConnectivityGraph::distances_from`: the
+//!   same loop run from the destination with no early exit) drops every
+//!   offer that cannot lie on a route within `BOUND_SLACK` of the best
+//!   one, and returns the same path bit for bit (DESIGN.md, "Bounded by
+//!   the destination").
 //!   The graph caches no routes and no tables; the simulator keeps each
 //!   source's last answer, and each busy destination's table, for as
 //!   long as the topology stands.
@@ -54,7 +55,7 @@
 //!   single-node relink stays on the calling thread.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::rc::Rc;
 use std::sync::OnceLock;
 use std::{panic, thread};
@@ -566,13 +567,11 @@ impl ConnectivityGraph {
     /// back with [`RouteScratch::recycle`] pays no allocation per query
     /// once the scratch has warmed up.
     ///
-    /// A cheaper path to a queued node lowers its key in place, so every
-    /// node is queued once and popped once. Keys order by cost
-    /// (`total_cmp`), then node index. A lazy-deletion heap of `(cost,
-    /// node)` entries pops in the same order — its live entries are
-    /// exactly the queued nodes at their current cost, and it skips the
-    /// stale ones — so both settle the same nodes with the same
-    /// predecessors; a unit test holds the two searches equal.
+    /// Frontier entries order by cost (`total_cmp`), then node index. A
+    /// node is queued again only at a strictly lower cost, and the
+    /// costlier entries that leaves behind are skipped on pop, so each
+    /// node settles once, at its final distance; a unit test holds every
+    /// answer to Floyd–Warshall distances over the stored weights.
     ///
     /// `to_d`, when given, is `d`'s table from
     /// [`ConnectivityGraph::distances_from`] on this graph. The search
@@ -947,7 +946,7 @@ impl<'a> PairKernel<'a> {
 const BOUND_SLACK: f64 = 1e-9;
 
 /// Reusable Dijkstra working state for `ConnectivityGraph::route_idx_with`:
-/// one [`Slot`] per node and an indexed 4-ary min-heap of the queued ones.
+/// one [`Slot`] per node and a lazy-deletion min-heap of frontier entries.
 ///
 /// Slots are validated by an epoch stamp, so starting a new query is
 /// `O(1)` — no per-node clearing — and the heap and path buffer keep
@@ -956,10 +955,9 @@ const BOUND_SLACK: f64 = 1e-9;
 pub(crate) struct RouteScratch {
     slots: Vec<Slot>,
     epoch: u32,
-    /// The queued nodes at their current cost, each parent preceding its
-    /// [`ARITY`] children under [`Frontier::precedes`]; an entry's index
-    /// here is its node's [`Slot::pos`].
-    heap: Vec<Frontier>,
+    /// One entry per improvement a search made, cheapest first; an entry
+    /// costlier than its node's [`Slot::dist`] is stale.
+    heap: BinaryHeap<Frontier>,
     path: Vec<u32>,
     /// Nodes the last search settled (popped and expanded).
     settled: u32,
@@ -974,36 +972,37 @@ struct Slot {
     dist: f64,
     prev: u32,
     stamp: u32,
-    /// Index of the node's heap entry while queued; [`SETTLED`] once
-    /// popped.
-    pos: u32,
 }
 
-/// [`Slot::pos`] of a node the current search has popped.
-const SETTLED: u32 = u32::MAX;
-
-/// Children per heap node: a shallower heap than a binary one, for the
-/// price of comparing up to four children on the way down.
-const ARITY: usize = 4;
-
-/// A heap entry: a node on the search frontier and its cost so far.
+/// A heap entry: a node on the search frontier and a cost it was offered.
 #[derive(Debug, Clone, Copy)]
 struct Frontier {
     cost: f64,
     node: u32,
 }
 
-impl Frontier {
-    /// Whether `self` pops before `other`: cheaper, or as cheap with a
-    /// lower node index (a total order, so the minimum is unique).
-    #[inline]
-    fn precedes(&self, other: &Self) -> bool {
-        self.cost
-            .total_cmp(&other.cost)
-            .then(self.node.cmp(&other.node))
-            == Ordering::Less
+/// Reversed, so `BinaryHeap`'s maximum is the entry that pops first:
+/// the cheaper, or on equal cost (`total_cmp`) the lower node index. A
+/// total order, so the minimum is unique.
+impl Ord for Frontier {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.cost.total_cmp(&self.cost).then(other.node.cmp(&self.node))
     }
 }
+
+impl PartialOrd for Frontier {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Frontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Frontier {}
 
 impl RouteScratch {
     /// An empty scratch; buffers grow to the graph size on first use.
@@ -1062,86 +1061,28 @@ impl RouteScratch {
     }
 
     /// Offers node `i` the cost `cost` via `prev`: queues it if the
-    /// search has not reached it, lowers its key if `cost` beats the one
-    /// it is queued at, and otherwise leaves it alone. A settled node is
-    /// never beaten — weights are at least `-0.0` and pops come in
-    /// non-decreasing cost — so a settled slot's `pos` is never read.
+    /// search has not reached it or `cost` beats the one it has, and
+    /// otherwise leaves it alone. A settled node is never beaten —
+    /// weights are at least `-0.0` and pops come in non-decreasing cost.
     #[inline]
     fn relax(&mut self, i: u32, cost: f64, prev: u32) {
         let epoch = self.epoch;
         let slot = &mut self.slots[i as usize];
-        let at = if slot.stamp != epoch {
-            *slot = Slot { dist: cost, prev, stamp: epoch, pos: 0 };
+        if slot.stamp != epoch || cost < slot.dist {
+            *slot = Slot { dist: cost, prev, stamp: epoch };
             self.heap.push(Frontier { cost, node: i });
-            self.heap.len() - 1
-        } else if cost < slot.dist {
-            debug_assert_ne!(slot.pos, SETTLED, "a settled node was beaten");
-            slot.dist = cost;
-            slot.prev = prev;
-            self.heap[slot.pos as usize].cost = cost;
-            slot.pos as usize
-        } else {
-            return;
-        };
-        self.sift_up(at);
+        }
     }
 
-    /// Removes and returns the first queued node, marking it settled.
+    /// Removes and returns the first queued node at its current cost,
+    /// skipping the entries later improvements left stale.
     fn pop(&mut self) -> Option<Frontier> {
-        let last = self.heap.pop()?;
-        let top = match self.heap.first_mut() {
-            Some(root) => {
-                let top = std::mem::replace(root, last);
-                self.sift_down(0);
-                top
+        while let Some(top) = self.heap.pop() {
+            if top.cost <= self.slots[top.node as usize].dist {
+                return Some(top);
             }
-            None => last,
-        };
-        self.slots[top.node as usize].pos = SETTLED;
-        Some(top)
-    }
-
-    fn sift_up(&mut self, mut at: usize) {
-        let item = self.heap[at];
-        while at > 0 {
-            let parent = (at - 1) / ARITY;
-            if !item.precedes(&self.heap[parent]) {
-                break;
-            }
-            self.place(at, self.heap[parent]);
-            at = parent;
         }
-        self.place(at, item);
-    }
-
-    fn sift_down(&mut self, mut at: usize) {
-        let item = self.heap[at];
-        loop {
-            let first = at * ARITY + 1;
-            let end = (first + ARITY).min(self.heap.len());
-            if first >= end {
-                break;
-            }
-            let mut best = first;
-            for child in first + 1..end {
-                if self.heap[child].precedes(&self.heap[best]) {
-                    best = child;
-                }
-            }
-            if !self.heap[best].precedes(&item) {
-                break;
-            }
-            self.place(at, self.heap[best]);
-            at = best;
-        }
-        self.place(at, item);
-    }
-
-    /// Writes `item` at heap index `at` and records the index in its slot.
-    #[inline]
-    fn place(&mut self, at: usize, item: Frontier) {
-        self.heap[at] = item;
-        self.slots[item.node as usize].pos = at as u32;
+        None
     }
 }
 
@@ -1185,111 +1126,76 @@ mod tests {
         best
     }
 
-    /// The search `route_idx_with` ran before its heap was indexed, kept
-    /// as its oracle: a lazy-deletion binary heap that pushes an entry on
-    /// every improvement and skips stale ones on pop. Returns the path
-    /// and how many nodes it settled (popped at their final cost and
-    /// expanded; the destination's pop ends the search unexpanded).
-    fn lazy_heap_route(g: &ConnectivityGraph, s: u32, d: u32) -> (Option<Vec<u32>>, usize) {
-        use std::collections::BinaryHeap;
-
-        #[derive(Debug, Clone, Copy, PartialEq)]
-        struct HeapEntry {
-            cost: f64,
-            node: u32,
-        }
-
-        impl Eq for HeapEntry {}
-
-        impl Ord for HeapEntry {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Min-heap on cost; tie-break on node index for determinism.
-                other
-                    .cost
-                    .total_cmp(&self.cost)
-                    .then_with(|| other.node.cmp(&self.node))
+    /// All-pairs distances over the stored `-ln p` weights by
+    /// Floyd–Warshall, row-major and infinite where no path exists: an
+    /// oracle that shares no code and no heap with the search.
+    fn floyd_warshall(g: &ConnectivityGraph) -> Vec<f64> {
+        let n = g.len();
+        let mut dist = vec![f64::INFINITY; n * n];
+        for (i, list) in g.adj.iter().enumerate() {
+            dist[i * n + i] = 0.0;
+            for e in list {
+                dist[i * n + e.to as usize] = e.weight;
             }
         }
-
-        impl PartialOrd for HeapEntry {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let n = g.ids.len();
-        if s as usize >= n || d as usize >= n {
-            return (None, 0);
-        }
-        if s == d {
-            return (Some(vec![d]), 0);
-        }
-        let (mut dist, mut prev) = (vec![f64::INFINITY; n], vec![u32::MAX; n]);
-        let mut heap = BinaryHeap::new();
-        let mut settled = 0;
-        dist[s as usize] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: s });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
-            if cost > dist[node as usize] {
-                continue; // stale entry: settled earlier via a cheaper path
-            }
-            if node == d {
-                break;
-            }
-            settled += 1;
-            for e in &g.adj[node as usize] {
-                let nd = cost + e.weight;
-                if nd < dist[e.to as usize] {
-                    dist[e.to as usize] = nd;
-                    prev[e.to as usize] = node;
-                    heap.push(HeapEntry { cost: nd, node: e.to });
+        for k in 0..n {
+            for i in 0..n {
+                let ik = dist[i * n + k];
+                for j in 0..n {
+                    let via = ik + dist[k * n + j];
+                    if via < dist[i * n + j] {
+                        dist[i * n + j] = via;
+                    }
                 }
             }
         }
-        if dist[d as usize].is_infinite() {
-            return (None, settled);
-        }
-        let mut path = vec![d];
-        let mut cur = d;
-        while cur != s {
-            cur = prev[cur as usize];
-            path.push(cur);
-        }
-        path.reverse();
-        (Some(path), settled)
+        dist
     }
 
-    /// `route_idx_with` through `scratch` against [`lazy_heap_route`] for
-    /// every `(s, d)` over the graph's indices and `extra` out-of-range
-    /// ones, and after each search the heap's bookkeeping: every reached
-    /// node popped or queued exactly once (so the heap never held more
-    /// entries than nodes), each entry where its slot says, at its slot's
-    /// cost, below its parent, and one pop per settled node plus one for
-    /// a reached destination.
-    fn assert_searches_match_the_lazy_heap(
+    /// `route_idx_with` through `scratch` for every `(s, d)` over the
+    /// graph's indices and `extra` out-of-range ones, against
+    /// [`floyd_warshall`]: a route exactly where the distance is finite,
+    /// running from `s` to `d` over links of the graph, and weighing the
+    /// distance to within summation order (`1e-12` relative). The path
+    /// itself is not compared: on a tied lattice it is not unique.
+    fn assert_routes_are_shortest(
         g: &ConnectivityGraph,
         scratch: &mut RouteScratch,
         extra: &[u32],
     ) {
-        let n = g.len() as u32;
-        let indices: Vec<u32> = (0..n).chain(extra.iter().copied()).collect();
+        let n = g.len();
+        let dist = floyd_warshall(g);
+        let indices: Vec<u32> = (0..n as u32).chain(extra.iter().copied()).collect();
         for &s in &indices {
             for &d in &indices {
+                let (si, di) = (s as usize, d as usize);
+                let want = (si < n && di < n).then(|| dist[si * n + di]);
+                let want = want.filter(|w| w.is_finite());
                 let got = g.route_idx_with(scratch, s, d, None);
-                let (want, settled) = lazy_heap_route(g, s, d);
-                assert_eq!(got, want, "route {s} -> {d}");
-                if s < n && d < n && s != d {
-                    let epoch = scratch.epoch;
-                    let reached = scratch.slots.iter().filter(|x| x.stamp == epoch);
-                    let popped = reached.clone().filter(|x| x.pos == SETTLED).count();
-                    assert_eq!(reached.count(), popped + scratch.heap.len(), "{s} -> {d}");
-                    for (at, q) in scratch.heap.iter().enumerate() {
-                        let slot = scratch.slots[q.node as usize];
-                        assert_eq!((slot.stamp, slot.pos as usize), (epoch, at));
-                        assert_eq!(slot.dist.to_bits(), q.cost.to_bits());
-                        assert!(at == 0 || !q.precedes(&scratch.heap[(at - 1) / ARITY]));
+                match (&got, want) {
+                    (None, None) => {}
+                    (Some(path), Some(want)) => {
+                        assert_eq!((path.first(), path.last()), (Some(&s), Some(&d)));
+                        // Every node before `d` on the path was settled, and
+                        // `d`'s own pop is not counted.
+                        let settled = scratch.settled() as usize;
+                        assert!((path.len() - 1..n).contains(&settled), "{s} -> {d}: {settled}");
+                        let weight: f64 = path
+                            .windows(2)
+                            .map(|hop| {
+                                let list = &g.adj[hop[0] as usize];
+                                match list.binary_search_by_key(&hop[1], |e| e.to) {
+                                    Ok(at) => list[at].weight,
+                                    Err(_) => panic!("{s} -> {d}: no link {hop:?}"),
+                                }
+                            })
+                            .sum();
+                        assert!(
+                            (weight - want).abs() <= 1e-12 * want,
+                            "{s} -> {d}: the route weighs {weight}, the shortest {want}"
+                        );
                     }
-                    assert_eq!(popped, settled + usize::from(got.is_some()), "{s} -> {d}");
+                    _ => panic!("{s} -> {d}: searched {got:?}, Floyd–Warshall {want:?}"),
                 }
                 if let Some(path) = got {
                     scratch.recycle(path);
@@ -1371,11 +1277,11 @@ mod tests {
     }
 
     #[test]
-    fn indexed_heap_search_equals_the_lazy_heap_search() {
+    fn searches_find_the_floyd_warshall_distance() {
         let mut scratch = RouteScratch::new();
         for (_, g) in oracle_fixtures() {
             let n = g.len() as u32;
-            assert_searches_match_the_lazy_heap(&g, &mut scratch, &[n, n + 5, u32::MAX]);
+            assert_routes_are_shortest(&g, &mut scratch, &[n, n + 5, u32::MAX]);
         }
     }
 

@@ -533,7 +533,7 @@ mod tests {
                 assert_eq!(o.filters.sub.as_deref(), Some("netsim"));
             }
             Err(e) => {
-                assert!(false, "parse failed: {e}");
+                panic!("parse failed: {e}");
             }
         }
     }
@@ -618,7 +618,7 @@ mod tests {
                 assert_eq!(m.get("a"), Some(&Value::Num(-1500.0)));
                 assert_eq!(m.get("d"), Some(&Value::Str("xA".to_owned())));
             }
-            None => assert!(false, "expected parse"),
+            None => panic!("expected parse"),
         }
     }
 }

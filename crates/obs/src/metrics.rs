@@ -209,9 +209,9 @@ impl MetricsRegistry {
     }
 }
 
-/// A frozen, ordered view of a [`MetricsRegistry`]: equality across two
-/// digests means the two runs agreed on every counter, gauge and
-/// histogram bucket. The determinism tests compare digests the same way
+/// A frozen, ordered view of a `Recorder`'s metrics registry: equality
+/// across two digests means the two runs agreed on every counter, gauge
+/// and histogram bucket. The determinism tests compare digests the same way
 /// `EndStateDigest` compares end states (PR-2 conventions).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsDigest {

@@ -59,7 +59,6 @@ fn bridge_config(seed: u64, policy: OverflowPolicy) -> BridgeConfig {
         max_attempts: 4,
         heartbeat_every: 4,
         batch_per_tick: 8,
-        ..BridgeConfig::default()
     }
 }
 
