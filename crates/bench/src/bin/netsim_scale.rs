@@ -240,8 +240,8 @@ fn main() {
             );
         } else if !json {
             println!(
-                "nodes={:>7} mobile_every={:>2} events={:>9} wall={:>8.2}s events/s={:>10.0} \
-                 sent={} delivered={} dropped={} routes={} memo_hits={} peak_rss={:.0}MB \
+                "nodes={:>7} mobile_every={:>2} events={:>9} wall={:>8.3}s events/s={:>10.0} \
+                 sent={} delivered={} dropped={} routes={} memo_hits={} peak_rss={:.1}MB \
                  fp={:016x}",
                 r.nodes,
                 r.mobile_every,

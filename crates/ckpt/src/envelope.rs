@@ -57,8 +57,11 @@ pub const MAGIC: [u8; 8] = *b"IOBTCKPT";
 /// eight fixed run settings from that guard, the detector threshold (it
 /// follows from the guarded report period), the simulator snapshot's
 /// MAC-retry / mobility-step / idle-drain guard and the tasking sink's
-/// attempt cap and retry base, all now constants.
-pub const FORMAT_VERSION: u32 = 6;
+/// attempt cap and retry base, all now constants; v7 carries the mission
+/// prologue's products (recruitment counts, initial composition,
+/// assurance, the recruits' ids) after the guard, so a resume no longer
+/// recomputes them.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Trailing checksum size in bytes.
 pub const TRAILER_LEN: usize = 4;

@@ -2,7 +2,7 @@
 //! [`MissionRunner::resume`].
 //!
 //! A mission checkpoint is taken at a utility-window boundary and
-//! captures *only* the execution-phase state that cannot be recomputed:
+//! captures everything a resume needs besides `(scenario, config)`:
 //!
 //! * a **guard** section — scenario seed, catalog size, command post,
 //!   and the run parameters that shape execution, stored as their
@@ -10,6 +10,15 @@
 //!   the scenario and config it was handed and refuses with
 //!   [`CkptError::Mismatch`] on any disagreement, because resuming
 //!   under a different configuration would silently diverge;
+//! * the **prologue** section — the products of discovery, recruitment,
+//!   synthesis and assurance (phases 1–3), which are fixed once the
+//!   mission starts: the recruitment counts, the infiltration rate, the
+//!   initial composition, the assurance report, and the ids of the
+//!   admitted, reachable assets in candidate order. Resume takes those
+//!   assets' specs from the scenario's catalog and rebuilds the
+//!   composition problem over them, instead of re-running the
+//!   classifier, the reachability sweep, the solve and the assurance
+//!   trials;
 //! * the **window loop** state — next window, repairs, per-window
 //!   utility stats, the current selection and composition result, the
 //!   set of ever-failed nodes, failure-detector heartbeat table (its
@@ -26,10 +35,11 @@
 //!   clock, RNG stream, event queue, per-node state, fault state, and
 //!   behaviour state — as one length-prefixed blob.
 //!
-//! Everything recomputable from `(scenario, config)` — discovery,
-//! recruitment, the composition problem, assurance — is *not* stored;
-//! resume re-runs those phases with a disabled recorder so no trace
-//! events are double-counted. Wall-clock timings are never stored.
+//! What follows cheaply from the payload is *not* stored: the
+//! composition problem (from the carried asset ids), the connectivity
+//! graph (built at the restored world on its first use) and the
+//! simulator's fixed configuration. Wall-clock timings are never
+//! stored, so a resumed run reports a `solve_ms` of zero.
 //!
 //! The value types this crate persists whole state their layouts here,
 //! once each, as [`wire_struct!`] lists; [`MissionRunner`] itself has
@@ -38,16 +48,16 @@
 
 use iobt_ckpt::{wire_struct, CkptError, Dec, Enc};
 use iobt_netsim::SimTime;
-use iobt_obs::{Recorder, RecorderCheckpoint, Subsystem};
-use iobt_synthesis::CompositionResult;
-use iobt_types::NodeId;
+use iobt_obs::{RecorderCheckpoint, Subsystem};
+use iobt_synthesis::{AssuranceReport, CompositionProblem, CompositionResult};
+use iobt_types::{NodeId, NodeSpec};
 
 use crate::behaviors::{
     mission_behavior_registry, new_report_log, new_task_board, DeliveredReport, TaskingStats,
 };
 use crate::resilience::{DegradationLadder, FailureDetector};
 use crate::runtime::{
-    build_sim, degraded_problem, prologue, EndStateDigest, MissionRunner, PortableRunConfig,
+    build_sim, degraded_problem, EndStateDigest, MissionRunner, PortableRunConfig, Prologue,
     ResilienceReport, RunConfig, WindowStat,
 };
 use crate::scenario::Scenario;
@@ -212,6 +222,102 @@ fn check_guard(d: &mut Dec<'_>, scenario: &Scenario, config: &RunConfig) -> Resu
     Ok(())
 }
 
+/// Encodes the phase 1–3 products. Order is part of the format.
+fn encode_prologue(e: &mut Enc, p: &Prologue) {
+    // Exhaustive destructures (R6): `problem` follows from `specs`, which
+    // travel as their ids; `solve_ms` is wall-clock reporting.
+    let Prologue {
+        recruited,
+        rejected_red,
+        unreachable,
+        infiltration_rate,
+        composition,
+        assurance,
+        specs,
+        problem: _,
+        solve_ms: _,
+    } = p;
+    let AssuranceReport {
+        expected_coverage,
+        success_probability,
+    } = assurance;
+    e.usize(*recruited);
+    e.usize(*rejected_red);
+    e.usize(*unreachable);
+    e.f64(*infiltration_rate);
+    e.put(composition);
+    e.f64(*expected_coverage);
+    e.f64(*success_probability);
+    let ids: Vec<NodeId> = specs.iter().map(NodeSpec::id).collect();
+    e.put(&ids);
+}
+
+/// Decodes the phase 1–3 products: each carried id must name a distinct
+/// asset of `scenario`'s catalog, and the initial composition must select
+/// among the candidates the rebuilt problem holds.
+fn decode_prologue(
+    d: &mut Dec<'_>,
+    scenario: &Scenario,
+    config: &RunConfig,
+) -> Result<Prologue, CkptError> {
+    let recruited = d.usize()?;
+    let rejected_red = d.usize()?;
+    let unreachable = d.usize()?;
+    let infiltration_rate = d.f64()?;
+    let composition: CompositionResult = d.get()?;
+    let assurance = AssuranceReport {
+        expected_coverage: d.f64()?,
+        success_probability: d.f64()?,
+    };
+    let ids: Vec<NodeId> = d.get()?;
+    let mut seen = BTreeSet::new();
+    let mut specs = Vec::with_capacity(ids.len());
+    for id in ids {
+        if !seen.insert(id) {
+            return Err(CkptError::Mismatch(format!(
+                "checkpoint lists asset {} among the recruits twice",
+                id.raw()
+            )));
+        }
+        let spec = scenario.catalog.get(id).ok_or_else(|| {
+            CkptError::Mismatch(format!(
+                "checkpoint recruits asset {}, which the scenario's catalog does not hold",
+                id.raw()
+            ))
+        })?;
+        specs.push(spec.clone());
+    }
+    let problem = CompositionProblem::from_mission(&scenario.mission, &specs, config.grid);
+    check_selected("initial composition", &composition.selected, &problem)?;
+    Ok(Prologue {
+        recruited,
+        rejected_red,
+        unreachable,
+        infiltration_rate,
+        composition,
+        assurance,
+        specs,
+        problem,
+        solve_ms: 0.0,
+    })
+}
+
+/// Refuses a carried selection that indexes past `problem`'s candidates
+/// (every relaxation of the ladder keeps the same candidates).
+fn check_selected(
+    what: &str,
+    selected: &[usize],
+    problem: &CompositionProblem,
+) -> Result<(), CkptError> {
+    let candidates = problem.candidates.len();
+    match selected.iter().find(|&&i| i >= candidates) {
+        Some(i) => Err(CkptError::Mismatch(format!(
+            "checkpoint's {what} selects candidate {i} of {candidates}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Encodes the recorder clock, sampling phase and metrics registry.
 fn enc_recorder(e: &mut Enc, checkpoint: &RecorderCheckpoint) {
     let RecorderCheckpoint { t_us, seq, emitted, metrics } = checkpoint;
@@ -264,14 +370,14 @@ impl MissionRunner {
     pub fn save(&self) -> Result<Vec<u8>, CkptError> {
         // Exhaustive-destructure convention (R6): adding a field to
         // `MissionRunner` fails this lint until its checkpoint story is
-        // written. The phase 1–3 products (`prologue`, and `problem`,
-        // which follows from it and the ladder level) are recomputed at
-        // resume; `repair_ms` is wall-clock reporting; `total_windows` is
-        // derived from the config.
+        // written. The phase 1–3 products (`prologue`) are carried, so a
+        // resume runs none of those phases; `problem` follows from them
+        // and the ladder level; `repair_ms` is wall-clock reporting;
+        // `total_windows` is derived from the config.
         let Self {
             scenario: _,
             config: _,
-            prologue: _,
+            prologue,
             problem: _,
             sim: _,
             log: _,
@@ -292,6 +398,7 @@ impl MissionRunner {
         } = self;
         let mut e = Enc::new();
         encode_guard(&mut e, &self.scenario, &self.config);
+        encode_prologue(&mut e, prologue);
 
         // Window-loop progress and the resilience counters the loop
         // itself keeps (the ladder level and the tasking counters travel
@@ -354,9 +461,11 @@ impl MissionRunner {
     ///
     /// `scenario` and `config` must be the ones the checkpointed run
     /// was started with; the payload's guard section is verified
-    /// against them. Recomputable pipeline phases (discovery,
-    /// recruitment, synthesis, assurance) are re-run with a disabled
-    /// recorder; everything else is restored from the payload.
+    /// against them. Nothing of phases 1–3 runs again: the recruitment
+    /// counts, the initial composition and its assurance come from the
+    /// payload, and the composition problem is rebuilt over the carried
+    /// recruits' catalog specs. The report of a resumed run therefore
+    /// says `wall_clock.solve_ms == 0.0`.
     ///
     /// # Errors
     ///
@@ -364,7 +473,9 @@ impl MissionRunner {
     ///   bad tags, trailing bytes);
     /// * [`CkptError::Mismatch`] — the payload decoded but belongs to a
     ///   different scenario, config, or build (unknown behaviour kind,
-    ///   node-count disagreement, inconsistent recorder state).
+    ///   node-count disagreement, inconsistent recorder state, a recruit
+    ///   the catalog lacks or lists twice, a selection past the
+    ///   candidates).
     pub fn resume(
         scenario: &Scenario,
         config: &RunConfig,
@@ -372,6 +483,7 @@ impl MissionRunner {
     ) -> Result<Self, CkptError> {
         let mut d = Dec::new(payload);
         check_guard(&mut d, scenario, config)?;
+        let p = decode_prologue(&mut d, scenario, config)?;
 
         let next_window = d.usize()?;
         let repairs = d.usize()?;
@@ -389,6 +501,8 @@ impl MissionRunner {
         let failed_ever: BTreeSet<NodeId> = d.get()?;
 
         let current: CompositionResult = d.get()?;
+        check_selected("selection", &selection, &p.problem)?;
+        check_selected("current composition", &current.selected, &p.problem)?;
         let windows: Vec<WindowStat> = d.get()?;
 
         let detector_entries: Vec<(NodeId, SimTime)> = d.get()?;
@@ -419,11 +533,8 @@ impl MissionRunner {
 
         // All bytes verified — now stand up a fresh simulator with no
         // faults scheduled (the restored event queue already contains
-        // them) and rebuild the pure pipeline products over it (disabled
-        // recorder: those trace events were already emitted by the run
-        // that wrote this checkpoint).
+        // them).
         let mut sim = build_sim(scenario, config);
-        let p = prologue(scenario, config, &Recorder::disabled(), &mut sim);
         let problem = if ladder_level == 0 {
             p.problem.clone()
         } else {
@@ -436,10 +547,11 @@ impl MissionRunner {
             )
         };
 
-        // Restore the snapshot over the simulator, which patches the t = 0
-        // graph it holds from the prologue's look up to the restored world
-        // instead of building it again. Behaviours are rebuilt through the registry
-        // and share the restored log/board handles.
+        // Restore the snapshot over the simulator. It holds no graph yet:
+        // a snapshot that had one gets it built once, at the restored
+        // world, and one that had none leaves that to the first access.
+        // Behaviours are rebuilt through the registry and share the
+        // restored log/board handles.
         let log = new_report_log();
         let board = new_task_board();
         *log.borrow_mut() = log_entries;
@@ -648,6 +760,56 @@ mod tests {
             dec_recorder(&mut Dec::new(&block(Subsystem::COUNT + 1))),
             Err(CkptError::Mismatch(_))
         ));
+    }
+
+    /// A payload saved from `persistent_surveillance(80, 11)` after one
+    /// window, with its carried prologue edited by `edit` first; what a
+    /// resume of it returns.
+    fn resume_with_edited_prologue(
+        edit: impl FnOnce(&mut Prologue),
+    ) -> Result<MissionRunner, CkptError> {
+        let scenario = persistent_surveillance(80, 11);
+        let config = cfg();
+        let mut runner = MissionRunner::new(&scenario, &config);
+        runner.step_window().window_stat().expect("window 0");
+        edit(&mut runner.prologue);
+        let payload = runner.save().expect("checkpointable");
+        MissionRunner::resume(&scenario, &config, &payload)
+    }
+
+    #[test]
+    fn a_recruit_the_catalog_lacks_is_a_mismatch() {
+        let resumed = resume_with_edited_prologue(|p| {
+            p.specs[0] = iobt_types::NodeSpec::builder(NodeId::new(u64::MAX)).build();
+        });
+        assert!(
+            matches!(&resumed, Err(CkptError::Mismatch(why)) if why.contains("does not hold")),
+            "{resumed:?}"
+        );
+    }
+
+    #[test]
+    fn a_recruit_listed_twice_is_a_mismatch() {
+        let resumed = resume_with_edited_prologue(|p| {
+            let first = p.specs[0].clone();
+            p.specs.push(first);
+        });
+        assert!(
+            matches!(&resumed, Err(CkptError::Mismatch(why)) if why.contains("twice")),
+            "{resumed:?}"
+        );
+    }
+
+    #[test]
+    fn an_initial_composition_past_the_recruits_is_a_mismatch() {
+        let resumed = resume_with_edited_prologue(|p| {
+            let past = p.specs.len();
+            p.composition.selected.push(past);
+        });
+        assert!(
+            matches!(&resumed, Err(CkptError::Mismatch(why)) if why.contains("initial composition")),
+            "{resumed:?}"
+        );
     }
 
     #[test]

@@ -436,7 +436,8 @@ pub struct ResilienceReport {
 /// field): wall-clock duration varies run to run on the same seed, so it
 /// must never participate in determinism checks. Reporting only. For the
 /// same reason it is *not* checkpointed — a resumed run reports only the
-/// wall-clock it spent itself.
+/// wall-clock it spent itself: no initial solve (`solve_ms` is `0.0`),
+/// and the repairs since the resume.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
 pub struct WallClockReport {
@@ -509,15 +510,14 @@ impl MissionReport {
 /// Products of the pre-simulation pipeline — discovery, recruitment,
 /// synthesis, assurance (phases 1–3 of the paper's Fig. 1 flow).
 ///
-/// Everything here is a pure function of `(scenario, config)`, so
-/// checkpoint resume recomputes it instead of serialising the composition
-/// problem and assurance report (with a disabled recorder, so no trace
-/// events are duplicated). That is cheap as long as the reachability
-/// filter stays one component sweep over a graph nobody builds twice: it
-/// asks the execution simulator for its t = 0 graph, which the first send
-/// (or the restore) then takes over, so the prologue's own share is the
-/// classifier, the solve and the assurance trials (EXPERIMENTS.md, "Build
-/// once").
+/// Fixed once the mission starts, so [`MissionRunner::new`] computes them
+/// once and a checkpoint carries them: every field but `problem` and
+/// `solve_ms` travels in the payload (`specs` as its asset ids), and
+/// [`MissionRunner::resume`] rebuilds `problem` over the carried specs
+/// instead of re-running the classifier, the reachability sweep, the
+/// solve and the assurance trials. The reachability filter is one
+/// component sweep over the execution simulator's t = 0 graph, which the
+/// first send then takes over (EXPERIMENTS.md, "Build once").
 pub(crate) struct Prologue {
     pub(crate) recruited: usize,
     pub(crate) rejected_red: usize,
@@ -530,19 +530,13 @@ pub(crate) struct Prologue {
     pub(crate) solve_ms: f64,
 }
 
-/// Runs phases 1–3. `recorder` is the recorder that observes the
-/// recruitment and solve events: the live recorder on a fresh run, a
-/// disabled one at checkpoint resume (the restored recorder already
-/// counted those events the first time). `sim` is the execution
-/// simulator from [`build_sim`], still at t = 0: the reachability filter
-/// judges by a silent look at its graph, the topology the mission starts
-/// on, which the simulator keeps for the first message to route on.
-pub(crate) fn prologue(
-    scenario: &Scenario,
-    config: &RunConfig,
-    recorder: &Recorder,
-    sim: &mut Simulator,
-) -> Prologue {
+/// Runs phases 1–3 for a fresh run; the configured recorder observes the
+/// recruitment and solve events. `sim` is the execution simulator from
+/// [`build_sim`], still at t = 0: the reachability filter judges by a
+/// silent look at its graph, the topology the mission starts on, which
+/// the simulator keeps for the first message to route on.
+fn prologue(scenario: &Scenario, config: &RunConfig, sim: &mut Simulator) -> Prologue {
+    let recorder = &config.recorder;
     // ---- Phase 1: discovery (side-channel classification + tracking) ----
     let mut emissions = EmissionModel::new(scenario.seed ^ 0xD15C);
     let train = emissions.labelled_dataset(300);
@@ -631,8 +625,8 @@ pub(crate) fn prologue(
 }
 
 /// Builds the phase-4 simulator over the scenario, with nothing
-/// scheduled yet: the prologue consults it first, and its records
-/// (recruitment, solve) precede the `FaultScheduled` ones.
+/// scheduled yet: on a fresh run the prologue consults it first, and its
+/// records (recruitment, solve) precede the `FaultScheduled` ones.
 pub(crate) fn build_sim(scenario: &Scenario, config: &RunConfig) -> Simulator {
     let mut builder = Simulator::builder(scenario.catalog.clone())
         .terrain(scenario.terrain.clone())
@@ -677,8 +671,9 @@ fn schedule_faults(scenario: &Scenario, sim: &mut Simulator) {
 pub struct MissionRunner {
     pub(crate) scenario: Scenario,
     pub(crate) config: RunConfig,
-    /// Phase 1–3 products (recomputed, never checkpointed); its `problem`
-    /// is the pristine one the degradation ladder relaxes from.
+    /// Phase 1–3 products (carried by a checkpoint, `problem` rebuilt
+    /// from them); its `problem` is the pristine one the degradation
+    /// ladder relaxes from.
     pub(crate) prologue: Prologue,
     /// The problem repairs solve against: the prologue's, with the
     /// ladder's current relaxations applied.
@@ -725,7 +720,7 @@ impl MissionRunner {
     /// step window 0.
     pub fn new(scenario: &Scenario, config: &RunConfig) -> Self {
         let mut sim = build_sim(scenario, config);
-        let p = prologue(scenario, config, &config.recorder, &mut sim);
+        let p = prologue(scenario, config, &mut sim);
         schedule_faults(scenario, &mut sim);
         let log = new_report_log();
         let board = new_task_board();
@@ -809,7 +804,7 @@ impl MissionRunner {
     }
 
     /// From-scratch connectivity-graph builds by this runner's simulator,
-    /// the prologue's look at the topology included: see
+    /// a fresh run's prologue look at the topology included: see
     /// [`Simulator::graph_builds`]. Counted from construction or resume.
     pub fn graph_builds(&self) -> u64 {
         self.sim.graph_builds()

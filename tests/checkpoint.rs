@@ -268,7 +268,9 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 /// `urban_evacuation(250, 42)`, recorded on the commit before movement
 /// became a graph patch and re-recorded for `FORMAT_VERSION` 6, whose
 /// payloads are the version-5 ones with the removed run settings, the
-/// detector threshold and the snapshot's builder guard (73 bytes) cut out.
+/// detector threshold and the snapshot's builder guard (73 bytes) cut out,
+/// and again for `FORMAT_VERSION` 7, whose payloads are the version-6 ones
+/// with the prologue section (1,969 bytes here) inserted after the guard.
 /// The payload carries the simulator's
 /// graph-disposition byte, so a change to when the graph counts as
 /// fully stale, clean or pending moves a hash here (the jammer at 60 s
@@ -276,16 +278,16 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 #[test]
 fn evacuation_checkpoint_payloads_are_pinned() {
     const PINNED: [u64; 10] = [
-        0x181ec080f77e6718,
-        0x7735bb2a0a6113e7,
-        0x388ea44217fa76d8,
-        0x9ab013d1ea0d1b2d,
-        0xd1f82ca42acd29c1,
-        0x64cab588a458fc87,
-        0x749e61b71607cec7,
-        0x6870e51da27f5aa5,
-        0xb5e217a6b3bc516c,
-        0x2e3073c94ee5e37e,
+        0x796798f18b866298,
+        0xfb8a6c5f0fde4867,
+        0x950f6278669aee58,
+        0xb25ccfa3278f78ad,
+        0x03a731d2d21ddf41,
+        0xcb6c15540ee06107,
+        0x9ad6b65653d7a747,
+        0xf3a3791f7d025e25,
+        0x9ae0739ed3e0a0ec,
+        0x268fc9fcf3c51efe,
     ];
     let scenario = urban_evacuation(250, 42);
     let config = RunConfig::builder()

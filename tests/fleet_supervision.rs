@@ -386,7 +386,9 @@ fn one_worker_drain(
 /// Recorded on the scheduler before it was split into a plain-data core
 /// and a thread shell; the split had to reproduce every row unedited. The
 /// FNVs were re-recorded for `FORMAT_VERSION` 6, which only shrinks every
-/// `fleet_evict` record's `bytes` by 73; the counts did not move.
+/// `fleet_evict` record's `bytes` by 73, and for `FORMAT_VERSION` 7, which
+/// only grows them by the mission's prologue section (105–457 bytes); the
+/// counts did not move.
 #[test]
 fn one_worker_decisions_are_pinned() {
     let residency = one_worker_drain("resident3", eight(), |b, _| b.max_resident(3));
@@ -448,13 +450,13 @@ fn one_worker_decisions_are_pinned() {
         ("recover", recover),
     ];
     let expected: [Decisions; 7] = [
-        ([32, 32, 21, 21, 0, 8, 0], 0xaace_c19a_e3bd_ef92),
-        ([16, 16, 12, 12, 0, 4, 0], 0xfeb6_9ef9_a490_118c),
-        ([32, 32, 21, 21, 14, 8, 0], 0xe1a8_e199_9414_7a11),
-        ([12, 12, 6, 6, 0, 0, 4], 0x674b_8522_d517_82db),
-        ([14, 14, 11, 11, 0, 3, 1], 0x522f_0103_5f10_f6d8),
-        ([7, 7, 5, 3, 0, 0, 0], 0xab6d_955d_2d2d_2f7c),
-        ([11, 11, 5, 9, 0, 4, 0], 0x4c09_bef9_9590_158e),
+        ([32, 32, 21, 21, 0, 8, 0], 0x8dd6_11c1_2f66_6746),
+        ([16, 16, 12, 12, 0, 4, 0], 0x58ab_677a_ed4c_7c44),
+        ([32, 32, 21, 21, 14, 8, 0], 0x5034_3fdd_e46d_fb1c),
+        ([12, 12, 6, 6, 0, 0, 4], 0xf230_8966_5bb8_b138),
+        ([14, 14, 11, 11, 0, 3, 1], 0xc18c_43e2_8929_5172),
+        ([7, 7, 5, 3, 0, 0, 0], 0xfbd0_9677_341d_bc5b),
+        ([11, 11, 5, 9, 0, 4, 0], 0xd2c9_c666_39f9_a673),
     ];
     for ((label, got), want) in rows.iter().zip(expected) {
         // ([slices, windows, evictions, resumes, retries, completed,
