@@ -59,10 +59,8 @@ pub enum ActuationDecision {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditEntry {
     /// Request time, seconds.
-    // lint: allow(unused-pub) — when, in the §VI audit log DESIGN.md:58 names
     pub at_s: f64,
     /// Requesting node.
-    // lint: allow(unused-pub) — who, in the §VI audit log DESIGN.md:58 names
     pub requester: NodeId,
     /// Actuator kind requested.
     pub actuator: ActuatorKind,
@@ -122,7 +120,6 @@ impl ActuationController {
     /// threshold is halved, and *every* actuator needs a live human
     /// authorization, not just the kinds flagged for it (§VI: when the
     /// machine knows less, the human decides more).
-    // lint: allow(unused-pub) — the only switch of the §VI degraded interlock DESIGN.md:272 names
     pub fn set_degraded(&mut self, degraded: bool) {
         self.degraded = degraded;
     }

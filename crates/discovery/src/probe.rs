@@ -79,7 +79,6 @@ fn base_latency_ms(compute: ComputeClass) -> f64 {
 
 impl Prober {
     /// Creates a prober with a deterministic seed.
-    // lint: allow(unused-pub) — the only constructor of the active prober DESIGN.md:56 lists
     pub fn new(seed: u64) -> Self {
         Prober {
             rng: StdRng::seed_from_u64(seed),
@@ -89,7 +88,6 @@ impl Prober {
 
     /// Probes every target once, returning this round's records and
     /// folding them into the profiles.
-    // lint: allow(unused-pub) — the only way to probe; DESIGN.md:56 lists active probing
     pub fn probe_round(&mut self, targets: &[ProbeTarget]) -> Vec<ProbeRecord> {
         let mut records = Vec::with_capacity(targets.len());
         for t in targets {

@@ -89,7 +89,6 @@ pub fn push_sum_round(nodes: &mut [PushSumNode], edges: &[(usize, usize)]) {
 /// assert!(trace.last().unwrap() < &1e-6);
 /// assert!((nodes[0].estimate()[0] - 2.5).abs() < 1e-6);
 /// ```
-// lint: allow(unused-pub) — runs the push-sum averaging over directed graphs DESIGN.md:92 names
 pub fn push_sum_average(
     initial: &[Vec<f64>],
     mut edges_at: impl FnMut(u64) -> Vec<(usize, usize)>,

@@ -2,44 +2,33 @@
 //!
 //! ```text
 //! iobt-lint [--root DIR] [--config FILE] [--deny-all] [--list-rules]
-//!           [--format text|json] [--baseline FILE] [--write-baseline FILE]
-//!           [--explain RULE]
+//!           [--baseline FILE] [--write-baseline FILE] [--explain RULE]
 //! ```
 //!
 //! Scans every `.rs` file under the root (default: the current
-//! directory), applies the R6–R9 invariants with the scopes of the
+//! directory), applies R6 and R9 with the scope and keeps of the
 //! config (default: `lint.toml` under the root; a missing one is an
 //! error), and prints one `path:line: Rn[name] message` diagnostic per
 //! violation. R1–R5 are the compiler's: see the root `clippy.toml`. With
 //! `--deny-all` the process exits non-zero when any violation remains —
 //! that is the CI mode. Without it the run is advisory (exit 0).
 //!
-//! `--format json` emits a single machine-readable object with stable
-//! key order, for CI diffing. `--baseline FILE` subtracts known findings
+//! `--baseline FILE` subtracts known findings
 //! (per rule and path) so a legacy tree can ratchet down to zero;
 //! `--write-baseline FILE` records the current findings as that
 //! baseline. `--explain R6` prints the long-form rationale for a rule.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use iobt_lint::{lint_root, Config, Report, Rule};
-use iobt_obs::push_json_str;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-}
 
 struct Args {
     root: PathBuf,
     config: Option<PathBuf>,
     deny_all: bool,
     list_rules: bool,
-    format: Format,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
     explain: Option<String>,
@@ -51,7 +40,6 @@ fn parse_args() -> Result<Args, String> {
         config: None,
         deny_all: false,
         list_rules: false,
-        format: Format::Text,
         baseline: None,
         write_baseline: None,
         explain: None,
@@ -67,11 +55,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--deny-all" => args.deny_all = true,
             "--list-rules" => args.list_rules = true,
-            "--format" => match it.next().as_deref() {
-                Some("text") => args.format = Format::Text,
-                Some("json") => args.format = Format::Json,
-                _ => return Err("--format needs `text` or `json`".into()),
-            },
             "--baseline" => {
                 args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?));
             }
@@ -85,10 +68,11 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: iobt-lint [--root DIR] [--config FILE] [--deny-all] [--list-rules]\n\
-                     \x20                [--format text|json] [--baseline FILE]\n\
-                     \x20                [--write-baseline FILE] [--explain RULE]\n\
+                     \x20                [--baseline FILE] [--write-baseline FILE]\n\
+                     \x20                [--explain RULE]\n\
                      \n\
-                     Applies R6–R9 with the scopes of --config (default: DIR/lint.toml).\n\
+                     Applies R6 and R9 with the scope and keeps of --config\n\
+                     (default: DIR/lint.toml).\n\
                      R1–R5 are clippy's and rustc's: see clippy.toml."
                 );
                 std::process::exit(0);
@@ -175,13 +159,8 @@ fn main() -> ExitCode {
         };
         baselined = apply_baseline(&mut report, budget);
     }
-    match args.format {
-        Format::Text => {
-            for (path, v) in &report.violations {
-                println!("{path}:{}: {} {}", v.line, v.rule, v.message);
-            }
-        }
-        Format::Json => println!("{}", json_report(&report)),
+    for (path, v) in &report.violations {
+        println!("{path}:{}: {} {}", v.line, v.rule, v.message);
     }
     let n = report.violations.len();
     eprintln!(
@@ -201,18 +180,17 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One line per rule: the crates it applies to under `config`, and for
-/// R6 the files it audits whole.
+/// One line per rule: R6's crates and the files it audits whole, and
+/// the items R9 keeps.
 fn rule_listing(config: &Config) -> String {
-    let mut out = String::new();
-    for rule in Rule::ALL {
-        let _ = write!(out, "{rule}: scope {:?}", config.scope_of(rule));
-        if rule == Rule::StateCoverage {
-            let _ = write!(out, " paths {:?}", config.paths_of(rule));
-        }
-        out.push('\n');
-    }
-    out
+    let keep: Vec<String> = config.keep.iter().map(|k| format!("{} {}", k.path, k.label)).collect();
+    format!(
+        "{}: scope {:?} paths {:?}\n{}: every library file, keep {keep:?}\n",
+        Rule::StateCoverage,
+        config.state_crates,
+        config.state_paths,
+        Rule::UnusedPub,
+    )
 }
 
 /// Baseline file format: one `Rn <path> <count>` line per (rule, path)
@@ -271,37 +249,6 @@ fn apply_baseline(report: &mut Report, mut budget: BTreeMap<(String, String), us
     before - report.violations.len()
 }
 
-/// Hand-rolled JSON with stable key order (no serde in the offline
-/// sandbox). Schema:
-///
-/// ```json
-/// {"schema":1,"files_scanned":N,
-///  "violations":[{"path":"…","line":N,"rule":"R6",
-///                 "name":"state-coverage","message":"…"}]}
-/// ```
-fn json_report(report: &Report) -> String {
-    let mut out = format!(
-        "{{\"schema\":1,\"files_scanned\":{},\"violations\":[",
-        report.files_scanned
-    );
-    for (i, (path, v)) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"path\":");
-        push_json_str(&mut out, path);
-        let _ = write!(out, ",\"line\":{},\"rule\":", v.line);
-        push_json_str(&mut out, v.rule.id());
-        out.push_str(",\"name\":");
-        push_json_str(&mut out, v.rule.name());
-        out.push_str(",\"message\":");
-        push_json_str(&mut out, &v.message);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,21 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_stable_and_escaped() {
-        let r = report_with(vec![("a/b.rs", Rule::StateCoverage, 3)]);
-        assert_eq!(
-            json_report(&r),
-            "{\"schema\":1,\"files_scanned\":1,\"violations\":[\
-             {\"path\":\"a/b.rs\",\"line\":3,\"rule\":\"R6\",\
-             \"name\":\"state-coverage\",\"message\":\"msg with \\\"quotes\\\"\"}]}"
-        );
-    }
-
-    #[test]
     fn rule_listing_shows_the_configured_scopes() {
         let config = Config::parse(
-            "[rules.digest-coverage]\ncrates = [\"core\", \"obs\"]\n\
-             [rules.state-coverage]\npaths = [\"crates/core/src/checkpoint.rs\"]\n",
+            "[rules.state-coverage]\npaths = [\"crates/core/src/checkpoint.rs\"]\n\
+             [rules.unused-pub]\nkeep = [\"crates/a/src/lib.rs f\"]\n",
         )
         .unwrap();
         let listing = rule_listing(&config);
@@ -347,9 +283,7 @@ mod tests {
             [
                 // What `lint.toml` leaves out is out of scope: no built-in list.
                 "R6[state-coverage]: scope [] paths [\"crates/core/src/checkpoint.rs\"]",
-                "R7[digest-coverage]: scope [\"core\", \"obs\"]",
-                "R8[stale-allow]: scope []",
-                "R9[unused-pub]: scope []",
+                "R9[unused-pub]: every library file, keep [\"crates/a/src/lib.rs f\"]",
             ]
         );
     }
@@ -359,7 +293,7 @@ mod tests {
         let mut r = report_with(vec![
             ("a.rs", Rule::UnusedPub, 1),
             ("a.rs", Rule::UnusedPub, 9),
-            ("b.rs", Rule::StaleAllow, 2),
+            ("b.rs", Rule::StateCoverage, 2),
         ]);
         let text = baseline_text(&r);
         assert_eq!(text.lines().count(), 3, "header + two groups: {text}");

@@ -16,23 +16,22 @@
 //! | rule | runs on |
 //! |------|---------|
 //! | R6 | `Lib`+`Bin` of its `crates`, plus each file in its `paths` |
-//! | R7 | `Lib` of its `crates`, for its `types` |
-//! | R8 | everywhere: a stale directive is stale wherever it sits |
 //! | R9 | definitions in all `Lib` code; uses in every scanned file but the defining crate's own `src/` test code and `pub use` lists |
 //!
 //! Since R6 and R9 need cross-file context, linting is two-pass: pass one
 //! lexes/parses every file and builds the workspace [`SymbolTable`]; pass
-//! two runs the rules and filters through the allow directives.
+//! two runs the rules. R9 also reports the `keep` entries it no longer
+//! needs, under the path `lint.toml`.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::config::{AllowSet, Config};
+use crate::config::Config;
 use crate::lexer::{lex, Lexed};
 use crate::parser::{parse_items, ParsedFile, SymbolTable};
 use crate::regions::{map_file, FileMap};
-use crate::rules::{apply_allows, check_file_raw, check_unused_pub, FileInput, Rule, Violation};
+use crate::rules::{check_state_coverage, check_unused_pub, FileInput, Rule, Violation};
 
 /// Which cargo target-kind a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,27 +85,20 @@ pub fn classify(rel_path: &str) -> FileClass {
 
 /// The rules that apply to a file, given the config.
 pub fn applicable_rules(class: &FileClass, rel_path: &str, config: &Config) -> Vec<Rule> {
-    let in_scope = |rule: Rule| -> bool {
-        class
-            .crate_name
-            .as_deref()
-            .is_some_and(|c| config.scope_of(rule).iter().any(|s| s == c))
-    };
+    let in_scope = class
+        .crate_name
+        .as_deref()
+        .is_some_and(|c| config.state_crates.iter().any(|s| s == c));
     Rule::ALL
         .into_iter()
         .filter(|&rule| match rule {
             Rule::StateCoverage => {
-                (matches!(class.section, Section::Lib | Section::Bin) && in_scope(rule))
+                (matches!(class.section, Section::Lib | Section::Bin) && in_scope)
                     || r6_path_scoped(rel_path, config)
             }
-            Rule::DigestCoverage => class.section == Section::Lib && in_scope(rule),
-            // Stale directives are reported wherever they sit — a dead
-            // exemption in a test file is just as misleading.
-            Rule::StaleAllow => true,
             // A library's `pub fn` is the one rustc cannot call dead.
             Rule::UnusedPub => class.section == Section::Lib,
         })
-        .filter(|&rule| !config.path_allowed(rule, rel_path))
         .collect()
 }
 
@@ -114,10 +106,7 @@ pub fn applicable_rules(class: &FileClass, rel_path: &str, config: &Config) -> V
 /// exhaustiveness convention applies to every fn, not just the
 /// `save_state`/`restore_state` pairs.
 fn r6_path_scoped(rel_path: &str, config: &Config) -> bool {
-    config
-        .paths_of(Rule::StateCoverage)
-        .iter()
-        .any(|p| p == rel_path)
+    config.state_paths.iter().any(|p| p == rel_path)
 }
 
 /// The result of linting a tree.
@@ -125,7 +114,8 @@ fn r6_path_scoped(rel_path: &str, config: &Config) -> bool {
 pub struct Report {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// `(relative path, violation)` pairs, sorted by path then line.
+    /// `(relative path, violation)` pairs, sorted by path then line; a
+    /// stale `keep` entry's path is `lint.toml`.
     pub violations: Vec<(String, Violation)>,
 }
 
@@ -143,7 +133,6 @@ struct Unit {
     lexed: Lexed,
     map: FileMap,
     parsed: ParsedFile,
-    allows: AllowSet,
     rules: Vec<Rule>,
     r6_path_scoped: bool,
 }
@@ -166,32 +155,27 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
         units.push(unit);
     }
 
-    // Pass two: per-file rules, then the workspace-wide R9 pass, then the
-    // allow-directive filter (which implements R8).
-    let mut report = Report {
-        files_scanned: units.len(),
-        violations: Vec::new(),
-    };
-    let digest_types = config.types_of(Rule::DigestCoverage);
+    // Pass two: R6 per file, then the workspace-wide R9 pass.
     let inputs: Vec<FileInput> = units.iter().map(file_input).collect();
-    let mut raw: Vec<Vec<Violation>> = units
-        .iter()
-        .zip(&inputs)
-        .map(|(u, input)| check_file_raw(input, &table, &u.rules, u.r6_path_scoped, digest_types))
-        .collect();
-    let applicable: Vec<bool> = units.iter().map(|u| u.rules.contains(&Rule::UnusedPub)).collect();
-    let mut workspace_violations = Vec::new();
-    check_unused_pub(&inputs, &applicable, &mut workspace_violations);
-    for (i, v) in workspace_violations {
-        raw[i].push(v);
-    }
-    for (u, raw) in units.iter().zip(raw) {
-        let stale_check = u.rules.contains(&Rule::StaleAllow);
-        for v in apply_allows(raw, &u.allows, stale_check) {
-            report.violations.push((u.rel_path.clone(), v));
+    let mut violations = Vec::new();
+    for (u, input) in units.iter().zip(&inputs) {
+        if u.rules.contains(&Rule::StateCoverage) {
+            let found = check_state_coverage(input, &table, u.r6_path_scoped);
+            violations.extend(found.into_iter().map(|v| (u.rel_path.clone(), v)));
         }
     }
-    Ok(report)
+    let applicable: Vec<bool> = units.iter().map(|u| u.rules.contains(&Rule::UnusedPub)).collect();
+    violations.extend(check_unused_pub(&inputs, &applicable, &config.keep));
+    violations.sort_by(|(pa, a), (pb, b)| {
+        (pa, a.line, a.rule, &a.message).cmp(&(pb, b.line, b.rule, &b.message))
+    });
+    // Two findings of one rule on one line are one as far as the reader
+    // is concerned.
+    violations.dedup_by(|(pa, a), (pb, b)| pa == pb && a.line == b.line && a.rule == b.rule);
+    Ok(Report {
+        files_scanned: units.len(),
+        violations,
+    })
 }
 
 /// Pass one for a single file.
@@ -202,20 +186,18 @@ fn analyse(rel_path: &str, source: &str, config: &Config) -> Unit {
     let map = map_file(&lexed);
     // Files in test/bench/example sections are wholly non-library code:
     // treat every line as test code for the line-level exclusions, so a
-    // `tests/` file never trips R6/R7 even if one were scoped onto it.
+    // `tests/` file never trips R6 even if it were scoped onto it.
     let map = match class.section {
         Section::Tests | Section::Benches | Section::Examples => map.with_whole_file_test(),
         _ => map,
     };
     let parsed = parse_items(&lexed);
-    let allows = AllowSet::from_comments(&lexed.comments);
     Unit {
         rel_path: rel_path.to_string(),
         crate_name: class.crate_name,
         lexed,
         map,
         parsed,
-        allows,
         rules,
         r6_path_scoped: r6_path_scoped(rel_path, config),
     }
@@ -279,17 +261,14 @@ mod tests {
     /// callers' files, does not run.
     fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violation> {
         let unit = analyse(rel_path, source, config);
-        if unit.rules.is_empty() {
+        if !unit.rules.contains(&Rule::StateCoverage) {
             return Vec::new();
         }
         let mut table = SymbolTable::default();
         if let Some(crate_name) = &unit.crate_name {
             table.add_file(crate_name, &unit.parsed);
         }
-        let input = file_input(&unit);
-        let digest_types = config.types_of(Rule::DigestCoverage);
-        let raw = check_file_raw(&input, &table, &unit.rules, unit.r6_path_scoped, digest_types);
-        apply_allows(raw, &unit.allows, unit.rules.contains(&Rule::StaleAllow))
+        check_state_coverage(&file_input(&unit), &table, unit.r6_path_scoped)
     }
 
     #[test]
@@ -313,40 +292,22 @@ mod tests {
 
     /// The scopes the tests below lint under, shaped like `lint.toml`.
     fn scoped() -> Config {
-        Config::parse(
-            "[rules.state-coverage]\ncrates = [\"netsim\", \"core\"]\n\
-             [rules.digest-coverage]\ncrates = [\"core\"]\ntypes = [\"EndStateDigest\"]\n",
-        )
-        .unwrap()
+        Config::parse("[rules.state-coverage]\ncrates = [\"netsim\", \"core\"]\n").unwrap()
     }
 
     #[test]
     fn rule_applicability_follows_scope_and_section() {
         let config = scoped();
         let lib = |p: &str| applicable_rules(&classify(p), p, &config);
-        // R6-scoped crate: R7 does not apply (netsim is not in its scope).
-        assert_eq!(
-            lib("crates/netsim/src/sim.rs"),
-            vec![Rule::StateCoverage, Rule::StaleAllow, Rule::UnusedPub]
-        );
-        // In both the state and the digest scopes.
-        assert_eq!(
-            lib("crates/core/src/runtime.rs"),
-            vec![Rule::StateCoverage, Rule::DigestCoverage, Rule::StaleAllow, Rule::UnusedPub]
-        );
+        // An R6-scoped crate's library: both rules.
+        assert_eq!(lib("crates/netsim/src/sim.rs"), vec![Rule::StateCoverage, Rule::UnusedPub]);
         // A binary of a scoped crate: R6 but no R9 (a bin's `pub fn` is rustc's).
-        assert_eq!(
-            lib("crates/netsim/src/bin/tool.rs"),
-            vec![Rule::StateCoverage, Rule::StaleAllow]
-        );
-        // Unscoped crate: stale-allow hygiene and the unused-pub count.
-        assert_eq!(
-            lib("crates/tomography/src/boolean.rs"),
-            vec![Rule::StaleAllow, Rule::UnusedPub]
-        );
-        // Benches and root integration tests: stale-allow only.
-        assert_eq!(lib("crates/bench/benches/f2_synthesis_scale.rs"), vec![Rule::StaleAllow]);
-        assert_eq!(lib("tests/determinism.rs"), vec![Rule::StaleAllow]);
+        assert_eq!(lib("crates/netsim/src/bin/tool.rs"), vec![Rule::StateCoverage]);
+        // Unscoped crate: the unused-pub count only.
+        assert_eq!(lib("crates/tomography/src/boolean.rs"), vec![Rule::UnusedPub]);
+        // Benches and root integration tests: nothing to check.
+        assert!(lib("crates/bench/benches/f2_synthesis_scale.rs").is_empty());
+        assert!(lib("tests/determinism.rs").is_empty());
     }
 
     #[test]
@@ -370,51 +331,30 @@ mod tests {
         assert!(!rules.contains(&Rule::StateCoverage));
     }
 
-    #[test]
-    fn path_allowlist_removes_a_rule_for_a_file() {
-        let config = Config::parse(
-            "[rules.state-coverage]\ncrates = [\"core\"]\n\
-             [rules.digest-coverage]\ncrates = [\"core\"]\nallow = [\"crates/core/src/digest.rs\"]\n",
-        )
-        .unwrap();
-        let rules = applicable_rules(
-            &classify("crates/core/src/digest.rs"),
-            "crates/core/src/digest.rs",
-            &config,
-        );
-        assert!(!rules.contains(&Rule::DigestCoverage));
-        assert!(rules.contains(&Rule::StateCoverage));
-    }
+    /// A `save_state` that never destructures `Self`.
+    const UNPINNED: &str =
+        "struct S { a: u32 }\nimpl S {\n    fn save_state(&self) -> u32 { self.a }\n}\n";
 
     #[test]
     fn lint_source_runs_end_to_end() {
         let config = scoped();
-        let src = "struct EndStateDigest { sent: u64 }\n";
-        let v = lint_source("crates/core/src/fake.rs", src, &config);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::DigestCoverage);
+        let v = lint_source("crates/core/src/fake.rs", UNPINNED, &config);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (Rule::StateCoverage, 3));
         // Same content in an out-of-scope crate: clean.
-        assert!(lint_source("crates/tomography/src/fake.rs", src, &config).is_empty());
+        assert!(lint_source("crates/tomography/src/fake.rs", UNPINNED, &config).is_empty());
     }
 
     #[test]
     fn lint_source_runs_semantic_rules() {
         let config = scoped();
-        // A save_state that never destructures Self: R6 fires.
-        let v = lint_source(
-            "crates/netsim/src/fake.rs",
-            "struct S { a: u32 }\nimpl S {\n    fn save_state(&self) -> u32 { self.a }\n}\n",
-            &config,
-        );
+        // The destructure is checked against the declaration: a missing
+        // field fires, the exhaustive one is clean.
+        let partial = UNPINNED.replace("self.a }", "let Self { } = self; 0 }");
+        let v = lint_source("crates/netsim/src/fake.rs", &partial, &config);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::StateCoverage);
-        // A stale directive: R8 fires even in an unscoped crate.
-        let v = lint_source(
-            "crates/tomography/src/fake.rs",
-            "// lint: allow(unused-pub) — nothing here is public any more\nfn f() {}\n",
-            &config,
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::StaleAllow);
+        assert!(v[0].message.contains("misses declared field(s) `a`"), "{}", v[0].message);
+        let exhaustive = UNPINNED.replace("self.a }", "let Self { a } = self; *a }");
+        assert!(lint_source("crates/netsim/src/fake.rs", &exhaustive, &config).is_empty());
     }
 }

@@ -2,21 +2,18 @@
 //!
 //! The linter does not need a full parse tree — every rule it enforces is
 //! expressible over the token stream plus a little region bookkeeping
-//! (which lines are test code, which lines carry attributes or doc
-//! comments). What the lexer *must* get right is the lexical layer, or
-//! rule matching produces garbage:
+//! (which lines are test code). What the lexer *must* get right is the
+//! lexical layer, or rule matching produces garbage:
 //!
 //! * comments never yield tokens, including **nested** block comments
 //!   (`/* a /* b */ c */` is one comment in Rust);
 //! * string contents never yield tokens, including **raw strings**
 //!   (`r#"…"#` with any number of `#`s) and byte/raw-byte strings;
 //! * `'a'` (a char literal) and `'a` (a lifetime) are disambiguated, so
-//!   a `'}'` char literal cannot corrupt brace-depth tracking;
-//! * doc comments (`///`, `//!`, `/** */`, `/*! */`) are recorded per
-//!   line so the missing-docs rule can associate them with items.
+//!   a `'}'` char literal cannot corrupt brace-depth tracking.
 //!
-//! Comments are preserved (with line spans) because lint allow
-//! directives live in them.
+//! Comments, doc comments included, leave nothing behind but the line
+//! count.
 
 /// What a token is, as far as the rule engine cares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,26 +52,11 @@ impl Token {
     }
 }
 
-/// One comment, with the line span it covers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    /// 1-based first line.
-    pub line: u32,
-    /// 1-based last line (same as `line` for `//` comments).
-    pub end_line: u32,
-    /// Full comment text including the delimiters.
-    pub text: String,
-    /// Whether this is a doc comment (`///`, `//!`, `/**`, `/*!`).
-    pub doc: bool,
-}
-
-/// The output of [`lex`]: the token stream and the comments.
+/// The output of [`lex`]: the token stream.
 #[derive(Debug, Clone, Default)]
 pub struct Lexed {
     /// All code tokens in source order.
     pub tokens: Vec<Token>,
-    /// All comments in source order.
-    pub comments: Vec<Comment>,
 }
 
 /// Lexes Rust source. Never fails: unterminated constructs are consumed
@@ -140,61 +122,31 @@ impl Lexer {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        // `///` and `//!` are doc comments; `////…` (four or more) is a
-        // plain comment by Rust's rules.
-        let doc = (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!");
-        self.out.comments.push(Comment {
-            line,
-            end_line: line,
-            text,
-            doc,
-        });
     }
 
+    /// Consumes a block comment, nested ones included.
     fn block_comment(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
-        // Consume `/*`.
-        text.push(self.bump().unwrap_or_default());
-        text.push(self.bump().unwrap_or_default());
+        self.pos += 2; // `/*`
         let mut depth = 1usize;
         while depth > 0 {
             match (self.peek(0), self.peek(1)) {
                 (Some('/'), Some('*')) => {
                     depth += 1;
-                    text.push(self.bump().unwrap_or_default());
-                    text.push(self.bump().unwrap_or_default());
+                    self.pos += 2;
                 }
                 (Some('*'), Some('/')) => {
                     depth -= 1;
-                    text.push(self.bump().unwrap_or_default());
-                    text.push(self.bump().unwrap_or_default());
+                    self.pos += 2;
                 }
-                (Some(c), _) => {
-                    text.push(c);
+                (Some(_), _) => {
                     self.bump();
                 }
                 (None, _) => break, // unterminated: consume to EOF
             }
         }
-        // `/**` (not `/**/`) and `/*!` are doc comments.
-        let doc = (text.starts_with("/**") && !text.starts_with("/**/") && text.len() > 4)
-            || text.starts_with("/*!");
-        self.out.comments.push(Comment {
-            line,
-            end_line: self.line,
-            text,
-            doc,
-        });
     }
 
     /// Ordinary (escaped) string or byte-string body, after the opening
@@ -429,10 +381,10 @@ mod tests {
 
     #[test]
     fn nested_block_comments_hide_tokens() {
-        let l = lex("/* outer /* inner HashMap */ still comment */ fn f() {}");
-        assert!(!l.tokens.iter().any(|t| t.is_ident("HashMap")));
-        assert!(l.tokens.iter().any(|t| t.is_ident("fn")));
-        assert_eq!(l.comments.len(), 1);
+        let l = lex("/* outer /* inner HashMap */\n still comment */ // HashSet\nfn f() {}");
+        assert!(!l.tokens.iter().any(|t| t.is_ident("HashMap") || t.is_ident("HashSet")));
+        let f = l.tokens.iter().find(|t| t.is_ident("fn")).unwrap();
+        assert_eq!(f.line, 3, "comments keep the line count");
     }
 
     #[test]
@@ -488,23 +440,6 @@ mod tests {
         let l = lex(r"let a = b'x'; let b = b'\''; end");
         assert!(l.tokens.iter().any(|t| t.is_ident("end")));
         assert!(!l.tokens.iter().any(|t| t.is_ident("x")));
-    }
-
-    #[test]
-    fn doc_comments_are_flagged() {
-        let l = lex("/// docs\n//! inner docs\n//// not docs\n// plain\n/** block docs */\n/*! inner */\n/* plain */ fn f() {}");
-        let docs: Vec<bool> = l.comments.iter().map(|c| c.doc).collect();
-        assert_eq!(docs, vec![true, true, false, false, true, true, false]);
-    }
-
-    #[test]
-    fn comments_record_line_spans() {
-        let l = lex("// one\n\n/* a\nb\nc */\nfn f() {}");
-        assert_eq!(l.comments[0].line, 1);
-        assert_eq!(l.comments[1].line, 3);
-        assert_eq!(l.comments[1].end_line, 5);
-        let f = l.tokens.iter().find(|t| t.is_ident("fn")).unwrap();
-        assert_eq!(f.line, 6);
     }
 
     #[test]

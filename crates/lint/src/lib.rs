@@ -20,32 +20,32 @@
 //! "…")]`, which fails clippy once it excuses nothing.
 //!
 //! What stays here is what no compiler check says: a from-scratch
-//! item-level pass (no `syn`; the workspace builds fully offline) for
-//! R6–R9:
+//! item-level pass (no `syn`; the workspace builds fully offline) for R6
+//! and R9. R7's digest equality is a test now
+//! (`tests/digest_equality.rs` flips every byte of two real digests'
+//! wire layouts), and R8's stale-exemption check lives on in R9, which
+//! reports a `keep` entry it no longer needs:
 //!
 //! * [`lexer`] — a Rust lexer that gets the lexical layer right (nested
-//!   block comments, raw strings, char-vs-lifetime, doc comments);
+//!   block comments, raw strings, char-vs-lifetime);
 //! * [`regions`] — line classification: `#[cfg(test)]` / `mod tests`
 //!   regions;
 //! * [`parser`] — a lightweight item parser over the token stream:
-//!   structs (fields, derives), impl blocks, fn bodies, and
+//!   structs (fields), impl blocks, fn bodies, and
 //!   the workspace-wide symbol table the semantic rules resolve against;
-//! * [`rules`] — the rule catalogue, R6–R9;
-//! * [`config`] — `lint.toml` parsing (every rule's scope lives there)
-//!   and inline `// lint: allow(<rule>) — <reason>` directives;
+//! * [`rules`] — the rule catalogue, R6 and R9;
+//! * [`config`] — `lint.toml` parsing: R6's scope and R9's `keep` list,
+//!   the only exemptions there are;
 //! * [`engine`] — the workspace walker and two-pass rule dispatch
 //!   (parse everything, then check with cross-file context).
 //!
 //! | ID | name | invariant |
 //! |----|------|-----------|
 //! | R6 | `state-coverage` | save/restore fns and hand-written `Wire::put`s destructure `Self` exhaustively |
-//! | R7 | `digest-coverage` | digest types derive equality; no manual `PartialEq`/`Hash` |
-//! | R8 | `stale-allow` | allow directives must suppress something |
-//! | R9 | `unused-pub` | a library `pub fn` or `pub` field is used outside its own crate's unit tests and `pub use` lists (a method by its type, a field by a read) |
+//! | R9 | `unused-pub` | a library `pub fn` or `pub` field is used outside its own crate's unit tests and `pub use` lists (a method by its type, a field by a read), or kept by a live `lint.toml` entry |
 //!
 //! The `iobt-lint` binary (`cargo run -p iobt-lint -- --deny-all`) wires
-//! this into CI with `--format json`, a findings baseline for
-//! ratcheting, and `--explain Rn` rationale text; see the README's
+//! this into CI, with `--explain Rn` rationale text; see the README's
 //! "Static analysis" section.
 
 #![forbid(unsafe_code)]
@@ -59,6 +59,6 @@ pub mod parser;
 pub mod regions;
 pub mod rules;
 
-pub use config::{AllowSet, Config};
+pub use config::Config;
 pub use engine::{applicable_rules, classify, lint_root, Report, Section};
 pub use rules::{Rule, Violation};

@@ -1,10 +1,9 @@
-//! Item-level parsing on top of the token stream: structs (with fields
-//! and derives), impl blocks (with their fns and body token ranges),
+//! Item-level parsing on top of the token stream: structs (with their
+//! fields), impl blocks (with their fns and body token ranges),
 //! trait definitions, and free fns.
 //!
 //! This is not a full Rust parser — it is the minimal item skeleton the
-//! semantic rules (R6 state-coverage, R7 digest-coverage, R9 unused-pub)
-//! need:
+//! semantic rules (R6 state-coverage, R9 unused-pub) need:
 //!
 //! * which structs exist, with their exact field lists (so an
 //!   exhaustive destructure can be validated against the declaration)
@@ -57,8 +56,6 @@ pub struct StructDef {
     pub kind: StructKind,
     /// Named fields (empty for tuple/unit structs).
     pub fields: Vec<FieldDef>,
-    /// Traits listed in `#[derive(…)]` attributes, in order.
-    pub derives: Vec<String>,
 }
 
 /// One fn item, wherever it appears.
@@ -126,31 +123,24 @@ struct Parser<'a> {
 impl Parser<'_> {
     fn run(mut self) -> ParsedFile {
         let mut i = 0usize;
-        // Derives seen since the last item.
-        let mut derives: Vec<String> = Vec::new();
         while i < self.toks.len() {
             let t = &self.toks[i];
             if t.is_punct('#') {
-                i = self.attr(i, &mut derives);
-                continue;
-            }
-            if t.is_ident("macro_rules") {
+                i = self.attr(i);
+            } else if t.is_ident("macro_rules") {
                 i = self.skip_to_close_brace(i);
             } else if t.is_ident("struct") {
-                i = self.struct_item(i, std::mem::take(&mut derives));
+                i = self.struct_item(i);
             } else if t.is_ident("impl") {
                 i = self.impl_item(i);
-                derives.clear();
             } else if t.is_ident("trait") {
                 i = self.trait_item(i);
-                derives.clear();
             } else if t.is_ident("fn") {
                 let (f, next) = self.fn_item(i);
                 if let Some(f) = f {
                     self.out.free_fns.push(f);
                 }
                 i = next;
-                derives.clear();
             } else if t.is_ident("enum")
                 || (t.is_ident("union")
                     && self
@@ -162,53 +152,23 @@ impl Parser<'_> {
                 // (`union` is contextual: `.union(other)` is a method
                 // call, hence the followed-by-identifier guard.)
                 i = self.skip_to_close_brace(i);
-                derives.clear();
-            } else if t.is_ident("pub") {
-                // Visibility never separates an attribute from its item.
-                i += 1;
-                if self.toks.get(i).is_some_and(|t| t.is_punct('(')) {
-                    i = self.skip_balanced(i);
-                }
             } else {
-                // `mod x {` braces are scanned through transparently;
-                // any other identifier means the pending attributes
-                // belonged to something we don't model.
-                if t.kind == TokenKind::Ident && !t.is_ident("unsafe") {
-                    derives.clear();
-                }
+                // `mod x {` braces are scanned through transparently.
                 i += 1;
             }
         }
         self.out
     }
 
-    /// Parses one `#[…]` / `#![…]` attribute starting at the `#`;
-    /// records derives. Returns the index after `]`.
-    fn attr(&mut self, i: usize, derives: &mut Vec<String>) -> usize {
-        let mut j = i + 1;
-        if self.toks.get(j).is_some_and(|t| t.is_punct('!')) {
-            j += 1;
+    /// Skips one `#[…]` / `#![…]` attribute starting at the `#`. Returns
+    /// the index after `]`.
+    fn attr(&self, i: usize) -> usize {
+        let open = i + 1 + usize::from(self.toks.get(i + 1).is_some_and(|t| t.is_punct('!')));
+        if self.toks.get(open).is_some_and(|t| t.is_punct('[')) {
+            self.skip_balanced(open)
+        } else {
+            i + 1 // `#` that is not an attribute (shebang leftovers)
         }
-        if !self.toks.get(j).is_some_and(|t| t.is_punct('[')) {
-            return i + 1; // `#` that is not an attribute (shebang leftovers)
-        }
-        let is_derive = self.toks.get(j + 1).is_some_and(|t| t.is_ident("derive"));
-        let mut depth = 0i64;
-        while j < self.toks.len() {
-            let t = &self.toks[j];
-            if t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(']') {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            } else if is_derive && t.kind == TokenKind::Ident && !t.is_ident("derive") {
-                derives.push(t.text.clone());
-            }
-            j += 1;
-        }
-        j
     }
 
     /// Skips from an opening context to just after the brace matching the
@@ -230,7 +190,7 @@ impl Parser<'_> {
     }
 
     /// Parses `struct Name …` starting at the `struct` keyword.
-    fn struct_item(&mut self, i: usize, derives: Vec<String>) -> usize {
+    fn struct_item(&mut self, i: usize) -> usize {
         let line = self.toks[i].line;
         let Some(name_tok) = self.toks.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
             return i + 1;
@@ -282,7 +242,6 @@ impl Parser<'_> {
                     line,
                     kind,
                     fields: Vec::new(),
-                    derives,
                 });
                 body_at + 1
             }
@@ -294,7 +253,6 @@ impl Parser<'_> {
                     line,
                     kind: StructKind::Tuple(arity),
                     fields: Vec::new(),
-                    derives,
                 });
                 end
             }
@@ -306,7 +264,6 @@ impl Parser<'_> {
                     line,
                     kind,
                     fields,
-                    derives,
                 });
                 end
             }
@@ -672,6 +629,7 @@ mod tests {
 
     #[test]
     fn named_struct_fields_and_derives() {
+        // The derive attribute is skipped whole: the struct after it parses.
         let p = parse(
             "#[derive(Debug, Clone, PartialEq)]\npub struct S {\n    pub a: u32,\n    pub(crate) b: Vec<(String, Inner)>,\n}\n",
         );
@@ -679,7 +637,6 @@ mod tests {
         let s = &p.structs[0];
         assert_eq!(s.name, "S");
         assert_eq!(s.kind, StructKind::Named);
-        assert_eq!(s.derives, vec!["Debug", "Clone", "PartialEq"]);
         assert_eq!(
             s.fields.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
             vec!["a", "b"]

@@ -1,65 +1,54 @@
-//! The rule catalogue: the semantic passes R6–R8 built on the item
-//! parser (state coverage, digest equality, stale-allow hygiene) and the
-//! workspace-wide use count R9 (public functions and fields nobody uses).
-//! R1–R5 (hash containers, wall clock, panics, entropy, docs) are the
+//! The rule catalogue: the semantic pass R6 built on the item parser
+//! (state coverage) and the workspace-wide use count R9 (public functions
+//! and fields nobody uses, against `lint.toml`'s `keep` list). R1–R5
+//! (hash containers, wall clock, panics, entropy, docs) are the
 //! compiler's: the root `clippy.toml`, `clippy::unwrap_used` /
-//! `expect_used` and `missing_docs`. See `lint.toml` and the README
-//! "Static analysis" section for the rationale of each.
+//! `expect_used` and `missing_docs`. R7's digest equality is
+//! `tests/digest_equality.rs`'s, and R8's stale-exemption check is R9's
+//! own. See `lint.toml` and the README "Static analysis" section for the
+//! rationale of each.
 
 use std::collections::BTreeMap;
 
-use crate::config::AllowSet;
+use crate::config::Keep;
 use crate::engine::{classify, Section};
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::parser::{close_of, FnDef, ParsedFile, StructKind, StructSig, SymbolTable};
 use crate::regions::FileMap;
 
-/// A rule identity: stable ID (`R6`…`R9`) plus the kebab-case name used
-/// in allow directives and `lint.toml` sections.
+/// A rule identity: stable ID (`R6`, `R9`) plus the kebab-case name used
+/// in `lint.toml` sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// R6 `state-coverage`: save/restore fns, and a hand-written `Wire`
     /// impl's `put`, exhaustively destructure the type they persist (no
     /// `..` rest pattern).
     StateCoverage,
-    /// R7 `digest-coverage`: digest/fingerprint types derive `PartialEq`
-    /// and have no manual `PartialEq` or `Hash` impl.
-    DigestCoverage,
-    /// R8 `stale-allow`: a `// lint: allow(…)` directive that suppresses
-    /// zero findings is itself an error.
-    StaleAllow,
     /// R9 `unused-pub`: a `pub fn` or named `pub` field in library code
     /// that nothing in the scanned workspace uses outside its own crate's
     /// unit tests and `pub use` lists; a method's uses are counted by its
-    /// type, a field's by its reads.
+    /// type, a field's by its reads. A `keep` entry lets one stand until
+    /// it gains a use.
     UnusedPub,
 }
 
 impl Rule {
     /// Every rule, in ID order.
-    pub const ALL: [Rule; 4] = [
-        Rule::StateCoverage,
-        Rule::DigestCoverage,
-        Rule::StaleAllow,
-        Rule::UnusedPub,
-    ];
+    pub const ALL: [Rule; 2] = [Rule::StateCoverage, Rule::UnusedPub];
 
-    /// Stable rule ID (`R6`…`R9`; R1–R5 are the compiler's now).
+    /// Stable rule ID (`R6`, `R9`; R1–R5 are the compiler's, R7 and R8
+    /// are gone).
     pub fn id(self) -> &'static str {
         match self {
             Rule::StateCoverage => "R6",
-            Rule::DigestCoverage => "R7",
-            Rule::StaleAllow => "R8",
             Rule::UnusedPub => "R9",
         }
     }
 
-    /// Kebab-case name used in `lint.toml` and allow directives.
+    /// Kebab-case name used in `lint.toml`.
     pub fn name(self) -> &'static str {
         match self {
             Rule::StateCoverage => "state-coverage",
-            Rule::DigestCoverage => "digest-coverage",
-            Rule::StaleAllow => "stale-allow",
             Rule::UnusedPub => "unused-pub",
         }
     }
@@ -91,27 +80,6 @@ impl Rule {
                  are bound as `name: _`, which documents the exclusion at the\n\
                  destructure site."
             }
-            Rule::DigestCoverage => {
-                "R7[digest-coverage] — digest types derive their equality.\n\
-                 \n\
-                 End-state digests and metrics fingerprints exist to catch state\n\
-                 divergence, and tests compare them with `==`. Scoped types must\n\
-                 `#[derive(PartialEq)]` and carry no manual `PartialEq`/`Hash` impl:\n\
-                 a hand-written one can silently skip a field. Whether every field\n\
-                 reaches the fingerprint is the compiler's check, not this rule's:\n\
-                 the digests fingerprint their `wire_struct!` bytes, and\n\
-                 `MetricsDigest::canonical_string` destructures both its structs\n\
-                 without `..`, so a new field fails to compile (E0027) until it is\n\
-                 rendered."
-            }
-            Rule::StaleAllow => {
-                "R8[stale-allow] — allow directives must suppress something.\n\
-                 \n\
-                 A `// lint: allow(rule)` directive that matches zero findings is\n\
-                 dead weight: either the code it excused moved (so the exemption\n\
-                 now silently waits to hide a future violation) or the rule no\n\
-                 longer applies. Delete it, or move it next to the code it exempts."
-            }
             Rule::UnusedPub => {
                 "R9[unused-pub] — public API somebody uses.\n\
                  \n\
@@ -135,7 +103,11 @@ impl Rule {
                  is not a read. A path segment (`crate::name::X`) uses nothing. A\n\
                  shared name can hide an unused item, never flag a used one.\n\
                  Delete the item, narrow it to `pub(crate)`, move it into the\n\
-                 tests, or justify it with `// lint: allow(unused-pub) — <reason>`."
+                 tests, or keep it: a `\"<path> <label>\"` entry in `lint.toml`'s\n\
+                 `[rules.unused-pub] keep` list, with a `#` comment citing the\n\
+                 DESIGN.md section that needs it. A keep whose item gains a use,\n\
+                 or that names no unused `pub` item in a scanned library file, is\n\
+                 itself a finding, so the list only shrinks."
             }
         }
     }
@@ -171,117 +143,6 @@ pub struct FileInput<'a> {
     pub map: &'a FileMap,
     /// Item skeleton.
     pub parsed: &'a ParsedFile,
-}
-
-/// Runs the per-file rules, producing *raw* violations — no allow
-/// filtering (that happens in [`apply_allows`], which also implements
-/// R8). `r6_path_scoped` marks files listed in the R6 `paths` config,
-/// where the exhaustiveness convention applies file-wide; `digest_types`
-/// are R7's `types`.
-pub fn check_file_raw(
-    input: &FileInput,
-    table: &SymbolTable,
-    rules: &[Rule],
-    r6_path_scoped: bool,
-    digest_types: &[String],
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for &rule in rules {
-        match rule {
-            Rule::StateCoverage => check_state_coverage(input, table, r6_path_scoped, &mut out),
-            Rule::DigestCoverage => check_digest_derives(input, digest_types, &mut out),
-            // R9 needs the whole workspace; R8 needs the post-filter
-            // outcome. Both run outside the per-file dispatch.
-            Rule::StaleAllow | Rule::UnusedPub => {}
-        }
-    }
-    sort_dedup(&mut out);
-    out
-}
-
-fn sort_dedup(out: &mut Vec<Violation>) {
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)).then(a.message.cmp(&b.message)));
-    // Two mentions on one line (e.g. `HashMap<..> = HashMap::new()`) are
-    // one finding as far as the reader is concerned.
-    out.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
-}
-
-/// Filters raw violations through the file's allow directives and, when
-/// `stale_check` is on, reports directives that suppressed nothing (R8).
-///
-/// A justified directive covering a violation's line suppresses it. An
-/// unjustified one leaves the violation in place with a hint appended —
-/// and still counts as "targeting" something, so it is not stale. R8
-/// findings themselves can be suppressed by a justified
-/// `allow(stale-allow)` directive (single pass, no recursion).
-pub fn apply_allows(raw: Vec<Violation>, allows: &AllowSet, stale_check: bool) -> Vec<Violation> {
-    let dirs = allows.directives();
-    let mut targeted = vec![false; dirs.len()];
-    let mut kept: Vec<Violation> = Vec::new();
-    for v in raw {
-        let covering = |justified: bool| {
-            dirs.iter().position(|d| {
-                d.justified == justified
-                    && d.rule == v.rule.name()
-                    && d.from <= v.line
-                    && v.line <= d.to
-            })
-        };
-        if let Some(k) = covering(true) {
-            targeted[k] = true;
-            continue;
-        }
-        if let Some(k) = covering(false) {
-            targeted[k] = true;
-            kept.push(Violation {
-                message: format!(
-                    "{} (an allow directive was found but lacks a justification — \
-                     write `// lint: allow({}) — <reason>`)",
-                    v.message,
-                    v.rule.name()
-                ),
-                ..v
-            });
-            continue;
-        }
-        kept.push(v);
-    }
-    if stale_check {
-        for (k, d) in dirs.iter().enumerate() {
-            if targeted[k] {
-                continue;
-            }
-            // A justified allow(stale-allow) covering this directive's
-            // anchor line suppresses the staleness finding.
-            if dirs.iter().any(|s| {
-                s.justified
-                    && s.rule == Rule::StaleAllow.name()
-                    && s.from <= d.line
-                    && d.line <= s.to
-            }) {
-                continue;
-            }
-            let message = match Rule::from_name(&d.rule) {
-                None => format!(
-                    "`lint: allow({})` names no known rule (known: {})",
-                    d.rule,
-                    Rule::ALL.map(Rule::name).join(", ")
-                ),
-                Some(r) => format!(
-                    "stale directive: `allow({})` suppresses no findings here — \
-                     delete it, or move it next to the code it exempts",
-                    r.name()
-                ),
-            };
-            kept.push(Violation {
-                line: d.line,
-                rule: Rule::StaleAllow,
-                message,
-            });
-        }
-    }
-    sort_dedup(&mut kept);
-    kept
 }
 
 /// One use R9 counts. A method is counted by type wherever the
@@ -537,12 +398,15 @@ fn uses_in<'a>(
 /// `src/` and `pub use` statements. A free fn is used by a call or path
 /// of its name; a method of an inherent `impl T` by `T::m`, `Self::m`
 /// inside an `impl T`, `.m(` or a qualifier that names no one type; a
-/// field by a read. Pushes `(file index, violation)` pairs.
+/// field by a read. An unused item a `keep` entry names stands; a keep
+/// whose item has a use, or that names no `pub` item of an applicable
+/// file, is reported at its `lint.toml` line. Returns `(path, violation)`
+/// pairs.
 pub fn check_unused_pub(
     inputs: &[FileInput],
     applicable: &[bool],
-    out: &mut Vec<(usize, Violation)>,
-) {
+    keep: &[Keep],
+) -> Vec<(String, Violation)> {
     let type_vars = type_variables(inputs);
     let mut tallies: BTreeMap<Use, Tally> = BTreeMap::new();
     for input in inputs {
@@ -560,6 +424,10 @@ pub fn check_unused_pub(
             }
         }
     }
+    let mut out = Vec::new();
+    // Per keep: `None` until it names an item, then whether one it named
+    // is unused.
+    let mut kept: Vec<Option<bool>> = vec![None; keep.len()];
     for (i, input) in inputs.iter().enumerate() {
         if !applicable[i] {
             continue;
@@ -576,19 +444,9 @@ pub fn check_unused_pub(
                     && counts(t)
             })
         };
-        let mut flag = |line: u32, finding: String| {
-            out.push((
-                i,
-                Violation {
-                    line,
-                    rule: Rule::UnusedPub,
-                    message: format!(
-                        "{finding} outside its own crate's unit tests: delete it, narrow it to \
-                         `pub(crate)`, or justify with `// lint: allow(unused-pub) — <reason>`"
-                    ),
-                },
-            ));
-        };
+        // Every public item: its line, its label and, when nothing uses
+        // it, the finding.
+        let mut items: Vec<(u32, String, Option<String>)> = Vec::new();
         let toks = &input.lexed.tokens;
         // `macro_rules!` bodies, whose `impl $name` no qualifier names.
         let macros: Vec<(usize, usize)> = (1..toks.len())
@@ -619,41 +477,75 @@ pub fn check_unused_pub(
                 .find(|imp| imp.trait_name.is_none() && imp.body.0 <= k && k < imp.body.1);
             let m = name.text.as_str();
             let in_macro = macros.iter().any(|&(open, close)| open < k && k < close);
-            let unused = match inherent {
-                _ if in_macro => {
-                    (!used_by_name(m)).then(|| format!("`pub fn {m}` is named nowhere"))
-                }
+            let (label, unused) = match inherent {
+                _ if in_macro => (
+                    m.to_string(),
+                    (!used_by_name(m)).then(|| format!("`pub fn {m}` is named nowhere")),
+                ),
                 Some(imp) => {
                     let ty = imp.self_ty.as_str();
-                    (!used(Use::Method(ty, m)) && !used(Use::AnyMethod(m))).then(|| {
+                    let unused = (!used(Use::Method(ty, m)) && !used(Use::AnyMethod(m))).then(|| {
                         format!(
                             "`pub fn {ty}::{m}` is named by no `.{m}(`, `Self::{m}` or `{ty}::{m}`"
                         )
-                    })
+                    });
+                    (format!("{ty}::{m}"), unused)
                 }
-                None => (!used(Use::Call(m))).then(|| format!("`pub fn {m}` is called nowhere")),
+                None => (
+                    m.to_string(),
+                    (!used(Use::Call(m))).then(|| format!("`pub fn {m}` is called nowhere")),
+                ),
             };
-            if let Some(finding) = unused {
-                flag(name.line, finding);
-            }
+            items.push((name.line, label, unused));
         }
         for s in &input.parsed.structs {
             if input.map.is_test_line(s.line) {
                 continue;
             }
-            for f in s
-                .fields
-                .iter()
-                .filter(|f| f.public && !used(Use::Read(&f.name)))
-            {
-                let finding = format!(
-                    "`pub` field `{}.{}` is read nowhere (an initialiser or a derive is not a read)",
-                    s.name, f.name
-                );
-                flag(f.line, finding);
+            for f in s.fields.iter().filter(|f| f.public) {
+                let label = format!("{}.{}", s.name, f.name);
+                let unused = (!used(Use::Read(&f.name))).then(|| {
+                    format!(
+                        "`pub` field `{label}` is read nowhere (an initialiser or a derive is \
+                         not a read)"
+                    )
+                });
+                items.push((f.line, label, unused));
+            }
+        }
+        for (line, label, unused) in items {
+            let path = input.rel_path;
+            match keep.iter().position(|k| k.path == path && k.label == label) {
+                Some(k) => kept[k] = Some(kept[k] == Some(true) || unused.is_some()),
+                None => {
+                    let Some(finding) = unused else { continue };
+                    let message = format!(
+                        "{finding} outside its own crate's unit tests: delete it, narrow it to \
+                         `pub(crate)`, or keep it with `\"{path} {label}\"` and its reason \
+                         in lint.toml's `[rules.unused-pub] keep`"
+                    );
+                    let v = Violation { line, rule: Rule::UnusedPub, message };
+                    out.push((path.to_string(), v));
+                }
             }
         }
     }
+    for (k, state) in keep.iter().zip(kept) {
+        let why = match state {
+            Some(true) => continue,
+            Some(false) => "is stale: its item now has a use; delete the entry",
+            None => "names no `pub` item of a scanned library file; delete or correct the entry",
+        };
+        out.push((
+            "lint.toml".to_string(),
+            Violation {
+                line: k.line,
+                rule: Rule::UnusedPub,
+                message: format!("keep `{} {}` {why}", k.path, k.label),
+            },
+        ));
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -835,12 +727,12 @@ fn parse_tuple_pattern(toks: &[Token], open: usize) -> Option<(usize, bool, usiz
 /// R6: see [`Rule::StateCoverage`]. `path_scoped` widens the rule from
 /// "save/restore fns" to the whole file (all destructures, `save` fns,
 /// and free fns).
-fn check_state_coverage(
+pub fn check_state_coverage(
     input: &FileInput,
     table: &SymbolTable,
     path_scoped: bool,
-    out: &mut Vec<Violation>,
-) {
+) -> Vec<Violation> {
+    let mut out = Vec::new();
     for imp in &input.parsed.impls {
         // A hand-written `Wire::put` is its struct's save fn. Enums and
         // foreign types have no field list to pin: a `match` on an enum is
@@ -853,18 +745,19 @@ fn check_state_coverage(
                 || (path_scoped && f.name == "save")
                 || (wire_of_struct && f.name == "put");
             if targeted {
-                audit_state_fn(input, table, f, Some(&imp.self_ty), true, out);
+                audit_state_fn(input, table, f, Some(&imp.self_ty), true, &mut out);
             } else if path_scoped {
-                audit_state_fn(input, table, f, Some(&imp.self_ty), false, out);
+                audit_state_fn(input, table, f, Some(&imp.self_ty), false, &mut out);
             }
         }
     }
 
     if path_scoped {
         for f in &input.parsed.free_fns {
-            audit_state_fn(input, table, f, None, false, out);
+            audit_state_fn(input, table, f, None, false, &mut out);
         }
     }
+    out
 }
 
 /// Resolves a struct by name: the file's own crate first, then a unique
@@ -1013,59 +906,15 @@ fn name_list(names: &[&String]) -> String {
         .join(", ")
 }
 
-// ---------------------------------------------------------------------
-// R7 digest-coverage
-// ---------------------------------------------------------------------
-
-/// R7: see [`Rule::DigestCoverage`]. A scoped type declared outside
-/// test code must derive `PartialEq` and have no manual `PartialEq` or
-/// `Hash` impl; findings anchor at the struct or the impl.
-fn check_digest_derives(input: &FileInput, types: &[String], out: &mut Vec<Violation>) {
-    let scoped = |name: &str| types.iter().any(|t| t == name);
-    for s in &input.parsed.structs {
-        let derived = s.derives.iter().any(|d| d == "PartialEq");
-        if scoped(&s.name)
-            && s.kind == StructKind::Named
-            && !derived
-            && !input.map.is_test_line(s.line)
-        {
-            out.push(Violation {
-                line: s.line,
-                rule: Rule::DigestCoverage,
-                message: format!(
-                    "digest type `{}` must `#[derive(PartialEq)]` so equality covers every \
-                     field — divergence checks compare these wholesale",
-                    s.name
-                ),
-            });
-        }
-    }
-    for imp in &input.parsed.impls {
-        let manual_eq = matches!(imp.trait_name.as_deref(), Some("PartialEq" | "Hash"));
-        if manual_eq && scoped(&imp.self_ty) && !input.map.is_test_line(imp.line) {
-            out.push(Violation {
-                line: imp.line,
-                rule: Rule::DigestCoverage,
-                message: format!(
-                    "manual `impl {} for {}` can silently skip fields — derive it instead so \
-                     every field is compared",
-                    imp.trait_name.as_deref().unwrap_or("PartialEq"),
-                    imp.self_ty
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AllowSet;
+    use crate::config::Config;
     use crate::lexer::lex;
     use crate::parser::parse_items;
     use crate::regions::map_file;
 
-    fn run_path(rel: &str, src: &str, rules: &[Rule], path_scoped: bool) -> Vec<Violation> {
+    fn run_path(rel: &str, src: &str, path_scoped: bool) -> Vec<Violation> {
         let lexed = lex(src);
         let map = map_file(&lexed);
         let parsed = parse_items(&lexed);
@@ -1078,14 +927,11 @@ mod tests {
             map: &map,
             parsed: &parsed,
         };
-        let digest_types = ["EndStateDigest", "MetricsDigest", "TaskingStats"].map(String::from);
-        let raw = check_file_raw(&input, &table, rules, path_scoped, &digest_types);
-        let allows = AllowSet::from_comments(&lexed.comments);
-        apply_allows(raw, &allows, rules.contains(&Rule::StaleAllow))
+        check_state_coverage(&input, &table, path_scoped)
     }
 
-    fn run(src: &str, rules: &[Rule]) -> Vec<Violation> {
-        run_path("lib.rs", src, rules, false)
+    fn run(src: &str) -> Vec<Violation> {
+        run_path("lib.rs", src, false)
     }
 
     #[test]
@@ -1110,7 +956,7 @@ impl Behavior for S {
     }
 }
 ";
-        let v = run(src, &[Rule::StateCoverage]);
+        let v = run(src);
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].rule.id(), v[0].line), ("R6", 3));
         assert!(v[0].message.contains("pinning"), "{}", v[0].message);
@@ -1131,7 +977,7 @@ impl Behavior for S {
     }
 }
 ";
-        assert!(run(src, &[Rule::StateCoverage]).is_empty());
+        assert!(run(src).is_empty());
     }
 
     #[test]
@@ -1148,7 +994,7 @@ impl S {
     }
 }
 ";
-        let hits: Vec<_> = run(src, &[Rule::StateCoverage])
+        let hits: Vec<_> = run(src)
             .iter()
             .map(|v| (v.line, v.message.split_whitespace().next().unwrap_or("").to_string()))
             .collect();
@@ -1167,7 +1013,7 @@ fn enc_inner(v: &Inner) {
     let _ = x;
 }
 ";
-        let v = run_path("crates/core/src/checkpoint.rs", src, &[Rule::StateCoverage], true);
+        let v = run_path("crates/core/src/checkpoint.rs", src, true);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("rest pattern"), "{}", v[0].message);
     }
@@ -1184,7 +1030,7 @@ mod tests {
     impl T { fn save_state(&self) {} }
 }
 ";
-        assert!(run(src, &[Rule::StateCoverage]).is_empty());
+        assert!(run(src).is_empty());
     }
 
     #[test]
@@ -1196,7 +1042,7 @@ impl Behavior for Stateless {
     fn restore_state(&mut self, _blob: &[u8]) {}
 }
 ";
-        assert!(run(src, &[Rule::StateCoverage]).is_empty());
+        assert!(run(src).is_empty());
     }
 
     #[test]
@@ -1212,7 +1058,7 @@ impl Wire for Jammer {
     }
 }
 ";
-        let v = run(unpinned, &[Rule::StateCoverage]);
+        let v = run(unpinned);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 3, "`put` is the save fn; `take` builds through a constructor");
         assert!(v[0].message.contains("pinning"), "{}", v[0].message);
@@ -1221,7 +1067,7 @@ impl Wire for Jammer {
             "e.f64(self.power_w);",
             "let Self { power_w, active: _ } = self; e.f64(*power_w);",
         );
-        assert!(run(&pinned, &[Rule::StateCoverage]).is_empty());
+        assert!(run(&pinned).is_empty());
 
         // Not a struct this workspace declares: nothing to destructure.
         let an_enum = "\
@@ -1235,7 +1081,7 @@ impl Wire for u32 {
     fn put(&self, e: &mut Enc) { e.u32(*self) }
 }
 ";
-        assert!(run(an_enum, &[Rule::StateCoverage]).is_empty());
+        assert!(run(an_enum).is_empty());
     }
 
     #[test]
@@ -1246,110 +1092,32 @@ impl Runner {
     fn save(&self) -> Vec<u8> { vec![self.a as u8] }
 }
 ";
-        assert!(run(src, &[Rule::StateCoverage]).is_empty(), "crate scope: `save` untargeted");
-        let v = run_path("crates/core/src/checkpoint.rs", src, &[Rule::StateCoverage], true);
+        assert!(run(src).is_empty(), "crate scope: `save` untargeted");
+        let v = run_path("crates/core/src/checkpoint.rs", src, true);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 3);
     }
 
-    // -- R7 ---------------------------------------------------------
+    // -- R9 ---------------------------------------------------------
 
-    fn run_digest(src: &str) -> Vec<Violation> {
-        run(src, &[Rule::DigestCoverage])
-    }
-
-    #[test]
-    fn digest_coverage_requires_derived_partial_eq() {
-        let src = "#[derive(Debug)]\nstruct EndStateDigest { sent: u64 }\n";
-        let v = run_digest(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-        assert!(v[0].message.contains("PartialEq"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn digest_coverage_flags_manual_eq_impls() {
-        let src = "\
-#[derive(PartialEq)]
-struct TaskingStats { sent: u64 }
-impl PartialEq for MetricsDigest {
-    fn eq(&self, _o: &Self) -> bool { true }
-}
-";
-        let v = run_digest(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 3);
-        assert!(v[0].message.contains("manual"), "{}", v[0].message);
-    }
-
-    // -- R8 ---------------------------------------------------------
-
-    /// A `save_state` that pins nothing: one R6 finding on line 3, where
-    /// `fn save_state` sits.
-    const UNPINNED: &str = "\
-struct S { a: u32 }
-impl S {
-    fn save_state(&self) -> u32 { self.a }
-}
-";
-
-    #[test]
-    fn stale_allow_flags_directives_that_suppress_nothing() {
-        let src = "\
-fn clean() {}
-// lint: allow(state-coverage) — leftover from a refactor
-fn also_clean() {}
-";
-        let v = run(src, &[Rule::StateCoverage, Rule::StaleAllow]);
-        assert_eq!(v.len(), 1);
-        assert_eq!((v[0].rule.id(), v[0].line), ("R8", 2));
-        assert!(v[0].message.contains("stale"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn stale_allow_accepts_live_directives() {
-        // A justified directive suppresses the finding on its own line
-        // (trailing) and on the line below (standalone), and is live.
-        let trailing = UNPINNED.replace(
-            "self.a }",
-            "self.a } // lint: allow(state-coverage) — reporting-only state, rebuilt on restore",
-        );
-        let above = UNPINNED.replace(
-            "impl S {\n",
-            "impl S {\n    // lint: allow(state-coverage) — reporting-only state, rebuilt on restore\n",
-        );
-        for src in [trailing, above] {
-            assert!(run(&src, &[Rule::StateCoverage, Rule::StaleAllow]).is_empty(), "{src}");
-        }
-    }
-
-    #[test]
-    fn stale_allow_flags_unknown_rule_names() {
-        let src = "// lint: allow(no-such-rule) — whatever\nfn f() {}\n";
-        let v = run(src, &[Rule::StaleAllow]);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("no known rule"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn stale_allow_unjustified_live_directive_is_not_stale() {
-        // The R6 violation is still reported, with a hint; the directive
-        // targeted something, so R8 stays quiet.
-        let src = UNPINNED.replace("self.a }", "self.a } // lint: allow(state-coverage)");
-        let v = run(&src, &[Rule::StateCoverage, Rule::StaleAllow]);
-        assert_eq!(v.len(), 1);
-        assert_eq!((v[0].rule, v[0].line), (Rule::StateCoverage, 3));
-        assert!(v[0].message.contains("lacks a justification"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn stale_allow_can_itself_be_allowed() {
-        let src = "\
-// lint: allow(stale-allow) — directive below documents a planned exemption
-// lint: allow(state-coverage) — waiting on the follow-up change
-fn f() {}
-";
-        assert!(run(src, &[Rule::StateCoverage, Rule::StaleAllow]).is_empty());
+    /// Runs R9 over `(path, source)` files, each classified by its path;
+    /// the library files are the applicable ones.
+    fn unused_pub(sources: &[(&str, &str)], keep: &[Keep]) -> Vec<(String, Violation)> {
+        let lexed: Vec<_> = sources.iter().map(|(_, src)| lex(src)).collect();
+        let maps: Vec<_> = lexed.iter().map(map_file).collect();
+        let items: Vec<_> = lexed.iter().map(parse_items).collect();
+        let classes: Vec<_> = sources.iter().map(|(rel, _)| classify(rel)).collect();
+        let inputs: Vec<FileInput> = (0..sources.len())
+            .map(|i| FileInput {
+                rel_path: sources[i].0,
+                crate_name: classes[i].crate_name.as_deref(),
+                lexed: &lexed[i],
+                map: &maps[i],
+                parsed: &items[i],
+            })
+            .collect();
+        let applicable: Vec<bool> = classes.iter().map(|c| c.section == Section::Lib).collect();
+        check_unused_pub(&inputs, &applicable, keep)
     }
 
     #[test]
@@ -1405,28 +1173,16 @@ pub fn uncalled_but_not_applicable() {}
 ";
         let sibling =
             "#[cfg(test)]\nmod tests {\n    fn t() { c::called_from_a_sibling_crates_tests(); }\n}\n";
-        let sources = [
-            ("crates/c/src/lib.rs", "c", lex(lib)),
-            ("examples/caller.rs", "c", lex(caller)),
-            ("crates/d/src/lib.rs", "d", lex(sibling)),
-        ];
-        let maps: Vec<_> = sources.iter().map(|(_, _, l)| map_file(l)).collect();
-        let items: Vec<_> = sources.iter().map(|(_, _, l)| parse_items(l)).collect();
-        let inputs: Vec<FileInput> = sources
-            .iter()
-            .zip(&maps)
-            .zip(&items)
-            .map(|(((rel_path, crate_name, lexed), map), parsed)| FileInput {
-                rel_path,
-                crate_name: Some(crate_name),
-                lexed,
-                map,
-                parsed,
-            })
-            .collect();
-        let mut out = Vec::new();
-        check_unused_pub(&inputs, &[true, false, false], &mut out);
-        let hits: Vec<(usize, u32)> = out.iter().map(|(file, v)| (*file, v.line)).collect();
+        let out = unused_pub(
+            &[
+                ("crates/c/src/lib.rs", lib),
+                ("examples/caller.rs", caller),
+                ("crates/d/src/lib.rs", sibling),
+            ],
+            &[],
+        );
+        assert!(out.iter().all(|(path, _)| path == "crates/c/src/lib.rs"), "{out:?}");
+        let lines: Vec<u32> = out.iter().map(|(_, v)| v.line).collect();
         // Lone definition, comment-only name, own unit test only, `pub use`
         // only, a setter whose name only a field, a local and a
         // `wire_struct!` entry share, a `new` only another type's `new`
@@ -1434,14 +1190,51 @@ pub fn uncalled_but_not_applicable() {}
         // initialised and derived-`Debug`. `.m()`, `Type::m`, `Self::m`,
         // a generic `T::m`, a `.f` read, a destructure and a
         // `wire_struct!` entry all count.
-        assert_eq!(
-            hits,
-            vec![(0, 2), (0, 4), (0, 5), (0, 7), (0, 12), (0, 19), (0, 27), (0, 33)],
-            "{out:?}"
-        );
+        assert_eq!(lines, [2, 4, 5, 7, 12, 19, 27, 33], "{out:?}");
         let messages: Vec<&str> = out.iter().map(|(_, v)| v.message.as_str()).collect();
         assert!(messages[0].contains("`pub fn lone_const`"), "{}", messages[0]);
         assert!(messages[5].contains("`pub fn Shadowed::new`"), "{}", messages[5]);
         assert!(messages[7].contains("`pub` field `Report.only_initialised`"), "{}", messages[7]);
+    }
+
+    #[test]
+    fn unused_pub_keeps_live_entries_and_reports_stale_ones() {
+        let lib = "\
+pub fn kept_and_unused() {}
+pub fn kept_but_called() {}
+pub struct S { pub kept_field: u32 }
+impl S {
+    pub fn kept_method(&self) {}
+}
+pub fn not_kept() {}
+";
+        let caller = "fn main() { kept_but_called(); }\n";
+        let keep = Config::parse(
+            "[rules.unused-pub]\nkeep = [\n\
+             \"crates/c/src/lib.rs kept_and_unused\",\n\
+             \"crates/c/src/lib.rs kept_but_called\",\n\
+             \"crates/c/src/lib.rs S.kept_field\",\n\
+             \"crates/c/src/lib.rs S::kept_method\",\n\
+             \"crates/c/src/lib.rs deleted_long_ago\",\n\
+             \"examples/caller.rs main\",\n\
+             ]\n",
+        )
+        .unwrap()
+        .keep;
+        let sources = [("crates/c/src/lib.rs", lib), ("examples/caller.rs", caller)];
+        let out = unused_pub(&sources, &keep);
+        let got: Vec<(&str, u32)> = out.iter().map(|(path, v)| (path.as_str(), v.line)).collect();
+        // The one unkept item is flagged; the live keeps stay quiet; the
+        // keep whose fn gained a caller, the one naming a deleted fn and
+        // the one naming no library item are reported at their lines.
+        assert_eq!(
+            got,
+            [("crates/c/src/lib.rs", 7), ("lint.toml", 4), ("lint.toml", 7), ("lint.toml", 8)],
+            "{out:?}"
+        );
+        let messages: Vec<&str> = out.iter().map(|(_, v)| v.message.as_str()).collect();
+        assert!(messages[0].contains("\"crates/c/src/lib.rs not_kept\""), "{}", messages[0]);
+        assert!(messages[1].contains("now has a use"), "{}", messages[1]);
+        assert!(messages[2].contains("names no `pub` item"), "{}", messages[2]);
     }
 }

@@ -1,15 +1,12 @@
 //! Fixture: the R6 path-scoped checkpoint file with seeded
-//! state-coverage violations mirroring the PR 5 bug class, plus a
-//! stale allow directive (seeded R8).
+//! state-coverage violations: state persisted without pinning its field
+//! coverage, which resumes into a silently different run.
 
 struct RunnerState {
     tick: u64,
     seed: u64,
     pending: u32,
 }
-
-// Seeded R8 on the next line: `hash-iter` is clippy's now, no rule here.
-// lint: allow(hash-iter) — justified once, but the map is long gone
 
 impl RunnerState {
     /// Seeded R6: persists state without destructuring `Self`.

@@ -1,16 +1,14 @@
-//! Fixture: the "core" crate root, where the allow directives live: a
-//! justified one suppresses an R9 finding, and one suppresses nothing
-//! (seeded R8).
+//! Fixture: the "core" crate root, whose two unused-looking fns the
+//! fixture test's planted `keep` entries name: one keep is live, and one
+//! names a fn that has a caller (a seeded stale keep).
 
-/// Clean: nothing calls it, and the justified directive below says why.
-// lint: allow(unused-pub) — kept for the fixture: a justified directive suppresses its finding
+/// Clean: nothing calls it, and a live keep entry says why.
 pub fn excused_unused() -> u32 {
     41
 }
 
-/// Clean for R9: `core/tests/callers.rs` calls it.
-// Seeded R8 on the next line: the fn has a caller, so it excuses nothing.
-// lint: allow(unused-pub) — stale since the caller arrived
+/// Clean for R9: `core/tests/callers.rs` calls it, so its keep entry
+/// is stale.
 pub fn called_and_excused() -> u32 {
     42
 }

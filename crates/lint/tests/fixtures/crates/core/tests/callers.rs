@@ -1,7 +1,7 @@
 //! Fixture: the callers. R9 counts a use over every scanned file, so a
 //! use from a `tests/` directory keeps a library's `pub fn` or `pub`
 //! field alive: every public fixture function but the seeded ones in
-//! `learning` and the excused one in `core` is named here, and one of
+//! `learning` and the kept one in `core` is named here, and one of
 //! `SeededReport`'s two fields read.
 
 #[test]

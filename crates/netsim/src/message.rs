@@ -83,7 +83,6 @@ impl Message {
     }
 
     /// Opaque payload bytes.
-    // lint: allow(unused-pub) — the receiving end of the zero-copy payloads DESIGN.md:986 names
     pub const fn payload(&self) -> &Bytes {
         &self.payload
     }

@@ -132,7 +132,6 @@ impl SleepSchedule {
     /// # Panics
     ///
     /// Panics when `period` is zero.
-    // lint: allow(unused-pub) — the only constructor of the duty-cycle sleep schedules DESIGN.md:55 names
     pub fn new(period: SimDuration, awake_fraction: f64, phase: SimDuration) -> Self {
         assert!(period.as_micros() > 0, "period must be nonzero");
         SleepSchedule {
@@ -512,7 +511,6 @@ impl SimulatorBuilder {
     /// Assigns a duty-cycle sleep schedule to one node (default: always
     /// awake). Sleeping nodes neither receive nor transmit and take no
     /// relay role while asleep.
-    // lint: allow(unused-pub) — the only way to set the duty cycle DESIGN.md:93 names
     pub fn sleep_schedule(mut self, node: NodeId, schedule: SleepSchedule) -> Self {
         self.sleep.insert(node, schedule);
         self

@@ -23,10 +23,8 @@ pub struct TwoParamEstimate {
     /// Posterior probability each claim is true.
     pub claim_posterior: Vec<f64>,
     /// Estimated per-source sensitivity.
-    // lint: allow(unused-pub) — the per-source sensitivity DESIGN.md:59 names
     pub sensitivity: Vec<f64>,
     /// Estimated per-source specificity.
-    // lint: allow(unused-pub) — the per-source specificity DESIGN.md:59 names
     pub specificity: Vec<f64>,
     /// EM iterations performed.
     pub iterations: usize,
@@ -80,7 +78,6 @@ impl Default for TwoParamConfig {
 /// # Panics
 ///
 /// Panics if any report references a source or claim out of range.
-// lint: allow(unused-pub) — runs the two-parameter Dawid–Skene fact-finder DESIGN.md:93 names
 pub fn discover_two_param(
     reports: &[Report],
     num_sources: usize,
@@ -164,7 +161,6 @@ pub fn discover_two_param(
 /// rarely fabricate (specificity ~ `spec`) but often miss events
 /// (sensitivity ~ `sens`). Returns `(reports, truth, sens_truth,
 /// spec_truth)`.
-// lint: allow(unused-pub) — generates the asymmetric witnesses DESIGN.md:59 names for em2
 pub fn asymmetric_scenario(
     num_sources: usize,
     num_claims: usize,
