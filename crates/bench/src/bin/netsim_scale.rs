@@ -94,6 +94,11 @@ struct SizeResult {
     /// answered without a search. Reporting-only: not in the fingerprint.
     route_queries: u64,
     route_memo_hits: u64,
+    /// Hops that found their link, and the hop budgets computed for them
+    /// rather than read from the link's adjacency entry. Reporting-only:
+    /// not in the fingerprint.
+    hops: u64,
+    hop_budgets: u64,
     fingerprint: u64,
 }
 
@@ -185,6 +190,7 @@ fn run_size(n: u64, mobile: bool, seed: u64) -> SizeResult {
         }
     }
     let (route_queries, route_memo_hits) = sim.route_memo_counts();
+    let (hops, hop_budgets) = sim.hop_budget_counts();
 
     SizeResult {
         nodes: n,
@@ -197,6 +203,8 @@ fn run_size(n: u64, mobile: bool, seed: u64) -> SizeResult {
         peak_rss_mb: peak_rss_mb(),
         route_queries,
         route_memo_hits,
+        hops,
+        hop_budgets,
         fingerprint: iobt_obs::fnv1a(&fp_bytes),
     }
 }
@@ -241,8 +249,8 @@ fn main() {
         } else if !json {
             println!(
                 "nodes={:>7} mobile_every={:>2} events={:>9} wall={:>8.3}s events/s={:>10.0} \
-                 sent={} delivered={} dropped={} routes={} memo_hits={} peak_rss={:.1}MB \
-                 fp={:016x}",
+                 sent={} delivered={} dropped={} routes={} memo_hits={} hops={} \
+                 hop_budgets={} peak_rss={:.1}MB fp={:016x}",
                 r.nodes,
                 r.mobile_every,
                 r.events,
@@ -253,6 +261,8 @@ fn main() {
                 r.dropped,
                 r.route_queries,
                 r.route_memo_hits,
+                r.hops,
+                r.hop_budgets,
                 r.peak_rss_mb,
                 r.fingerprint
             );
@@ -267,7 +277,8 @@ fn main() {
                 "    {{\"nodes\": {}, \"mobile_every\": {}, \"sim_seconds\": {}, \"events\": {}, \
                  \"wall_s\": {:.3}, \"events_per_sec\": {:.1}, \"peak_rss_mb\": {:.1}, \
                  \"sent\": {}, \"delivered\": {}, \"dropped\": {}, \"route_queries\": {}, \
-                 \"route_memo_hits\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
+                 \"route_memo_hits\": {}, \"hops\": {}, \"hop_budgets\": {}, \
+                 \"fingerprint\": \"{:016x}\"}}{}\n",
                 r.nodes,
                 r.mobile_every,
                 SIM_SECONDS,
@@ -280,6 +291,8 @@ fn main() {
                 r.dropped,
                 r.route_queries,
                 r.route_memo_hits,
+                r.hops,
+                r.hop_budgets,
                 r.fingerprint,
                 if i + 1 < rows.len() { "," } else { "" }
             ));

@@ -173,19 +173,21 @@ impl Channel {
     }
 
     /// What every transmission over one hop shares: the link's mean SINR
-    /// (bit-equal to [`Channel::sinr_db`]) and its shadowing spread, from
-    /// one terrain walk between the endpoints.
+    /// (bit-equal to [`Channel::sinr_db`]) and the clutter class that sets
+    /// its shadowing spread, from one terrain walk between the endpoints.
     pub(crate) fn hop_budget(&self, from: Point, to: Point, radio: RadioKind) -> HopBudget {
         let clutter = self.terrain.clutter_between(from, to);
         let path_loss_db = log_distance_loss_db(clutter, from.distance_to(to));
         HopBudget {
             sinr_db: watts_to_dbm(radio.tx_power_w()) - path_loss_db - self.noise_dbm(to)
                 - self.extra_loss_db,
-            sigma_db: clutter.shadowing_sigma_db(),
+            clutter,
         }
     }
 
-    /// Expected (shadowing-averaged) delivery probability; used for link
+    /// Delivery probability at the link's mean SINR: the logistic of the
+    /// unshadowed SINR, not the logistic averaged over shadowing (which
+    /// is lower for a good link and higher for a poor one). Used for link
     /// weights in routing so routes do not flap with every sample.
     pub fn mean_delivery_probability(&self, from: Point, to: Point, radio: RadioKind) -> f64 {
         logistic((self.sinr_db(from, to, radio) - SINR_MIDPOINT_DB) / SINR_SLOPE_DB)
@@ -225,8 +227,10 @@ pub(crate) struct LinkBudget {
 /// positions it was computed under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct HopBudget {
-    sinr_db: f64,
-    sigma_db: f64,
+    /// Mean SINR in dB, before shadowing.
+    pub(crate) sinr_db: f64,
+    /// The worst clutter along the link, whose spread shadowing samples.
+    pub(crate) clutter: Clutter,
 }
 
 /// One transmission's delivery probability over a hop: samples
@@ -236,7 +240,7 @@ pub(crate) fn sample_delivery<R: Rng + ?Sized>(rng: &mut R, budget: HopBudget) -
     // uniforms (Irwin-Hall, n=12) gives a good normal with exactly one
     // RNG word per uniform and no rejection loop.
     let z: f64 = (0..12).map(|_| rng.gen::<f64>()).sum::<f64>() - 6.0;
-    let sinr = budget.sinr_db + z * budget.sigma_db;
+    let sinr = budget.sinr_db + z * budget.clutter.shadowing_sigma_db();
     logistic((sinr - SINR_MIDPOINT_DB) / SINR_SLOPE_DB)
 }
 

@@ -57,8 +57,8 @@ mod topology;
 pub use snapshot::{BehaviorRegistry, BehaviorSnapshot, SnapshotError};
 use topology::{Topology, World};
 
-use crate::channel::{sample_delivery, Channel, Jammer};
-use crate::graph::{ConnectivityGraph, LinkQuality};
+use crate::channel::{sample_delivery, Channel, HopBudget, Jammer};
+use crate::graph::ConnectivityGraph;
 use crate::message::Message;
 use crate::mobility::{MobilityModel, MobilityState};
 use crate::stats::NetStats;
@@ -610,6 +610,7 @@ impl SimulatorBuilder {
             compromises: Vec::new(),
             blackouts: Vec::new(),
             events_processed: 0,
+            hop_budgets: (0, 0),
             reference_mode: self.reference_mode,
         };
         core.push(SimTime::ZERO + MOBILITY_STEP, Event::MobilityTick);
@@ -651,6 +652,10 @@ struct Core {
     /// Events dispatched since construction. Reporting-only (throughput
     /// harnesses); deliberately excluded from checkpoints and digests.
     events_processed: u64,
+    /// `(hops, computed)`: hops that found their link, and the hop
+    /// budgets computed for them. Reporting-only, like
+    /// `events_processed`.
+    hop_budgets: (u64, u64),
     /// Legacy execution path for equivalence testing; see
     /// [`SimulatorBuilder::reference_mode`].
     reference_mode: bool,
@@ -766,7 +771,27 @@ impl Core {
             // Re-check the link against the *current* graph each hop: a
             // relay may deplete mid-message, and the refreshed topology
             // must be consulted exactly as the legacy rebuild-per-hop did.
-            let Some(link) = self.graph().link_idx(from, to) else {
+            // The fast path reads the hop budget the link's entry keeps;
+            // the reference path walks the terrain for it every hop.
+            let hop = {
+                let (topology, world, recorder) = self.topology();
+                let graph = topology.access(&world, recorder);
+                let at = |i: u32| world.nodes[i as usize].mobility.position();
+                if shortcuts {
+                    let hop = graph.hop_idx(from, to, world.channel);
+                    debug_assert!(hop.is_none_or(|(link, budget, _)| {
+                        let fresh = world.channel.hop_budget(at(from), at(to), link.radio);
+                        (budget.sinr_db.to_bits(), budget.clutter)
+                            == (fresh.sinr_db.to_bits(), fresh.clutter)
+                    }), "a kept hop budget differs from a fresh terrain walk");
+                    hop
+                } else {
+                    graph.link_idx(from, to).map(|link| {
+                        (link, world.channel.hop_budget(at(from), at(to), link.radio), true)
+                    })
+                }
+            };
+            let Some((link, budget, computed)) = hop else {
                 self.recorder.record(TraceEvent::RouteFallback {
                     from: self.ids[from as usize].raw(),
                     to: self.ids[to as usize].raw(),
@@ -774,7 +799,9 @@ impl Core {
                 success = false;
                 break;
             };
-            let (hop_ok, attempts) = self.attempt_hop(from, to, link);
+            self.hop_budgets.0 += 1;
+            self.hop_budgets.1 += u64::from(computed);
+            let (hop_ok, attempts) = self.attempt_hop(budget);
             self.stats.hop_attempts += u64::from(attempts);
             self.stats.retransmits += u64::from(attempts.saturating_sub(1));
             let tx_time_s = size_bits as f64 / (link.radio.bandwidth_kbps() * 1_000.0);
@@ -852,11 +879,8 @@ impl Core {
 
     /// Tries a hop up to `MAC_RETRIES + 1` times; returns success and the
     /// number of attempts consumed. Nothing moves between attempts, so
-    /// the hop's budget is computed once and each attempt only samples.
-    fn attempt_hop(&mut self, from: u32, to: u32, link: LinkQuality) -> (bool, u32) {
-        let from_pos = self.nodes[from as usize].mobility.position();
-        let to_pos = self.nodes[to as usize].mobility.position();
-        let budget = self.channel.hop_budget(from_pos, to_pos, link.radio);
+    /// each attempt only samples the hop's budget.
+    fn attempt_hop(&mut self, budget: HopBudget) -> (bool, u32) {
         for attempt in 1..=(MAC_RETRIES + 1) {
             let p = sample_delivery(&mut self.rng, budget);
             if self.rng.gen::<f64>() < p {
@@ -1002,6 +1026,15 @@ impl Simulator {
     /// checkpoint.
     pub fn route_memo_counts(&self) -> (u64, u64) {
         self.core.topology.route_memo_counts()
+    }
+
+    /// `(hops, computed)`: hops since construction that found their link,
+    /// and how many of them computed the link's hop budget (a terrain
+    /// walk and two `log10`s) rather than reading the one its adjacency
+    /// entry kept. Equal on the reference path, which computes every
+    /// one. Reporting-only, like [`Simulator::route_memo_counts`].
+    pub fn hop_budget_counts(&self) -> (u64, u64) {
+        self.core.hop_budgets
     }
 
     /// `(tables, bounded)`: destinations' reverse-distance tables built
@@ -1500,6 +1533,134 @@ mod tests {
             )
         };
         assert_eq!(run(42), run(42));
+    }
+
+    /// Irwin–Hall(12) density at `x` in `[0, 12]`: the law of the sum of
+    /// twelve uniforms that shadowing draws. Summed on the nearer half
+    /// (the density is symmetric about 6), where the alternating sum
+    /// cancels least.
+    fn irwin_hall_12(x: f64) -> f64 {
+        let x = x.min(12.0 - x);
+        let (mut binom, mut sum) = (1.0, 0.0);
+        for k in 0..=x.floor().max(0.0) as i32 {
+            if k > 0 {
+                binom *= f64::from(13 - k) / f64::from(k);
+            }
+            let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+            sum += sign * binom * (x - f64::from(k)).powi(11);
+        }
+        sum / 39_916_800.0 // 11!
+    }
+
+    /// `∫ f(z) dz` against the density of `z` = Irwin–Hall(12) − 6, by
+    /// composite Simpson over 200 panel pairs per unit, so every knot of
+    /// the piecewise-polynomial density is a panel edge.
+    fn shadowing_mean(f: impl Fn(f64) -> f64) -> f64 {
+        let panels = 12 * 400;
+        let h = 12.0 / f64::from(panels);
+        let at = |i: u32| {
+            let x = f64::from(i) * h;
+            irwin_hall_12(x) * f(x - 6.0)
+        };
+        let inner: f64 = (1..panels).map(|i| at(i) * if i % 2 == 1 { 4.0 } else { 2.0 }).sum();
+        (at(0) + inner + at(panels)) * h / 3.0
+    }
+
+    struct Burst {
+        dst: NodeId,
+        count: u64,
+    }
+    impl Behavior for Burst {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            // After the degradation scheduled at time zero.
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _: u64) {
+            for _ in 0..self.count {
+                ctx.send(self.dst, 0, b"report".to_vec());
+            }
+        }
+    }
+
+    /// Substrate oracle for the hop path (ROADMAP 6a): seeded messages
+    /// over a chain of `k` = 0..4 wifi relays 100 m apart on open ground
+    /// are delivered end to end at the closed-form rate, within four
+    /// binomial standard deviations. Per attempt, the logistic at `sinr +
+    /// z·σ` averaged by quadrature over `z` = Irwin–Hall(12) − 6; per
+    /// hop, `1 − (1 − q)^(MAC_RETRIES + 1)`; end to end, the product over
+    /// the hops. Run with no loss (every message arrives), and with
+    /// degradation loss putting the SINR 2 dB above and below the
+    /// logistic's midpoint, where the shadowing average parts from
+    /// `mean_delivery_probability` by more than the tolerance.
+    #[test]
+    fn chain_delivery_matches_the_closed_form() {
+        use crate::channel::{SINR_MIDPOINT_DB, SINR_SLOPE_DB};
+        use crate::terrain::Clutter;
+        const MESSAGES: u64 = 20_000;
+        let mass = shadowing_mean(|_| 1.0);
+        assert!((mass - 1.0).abs() < 1e-12, "the density integrates to {mass}");
+        let terrain = Terrain::uniform(Rect::square(1_000.0), Clutter::Open);
+        let sigma = Clutter::Open.shadowing_sigma_db();
+        for (extra_loss_db, seed) in [(0.0, 1), (35.0, 2), (39.0, 3)] {
+            let mut channel = Channel::new(terrain.clone());
+            channel.set_extra_loss_db(extra_loss_db);
+            for relays in 0..=4u64 {
+                let label = format!("{relays} relays, {extra_loss_db} dB");
+                let at = |i: u64| Point::new(i as f64 * 100.0, 0.0);
+                let mut catalog = NodeCatalog::new();
+                for i in 0..relays + 2 {
+                    let spec = NodeSpec::builder(NodeId::new(i))
+                        .position(at(i))
+                        .radio(Radio::new(RadioKind::Wifi))
+                        .energy(EnergyBudget::new(1e9))
+                        .build();
+                    catalog.insert(spec).unwrap();
+                }
+                let mut expected = 1.0;
+                for hop in 0..=relays {
+                    let sinr = channel.sinr_db(at(hop), at(hop + 1), RadioKind::Wifi);
+                    let q = shadowing_mean(|z| {
+                        1.0 / (1.0 + (-(sinr + z * sigma - SINR_MIDPOINT_DB) / SINR_SLOPE_DB).exp())
+                    });
+                    if extra_loss_db > 0.0 {
+                        let mean = channel.mean_delivery_probability(at(hop), at(hop + 1), RadioKind::Wifi);
+                        assert!((q - mean).abs() > 0.02, "{label}: {q} against {mean}");
+                    }
+                    expected *= 1.0 - (1.0 - q).powi(MAC_RETRIES as i32 + 1);
+                }
+                let run = |reference: bool| {
+                    let builder = Simulator::builder(catalog.clone()).terrain(terrain.clone());
+                    let mut sim = builder.seed(seed * 10 + relays).reference_mode(reference).build();
+                    if extra_loss_db > 0.0 {
+                        let loss = sim.add_degradation(LinkDegradation::new(extra_loss_db, 1.0));
+                        sim.schedule_degradation(SimTime::ZERO, loss, true);
+                    }
+                    let dst = NodeId::new(relays + 1);
+                    sim.set_behavior(NodeId::new(0), Box::new(Burst { dst, count: MESSAGES }));
+                    sim.run_for(SimDuration::from_millis(1_000));
+                    sim
+                };
+                let mut sim = run(false);
+                // Only neighbours link: the route is the chain.
+                assert_eq!(sim.connectivity().link_count() as u64, relays + 1, "{label}");
+                let stats = sim.stats();
+                assert_eq!((stats.sent, stats.delivered + stats.dropped_channel), (MESSAGES, MESSAGES));
+                let n = MESSAGES as f64;
+                let (mean, sd) = (n * expected, (n * expected * (1.0 - expected)).sqrt());
+                let delivered = stats.delivered as f64;
+                assert!(
+                    (delivered - mean).abs() <= 4.0 * sd,
+                    "{label}: {delivered} delivered, {mean:.1} ± {sd:.1} expected"
+                );
+                // Each directed link walked the terrain once; the
+                // reference path walks it at every hop, to the same bits.
+                let (hops, computed) = sim.hop_budget_counts();
+                assert_eq!(computed, relays + 1, "{label}: {hops} hops");
+                let reference = run(true);
+                assert_eq!(reference.hop_budget_counts(), (hops, hops), "{label}");
+                assert_eq!(reference.stats(), sim.stats(), "{label}");
+            }
+        }
     }
 
     #[test]

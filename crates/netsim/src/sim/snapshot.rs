@@ -189,7 +189,7 @@ impl Simulator {
         // excluded as derived (`ids`/`index`, and `topology`, of which
         // only the disposition byte is written), fixed-configuration
         // (`recorder`/`reference_mode`), or reporting-only
-        // (`events_processed`) state.
+        // (`events_processed`, `hop_budgets`) state.
         let Core {
             now: _,
             seq: _,
@@ -208,6 +208,7 @@ impl Simulator {
             compromises: _,
             blackouts: _,
             events_processed: _,
+            hop_budgets: _,
             reference_mode: _,
         } = core;
         let mut e = Enc::new();

@@ -993,26 +993,10 @@ mod tests {
     /// downs or revives one to three nodes. Returns the answers kept and
     /// forgotten across patches.
     fn assert_kept_answers_match(seed: u64) -> (u64, u64) {
-        use crate::terrain::Terrain;
-        use iobt_types::Rect;
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        use RadioKind::{Bluetooth, TacticalUhf, Wifi};
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x4B3E97);
-        let mixes: [(&[&[RadioKind]], f64); 3] = [
-            (&[&[Bluetooth]], 25.0),
-            (&[&[Wifi], &[Bluetooth, Wifi]], 120.0),
-            (&[&[Wifi], &[Wifi], &[Wifi, TacticalUhf]], 5_000.0),
-        ];
-        let (loadouts, cell) = mixes[(seed % 3) as usize];
-        let n = rng.gen_range(60..=160);
-        let extent = cell * rng.gen_range(3.0..8.0);
-        let terrain = Terrain::random_urban(Rect::square(extent), 8, 8, seed);
-        let nodes: Vec<(Point, &[RadioKind])> = (0..n)
-            .map(|_| {
-                let at = Point::new(rng.gen_range(0.0..extent), rng.gen_range(0.0..extent));
-                (at, loadouts[rng.gen_range(0..loadouts.len())])
-            })
-            .collect();
+        use crate::graph::tests::{seeded_field, SeededField};
+        use rand::{rngs::StdRng, Rng};
+        let SeededField { mut rng, nodes, terrain, cell, extent } = seeded_field(seed);
+        let n = nodes.len() as u32;
         let mut field = Field::of(nodes, Channel::new(terrain));
         let sinks: Vec<u32> = (0..3).map(|_| rng.gen_range(0..n)).collect();
         let mut slot = Topology::new(false);

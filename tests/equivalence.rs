@@ -3,7 +3,8 @@
 //!
 //! The netsim hot path was rebuilt for 100k-node scale — a batched event
 //! loop instead of one-at-a-time heap pops, incremental connectivity
-//! maintenance instead of blanket graph invalidation, and refcounted
+//! maintenance instead of blanket graph invalidation, hop budgets kept on
+//! the adjacency entries instead of a terrain walk per hop, and refcounted
 //! zero-copy message payloads (routing is the same early-exit Dijkstra on
 //! both paths). None of that is allowed to move a single bit of any result:
 //! `RunConfig::reference_mode` keeps the pre-optimization code path alive
