@@ -1,12 +1,13 @@
 //! Shared helpers for the experiment harnesses: aligned table printing and
 //! JSON result dumping (so `EXPERIMENTS.md` can be regenerated
-//! mechanically from `target/experiments/*.json`).
+//! mechanically from `target/experiments/*.json`, in the target directory
+//! the harness was built in).
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use iobt_obs::push_json_str;
 
@@ -72,10 +73,14 @@ impl Table {
         }
     }
 
-    /// Prints the table and writes it as JSON under `target/experiments/`.
+    /// Prints the table and writes it as JSON under `experiments/` in the
+    /// target directory of the running binary: a bench at
+    /// `<target>/<profile>/deps/<bin>` writes `<target>/experiments/<id>.json`.
     pub fn finish(&self) {
         self.print();
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+        let Some(dir) = std::env::current_exe().ok().as_deref().and_then(experiments_dir) else {
+            return;
+        };
         if fs::create_dir_all(&dir).is_ok() {
             let path = dir.join(format!("{}.json", self.id));
             if fs::write(&path, self.to_json()).is_ok() {
@@ -111,6 +116,19 @@ impl Table {
         out.push_str("\n]}\n");
         out
     }
+}
+
+/// Where a harness at `exe` saves its tables: `<target>/experiments` for a
+/// binary at `<target>/<profile>/deps/<bin>` (a bench) or
+/// `<target>/<profile>/<bin>`. The target directory is the one the binary
+/// was built in, so a copy of the tree, or a build under
+/// `CARGO_TARGET_DIR`, writes into its own.
+fn experiments_dir(exe: &Path) -> Option<PathBuf> {
+    let mut dir = exe.parent()?;
+    if dir.ends_with("deps") {
+        dir = dir.parent()?;
+    }
+    Some(dir.parent()?.join("experiments"))
 }
 
 /// Formats a float with 3 decimals.
@@ -179,5 +197,19 @@ mod tests {
         assert_eq!(f1(1.26), "1.3");
         assert!(pm(&[1.0, 1.0]).starts_with("1.000"));
         assert_eq!(mean_std(&[]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn tables_are_saved_in_the_binarys_own_target_directory() {
+        let dir = |exe: &str| experiments_dir(Path::new(exe));
+        let want = Some(PathBuf::from("/copy/target/experiments"));
+        assert_eq!(dir("/copy/target/release/deps/f1_end_to_end-0123abcd"), want);
+        assert_eq!(dir("/copy/target/release/fleet_scale"), want);
+        assert_eq!(
+            dir("/elsewhere/debug/deps/t3_assurance-4567"),
+            Some(PathBuf::from("/elsewhere/experiments")),
+            "a CARGO_TARGET_DIR build writes into that directory"
+        );
+        assert_eq!(dir("bench"), None, "a bare name has no target directory");
     }
 }

@@ -60,8 +60,10 @@ pub const MAGIC: [u8; 8] = *b"IOBTCKPT";
 /// attempt cap and retry base, all now constants; v7 carries the mission
 /// prologue's products (recruitment counts, initial composition,
 /// assurance, the recruits' ids) after the guard, so a resume no longer
-/// recomputes them.
-pub const FORMAT_VERSION: u32 = 7;
+/// recomputes them; v8 drops each node's sleep schedule from the
+/// simulator snapshot (builder configuration, which nothing changes after
+/// the build).
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Trailing checksum size in bytes.
 pub const TRAILER_LEN: usize = 4;

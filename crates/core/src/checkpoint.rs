@@ -161,8 +161,8 @@ fn portable_config_bytes(params: &PortableRunConfig) -> Vec<u8> {
 
 /// Encodes the scenario/config guard. Order is part of the format.
 fn encode_guard(e: &mut Enc, scenario: &Scenario, config: &RunConfig) {
-    // Exhaustive destructures (R6): a new `Scenario` or `RunConfig`
-    // field fails this lint until its guard story is decided. The
+    // Exhaustive destructures: a new `Scenario` or `RunConfig` field
+    // fails this compile (E0027) until its guard story is decided. The
     // scenario guard is deliberately shallow — seed, catalog size, and
     // command post identify a scenario cheaply; the heavyweight fields
     // (`terrain`/`mission`/…) are covered transitively by the seed under
@@ -224,8 +224,11 @@ fn check_guard(d: &mut Dec<'_>, scenario: &Scenario, config: &RunConfig) -> Resu
 
 /// Encodes the phase 1–3 products. Order is part of the format.
 fn encode_prologue(e: &mut Enc, p: &Prologue) {
-    // Exhaustive destructures (R6): `problem` follows from `specs`, which
-    // travel as their ids; `solve_ms` is wall-clock reporting.
+    // Exhaustive destructures (E0027 on a new field; a value lost between
+    // here and `decode_prologue` fails `tests/checkpoint.rs`
+    // `every_checkpointed_value_resumes_and_steps_to_the_same_bytes`):
+    // `problem` follows from `specs`, which travel as their ids;
+    // `solve_ms` is wall-clock reporting.
     let Prologue {
         recruited,
         rejected_red,
@@ -368,9 +371,12 @@ impl MissionRunner {
     /// checkpointable (see
     /// [`Behavior::save_state`](iobt_netsim::Behavior::save_state)).
     pub fn save(&self) -> Result<Vec<u8>, CkptError> {
-        // Exhaustive-destructure convention (R6): adding a field to
-        // `MissionRunner` fails this lint until its checkpoint story is
-        // written. The phase 1–3 products (`prologue`) are carried, so a
+        // Exhaustive-destructure convention: adding a field to
+        // `MissionRunner` fails this compile (E0027) until its checkpoint
+        // story is written, and `tests/checkpoint.rs`
+        // `every_checkpointed_value_resumes_and_steps_to_the_same_bytes`
+        // fails on a value written here but not restored, or on one
+        // restored wrong. The phase 1–3 products (`prologue`) are carried, so a
         // resume runs none of those phases; `problem` follows from them
         // and the ladder level; `repair_ms` is wall-clock reporting;
         // `total_windows` is derived from the config.

@@ -6,17 +6,17 @@
 //! ```
 //!
 //! Scans every `.rs` file under the root (default: the current
-//! directory), applies R6 and R9 with the scope and keeps of the
-//! config (default: `lint.toml` under the root; a missing one is an
-//! error), and prints one `path:line: Rn[name] message` diagnostic per
-//! violation. R1–R5 are the compiler's: see the root `clippy.toml`. With
+//! directory), applies R9 with the skips and keeps of the config
+//! (default: `lint.toml` under the root; a missing one is an error), and
+//! prints one `path:line: Rn[name] message` diagnostic per violation.
+//! R1–R5 are the compiler's: see the root `clippy.toml`. With
 //! `--deny-all` the process exits non-zero when any violation remains —
 //! that is the CI mode. Without it the run is advisory (exit 0).
 //!
 //! `--baseline FILE` subtracts known findings
 //! (per rule and path) so a legacy tree can ratchet down to zero;
 //! `--write-baseline FILE` records the current findings as that
-//! baseline. `--explain R6` prints the long-form rationale for a rule.
+//! baseline. `--explain R9` prints the long-form rationale for a rule.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -71,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20                [--baseline FILE] [--write-baseline FILE]\n\
                      \x20                [--explain RULE]\n\
                      \n\
-                     Applies R6 and R9 with the scope and keeps of --config\n\
+                     Applies R9 with the skips and keeps of --config\n\
                      (default: DIR/lint.toml).\n\
                      R1–R5 are clippy's and rustc's: see clippy.toml."
                 );
@@ -180,17 +180,10 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One line per rule: R6's crates and the files it audits whole, and
-/// the items R9 keeps.
+/// One line per rule: R9's scope and the items it keeps.
 fn rule_listing(config: &Config) -> String {
     let keep: Vec<String> = config.keep.iter().map(|k| format!("{} {}", k.path, k.label)).collect();
-    format!(
-        "{}: scope {:?} paths {:?}\n{}: every library file, keep {keep:?}\n",
-        Rule::StateCoverage,
-        config.state_crates,
-        config.state_paths,
-        Rule::UnusedPub,
-    )
+    format!("{}: every library file, keep {keep:?}\n", Rule::UnusedPub)
 }
 
 /// Baseline file format: one `Rn <path> <count>` line per (rule, path)
@@ -271,20 +264,11 @@ mod tests {
 
     #[test]
     fn rule_listing_shows_the_configured_scopes() {
-        let config = Config::parse(
-            "[rules.state-coverage]\npaths = [\"crates/core/src/checkpoint.rs\"]\n\
-             [rules.unused-pub]\nkeep = [\"crates/a/src/lib.rs f\"]\n",
-        )
-        .unwrap();
-        let listing = rule_listing(&config);
-        let lines: Vec<&str> = listing.lines().collect();
+        let config =
+            Config::parse("[rules.unused-pub]\nkeep = [\"crates/a/src/lib.rs f\"]\n").unwrap();
         assert_eq!(
-            lines,
-            [
-                // What `lint.toml` leaves out is out of scope: no built-in list.
-                "R6[state-coverage]: scope [] paths [\"crates/core/src/checkpoint.rs\"]",
-                "R9[unused-pub]: every library file, keep [\"crates/a/src/lib.rs f\"]",
-            ]
+            rule_listing(&config),
+            "R9[unused-pub]: every library file, keep [\"crates/a/src/lib.rs f\"]\n"
         );
     }
 
@@ -293,7 +277,7 @@ mod tests {
         let mut r = report_with(vec![
             ("a.rs", Rule::UnusedPub, 1),
             ("a.rs", Rule::UnusedPub, 9),
-            ("b.rs", Rule::StateCoverage, 2),
+            ("b.rs", Rule::UnusedPub, 2),
         ]);
         let text = baseline_text(&r);
         assert_eq!(text.lines().count(), 3, "header + two groups: {text}");

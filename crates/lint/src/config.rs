@@ -1,5 +1,5 @@
-//! Linter configuration: `lint.toml`, the one table of R6's scope and of
-//! the unused `pub` items R9 keeps.
+//! Linter configuration: `lint.toml`, the one table of the paths the
+//! linter skips and of the unused `pub` items R9 keeps.
 //!
 //! The config file is a deliberately small TOML subset (sections,
 //! `key = "string"`, and `key = ["a", "b"]` arrays, which may span lines)
@@ -13,12 +13,6 @@ pub struct Config {
     /// Path prefixes (relative to the lint root, `/`-separated) that are
     /// never scanned (`[lint] skip`).
     pub skip: Vec<String>,
-    /// The crates R6 audits (`[rules.state-coverage] crates`).
-    pub state_crates: Vec<String>,
-    /// The snapshot/checkpoint files whose every fn — not just
-    /// `save_state`/`restore_state` — R6 audits
-    /// (`[rules.state-coverage] paths`).
-    pub state_paths: Vec<String>,
     /// The unused `pub` items R9 lets stand
     /// (`[rules.unused-pub] keep`).
     pub keep: Vec<Keep>,
@@ -42,8 +36,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             skip: vec!["target".into(), "compat".into()],
-            state_crates: Vec::new(),
-            state_paths: Vec::new(),
             keep: Vec::new(),
         }
     }
@@ -70,7 +62,7 @@ impl Config {
                 continue;
             }
             if let Some(inner) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                let known = ["lint", "rules.state-coverage", "rules.unused-pub"];
+                let known = ["lint", "rules.unused-pub"];
                 let Some(name) = known.into_iter().find(|s| *s == inner.trim()) else {
                     return Err(err(format!(
                         "unknown section `[{inner}]` (known: {})",
@@ -116,8 +108,6 @@ impl Config {
             let strings = || items.iter().map(|(s, _)| s.clone()).collect();
             match (section, key) {
                 (Some("lint"), "skip") => config.skip = strings(),
-                (Some("rules.state-coverage"), "crates") => config.state_crates = strings(),
-                (Some("rules.state-coverage"), "paths") => config.state_paths = strings(),
                 (Some("rules.unused-pub"), "keep") => {
                     for (entry, line) in &items {
                         let (path, label) = entry
@@ -190,10 +180,6 @@ mod tests {
 [lint]
 skip = ["compat", "target"] # trailing
 
-[rules.state-coverage]
-crates = ["netsim", "core"]
-paths = "crates/core/src/checkpoint.rs"
-
 [rules.unused-pub]
 keep = [
     "crates/a/src/lib.rs Type::method",  # why, with a "quote" and a # mark
@@ -202,8 +188,6 @@ keep = [
 "#;
         let c = Config::parse(toml).unwrap();
         assert_eq!(c.skip, ["compat", "target"]);
-        assert_eq!(c.state_crates, ["netsim", "core"]);
-        assert_eq!(c.state_paths, ["crates/core/src/checkpoint.rs"]);
         let keeps: Vec<(&str, &str, u32)> = c
             .keep
             .iter()
@@ -212,24 +196,28 @@ keep = [
         assert_eq!(
             keeps,
             [
-                ("crates/a/src/lib.rs", "Type::method", 12),
-                ("crates/b/src/lib.rs", "Type.field", 13),
-                ("crates/c/src/lib.rs", "free_fn", 13),
+                ("crates/a/src/lib.rs", "Type::method", 8),
+                ("crates/b/src/lib.rs", "Type.field", 9),
+                ("crates/c/src/lib.rs", "free_fn", 9),
             ]
         );
     }
 
     #[test]
     fn unlisted_rules_have_no_scope() {
+        // An empty keep list keeps nothing, and an absent `[lint]` skips
+        // only the built-in build output and vendored shims.
         let c = Config::parse("[rules.unused-pub]\nkeep = []\n").unwrap();
-        assert!(c.state_crates.is_empty());
-        assert!(c.state_paths.is_empty());
         assert!(c.keep.is_empty());
+        assert_eq!(c, Config::default());
     }
 
     #[test]
     fn unknown_rules_and_garbage_are_errors() {
         assert!(Config::parse("[rules.no-such-rule]\ncrates = []\n").is_err());
+        // R6 is gone, and its section with it.
+        let r6 = Config::parse("[rules.state-coverage]\ncrates = [\"core\"]\n");
+        assert!(r6.as_ref().is_err_and(|e| e.starts_with("line 1: unknown section")), "{r6:?}");
         assert!(Config::parse("[lint]\nskip garbage\n").is_err());
         assert!(Config::parse("[lint]\nskip = nonsense\n").is_err());
         assert!(Config::parse("[rules.unused-pub]\nkeep = [\n  \"a.rs f\",\n").is_err());
@@ -240,16 +228,16 @@ keep = [
 
     #[test]
     fn misspelt_keys_and_sections_are_line_numbered_errors() {
-        // Both typos once left R6 and R9 silently unscoped.
-        let key = Config::parse("[rules.state-coverage]\ncrate = [\"core\"]\n");
+        // Both typos once left a rule silently unscoped.
+        let key = Config::parse("[rules.unused-pub]\nkeeps = [\"a.rs f\"]\n");
         assert_eq!(
             key,
-            Err("line 2: unknown key `crate` in `[rules.state-coverage]`".to_string())
+            Err("line 2: unknown key `keeps` in `[rules.unused-pub]`".to_string())
         );
         let section = Config::parse("[lint]\nskip = []\n[rule.unused-pub]\nkeep = []\n");
         let message = section.unwrap_err();
         assert!(message.starts_with("line 3: unknown section `[rule.unused-pub]`"), "{message}");
-        // A key that is real, but another rule's, is no better.
-        assert!(Config::parse("[rules.unused-pub]\ncrates = [\"x\"]\n").is_err());
+        // A key that is real, but another section's, is no better.
+        assert!(Config::parse("[rules.unused-pub]\nskip = [\"x\"]\n").is_err());
     }
 }

@@ -11,16 +11,11 @@
 //! | `…/benches/…`                | `Benches`  |
 //! | `…/examples/…`, `examples/…` | `Examples` |
 //!
-//! Rule applicability, with every scope read from `lint.toml`:
-//!
-//! | rule | runs on |
-//! |------|---------|
-//! | R6 | `Lib`+`Bin` of its `crates`, plus each file in its `paths` |
-//! | R9 | definitions in all `Lib` code; uses in every scanned file but the defining crate's own `src/` test code and `pub use` lists |
-//!
-//! Since R6 and R9 need cross-file context, linting is two-pass: pass one
-//! lexes/parses every file and builds the workspace [`SymbolTable`]; pass
-//! two runs the rules. R9 also reports the `keep` entries it no longer
+//! R9 reads its definitions in all `Lib` code and counts uses in every
+//! scanned file but the defining crate's own `src/` test code and
+//! `pub use` lists. Since that needs cross-file context, linting is
+//! two-pass: pass one lexes and parses every file; pass two runs R9 over
+//! all of them at once. R9 also reports the `keep` entries it no longer
 //! needs, under the path `lint.toml`.
 
 use std::fs;
@@ -29,9 +24,9 @@ use std::path::{Path, PathBuf};
 
 use crate::config::Config;
 use crate::lexer::{lex, Lexed};
-use crate::parser::{parse_items, ParsedFile, SymbolTable};
+use crate::parser::{parse_items, ParsedFile};
 use crate::regions::{map_file, FileMap};
-use crate::rules::{check_state_coverage, check_unused_pub, FileInput, Rule, Violation};
+use crate::rules::{check_unused_pub, FileInput, Rule, Violation};
 
 /// Which cargo target-kind a file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,30 +78,15 @@ pub fn classify(rel_path: &str) -> FileClass {
     FileClass { crate_name, section }
 }
 
-/// The rules that apply to a file, given the config.
-pub fn applicable_rules(class: &FileClass, rel_path: &str, config: &Config) -> Vec<Rule> {
-    let in_scope = class
-        .crate_name
-        .as_deref()
-        .is_some_and(|c| config.state_crates.iter().any(|s| s == c));
+/// The rules that apply to a file's own items.
+pub fn applicable_rules(class: &FileClass) -> Vec<Rule> {
     Rule::ALL
         .into_iter()
         .filter(|&rule| match rule {
-            Rule::StateCoverage => {
-                (matches!(class.section, Section::Lib | Section::Bin) && in_scope)
-                    || r6_path_scoped(rel_path, config)
-            }
             // A library's `pub fn` is the one rustc cannot call dead.
             Rule::UnusedPub => class.section == Section::Lib,
         })
         .collect()
-}
-
-/// Whether `rel_path` is one of R6's `paths = […]` files, where the
-/// exhaustiveness convention applies to every fn, not just the
-/// `save_state`/`restore_state` pairs.
-fn r6_path_scoped(rel_path: &str, config: &Config) -> bool {
-    config.state_paths.iter().any(|p| p == rel_path)
 }
 
 /// The result of linting a tree.
@@ -134,7 +114,6 @@ struct Unit {
     map: FileMap,
     parsed: ParsedFile,
     rules: Vec<Rule>,
-    r6_path_scoped: bool,
 }
 
 /// Lints every `.rs` file under `root` according to `config`.
@@ -143,29 +122,17 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
     collect_rs_files(root, root, config, &mut files)?;
     files.sort();
 
-    // Pass one: lex, parse, classify, and build the symbol table.
+    // Pass one: lex, parse and classify.
     let mut units: Vec<Unit> = Vec::new();
-    let mut table = SymbolTable::default();
     for rel in files {
         let src = fs::read_to_string(root.join(&rel))?;
-        let unit = analyse(&rel, &src, config);
-        if let Some(crate_name) = &unit.crate_name {
-            table.add_file(crate_name, &unit.parsed);
-        }
-        units.push(unit);
+        units.push(analyse(&rel, &src));
     }
 
-    // Pass two: R6 per file, then the workspace-wide R9 pass.
+    // Pass two: the workspace-wide R9 pass.
     let inputs: Vec<FileInput> = units.iter().map(file_input).collect();
-    let mut violations = Vec::new();
-    for (u, input) in units.iter().zip(&inputs) {
-        if u.rules.contains(&Rule::StateCoverage) {
-            let found = check_state_coverage(input, &table, u.r6_path_scoped);
-            violations.extend(found.into_iter().map(|v| (u.rel_path.clone(), v)));
-        }
-    }
     let applicable: Vec<bool> = units.iter().map(|u| u.rules.contains(&Rule::UnusedPub)).collect();
-    violations.extend(check_unused_pub(&inputs, &applicable, &config.keep));
+    let mut violations = check_unused_pub(&inputs, &applicable, &config.keep);
     violations.sort_by(|(pa, a), (pb, b)| {
         (pa, a.line, a.rule, &a.message).cmp(&(pb, b.line, b.rule, &b.message))
     });
@@ -179,14 +146,13 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
 }
 
 /// Pass one for a single file.
-fn analyse(rel_path: &str, source: &str, config: &Config) -> Unit {
+fn analyse(rel_path: &str, source: &str) -> Unit {
     let class = classify(rel_path);
-    let rules = applicable_rules(&class, rel_path, config);
+    let rules = applicable_rules(&class);
     let lexed = lex(source);
     let map = map_file(&lexed);
     // Files in test/bench/example sections are wholly non-library code:
-    // treat every line as test code for the line-level exclusions, so a
-    // `tests/` file never trips R6 even if it were scoped onto it.
+    // treat every line as test code for the line-level exclusions.
     let map = match class.section {
         Section::Tests | Section::Benches | Section::Examples => map.with_whole_file_test(),
         _ => map,
@@ -199,7 +165,6 @@ fn analyse(rel_path: &str, source: &str, config: &Config) -> Unit {
         map,
         parsed,
         rules,
-        r6_path_scoped: r6_path_scoped(rel_path, config),
     }
 }
 
@@ -255,20 +220,15 @@ fn rel_str(root: &Path, path: &Path) -> String {
 mod tests {
     use super::*;
 
-    /// Lints one file's source text under its relative path, in memory.
-    /// Cross-file context is limited to this one file: R6 resolves only
-    /// structs declared here, and R9, which is nothing without the
-    /// callers' files, does not run.
-    fn lint_source(rel_path: &str, source: &str, config: &Config) -> Vec<Violation> {
-        let unit = analyse(rel_path, source, config);
-        if !unit.rules.contains(&Rule::StateCoverage) {
-            return Vec::new();
-        }
-        let mut table = SymbolTable::default();
-        if let Some(crate_name) = &unit.crate_name {
-            table.add_file(crate_name, &unit.parsed);
-        }
-        check_state_coverage(&file_input(&unit), &table, unit.r6_path_scoped)
+    /// Lints one file's source text under its relative path, in memory:
+    /// R9 over that one file, so only its own code can use its items.
+    fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
+        let unit = analyse(rel_path, source);
+        let applicable = unit.rules.contains(&Rule::UnusedPub);
+        check_unused_pub(&[file_input(&unit)], &[applicable], &[])
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect()
     }
 
     #[test]
@@ -290,71 +250,39 @@ mod tests {
         }
     }
 
-    /// The scopes the tests below lint under, shaped like `lint.toml`.
-    fn scoped() -> Config {
-        Config::parse("[rules.state-coverage]\ncrates = [\"netsim\", \"core\"]\n").unwrap()
-    }
-
     #[test]
     fn rule_applicability_follows_scope_and_section() {
-        let config = scoped();
-        let lib = |p: &str| applicable_rules(&classify(p), p, &config);
-        // An R6-scoped crate's library: both rules.
-        assert_eq!(lib("crates/netsim/src/sim.rs"), vec![Rule::StateCoverage, Rule::UnusedPub]);
-        // A binary of a scoped crate: R6 but no R9 (a bin's `pub fn` is rustc's).
-        assert_eq!(lib("crates/netsim/src/bin/tool.rs"), vec![Rule::StateCoverage]);
-        // Unscoped crate: the unused-pub count only.
-        assert_eq!(lib("crates/tomography/src/boolean.rs"), vec![Rule::UnusedPub]);
-        // Benches and root integration tests: nothing to check.
-        assert!(lib("crates/bench/benches/f2_synthesis_scale.rs").is_empty());
-        assert!(lib("tests/determinism.rs").is_empty());
+        let rules = |p: &str| applicable_rules(&classify(p));
+        // A library's public items: R9 counts their uses.
+        assert_eq!(rules("crates/netsim/src/sim.rs"), vec![Rule::UnusedPub]);
+        assert_eq!(rules("src/lib.rs"), vec![Rule::UnusedPub]);
+        // A binary's `pub fn` is rustc's to call dead.
+        assert!(rules("crates/netsim/src/bin/tool.rs").is_empty());
+        // Benches and integration tests only use items.
+        assert!(rules("crates/bench/benches/f2_synthesis_scale.rs").is_empty());
+        assert!(rules("tests/determinism.rs").is_empty());
     }
 
-    #[test]
-    fn r6_paths_config_pulls_in_out_of_scope_files() {
-        let config = Config::parse(
-            "[rules.state-coverage]\ncrates = []\npaths = [\"crates/obs/src/recorder.rs\"]\n",
-        )
-        .unwrap();
-        let rules = applicable_rules(
-            &classify("crates/obs/src/recorder.rs"),
-            "crates/obs/src/recorder.rs",
-            &config,
-        );
-        assert!(rules.contains(&Rule::StateCoverage));
-        // Sibling file in the same crate: not pulled in.
-        let rules = applicable_rules(
-            &classify("crates/obs/src/metrics.rs"),
-            "crates/obs/src/metrics.rs",
-            &config,
-        );
-        assert!(!rules.contains(&Rule::StateCoverage));
-    }
-
-    /// A `save_state` that never destructures `Self`.
-    const UNPINNED: &str =
-        "struct S { a: u32 }\nimpl S {\n    fn save_state(&self) -> u32 { self.a }\n}\n";
+    /// A public fn nothing but the file's own unit test calls.
+    const TEST_ONLY: &str = "pub fn lone() {}\n#[cfg(test)]\nmod tests {\n    fn t() { super::lone(); }\n}\n";
 
     #[test]
     fn lint_source_runs_end_to_end() {
-        let config = scoped();
-        let v = lint_source("crates/core/src/fake.rs", UNPINNED, &config);
+        let v = lint_source("crates/core/src/fake.rs", TEST_ONLY);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!((v[0].rule, v[0].line), (Rule::StateCoverage, 3));
-        // Same content in an out-of-scope crate: clean.
-        assert!(lint_source("crates/tomography/src/fake.rs", UNPINNED, &config).is_empty());
+        assert_eq!((v[0].rule, v[0].line), (Rule::UnusedPub, 1));
+        // The same content outside library code defines no public API.
+        assert!(lint_source("examples/fake.rs", TEST_ONLY).is_empty());
     }
 
     #[test]
     fn lint_source_runs_semantic_rules() {
-        let config = scoped();
-        // The destructure is checked against the declaration: a missing
-        // field fires, the exhaustive one is clean.
-        let partial = UNPINNED.replace("self.a }", "let Self { } = self; 0 }");
-        let v = lint_source("crates/netsim/src/fake.rs", &partial, &config);
+        // A method counts through its type: `.m(` uses every type's `m`,
+        // but another type's `Other::n` is not a use of `S::n`.
+        let src = "pub struct S;\nimpl S {\n    pub fn m(&self) {}\n    pub fn n() {}\n}\nfn f(s: S) { s.m(); Other::n(); }\n";
+        let v = lint_source("crates/core/src/fake.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("misses declared field(s) `a`"), "{}", v[0].message);
-        let exhaustive = UNPINNED.replace("self.a }", "let Self { a } = self; *a }");
-        assert!(lint_source("crates/netsim/src/fake.rs", &exhaustive, &config).is_empty());
+        assert_eq!(v[0].line, 4);
+        assert!(v[0].message.contains("`pub fn S::n`"), "{}", v[0].message);
     }
 }

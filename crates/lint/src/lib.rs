@@ -19,9 +19,12 @@
 //! clippy with `-D warnings`; an exemption is an `#[expect(…, reason =
 //! "…")]`, which fails clippy once it excuses nothing.
 //!
-//! What stays here is what no compiler check says: a from-scratch
-//! item-level pass (no `syn`; the workspace builds fully offline) for R6
-//! and R9. R7's digest equality is a test now
+//! What stays here is what no compiler check or test says: a
+//! from-scratch item-level pass (no `syn`; the workspace builds fully
+//! offline) for R9. R6's state coverage is a test now (`tests/checkpoint.rs`
+//! `every_checkpointed_value_resumes_and_steps_to_the_same_bytes` resumes
+//! every window of an armed chaos run and demands the same payload bytes
+//! back, and one window later), R7's digest equality is one too
 //! (`tests/digest_equality.rs` flips every byte of two real digests'
 //! wire layouts), and R8's stale-exemption check lives on in R9, which
 //! reports a `keep` entry it no longer needs:
@@ -31,17 +34,15 @@
 //! * [`regions`] — line classification: `#[cfg(test)]` / `mod tests`
 //!   regions;
 //! * [`parser`] — a lightweight item parser over the token stream:
-//!   structs (fields), impl blocks, fn bodies, and
-//!   the workspace-wide symbol table the semantic rules resolve against;
-//! * [`rules`] — the rule catalogue, R6 and R9;
-//! * [`config`] — `lint.toml` parsing: R6's scope and R9's `keep` list,
-//!   the only exemptions there are;
+//!   named structs (fields) and impl blocks (body ranges);
+//! * [`rules`] — the rule catalogue, R9;
+//! * [`config`] — `lint.toml` parsing: the skipped paths and R9's `keep`
+//!   list, the only exemptions there are;
 //! * [`engine`] — the workspace walker and two-pass rule dispatch
 //!   (parse everything, then check with cross-file context).
 //!
 //! | ID | name | invariant |
 //! |----|------|-----------|
-//! | R6 | `state-coverage` | save/restore fns and hand-written `Wire::put`s destructure `Self` exhaustively |
 //! | R9 | `unused-pub` | a library `pub fn` or `pub` field is used outside its own crate's unit tests and `pub use` lists (a method by its type, a field by a read), or kept by a live `lint.toml` entry |
 //!
 //! The `iobt-lint` binary (`cargo run -p iobt-lint -- --deny-all`) wires

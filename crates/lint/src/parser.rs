@@ -1,25 +1,19 @@
-//! Item-level parsing on top of the token stream: structs (with their
-//! fields), impl blocks (with their fns and body token ranges),
-//! trait definitions, and free fns.
+//! Item-level parsing on top of the token stream: named structs (with
+//! their fields) and impl blocks (with their body token ranges).
 //!
-//! This is not a full Rust parser — it is the minimal item skeleton the
-//! semantic rules (R6 state-coverage, R9 unused-pub) need:
+//! This is not a full Rust parser — it is the minimal item skeleton R9
+//! (unused-pub) needs:
 //!
-//! * which structs exist, with their exact field lists (so an
-//!   exhaustive destructure can be validated against the declaration)
-//!   and which of those fields are `pub`;
-//! * which fns belong to which impl (so `save_state`, or a `Wire`
-//!   impl's `put`, can be tied to the type it persists), with body token
-//!   ranges (so the destructures inside can be found, and a `Self::m`
-//!   resolved to the impl's type);
-//! * which fns are trait-*definition* default bodies (excluded from
-//!   R6 — a default body cannot know the implementor's fields).
+//! * which named structs exist, with their fields and which of those
+//!   are `pub`;
+//! * which token range each impl body spans, and for which type, so a
+//!   `pub fn` is labelled `Type::method` and a `Self::m` resolves to the
+//!   impl's type.
 //!
 //! The parser is forgiving: anything it does not understand is skipped,
-//! never an error. Macro-rules bodies are skipped wholesale (their
-//! token soup contains `fn`/`struct` keywords that are not items).
-
-use std::collections::BTreeMap;
+//! never an error. Fn and trait bodies are skipped whole (an item inside
+//! a fn is local to it), as are macro-rules bodies (their token soup
+//! contains `fn`/`struct` keywords that are not items).
 
 use crate::lexer::{Lexed, Token, TokenKind};
 
@@ -34,47 +28,16 @@ pub struct FieldDef {
     pub public: bool,
 }
 
-/// The shape of a struct body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StructKind {
-    /// `struct S { … }`
-    Named,
-    /// `struct S(…);` with the field count.
-    Tuple(usize),
-    /// `struct S;`
-    Unit,
-}
-
-/// One struct item.
+/// One struct item with named fields (`struct S { … }`); tuple and
+/// unit structs have no field R9 could count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructDef {
     /// Struct name.
     pub name: String,
     /// 1-based line of the `struct` keyword.
     pub line: u32,
-    /// Body shape.
-    pub kind: StructKind,
-    /// Named fields (empty for tuple/unit structs).
+    /// Named fields, in declaration order.
     pub fields: Vec<FieldDef>,
-}
-
-/// One fn item, wherever it appears.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnDef {
-    /// Fn name (raw identifiers keep their `r#` prefix).
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Token index range of the body, *excluding* the outer braces.
-    /// Empty for bodyless trait signatures.
-    pub body: (usize, usize),
-}
-
-impl FnDef {
-    /// The body tokens within `lexed`.
-    pub fn body_tokens<'a>(&self, lexed: &'a Lexed) -> &'a [Token] {
-        &lexed.tokens[self.body.0..self.body.1]
-    }
 }
 
 /// One `impl` block.
@@ -84,26 +47,17 @@ pub struct ImplDef {
     pub self_ty: String,
     /// For `impl Trait for Type`, the trait path's final segment.
     pub trait_name: Option<String>,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
     /// Token index range of the body, *excluding* the outer braces.
     pub body: (usize, usize),
-    /// Fns declared directly in the impl body.
-    pub fns: Vec<FnDef>,
 }
 
 /// Everything the item parser extracted from one file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParsedFile {
-    /// Struct items, in source order (all module levels, flattened).
+    /// Named structs, in source order (all module levels, flattened).
     pub structs: Vec<StructDef>,
     /// Impl blocks, in source order.
     pub impls: Vec<ImplDef>,
-    /// Fns declared outside impls and traits.
-    pub free_fns: Vec<FnDef>,
-    /// Fns declared inside `trait` definitions (signatures and default
-    /// bodies) — R6 never targets these.
-    pub trait_fns: Vec<FnDef>,
 }
 
 /// Parses the item skeleton of a lexed file.
@@ -127,20 +81,14 @@ impl Parser<'_> {
             let t = &self.toks[i];
             if t.is_punct('#') {
                 i = self.attr(i);
-            } else if t.is_ident("macro_rules") {
+            } else if t.is_ident("macro_rules") || t.is_ident("trait") {
                 i = self.skip_to_close_brace(i);
             } else if t.is_ident("struct") {
                 i = self.struct_item(i);
             } else if t.is_ident("impl") {
                 i = self.impl_item(i);
-            } else if t.is_ident("trait") {
-                i = self.trait_item(i);
             } else if t.is_ident("fn") {
-                let (f, next) = self.fn_item(i);
-                if let Some(f) = f {
-                    self.out.free_fns.push(f);
-                }
-                i = next;
+                i = self.skip_fn(i);
             } else if t.is_ident("enum")
                 || (t.is_ident("union")
                     && self
@@ -172,7 +120,7 @@ impl Parser<'_> {
     }
 
     /// Skips from an opening context to just after the brace matching the
-    /// next `{`. Used for enum/union/macro bodies.
+    /// next `{`. Used for enum/union/trait/macro bodies.
     fn skip_to_close_brace(&self, mut i: usize) -> usize {
         while i < self.toks.len() && !self.toks[i].is_punct('{') {
             if self.toks[i].is_punct(';') {
@@ -204,22 +152,21 @@ impl Parser<'_> {
         // outside nested delimiters and generics.
         let mut angle = 0i64;
         let mut paren = 0i64;
-        let mut kind = StructKind::Unit;
         let mut body_at = j;
         let mut where_seen = false;
         while let Some(t) = self.toks.get(body_at) {
             if angle <= 0 && paren == 0 {
                 if t.is_punct(';') {
-                    kind = StructKind::Unit;
-                    break;
-                }
-                if t.is_punct('{') {
-                    kind = StructKind::Named;
-                    break;
+                    return body_at + 1; // `struct S;`
                 }
                 if t.is_punct('(') && !where_seen {
-                    kind = StructKind::Tuple(0);
-                    break;
+                    return self.skip_balanced(body_at); // `struct S(…);`
+                }
+                if t.is_punct('{') {
+                    let end = self.skip_balanced(body_at);
+                    let fields = self.named_fields(body_at + 1, end.saturating_sub(1));
+                    self.out.structs.push(StructDef { name, line, fields });
+                    return end;
                 }
             }
             if t.is_ident("where") {
@@ -235,63 +182,7 @@ impl Parser<'_> {
             }
             body_at += 1;
         }
-        match kind {
-            StructKind::Unit => {
-                self.out.structs.push(StructDef {
-                    name,
-                    line,
-                    kind,
-                    fields: Vec::new(),
-                });
-                body_at + 1
-            }
-            StructKind::Tuple(_) => {
-                let end = self.skip_balanced(body_at);
-                let arity = self.tuple_arity(body_at + 1, end.saturating_sub(1));
-                self.out.structs.push(StructDef {
-                    name,
-                    line,
-                    kind: StructKind::Tuple(arity),
-                    fields: Vec::new(),
-                });
-                end
-            }
-            StructKind::Named => {
-                let end = self.skip_balanced(body_at);
-                let fields = self.named_fields(body_at + 1, end.saturating_sub(1));
-                self.out.structs.push(StructDef {
-                    name,
-                    line,
-                    kind,
-                    fields,
-                });
-                end
-            }
-        }
-    }
-
-    /// Counts tuple-struct fields between token indices (exclusive of the
-    /// parens): top-level comma count + 1 when non-empty.
-    fn tuple_arity(&self, from: usize, to: usize) -> usize {
-        if from >= to {
-            return 0;
-        }
-        let mut depth = 0i64;
-        let mut arity = 1usize;
-        let mut trailing_comma = false;
-        for t in &self.toks[from..to] {
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') || t.is_punct('>') {
-                depth -= 1;
-            } else if t.is_punct(',') && depth == 0 {
-                arity += 1;
-                trailing_comma = true;
-                continue;
-            }
-            trailing_comma = false;
-        }
-        arity - usize::from(trailing_comma)
+        body_at
     }
 
     /// Parses named fields between token indices (exclusive of braces).
@@ -356,7 +247,6 @@ impl Parser<'_> {
 
     /// Parses `impl … { … }` starting at the `impl` keyword.
     fn impl_item(&mut self, i: usize) -> usize {
-        let line = self.toks[i].line;
         let mut j = i + 1;
         if self.toks.get(j).is_some_and(|t| t.is_punct('<')) {
             j = self.skip_balanced(j);
@@ -425,66 +315,20 @@ impl Parser<'_> {
             return j;
         }
         let end = self.skip_balanced(j);
-        let fns = self.body_fns(j + 1, end.saturating_sub(1));
         self.out.impls.push(ImplDef {
             self_ty,
             trait_name,
-            line,
             body: (j + 1, end.saturating_sub(1)),
-            fns,
         });
         end
     }
 
-    /// Parses `trait Name { … }`; its fns are recorded as trait fns.
-    fn trait_item(&mut self, i: usize) -> usize {
-        let mut j = i + 1;
-        while j < self.toks.len() && !self.toks[j].is_punct('{') {
-            if self.toks[j].is_punct(';') {
-                return j + 1; // `trait Alias = …;` has no body
-            }
-            j += 1;
+    /// Skips one fn starting at the `fn` keyword: returns the index after
+    /// its body (or the `;` of a bodyless signature).
+    fn skip_fn(&self, i: usize) -> usize {
+        if !self.toks.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident) {
+            return i + 1; // a `fn(…)` pointer type
         }
-        if j >= self.toks.len() {
-            return j;
-        }
-        let end = self.skip_balanced(j);
-        let fns = self.body_fns(j + 1, end.saturating_sub(1));
-        self.out.trait_fns.extend(fns);
-        end
-    }
-
-    /// Collects fns declared at the top level of a brace-delimited body
-    /// (an impl or trait body), skipping over nested braces.
-    fn body_fns(&self, from: usize, to: usize) -> Vec<FnDef> {
-        let mut fns = Vec::new();
-        let mut j = from;
-        while j < to {
-            let t = &self.toks[j];
-            if t.is_ident("fn") {
-                let (f, next) = self.fn_item(j);
-                if let Some(f) = f {
-                    fns.push(f);
-                }
-                j = next;
-            } else if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-                // Nested delimiters (const initialisers, etc.): skip.
-                j = self.skip_balanced(j);
-            } else {
-                j += 1;
-            }
-        }
-        fns
-    }
-
-    /// Parses one fn starting at the `fn` keyword. Returns the fn (None
-    /// when malformed) and the index after the body (or the `;`).
-    fn fn_item(&self, i: usize) -> (Option<FnDef>, usize) {
-        let line = self.toks[i].line;
-        let Some(name_tok) = self.toks.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
-            return (None, i + 1);
-        };
-        let name = name_tok.text.clone();
         let mut j = i + 2;
         if self.toks.get(j).is_some_and(|t| t.is_punct('<')) {
             j = self.skip_balanced(j);
@@ -492,9 +336,9 @@ impl Parser<'_> {
         if self.toks.get(j).is_some_and(|t| t.is_punct('(')) {
             j = self.skip_balanced(j);
         }
-        // Return type / where clause: scan to the body `{` or a `;`
-        // (bodyless trait signature), tracking generics depth so
-        // `-> Result<(), Box<dyn Error>>` cannot end the scan early.
+        // Return type / where clause: scan to the body `{` or a `;`,
+        // tracking generics depth so `-> Result<(), Box<dyn Error>>` or
+        // `-> impl Iterator<Item = u8>` cannot end the scan early.
         let mut angle = 0i64;
         while let Some(t) = self.toks.get(j) {
             if t.is_punct('<') {
@@ -502,28 +346,13 @@ impl Parser<'_> {
             } else if t.is_punct('>') && !self.toks[j - 1].is_punct('-') {
                 angle -= 1;
             } else if angle <= 0 && t.is_punct(';') {
-                return (
-                    Some(FnDef {
-                        name,
-                        line,
-                        body: (j, j),
-                    }),
-                    j + 1,
-                );
+                return j + 1;
             } else if angle <= 0 && t.is_punct('{') {
-                let end = self.skip_balanced(j);
-                return (
-                    Some(FnDef {
-                        name,
-                        line,
-                        body: (j + 1, end.saturating_sub(1)),
-                    }),
-                    end,
-                );
+                return self.skip_balanced(j);
             }
             j += 1;
         }
-        (None, j)
+        j
     }
 }
 
@@ -553,71 +382,6 @@ pub(crate) fn close_of(toks: &[Token], open: usize) -> usize {
     toks.len()
 }
 
-/// A struct signature in the workspace symbol table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructSig {
-    /// Body shape.
-    pub kind: StructKind,
-    /// Named field names, in declaration order.
-    pub fields: Vec<String>,
-    /// Two same-named structs with different shapes exist in the crate —
-    /// field validation is skipped for ambiguous names.
-    pub ambiguous: bool,
-}
-
-/// Struct signatures across the workspace, keyed by `(crate, name)`.
-///
-/// Built once per lint run from every parsed file, then consulted by the
-/// semantic rules. `cfg`-gated duplicates (e.g. one definition per
-/// platform) make a name ambiguous rather than guessing which is live.
-#[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
-    structs: BTreeMap<(String, String), StructSig>,
-}
-
-impl SymbolTable {
-    /// Registers every struct of a parsed file under `crate_name`.
-    pub fn add_file(&mut self, crate_name: &str, parsed: &ParsedFile) {
-        for s in &parsed.structs {
-            let key = (crate_name.to_string(), s.name.clone());
-            let sig = StructSig {
-                kind: s.kind,
-                fields: s.fields.iter().map(|f| f.name.clone()).collect(),
-                ambiguous: false,
-            };
-            match self.structs.get_mut(&key) {
-                None => {
-                    self.structs.insert(key, sig);
-                }
-                Some(existing) => {
-                    if existing.kind != sig.kind || existing.fields != sig.fields {
-                        existing.ambiguous = true;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Looks up a struct by crate and name.
-    pub fn lookup(&self, crate_name: &str, name: &str) -> Option<&StructSig> {
-        self.structs
-            .get(&(crate_name.to_string(), name.to_string()))
-    }
-
-    /// Looks up a struct by name alone, succeeding only when exactly one
-    /// crate defines it (cross-crate destructures like `RecorderCheckpoint`
-    /// in `core` code resolve through this).
-    pub fn lookup_global(&self, name: &str) -> Option<&StructSig> {
-        let mut hits = self
-            .structs
-            .iter()
-            .filter(|((_, n), _)| n == name)
-            .map(|(_, sig)| sig);
-        let first = hits.next()?;
-        hits.next().is_none().then_some(first)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,7 +400,6 @@ mod tests {
         assert_eq!(p.structs.len(), 1);
         let s = &p.structs[0];
         assert_eq!(s.name, "S");
-        assert_eq!(s.kind, StructKind::Named);
         assert_eq!(
             s.fields.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
             vec!["a", "b"]
@@ -664,17 +427,13 @@ mod tests {
 
     #[test]
     fn tuple_and_unit_structs() {
-        let p = parse("struct Id(pub u64);\nstruct Pair(u32, u32,);\nstruct Marker;\nstruct Empty();\n");
-        let kinds: Vec<_> = p.structs.iter().map(|s| (s.name.as_str(), s.kind)).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                ("Id", StructKind::Tuple(1)),
-                ("Pair", StructKind::Tuple(2)),
-                ("Marker", StructKind::Unit),
-                ("Empty", StructKind::Tuple(0)),
-            ]
+        // No named field to count: skipped whole, and the struct after
+        // them still parses.
+        let p = parse(
+            "struct Id(pub u64);\nstruct Pair(u32, u32,);\nstruct Marker;\nstruct Empty();\nstruct Named { pub x: u8 }\n",
         );
+        let names: Vec<_> = p.structs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, vec!["Named"]);
     }
 
     #[test]
@@ -686,7 +445,6 @@ mod tests {
         assert_eq!(p.structs[0].name, "Deep");
         assert_eq!(p.impls.len(), 1);
         assert_eq!(p.impls[0].self_ty, "Deep");
-        assert_eq!(p.impls[0].fns[0].name, "get");
     }
 
     #[test]
@@ -694,7 +452,7 @@ mod tests {
         let p = parse("struct r#Struct { r#type: u8 }\nimpl r#Struct { fn r#fn(&self) {} }\n");
         assert_eq!(p.structs[0].name, "r#Struct");
         assert_eq!(p.structs[0].fields[0].name, "r#type");
-        assert_eq!(p.impls[0].fns[0].name, "r#fn");
+        assert_eq!(p.impls[0].self_ty, "r#Struct");
     }
 
     #[test]
@@ -720,34 +478,34 @@ mod tests {
     #[test]
     fn trait_default_bodies_are_not_impl_or_free_fns() {
         let p = parse(
-            "trait Behavior {\n    fn save_state(&self) -> Option<u8> { None }\n    fn id(&self) -> u32;\n}\nfn free() {}\n",
+            "trait Behavior {\n    fn save_state(&self) -> Option<u8> { struct Local { x: u8 } None }\n    fn id(&self) -> u32;\n}\nfn free() {}\nstruct After { y: u8 }\n",
         );
         assert_eq!(p.impls.len(), 0);
-        assert_eq!(
-            p.trait_fns.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
-            vec!["save_state", "id"]
-        );
-        assert_eq!(p.free_fns.len(), 1);
-        assert_eq!(p.free_fns[0].name, "free");
+        assert_eq!(p.structs.len(), 1);
+        assert_eq!(p.structs[0].name, "After");
     }
 
     #[test]
     fn fn_bodies_cover_their_tokens_only() {
-        let src = "fn a() { inner_a(); }\nfn b() { inner_b(); }\n";
+        let src = "impl A { fn a() { inner_a(); } }\nimpl B { fn b() { inner_b(); } }\n";
         let lexed = lex(src);
         let p = parse_items(&lexed);
-        let a = &p.free_fns[0];
-        let b = &p.free_fns[1];
-        assert!(a.body_tokens(&lexed).iter().any(|t| t.is_ident("inner_a")));
-        assert!(!a.body_tokens(&lexed).iter().any(|t| t.is_ident("inner_b")));
-        assert!(b.body_tokens(&lexed).iter().any(|t| t.is_ident("inner_b")));
+        let body = |i: usize| &lexed.tokens[p.impls[i].body.0..p.impls[i].body.1];
+        assert!(body(0).iter().any(|t| t.is_ident("inner_a")));
+        assert!(!body(0).iter().any(|t| t.is_ident("inner_b")));
+        assert!(body(1).iter().any(|t| t.is_ident("inner_b")));
     }
 
     #[test]
     fn nested_fns_inside_bodies_are_not_items() {
-        let p = parse("fn outer() {\n    fn inner() {}\n    inner();\n}\n");
-        assert_eq!(p.free_fns.len(), 1, "inner stays inside outer's body");
-        assert_eq!(p.free_fns[0].name, "outer");
+        // Nor is anything else inside a fn: the `impl` of its return type
+        // opens no impl block, and a local struct is the fn's own.
+        let p = parse(
+            "fn outer() -> impl Iterator<Item = u8> {\n    fn inner() {}\n    struct Local { pub x: u8 }\n    impl Local { fn get(&self) {} }\n    std::iter::empty()\n}\nstruct After { y: u8 }\n",
+        );
+        assert!(p.impls.is_empty(), "{:?}", p.impls);
+        assert_eq!(p.structs.len(), 1);
+        assert_eq!(p.structs[0].name, "After");
     }
 
     #[test]
@@ -757,7 +515,6 @@ mod tests {
         );
         assert_eq!(p.structs.len(), 1);
         assert_eq!(p.structs[0].name, "Real");
-        assert!(p.free_fns.is_empty());
     }
 
     #[test]
@@ -772,26 +529,9 @@ mod tests {
     #[test]
     fn complex_return_types_do_not_end_fn_headers_early() {
         let p = parse(
-            "fn f() -> Result<Vec<u8>, Box<dyn std::error::Error>> { body_marker(); Ok(vec![]) }\n",
+            "fn f() -> Result<[u8; 4], Box<dyn std::error::Error>> { struct Hidden { x: u8 } Ok([0; 4]) }\nstruct After { y: u8 }\n",
         );
-        assert_eq!(p.free_fns.len(), 1);
-        let lexed = lex(
-            "fn f() -> Result<Vec<u8>, Box<dyn std::error::Error>> { body_marker(); Ok(vec![]) }\n",
-        );
-        let p = parse_items(&lexed);
-        assert!(p.free_fns[0]
-            .body_tokens(&lexed)
-            .iter()
-            .any(|t| t.is_ident("body_marker")));
-    }
-
-    #[test]
-    fn symbol_table_flags_ambiguous_names() {
-        let mut table = SymbolTable::default();
-        table.add_file("c", &parse("struct S { x: u8 }\n"));
-        table.add_file("c", &parse("struct S { y: u8 }\n"));
-        assert!(table.lookup("c", "S").is_some_and(|s| s.ambiguous));
-        table.add_file("d", &parse("struct S { x: u8 }\n"));
-        assert!(table.lookup("d", "S").is_some_and(|s| !s.ambiguous));
+        assert_eq!(p.structs.len(), 1);
+        assert_eq!(p.structs[0].name, "After");
     }
 }

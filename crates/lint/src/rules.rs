@@ -1,29 +1,25 @@
-//! The rule catalogue: the semantic pass R6 built on the item parser
-//! (state coverage) and the workspace-wide use count R9 (public functions
+//! The rule catalogue: the workspace-wide use count R9 (public functions
 //! and fields nobody uses, against `lint.toml`'s `keep` list). R1–R5
 //! (hash containers, wall clock, panics, entropy, docs) are the
 //! compiler's: the root `clippy.toml`, `clippy::unwrap_used` /
-//! `expect_used` and `missing_docs`. R7's digest equality is
-//! `tests/digest_equality.rs`'s, and R8's stale-exemption check is R9's
-//! own. See `lint.toml` and the README "Static analysis" section for the
-//! rationale of each.
+//! `expect_used` and `missing_docs`. R6's state coverage is
+//! `tests/checkpoint.rs`'s resume-then-step byte test, R7's digest
+//! equality is `tests/digest_equality.rs`'s, and R8's stale-exemption
+//! check is R9's own. See `lint.toml` and the README "Static analysis"
+//! section.
 
 use std::collections::BTreeMap;
 
 use crate::config::Keep;
 use crate::engine::{classify, Section};
 use crate::lexer::{Lexed, Token, TokenKind};
-use crate::parser::{close_of, FnDef, ParsedFile, StructKind, StructSig, SymbolTable};
+use crate::parser::{close_of, ParsedFile};
 use crate::regions::FileMap;
 
-/// A rule identity: stable ID (`R6`, `R9`) plus the kebab-case name used
-/// in `lint.toml` sections.
+/// A rule identity: stable ID (`R9`) plus the kebab-case name used in
+/// `lint.toml` sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R6 `state-coverage`: save/restore fns, and a hand-written `Wire`
-    /// impl's `put`, exhaustively destructure the type they persist (no
-    /// `..` rest pattern).
-    StateCoverage,
     /// R9 `unused-pub`: a `pub fn` or named `pub` field in library code
     /// that nothing in the scanned workspace uses outside its own crate's
     /// unit tests and `pub use` lists; a method's uses are counted by its
@@ -34,13 +30,11 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in ID order.
-    pub const ALL: [Rule; 2] = [Rule::StateCoverage, Rule::UnusedPub];
+    pub const ALL: [Rule; 1] = [Rule::UnusedPub];
 
-    /// Stable rule ID (`R6`, `R9`; R1–R5 are the compiler's, R7 and R8
-    /// are gone).
+    /// Stable rule ID (`R9`; R1–R5 are the compiler's, R6–R8 are gone).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::StateCoverage => "R6",
             Rule::UnusedPub => "R9",
         }
     }
@@ -48,7 +42,6 @@ impl Rule {
     /// Kebab-case name used in `lint.toml`.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::StateCoverage => "state-coverage",
             Rule::UnusedPub => "unused-pub",
         }
     }
@@ -63,23 +56,6 @@ impl Rule {
     /// Long-form documentation for `--explain`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::StateCoverage => {
-                "R6[state-coverage] — checkpoint/snapshot fns pin their field coverage.\n\
-                 \n\
-                 Every `save_state`/`restore_state` impl (and every `save` fn in the\n\
-                 scoped snapshot/checkpoint files) must exhaustively destructure the\n\
-                 type it persists — `let Self { a, b, skipped: _ } = self;` with no\n\
-                 `..` rest pattern. Adding a struct field then fails both the\n\
-                 compile (E0027) and this lint until the field's save/restore story\n\
-                 is written, which is exactly the silent-resume-divergence bug class\n\
-                 this repo fears most. A hand-written `impl Wire` for a struct is\n\
-                 held to the same convention in its `put` (value types whose every\n\
-                 field travels use `wire_struct!` instead, where the compiler\n\
-                 enforces it). In the scoped files, *all* destructures of known\n\
-                 structs are held to the convention. Deliberately excluded fields\n\
-                 are bound as `name: _`, which documents the exclusion at the\n\
-                 destructure site."
-            }
             Rule::UnusedPub => {
                 "R9[unused-pub] — public API somebody uses.\n\
                  \n\
@@ -548,364 +524,6 @@ pub fn check_unused_pub(
     out
 }
 
-// ---------------------------------------------------------------------
-// R6 state-coverage
-// ---------------------------------------------------------------------
-
-/// A struct-destructure pattern found in a fn body:
-/// `let [&|ref|mut]* Path { fields… } = …` or `let Path(…) = …`.
-#[derive(Debug)]
-struct Destructure {
-    line: u32,
-    /// Final path segment of the pattern type (`Self` unresolved).
-    ty: String,
-    /// Field names bound at depth 1 (named patterns only; `_` excluded).
-    fields: Vec<String>,
-    /// `Some(count)` for tuple patterns.
-    tuple_arity: Option<usize>,
-    /// A `..` rest pattern at depth 1.
-    has_rest: bool,
-}
-
-/// Scans a token slice for struct-destructure patterns.
-fn find_destructures(toks: &[Token]) -> Vec<Destructure> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("let") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        while toks
-            .get(j)
-            .is_some_and(|t| t.is_punct('&') || t.is_ident("mut") || t.is_ident("ref"))
-        {
-            j += 1;
-        }
-        let Some(first) = toks.get(j).filter(|t| t.kind == TokenKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        let mut ty = first.text.clone();
-        let line = first.line;
-        j += 1;
-        // Swallow path segments: `a::b::Ty`.
-        while toks.get(j).is_some_and(|t| t.is_punct(':'))
-            && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-        {
-            let Some(seg) = toks.get(j + 2).filter(|t| t.kind == TokenKind::Ident) else {
-                break;
-            };
-            ty = seg.text.clone();
-            j += 3;
-        }
-        let d = match toks.get(j) {
-            Some(t) if t.is_punct('{') => parse_braced_pattern(toks, j).map(|(fields, has_rest, close)| {
-                (
-                    Destructure {
-                        line,
-                        ty: ty.clone(),
-                        fields,
-                        tuple_arity: None,
-                        has_rest,
-                    },
-                    close,
-                )
-            }),
-            Some(t) if t.is_punct('(') => parse_tuple_pattern(toks, j).map(|(arity, has_rest, close)| {
-                (
-                    Destructure {
-                        line,
-                        ty: ty.clone(),
-                        fields: Vec::new(),
-                        tuple_arity: Some(arity),
-                        has_rest,
-                    },
-                    close,
-                )
-            }),
-            _ => None,
-        };
-        if let Some((d, close)) = d {
-            // A destructure pattern is followed by `=` (plain `let`,
-            // `if let`, `while let`, let-else all qualify).
-            if toks.get(close + 1).is_some_and(|t| t.is_punct('=')) {
-                out.push(d);
-            }
-            i = close + 1;
-            continue;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Parses `{ … }` at `toks[open]`; returns (field names, has_rest,
-/// closing index). Field = ident at depth 1 preceded by `{`/`,`/`ref`/
-/// `mut` and followed by `,`/`:`/`}`; `_` is not a field.
-fn parse_braced_pattern(toks: &[Token], open: usize) -> Option<(Vec<String>, bool, usize)> {
-    let mut depth = 0i64;
-    let mut fields = Vec::new();
-    let mut has_rest = false;
-    let mut j = open;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 && t.is_punct('}') {
-                return Some((fields, has_rest, j));
-            }
-        } else if depth == 1 {
-            if t.is_punct('.') && toks.get(j + 1).is_some_and(|n| n.is_punct('.')) {
-                has_rest = true;
-                j += 2;
-                continue;
-            }
-            if t.kind == TokenKind::Ident && t.text != "_" {
-                let prev_ok = j > 0
-                    && (toks[j - 1].is_punct('{')
-                        || toks[j - 1].is_punct(',')
-                        || toks[j - 1].is_ident("ref")
-                        || toks[j - 1].is_ident("mut"));
-                let next_ok = toks
-                    .get(j + 1)
-                    .is_some_and(|n| n.is_punct(',') || n.is_punct(':') || n.is_punct('}'));
-                if prev_ok && next_ok && !t.is_ident("ref") && !t.is_ident("mut") {
-                    fields.push(t.text.clone());
-                }
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Parses `( … )` at `toks[open]`; returns (arity, has_rest, closing
-/// index). Arity counts top-level comma-separated slots, ignoring a
-/// trailing comma and not counting `..` as a slot.
-fn parse_tuple_pattern(toks: &[Token], open: usize) -> Option<(usize, bool, usize)> {
-    let mut depth = 0i64;
-    let mut has_rest = false;
-    let mut slots = 0usize;
-    let mut slot_open = false;
-    let mut j = open;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-            if depth == 1 {
-                j += 1;
-                continue;
-            }
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 && t.is_punct(')') {
-                return Some((slots + usize::from(slot_open), has_rest, j));
-            }
-        }
-        if depth == 1 {
-            if t.is_punct('.') && toks.get(j + 1).is_some_and(|n| n.is_punct('.')) {
-                has_rest = true;
-                j += 2;
-                continue;
-            }
-            if t.is_punct(',') {
-                slots += usize::from(slot_open);
-                slot_open = false;
-            } else {
-                slot_open = true;
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// R6: see [`Rule::StateCoverage`]. `path_scoped` widens the rule from
-/// "save/restore fns" to the whole file (all destructures, `save` fns,
-/// and free fns).
-pub fn check_state_coverage(
-    input: &FileInput,
-    table: &SymbolTable,
-    path_scoped: bool,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for imp in &input.parsed.impls {
-        // A hand-written `Wire::put` is its struct's save fn. Enums and
-        // foreign types have no field list to pin: a `match` on an enum is
-        // exhaustive already.
-        let wire_of_struct = imp.trait_name.as_deref() == Some("Wire")
-            && resolve_struct(input, table, &imp.self_ty).is_some();
-        for f in &imp.fns {
-            let targeted = f.name == "save_state"
-                || f.name == "restore_state"
-                || (path_scoped && f.name == "save")
-                || (wire_of_struct && f.name == "put");
-            if targeted {
-                audit_state_fn(input, table, f, Some(&imp.self_ty), true, &mut out);
-            } else if path_scoped {
-                audit_state_fn(input, table, f, Some(&imp.self_ty), false, &mut out);
-            }
-        }
-    }
-
-    if path_scoped {
-        for f in &input.parsed.free_fns {
-            audit_state_fn(input, table, f, None, false, &mut out);
-        }
-    }
-    out
-}
-
-/// Resolves a struct by name: the file's own crate first, then a unique
-/// workspace-wide match (snapshot code routinely destructures types
-/// defined in sibling crates, e.g. `RecorderCheckpoint` from `obs`).
-fn resolve_struct<'t>(
-    input: &FileInput,
-    table: &'t SymbolTable,
-    ty: &str,
-) -> Option<&'t StructSig> {
-    let sig = input
-        .crate_name
-        .and_then(|c| table.lookup(c, ty))
-        .or_else(|| table.lookup_global(ty))?;
-    (!sig.ambiguous).then_some(sig)
-}
-
-/// Destructure hygiene for one fn body. `self_ty` resolves `Self`;
-/// `require_self` demands at least one destructure of the self type.
-fn audit_state_fn(
-    input: &FileInput,
-    table: &SymbolTable,
-    f: &FnDef,
-    self_ty: Option<&str>,
-    require_self: bool,
-    out: &mut Vec<Violation>,
-) {
-    {
-        if input.map.is_test_line(f.line) || f.body.0 == f.body.1 {
-            return;
-        }
-        let body = f.body_tokens(input.lexed);
-        let mut self_destructured = false;
-        for d in find_destructures(body) {
-            let resolved = if d.ty == "Self" {
-                match self_ty {
-                    Some(s) => s.to_string(),
-                    None => continue,
-                }
-            } else {
-                d.ty.clone()
-            };
-            let is_self = self_ty == Some(resolved.as_str());
-            let sig = resolve_struct(input, table, &resolved);
-            if sig.is_none() && !is_self {
-                continue; // Some/Ok/None and foreign types: not ours to judge
-            }
-            if d.has_rest {
-                out.push(Violation {
-                    line: d.line,
-                    rule: Rule::StateCoverage,
-                    message: format!(
-                        "`..` rest pattern in a `{resolved}` destructure inside `{}`: list \
-                         every field (bind excluded ones as `name: _`) so a new field \
-                         fails the lint instead of being silently skipped",
-                        f.name
-                    ),
-                });
-            }
-            if let Some(sig) = sig {
-                match (sig.kind, d.tuple_arity) {
-                    (StructKind::Named, None) if !d.has_rest => {
-                        let missing: Vec<&String> =
-                            sig.fields.iter().filter(|n| !d.fields.contains(n)).collect();
-                        let unknown: Vec<&String> =
-                            d.fields.iter().filter(|n| !sig.fields.contains(n)).collect();
-                        if !missing.is_empty() {
-                            out.push(Violation {
-                                line: d.line,
-                                rule: Rule::StateCoverage,
-                                message: format!(
-                                    "destructure of `{resolved}` in `{}` misses declared \
-                                     field(s) {} — persist them or bind them as `name: _` \
-                                     to record the exclusion",
-                                    f.name,
-                                    name_list(&missing),
-                                ),
-                            });
-                        }
-                        if !unknown.is_empty() {
-                            out.push(Violation {
-                                line: d.line,
-                                rule: Rule::StateCoverage,
-                                message: format!(
-                                    "destructure of `{resolved}` in `{}` names unknown \
-                                     field(s) {} — the declaration and this snapshot \
-                                     have drifted apart",
-                                    f.name,
-                                    name_list(&unknown),
-                                ),
-                            });
-                        }
-                    }
-                    (StructKind::Tuple(n), Some(got)) if !d.has_rest && got != n => {
-                        out.push(Violation {
-                            line: d.line,
-                            rule: Rule::StateCoverage,
-                            message: format!(
-                                "tuple destructure of `{resolved}` in `{}` binds {got} of \
-                                 {n} field(s)",
-                                f.name
-                            ),
-                        });
-                    }
-                    _ => {}
-                }
-            }
-            if is_self {
-                // A rest-pattern Self destructure is already flagged
-                // above; don't double-report a missing destructure.
-                self_destructured = true;
-            }
-        }
-        if require_self && !self_destructured {
-            // Zero-field types have nothing to pin.
-            let exempt = self_ty
-                .and_then(|s| resolve_struct(input, table, s))
-                .is_some_and(|sig| match sig.kind {
-                    StructKind::Named => sig.fields.is_empty(),
-                    StructKind::Tuple(n) => n == 0,
-                    StructKind::Unit => true,
-                });
-            if !exempt {
-                out.push(Violation {
-                    line: f.line,
-                    rule: Rule::StateCoverage,
-                    message: format!(
-                        "`{}` persists `{}` state without pinning its field coverage: \
-                         open with `let Self {{ … }} = self;` (exhaustive, no `..`) so \
-                         adding a field fails the lint and the compile until its \
-                         save/restore story is written",
-                        f.name,
-                        self_ty.unwrap_or("Self"),
-                    ),
-                });
-            }
-        }
-    }
-}
-
-fn name_list(names: &[&String]) -> String {
-    names
-        .iter()
-        .map(|n| format!("`{n}`"))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,26 +532,6 @@ mod tests {
     use crate::parser::parse_items;
     use crate::regions::map_file;
 
-    fn run_path(rel: &str, src: &str, path_scoped: bool) -> Vec<Violation> {
-        let lexed = lex(src);
-        let map = map_file(&lexed);
-        let parsed = parse_items(&lexed);
-        let mut table = SymbolTable::default();
-        table.add_file("c", &parsed);
-        let input = FileInput {
-            rel_path: rel,
-            crate_name: Some("c"),
-            lexed: &lexed,
-            map: &map,
-            parsed: &parsed,
-        };
-        check_state_coverage(&input, &table, path_scoped)
-    }
-
-    fn run(src: &str) -> Vec<Violation> {
-        run_path("lib.rs", src, false)
-    }
-
     #[test]
     fn rule_names_round_trip() {
         for r in Rule::ALL {
@@ -941,164 +539,8 @@ mod tests {
             assert_eq!(Rule::from_name(r.id()), Some(r));
         }
         assert_eq!(Rule::from_name("nope"), None);
-        assert_eq!(Rule::StateCoverage.to_string(), "R6[state-coverage]");
+        assert_eq!(Rule::UnusedPub.to_string(), "R9[unused-pub]");
     }
-
-    // -- R6 ---------------------------------------------------------
-
-    #[test]
-    fn state_coverage_requires_self_destructure() {
-        let src = "\
-struct S { a: u32, b: u32 }
-impl Behavior for S {
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(vec![self.a as u8, self.b as u8])
-    }
-}
-";
-        let v = run(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!((v[0].rule.id(), v[0].line), ("R6", 3));
-        assert!(v[0].message.contains("pinning"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn state_coverage_accepts_exhaustive_destructure() {
-        let src = "\
-struct S { a: u32, b: u32 }
-impl Behavior for S {
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let Self { a, b: _ } = self;
-        Some(vec![*a as u8])
-    }
-    fn restore_state(&mut self, blob: &[u8]) {
-        let Self { a: _, b: _ } = self;
-        self.a = blob[0] as u32;
-    }
-}
-";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn state_coverage_flags_rest_pattern_and_missing_fields() {
-        let src = "\
-struct S { a: u32, b: u32, c: u32 }
-impl S {
-    fn save_state(&self) {
-        let Self { a, .. } = self;
-        let _ = a;
-    }
-    fn restore_state(&mut self) {
-        let Self { a: _, b: _ } = self;
-    }
-}
-";
-        let hits: Vec<_> = run(src)
-            .iter()
-            .map(|v| (v.line, v.message.split_whitespace().next().unwrap_or("").to_string()))
-            .collect();
-        // Line 4: `..` rest. Line 8: missing field `c`.
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert_eq!(hits[0].0, 4);
-        assert_eq!(hits[1].0, 8);
-    }
-
-    #[test]
-    fn state_coverage_checks_every_known_struct_in_path_files() {
-        let src = "\
-struct Inner { x: u32, y: u32 }
-fn enc_inner(v: &Inner) {
-    let Inner { x, .. } = v;
-    let _ = x;
-}
-";
-        let v = run_path("crates/core/src/checkpoint.rs", src, true);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("rest pattern"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn state_coverage_ignores_trait_default_bodies_and_tests() {
-        let src = "\
-trait Behavior {
-    fn save_state(&self) -> Option<Vec<u8>> { None }
-}
-#[cfg(test)]
-mod tests {
-    struct T { a: u32 }
-    impl T { fn save_state(&self) {} }
-}
-";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn state_coverage_exempts_zero_field_types() {
-        let src = "\
-struct Stateless;
-impl Behavior for Stateless {
-    fn save_state(&self) -> Option<Vec<u8>> { None }
-    fn restore_state(&mut self, _blob: &[u8]) {}
-}
-";
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn state_coverage_audits_a_hand_written_wire_put() {
-        let unpinned = "\
-struct Jammer { power_w: f64, active: bool }
-impl Wire for Jammer {
-    fn put(&self, e: &mut Enc) {
-        e.f64(self.power_w);
-    }
-    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(Jammer::new(d.f64()?))
-    }
-}
-";
-        let v = run(unpinned);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 3, "`put` is the save fn; `take` builds through a constructor");
-        assert!(v[0].message.contains("pinning"), "{}", v[0].message);
-
-        let pinned = unpinned.replace(
-            "e.f64(self.power_w);",
-            "let Self { power_w, active: _ } = self; e.f64(*power_w);",
-        );
-        assert!(run(&pinned).is_empty());
-
-        // Not a struct this workspace declares: nothing to destructure.
-        let an_enum = "\
-enum Solver { Greedy, Random { seed: u64 } }
-impl Wire for Solver {
-    fn put(&self, e: &mut Enc) {
-        match self { Solver::Greedy => e.u8(0), Solver::Random { seed } => e.u64(*seed) }
-    }
-}
-impl Wire for u32 {
-    fn put(&self, e: &mut Enc) { e.u32(*self) }
-}
-";
-        assert!(run(an_enum).is_empty());
-    }
-
-    #[test]
-    fn state_coverage_save_fn_targeted_only_in_path_files() {
-        let src = "\
-struct Runner { a: u32 }
-impl Runner {
-    fn save(&self) -> Vec<u8> { vec![self.a as u8] }
-}
-";
-        assert!(run(src).is_empty(), "crate scope: `save` untargeted");
-        let v = run_path("crates/core/src/checkpoint.rs", src, true);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 3);
-    }
-
-    // -- R9 ---------------------------------------------------------
 
     /// Runs R9 over `(path, source)` files, each classified by its path;
     /// the library files are the applicable ones.

@@ -118,14 +118,6 @@ pub struct SleepSchedule {
     phase: SimDuration,
 }
 
-// Decoded as stored, not through `SleepSchedule::new`: `restore_state`
-// refuses a zero period as a mismatch instead of panicking on it.
-wire_struct!(SleepSchedule {
-    period,
-    awake_fraction,
-    phase,
-});
-
 impl SleepSchedule {
     /// Creates a schedule. `awake_fraction` is clamped to `[0, 1]`.
     ///

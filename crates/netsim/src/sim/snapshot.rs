@@ -5,7 +5,9 @@
 //! RNG stream position, the full event queue (including in-flight
 //! messages), per-node mobility/energy/liveness, channel jammers and
 //! degradation state, registered fault specs, and each behaviour's
-//! state via [`Behavior::save_state`]. [`Simulator::restore_state`]
+//! state via [`Behavior::save_state`]. A node's radios, transmit power
+//! and sleep schedule are builder configuration, fixed for the
+//! simulator's life, and not saved. [`Simulator::restore_state`]
 //! applies such a blob onto a freshly built simulator (same catalog,
 //! terrain, and builder configuration) and reconstructs behaviours
 //! through a [`BehaviorRegistry`] of factories *without* firing
@@ -33,7 +35,7 @@ use crate::time::SimTime;
 
 use super::{
     Behavior, Blackout, CompromiseSpec, Core, Jammer, LinkDegradation, PartitionSpec, Queued,
-    Simulator, SleepSchedule,
+    Simulator,
 };
 
 /// One behaviour's serialised state plus the registry key used to
@@ -126,8 +128,7 @@ pub enum SnapshotError {
     /// The snapshot references a node id absent from this simulator.
     UnknownNode(u64),
     /// The snapshot disagrees with this simulator (a different node
-    /// count) or holds a state it could never have saved (a zero-period
-    /// sleep schedule).
+    /// count).
     Mismatch(String),
 }
 
@@ -179,9 +180,11 @@ impl Simulator {
     /// silently dropping behaviour state would produce a checkpoint
     /// that resumes to a *different* run.
     pub fn save_state(&self) -> Result<Vec<u8>, SnapshotError> {
-        // Exhaustive-destructure convention (R6): adding a field to
-        // `Simulator` or `Core` fails this lint (and this compile) until
-        // its checkpoint story is written. `has_started` is derived from
+        // Exhaustive-destructure convention: adding a field to
+        // `Simulator` or `Core` fails this compile (E0027) until its
+        // checkpoint story is written; the mission-level resume-then-step
+        // byte test (`tests/checkpoint.rs`) fails on a value lost between
+        // here and `restore_state`. `has_started` is derived from
         // `started`; `batch` is a reused scratch buffer, empty between
         // events.
         let Self { core, behaviors, started, has_started: _, batch: _ } = self;
@@ -228,13 +231,15 @@ impl Simulator {
         e.put(&core.stats);
 
         // Per-node mutable state (dense storage iterates in id order;
-        // the guard above carries the count).
+        // the guard above carries the count). Radios, transmit power and
+        // the sleep schedule are builder configuration: nothing changes
+        // them after the build, and restore runs on a simulator built
+        // with the same configuration.
         for n in &core.nodes {
             e.put(&n.id);
             e.put(&n.mobility);
             e.put(&n.energy);
             e.bool(n.alive);
-            e.put(&n.sleep);
         }
 
         // Channel: jammers and composite degradation loss.
@@ -286,7 +291,9 @@ impl Simulator {
         bytes: &[u8],
         registry: &BehaviorRegistry,
     ) -> Result<(), SnapshotError> {
-        // Coverage guard (R6): every field's restore story is decided in
+        // Coverage guard (E0027 on a new field; the mission-level
+        // resume-then-step byte test in `tests/checkpoint.rs` fails on a
+        // value restored wrong): every field's restore story is decided in
         // this fn — `core` is patched in place, `behaviors`/`started` are
         // rebuilt from the blob, `has_started` from `started`, `batch` is
         // scratch.
@@ -315,7 +322,6 @@ impl Simulator {
             mobility: MobilityState,
             energy: EnergyBudget,
             alive: bool,
-            sleep: Option<SleepSchedule>,
         }
         // `node_count` was checked against this simulator's own above.
         let mut node_restores = Vec::with_capacity(node_count);
@@ -325,13 +331,7 @@ impl Simulator {
                 mobility: d.get()?,
                 energy: d.get()?,
                 alive: d.bool()?,
-                sleep: d.get()?,
             };
-            if nr.sleep.is_some_and(|s| s.period.as_micros() == 0) {
-                return Err(SnapshotError::Mismatch(
-                    "sleep schedule with zero period".into(),
-                ));
-            }
             if self.core.idx(nr.id).is_none() {
                 return Err(SnapshotError::UnknownNode(nr.id.raw()));
             }
@@ -401,7 +401,6 @@ impl Simulator {
             n.mobility = nr.mobility;
             n.energy = nr.energy;
             n.alive = nr.alive;
-            n.sleep = nr.sleep;
         }
         core.channel.replace_jammers(jammers);
         core.channel.set_extra_loss_db(extra_loss_db);
@@ -432,7 +431,7 @@ mod tests {
     use super::*;
     use crate::graph::ConnectivityGraph;
     use crate::mobility::MobilityModel;
-    use crate::sim::{Context, Event};
+    use crate::sim::{Context, Event, SleepSchedule};
     use crate::terrain::Terrain;
     use crate::time::SimDuration;
     use iobt_types::{Affiliation, NodeCatalog, NodeSpec, Point, Radio, RadioKind, Rect};
@@ -616,7 +615,8 @@ mod tests {
     }
 
     /// A netsim-only world holding one of everything the blob can carry
-    /// that no mission scenario produces: a sleep schedule, both mobile
+    /// that no mission scenario produces (and a sleep schedule, which the
+    /// blob leaves to the builder): both mobile
     /// models mid-leg, a jammer, an active partition, degradation and
     /// compromise, a fired blackout, in-flight messages (tampered and
     /// not) and pending timers.
@@ -704,10 +704,11 @@ mod tests {
         assert!(core.stats.delivered > 0 && !core.stats.delivered_by_kind.is_empty());
 
         // Re-recorded when the MAC-retry / mobility-step / idle-drain guard
-        // left the snapshot: the blob is the previous one minus its first
-        // 20 bytes, everything after them byte for byte.
-        assert_eq!(blob.len(), 2_795);
-        assert_eq!(iobt_obs::fnv1a(&blob), 0x6dbb_b778_35f2_50c3);
+        // left the snapshot (the previous blob minus its first 20 bytes),
+        // and when the sleep schedules did (minus each node's schedule: 9
+        // one-byte `None`s and node 5's 25-byte `Some`).
+        assert_eq!(blob.len(), 2_761);
+        assert_eq!(iobt_obs::fnv1a(&blob), 0x64d5_9b56_2b66_b472);
 
         let mut restored = everything_world();
         restored.restore_state(&blob, &beacon_registry()).unwrap();

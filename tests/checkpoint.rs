@@ -34,6 +34,40 @@ fn armed_chaos_config(recorder: Recorder) -> RunConfig {
         .expect("valid run config")
 }
 
+/// The reaction layer without early repair: the failure detector no
+/// longer drops a silent reporter mid-window, so a window's utility can
+/// fall below the degradation ladder's shed threshold.
+fn ladder_config(recorder: Recorder) -> RunConfig {
+    RunConfig::builder()
+        .duration(SimDuration::from_secs_f64(120.0))
+        .window(SimDuration::from_secs_f64(10.0))
+        .degradation_ladder(true)
+        .acked_tasking(true)
+        .recorder(recorder)
+        .build()
+        .expect("valid run config")
+}
+
+/// Surveillance whose every relay is compromised from 15 s to 45 s:
+/// reports routed through one are in flight with their tamper flag
+/// raised at the window boundaries, and the command post rejects them,
+/// so utility collapses and the ladder sheds, then restores.
+fn compromised_surveillance() -> Scenario {
+    let mut scenario = persistent_surveillance(200, 3);
+    let relays: Vec<NodeId> = scenario
+        .catalog
+        .iter()
+        .map(|n| n.id())
+        .filter(|&id| id != scenario.command_post)
+        .collect();
+    scenario.fault_plan = FaultPlan::new().compromise(
+        SimTime::from_secs_f64(15.0),
+        CompromiseSpec::new(relays, SimDuration::from_millis(20), true),
+        SimDuration::from_secs_f64(30.0),
+    );
+    scenario
+}
+
 fn chaos_scenario(seed: u64) -> Scenario {
     let mut scenario = persistent_surveillance(200, seed);
     let blue: Vec<NodeId> = scenario
@@ -134,6 +168,80 @@ fn chaos_run_killed_mid_campaign_resumes_bit_identically() {
     assert_eq!(report.digest, baseline.digest);
     assert_eq!(report.windows, baseline.windows);
     assert_eq!(rec_resumed.metrics_digest().fingerprint(), baseline_fp);
+}
+
+/// Every value a checkpoint carries is restored and matters, with no
+/// field list to keep in step: at every window boundary, the resumed
+/// runner saves back the payload it was resumed from, and after one more
+/// window saves exactly the payload the uninterrupted run saved there;
+/// resumed at the last boundary, it finishes with the uninterrupted
+/// report and metrics. A value restored as its default fails the first
+/// check; a value missing from both save and restore fails the second at
+/// the first window whose bytes it shapes, or the third if only the
+/// report reads it. The runs are the armed chaos campaigns, the
+/// evacuation (its jammer switches on at 60 s) and the compromised
+/// surveillance (tampered messages in flight, the ladder mid-hysteresis);
+/// EXPERIMENTS.md, "The linter keeps R9", ledgers which of them catches
+/// each value. The recorder is enabled, so its clock and metrics are in
+/// every payload too.
+#[test]
+fn every_checkpointed_value_resumes_and_steps_to_the_same_bytes() {
+    for seed in SEEDS {
+        let run = format!("chaos seed {seed}");
+        resume_then_step_at_every_window(&run, &chaos_scenario(seed), armed_chaos_config);
+    }
+    resume_then_step_at_every_window("evacuation", &urban_evacuation(250, 42), armed_chaos_config);
+    let compromised = compromised_surveillance();
+    resume_then_step_at_every_window("compromised surveillance", &compromised, ladder_config);
+}
+
+fn resume_then_step_at_every_window(
+    run: &str,
+    scenario: &Scenario,
+    config: fn(Recorder) -> RunConfig,
+) {
+    let recorder = || Recorder::memory(1024).0;
+    let uninterrupted = recorder();
+    let mut runner = MissionRunner::new(scenario, &config(uninterrupted.clone()));
+    let mut payloads = vec![runner.save().expect("checkpoint at window 0")];
+    while let StepOutcome::WindowClosed { .. } = runner.step_window() {
+        payloads.push(runner.save().expect("checkpoint at window boundary"));
+    }
+    let report = runner.finish();
+    let first_difference =
+        |a: &[u8], b: &[u8]| (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i));
+    for (k, payload) in payloads.iter().enumerate() {
+        let resumed_recorder = recorder();
+        let mut resumed = MissionRunner::resume(scenario, &config(resumed_recorder.clone()), payload)
+            .unwrap_or_else(|e| panic!("{run}, window {k}: resume failed: {e}"));
+        let again = resumed.save().expect("a resumed runner saves");
+        assert_eq!(
+            first_difference(&again, payload),
+            None,
+            "{run}, window {k}: the re-saved payload differs at this byte"
+        );
+        if let Some(next) = payloads.get(k + 1) {
+            resumed.step_window().window_stat().expect("a window is left to run");
+            let stepped = resumed.save().expect("checkpoint after one window");
+            assert_eq!(
+                first_difference(&stepped, next),
+                None,
+                "{run}, window {k}: one window after resume, the payload differs from the \
+                 uninterrupted run's at this byte"
+            );
+        } else {
+            // The last boundary carries every counter at its final value:
+            // what only the report reads must come back too.
+            let finished = resumed.finish();
+            assert_eq!(finished.digest, report.digest, "{run}: the resumed report's digest");
+            assert_eq!(finished.windows, report.windows, "{run}: the resumed report's windows");
+            assert_eq!(
+                resumed_recorder.metrics_digest().fingerprint(),
+                uninterrupted.metrics_digest().fingerprint(),
+                "{run}: the resumed run's metrics"
+            );
+        }
+    }
 }
 
 /// The post-resume JSONL trace is byte-identical to the tail of the
@@ -270,7 +378,9 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 /// payloads are the version-5 ones with the removed run settings, the
 /// detector threshold and the snapshot's builder guard (73 bytes) cut out,
 /// and again for `FORMAT_VERSION` 7, whose payloads are the version-6 ones
-/// with the prologue section (1,969 bytes here) inserted after the guard.
+/// with the prologue section (1,969 bytes here) inserted after the guard,
+/// and for `FORMAT_VERSION` 8, whose snapshots are the version-7 ones with
+/// each node's sleep-schedule byte (251 here) cut.
 /// The payload carries the simulator's
 /// graph-disposition byte, so a change to when the graph counts as
 /// fully stale, clean or pending moves a hash here (the jammer at 60 s
@@ -278,16 +388,16 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 #[test]
 fn evacuation_checkpoint_payloads_are_pinned() {
     const PINNED: [u64; 10] = [
-        0x796798f18b866298,
-        0xfb8a6c5f0fde4867,
-        0x950f6278669aee58,
-        0xb25ccfa3278f78ad,
-        0x03a731d2d21ddf41,
-        0xcb6c15540ee06107,
-        0x9ad6b65653d7a747,
-        0xf3a3791f7d025e25,
-        0x9ae0739ed3e0a0ec,
-        0x268fc9fcf3c51efe,
+        0xb5d3c6b2ff768e18,
+        0x17db92a785be5a9d,
+        0x7cab60cfcb99c78c,
+        0xc4e31d7c75bbb9bf,
+        0xcfc0863e0281f1f1,
+        0x983620bf51703c37,
+        0xb52960e882ec5ee3,
+        0xfd838e1c4d20c5bd,
+        0xe4000daf841e7cc0,
+        0x0b7300a613bf88e0,
     ];
     let scenario = urban_evacuation(250, 42);
     let config = RunConfig::builder()

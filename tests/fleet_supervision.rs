@@ -387,8 +387,10 @@ fn one_worker_drain(
 /// and a thread shell; the split had to reproduce every row unedited. The
 /// FNVs were re-recorded for `FORMAT_VERSION` 6, which only shrinks every
 /// `fleet_evict` record's `bytes` by 73, and for `FORMAT_VERSION` 7, which
-/// only grows them by the mission's prologue section (105–457 bytes); the
-/// counts did not move.
+/// only grows them by the mission's prologue section (105–457 bytes), and
+/// for `FORMAT_VERSION` 8, which only shrinks them by the mission's node
+/// count (one sleep-schedule byte per node, 41–56); the counts did not
+/// move.
 #[test]
 fn one_worker_decisions_are_pinned() {
     let residency = one_worker_drain("resident3", eight(), |b, _| b.max_resident(3));
@@ -450,13 +452,13 @@ fn one_worker_decisions_are_pinned() {
         ("recover", recover),
     ];
     let expected: [Decisions; 7] = [
-        ([32, 32, 21, 21, 0, 8, 0], 0x8dd6_11c1_2f66_6746),
-        ([16, 16, 12, 12, 0, 4, 0], 0x58ab_677a_ed4c_7c44),
-        ([32, 32, 21, 21, 14, 8, 0], 0x5034_3fdd_e46d_fb1c),
-        ([12, 12, 6, 6, 0, 0, 4], 0xf230_8966_5bb8_b138),
-        ([14, 14, 11, 11, 0, 3, 1], 0xc18c_43e2_8929_5172),
-        ([7, 7, 5, 3, 0, 0, 0], 0xfbd0_9677_341d_bc5b),
-        ([11, 11, 5, 9, 0, 4, 0], 0xd2c9_c666_39f9_a673),
+        ([32, 32, 21, 21, 0, 8, 0], 0x9db8_dafb_bcb9_a79c),
+        ([16, 16, 12, 12, 0, 4, 0], 0x3bd4_166f_b56c_5bbf),
+        ([32, 32, 21, 21, 14, 8, 0], 0x7513_7a3d_3ef0_e1bb),
+        ([12, 12, 6, 6, 0, 0, 4], 0x8f4f_8dc0_a852_47f5),
+        ([14, 14, 11, 11, 0, 3, 1], 0x89f6_b962_2162_dcf4),
+        ([7, 7, 5, 3, 0, 0, 0], 0x4422_b76f_7c07_8ad2),
+        ([11, 11, 5, 9, 0, 4, 0], 0x18cd_bd21_bbc9_a0e7),
     ];
     for ((label, got), want) in rows.iter().zip(expected) {
         // ([slices, windows, evictions, resumes, retries, completed,
