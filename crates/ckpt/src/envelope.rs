@@ -62,8 +62,9 @@ pub const MAGIC: [u8; 8] = *b"IOBTCKPT";
 /// assurance, the recruits' ids) after the guard, so a resume no longer
 /// recomputes them; v8 drops each node's sleep schedule from the
 /// simulator snapshot (builder configuration, which nothing changes after
-/// the build).
-pub const FORMAT_VERSION: u32 = 8;
+/// the build); v9 carries each in-flight message's payload as its length
+/// alone and drops the sensor reporter's payload size (now a constant).
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Trailing checksum size in bytes.
 pub const TRAILER_LEN: usize = 4;

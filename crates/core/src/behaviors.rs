@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use iobt_ckpt::{Dec, Enc};
 use iobt_netsim::{
-    Behavior, BehaviorRegistry, BehaviorSnapshot, Bytes, Context, Message, SimDuration, SimTime,
+    Behavior, BehaviorRegistry, BehaviorSnapshot, Context, Message, SimDuration, SimTime,
 };
 use iobt_obs::TraceEvent;
 use iobt_types::NodeId;
@@ -42,11 +42,7 @@ pub fn mission_behavior_registry(log: &ReportLog, board: &TaskBoard) -> Behavior
     });
     registry.register(BEHAVIOR_SENSOR_REPORTER, move || {
         // Blank instance; restore_state overwrites every field.
-        Box::new(SensorReporter::new(
-            NodeId::new(0),
-            SimDuration::from_millis(1),
-            0,
-        ))
+        Box::new(SensorReporter::new(NodeId::new(0), SimDuration::from_millis(1)))
     });
     registry
 }
@@ -278,7 +274,7 @@ impl Behavior for TaskingSink {
                     attempt: u64::from(attempts),
                 });
             }
-            ctx.send(node, KIND_TASK, Bytes::new());
+            ctx.send(node, KIND_TASK, []);
         }
         for &(node, attempts) in &dropped {
             ctx.recorder().record(TraceEvent::TaskAbandoned {
@@ -312,7 +308,10 @@ impl Behavior for TaskingSink {
     }
 }
 
-/// Sensor behaviour: sends a fixed-size report to the command post every
+/// Size of a sensor report's payload, bytes.
+const REPORT_BYTES: usize = 128;
+
+/// Sensor behaviour: sends a 128-byte report to the command post every
 /// `period`, jittered by up to 10% to avoid global synchronization.
 ///
 /// Built with [`SensorReporter::new`] the reporter starts immediately;
@@ -323,34 +322,26 @@ impl Behavior for TaskingSink {
 pub struct SensorReporter {
     sink: NodeId,
     period: SimDuration,
-    payload_bytes: usize,
-    // Report payloads are all-zero filler of a fixed size, so one shared
-    // refcounted buffer serves every report this node ever sends: each
-    // send clones the `Bytes` handle (an O(1) refcount bump) instead of
-    // allocating and zeroing a fresh vector per period.
-    payload: Bytes,
     dormant: bool,
     reporting: bool,
 }
 
 impl SensorReporter {
     /// Creates a reporter targeting `sink` that starts immediately.
-    pub fn new(sink: NodeId, period: SimDuration, payload_bytes: usize) -> Self {
+    pub fn new(sink: NodeId, period: SimDuration) -> Self {
         SensorReporter {
             sink,
             period,
-            payload_bytes,
-            payload: Bytes::from(vec![0u8; payload_bytes]),
             dormant: false,
             reporting: false,
         }
     }
 
     /// Creates a reporter that stays dormant until tasked.
-    pub fn dormant(sink: NodeId, period: SimDuration, payload_bytes: usize) -> Self {
+    pub fn dormant(sink: NodeId, period: SimDuration) -> Self {
         SensorReporter {
             dormant: true,
-            ..SensorReporter::new(sink, period, payload_bytes)
+            ..SensorReporter::new(sink, period)
         }
     }
 
@@ -372,13 +363,10 @@ impl SensorReporter {
 
 impl Behavior for SensorReporter {
     fn save_state(&self) -> Option<BehaviorSnapshot> {
-        // `payload` is all-zero filler reconstructed from `payload_bytes`
-        // on restore, so the buffer itself is not persisted.
-        let Self { sink, period, payload_bytes, payload: _, dormant, reporting } = self;
+        let Self { sink, period, dormant, reporting } = self;
         let mut e = Enc::new();
         e.put(sink);
         e.put(period);
-        e.usize(*payload_bytes);
         e.bool(*dormant);
         e.bool(*reporting);
         Some(BehaviorSnapshot::new(
@@ -389,20 +377,10 @@ impl Behavior for SensorReporter {
 
     fn restore_state(&mut self, state: &[u8]) -> bool {
         // Coverage guard: every field's restore story is decided below.
-        let Self {
-            sink: _,
-            period: _,
-            payload_bytes: _,
-            payload: _,
-            dormant: _,
-            reporting: _,
-        } = self;
+        let Self { sink: _, period: _, dormant: _, reporting: _ } = self;
         let mut d = Dec::new(state);
         let Ok(sink) = d.get::<NodeId>() else { return false };
         let Ok(period) = d.get::<SimDuration>() else { return false };
-        let Ok(payload_bytes) = d.usize() else {
-            return false;
-        };
         let Ok(dormant) = d.bool() else { return false };
         let Ok(reporting) = d.bool() else { return false };
         if d.finish().is_err() {
@@ -410,10 +388,6 @@ impl Behavior for SensorReporter {
         }
         self.sink = sink;
         self.period = period;
-        if payload_bytes != self.payload_bytes {
-            self.payload = Bytes::from(vec![0u8; payload_bytes]);
-        }
-        self.payload_bytes = payload_bytes;
         self.dormant = dormant;
         self.reporting = reporting;
         true
@@ -429,7 +403,7 @@ impl Behavior for SensorReporter {
         if !self.reporting {
             return;
         }
-        ctx.send(self.sink, KIND_REPORT, self.payload.clone());
+        ctx.send(self.sink, KIND_REPORT, [0u8; REPORT_BYTES]);
         self.schedule_next(ctx);
     }
 
@@ -439,7 +413,7 @@ impl Behavior for SensorReporter {
         if msg.kind() != KIND_TASK || msg.tampered() {
             return;
         }
-        ctx.send(msg.src(), KIND_TASK_ACK, Bytes::new());
+        ctx.send(msg.src(), KIND_TASK_ACK, []);
         if self.dormant && !self.reporting {
             self.start_reporting(ctx);
         }
@@ -476,11 +450,7 @@ mod tests {
         for i in 1..3 {
             sim.set_behavior(
                 NodeId::new(i),
-                Box::new(SensorReporter::new(
-                    NodeId::new(0),
-                    SimDuration::from_millis(500),
-                    64,
-                )),
+                Box::new(SensorReporter::new(NodeId::new(0), SimDuration::from_millis(500))),
             );
         }
         sim.run_for(SimDuration::from_secs_f64(5.0));
@@ -507,11 +477,7 @@ mod tests {
         for i in 1..3 {
             sim.set_behavior(
                 NodeId::new(i),
-                Box::new(SensorReporter::dormant(
-                    NodeId::new(0),
-                    SimDuration::from_millis(500),
-                    64,
-                )),
+                Box::new(SensorReporter::dormant(NodeId::new(0), SimDuration::from_millis(500))),
             );
         }
         sim.run_for(SimDuration::from_secs_f64(5.0));

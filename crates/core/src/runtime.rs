@@ -170,6 +170,8 @@ impl RunConfig {
 pub enum RunConfigError {
     /// The utility window is zero: the window loop would never advance.
     ZeroWindow,
+    /// The report period is zero: no reporter would ever send.
+    ZeroReportPeriod,
     /// The window is longer than the whole mission: not even one full
     /// window would close.
     WindowExceedsDuration {
@@ -192,6 +194,9 @@ impl fmt::Display for RunConfigError {
         match self {
             RunConfigError::ZeroWindow => {
                 write!(f, "utility window must be positive")
+            }
+            RunConfigError::ZeroReportPeriod => {
+                write!(f, "report period must be positive")
             }
             RunConfigError::WindowExceedsDuration { window, duration } => write!(
                 f,
@@ -287,6 +292,8 @@ impl RunConfigBuilder {
     /// # Errors
     ///
     /// * [`RunConfigError::ZeroWindow`] — the utility window is zero;
+    /// * [`RunConfigError::ZeroReportPeriod`] — the report period is
+    ///   zero;
     /// * [`RunConfigError::WindowExceedsDuration`] — the window is
     ///   longer than the mission;
     /// * [`RunConfigError::ThresholdOutOfRange`] — `repair_threshold`
@@ -295,6 +302,9 @@ impl RunConfigBuilder {
         let c = &self.config;
         if c.window.as_micros() == 0 {
             return Err(RunConfigError::ZeroWindow);
+        }
+        if c.report_period.as_micros() == 0 {
+            return Err(RunConfigError::ZeroReportPeriod);
         }
         if c.window > c.duration {
             return Err(RunConfigError::WindowExceedsDuration {
@@ -388,7 +398,8 @@ pub struct EndStateDigest {
     pub dropped_channel: u64,
     /// Drops because an endpoint was dead.
     pub dropped_dead: u64,
-    /// Drops because an endpoint was asleep.
+    /// Always 0 ([`iobt_netsim::NetStats::dropped_asleep`]): kept so
+    /// the digest's layout and fingerprints stay put.
     pub dropped_asleep: u64,
     /// MAC retransmissions across all hops.
     pub retransmits: u64,
@@ -1132,7 +1143,6 @@ fn attach_reporters(
                     Box::new(SensorReporter::dormant(
                         scenario.command_post,
                         config.report_period,
-                        128,
                     )),
                 );
             } else {
@@ -1141,7 +1151,6 @@ fn attach_reporters(
                     Box::new(SensorReporter::new(
                         scenario.command_post,
                         config.report_period,
-                        128,
                     )),
                 );
             }
@@ -1260,6 +1269,16 @@ mod tests {
         assert_eq!(built.repair_threshold, literal.repair_threshold);
         assert_eq!(built.grid, literal.grid);
         assert_eq!(built.solver, literal.solver);
+    }
+
+    #[test]
+    fn builder_rejects_a_zero_report_period() {
+        let refused = RunConfig::builder().report_period(SimDuration::ZERO).build();
+        assert_eq!(refused.unwrap_err(), RunConfigError::ZeroReportPeriod);
+        let shown = RunConfigError::ZeroReportPeriod.to_string();
+        assert!(shown.contains("report period"), "{shown}");
+        let tiny = RunConfig::builder().report_period(SimDuration::from_micros(1)).build();
+        assert!(tiny.is_ok());
     }
 
     #[test]

@@ -78,8 +78,6 @@ pub struct LinkQuality {
     pub delivery_prob: f64,
     /// Radio technology the link uses.
     pub radio: RadioKind,
-    /// Link distance in meters.
-    pub distance_m: f64,
 }
 
 /// A node as seen by the graph builder.
@@ -154,6 +152,11 @@ impl Edge {
     /// `to`, with nothing cached.
     fn mirrored(&self, to: u32) -> Self {
         Edge { to, clutter: Cell::new(None), ..self.clone() }
+    }
+
+    /// The link as a [`LinkQuality`].
+    fn quality(&self) -> LinkQuality {
+        LinkQuality { delivery_prob: self.delivery_prob, radio: self.radio }
     }
 }
 
@@ -563,22 +566,9 @@ impl ConnectivityGraph {
         match self.index.get(&id) {
             Some(&i) => self.adj[i as usize]
                 .iter()
-                .map(|e| (self.ids[e.to as usize], self.quality(i, e)))
+                .map(|e| (self.ids[e.to as usize], e.quality()))
                 .collect(),
             None => Vec::new(),
-        }
-    }
-
-    /// `e`, an entry of node `i`'s list, as a [`LinkQuality`]. The
-    /// distance is computed from the retained positions in owner
-    /// (lower-index) orientation, the expression the pair kernel used
-    /// when it made the link, so it has the same bits.
-    fn quality(&self, i: u32, e: &Edge) -> LinkQuality {
-        let (owner, far) = (i.min(e.to) as usize, i.max(e.to) as usize);
-        LinkQuality {
-            delivery_prob: e.delivery_prob,
-            radio: e.radio,
-            distance_m: self.nodes[owner].position.distance_to(self.nodes[far].position),
         }
     }
 
@@ -723,7 +713,7 @@ impl ConnectivityGraph {
 
     /// [`ConnectivityGraph::link`] on dense indices.
     pub(crate) fn link_idx(&self, i: u32, j: u32) -> Option<LinkQuality> {
-        self.entry(i, j).map(|e| self.quality(i, e))
+        self.entry(i, j).map(Edge::quality)
     }
 
     /// [`ConnectivityGraph::link_idx`] with the hop budget of the
@@ -749,7 +739,7 @@ impl ConnectivityGraph {
                 (budget, true)
             }
         };
-        Some((self.quality(i, e), budget, computed))
+        Some((e.quality(), budget, computed))
     }
 
     /// The entry for `j` in node `i`'s list, if they are linked.
@@ -984,11 +974,7 @@ impl<'a> PairKernel<'a> {
             if p < MIN_LINK_QUALITY {
                 continue;
             }
-            let candidate = LinkQuality {
-                delivery_prob: p,
-                radio: ra,
-                distance_m,
-            };
+            let candidate = LinkQuality { delivery_prob: p, radio: ra };
             best = match best {
                 Some(cur) if cur.delivery_prob >= p => Some(cur),
                 _ => Some(candidate),
@@ -1180,7 +1166,7 @@ pub(crate) mod tests {
             }
             let p = channel.mean_delivery_probability(a.position, b.position, radio);
             if p >= MIN_LINK_QUALITY && best.is_none_or(|cur| cur.delivery_prob < p) {
-                best = Some(LinkQuality { delivery_prob: p, radio, distance_m });
+                best = Some(LinkQuality { delivery_prob: p, radio });
             }
         }
         best
@@ -1775,7 +1761,7 @@ pub(crate) mod tests {
         ch: &Channel,
         label: &str,
     ) -> (u64, u64) {
-        let bits = |q: LinkQuality| (q.delivery_prob.to_bits(), q.radio, q.distance_m.to_bits());
+        let bits = |q: LinkQuality| (q.delivery_prob.to_bits(), q.radio);
         let (mut read, mut computed) = (0, 0);
         for (i, list) in (0u32..).zip(&g.adj) {
             let neighbors = g.neighbors(world[i as usize].id);
@@ -1988,9 +1974,7 @@ pub(crate) mod tests {
                     }
                 };
                 let (a, b) = (random_node(&mut rng, 0, from), random_node(&mut rng, 1, to));
-                let bits = |l: Option<LinkQuality>| {
-                    l.map(|l| (l.delivery_prob.to_bits(), l.radio, l.distance_m.to_bits()))
-                };
+                let bits = |l: Option<LinkQuality>| l.map(|l| (l.delivery_prob.to_bits(), l.radio));
                 proptest::prop_assert_eq!(
                     bits(kernel.link(&PairEnd::of(&a), &PairEnd::of(&b))),
                     bits(reference_link(&a, &b, &ch)),

@@ -28,7 +28,6 @@ pub mod stats;
 pub mod terrain;
 pub mod time;
 
-pub use bytes::Bytes;
 pub use channel::{Channel, Jammer};
 pub use churn::{ChurnPlan, ChurnProcess};
 pub use graph::{ConnectivityGraph, GraphNode, LinkQuality};
@@ -36,7 +35,7 @@ pub use message::Message;
 pub use mobility::{MobilityModel, MobilityState};
 pub use sim::{
     Behavior, BehaviorRegistry, BehaviorSnapshot, CompromiseSpec, Context, LinkDegradation,
-    PartitionSpec, SimulatorBuilder, SleepSchedule, Simulator, SnapshotError,
+    PartitionSpec, SimulatorBuilder, Simulator, SnapshotError,
 };
 pub use stats::{NetStats, Summary};
 pub use terrain::{Clutter, Terrain};
@@ -47,9 +46,9 @@ pub use iobt_obs::Recorder;
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::{
-        Behavior, BehaviorRegistry, BehaviorSnapshot, Bytes, Channel, ChurnProcess, Clutter,
+        Behavior, BehaviorRegistry, BehaviorSnapshot, Channel, ChurnProcess, Clutter,
         CompromiseSpec, ConnectivityGraph, Context, Jammer, LinkDegradation, Message,
-        MobilityModel, NetStats, PartitionSpec, SimDuration, SimTime, Simulator, SleepSchedule,
-        SnapshotError, Summary, Terrain,
+        MobilityModel, NetStats, PartitionSpec, SimDuration, SimTime, Simulator, SnapshotError,
+        Summary, Terrain,
     };
 }

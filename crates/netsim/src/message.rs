@@ -2,66 +2,37 @@
 
 use std::fmt;
 
-use bytes::Bytes;
-use iobt_ckpt::{Dec, DecodeError, Enc, Wire};
+use iobt_ckpt::wire_struct;
 use iobt_types::NodeId;
 
 use crate::time::SimTime;
 
 /// A unicast application message in flight between two nodes.
 ///
-/// The payload is opaque to the simulator; application behaviours encode
-/// whatever they need (sensor reports, model updates, commands).
+/// A message is its length: the simulator models whether, when and at
+/// what energy cost it arrives, and nothing reads what it says, so only
+/// the payload's size travels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     src: NodeId,
     dst: NodeId,
     kind: u32,
-    payload: Bytes,
+    payload_len: usize,
     sent_at: SimTime,
     tampered: bool,
 }
 
-/// Hand-written for the payload alone: `Bytes` is a foreign type, and
-/// travels as a length-prefixed byte string.
-impl Wire for Message {
-    fn put(&self, e: &mut Enc) {
-        let Self {
-            src,
-            dst,
-            kind,
-            payload,
-            sent_at,
-            tampered,
-        } = self;
-        e.put(src);
-        e.put(dst);
-        e.u32(*kind);
-        e.bytes(payload);
-        e.put(sent_at);
-        e.bool(*tampered);
-    }
-    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(Message {
-            src: d.get()?,
-            dst: d.get()?,
-            kind: d.u32()?,
-            payload: Bytes::from(d.bytes()?.to_vec()),
-            sent_at: d.get()?,
-            tampered: d.bool()?,
-        })
-    }
-}
+wire_struct!(Message { src, dst, kind, payload_len, sent_at, tampered });
 
 impl Message {
-    /// Creates a message. `kind` is an application-defined tag used for
-    /// cheap dispatch without decoding the payload.
-    pub fn new(src: NodeId, dst: NodeId, kind: u32, payload: impl Into<Bytes>) -> Self {
+    /// Creates a message of `payload_len` payload bytes. `kind` is an
+    /// application-defined tag used for dispatch.
+    pub fn new(src: NodeId, dst: NodeId, kind: u32, payload_len: usize) -> Self {
         Message {
             src,
             dst,
             kind,
-            payload: payload.into(),
+            payload_len,
             sent_at: SimTime::ZERO,
             tampered: false,
         }
@@ -82,11 +53,6 @@ impl Message {
         self.kind
     }
 
-    /// Opaque payload bytes.
-    pub const fn payload(&self) -> &Bytes {
-        &self.payload
-    }
-
     /// Time the message entered the network.
     pub const fn sent_at(&self) -> SimTime {
         self.sent_at
@@ -105,7 +71,7 @@ impl Message {
 
     /// Total size on the wire in bits, including a fixed 32-byte header.
     pub fn size_bits(&self) -> u64 {
-        ((self.payload.len() as u64) + 32) * 8
+        (self.payload_len as u64).saturating_add(32).saturating_mul(8)
     }
 
     pub(crate) fn stamped(mut self, at: SimTime) -> Self {
@@ -122,7 +88,7 @@ impl fmt::Display for Message {
             self.kind,
             self.src,
             self.dst,
-            self.payload.len()
+            self.payload_len
         )
     }
 }
@@ -133,13 +99,13 @@ mod tests {
 
     #[test]
     fn size_includes_header() {
-        let m = Message::new(NodeId::new(1), NodeId::new(2), 0, Bytes::from_static(b"abcd"));
+        let m = Message::new(NodeId::new(1), NodeId::new(2), 0, 4);
         assert_eq!(m.size_bits(), (4 + 32) * 8);
     }
 
     #[test]
     fn stamping_sets_sent_time() {
-        let m = Message::new(NodeId::new(1), NodeId::new(2), 7, Bytes::new())
+        let m = Message::new(NodeId::new(1), NodeId::new(2), 7, 0)
             .stamped(SimTime::from_millis(5));
         assert_eq!(m.sent_at(), SimTime::from_millis(5));
         assert_eq!(m.kind(), 7);
@@ -147,7 +113,7 @@ mod tests {
 
     #[test]
     fn display_mentions_endpoints() {
-        let m = Message::new(NodeId::new(3), NodeId::new(4), 1, Bytes::new());
+        let m = Message::new(NodeId::new(3), NodeId::new(4), 1, 0);
         let s = m.to_string();
         assert!(s.contains("n3"));
         assert!(s.contains("n4"));

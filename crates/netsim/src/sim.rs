@@ -17,7 +17,7 @@
 //! struct Ping;
 //! impl Behavior for Ping {
 //!     fn on_start(&mut self, ctx: &mut Context<'_>) {
-//!         ctx.send(NodeId::new(1), 0, b"ping".to_vec());
+//!         ctx.send(NodeId::new(1), 0, b"ping");
 //!     }
 //! }
 //!
@@ -44,7 +44,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::rc::Rc;
 
-use bytes::Bytes;
 use iobt_ckpt::{wire_struct, Dec, DecodeError, Enc, Wire};
 use iobt_obs::{DropCause, Recorder, TraceEvent};
 use iobt_types::{EnergyBudget, NodeCatalog, NodeId, Point, RadioKind, Rect};
@@ -104,39 +103,6 @@ pub trait Behavior {
     /// accepts only an empty state, matching stateless behaviours.
     fn restore_state(&mut self, state: &[u8]) -> bool {
         state.is_empty()
-    }
-}
-
-/// A periodic duty cycle: the node is awake for the first
-/// `awake_fraction` of every `period`, offset by `phase` (§III-A:
-/// intermittently-connected assets "may not consistently respond to
-/// probes or emit traffic").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SleepSchedule {
-    period: SimDuration,
-    awake_fraction: f64,
-    phase: SimDuration,
-}
-
-impl SleepSchedule {
-    /// Creates a schedule. `awake_fraction` is clamped to `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `period` is zero.
-    pub fn new(period: SimDuration, awake_fraction: f64, phase: SimDuration) -> Self {
-        assert!(period.as_micros() > 0, "period must be nonzero");
-        SleepSchedule {
-            period,
-            awake_fraction: awake_fraction.clamp(0.0, 1.0),
-            phase,
-        }
-    }
-
-    /// Whether the node is awake at instant `t`.
-    pub fn is_awake(&self, t: SimTime) -> bool {
-        let pos = (t.as_micros().wrapping_add(self.phase.as_micros())) % self.period.as_micros();
-        (pos as f64) < self.awake_fraction * self.period.as_micros() as f64
     }
 }
 
@@ -253,18 +219,12 @@ struct NodeRuntime {
     mobility: MobilityState,
     energy: EnergyBudget,
     alive: bool,
-    sleep: Option<SleepSchedule>,
 }
 
 impl NodeRuntime {
     /// Whether the node is up (alive and not energy-depleted).
     fn is_up(&self) -> bool {
         self.alive && !self.energy.is_depleted()
-    }
-
-    /// Whether the node is up *and* awake at `now`.
-    fn is_active(&self, now: SimTime) -> bool {
-        self.is_up() && self.sleep.is_none_or(|s| s.is_awake(now))
     }
 }
 
@@ -436,11 +396,11 @@ impl<'a> Context<'a> {
     /// connectivity graph with per-hop losses, retries, latency, and energy
     /// accounting. Delivery (or drop) happens asynchronously.
     ///
-    /// The payload is refcounted end to end: passing [`Bytes`] (or
-    /// anything convertible) shares the buffer with zero copies, so a
-    /// behaviour can hold one buffer and send it to many peers.
-    pub fn send(&mut self, dst: NodeId, kind: u32, payload: impl Into<Bytes>) {
-        let msg = Message::new(self.node, dst, kind, payload).stamped(self.core.now);
+    /// Only the payload's length travels: it sizes the transmission
+    /// (airtime, energy, latency), and its contents are never read.
+    pub fn send(&mut self, dst: NodeId, kind: u32, payload: impl AsRef<[u8]>) {
+        let msg =
+            Message::new(self.node, dst, kind, payload.as_ref().len()).stamped(self.core.now);
         self.core.transmit(msg);
     }
 
@@ -474,7 +434,6 @@ pub struct SimulatorBuilder {
     terrain: Terrain,
     jammers: Vec<Jammer>,
     mobility: BTreeMap<NodeId, MobilityModel>,
-    sleep: BTreeMap<NodeId, SleepSchedule>,
     seed: u64,
     recorder: Recorder,
     reference_mode: bool,
@@ -497,14 +456,6 @@ impl SimulatorBuilder {
     /// Assigns a mobility model to one node (default: static).
     pub fn mobility(mut self, node: NodeId, model: MobilityModel) -> Self {
         self.mobility.insert(node, model);
-        self
-    }
-
-    /// Assigns a duty-cycle sleep schedule to one node (default: always
-    /// awake). Sleeping nodes neither receive nor transmit and take no
-    /// relay role while asleep.
-    pub fn sleep_schedule(mut self, node: NodeId, schedule: SleepSchedule) -> Self {
-        self.sleep.insert(node, schedule);
         self
     }
 
@@ -573,7 +524,6 @@ impl SimulatorBuilder {
                 mobility: MobilityState::new(model, spec.position()),
                 energy: spec.energy(),
                 alive: true,
-                sleep: self.sleep.get(&spec.id()).copied(),
             });
         }
         let index: BTreeMap<NodeId, u32> = ids
@@ -581,9 +531,6 @@ impl SimulatorBuilder {
             .enumerate()
             .map(|(i, &id)| (id, i as u32))
             .collect();
-        // Sleep phases fold the clock into graph liveness, so a graph can
-        // neither be patched at a later `now` nor kept ahead of its access.
-        let has_sleep = nodes.iter().any(|n| n.sleep.is_some());
         let mut core = Core {
             now: SimTime::ZERO,
             seq: 0,
@@ -594,7 +541,7 @@ impl SimulatorBuilder {
             channel,
             rng: StdRng::seed_from_u64(self.seed),
             stats: NetStats::new(),
-            topology: Topology::new(self.reference_mode || has_sleep),
+            topology: Topology::new(self.reference_mode),
             recorder: self.recorder,
             partitions: Vec::new(),
             degradations: Vec::new(),
@@ -696,17 +643,11 @@ impl Core {
         self.node(id).is_some_and(NodeRuntime::is_up)
     }
 
-    /// Whether the node is up *and* awake right now.
-    fn is_active(&self, node: NodeId) -> bool {
-        self.node(node).is_some_and(|n| n.is_active(self.now))
-    }
-
     /// The topology slot beside the world it is a function of and the
     /// recorder its accesses announce themselves to.
     #[inline]
     fn topology(&mut self) -> (&mut Topology, World<'_>, &Recorder) {
         let world = World {
-            now: self.now,
             ids: &self.ids,
             index: &self.index,
             nodes: &self.nodes,
@@ -738,11 +679,6 @@ impl Core {
         };
         if !self.nodes[src as usize].is_up() || !self.nodes[dst as usize].is_up() {
             self.drop_message(&msg, DropCause::Dead);
-            return;
-        }
-        if !self.is_active(msg.src()) || !self.is_active(msg.dst()) {
-            // Alive but inside a sleep phase of the duty cycle.
-            self.drop_message(&msg, DropCause::Asleep);
             return;
         }
         // The path is an owned buffer: the hop walk below may refresh the
@@ -860,7 +796,6 @@ impl Core {
             DropCause::NoRoute => self.stats.dropped_no_route += 1,
             DropCause::Channel => self.stats.dropped_channel += 1,
             DropCause::Dead => self.stats.dropped_dead += 1,
-            DropCause::Asleep => self.stats.dropped_asleep += 1,
         }
         self.recorder.record(TraceEvent::MsgDropped {
             from: msg.src().raw(),
@@ -954,7 +889,6 @@ impl Simulator {
             terrain: Terrain::default(),
             jammers: Vec::new(),
             mobility: BTreeMap::new(),
-            sleep: BTreeMap::new(),
             seed: 0,
             recorder: Recorder::disabled(),
             reference_mode: false,
@@ -1244,12 +1178,6 @@ impl Simulator {
                     self.core.drop_message(&msg, DropCause::Dead);
                     return;
                 }
-                if !self.core.is_active(msg.dst()) {
-                    // The destination dozed off while the message was in
-                    // flight.
-                    self.core.drop_message(&msg, DropCause::Asleep);
-                    return;
-                }
                 self.core.stats.delivered += 1;
                 let latency = self.core.now.saturating_since(msg.sent_at());
                 self.core.stats.latency_ms.record(latency.as_millis_f64());
@@ -1450,7 +1378,7 @@ mod tests {
     impl Behavior for Echo {
         fn on_message(&mut self, ctx: &mut Context<'_>, msg: &Message) {
             if msg.kind() == 0 {
-                ctx.send(msg.src(), 1, msg.payload().to_vec());
+                ctx.send(msg.src(), 1, b"pong");
             }
         }
     }
@@ -1460,7 +1388,7 @@ mod tests {
     }
     impl Behavior for PingOnce {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.send(self.target, 0, b"ping".to_vec());
+            ctx.send(self.target, 0, b"ping");
         }
     }
 
@@ -1569,7 +1497,7 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, _: u64) {
             for _ in 0..self.count {
-                ctx.send(self.dst, 0, b"report".to_vec());
+                ctx.send(self.dst, 0, b"report");
             }
         }
     }
@@ -1744,82 +1672,6 @@ mod tests {
     }
 
     #[test]
-    fn sleep_schedule_phases() {
-        let s = SleepSchedule::new(SimDuration::from_millis(100), 0.5, SimDuration::ZERO);
-        assert!(s.is_awake(SimTime::from_millis(0)));
-        assert!(s.is_awake(SimTime::from_millis(49)));
-        assert!(!s.is_awake(SimTime::from_millis(50)));
-        assert!(!s.is_awake(SimTime::from_millis(99)));
-        assert!(s.is_awake(SimTime::from_millis(100)));
-        // Phase shifts the window.
-        let shifted =
-            SleepSchedule::new(SimDuration::from_millis(100), 0.5, SimDuration::from_millis(50));
-        assert!(!shifted.is_awake(SimTime::from_millis(0)));
-        assert!(shifted.is_awake(SimTime::from_millis(60)));
-    }
-
-    #[test]
-    fn sleeping_destination_drops_with_asleep_stat() {
-        let mut catalog = two_node_catalog(50.0);
-        let _ = &mut catalog;
-        // Node 1 sleeps the entire time (awake fraction 0).
-        let mut sim = Simulator::builder(catalog)
-            .sleep_schedule(
-                NodeId::new(1),
-                SleepSchedule::new(SimDuration::from_millis(1_000), 0.0, SimDuration::ZERO),
-            )
-            .seed(1)
-            .build();
-        sim.set_behavior(NodeId::new(0), Box::new(PingOnce { target: NodeId::new(1) }));
-        sim.run_for(SimDuration::from_millis(500));
-        assert_eq!(sim.stats().dropped_asleep, 1);
-        assert_eq!(sim.stats().delivered, 0);
-    }
-
-    #[test]
-    fn duty_cycled_destination_receives_while_awake() {
-        // Node 1 is awake for the first half of every second; a ping at
-        // t=0 lands within the awake window.
-        let mut sim = Simulator::builder(two_node_catalog(50.0))
-            .sleep_schedule(
-                NodeId::new(1),
-                SleepSchedule::new(SimDuration::from_millis(1_000), 0.5, SimDuration::ZERO),
-            )
-            .seed(1)
-            .build();
-        sim.set_behavior(NodeId::new(0), Box::new(PingOnce { target: NodeId::new(1) }));
-        sim.run_for(SimDuration::from_millis(400));
-        assert_eq!(sim.stats().delivered, 1);
-        assert_eq!(sim.stats().dropped_asleep, 0);
-    }
-
-    #[test]
-    fn periodic_traffic_to_duty_cycled_node_loses_sleep_phase_messages() {
-        let mut sim = Simulator::builder(two_node_catalog(50.0))
-            .sleep_schedule(
-                NodeId::new(1),
-                SleepSchedule::new(SimDuration::from_millis(1_000), 0.5, SimDuration::ZERO),
-            )
-            .seed(2)
-            .build();
-        sim.set_behavior(
-            NodeId::new(0),
-            Box::new(PeriodicSender {
-                target: NodeId::new(1),
-                period: SimDuration::from_millis(100),
-                remaining: 40,
-            }),
-        );
-        sim.run_for(SimDuration::from_secs_f64(10.0));
-        let stats = sim.stats();
-        assert_eq!(stats.sent, 40);
-        assert!(stats.dropped_asleep > 10, "{stats}");
-        assert!(stats.delivered > 10, "{stats}");
-        let ratio = stats.delivered as f64 / stats.sent as f64;
-        assert!((0.3..=0.7).contains(&ratio), "≈half arrive: {ratio}");
-    }
-
-    #[test]
     fn run_until_advances_clock_to_deadline() {
         let mut sim = Simulator::builder(two_node_catalog(50.0)).build();
         sim.run_until(SimTime::from_millis(1_234));
@@ -1892,9 +1744,9 @@ mod tests {
 
     #[test]
     fn drop_causes_are_counted_exactly_once_each() {
-        // Mix of failure modes: an unreachable peer (no_route), a dead
-        // destination, and sleep-phase losses on the deferred path. The
-        // total must equal the sum over causes — no double counting.
+        // Mix of failure modes: an unreachable peer (no_route) and a dead
+        // destination, on the transmit and the deferred delivery path.
+        // The total must equal the sum over causes — no double counting.
         let mut catalog = chain_catalog(2, 50.0);
         catalog
             .insert(
@@ -1905,13 +1757,7 @@ mod tests {
                     .build(),
             )
             .unwrap();
-        let mut sim = Simulator::builder(catalog)
-            .sleep_schedule(
-                NodeId::new(1),
-                SleepSchedule::new(SimDuration::from_millis(40), 0.5, SimDuration::ZERO),
-            )
-            .seed(7)
-            .build();
+        let mut sim = Simulator::builder(catalog).seed(7).build();
         sim.set_behavior(NodeId::new(0), Box::new(PingOnce { target: NodeId::new(9) }));
         sim.set_behavior(
             NodeId::new(0),

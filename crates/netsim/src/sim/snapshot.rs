@@ -5,9 +5,9 @@
 //! RNG stream position, the full event queue (including in-flight
 //! messages), per-node mobility/energy/liveness, channel jammers and
 //! degradation state, registered fault specs, and each behaviour's
-//! state via [`Behavior::save_state`]. A node's radios, transmit power
-//! and sleep schedule are builder configuration, fixed for the
-//! simulator's life, and not saved. [`Simulator::restore_state`]
+//! state via [`Behavior::save_state`]. A node's radios and transmit
+//! power are builder configuration, fixed for the simulator's life, and
+//! not saved. [`Simulator::restore_state`]
 //! applies such a blob onto a freshly built simulator (same catalog,
 //! terrain, and builder configuration) and reconstructs behaviours
 //! through a [`BehaviorRegistry`] of factories *without* firing
@@ -231,10 +231,10 @@ impl Simulator {
         e.put(&core.stats);
 
         // Per-node mutable state (dense storage iterates in id order;
-        // the guard above carries the count). Radios, transmit power and
-        // the sleep schedule are builder configuration: nothing changes
-        // them after the build, and restore runs on a simulator built
-        // with the same configuration.
+        // the guard above carries the count). Radios and transmit power
+        // are builder configuration: nothing changes them after the
+        // build, and restore runs on a simulator built with the same
+        // configuration.
         for n in &core.nodes {
             e.put(&n.id);
             e.put(&n.mobility);
@@ -431,7 +431,7 @@ mod tests {
     use super::*;
     use crate::graph::ConnectivityGraph;
     use crate::mobility::MobilityModel;
-    use crate::sim::{Context, Event, SleepSchedule};
+    use crate::sim::{Context, Event};
     use crate::terrain::Terrain;
     use crate::time::SimDuration;
     use iobt_types::{Affiliation, NodeCatalog, NodeSpec, Point, Radio, RadioKind, Rect};
@@ -502,6 +502,49 @@ mod tests {
             })
         });
         reg
+    }
+
+    /// Sends one message at start, its payload whatever the fn passes.
+    struct SendOnce(fn(&mut Context<'_>));
+
+    impl Behavior for SendOnce {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            (self.0)(ctx);
+        }
+        fn save_state(&self) -> Option<BehaviorSnapshot> {
+            Some(BehaviorSnapshot::new("test.send_once", Vec::new()))
+        }
+    }
+
+    /// A message is its length: a snapshot with 4,096 payload bytes in
+    /// flight encodes to as many bytes as one with none, what the bytes
+    /// say never reaches it, and a `Vec`, a slice and an array of the
+    /// same length send the same message.
+    #[test]
+    fn a_message_in_flight_is_its_length() {
+        let in_flight = |send: fn(&mut Context<'_>)| {
+            let mut sim = Simulator::builder(catalog(2, 50.0)).seed(3).build();
+            sim.set_behavior(NodeId::new(0), Box::new(SendOnce(send)));
+            let sizes: Vec<u64> = sim
+                .core
+                .queue
+                .iter()
+                .filter_map(|Reverse(q)| match &q.event {
+                    Event::Deliver(m) => Some(m.size_bits()),
+                    _ => None,
+                })
+                .collect();
+            (sizes, sim.save_state().unwrap())
+        };
+        let (empty, empty_blob) = in_flight(|ctx| ctx.send(NodeId::new(1), 1, []));
+        let (zeros, zeros_blob) = in_flight(|ctx| ctx.send(NodeId::new(1), 1, vec![0u8; 4_096]));
+        assert_eq!(empty, [32 * 8]);
+        assert_eq!(zeros, [(4_096 + 32) * 8]);
+        assert_eq!(zeros_blob.len(), empty_blob.len());
+        let (slice, _) = in_flight(|ctx| ctx.send(NodeId::new(1), 1, &vec![7u8; 4_096][..]));
+        let (array, array_blob) = in_flight(|ctx| ctx.send(NodeId::new(1), 1, [7u8; 4_096]));
+        assert_eq!((slice, array), (zeros.clone(), zeros));
+        assert_eq!(array_blob, zeros_blob);
     }
 
     fn build_sim(seed: u64) -> Simulator {
@@ -615,9 +658,7 @@ mod tests {
     }
 
     /// A netsim-only world holding one of everything the blob can carry
-    /// that no mission scenario produces (and a sleep schedule, which the
-    /// blob leaves to the builder): both mobile
-    /// models mid-leg, a jammer, an active partition, degradation and
+    /// that no mission scenario produces: both mobile models mid-leg, a jammer, an active partition, degradation and
     /// compromise, a fired blackout, in-flight messages (tampered and
     /// not) and pending timers.
     fn everything_world() -> Simulator {
@@ -645,14 +686,6 @@ mod tests {
                     waypoints: vec![Point::new(490.0, 0.0), Point::new(520.0, 40.0)],
                     speed_mps: 10.0,
                 },
-            )
-            .sleep_schedule(
-                NodeId::new(7),
-                SleepSchedule::new(
-                    SimDuration::from_millis(700),
-                    0.5,
-                    SimDuration::from_millis(100),
-                ),
             )
             .build();
         // 0 → 2 must relay through the compromised node 1 (160 m is out of
@@ -705,10 +738,13 @@ mod tests {
 
         // Re-recorded when the MAC-retry / mobility-step / idle-drain guard
         // left the snapshot (the previous blob minus its first 20 bytes),
-        // and when the sleep schedules did (minus each node's schedule: 9
-        // one-byte `None`s and node 5's 25-byte `Some`).
-        assert_eq!(blob.len(), 2_761);
-        assert_eq!(iobt_obs::fnv1a(&blob), 0x64d5_9b56_2b66_b472);
+        // when the sleep schedules did (minus each node's schedule: 9
+        // one-byte `None`s and node 5's 25-byte `Some`), and when payload
+        // bytes did (minus the 32 bytes of each of the 8 messages in
+        // flight; node 7's duty cycle, dropped from this world with them,
+        // had moved no byte).
+        assert_eq!(blob.len(), 2_505);
+        assert_eq!(iobt_obs::fnv1a(&blob), 0xfa64_8eda_211c_2d72);
 
         let mut restored = everything_world();
         restored.restore_state(&blob, &beacon_registry()).unwrap();
@@ -764,9 +800,7 @@ mod tests {
                 id: n.id,
                 position: n.mobility.position(),
                 radios,
-                alive: n.alive
-                    && !n.energy.is_depleted()
-                    && n.sleep.is_none_or(|s| s.is_awake(core.now)),
+                alive: n.alive && !n.energy.is_depleted(),
             })
             .collect();
         let deny = |x: NodeId, y: NodeId| core.partitions.iter().any(|(p, on)| *on && p.cuts(x, y));
@@ -848,14 +882,7 @@ mod tests {
             sim.schedule_partition(SimTime::from_millis(100), index, true);
         };
         restore_over_primed(catalog(12, 80.0), &plain, &cut, true, 0, 2);
-        // ... a sleep schedule, which folds the clock into liveness (the
-        // fresh simulator never keeps a graph ahead at all) ...
-        let dozing = |b: crate::sim::SimulatorBuilder| {
-            let period = SimDuration::from_millis(700);
-            b.sleep_schedule(NodeId::new(5), SleepSchedule::new(period, 0.5, SimDuration::ZERO))
-        };
-        restore_over_primed(catalog(12, 80.0), &dozing, &quiet, true, 0, 2);
-        // ... and the reference path, which retains none either.
+        // ... and the reference path, which never keeps a graph ahead.
         let reference = |b: crate::sim::SimulatorBuilder| b.reference_mode(true);
         restore_over_primed(catalog(12, 80.0), &reference, &quiet, true, 0, 2);
         // No cached graph in the snapshot: the one built ahead stays, as

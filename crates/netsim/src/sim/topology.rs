@@ -18,8 +18,7 @@
 //! exactly when rebuild-on-access would have rebuilt, with the same
 //! counts, because a patched graph equals a built one;
 //! [`Topology::restore`] patches whatever is held to a restored world.
-//! With a sleep schedule anywhere (it folds the clock into liveness) or on
-//! the reference path the slot *never patches and never keeps ahead*.
+//! On the reference path the slot *never patches and never keeps ahead*.
 //!
 //! What routing learns about the graph lives here with it: the route
 //! memo (each source's last answer, with the cells its search expanded)
@@ -43,13 +42,11 @@ use iobt_types::NodeId;
 
 use crate::channel::Channel;
 use crate::graph::{CellRect, ConnectivityGraph, GraphNode, RouteScratch, PATCH_AT_MOST_ONE_IN};
-use crate::time::SimTime;
 
 use super::{NodeRuntime, PartitionSpec};
 
 /// What a graph is a function of, borrowed from the simulator.
 pub(super) struct World<'a> {
-    pub(super) now: SimTime,
     pub(super) ids: &'a Rc<[NodeId]>,
     pub(super) index: &'a Rc<BTreeMap<NodeId, u32>>,
     pub(super) nodes: &'a [NodeRuntime],
@@ -73,7 +70,7 @@ impl World<'_> {
                 id: n.id,
                 position: n.mobility.position(),
                 radios: Rc::clone(&n.radios),
-                alive: n.is_active(self.now),
+                alive: n.is_up(),
             })
             .collect();
         ConnectivityGraph::build_shared(
@@ -433,7 +430,6 @@ impl Topology {
     /// that to the next access.
     pub(super) fn restore(&mut self, world: &World<'_>, disposition: u8, same_rf_world: bool) {
         self.links_changed();
-        self.rebuild_only |= world.nodes.iter().any(|n| n.sleep.is_some());
         let owes = match disposition {
             1 => Owes::Nothing,
             2 => Owes::Rebuilt,
@@ -677,8 +673,6 @@ mod tests {
     use super::*;
     use crate::channel::Jammer;
     use crate::mobility::{MobilityModel, MobilityState};
-    use crate::sim::SleepSchedule;
-    use crate::time::SimDuration;
     use iobt_types::{EnergyBudget, Point, RadioKind};
 
     /// A world the slot can be driven over without a `Simulator`.
@@ -722,7 +716,6 @@ mod tests {
                         mobility: Self::parked(at),
                         energy: EnergyBudget::new(1_000.0),
                         alive: true,
-                        sleep: None,
                     }
                 })
                 .collect();
@@ -737,7 +730,6 @@ mod tests {
 
         fn world(&self) -> World<'_> {
             World {
-                now: SimTime::ZERO,
                 ids: &self.ids,
                 index: &self.index,
                 nodes: &self.nodes,
@@ -763,7 +755,7 @@ mod tests {
                     id: n.id,
                     position: n.mobility.position(),
                     radios: Rc::clone(&n.radios),
-                    alive: n.is_active(SimTime::ZERO),
+                    alive: n.is_up(),
                 })
                 .collect();
             let deny = |x, y| self.partitions.iter().any(|(p, on)| *on && p.cuts(x, y));
@@ -787,8 +779,6 @@ mod tests {
         /// steps before it left it, under the same RF world or — the
         /// jammer toggles, and nothing tells the slot — a different one.
         Restore(u8, bool),
-        /// Node 7 gains a sleep schedule (only a restore can bring one).
-        Doze,
     }
 
     /// Drives every transition of the slot in the patchable and in the
@@ -863,12 +853,6 @@ mod tests {
             (Flip(6),          [(2, true, 9),  (0, true, 19)]),
             (Flip(7),          [(2, true, 9),  (0, true, 19)]),
             (Restore(0, true), [(0, true, 9),  (0, true, 19)]),
-            // A restored sleep schedule ends patching for good.
-            (Access,           [(1, false, 10), (1, false, 20)]),
-            (Doze,             [(1, false, 10), (1, false, 20)]),
-            (Restore(1, true), [(1, false, 11), (1, false, 21)]),
-            (Flip(2),          [(0, true, 11), (0, true, 21)]),
-            (Peek,             [(0, true, 12), (0, true, 22)]),
         ];
         for (mode, rebuild_only) in [false, true].into_iter().enumerate() {
             let mut field = Field::new();
@@ -915,15 +899,10 @@ mod tests {
                         }
                         slot.restore(&field.world(), byte, same_rf_world);
                     }
-                    Doze => {
-                        let period = SimDuration::from_millis(500);
-                        field.nodes[7].sleep =
-                            Some(SleepSchedule::new(period, 1.0, SimDuration::ZERO));
-                    }
                 }
                 assert_eq!((slot.disposition(), owed(&slot), slot.builds()), expected[mode], "{at}");
                 if let Some(held) = slot.held.as_ref().filter(|held| held.pending.is_empty()) {
-                    let stale = matches!(step, Jam | Cut | Doze);
+                    let stale = matches!(step, Jam | Cut);
                     assert!(stale || held.graph.same_topology(&field.scratch()), "{at}");
                 }
                 let announced = ring.records().len() - announced_before;

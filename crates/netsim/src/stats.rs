@@ -172,7 +172,9 @@ pub struct NetStats {
     pub dropped_channel: u64,
     /// Drops because an endpoint or relay was dead/depleted.
     pub dropped_dead: u64,
-    /// Drops because an endpoint was in a sleep phase of its duty cycle.
+    /// Always 0: no cause raises it since duty-cycle sleep schedules
+    /// went. The slot stays because checkpoints and the benchmark's
+    /// pinned fingerprints carry it.
     pub dropped_asleep: u64,
     /// Total per-hop MAC attempts (first transmissions + retransmits).
     pub hop_attempts: u64,

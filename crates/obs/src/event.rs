@@ -97,8 +97,6 @@ pub enum DropCause {
     Channel,
     /// Source, relay or destination was dead (energy / churn / kill).
     Dead,
-    /// Source or destination was in a sleep-schedule off phase.
-    Asleep,
 }
 
 impl DropCause {
@@ -108,7 +106,6 @@ impl DropCause {
             DropCause::NoRoute => "no_route",
             DropCause::Channel => "channel",
             DropCause::Dead => "dead",
-            DropCause::Asleep => "asleep",
         }
     }
 }

@@ -298,7 +298,6 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
                 DropCause::NoRoute => "netsim.drop.no_route",
                 DropCause::Channel => "netsim.drop.channel",
                 DropCause::Dead => "netsim.drop.dead",
-                DropCause::Asleep => "netsim.drop.asleep",
             };
             m.inc(name, 1);
         }

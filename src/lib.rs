@@ -113,7 +113,7 @@ pub mod prelude {
     pub use iobt_netsim::{
         Behavior, Channel, ChurnProcess, Clutter, CompromiseSpec, ConnectivityGraph, Context,
         Jammer, LinkDegradation, Message, MobilityModel, NetStats, PartitionSpec, SimDuration,
-        SimTime, Simulator, SimulatorBuilder, SleepSchedule, Summary, Terrain,
+        SimTime, Simulator, SimulatorBuilder, Summary, Terrain,
     };
     // Assured synthesis (iobt-synthesis).
     pub use iobt_synthesis::{

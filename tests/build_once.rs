@@ -16,8 +16,10 @@
 //! The payload hashes were re-recorded for `FORMAT_VERSION` 7: each payload
 //! is its version-6 self with the prologue section inserted after the
 //! guard (and its version-5 self with the removed fixed settings, 73
-//! bytes, cut); and for `FORMAT_VERSION` 8, which cuts one sleep-schedule
-//! byte per node (301 and 121 here) from the snapshot.
+//! bytes, cut); for `FORMAT_VERSION` 8, which cuts one sleep-schedule
+//! byte per node (301 and 121 here) from the snapshot; and for
+//! `FORMAT_VERSION` 9, which cuts each sensor reporter's 8-byte payload
+//! size (16 reporters, then 8 or 9) from it.
 
 use iobt::netsim::Jammer;
 use iobt::obs::{fnv1a, TraceEvent};
@@ -40,12 +42,12 @@ fn config(duration_s: f64, recorder: Recorder) -> RunConfig {
 /// announcing it.
 #[test]
 fn a_primed_graph_is_not_a_cached_graph_in_the_checkpoint() {
-    const AFTER_NEW: u64 = 0xb989c8f51b9abcb9;
+    const AFTER_NEW: u64 = 0xc26e9589403ba6c9;
     const SILENT: [u64; 4] = [
-        0x7380b53a3f7029f1,
-        0x972acd9b45cdd10c,
-        0xbeff5a5d2ee99af9,
-        0xdd7d84804d7fc469,
+        0xd03825d766507d61,
+        0x88c59e2e4ea091a7,
+        0x2a1a11621fcfa539,
+        0x4c0541f9c20cd5b9,
     ];
     let scenario = persistent_surveillance(300, 42);
     let runner = MissionRunner::new(&scenario, &config(30.0, Recorder::disabled()));

@@ -380,7 +380,10 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 /// and again for `FORMAT_VERSION` 7, whose payloads are the version-6 ones
 /// with the prologue section (1,969 bytes here) inserted after the guard,
 /// and for `FORMAT_VERSION` 8, whose snapshots are the version-7 ones with
-/// each node's sleep-schedule byte (251 here) cut.
+/// each node's sleep-schedule byte (251 here) cut, and for
+/// `FORMAT_VERSION` 9, whose snapshots are the version-8 ones with each
+/// sensor reporter's payload size (22 × 8 bytes) and each in-flight
+/// message's payload bytes (128 at two boundaries) cut.
 /// The payload carries the simulator's
 /// graph-disposition byte, so a change to when the graph counts as
 /// fully stale, clean or pending moves a hash here (the jammer at 60 s
@@ -388,16 +391,16 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 #[test]
 fn evacuation_checkpoint_payloads_are_pinned() {
     const PINNED: [u64; 10] = [
-        0xb5d3c6b2ff768e18,
-        0x17db92a785be5a9d,
-        0x7cab60cfcb99c78c,
-        0xc4e31d7c75bbb9bf,
-        0xcfc0863e0281f1f1,
-        0x983620bf51703c37,
-        0xb52960e882ec5ee3,
-        0xfd838e1c4d20c5bd,
-        0xe4000daf841e7cc0,
-        0x0b7300a613bf88e0,
+        0x5a6501091f844988,
+        0x9aacc8ae48807162,
+        0x2a67fdaaec288469,
+        0xf69748af72caf14c,
+        0x78b1f5a02d912201,
+        0x4dc74b759f3f8096,
+        0x2d60ba44e33cfdc0,
+        0x60a196b3d4bb3e50,
+        0x67a6ef960eb0a3c7,
+        0x8baff296f4a13f21,
     ];
     let scenario = urban_evacuation(250, 42);
     let config = RunConfig::builder()

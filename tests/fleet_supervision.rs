@@ -389,8 +389,10 @@ fn one_worker_drain(
 /// `fleet_evict` record's `bytes` by 73, and for `FORMAT_VERSION` 7, which
 /// only grows them by the mission's prologue section (105–457 bytes), and
 /// for `FORMAT_VERSION` 8, which only shrinks them by the mission's node
-/// count (one sleep-schedule byte per node, 41–56); the counts did not
-/// move.
+/// count (one sleep-schedule byte per node, 41–56), and for
+/// `FORMAT_VERSION` 9, which only shrinks them by 8 bytes per sensor
+/// reporter and the payload bytes of each report in flight (0–200); the
+/// counts did not move.
 #[test]
 fn one_worker_decisions_are_pinned() {
     let residency = one_worker_drain("resident3", eight(), |b, _| b.max_resident(3));
@@ -452,13 +454,13 @@ fn one_worker_decisions_are_pinned() {
         ("recover", recover),
     ];
     let expected: [Decisions; 7] = [
-        ([32, 32, 21, 21, 0, 8, 0], 0x9db8_dafb_bcb9_a79c),
-        ([16, 16, 12, 12, 0, 4, 0], 0x3bd4_166f_b56c_5bbf),
-        ([32, 32, 21, 21, 14, 8, 0], 0x7513_7a3d_3ef0_e1bb),
-        ([12, 12, 6, 6, 0, 0, 4], 0x8f4f_8dc0_a852_47f5),
-        ([14, 14, 11, 11, 0, 3, 1], 0x89f6_b962_2162_dcf4),
-        ([7, 7, 5, 3, 0, 0, 0], 0x4422_b76f_7c07_8ad2),
-        ([11, 11, 5, 9, 0, 4, 0], 0x18cd_bd21_bbc9_a0e7),
+        ([32, 32, 21, 21, 0, 8, 0], 0x34c1_1c4b_d6ce_cd11),
+        ([16, 16, 12, 12, 0, 4, 0], 0xf718_c513_4a2b_2b6f),
+        ([32, 32, 21, 21, 14, 8, 0], 0xa04c_9cdc_6674_8e85),
+        ([12, 12, 6, 6, 0, 0, 4], 0x0f08_8883_53be_d4e9),
+        ([14, 14, 11, 11, 0, 3, 1], 0x692d_8296_df8d_54c6),
+        ([7, 7, 5, 3, 0, 0, 0], 0x62c3_0973_ee18_3760),
+        ([11, 11, 5, 9, 0, 4, 0], 0x9f6e_b78d_9faf_4e3c),
     ];
     for ((label, got), want) in rows.iter().zip(expected) {
         // ([slices, windows, evictions, resumes, retries, completed,
