@@ -18,8 +18,8 @@
 //!   assessment metrics. Its adaptive-control face, a PI admission
 //!   controller with anti-windup, is a test exemplar (`control`).
 //! * [`safety`] — §VI's actuation interlocks: human authorization for
-//!   weapon-like effects and occupancy-based withholding, with an audit
-//!   log.
+//!   weapon-like effects and occupancy-based withholding, every decision
+//!   traced.
 //! * [`estimation`] — resilient state estimation: median-fusion tracking
 //!   that bounds minority sensor contamination (§III's secure
 //!   state-estimation bullet).
@@ -59,5 +59,5 @@ pub use estimation::{track, AlphaBetaFilter, FusionRule, TrackingRun};
 pub use game::{Equilibrium, IntentGame};
 pub use invariant::{InvariantMonitor, StabilizationReport, Stabilizer};
 pub use modality::{ModalitySwitcher, SwitchPolicy};
-pub use safety::{ActuationController, ActuationDecision, AuditEntry, HumanAuthorization};
+pub use safety::{ActuationController, ActuationDecision, HumanAuthorization};
 pub use selfaware::{AdaptationLoop, AdaptationMetrics, SelfAware};

@@ -11,8 +11,10 @@
 //! [`requires_human_authorization`](iobt_types::ActuatorKind::requires_human_authorization)
 //! fire only with a live human authorization token, and *any* actuation is
 //! withheld while the zone's occupancy belief — fed by occupancy sensors
-//! and decaying over time — exceeds a threshold. Every decision is
-//! appended to an audit log (liability, §VI's legal concern).
+//! and decaying over time — exceeds a threshold. Every decision goes to
+//! the controller's recorder as a [`TraceEvent::Actuation`] carrying its
+//! time, requester, actuator, zone and outcome: the trace is the audit
+//! log (liability, §VI's legal concern).
 
 use std::collections::BTreeMap;
 
@@ -49,25 +51,6 @@ pub enum ActuationDecision {
     /// Denied: the actuator needs a human authorization that is missing
     /// or expired.
     DeniedNoAuthorization,
-    /// Denied: the mission is running degraded (sensing shed by the
-    /// graceful-degradation ladder), so an actuator that is normally
-    /// autonomous was requested without a human authorization.
-    DeniedDegraded,
-}
-
-/// One audit-log entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AuditEntry {
-    /// Request time, seconds.
-    pub at_s: f64,
-    /// Requesting node.
-    pub requester: NodeId,
-    /// Actuator kind requested.
-    pub actuator: ActuatorKind,
-    /// Zone requested.
-    pub zone: u32,
-    /// The decision taken.
-    pub decision: ActuationDecision,
 }
 
 /// Enforces the §VI safety rules for a set of zones.
@@ -93,9 +76,7 @@ pub struct ActuationController {
     /// Per-zone `(last_detection_s, belief_at_detection)`.
     occupancy: BTreeMap<u32, (f64, f64)>,
     authorizations: Vec<HumanAuthorization>,
-    audit: Vec<AuditEntry>,
     recorder: Recorder,
-    degraded: bool,
 }
 
 impl ActuationController {
@@ -108,20 +89,8 @@ impl ActuationController {
             occupancy_tau_s: occupancy_tau_s.max(1e-9),
             occupancy: BTreeMap::new(),
             authorizations: Vec::new(),
-            audit: Vec::new(),
             recorder: Recorder::disabled(),
-            degraded: false,
         }
-    }
-
-    /// Marks the mission as degraded (or recovered). While degraded the
-    /// controller assumes its occupancy picture is partial — sensing has
-    /// been shed — so it tightens both interlocks: the occupancy
-    /// threshold is halved, and *every* actuator needs a live human
-    /// authorization, not just the kinds flagged for it (§VI: when the
-    /// machine knows less, the human decides more).
-    pub fn set_degraded(&mut self, degraded: bool) {
-        self.degraded = degraded;
     }
 
     /// Attaches a [`Recorder`]; every decision from [`request`](Self::request)
@@ -155,7 +124,7 @@ impl ActuationController {
         self.authorizations.push(authorization);
     }
 
-    /// Handles an actuation request; logs and returns the decision.
+    /// Handles an actuation request; traces and returns the decision.
     pub fn request(
         &mut self,
         requester: NodeId,
@@ -163,50 +132,31 @@ impl ActuationController {
         zone: u32,
         now_s: f64,
     ) -> ActuationDecision {
-        let threshold = if self.degraded {
-            self.occupancy_threshold * 0.5
-        } else {
-            self.occupancy_threshold
-        };
         let authorized = self.authorizations.iter().any(|a| {
             a.actuator == actuator && a.zone == zone && a.expires_at_s >= now_s
         });
-        let decision = if self.occupancy_belief(zone, now_s) > threshold {
+        let decision = if self.occupancy_belief(zone, now_s) > self.occupancy_threshold {
             // The occupancy interlock overrides even authorized fires.
             ActuationDecision::WithheldOccupied
         } else if actuator.requires_human_authorization() && !authorized {
             ActuationDecision::DeniedNoAuthorization
-        } else if self.degraded && !authorized {
-            ActuationDecision::DeniedDegraded
         } else {
             ActuationDecision::Approved
         };
-        self.audit.push(AuditEntry {
-            at_s: now_s,
-            requester,
-            actuator,
-            zone,
-            decision,
-        });
         self.recorder.record_at(
             (now_s.max(0.0) * 1e6) as u64,
             TraceEvent::Actuation {
                 requester: requester.raw(),
                 actuator: actuator_code(actuator),
+                zone: u64::from(zone),
                 decision: match decision {
                     ActuationDecision::Approved => "approved",
                     ActuationDecision::WithheldOccupied => "withheld_occupied",
                     ActuationDecision::DeniedNoAuthorization => "denied_no_authorization",
-                    ActuationDecision::DeniedDegraded => "denied_degraded",
                 },
             },
         );
         decision
-    }
-
-    /// The full audit log, in request order.
-    pub fn audit_log(&self) -> &[AuditEntry] {
-        &self.audit
     }
 }
 
@@ -256,6 +206,7 @@ mod tests {
             TraceEvent::Actuation {
                 requester: 4,
                 actuator: actuator_code(ActuatorKind::Marker),
+                zone: 0,
                 decision: "approved",
             }
         );
@@ -264,6 +215,7 @@ mod tests {
             TraceEvent::Actuation {
                 requester: 4,
                 actuator: actuator_code(ActuatorKind::Demolition),
+                zone: 0,
                 decision: "denied_no_authorization",
             }
         );
@@ -311,80 +263,34 @@ mod tests {
     }
 
     #[test]
-    fn degraded_mode_requires_authorization_for_everything() {
-        let mut c = controller();
-        c.set_degraded(true);
-        // Markers are normally autonomous; degraded they need a human.
-        let d = c.request(NodeId::new(1), ActuatorKind::Marker, 0, 10.0);
-        assert_eq!(d, ActuationDecision::DeniedDegraded);
-        c.grant(HumanAuthorization {
-            actuator: ActuatorKind::Marker,
-            zone: 0,
-            expires_at_s: 100.0,
-        });
-        let d = c.request(NodeId::new(1), ActuatorKind::Marker, 0, 20.0);
-        assert_eq!(d, ActuationDecision::Approved);
-        // Flagged kinds keep their sharper denial reason.
-        let d = c.request(NodeId::new(1), ActuatorKind::Demolition, 0, 20.0);
-        assert_eq!(d, ActuationDecision::DeniedNoAuthorization);
-        // Recovery restores autonomous operation.
-        c.set_degraded(false);
-        let d = c.request(NodeId::new(1), ActuatorKind::Marker, 5, 30.0);
-        assert_eq!(d, ActuationDecision::Approved);
-    }
-
-    #[test]
-    fn degraded_mode_halves_the_occupancy_threshold() {
-        let mut c = controller(); // threshold 0.3
-        c.report_occupancy(0, 0.2, 10.0);
-        // 0.2 clears the normal 0.3 threshold…
-        assert_eq!(
-            c.request(NodeId::new(1), ActuatorKind::Marker, 0, 10.0),
-            ActuationDecision::Approved
-        );
-        // …but not the degraded 0.15 one, regardless of authorization.
-        c.set_degraded(true);
-        c.grant(HumanAuthorization {
-            actuator: ActuatorKind::Marker,
-            zone: 0,
-            expires_at_s: 100.0,
-        });
-        assert_eq!(
-            c.request(NodeId::new(1), ActuatorKind::Marker, 0, 10.0),
-            ActuationDecision::WithheldOccupied
-        );
-    }
-
-    #[test]
-    fn degraded_denials_are_traced() {
+    fn every_request_is_audited() {
         let (recorder, ring) = Recorder::memory(8);
         let mut c = controller().with_recorder(recorder);
-        c.set_degraded(true);
-        c.request(NodeId::new(4), ActuatorKind::Marker, 0, 1.0);
-        let records = ring.records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(
-            records[0].event,
-            TraceEvent::Actuation {
-                requester: 4,
-                actuator: actuator_code(ActuatorKind::Marker),
-                decision: "denied_degraded",
-            }
-        );
-        let metrics = c.recorder.metrics_digest();
-        assert_eq!(metrics.counter("adapt.actuation.denied_degraded"), Some(1));
-        assert_eq!(metrics.counter("adapt.actuation.other"), None);
-    }
-
-    #[test]
-    fn every_request_is_audited() {
-        let mut c = controller();
         c.request(NodeId::new(1), ActuatorKind::Marker, 0, 1.0);
-        c.request(NodeId::new(2), ActuatorKind::Demolition, 0, 2.0);
-        let log = c.audit_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].decision, ActuationDecision::Approved);
-        assert_eq!(log[1].decision, ActuationDecision::DeniedNoAuthorization);
-        assert_eq!(log[1].requester, NodeId::new(2));
+        c.request(NodeId::new(2), ActuatorKind::Demolition, 5, 2.0);
+        let log: Vec<_> = ring.records().into_iter().map(|r| (r.t_us, r.event)).collect();
+        assert_eq!(
+            log,
+            [
+                (
+                    1_000_000,
+                    TraceEvent::Actuation {
+                        requester: 1,
+                        actuator: actuator_code(ActuatorKind::Marker),
+                        zone: 0,
+                        decision: "approved",
+                    }
+                ),
+                (
+                    2_000_000,
+                    TraceEvent::Actuation {
+                        requester: 2,
+                        actuator: actuator_code(ActuatorKind::Demolition),
+                        zone: 5,
+                        decision: "denied_no_authorization",
+                    }
+                ),
+            ]
+        );
     }
 }

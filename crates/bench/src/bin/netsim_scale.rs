@@ -47,7 +47,7 @@ impl Behavior for Reporter {
         ctx.set_timer(SimDuration::from_secs_f64(REPORT_PERIOD_S), 0);
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
-        ctx.send(self.sink, 1, vec![0u8; REPORT_BYTES]);
+        ctx.send(self.sink, 1, [0u8; REPORT_BYTES]);
         ctx.set_timer(SimDuration::from_secs_f64(REPORT_PERIOD_S), 0);
     }
 }

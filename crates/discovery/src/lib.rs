@@ -2,12 +2,11 @@
 //!
 //! The pipeline: a spectrum monitor observes [side-channel emission
 //! features](features) of unknown nodes; from-scratch
-//! [classifiers](classifier) estimate blue/red/gray affiliation; [active
-//! probing](probe) characterizes availability and compute class of
-//! intermittently-connected assets; the [tracker] fuses repeated
-//! observations into per-asset estimates under mobility; and
-//! [recruitment](mod@recruit) joins all evidence with the trust ledger to admit
-//! assets into the pool that the synthesis engine composes from.
+//! [classifiers](classifier) estimate blue/red/gray affiliation; the
+//! [tracker] fuses repeated observations into per-asset estimates under
+//! mobility; and [recruitment](mod@recruit) joins that evidence with the
+//! trust ledger to admit assets into the pool that the synthesis engine
+//! composes from.
 //!
 //! # Examples
 //!
@@ -33,7 +32,6 @@
 pub mod classifier;
 pub mod features;
 pub mod metrics;
-pub mod probe;
 pub mod recruit;
 pub mod tracker;
 
@@ -42,6 +40,5 @@ pub use classifier::{
 };
 pub use features::{EmissionFeatures, EmissionModel, FEATURE_DIM};
 pub use metrics::ConfusionMatrix;
-pub use probe::{ProbeProfile, ProbeRecord, ProbeTarget, Prober};
-pub use recruit::{recruit, recruit_with_probes, RecruitPolicy, RecruitedAsset, RecruitmentPool};
+pub use recruit::{recruit, RecruitPolicy, RecruitedAsset, RecruitmentPool};
 pub use tracker::{AssetEstimate, DiscoveryTracker, TrackerConfig};

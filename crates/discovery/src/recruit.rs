@@ -1,15 +1,14 @@
 //! Recruitment: turning discovery output into an eligible asset pool.
 //!
-//! Recruitment joins three evidence streams — the [tracker's affiliation
-//! estimates](crate::tracker), [probe availability](crate::probe), and the
-//! [trust ledger](iobt_types::TrustLedger) — and admits assets into a
+//! Recruitment joins two evidence streams — the [tracker's affiliation
+//! estimates](crate::tracker) and the [trust
+//! ledger](iobt_types::TrustLedger) — and admits assets into a
 //! [`RecruitmentPool`] that the synthesis engine composes from. Suspected
 //! red assets are excluded and reported separately (§III-A, resilience to
 //! adversarial behaviour).
 
 use iobt_types::{Affiliation, NodeCatalog, NodeId, NodeSpec, TrustLedger};
 
-use crate::probe::Prober;
 use crate::tracker::DiscoveryTracker;
 
 /// Recruitment policy thresholds.
@@ -23,10 +22,6 @@ pub struct RecruitPolicy {
     pub max_red_posterior: f64,
     /// Whether gray (civilian) assets may be recruited at all.
     pub allow_gray: bool,
-    /// Minimum probe-measured availability (duty-cycled assets that
-    /// rarely answer are poor mission components). Only enforced when
-    /// probe data is supplied to [`recruit_with_probes`].
-    pub min_availability: f64,
 }
 
 impl Default for RecruitPolicy {
@@ -36,7 +31,6 @@ impl Default for RecruitPolicy {
             min_presence: 0.3,
             max_red_posterior: 0.5,
             allow_gray: true,
-            min_availability: 0.2,
         }
     }
 }
@@ -93,23 +87,6 @@ pub fn recruit(
     now_s: f64,
     presence_tau_s: f64,
 ) -> RecruitmentPool {
-    recruit_with_probes(catalog, tracker, ledger, policy, now_s, presence_tau_s, None)
-}
-
-/// [`recruit`] with probe-measured availability gating: assets whose
-/// response fraction (from active probing, §III-A) falls below
-/// `policy.min_availability` are rejected. Unprobed assets pass — probing
-/// is evidence *against*, absence of probes is not evidence.
-#[allow(clippy::too_many_arguments)]
-pub fn recruit_with_probes(
-    catalog: &NodeCatalog,
-    tracker: &DiscoveryTracker,
-    ledger: &TrustLedger,
-    policy: &RecruitPolicy,
-    now_s: f64,
-    presence_tau_s: f64,
-    prober: Option<&Prober>,
-) -> RecruitmentPool {
     let mut pool = RecruitmentPool::default();
     for est in tracker.iter() {
         let Some(spec) = catalog.get(est.id()) else {
@@ -126,15 +103,7 @@ pub fn recruit_with_probes(
             .map(|s| s.value())
             .unwrap_or_else(|| est.affiliation().prior_trust());
         let policy_ok = policy.allow_gray || est.affiliation() != Affiliation::Gray;
-        let available_ok = prober
-            .and_then(|p| p.profile(est.id()))
-            .map(|profile| profile.availability() >= policy.min_availability)
-            .unwrap_or(true);
-        if presence < policy.min_presence
-            || trust < policy.min_trust
-            || !policy_ok
-            || !available_ok
-        {
+        if presence < policy.min_presence || trust < policy.min_trust || !policy_ok {
             pool.rejected_other.push(est.id());
             continue;
         }
@@ -250,40 +219,6 @@ mod tests {
         );
         assert_eq!(pool.infiltration_count(), 1);
         assert!((pool.infiltration_rate() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probe_availability_gates_duty_cycled_assets() {
-        use crate::probe::{ProbeTarget, Prober};
-        use iobt_types::ComputeClass;
-        let (catalog, tracker, ledger) = setup();
-        let mut prober = Prober::new(1);
-        // Node 1 answers almost always; node 3 almost never.
-        let target = |id, availability| ProbeTarget {
-            id: NodeId::new(id),
-            availability,
-            compute: ComputeClass::Embedded,
-        };
-        let targets = [target(1, 0.95), target(3, 0.02)];
-        for _ in 0..200 {
-            prober.probe_round(&targets);
-        }
-        let pool = super::recruit_with_probes(
-            &catalog,
-            &tracker,
-            &ledger,
-            &RecruitPolicy::default(),
-            101.0,
-            120.0,
-            Some(&prober),
-        );
-        assert!(admitted_ids(&pool).contains(&NodeId::new(1)));
-        assert!(
-            !admitted_ids(&pool).contains(&NodeId::new(3)),
-            "a 2%-available asset is useless: {:?}",
-            admitted_ids(&pool)
-        );
-        assert!(pool.rejected_other.contains(&NodeId::new(3)));
     }
 
     #[test]

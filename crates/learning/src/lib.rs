@@ -8,8 +8,6 @@
 //!   median, trimmed mean vs the fragile mean).
 //! * [`gossip`] — fully decentralized SGD over time-varying topologies
 //!   with Metropolis mixing (no coordinator to lose).
-//! * [`pushsum`] — exact averaging over *directed*, time-varying graphs
-//!   (one-way links under jamming), where symmetric gossip cannot run.
 //! * [`cost`] — communication-cost-aware topology activation, trading
 //!   bytes for accuracy.
 //! * [`continual`] — context-conditioned learning vs catastrophic
@@ -50,7 +48,6 @@ pub mod data;
 pub mod federated;
 pub mod gossip;
 pub mod model;
-pub mod pushsum;
 
 pub use aggregate::{coordinate_median, krum, mean, trimmed_mean, Aggregator};
 pub use attack::ByzantineAttack;
@@ -62,4 +59,3 @@ pub use gossip::{
     consensus_error, decentralized_sgd, gossip_mix, DecentralizedRun, MixingTopology,
 };
 pub use model::LogisticModel;
-pub use pushsum::{push_sum_average, push_sum_round, PushSumNode};

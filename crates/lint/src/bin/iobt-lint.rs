@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Scans every `.rs` file under the root (default: the current
-//! directory), applies R9 with the skips and keeps of the config
+//! directory), applies R9 with the skips of the config
 //! (default: `lint.toml` under the root; a missing one is an error), and
 //! prints one `path:line: Rn[name] message` diagnostic per violation.
 //! R1–R5 are the compiler's: see the root `clippy.toml`. With
@@ -71,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20                [--baseline FILE] [--write-baseline FILE]\n\
                      \x20                [--explain RULE]\n\
                      \n\
-                     Applies R9 with the skips and keeps of --config\n\
+                     Applies R9 with the skips of --config\n\
                      (default: DIR/lint.toml).\n\
                      R1–R5 are clippy's and rustc's: see clippy.toml."
                 );
@@ -117,7 +117,7 @@ fn main() -> ExitCode {
         }
     };
     if args.list_rules {
-        print!("{}", rule_listing(&config));
+        print!("{}", rule_listing());
         return ExitCode::SUCCESS;
     }
     let mut report = match lint_root(&args.root, &config) {
@@ -180,10 +180,9 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One line per rule: R9's scope and the items it keeps.
-fn rule_listing(config: &Config) -> String {
-    let keep: Vec<String> = config.keep.iter().map(|k| format!("{} {}", k.path, k.label)).collect();
-    format!("{}: every library file, keep {keep:?}\n", Rule::UnusedPub)
+/// One line per rule: R9's scope.
+fn rule_listing() -> String {
+    format!("{}: every library file\n", Rule::UnusedPub)
 }
 
 /// Baseline file format: one `Rn <path> <count>` line per (rule, path)
@@ -264,12 +263,7 @@ mod tests {
 
     #[test]
     fn rule_listing_shows_the_configured_scopes() {
-        let config =
-            Config::parse("[rules.unused-pub]\nkeep = [\"crates/a/src/lib.rs f\"]\n").unwrap();
-        assert_eq!(
-            rule_listing(&config),
-            "R9[unused-pub]: every library file, keep [\"crates/a/src/lib.rs f\"]\n"
-        );
+        assert_eq!(rule_listing(), "R9[unused-pub]: every library file\n");
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! scanned file but the defining crate's own `src/` test code and
 //! `pub use` lists. Since that needs cross-file context, linting is
 //! two-pass: pass one lexes and parses every file; pass two runs R9 over
-//! all of them at once. R9 also reports the `keep` entries it no longer
-//! needs, under the path `lint.toml`.
+//! all of them at once.
 
 use std::fs;
 use std::io;
@@ -94,8 +93,7 @@ pub fn applicable_rules(class: &FileClass) -> Vec<Rule> {
 pub struct Report {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// `(relative path, violation)` pairs, sorted by path then line; a
-    /// stale `keep` entry's path is `lint.toml`.
+    /// `(relative path, violation)` pairs, sorted by path then line.
     pub violations: Vec<(String, Violation)>,
 }
 
@@ -132,7 +130,7 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
     // Pass two: the workspace-wide R9 pass.
     let inputs: Vec<FileInput> = units.iter().map(file_input).collect();
     let applicable: Vec<bool> = units.iter().map(|u| u.rules.contains(&Rule::UnusedPub)).collect();
-    let mut violations = check_unused_pub(&inputs, &applicable, &config.keep);
+    let mut violations = check_unused_pub(&inputs, &applicable);
     violations.sort_by(|(pa, a), (pb, b)| {
         (pa, a.line, a.rule, &a.message).cmp(&(pb, b.line, b.rule, &b.message))
     });
@@ -225,7 +223,7 @@ mod tests {
     fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
         let unit = analyse(rel_path, source);
         let applicable = unit.rules.contains(&Rule::UnusedPub);
-        check_unused_pub(&[file_input(&unit)], &[applicable], &[])
+        check_unused_pub(&[file_input(&unit)], &[applicable])
             .into_iter()
             .map(|(_, v)| v)
             .collect()

@@ -26,8 +26,8 @@
 //! every window of an armed chaos run and demands the same payload bytes
 //! back, and one window later), R7's digest equality is one too
 //! (`tests/digest_equality.rs` flips every byte of two real digests'
-//! wire layouts), and R8's stale-exemption check lives on in R9, which
-//! reports a `keep` entry it no longer needs:
+//! wire layouts), and R8's stale-exemption check has nothing left to
+//! check: nothing exempts an item from R9. The modules:
 //!
 //! * [`lexer`] — a Rust lexer that gets the lexical layer right (nested
 //!   block comments, raw strings, char-vs-lifetime);
@@ -36,14 +36,13 @@
 //! * [`parser`] — a lightweight item parser over the token stream:
 //!   named structs (fields) and impl blocks (body ranges);
 //! * [`rules`] — the rule catalogue, R9;
-//! * [`config`] — `lint.toml` parsing: the skipped paths and R9's `keep`
-//!   list, the only exemptions there are;
+//! * [`config`] — `lint.toml` parsing: the skipped paths;
 //! * [`engine`] — the workspace walker and two-pass rule dispatch
 //!   (parse everything, then check with cross-file context).
 //!
 //! | ID | name | invariant |
 //! |----|------|-----------|
-//! | R9 | `unused-pub` | a library `pub fn` or `pub` field is used outside its own crate's unit tests and `pub use` lists (a method by its type, a field by a read), or kept by a live `lint.toml` entry |
+//! | R9 | `unused-pub` | a library `pub fn` or `pub` field is used outside its own crate's unit tests and `pub use` lists (a method by its type, a field by a read) |
 //!
 //! The `iobt-lint` binary (`cargo run -p iobt-lint -- --deny-all`) wires
 //! this into CI, with `--explain Rn` rationale text; see the README's

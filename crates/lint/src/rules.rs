@@ -1,16 +1,15 @@
 //! The rule catalogue: the workspace-wide use count R9 (public functions
-//! and fields nobody uses, against `lint.toml`'s `keep` list). R1–R5
+//! and fields nobody uses; nothing exempts one). R1–R5
 //! (hash containers, wall clock, panics, entropy, docs) are the
 //! compiler's: the root `clippy.toml`, `clippy::unwrap_used` /
 //! `expect_used` and `missing_docs`. R6's state coverage is
 //! `tests/checkpoint.rs`'s resume-then-step byte test, R7's digest
 //! equality is `tests/digest_equality.rs`'s, and R8's stale-exemption
-//! check is R9's own. See `lint.toml` and the README "Static analysis"
-//! section.
+//! check has no exemption to check. See `lint.toml` and the README
+//! "Static analysis" section.
 
 use std::collections::BTreeMap;
 
-use crate::config::Keep;
 use crate::engine::{classify, Section};
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::parser::{close_of, ParsedFile};
@@ -23,8 +22,7 @@ pub enum Rule {
     /// R9 `unused-pub`: a `pub fn` or named `pub` field in library code
     /// that nothing in the scanned workspace uses outside its own crate's
     /// unit tests and `pub use` lists; a method's uses are counted by its
-    /// type, a field's by its reads. A `keep` entry lets one stand until
-    /// it gains a use.
+    /// type, a field's by its reads.
     UnusedPub,
 }
 
@@ -78,12 +76,8 @@ impl Rule {
                  destructure, or a `wire_struct!` entry; an initialiser or a derive\n\
                  is not a read. A path segment (`crate::name::X`) uses nothing. A\n\
                  shared name can hide an unused item, never flag a used one.\n\
-                 Delete the item, narrow it to `pub(crate)`, move it into the\n\
-                 tests, or keep it: a `\"<path> <label>\"` entry in `lint.toml`'s\n\
-                 `[rules.unused-pub] keep` list, with a `#` comment citing the\n\
-                 DESIGN.md section that needs it. A keep whose item gains a use,\n\
-                 or that names no unused `pub` item in a scanned library file, is\n\
-                 itself a finding, so the list only shrinks."
+                 There is no keep list: give the item a caller, or delete it,\n\
+                 narrow it to `pub(crate)` or move it into the tests."
             }
         }
     }
@@ -374,15 +368,8 @@ fn uses_in<'a>(
 /// `src/` and `pub use` statements. A free fn is used by a call or path
 /// of its name; a method of an inherent `impl T` by `T::m`, `Self::m`
 /// inside an `impl T`, `.m(` or a qualifier that names no one type; a
-/// field by a read. An unused item a `keep` entry names stands; a keep
-/// whose item has a use, or that names no `pub` item of an applicable
-/// file, is reported at its `lint.toml` line. Returns `(path, violation)`
-/// pairs.
-pub fn check_unused_pub(
-    inputs: &[FileInput],
-    applicable: &[bool],
-    keep: &[Keep],
-) -> Vec<(String, Violation)> {
+/// field by a read. Returns `(path, violation)` pairs.
+pub fn check_unused_pub(inputs: &[FileInput], applicable: &[bool]) -> Vec<(String, Violation)> {
     let type_vars = type_variables(inputs);
     let mut tallies: BTreeMap<Use, Tally> = BTreeMap::new();
     for input in inputs {
@@ -401,9 +388,6 @@ pub fn check_unused_pub(
         }
     }
     let mut out = Vec::new();
-    // Per keep: `None` until it names an item, then whether one it named
-    // is unused.
-    let mut kept: Vec<Option<bool>> = vec![None; keep.len()];
     for (i, input) in inputs.iter().enumerate() {
         if !applicable[i] {
             continue;
@@ -420,9 +404,8 @@ pub fn check_unused_pub(
                     && counts(t)
             })
         };
-        // Every public item: its line, its label and, when nothing uses
-        // it, the finding.
-        let mut items: Vec<(u32, String, Option<String>)> = Vec::new();
+        // Every unused public item: its line and the finding.
+        let mut unused: Vec<(u32, String)> = Vec::new();
         let toks = &input.lexed.tokens;
         // `macro_rules!` bodies, whose `impl $name` no qualifier names.
         let macros: Vec<(usize, usize)> = (1..toks.len())
@@ -453,73 +436,43 @@ pub fn check_unused_pub(
                 .find(|imp| imp.trait_name.is_none() && imp.body.0 <= k && k < imp.body.1);
             let m = name.text.as_str();
             let in_macro = macros.iter().any(|&(open, close)| open < k && k < close);
-            let (label, unused) = match inherent {
-                _ if in_macro => (
-                    m.to_string(),
-                    (!used_by_name(m)).then(|| format!("`pub fn {m}` is named nowhere")),
-                ),
+            let finding = match inherent {
+                _ if in_macro => {
+                    (!used_by_name(m)).then(|| format!("`pub fn {m}` is named nowhere"))
+                }
                 Some(imp) => {
                     let ty = imp.self_ty.as_str();
-                    let unused = (!used(Use::Method(ty, m)) && !used(Use::AnyMethod(m))).then(|| {
+                    (!used(Use::Method(ty, m)) && !used(Use::AnyMethod(m))).then(|| {
                         format!(
                             "`pub fn {ty}::{m}` is named by no `.{m}(`, `Self::{m}` or `{ty}::{m}`"
                         )
-                    });
-                    (format!("{ty}::{m}"), unused)
+                    })
                 }
-                None => (
-                    m.to_string(),
-                    (!used(Use::Call(m))).then(|| format!("`pub fn {m}` is called nowhere")),
-                ),
+                None => (!used(Use::Call(m))).then(|| format!("`pub fn {m}` is called nowhere")),
             };
-            items.push((name.line, label, unused));
+            unused.extend(finding.map(|f| (name.line, f)));
         }
         for s in &input.parsed.structs {
             if input.map.is_test_line(s.line) {
                 continue;
             }
-            for f in s.fields.iter().filter(|f| f.public) {
-                let label = format!("{}.{}", s.name, f.name);
-                let unused = (!used(Use::Read(&f.name))).then(|| {
-                    format!(
-                        "`pub` field `{label}` is read nowhere (an initialiser or a derive is \
-                         not a read)"
-                    )
-                });
-                items.push((f.line, label, unused));
+            for f in s.fields.iter().filter(|f| f.public && !used(Use::Read(&f.name))) {
+                let finding = format!(
+                    "`pub` field `{}.{}` is read nowhere (an initialiser or a derive is not a \
+                     read)",
+                    s.name, f.name
+                );
+                unused.push((f.line, finding));
             }
         }
-        for (line, label, unused) in items {
-            let path = input.rel_path;
-            match keep.iter().position(|k| k.path == path && k.label == label) {
-                Some(k) => kept[k] = Some(kept[k] == Some(true) || unused.is_some()),
-                None => {
-                    let Some(finding) = unused else { continue };
-                    let message = format!(
-                        "{finding} outside its own crate's unit tests: delete it, narrow it to \
-                         `pub(crate)`, or keep it with `\"{path} {label}\"` and its reason \
-                         in lint.toml's `[rules.unused-pub] keep`"
-                    );
-                    let v = Violation { line, rule: Rule::UnusedPub, message };
-                    out.push((path.to_string(), v));
-                }
-            }
+        for (line, finding) in unused {
+            let message = format!(
+                "{finding} outside its own crate's unit tests: delete it or narrow it to \
+                 `pub(crate)`"
+            );
+            let v = Violation { line, rule: Rule::UnusedPub, message };
+            out.push((input.rel_path.to_string(), v));
         }
-    }
-    for (k, state) in keep.iter().zip(kept) {
-        let why = match state {
-            Some(true) => continue,
-            Some(false) => "is stale: its item now has a use; delete the entry",
-            None => "names no `pub` item of a scanned library file; delete or correct the entry",
-        };
-        out.push((
-            "lint.toml".to_string(),
-            Violation {
-                line: k.line,
-                rule: Rule::UnusedPub,
-                message: format!("keep `{} {}` {why}", k.path, k.label),
-            },
-        ));
     }
     out
 }
@@ -527,7 +480,6 @@ pub fn check_unused_pub(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
     use crate::lexer::lex;
     use crate::parser::parse_items;
     use crate::regions::map_file;
@@ -544,7 +496,7 @@ mod tests {
 
     /// Runs R9 over `(path, source)` files, each classified by its path;
     /// the library files are the applicable ones.
-    fn unused_pub(sources: &[(&str, &str)], keep: &[Keep]) -> Vec<(String, Violation)> {
+    fn unused_pub(sources: &[(&str, &str)]) -> Vec<(String, Violation)> {
         let lexed: Vec<_> = sources.iter().map(|(_, src)| lex(src)).collect();
         let maps: Vec<_> = lexed.iter().map(map_file).collect();
         let items: Vec<_> = lexed.iter().map(parse_items).collect();
@@ -559,7 +511,7 @@ mod tests {
             })
             .collect();
         let applicable: Vec<bool> = classes.iter().map(|c| c.section == Section::Lib).collect();
-        check_unused_pub(&inputs, &applicable, keep)
+        check_unused_pub(&inputs, &applicable)
     }
 
     #[test]
@@ -621,7 +573,6 @@ pub fn uncalled_but_not_applicable() {}
                 ("examples/caller.rs", caller),
                 ("crates/d/src/lib.rs", sibling),
             ],
-            &[],
         );
         assert!(out.iter().all(|(path, _)| path == "crates/c/src/lib.rs"), "{out:?}");
         let lines: Vec<u32> = out.iter().map(|(_, v)| v.line).collect();
@@ -637,46 +588,5 @@ pub fn uncalled_but_not_applicable() {}
         assert!(messages[0].contains("`pub fn lone_const`"), "{}", messages[0]);
         assert!(messages[5].contains("`pub fn Shadowed::new`"), "{}", messages[5]);
         assert!(messages[7].contains("`pub` field `Report.only_initialised`"), "{}", messages[7]);
-    }
-
-    #[test]
-    fn unused_pub_keeps_live_entries_and_reports_stale_ones() {
-        let lib = "\
-pub fn kept_and_unused() {}
-pub fn kept_but_called() {}
-pub struct S { pub kept_field: u32 }
-impl S {
-    pub fn kept_method(&self) {}
-}
-pub fn not_kept() {}
-";
-        let caller = "fn main() { kept_but_called(); }\n";
-        let keep = Config::parse(
-            "[rules.unused-pub]\nkeep = [\n\
-             \"crates/c/src/lib.rs kept_and_unused\",\n\
-             \"crates/c/src/lib.rs kept_but_called\",\n\
-             \"crates/c/src/lib.rs S.kept_field\",\n\
-             \"crates/c/src/lib.rs S::kept_method\",\n\
-             \"crates/c/src/lib.rs deleted_long_ago\",\n\
-             \"examples/caller.rs main\",\n\
-             ]\n",
-        )
-        .unwrap()
-        .keep;
-        let sources = [("crates/c/src/lib.rs", lib), ("examples/caller.rs", caller)];
-        let out = unused_pub(&sources, &keep);
-        let got: Vec<(&str, u32)> = out.iter().map(|(path, v)| (path.as_str(), v.line)).collect();
-        // The one unkept item is flagged; the live keeps stay quiet; the
-        // keep whose fn gained a caller, the one naming a deleted fn and
-        // the one naming no library item are reported at their lines.
-        assert_eq!(
-            got,
-            [("crates/c/src/lib.rs", 7), ("lint.toml", 4), ("lint.toml", 7), ("lint.toml", 8)],
-            "{out:?}"
-        );
-        let messages: Vec<&str> = out.iter().map(|(_, v)| v.message.as_str()).collect();
-        assert!(messages[0].contains("\"crates/c/src/lib.rs not_kept\""), "{}", messages[0]);
-        assert!(messages[1].contains("now has a use"), "{}", messages[1]);
-        assert!(messages[2].contains("names no `pub` item"), "{}", messages[2]);
     }
 }

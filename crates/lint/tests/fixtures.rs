@@ -1,6 +1,6 @@
 //! End-to-end test: lint the seeded fixture tree under the repository's
-//! own `lint.toml` scopes, with its `keep` list swapped for three planted
-//! keeps, and compare every diagnostic line with `fixtures/expected.txt`.
+//! own `lint.toml` scopes and compare every diagnostic line with
+//! `fixtures/expected.txt`.
 
 use std::path::{Path, PathBuf};
 
@@ -17,24 +17,9 @@ fn root_config() -> Config {
     Config::parse(&text).expect("lint.toml parses")
 }
 
-/// Keeps for the fixture tree, which has none of the files the
-/// repository's keeps name: one live, one whose fn has a caller and one
-/// naming a fn that does not exist. R9 reports the last two at these
-/// lines of this text.
-const PLANTED_KEEPS: &str = r#"
-[rules.unused-pub]
-keep = [
-    "crates/core/src/lib.rs excused_unused",
-    "crates/core/src/lib.rs called_and_excused",
-    "crates/core/src/lib.rs deleted_long_ago",
-]
-"#;
-
 #[test]
 fn fixture_tree_trips_every_rule_once() {
-    let mut config = root_config();
-    config.keep = Config::parse(PLANTED_KEEPS).expect("planted keeps parse").keep;
-    let report = lint_root(&fixture_root(), &config).expect("fixture tree scans");
+    let report = lint_root(&fixture_root(), &root_config()).expect("fixture tree scans");
     assert_eq!(report.files_scanned, 4, "fixture tree has four .rs files");
     let got: String = report
         .violations
@@ -50,7 +35,6 @@ fn fixture_tree_trips_every_rule_once() {
 fn fixture_tree_is_invisible_when_skipped() {
     let mut config = root_config();
     config.skip.push("crates".to_string());
-    config.keep.clear();
     let report = lint_root(&fixture_root(), &config).expect("fixture tree scans");
     assert_eq!(report.files_scanned, 0);
     assert!(report.is_clean());

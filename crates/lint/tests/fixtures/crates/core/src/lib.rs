@@ -1,14 +1,12 @@
-//! Fixture: the "core" crate root, whose two unused-looking fns the
-//! fixture test's planted `keep` entries name: one keep is live, and one
-//! names a fn that has a caller (a seeded stale keep).
+//! Fixture: the "core" crate root: one `pub fn` nothing calls, and one
+//! that `core/tests/callers.rs` calls.
 
-/// Clean: nothing calls it, and a live keep entry says why.
-pub fn excused_unused() -> u32 {
+/// Seeded R9 violation: nothing calls it.
+pub fn seeded_unused_core() -> u32 {
     41
 }
 
-/// Clean for R9: `core/tests/callers.rs` calls it, so its keep entry
-/// is stale.
-pub fn called_and_excused() -> u32 {
+/// Clean for R9: `core/tests/callers.rs` calls it.
+pub fn called_from_core_tests() -> u32 {
     42
 }

@@ -560,7 +560,7 @@ mod tests {
     fn node_filter_follows_the_schema_not_the_key_names() {
         let two = concat!(
             "{\"seq\":0,\"t_us\":0,\"sub\":\"netsim\",\"kind\":\"msg_tampered\",\"from\":1,\"to\":2,\"relay\":7}\n",
-            "{\"seq\":1,\"t_us\":1,\"sub\":\"adapt\",\"kind\":\"actuation\",\"requester\":3,\"actuator\":7,\"decision\":\"approved\"}\n",
+            "{\"seq\":1,\"t_us\":1,\"sub\":\"adapt\",\"kind\":\"actuation\",\"requester\":3,\"actuator\":7,\"zone\":5,\"decision\":\"approved\"}\n",
         );
         let f = Filters {
             node: Some(7),

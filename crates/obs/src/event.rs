@@ -603,8 +603,10 @@ trace_events! {
         /// Actuator kind requested: its index in `ActuatorKind::ALL`
         /// (a code, not a node id).
         actuator: u64,
+        /// Zone the actuation was requested in.
+        zone: u64,
         /// Stable decision name (`"approved"`, `"withheld_occupied"`,
-        /// `"denied_no_authorization"`, `"denied_degraded"`).
+        /// `"denied_no_authorization"`).
         decision: &'static str,
     },
     /// One epoch of resource allocation was applied.

@@ -329,7 +329,6 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
                 "approved" => "adapt.actuation.approved",
                 "withheld_occupied" => "adapt.actuation.withheld_occupied",
                 "denied_no_authorization" => "adapt.actuation.denied_no_authorization",
-                "denied_degraded" => "adapt.actuation.denied_degraded",
                 _ => "adapt.actuation.other",
             };
             m.inc(name, 1);
@@ -409,6 +408,7 @@ mod tests {
             TraceEvent::Actuation {
                 requester: 1,
                 actuator: 2,
+                zone: 3,
                 decision: "approved",
             },
         );

@@ -35,12 +35,10 @@
 
 pub mod diagnostics;
 pub mod em;
-pub mod em2;
 pub mod scenario;
 pub mod vote;
 
 pub use diagnostics::{rank_attention, AttentionScore};
 pub use em::{discover, EmConfig, TruthEstimate};
-pub use em2::{asymmetric_scenario, discover_two_param, TwoParamConfig, TwoParamEstimate};
 pub use scenario::{ClaimId, Report, Scenario, ScenarioBuilder, SourceId};
 pub use vote::{majority_vote, weighted_vote};

@@ -67,7 +67,6 @@ fn main() {
         ActuationDecision::Approved => "APPROVED",
         ActuationDecision::WithheldOccupied => "WITHHELD (zone occupied)",
         ActuationDecision::DeniedNoAuthorization => "DENIED (no human authorization)",
-        ActuationDecision::DeniedDegraded => "DENIED (degraded: human required)",
     };
     let d = safety.request(robot, ActuatorKind::Demolition, 1, 10.0);
     println!("  t=10s  demolition, no authorization : {}", show(d));
@@ -81,9 +80,13 @@ fn main() {
     println!("  t=25s  authorized but zone occupied : {}", show(d));
     let d = safety.request(robot, ActuatorKind::Demolition, 1, 300.0);
     println!("  t=300s occupancy decayed            : {}", show(d));
-    println!(
-        "  audit log holds {} entries, trace holds {} actuation events",
-        safety.audit_log().len(),
-        trace.records().len()
-    );
+    // The trace is the audit log: who asked, for what, where, when, and
+    // what the interlocks decided.
+    println!("  audit log:");
+    for record in trace.records() {
+        if let TraceEvent::Actuation { requester, zone, decision, .. } = record.event {
+            let t_s = record.t_us / 1_000_000;
+            println!("    t={t_s}s node {requester} zone {zone}: {decision}");
+        }
+    }
 }

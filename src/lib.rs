@@ -124,7 +124,7 @@ pub mod prelude {
     // Adaptive reflexes (iobt-adapt).
     pub use iobt_adapt::{
         hotspot_trace, simulate, simulate_observed, ActuationController, ActuationDecision,
-        AllocationPolicy, AllocationRun, AuditEntry, Equilibrium, HumanAuthorization, IntentGame,
+        AllocationPolicy, AllocationRun, Equilibrium, HumanAuthorization, IntentGame,
         InvariantMonitor, ModalitySwitcher, StabilizationReport, Stabilizer, SwitchPolicy,
     };
     pub use iobt_adapt::estimation::{track, AlphaBetaFilter, FusionRule, TrackingRun};

@@ -15,6 +15,12 @@
 //! The two paths share code (the connectivity-graph slot serves both), so
 //! agreeing with each other is not enough: [`GOLDEN`] also holds every
 //! fast-path run to bytes committed before that slot was rewritten.
+//!
+//! No mission scenario moves a node, so neither mission above crosses a
+//! link after one of its endpoints moved. The walking field below is the
+//! smallest run that does: on the fast path such a hop must read a
+//! budget re-derived at the new position, never the one the link kept
+//! before the move.
 
 use iobt::obs::fnv1a;
 use iobt::prelude::*;
@@ -145,5 +151,104 @@ fn e2_chaos_campaign_fast_path_matches_reference() {
         let scenario = chaos_scenario(seed);
         assert!(!scenario.fault_plan.is_empty());
         assert_paths_equivalent(&format!("chaos seed {seed}"), &scenario, chaos_config);
+    }
+}
+
+/// Seconds between two reports on the walking field.
+const WALK_REPORT_PERIOD_S: f64 = 0.4;
+const WALK_DURATION_S: f64 = 20.0;
+/// The walking field's side, in nodes, and their spacing.
+const WALK_SIDE: u64 = 3;
+const WALK_SPACING_M: f64 = 70.0;
+/// The middle node of the grid, which every other node reports to.
+const WALK_SINK: u64 = 4;
+
+/// Reports to the sink every [`WALK_REPORT_PERIOD_S`].
+struct Reporter;
+
+impl Behavior for Reporter {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_secs_f64(WALK_REPORT_PERIOD_S), 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+        ctx.send(NodeId::new(WALK_SINK), 1, [0u8; 48]);
+        ctx.set_timer(SimDuration::from_secs_f64(WALK_REPORT_PERIOD_S), 0);
+    }
+}
+
+/// A 3×3 wifi grid in urban clutter reporting to its middle node, two
+/// opposite corners on random-waypoint walks across the whole field. Two
+/// movers of nine stay under the share a patch takes; more, and every
+/// tick rebuilds the graph from scratch, keeping no budget across a move.
+/// On open ground every wifi link in range has a mean SINR above 40 dB,
+/// so every attempt succeeds whatever budget it reads; in urban clutter
+/// (19 dB at 100 m, 7 dB shadowing spread) a stale budget moves the
+/// retransmit count.
+fn walking_field(seed: u64, reference: bool, recorder: Recorder) -> Simulator {
+    let extent = (WALK_SIDE - 1) as f64 * WALK_SPACING_M;
+    let area = Rect::new(Point::new(0.0, 0.0), Point::new(extent, extent));
+    let mut catalog = NodeCatalog::new();
+    for i in 0..WALK_SIDE * WALK_SIDE {
+        let (col, row) = ((i % WALK_SIDE) as f64, (i / WALK_SIDE) as f64);
+        let spec = NodeSpec::builder(NodeId::new(i))
+            .affiliation(Affiliation::Blue)
+            .position(Point::new(col * WALK_SPACING_M, row * WALK_SPACING_M))
+            .radio(Radio::new(RadioKind::Wifi))
+            .energy(EnergyBudget::new(5_000.0))
+            .build();
+        catalog.insert(spec).expect("fresh ids never collide");
+    }
+    let mut builder = Simulator::builder(catalog)
+        .terrain(Terrain::uniform(area, Clutter::Urban))
+        .seed(seed)
+        .reference_mode(reference)
+        .recorder(recorder);
+    for corner in [0, 8] {
+        let model = MobilityModel::RandomWaypoint { area, speed_mps: 12.0, pause_s: 1.0 };
+        builder = builder.mobility(NodeId::new(corner), model);
+    }
+    let mut sim = builder.build();
+    for i in (0..WALK_SIDE * WALK_SIDE).filter(|&i| i != WALK_SINK) {
+        sim.set_behavior(NodeId::new(i), Box::new(Reporter));
+    }
+    sim
+}
+
+#[test]
+fn e3_moved_endpoints_fast_path_matches_reference() {
+    for seed in SEEDS {
+        let (rec_fast, ring_fast) = Recorder::memory(100_000);
+        let (rec_ref, ring_ref) = Recorder::memory(100_000);
+        let mut fast = walking_field(seed, false, rec_fast);
+        let mut reference = walking_field(seed, true, rec_ref);
+        let start = fast.position(NodeId::new(0));
+        fast.run_for(SimDuration::from_secs_f64(WALK_DURATION_S));
+        reference.run_for(SimDuration::from_secs_f64(WALK_DURATION_S));
+
+        let label = format!("walking field seed {seed}");
+        assert_eq!(fast.stats(), reference.stats(), "{label}: statistics diverged");
+        for i in 0..WALK_SIDE * WALK_SIDE {
+            let id = NodeId::new(i);
+            let energy = |sim: &Simulator| sim.energy(id).map(|e| e.remaining_j().to_bits());
+            assert_eq!(energy(&fast), energy(&reference), "{label}: node {i}'s energy diverged");
+            assert_eq!(fast.position(id), reference.position(id), "{label}: node {i} strayed");
+        }
+        assert_eq!(ring_fast.dropped(), 0, "{label}: raise the ring capacity");
+        let jsonl =
+            |ring: &RingHandle| -> String { ring.records().iter().map(|r| r.to_jsonl()).collect() };
+        assert_eq!(
+            jsonl(&ring_fast).as_bytes(),
+            jsonl(&ring_ref).as_bytes(),
+            "{label}: JSONL trace bytes diverged"
+        );
+        // The walkers walked, the reports arrived, and the fast path
+        // read kept budgets where the reference path computed each one.
+        assert_ne!(fast.position(NodeId::new(0)), start, "{label}: corner 0 never moved");
+        let stats = fast.stats();
+        assert!(stats.delivered > stats.sent / 2, "{label}: {}/{}", stats.delivered, stats.sent);
+        let (hops, computed) = fast.hop_budget_counts();
+        assert!(computed > 0 && computed < hops, "{label}: {computed} of {hops} budgets computed");
+        let (ref_hops, ref_computed) = reference.hop_budget_counts();
+        assert_eq!(ref_hops, ref_computed, "{label}: the reference path keeps no budget");
     }
 }

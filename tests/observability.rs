@@ -176,8 +176,8 @@ fn one_of_each_kind_is_pinned_to_the_hand_written_encoder() {
         recorder.record_at(r.t_us, r.event.clone());
     }
     let fnv = |s: &str| iobt::obs::fnv1a(s.as_bytes());
-    assert_eq!(fnv(&lines), 0xb3f3_ca3f_3208_836e, "JSONL lines");
-    assert_eq!(fnv(&frames), 0x87e9_65a6_27a6_aa68, "bridge frames");
+    assert_eq!(fnv(&lines), 0x81cf_85a6_8a76_682a, "JSONL lines");
+    assert_eq!(fnv(&frames), 0x0a03_8881_ae8e_b00a, "bridge frames");
     assert_eq!(recorder.metrics_digest().fingerprint(), 0x68a7_2f7c_c254_9f50, "metrics");
     assert_eq!(fnv(&mapping), 0x4efa_bfc4_bfa1_52ab, "kind|sub|primary_node");
 }
