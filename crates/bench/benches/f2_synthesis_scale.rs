@@ -73,7 +73,7 @@ fn main() {
                 .map(|&i| problem.candidates[i].id)
                 .collect();
             let t0 = Instant::now();
-            let repaired = repair(&problem, &result, &failed);
+            let repaired = repair(&problem, &result.selected, &failed);
             let repair_ms = t0.elapsed().as_secs_f64() * 1_000.0;
             let _ = repaired;
             table.row(vec![
@@ -121,7 +121,7 @@ fn main() {
             .map(|&i| problem.candidates[i].id)
             .collect();
         // (a) incremental repair.
-        let (repaired, repair_timed_ms) = repair_with_timed(&problem, &base, &failed, Solver::Greedy);
+        let (repaired, repair_timed_ms) = repair_with_timed(&problem, &base.selected, &failed, Solver::Greedy);
         // (b) full re-synthesis over the survivors only.
         let survivors: Vec<NodeSpec> = specs
             .iter()

@@ -63,8 +63,14 @@ pub const MAGIC: [u8; 8] = *b"IOBTCKPT";
 /// recomputes them; v8 drops each node's sleep schedule from the
 /// simulator snapshot (builder configuration, which nothing changes after
 /// the build); v9 carries each in-flight message's payload as its length
-/// alone and drops the sensor reporter's payload size (now a constant).
-pub const FORMAT_VERSION: u32 = 9;
+/// alone and drops the sensor reporter's payload size (now a constant);
+/// v10 keeps the mission's state, not its history: the delivered-report
+/// log (empty at every window boundary), its detector cursor, the
+/// current composition result (its selection is the carried one), each
+/// node's id in the simulator snapshot (nodes are stored in id order) and
+/// the per-kind delivered counts go, and the latency samples become their
+/// running sum and count.
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Trailing checksum size in bytes.
 pub const TRAILER_LEN: usize = 4;

@@ -20,11 +20,10 @@
 //!   classifier, the reachability sweep, the solve and the assurance
 //!   trials;
 //! * the **window loop** state — next window, repairs, per-window
-//!   utility stats, the current selection and composition result, the
-//!   set of ever-failed nodes, failure-detector heartbeat table (its
-//!   threshold follows from the guarded report period), and
-//!   degradation-ladder counters;
-//! * the **delivered-report log** and acked-tasking board;
+//!   utility stats, the current selection, the set of ever-failed nodes,
+//!   failure-detector heartbeat table (its threshold follows from the
+//!   guarded report period), and degradation-ladder counters;
+//! * the acked-tasking board;
 //! * the **recorder clock** — sim-time, trace sequence, per-subsystem
 //!   sampling phase, and the full metrics registry (the trace *sink* is
 //!   deliberately not captured: a resumed run opens a fresh sink and
@@ -38,8 +37,11 @@
 //! What follows cheaply from the payload is *not* stored: the
 //! composition problem (from the carried asset ids), the connectivity
 //! graph (built at the restored world on its first use) and the
-//! simulator's fixed configuration. Wall-clock timings are never
-//! stored, so a resumed run reports a `solve_ms` of zero.
+//! simulator's fixed configuration. Nor is history that no resume
+//! reads: the delivered-report log is emptied as each window closes, so
+//! it is empty at every boundary, and the network statistics keep a
+//! running latency sum, not the samples. Wall-clock timings are never stored, so a
+//! resumed run reports a `solve_ms` of zero.
 //!
 //! The value types this crate persists whole state their layouts here,
 //! once each, as [`wire_struct!`] lists; [`MissionRunner`] itself has
@@ -52,9 +54,7 @@ use iobt_obs::{RecorderCheckpoint, Subsystem};
 use iobt_synthesis::{AssuranceReport, CompositionProblem, CompositionResult};
 use iobt_types::{NodeId, NodeSpec};
 
-use crate::behaviors::{
-    mission_behavior_registry, new_report_log, new_task_board, DeliveredReport, TaskingStats,
-};
+use crate::behaviors::{mission_behavior_registry, new_report_log, new_task_board, TaskingStats};
 use crate::resilience::{DegradationLadder, FailureDetector};
 use crate::runtime::{
     build_sim, degraded_problem, EndStateDigest, MissionRunner, PortableRunConfig, Prologue,
@@ -121,11 +121,6 @@ wire_struct!(WindowStat {
     expected,
     reporting,
     utility,
-});
-
-wire_struct!(DeliveredReport {
-    from,
-    at,
 });
 
 /// Appends `digest` in its wire layout (every `f64` as its IEEE-754
@@ -378,8 +373,9 @@ impl MissionRunner {
         // fails on a value written here but not restored, or on one
         // restored wrong. The phase 1–3 products (`prologue`) are carried, so a
         // resume runs none of those phases; `problem` follows from them
-        // and the ladder level; `repair_ms` is wall-clock reporting;
-        // `total_windows` is derived from the config.
+        // and the ladder level; `log` is empty between windows;
+        // `repair_ms` is wall-clock reporting; `total_windows` is derived
+        // from the config.
         let Self {
             scenario: _,
             config: _,
@@ -389,7 +385,6 @@ impl MissionRunner {
             log: _,
             board: _,
             selection: _,
-            current: _,
             active_reporters: _,
             windows: _,
             repairs: _,
@@ -399,7 +394,6 @@ impl MissionRunner {
             detector: _,
             ladder: _,
             resilience: _,
-            log_cursor: _,
             repair_ms: _,
         } = self;
         let mut e = Enc::new();
@@ -411,7 +405,6 @@ impl MissionRunner {
         // with the ladder and the board below).
         e.usize(self.next_window);
         e.usize(self.repairs);
-        e.usize(self.log_cursor);
         e.u64(self.resilience.suspected);
         e.u64(self.resilience.early_repairs);
         e.u64(self.resilience.sheds);
@@ -422,8 +415,7 @@ impl MissionRunner {
         e.put(&self.active_reporters);
         e.put(&self.failed_ever);
 
-        // Current composition result, completed windows.
-        e.put(&self.current);
+        // Completed windows.
         e.put(&self.windows);
 
         // Failure detector heartbeat table.
@@ -434,9 +426,6 @@ impl MissionRunner {
         e.usize(level);
         e.u32(below);
         e.u32(above);
-
-        // Delivered-report log.
-        e.put(&*self.log.borrow());
 
         // Acked-tasking board.
         {
@@ -493,7 +482,6 @@ impl MissionRunner {
 
         let next_window = d.usize()?;
         let repairs = d.usize()?;
-        let log_cursor = d.usize()?;
         let resilience = ResilienceReport {
             suspected: d.u64()?,
             early_repairs: d.u64()?,
@@ -506,9 +494,7 @@ impl MissionRunner {
         let active_reporters: BTreeSet<NodeId> = d.get()?;
         let failed_ever: BTreeSet<NodeId> = d.get()?;
 
-        let current: CompositionResult = d.get()?;
         check_selected("selection", &selection, &p.problem)?;
-        check_selected("current composition", &current.selected, &p.problem)?;
         let windows: Vec<WindowStat> = d.get()?;
 
         let detector_entries: Vec<(NodeId, SimTime)> = d.get()?;
@@ -516,14 +502,6 @@ impl MissionRunner {
         let ladder_level = d.usize()?;
         let ladder_below = d.u32()?;
         let ladder_above = d.u32()?;
-
-        let log_entries: Vec<DeliveredReport> = d.get()?;
-        if log_cursor > log_entries.len() {
-            return Err(CkptError::Mismatch(format!(
-                "log cursor {log_cursor} exceeds delivered-report log of {}",
-                log_entries.len()
-            )));
-        }
 
         let pending: Vec<(NodeId, u32, SimTime)> = d.get()?;
         let stats: TaskingStats = d.get()?;
@@ -541,26 +519,21 @@ impl MissionRunner {
         // faults scheduled (the restored event queue already contains
         // them).
         let mut sim = build_sim(scenario, config);
-        let problem = if ladder_level == 0 {
-            p.problem.clone()
-        } else {
-            degraded_problem(
-                &p.problem,
-                &scenario.mission,
-                &p.specs,
-                config.grid,
-                ladder_level,
-            )
-        };
+        let problem = degraded_problem(
+            &p.problem,
+            &scenario.mission,
+            &p.specs,
+            config.grid,
+            ladder_level,
+        );
 
         // Restore the snapshot over the simulator. It holds no graph yet:
         // a snapshot that had one gets it built once, at the restored
         // world, and one that had none leaves that to the first access.
         // Behaviours are rebuilt through the registry and share the
-        // restored log/board handles.
+        // runner's (empty) log and restored board handles.
         let log = new_report_log();
         let board = new_task_board();
-        *log.borrow_mut() = log_entries;
         board.borrow_mut().restore(&pending, stats);
         let registry = mission_behavior_registry(&log, &board);
         sim.restore_state(blob, &registry)?;
@@ -591,7 +564,6 @@ impl MissionRunner {
             log,
             board,
             selection,
-            current,
             active_reporters,
             windows,
             repairs,
@@ -601,7 +573,6 @@ impl MissionRunner {
             detector,
             ladder,
             resilience,
-            log_cursor,
             repair_ms: 0.0,
         })
     }

@@ -17,7 +17,10 @@ use iobt_discovery::{
 };
 use iobt_netsim::{SimDuration, Simulator};
 use iobt_obs::{Recorder, TraceEvent};
-use iobt_synthesis::{assess, failure_probability, repair_with, AssuranceReport, CompositionProblem, CompositionResult, Solver};
+use iobt_synthesis::{
+    assess, failure_probability, repair_with_timed, AssuranceReport, CompositionProblem,
+    CompositionResult, RepairResult, Solver,
+};
 use iobt_types::{Mission, NodeId, NodeSpec, TrustLedger};
 
 use crate::behaviors::{
@@ -689,12 +692,14 @@ pub struct MissionRunner {
     /// The problem repairs solve against: the prologue's, with the
     /// ladder's current relaxations applied.
     pub(crate) problem: CompositionProblem,
-    // Phase 4 (execution) state — everything below is checkpointed.
+    // Phase 4 (execution) state — everything below but `log` is
+    // checkpointed.
     pub(crate) sim: Simulator,
+    /// Reports delivered in the window running; emptied when it closes,
+    /// so it is always empty at a checkpoint.
     pub(crate) log: ReportLog,
     pub(crate) board: TaskBoard,
     pub(crate) selection: Vec<usize>,
-    pub(crate) current: CompositionResult,
     pub(crate) active_reporters: BTreeSet<NodeId>,
     pub(crate) windows: Vec<WindowStat>,
     pub(crate) repairs: usize,
@@ -704,7 +709,6 @@ pub struct MissionRunner {
     pub(crate) detector: FailureDetector,
     pub(crate) ladder: DegradationLadder,
     pub(crate) resilience: ResilienceReport,
-    pub(crate) log_cursor: usize,
     /// Wall-clock spent in repair solves (reporting only; never
     /// checkpointed).
     pub(crate) repair_ms: f64,
@@ -748,7 +752,6 @@ impl MissionRunner {
         }
         let selection = p.composition.selected.clone();
         let mut active_reporters: BTreeSet<NodeId> = BTreeSet::new();
-        let current = p.composition.clone();
         let problem = p.problem.clone();
         attach_reporters(
             &mut sim,
@@ -776,7 +779,6 @@ impl MissionRunner {
             log,
             board,
             selection,
-            current,
             active_reporters,
             windows: Vec::new(),
             repairs: 0,
@@ -786,7 +788,6 @@ impl MissionRunner {
             detector,
             ladder: DegradationLadder::new(),
             resilience: ResilienceReport::default(),
-            log_cursor: 0,
             repair_ms: 0.0,
         }
     }
@@ -835,9 +836,11 @@ impl MissionRunner {
         let use_detector = self.config.adaptive && self.config.early_repair;
         let use_ladder = self.config.adaptive && self.config.degradation_ladder;
         let start_s = self.sim.now().as_secs_f64();
-        let mark = self.log.borrow().len();
         let ticks = if use_detector { DETECTOR_TICKS } else { 1 };
         let tick_us = self.config.window.as_micros() / u64::from(ticks);
+        // The log holds this window's reports only; the detector has
+        // heard the first `heard` of them.
+        let mut heard = 0;
         for t in 0..ticks {
             // The last tick absorbs the division remainder so every
             // window spans exactly `config.window`.
@@ -852,11 +855,11 @@ impl MissionRunner {
             }
             // Feed delivered reports to the detector as heartbeats.
             {
-                let logref = self.log.borrow();
-                for r in &logref[self.log_cursor..] {
+                let log = self.log.borrow();
+                for r in &log[heard..] {
                     self.detector.heard(r.from, r.at);
                 }
-                self.log_cursor = logref.len();
+                heard = log.len();
             }
             let now = self.sim.now();
             let new_suspects: Vec<(NodeId, SimDuration)> = self
@@ -881,41 +884,12 @@ impl MissionRunner {
                 window: w as u64,
                 suspects: new_suspects.len() as u64,
             });
-            #[expect(clippy::disallowed_methods, reason = "reporting only; lands in WallClockReport, never in a decision or digest")]
-            let repair_start = Instant::now();
-            let repaired = repair_with(
-                &self.problem,
-                &self.current,
-                &self.failed_ever,
-                self.config.solver,
-            );
-            self.repair_ms += repair_start.elapsed().as_secs_f64() * 1_000.0;
-            if repaired.selected != self.selection {
+            if self.apply_repair().is_some() {
                 self.repairs += 1;
                 self.resilience.early_repairs += 1;
-                self.selection = repaired.selected.clone();
-                self.current = CompositionResult {
-                    selected: repaired.selected,
-                    coverage: repaired.coverage,
-                    cost: self.problem.cost(&self.selection),
-                    satisfied: repaired.satisfied,
-                };
-                attach_reporters(
-                    &mut self.sim,
-                    &self.problem,
-                    &self.selection,
-                    &mut self.active_reporters,
-                    &self.scenario,
-                    &self.config,
-                    &self.board,
-                );
-                for &i in &self.selection {
-                    self.detector.watch(self.problem.candidates[i].id, now);
-                }
             }
         }
-        let delivered: BTreeSet<NodeId> =
-            self.log.borrow()[mark..].iter().map(|r| r.from).collect();
+        let delivered: BTreeSet<NodeId> = self.log.borrow_mut().drain(..).map(|r| r.from).collect();
         let expected = self.selection.len();
         let reporting = self
             .selection
@@ -945,38 +919,29 @@ impl MissionRunner {
         // reflex below repairs toward an achievable target instead of
         // thrashing; restore rungs when utility recovers.
         if use_ladder && w + 1 < self.total_windows {
-            match self.ladder.observe(utility) {
-                LadderStep::Shed => {
+            let step = self.ladder.observe(utility);
+            if step != LadderStep::Hold {
+                let level = self.ladder.level();
+                self.problem = degraded_problem(
+                    &self.prologue.problem,
+                    &self.scenario.mission,
+                    &self.prologue.specs,
+                    self.config.grid,
+                    level,
+                );
+                recorder.record(if step == LadderStep::Shed {
                     self.resilience.sheds += 1;
-                    let level = self.ladder.level();
-                    self.problem = degraded_problem(
-                        &self.prologue.problem,
-                        &self.scenario.mission,
-                        &self.prologue.specs,
-                        self.config.grid,
-                        level,
-                    );
-                    recorder.record(TraceEvent::Shed {
+                    TraceEvent::Shed {
                         level: level as u64,
                         action: DegradationLadder::action(level),
-                    });
-                }
-                LadderStep::Restore => {
+                    }
+                } else {
                     self.resilience.restores += 1;
-                    let level = self.ladder.level();
-                    self.problem = degraded_problem(
-                        &self.prologue.problem,
-                        &self.scenario.mission,
-                        &self.prologue.specs,
-                        self.config.grid,
-                        level,
-                    );
-                    recorder.record(TraceEvent::Restore {
+                    TraceEvent::Restore {
                         level: level as u64,
                         action: DegradationLadder::action(level + 1),
-                    });
-                }
-                LadderStep::Hold => {}
+                    }
+                });
             }
         }
         // Reflex: if too few selected assets are heard from, treat the
@@ -996,53 +961,52 @@ impl MissionRunner {
                     self.failed_ever.insert(id);
                 }
             }
-            #[expect(clippy::disallowed_methods, reason = "reporting only; lands in WallClockReport, never in a decision or digest")]
-            let repair_start = Instant::now();
-            let repaired = repair_with(
-                &self.problem,
-                &self.current,
-                &self.failed_ever,
-                self.config.solver,
-            );
-            self.repair_ms += repair_start.elapsed().as_secs_f64() * 1_000.0;
-            if repaired.selected != self.selection {
+            if let Some(repaired) = self.apply_repair() {
                 self.repairs += 1;
-                let added = repaired
-                    .selected
-                    .iter()
-                    .filter(|i| !self.selection.contains(i))
-                    .count();
                 recorder.record(TraceEvent::RepairApplied {
                     window: w as u64,
-                    added: added as u64,
+                    added: repaired.added.len() as u64,
                     satisfied: repaired.satisfied,
                 });
-                self.selection = repaired.selected.clone();
-                self.current = CompositionResult {
-                    selected: repaired.selected,
-                    coverage: repaired.coverage,
-                    cost: self.problem.cost(&self.selection),
-                    satisfied: repaired.satisfied,
-                };
-                attach_reporters(
-                    &mut self.sim,
-                    &self.problem,
-                    &self.selection,
-                    &mut self.active_reporters,
-                    &self.scenario,
-                    &self.config,
-                    &self.board,
-                );
-                if use_detector {
-                    let now = self.sim.now();
-                    for &i in &self.selection {
-                        self.detector.watch(self.problem.candidates[i].id, now);
-                    }
-                }
             }
         }
         self.next_window += 1;
         StepOutcome::WindowClosed { window: w, stats: stat }
+    }
+
+    /// Repairs the selection around every node in `failed_ever` and, if
+    /// that changes it, applies the repair: the new selection's reporters
+    /// are attached and, when the failure detector runs, all of it is
+    /// watched again from now. Returns the repair it applied; the callers
+    /// keep their own counters and trace.
+    fn apply_repair(&mut self) -> Option<RepairResult> {
+        let (repaired, repair_ms) = repair_with_timed(
+            &self.problem,
+            &self.selection,
+            &self.failed_ever,
+            self.config.solver,
+        );
+        self.repair_ms += repair_ms;
+        if repaired.selected == self.selection {
+            return None;
+        }
+        self.selection.clone_from(&repaired.selected);
+        attach_reporters(
+            &mut self.sim,
+            &self.problem,
+            &self.selection,
+            &mut self.active_reporters,
+            &self.scenario,
+            &self.config,
+            &self.board,
+        );
+        if self.config.adaptive && self.config.early_repair {
+            let now = self.sim.now();
+            for &i in &self.selection {
+                self.detector.watch(self.problem.candidates[i].id, now);
+            }
+        }
+        Some(repaired)
     }
 
     /// Shared handle to the runner's task board. External tasking

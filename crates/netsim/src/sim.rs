@@ -1186,12 +1186,6 @@ impl Simulator {
                     to: msg.dst().raw(),
                     latency_us: latency.as_micros(),
                 });
-                *self
-                    .core
-                    .stats
-                    .delivered_by_kind
-                    .entry(msg.kind())
-                    .or_insert(0) += 1;
                 let dst = msg.dst();
                 if let Some(mut b) = self.behaviors.remove(&dst) {
                     let mut ctx = Context {
@@ -1402,8 +1396,6 @@ mod tests {
         assert_eq!(stats.sent, 2, "ping and echo");
         assert_eq!(stats.delivered, 2);
         assert!(stats.latency_ms.mean() > 0.0);
-        assert_eq!(stats.delivered_by_kind[&0], 1);
-        assert_eq!(stats.delivered_by_kind[&1], 1);
     }
 
     #[test]

@@ -226,17 +226,17 @@ impl Simulator {
             e.u64(w);
         }
 
-        // Network statistics, including every latency sample (the
-        // digest's mean latency must match bit-for-bit after resume).
+        // Network statistics, the latency sum among them (the digest's
+        // mean latency must match bit-for-bit after resume).
         e.put(&core.stats);
 
-        // Per-node mutable state (dense storage iterates in id order;
-        // the guard above carries the count). Radios and transmit power
-        // are builder configuration: nothing changes them after the
-        // build, and restore runs on a simulator built with the same
+        // Per-node mutable state, in dense (id) order and without the id:
+        // restore runs on a simulator built from the same catalog, and the
+        // guard above carries the count. Radios and transmit power are
+        // builder configuration: nothing changes them after the build,
+        // and restore runs on a simulator built with the same
         // configuration.
         for n in &core.nodes {
-            e.put(&n.id);
             e.put(&n.mobility);
             e.put(&n.energy);
             e.bool(n.alive);
@@ -318,24 +318,19 @@ impl Simulator {
         let stats: NetStats = d.get()?;
 
         struct NodeRestore {
-            id: NodeId,
             mobility: MobilityState,
             energy: EnergyBudget,
             alive: bool,
         }
-        // `node_count` was checked against this simulator's own above.
+        // `node_count` was checked against this simulator's own above;
+        // the i-th entry is the i-th node in dense order.
         let mut node_restores = Vec::with_capacity(node_count);
         for _ in 0..node_count {
-            let nr = NodeRestore {
-                id: d.get()?,
+            node_restores.push(NodeRestore {
                 mobility: d.get()?,
                 energy: d.get()?,
                 alive: d.bool()?,
-            };
-            if self.core.idx(nr.id).is_none() {
-                return Err(SnapshotError::UnknownNode(nr.id.raw()));
-            }
-            node_restores.push(nr);
+            });
         }
 
         let jammers: Vec<Jammer> = d.get()?;
@@ -394,10 +389,7 @@ impl Simulator {
         core.seq = seq;
         core.rng = rand::rngs::StdRng::from_state(rng_state);
         core.stats = stats;
-        for nr in node_restores {
-            #[expect(clippy::expect_used, reason = "membership was verified during decoding above")]
-            let i = core.idx(nr.id).expect("verified during decode");
-            let n = &mut core.nodes[i as usize];
+        for (n, nr) in core.nodes.iter_mut().zip(node_restores) {
             n.mobility = nr.mobility;
             n.energy = nr.energy;
             n.alive = nr.alive;
@@ -734,7 +726,7 @@ mod tests {
         };
         assert!(in_flight(true) > 0 && in_flight(false) > 0);
         assert!(core.queue.iter().any(|Reverse(q)| matches!(q.event, Event::Timer { .. })));
-        assert!(core.stats.delivered > 0 && !core.stats.delivered_by_kind.is_empty());
+        assert!(core.stats.delivered > 0);
 
         // Re-recorded when the MAC-retry / mobility-step / idle-drain guard
         // left the snapshot (the previous blob minus its first 20 bytes),
@@ -742,9 +734,11 @@ mod tests {
         // one-byte `None`s and node 5's 25-byte `Some`), and when payload
         // bytes did (minus the 32 bytes of each of the 8 messages in
         // flight; node 7's duty cycle, dropped from this world with them,
-        // had moved no byte).
-        assert_eq!(blob.len(), 2_505);
-        assert_eq!(iobt_obs::fnv1a(&blob), 0xfa64_8eda_211c_2d72);
+        // had moved no byte), and when the history did (minus each node's
+        // 8-byte id and the per-kind delivered counts, the latency samples
+        // replaced by their sum and count: 2,505 → 1,677 bytes).
+        assert_eq!(blob.len(), 1_677);
+        assert_eq!(iobt_obs::fnv1a(&blob), 0xd6aa_9efa_49e8_fd94);
 
         let mut restored = everything_world();
         restored.restore_state(&blob, &beacon_registry()).unwrap();

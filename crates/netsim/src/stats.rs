@@ -1,159 +1,72 @@
-//! Run statistics: counters and latency distributions.
+//! Run statistics: counters and the mean delivery latency.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use iobt_ckpt::{wire_struct, Dec, DecodeError, Enc, Wire};
+use iobt_ckpt::wire_struct;
 
-/// An online summary of a set of samples (latencies, utilities, …).
+/// A running mean over a stream of samples (delivery latencies).
 ///
-/// Stores every sample so exact quantiles are available; experiments in
-/// this workspace are small enough (≤ millions of samples) that this is the
-/// right trade-off over a lossy sketch.
+/// Stores no samples, only their sum and count. The sum starts at `-0.0`
+/// and adds each sample in record order, the fold `Iterator::sum` makes
+/// over an `f64` slice, so [`Summary::mean`] equals
+/// `samples.iter().sum::<f64>() / n` bit for bit.
 ///
 /// ```
 /// # use iobt_netsim::stats::Summary;
-/// let mut s = Summary::new();
+/// let mut s = Summary::default();
 /// for v in [1.0, 2.0, 3.0, 4.0] { s.record(v); }
 /// assert_eq!(s.len(), 4);
 /// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.quantile(0.5), 2.0); // nearest-rank
-/// assert_eq!(s.max(), 4.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
-    samples: Vec<f64>,
-    sorted: bool,
+    sum: f64,
+    count: u64,
 }
 
-/// The samples in the order held; `sorted` is derived, and a decoded
-/// summary re-sorts on its first quantile query.
-impl Wire for Summary {
-    fn put(&self, e: &mut Enc) {
-        let Self { samples, sorted: _ } = self;
-        e.put(samples);
-    }
-    fn take(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(Summary {
-            samples: d.get()?,
-            sorted: false,
-        })
+wire_struct!(Summary { sum, count });
+
+impl Default for Summary {
+    fn default() -> Self {
+        Summary {
+            sum: -0.0,
+            count: 0,
+        }
     }
 }
 
 impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds a sample. Non-finite samples are ignored.
     pub fn record(&mut self, value: f64) {
         if value.is_finite() {
-            self.samples.push(value);
-            self.sorted = false;
+            self.sum += value;
+            self.count += 1;
         }
     }
 
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.count as usize
     }
 
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
     /// Arithmetic mean, or `0.0` when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Exact `q`-quantile (`q` clamped to `[0, 1]`) using the
-    /// nearest-rank-above method, or `0.0` when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        if !self.sorted {
-            self.samples.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((q * self.samples.len() as f64).ceil() as usize)
-            .min(self.samples.len())
-            .saturating_sub(1);
-        // q = 0 should return the minimum.
-        let idx = if q == 0.0 { 0 } else { idx };
-        self.samples[idx]
-    }
-
-    /// Smallest sample, or `0.0` when empty.
-    pub fn min(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .pipe_finite()
-    }
-
-    /// Largest sample, or `0.0` when empty.
-    pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .pipe_finite()
-    }
-}
-
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-
-impl PipeFinite for f64 {
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
+            self.sum / self.count as f64
         }
     }
 }
 
 impl fmt::Display for Summary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = self.clone();
-        write!(
-            f,
-            "n={} mean={:.3} p50={:.3} p99={:.3} max={:.3}",
-            s.len(),
-            s.mean(),
-            s.quantile(0.5),
-            s.quantile(0.99),
-            s.max()
-        )
-    }
-}
-
-impl Extend<f64> for Summary {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for v in iter {
-            self.record(v);
-        }
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = Summary::new();
-        s.extend(iter);
-        s
+        write!(f, "n={} mean={:.3}", self.len(), self.mean())
     }
 }
 
@@ -183,12 +96,10 @@ pub struct NetStats {
     /// Messages tampered in flight by a compromised relay (counted at
     /// tamper time; the flagged copy may still be dropped downstream).
     pub tampered: u64,
-    /// End-to-end delivery latencies in milliseconds.
+    /// Mean end-to-end delivery latency in milliseconds.
     pub latency_ms: Summary,
     /// Total energy drained across all nodes, in joules.
     pub energy_spent_j: f64,
-    /// Per-kind delivered counts, for application dispatch analysis.
-    pub delivered_by_kind: BTreeMap<u32, u64>,
 }
 
 wire_struct!(NetStats {
@@ -204,7 +115,6 @@ wire_struct!(NetStats {
     tampered,
     energy_spent_j,
     latency_ms,
-    delivered_by_kind,
 });
 
 impl NetStats {
@@ -249,35 +159,26 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iobt_ckpt::{Dec, Enc};
     use proptest::prelude::*;
 
     #[test]
     fn empty_summary_is_zeroed() {
-        let mut s = Summary::new();
+        let mut s = Summary::default();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.quantile(0.5), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.min(), 0.0);
         assert!(s.is_empty());
+        // The sum starts where `Iterator::sum` does: at `-0.0`.
+        s.record(-0.0);
+        assert_eq!(s.mean().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
     fn nan_samples_are_ignored() {
-        let mut s = Summary::new();
+        let mut s = Summary::default();
         s.record(f64::NAN);
         s.record(f64::INFINITY);
         s.record(1.0);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn quantiles_are_exact() {
-        let mut s: Summary = (1..=100).map(|v| v as f64).collect();
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(0.01), 1.0);
-        assert_eq!(s.quantile(0.5), 50.0);
-        assert_eq!(s.quantile(0.99), 99.0);
-        assert_eq!(s.quantile(1.0), 100.0);
     }
 
     #[test]
@@ -294,28 +195,46 @@ mod tests {
 
     #[test]
     fn display_does_not_panic() {
-        let mut s = Summary::new();
+        let mut s = Summary::default();
         s.record(3.0);
         let _ = s.to_string();
         let _ = NetStats::new().to_string();
     }
 
     proptest! {
+        /// The running mean has the bits of the mean over the stored
+        /// samples, `-0.0`s included, also for a summary saved and
+        /// restored part-way and fed the rest afterwards.
         #[test]
-        fn quantile_monotone(values in proptest::collection::vec(-1e6..1e6f64, 1..200),
-                             q1 in 0.0..1.0f64, q2 in 0.0..1.0f64) {
-            let mut s: Summary = values.into_iter().collect();
-            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-            prop_assert!(s.quantile(lo) <= s.quantile(hi));
-            prop_assert!(s.quantile(0.0) == s.min());
-            prop_assert!(s.quantile(1.0) == s.max());
-        }
-
-        #[test]
-        fn mean_within_min_max(values in proptest::collection::vec(-1e6..1e6f64, 1..200)) {
-            let s: Summary = values.into_iter().collect();
-            prop_assert!(s.mean() >= s.min() - 1e-9);
-            prop_assert!(s.mean() <= s.max() + 1e-9);
+        fn mean_is_the_sum_over_the_samples_bit_for_bit(
+            drawn in proptest::collection::vec((-1e6..1e6f64, 0u8..4), 1..200),
+            cut in 0usize..200,
+        ) {
+            // Half the draws are a signed zero.
+            let values: Vec<f64> = drawn
+                .iter()
+                .map(|&(v, pick)| match pick {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => v,
+                })
+                .collect();
+            let cut = cut.min(values.len());
+            let mut s = Summary::default();
+            for &v in &values[..cut] {
+                s.record(v);
+            }
+            let mut e = Enc::new();
+            e.put(&s);
+            let bytes = e.into_bytes();
+            let mut d = Dec::new(&bytes);
+            let mut s: Summary = d.get().expect("a summary decodes");
+            for &v in &values[cut..] {
+                s.record(v);
+            }
+            let want = values.iter().sum::<f64>() / values.len() as f64;
+            prop_assert_eq!(s.mean().to_bits(), want.to_bits());
+            prop_assert_eq!(s.len(), values.len());
         }
     }
 }

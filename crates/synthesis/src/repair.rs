@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::problem::CompositionProblem;
-use crate::solvers::{greedy_extend, CompositionResult, SolveStats, Solver};
+use crate::solvers::{greedy_extend, SolveStats, Solver};
 
 /// Outcome of a repair pass. Selection-determined only — wall-clock
 /// timing lives in the separate channel of [`repair_with_timed`].
@@ -33,18 +33,19 @@ pub struct RepairResult {
     pub satisfied: bool,
 }
 
-/// Repairs `previous` after the nodes in `failed` (by id) are lost, using
-/// the default greedy strategy. Equivalent to
-/// [`repair_with`]`(…, `[`Solver::Greedy`]`)`.
+/// Repairs the selection `previous` (candidate indices) after the nodes
+/// in `failed` (by id) are lost, using the default greedy strategy.
+/// Equivalent to [`repair_with`]`(…, `[`Solver::Greedy`]`)`.
 pub fn repair(
     problem: &CompositionProblem,
-    previous: &CompositionResult,
+    previous: &[usize],
     failed: &BTreeSet<NodeId>,
 ) -> RepairResult {
     repair_with(problem, previous, failed, Solver::Greedy)
 }
 
-/// Repairs `previous` after the nodes in `failed` (by id) are lost.
+/// Repairs the selection `previous` (candidate indices) after the nodes
+/// in `failed` (by id) are lost.
 ///
 /// Keeps every surviving selected candidate, then extends the selection
 /// with unused, non-failed candidates according to `solver`:
@@ -57,12 +58,11 @@ pub fn repair(
 ///   — the matching baseline for repair experiments.
 pub fn repair_with(
     problem: &CompositionProblem,
-    previous: &CompositionResult,
+    previous: &[usize],
     failed: &BTreeSet<NodeId>,
     solver: Solver,
 ) -> RepairResult {
     let survivors: Vec<usize> = previous
-        .selected
         .iter()
         .copied()
         .filter(|&i| !failed.contains(&problem.candidates[i].id))
@@ -112,7 +112,7 @@ pub fn repair_with(
 /// use. The timing can never influence the repair itself.
 pub fn repair_with_timed(
     problem: &CompositionProblem,
-    previous: &CompositionResult,
+    previous: &[usize],
     failed: &BTreeSet<NodeId>,
     solver: Solver,
 ) -> (RepairResult, f64) {
@@ -160,7 +160,7 @@ mod tests {
     fn no_failures_is_a_noop() {
         let p = problem();
         let base = Solver::Greedy.solve(&p);
-        let r = repair(&p, &base, &BTreeSet::new());
+        let r = repair(&p, &base.selected, &BTreeSet::new());
         assert_eq!(r.selected, base.selected);
         assert!(r.added.is_empty());
         assert!(r.satisfied);
@@ -177,7 +177,7 @@ mod tests {
             .iter()
             .map(|&i| p.candidates[i].id)
             .collect();
-        let r = repair(&p, &base, &failed);
+        let r = repair(&p, &base.selected, &failed);
         assert!(r.satisfied, "spares should restore coverage");
         assert!(!r.added.is_empty());
         for &i in &r.selected {
@@ -191,7 +191,7 @@ mod tests {
         let base = Solver::Greedy.solve(&p);
         // Fail everything.
         let failed: BTreeSet<NodeId> = p.candidates.iter().map(|c| c.id).collect();
-        let r = repair(&p, &base, &failed);
+        let r = repair(&p, &base.selected, &failed);
         assert!(!r.satisfied);
         assert!(r.selected.is_empty());
         assert_eq!(r.coverage, 0.0);
@@ -210,7 +210,7 @@ mod tests {
                 break;
             }
         }
-        let r = repair(&p, &base, &failed);
+        let r = repair(&p, &base.selected, &failed);
         assert!(r.selected.iter().any(|&i| p.candidates[i].id == first_id));
         assert!(r.satisfied);
     }
@@ -220,8 +220,8 @@ mod tests {
         let p = problem();
         let base = Solver::Greedy.solve(&p);
         let failed: BTreeSet<NodeId> = base.selected.iter().map(|&i| p.candidates[i].id).collect();
-        let greedy_fix = repair_with(&p, &base, &failed, Solver::Greedy);
-        let random_fix = repair_with(&p, &base, &failed, Solver::Random { seed: 3 });
+        let greedy_fix = repair_with(&p, &base.selected, &failed, Solver::Greedy);
+        let random_fix = repair_with(&p, &base.selected, &failed, Solver::Random { seed: 3 });
         assert!(random_fix.satisfied);
         assert!(random_fix.added.len() >= greedy_fix.added.len());
         for &i in &random_fix.selected {
@@ -235,8 +235,8 @@ mod tests {
         let base = Solver::Greedy.solve(&p);
         let failed: BTreeSet<NodeId> = [p.candidates[base.selected[0]].id].into_iter().collect();
         for solver in [Solver::Greedy, Solver::Random { seed: 1 }] {
-            let a = repair_with(&p, &base, &failed, solver);
-            let b = repair_with(&p, &base, &failed, solver);
+            let a = repair_with(&p, &base.selected, &failed, solver);
+            let b = repair_with(&p, &base.selected, &failed, solver);
             assert_eq!(a.selected, b.selected);
             assert_eq!(a.added, b.added);
         }

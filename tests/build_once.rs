@@ -17,9 +17,12 @@
 //! is its version-6 self with the prologue section inserted after the
 //! guard (and its version-5 self with the removed fixed settings, 73
 //! bytes, cut); for `FORMAT_VERSION` 8, which cuts one sleep-schedule
-//! byte per node (301 and 121 here) from the snapshot; and for
+//! byte per node (301 and 121 here) from the snapshot; for
 //! `FORMAT_VERSION` 9, which cuts each sensor reporter's 8-byte payload
-//! size (16 reporters, then 8 or 9) from it.
+//! size (16 reporters, then 8 or 9) from it; and for `FORMAT_VERSION` 10,
+//! which cuts the delivered-report log, its cursor, the current
+//! composition result, each node's 8-byte id and the per-kind delivered
+//! counts, and stores the latency samples as their sum and count.
 
 use iobt::netsim::Jammer;
 use iobt::obs::{fnv1a, TraceEvent};
@@ -42,12 +45,12 @@ fn config(duration_s: f64, recorder: Recorder) -> RunConfig {
 /// announcing it.
 #[test]
 fn a_primed_graph_is_not_a_cached_graph_in_the_checkpoint() {
-    const AFTER_NEW: u64 = 0xc26e9589403ba6c9;
+    const AFTER_NEW: u64 = 0x686cad4bf805f746;
     const SILENT: [u64; 4] = [
-        0xd03825d766507d61,
-        0x88c59e2e4ea091a7,
-        0x2a1a11621fcfa539,
-        0x4c0541f9c20cd5b9,
+        0xf93c578e9ece5005,
+        0x4500ec053605b775,
+        0x55194b5568b353c2,
+        0xf23179b1eb3dbf24,
     ];
     let scenario = persistent_surveillance(300, 42);
     let runner = MissionRunner::new(&scenario, &config(30.0, Recorder::disabled()));

@@ -34,6 +34,22 @@ fn armed_chaos_config(recorder: Recorder) -> RunConfig {
         .expect("valid run config")
 }
 
+/// Two windows whose boundary falls half-way between two mobility
+/// ticks, with reports every half second: the reports routed after the
+/// tick at 2 s leave the graph announced and in step (the snapshot's
+/// disposition byte 1) at the 2.5 s boundary, and the ones routed before
+/// the tick at 3 s find it so. Every 10 s boundary holds a graph owing a
+/// patch (2) or none (0), and a resume treats those two alike.
+fn clean_graph_config(recorder: Recorder) -> RunConfig {
+    RunConfig::builder()
+        .duration(SimDuration::from_secs_f64(5.0))
+        .window(SimDuration::from_secs_f64(2.5))
+        .report_period(SimDuration::from_secs_f64(0.5))
+        .recorder(recorder)
+        .build()
+        .expect("valid run config")
+}
+
 /// The reaction layer without early repair: the failure detector no
 /// longer drops a silent reporter mid-window, so a window's utility can
 /// fall below the degradation ladder's shed threshold.
@@ -179,11 +195,12 @@ fn chaos_run_killed_mid_campaign_resumes_bit_identically() {
 /// check; a value missing from both save and restore fails the second at
 /// the first window whose bytes it shapes, or the third if only the
 /// report reads it. The runs are the armed chaos campaigns, the
-/// evacuation (its jammer switches on at 60 s) and the compromised
-/// surveillance (tampered messages in flight, the ladder mid-hysteresis);
-/// EXPERIMENTS.md, "The linter keeps R9", ledgers which of them catches
-/// each value. The recorder is enabled, so its clock and metrics are in
-/// every payload too.
+/// evacuation (its jammer switches on at 60 s), the compromised
+/// surveillance (tampered messages in flight, the ladder mid-hysteresis)
+/// and a short surveillance whose one inner boundary holds a clean graph;
+/// EXPERIMENTS.md, "The linter keeps R9" and "State, not history",
+/// ledgers which of them catches each value. The recorder is enabled, so
+/// its clock and metrics are in every payload too.
 #[test]
 fn every_checkpointed_value_resumes_and_steps_to_the_same_bytes() {
     for seed in SEEDS {
@@ -193,6 +210,8 @@ fn every_checkpointed_value_resumes_and_steps_to_the_same_bytes() {
     resume_then_step_at_every_window("evacuation", &urban_evacuation(250, 42), armed_chaos_config);
     let compromised = compromised_surveillance();
     resume_then_step_at_every_window("compromised surveillance", &compromised, ladder_config);
+    let clean = persistent_surveillance(55, 3);
+    resume_then_step_at_every_window("clean graph", &clean, clean_graph_config);
 }
 
 fn resume_then_step_at_every_window(
@@ -372,7 +391,7 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 }
 
 /// Checkpoint bytes, not only what resumes from them, are part of the
-/// contract: the FNV-1a of every window's payload for
+/// contract: the FNV-1a and the length of every window's payload for
 /// `urban_evacuation(250, 42)`, recorded on the commit before movement
 /// became a graph patch and re-recorded for `FORMAT_VERSION` 6, whose
 /// payloads are the version-5 ones with the removed run settings, the
@@ -383,24 +402,37 @@ fn store_falls_back_past_a_torn_checkpoint_and_still_resumes_exactly() {
 /// each node's sleep-schedule byte (251 here) cut, and for
 /// `FORMAT_VERSION` 9, whose snapshots are the version-8 ones with each
 /// sensor reporter's payload size (22 × 8 bytes) and each in-flight
-/// message's payload bytes (128 at two boundaries) cut.
+/// message's payload bytes (128 at two boundaries) cut, and for
+/// `FORMAT_VERSION` 10, whose payloads are the version-9 ones with the
+/// delivered-report log, its cursor, the current composition result, each
+/// node's id and the per-kind delivered counts cut and the latency
+/// samples replaced by their sum and count (20,210 → 17,985 bytes at
+/// window 0, 42,276 → 18,247 at window 9).
 /// The payload carries the simulator's
 /// graph-disposition byte, so a change to when the graph counts as
 /// fully stale, clean or pending moves a hash here (the jammer at 60 s
 /// is a full invalidation; every other boundary is a pending patch).
+///
+/// A checkpoint holds the mission's state, not its history: from window
+/// 1 to window 9 a payload may grow by 8 closed windows' stats (32 bytes
+/// each), the nodes the reflex gives up on (8 bytes each), the reporters
+/// it attaches instead (their ids, behaviour state and timers) and the
+/// reports in flight — well under 1 KiB. Version 9's payload grew by
+/// 19,430 bytes over the same windows, nearly all of it delivered reports
+/// and latency samples.
 #[test]
 fn evacuation_checkpoint_payloads_are_pinned() {
-    const PINNED: [u64; 10] = [
-        0x5a6501091f844988,
-        0x9aacc8ae48807162,
-        0x2a67fdaaec288469,
-        0xf69748af72caf14c,
-        0x78b1f5a02d912201,
-        0x4dc74b759f3f8096,
-        0x2d60ba44e33cfdc0,
-        0x60a196b3d4bb3e50,
-        0x67a6ef960eb0a3c7,
-        0x8baff296f4a13f21,
+    const PINNED: [(u64, usize); 10] = [
+        (0xf7662dd6c0be960e, 17_985),
+        (0x364b6dbd565e2080, 18_017),
+        (0x44e1c386793131b1, 18_049),
+        (0x36be522f02f2a9c9, 18_081),
+        (0x4819bc201862c913, 18_113),
+        (0xfd814574a9c287dd, 18_199),
+        (0x1660a3572e1b813d, 18_151),
+        (0xab1860a4a7267518, 18_237),
+        (0xa8baf65552ddf9cd, 18_215),
+        (0x3e59d80be2f2baf3, 18_247),
     ];
     let scenario = urban_evacuation(250, 42);
     let config = RunConfig::builder()
@@ -409,9 +441,15 @@ fn evacuation_checkpoint_payloads_are_pinned() {
         .build()
         .expect("valid run config");
     let mut runner = MissionRunner::new(&scenario, &config);
-    let mut hashes = vec![iobt::obs::fnv1a(&runner.save().expect("window 0"))];
+    let pin = |payload: Vec<u8>| (iobt::obs::fnv1a(&payload), payload.len());
+    let mut pins = vec![pin(runner.save().expect("window 0"))];
     while let StepOutcome::WindowClosed { .. } = runner.step_window() {
-        hashes.push(iobt::obs::fnv1a(&runner.save().expect("window boundary")));
+        pins.push(pin(runner.save().expect("window boundary")));
     }
-    assert_eq!(hashes, PINNED);
+    let growth = pins[9].1.saturating_sub(pins[1].1);
+    assert!(
+        growth < 1_024,
+        "window 9's payload is {growth} bytes longer than window 1's"
+    );
+    assert_eq!(pins, PINNED);
 }

@@ -391,8 +391,10 @@ fn one_worker_drain(
 /// for `FORMAT_VERSION` 8, which only shrinks them by the mission's node
 /// count (one sleep-schedule byte per node, 41–56), and for
 /// `FORMAT_VERSION` 9, which only shrinks them by 8 bytes per sensor
-/// reporter and the payload bytes of each report in flight (0–200); the
-/// counts did not move.
+/// reporter and the payload bytes of each report in flight (0–200), and
+/// for `FORMAT_VERSION` 10, which only shrinks them by the mission's
+/// delivered-report log, latency samples, node ids and current
+/// composition (369–3,693 bytes); the counts did not move.
 #[test]
 fn one_worker_decisions_are_pinned() {
     let residency = one_worker_drain("resident3", eight(), |b, _| b.max_resident(3));
@@ -454,13 +456,13 @@ fn one_worker_decisions_are_pinned() {
         ("recover", recover),
     ];
     let expected: [Decisions; 7] = [
-        ([32, 32, 21, 21, 0, 8, 0], 0x34c1_1c4b_d6ce_cd11),
-        ([16, 16, 12, 12, 0, 4, 0], 0xf718_c513_4a2b_2b6f),
-        ([32, 32, 21, 21, 14, 8, 0], 0xa04c_9cdc_6674_8e85),
-        ([12, 12, 6, 6, 0, 0, 4], 0x0f08_8883_53be_d4e9),
-        ([14, 14, 11, 11, 0, 3, 1], 0x692d_8296_df8d_54c6),
-        ([7, 7, 5, 3, 0, 0, 0], 0x62c3_0973_ee18_3760),
-        ([11, 11, 5, 9, 0, 4, 0], 0x9f6e_b78d_9faf_4e3c),
+        ([32, 32, 21, 21, 0, 8, 0], 0x3dec_08c3_4a9f_0940),
+        ([16, 16, 12, 12, 0, 4, 0], 0x8ae3_39ae_55b0_fc63),
+        ([32, 32, 21, 21, 14, 8, 0], 0xf920_ad51_6f9e_4607),
+        ([12, 12, 6, 6, 0, 0, 4], 0xb47d_228f_ac9a_1a15),
+        ([14, 14, 11, 11, 0, 3, 1], 0x50d2_8fe5_f7ef_d47f),
+        ([7, 7, 5, 3, 0, 0, 0], 0x3674_724c_0607_9a1a),
+        ([11, 11, 5, 9, 0, 4, 0], 0xda6e_adfa_8472_1d58),
     ];
     for ((label, got), want) in rows.iter().zip(expected) {
         // ([slices, windows, evictions, resumes, retries, completed,
